@@ -7,6 +7,32 @@
 
 namespace nvmeshare::block {
 
+Status outcome_status(const CmdOutcome& outcome, const char* stopped) {
+  switch (outcome.kind) {
+    case CmdOutcome::Kind::aborted:
+      return Status(Errc::aborted, stopped);
+    case CmdOutcome::Kind::transport_error:
+      return outcome.transport;
+    case CmdOutcome::Kind::timed_out:
+      return Status(Errc::timed_out, "command timed out after retries and recovery");
+    case CmdOutcome::Kind::completed:
+      break;
+  }
+  if (outcome.status == 0) return Status::ok();
+  return Status(Errc::io_error, std::string("NVMe status: ") + nvme::status_name(outcome.status));
+}
+
+nvme::IoOpcode nvme_opcode(Op op) {
+  switch (op) {
+    case Op::read: return nvme::IoOpcode::read;
+    case Op::write: return nvme::IoOpcode::write;
+    case Op::write_zeroes: return nvme::IoOpcode::write_zeroes;
+    case Op::discard: return nvme::IoOpcode::dataset_management;
+    case Op::flush: break;
+  }
+  return nvme::IoOpcode::flush;
+}
+
 Status IoEngine::validate(const Config& cfg) {
   if (cfg.channels == 0 || cfg.channels > kMaxEngineChannels) {
     return Status(Errc::invalid_argument, "channel count out of range");
@@ -54,12 +80,8 @@ IoEngine::IoEngine(sim::Engine& engine, IoTransport& transport, std::shared_ptr<
       qos_deferred_cmds_("nvmeshare.engine." + cfg_.backend + ".qos.deferred_cmds") {
   // Buckets start full: a client gets its burst allowance up front, then
   // settles to the steady-state rate.
-  qos_cmds_.rate = cfg_.qos_iops_limit;
-  qos_cmds_.capacity = static_cast<std::int64_t>(cfg_.qos_burst_cmds) * kTokenScale;
-  qos_cmds_.scaled = qos_cmds_.capacity;
-  qos_bytes_.rate = cfg_.qos_bytes_per_s;
-  qos_bytes_.capacity = static_cast<std::int64_t>(cfg_.qos_burst_bytes) * kTokenScale;
-  qos_bytes_.scaled = qos_bytes_.capacity;
+  qos_cmds_.arm(cfg_.qos_iops_limit, cfg_.qos_burst_cmds, engine_.now());
+  qos_bytes_.arm(cfg_.qos_bytes_per_s, cfg_.qos_burst_bytes, engine_.now());
   slots_ = std::make_unique<sim::Semaphore>(engine_, total_depth());
   channels_.reserve(cfg_.channels);
   for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
@@ -182,38 +204,6 @@ std::uint64_t IoEngine::coalesced_cmds() const {
   std::uint64_t total = 0;
   for (const auto& ch : channels_) total += ch->coalesced_cmds.value();
   return total;
-}
-
-// --- QoS pacing ---------------------------------------------------------------
-
-void IoEngine::TokenBucket::refill(sim::Time now) {
-  const sim::Duration elapsed = now - last;
-  last = now;
-  if (rate == 0 || elapsed <= 0) return;
-  const auto r = static_cast<std::int64_t>(rate);
-  // Time to climb from the current balance (which may be a deficit) back to
-  // a full bucket, rounded *up*: the old `capacity / r` floor both credited
-  // a fraction of a token early and forgave any outstanding deficit, so a
-  // sustained stream could admit slightly more than rate * t + burst.
-  // Clamping `elapsed` here also keeps `elapsed * r` inside 64 bits for
-  // arbitrarily long idle gaps.
-  const std::int64_t deficit = capacity - scaled;
-  if (elapsed >= (deficit + r - 1) / r) {
-    scaled = capacity;
-    return;
-  }
-  scaled += elapsed * r;
-}
-
-sim::Duration IoEngine::TokenBucket::charge(sim::Time now, std::uint64_t tokens) {
-  if (rate == 0) return 0;
-  refill(now);
-  scaled -= static_cast<std::int64_t>(tokens) * kTokenScale;
-  if (scaled >= 0) return 0;
-  // Sleep until the balance refills back to zero (ceil so we never wake a
-  // fraction of a token early).
-  const auto r = static_cast<std::int64_t>(rate);
-  return (-scaled + r - 1) / r;
 }
 
 // --- pending-command arena ----------------------------------------------------

@@ -31,15 +31,18 @@
 #include <vector>
 
 #include "common/status.hpp"
+#include "common/token_bucket.hpp"
 #include "common/units.hpp"
 #include "integrity/integrity.hpp"
 #include "mem/phys_mem.hpp"
+#include "nvme/spec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/task.hpp"
 
 namespace nvmeshare::block {
 
+enum class Op : std::uint8_t;
 struct Request;
 
 /// Ceiling on channels per engine; matches the largest queue-pair batch the
@@ -57,10 +60,18 @@ struct CmdOutcome {
   Status transport;          ///< first failure (kind == transport_error)
   std::uint64_t aux = 0;     ///< transport extra (NVMe-oF: response data digest)
 
-  [[nodiscard]] bool ok() const noexcept {
-    return kind == Kind::completed && status == 0;
-  }
+  /// The command reached the device and came back (with any status).
+  [[nodiscard]] bool completed() const noexcept { return kind == Kind::completed; }
+  [[nodiscard]] bool ok() const noexcept { return completed() && status == 0; }
 };
+
+/// The Status an io_task finishes with for `outcome`: ok for a clean
+/// completion, io_error naming a nonzero NVMe status, timed_out, the
+/// transport's own failure, or aborted with the backend's `stopped` reason.
+[[nodiscard]] Status outcome_status(const CmdOutcome& outcome, const char* stopped);
+
+/// The NVMe I/O opcode a block request is issued as.
+[[nodiscard]] nvme::IoOpcode nvme_opcode(Op op);
 
 /// The per-backend transport personality the engine drives. One channel ==
 /// one queue pair (NVMe SQ/CQ or RDMA QP). All hooks run on the simulation
@@ -99,9 +110,11 @@ class IoTransport {
   virtual void on_armed(std::uint32_t chan) { (void)chan; }
 };
 
-/// Legacy per-backend counters the engine feeds so existing dashboards and
-/// tests keep seeing nvmeshare.client.* / nvmeshare.nvmeof_initiator.*
-/// names for timeout/retry/recovery events. Null pointers are skipped.
+/// The backend's own counters the engine bumps on timeout, retry, recovery
+/// and late-completion events (nvmeshare.client.*,
+/// nvmeshare.nvmeof_initiator.*). They are the only counters for these
+/// events: the engine's own nvmeshare.engine.* metrics cover per-channel
+/// traffic and QoS pacing. Null pointers are skipped.
 struct EngineCounters {
   obs::Counter* timeouts = nullptr;
   obs::Counter* retries = nullptr;
@@ -267,24 +280,6 @@ class IoEngine {
   }
 
  private:
-  /// Fixed-point scale for token-bucket balances: one token is worth 1e9
-  /// scaled units, so a rate of R tokens/second earns exactly R scaled
-  /// units per simulated nanosecond — integer math, no drift.
-  static constexpr std::int64_t kTokenScale = 1'000'000'000;
-
-  /// SPDK-style token bucket. Charging first and sleeping off a negative
-  /// balance serialises concurrent submitters deterministically: each
-  /// charger sees the deficit left by the previous one and queues behind it.
-  struct TokenBucket {
-    std::uint64_t rate = 0;     ///< tokens per second; 0 = disarmed
-    std::int64_t scaled = 0;    ///< balance x kTokenScale (may go negative)
-    std::int64_t capacity = 0;  ///< burst ceiling x kTokenScale
-    sim::Time last = 0;         ///< last refill timestamp
-    void refill(sim::Time now);
-    /// Charge `tokens` and return how long the caller must stall (ns).
-    [[nodiscard]] sim::Duration charge(sim::Time now, std::uint64_t tokens);
-  };
-
   /// One coalesced doorbell burst: the first command to stage schedules the
   /// ring doorbell_ns later; everything staged meanwhile shares it.
   struct FlushBatch {
@@ -328,7 +323,7 @@ class IoEngine {
     /// the largest token the transport hands out (NVMe cid < ring entries;
     /// NVMe-oF cid < channels * queue_depth).
     std::vector<PendingCmd*> pending;
-    // Per-channel metrics (satellite: nvmeshare.engine.<backend>.qp<N>.*).
+    // Per-channel metrics (nvmeshare.engine.<backend>.qp<N>.*).
     obs::Gauge inflight_gauge;
     obs::Counter doorbell_writes;
     obs::Counter coalesced_cmds;

@@ -373,19 +373,12 @@ sim::Task Client::init_task(std::unique_ptr<Client> self,
     // Prewrite one PRP list per slot: the bounce partition is constant, so
     // the DMA descriptors are "programmed once" (Section V). Entry j of
     // slot i covers page j+1 of the slot (page 0 rides in PRP1).
-    const std::uint32_t pages_per_slot =
-        static_cast<std::uint32_t>(c.cfg_.slot_bytes / nvme::kPageSize);
-    for (std::uint32_t slot = 0; slot < total_depth; ++slot) {
-      const std::uint64_t slot_iova =
-          c.bounce_win_.device_addr() + static_cast<std::uint64_t>(slot) * c.cfg_.slot_bytes;
-      Bytes list((pages_per_slot > 1 ? pages_per_slot - 1 : 0) * 8);
-      for (std::uint32_t j = 0; j + 1 < pages_per_slot; ++j) {
-        store_pod(list, slot_iova + static_cast<std::uint64_t>(j + 1) * nvme::kPageSize,
-                  j * 8);
-      }
-      if (!list.empty()) {
-        (void)c.prp_seg_.write(static_cast<std::uint64_t>(slot) * nvme::kPageSize, list);
-      }
+    Bytes list((c.cfg_.slot_bytes / nvme::kPageSize - 1) * 8);
+    for (std::uint32_t slot = 0; slot < total_depth && !list.empty(); ++slot) {
+      nvme::fill_prp_list(
+          c.bounce_win_.device_addr() + static_cast<std::uint64_t>(slot) * c.cfg_.slot_bytes,
+          c.cfg_.slot_bytes, list);
+      (void)c.prp_seg_.write(static_cast<std::uint64_t>(slot) * nvme::kPageSize, list);
     }
   }
 
@@ -737,12 +730,13 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
   // deallocation. No-op unless the engine's PI table is armed.
   engine_io_->pi_note_submit(request);
 
-  std::uint64_t prp1 = 0;
-  std::uint64_t prp2 = 0;
+  nvme::PrpPair prp;
   fabric::Window dynamic_map;  // IOMMU mode: torn down after completion
   bool iommu_mapped = false;
   const std::uint64_t slot_base =
       static_cast<std::uint64_t>(slot) * cfg_.slot_bytes;  // offset within bounce segment
+  // This slot's descriptor page: a PRP list or a discard range.
+  const std::uint64_t slot_page = static_cast<std::uint64_t>(slot) * nvme::kPageSize;
 
   if (request.op == block::Op::flush || request.op == block::Op::write_zeroes) {
     // no data pointer
@@ -756,14 +750,12 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
     range.slba = request.lba;
     if (cfg_.data_path == DataPath::bounce_buffer) {
       (void)bounce_seg_.write(slot_base, as_bytes_of(range));
-      prp1 = bounce_win_.device_addr() + slot_base;
+      prp.prp1 = bounce_win_.device_addr() + slot_base;
     } else {
-      (void)prp_seg_.write(static_cast<std::uint64_t>(slot) * nvme::kPageSize,
-                           as_bytes_of(range));
-      prp1 = prp_win_.device_addr() + static_cast<std::uint64_t>(slot) * nvme::kPageSize;
+      (void)prp_seg_.write(slot_page, as_bytes_of(range));
+      prp.prp1 = prp_win_.device_addr() + slot_page;
     }
   } else if (cfg_.data_path == DataPath::bounce_buffer) {
-    const std::uint64_t slot_iova = bounce_win_.device_addr() + slot_base;
     if (is_write) {
       // The extra copy on the submission path (Section V).
       if (Status st = copy_to_bounce(slot_base, request.buffer_addr, bytes); !st) {
@@ -777,14 +769,9 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
                                    fabric().copy_cost_ns(bounce_seg_.node(), bytes));
       ph.mark(obs::Phase::bounce_copy, eng.now(), span_qid);
     }
-    prp1 = slot_iova;
-    if (bytes <= nvme::kPageSize) {
-      prp2 = 0;
-    } else if (bytes <= 2 * nvme::kPageSize) {
-      prp2 = slot_iova + nvme::kPageSize;
-    } else {
-      prp2 = prp_win_.device_addr() + static_cast<std::uint64_t>(slot) * nvme::kPageSize;
-    }
+    // The slot's PRP list was prewritten at attach.
+    prp = nvme::make_prps(bounce_win_.device_addr() + slot_base, bytes,
+                          prp_win_.device_addr() + slot_page);
   } else {
     // IOMMU mode: map the request buffer dynamically; no copy.
     const std::uint64_t map_base = align_down(request.buffer_addr, nvme::kPageSize);
@@ -817,59 +804,36 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
       mapped_base = dynamic_map.addr();
     }
     iommu_mapped = true;
-    prp1 = mapped_base + (request.buffer_addr - map_base);
-    const std::uint64_t pages = map_span / nvme::kPageSize;
-    if (bytes + (request.buffer_addr - map_base) <= nvme::kPageSize) {
-      prp2 = 0;
-    } else if (pages <= 2) {
-      prp2 = mapped_base + nvme::kPageSize;
-    } else {
+    const std::uint64_t device_addr = mapped_base + (request.buffer_addr - map_base);
+    prp = nvme::make_prps(device_addr, bytes, prp_win_.device_addr() + slot_page);
+    if (const std::uint64_t n = nvme::prp_list_bytes(device_addr, bytes); n > 0) {
       // Write this request's PRP list into the slot's descriptor page.
-      Bytes list((pages - 1) * 8);
-      for (std::uint64_t j = 0; j + 1 < pages; ++j) {
-        store_pod(list, mapped_base + (j + 1) * nvme::kPageSize, j * 8);
-      }
-      (void)prp_seg_.write(static_cast<std::uint64_t>(slot) * nvme::kPageSize, list);
-      prp2 = prp_win_.device_addr() + static_cast<std::uint64_t>(slot) * nvme::kPageSize;
+      Bytes list(n);
+      nvme::fill_prp_list(device_addr, bytes, list);
+      (void)prp_seg_.write(slot_page, list);
     }
   }
 
   // Build and post the SQE (a posted write into SQ memory: local store for
   // host-side placement, a store through the NTB for device-side).
-  SubmissionEntry sqe;
-  switch (request.op) {
-    case block::Op::flush:
-      sqe = nvme::make_flush(0, 1);
-      ++stats_.flushes;
-      break;
-    case block::Op::read:
-      // PRCHK: the controller verifies stored data against its tuples
-      // before the DMA, catching media-side corruption at the source.
-      sqe = nvme::make_io_rw(false, 0, 1, request.lba,
-                             static_cast<std::uint16_t>(request.nblocks), prp1, prp2,
-                             cfg_.pi_verify ? nvme::kPrinfoPrchkGuard |
-                                                  nvme::kPrinfoPrchkApp |
-                                                  nvme::kPrinfoPrchkRef
-                                            : 0);
-      ++stats_.reads;
-      break;
-    case block::Op::write:
-      // PRACT: the controller seals what it received, arming later PRCHK
-      // reads and the scrubber.
-      sqe = nvme::make_io_rw(true, 0, 1, request.lba,
-                             static_cast<std::uint16_t>(request.nblocks), prp1, prp2,
-                             cfg_.pi_verify ? nvme::kPrinfoPract : 0);
-      ++stats_.writes;
-      break;
-    case block::Op::write_zeroes:
-      sqe = nvme::make_write_zeroes(0, 1, request.lba,
-                                    static_cast<std::uint16_t>(request.nblocks));
-      ++stats_.writes;
-      break;
-    case block::Op::discard:
-      sqe = nvme::make_dsm_deallocate(0, 1, 1, prp1);
-      ++stats_.writes;
-      break;
+  // pi_verify: PRACT has the controller seal what a write delivered
+  // (arming later PRCHK reads and the scrubber); PRCHK has it verify stored
+  // data against its tuples before a read's DMA, catching media-side
+  // corruption at the source. Commands without data ignore PRINFO.
+  std::uint32_t prinfo = 0;
+  if (cfg_.pi_verify) {
+    prinfo = is_write ? nvme::kPrinfoPract
+                      : nvme::kPrinfoPrchkGuard | nvme::kPrinfoPrchkApp | nvme::kPrinfoPrchkRef;
+  }
+  const SubmissionEntry sqe =
+      nvme::make_io(block::nvme_opcode(request.op), 1, request.lba,
+                    static_cast<std::uint16_t>(request.nblocks), prp.prp1, prp.prp2, prinfo);
+  if (request.op == block::Op::read) {
+    ++stats_.reads;
+  } else if (request.op == block::Op::flush) {
+    ++stats_.flushes;
+  } else {
+    ++stats_.writes;
   }
   // Submission and completion wait: the engine runs the command to a final
   // outcome (per-attempt deadline watchdog, bounded exponential-backoff
@@ -884,36 +848,20 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
   run_args.bytes = bytes;
   std::uint32_t verify_attempts = 0;
   Status status = Status::ok();
+  bool completed = false;
   for (;;) {
     const block::CmdOutcome outcome = co_await engine_io_->run(run_args);
     span_qid = qids_[grant.chan];  // recovery may have re-granted the qid
-    if (outcome.kind == block::CmdOutcome::Kind::aborted) {
-      release_slot();
-      finish(Status(Errc::aborted, "client detached"));
-      co_return;
-    }
-    if (outcome.kind == block::CmdOutcome::Kind::transport_error) {
-      if (iommu_mapped) (void)iommu_.unmap(align_down(request.buffer_addr, nvme::kPageSize));
-      release_slot();
-      finish(outcome.transport);
-      co_return;
-    }
-    if (outcome.kind == block::CmdOutcome::Kind::timed_out) {
-      if (iommu_mapped) (void)iommu_.unmap(align_down(request.buffer_addr, nvme::kPageSize));
-      release_slot();
-      finish(Status(Errc::timed_out, "command timed out after retries and queue recovery"));
-      co_return;
-    }
+    status = block::outcome_status(outcome, "client detached");
+    completed = outcome.completed();
+    if (!completed) break;
 
     // Completion-path software cost.
     co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
     ph.mark(obs::Phase::completion, eng.now(), span_qid, outcome.token);
 
-    status = Status::ok();
-    if (outcome.status != 0) {
-      status = Status(Errc::io_error,
-                      std::string("NVMe status: ") + nvme::status_name(outcome.status));
-    } else if (request.op == block::Op::read && cfg_.data_path == DataPath::bounce_buffer) {
+    if (status.ok() && request.op == block::Op::read &&
+        cfg_.data_path == DataPath::bounce_buffer) {
       // The extra copy on the completion path (Section V).
       status = copy_from_bounce(request.buffer_addr, slot_base, bytes);
       ++stats_.bounce_copies;
@@ -945,9 +893,12 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
     break;
   }
 
+  // The one exit path once the command was issued. The IOMMU teardown is
+  // charged only after a genuine completion; a failed or aborted command
+  // drops its mapping without waiting.
   if (iommu_mapped) {
     auto cost = iommu_.unmap(align_down(request.buffer_addr, nvme::kPageSize));
-    if (cost) co_await sim::delay(eng, *cost);
+    if (cost && completed) co_await sim::delay(eng, *cost);
     dynamic_map.release();
   }
   release_slot();

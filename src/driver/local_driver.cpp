@@ -222,92 +222,45 @@ sim::Task LocalDriver::io_task(block::Request request,
       static_cast<std::uint64_t>(request.nblocks) * ctrl_->block_size();
 
   // Direct DMA: PRPs point straight at the request buffer (local memory, no
-  // bounce). PRP lists are written per request into this slot's list page.
-  std::uint64_t prp1 = 0;
-  std::uint64_t prp2 = 0;
+  // bounce). PRP lists and discard ranges go into this slot's list page.
+  const std::uint64_t page =
+      prp_pages_addr_ + static_cast<std::uint64_t>(slot) * nvme::kPageSize;
+  mem::PhysMem& dram = cluster_.fabric().host_dram(ctrl_->host());
+  nvme::PrpPair prp;
   if (request.op == block::Op::discard) {
     nvme::DsmRange range;
     range.nlb = request.nblocks;
     range.slba = request.lba;
-    const std::uint64_t page =
-        prp_pages_addr_ + static_cast<std::uint64_t>(slot) * nvme::kPageSize;
-    (void)cluster_.fabric().host_dram(ctrl_->host()).write(page, as_bytes_of(range));
-    prp1 = page;
+    (void)dram.write(page, as_bytes_of(range));
+    prp.prp1 = page;
   } else if (request.op == block::Op::read || request.op == block::Op::write) {
-    const std::uint64_t base = align_down(request.buffer_addr, nvme::kPageSize);
-    const std::uint64_t span = align_up(request.buffer_addr + bytes, nvme::kPageSize) - base;
-    const std::uint64_t pages = span / nvme::kPageSize;
-    prp1 = request.buffer_addr;
-    if (bytes + (request.buffer_addr - base) <= nvme::kPageSize) {
-      prp2 = 0;
-    } else if (pages <= 2) {
-      prp2 = base + nvme::kPageSize;
-    } else {
-      Bytes list((pages - 1) * 8);
-      for (std::uint64_t j = 0; j + 1 < pages; ++j) {
-        store_pod(list, base + (j + 1) * nvme::kPageSize, j * 8);
-      }
-      const std::uint64_t list_addr =
-          prp_pages_addr_ + static_cast<std::uint64_t>(slot) * nvme::kPageSize;
-      (void)cluster_.fabric().host_dram(ctrl_->host()).write(list_addr, list);
-      prp2 = list_addr;
+    prp = nvme::make_prps(request.buffer_addr, bytes, page);
+    if (const std::uint64_t n = nvme::prp_list_bytes(request.buffer_addr, bytes); n > 0) {
+      Bytes list(n);
+      nvme::fill_prp_list(request.buffer_addr, bytes, list);
+      (void)dram.write(page, list);
     }
   }
 
-  SubmissionEntry sqe;
-  switch (request.op) {
-    case block::Op::flush:
-      sqe = nvme::make_flush(0, 1);
-      ++stats_.flushes;
-      break;
-    case block::Op::read:
-      sqe = nvme::make_io_rw(false, 0, 1, request.lba,
-                             static_cast<std::uint16_t>(request.nblocks), prp1, prp2);
-      ++stats_.reads;
-      break;
-    case block::Op::write:
-      sqe = nvme::make_io_rw(true, 0, 1, request.lba,
-                             static_cast<std::uint16_t>(request.nblocks), prp1, prp2);
-      ++stats_.writes;
-      break;
-    case block::Op::write_zeroes:
-      sqe = nvme::make_write_zeroes(0, 1, request.lba,
-                                    static_cast<std::uint16_t>(request.nblocks));
-      ++stats_.writes;
-      break;
-    case block::Op::discard:
-      sqe = nvme::make_dsm_deallocate(0, 1, 1, prp1);
-      ++stats_.writes;
-      break;
+  SubmissionEntry sqe =
+      nvme::make_io(block::nvme_opcode(request.op), 1, request.lba,
+                    static_cast<std::uint16_t>(request.nblocks), prp.prp1, prp.prp2);
+  if (request.op == block::Op::read) {
+    ++stats_.reads;
+  } else if (request.op == block::Op::flush) {
+    ++stats_.flushes;
+  } else {
+    ++stats_.writes;
   }
   block::IoEngine::RunArgs run_args;
   run_args.grant = grant;
   run_args.cookie = &sqe;
   const block::CmdOutcome outcome = co_await engine_io_->run(run_args);
-  if (outcome.kind == block::CmdOutcome::Kind::aborted) {
-    engine_io_->release(grant);
-    finish(Status(Errc::aborted, "driver stopped"));
-    co_return;
-  }
-  if (outcome.kind == block::CmdOutcome::Kind::transport_error) {
-    engine_io_->release(grant);
-    finish(outcome.transport);
-    co_return;
-  }
-  if (outcome.kind == block::CmdOutcome::Kind::timed_out) {
-    engine_io_->release(grant);
-    finish(Status(Errc::timed_out, "command timed out"));
-    co_return;
-  }
-  co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
-
-  Status status = Status::ok();
-  if (outcome.status != 0) {
-    status = Status(Errc::io_error,
-                    std::string("NVMe status: ") + nvme::status_name(outcome.status));
+  if (outcome.completed()) {
+    co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
   }
   engine_io_->release(grant);
-  finish(std::move(status));
+  finish(block::outcome_status(outcome, "driver stopped"));
 }
 
 void LocalDriver::drain_cq() {

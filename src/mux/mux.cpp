@@ -17,39 +17,6 @@ QpMultiplexer::Stats::Stats()
       deferred_cmds("nvmeshare.mux.deferred_cmds"),
       aborted_cmds("nvmeshare.mux.aborted_cmds") {}
 
-// --- token bucket -------------------------------------------------------------
-
-void QpMultiplexer::TokenBucket::arm(std::uint64_t r, std::uint64_t burst) {
-  rate = r;
-  capacity = static_cast<std::int64_t>(burst) * kScale;
-  scaled = capacity;  // the burst allowance is available up front
-}
-
-void QpMultiplexer::TokenBucket::refill(sim::Time now) {
-  const sim::Duration elapsed = now - last;
-  last = now;
-  if (rate == 0 || elapsed <= 0) return;
-  const auto r = static_cast<std::int64_t>(rate);
-  // Ceil the full-bucket horizon (see IoEngine::TokenBucket::refill): a
-  // floor here would credit a fraction of a token early and forgive any
-  // outstanding deficit. The clamp also bounds `elapsed * r`.
-  const std::int64_t deficit = capacity - scaled;
-  if (elapsed >= (deficit + r - 1) / r) {
-    scaled = capacity;
-    return;
-  }
-  scaled += elapsed * r;
-}
-
-sim::Duration QpMultiplexer::TokenBucket::charge(sim::Time now, std::uint64_t tokens) {
-  if (rate == 0) return 0;
-  refill(now);
-  scaled -= static_cast<std::int64_t>(tokens) * kScale;
-  if (scaled >= 0) return 0;
-  const auto r = static_cast<std::int64_t>(rate);
-  return (-scaled + r - 1) / r;  // ceil: never wake a fraction of a token early
-}
-
 // --- lifecycle ----------------------------------------------------------------
 
 QpMultiplexer::QpMultiplexer(sim::Engine& engine, DispatchFn dispatch,
@@ -102,10 +69,8 @@ Status QpMultiplexer::attach_tenant(const ShareGrant& grant) {
     }
   }
   auto tenant = std::make_unique<Tenant>(grant);
-  tenant->cmd_bucket.arm(grant.qos_iops, cfg_.qos_burst_cmds);
-  tenant->byte_bucket.arm(grant.qos_bytes_per_s, cfg_.qos_burst_bytes);
-  tenant->cmd_bucket.last = engine_.now();
-  tenant->byte_bucket.last = engine_.now();
+  tenant->cmd_bucket.arm(grant.qos_iops, cfg_.qos_burst_cmds, engine_.now());
+  tenant->byte_bucket.arm(grant.qos_bytes_per_s, cfg_.qos_burst_bytes, engine_.now());
   tenants_.emplace(grant.tenant, std::move(tenant));
   order_.push_back(grant.tenant);
   ++stats_.shares_attached;

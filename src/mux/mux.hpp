@@ -35,6 +35,7 @@
 
 #include "block/block.hpp"
 #include "common/status.hpp"
+#include "common/token_bucket.hpp"
 #include "common/units.hpp"
 #include "nvme/queue.hpp"
 #include "obs/metrics.hpp"
@@ -117,20 +118,6 @@ class QpMultiplexer {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  /// Same fixed-point token bucket as IoEngine's pacer (one token = 1e9
-  /// scaled units), including the ceil-rounded refill horizon so a
-  /// sustained tenant never admits more than rate * t + burst.
-  struct TokenBucket {
-    static constexpr std::int64_t kScale = 1'000'000'000;
-    std::uint64_t rate = 0;
-    std::int64_t scaled = 0;
-    std::int64_t capacity = 0;
-    sim::Time last = 0;
-    void arm(std::uint64_t r, std::uint64_t burst);
-    void refill(sim::Time now);
-    [[nodiscard]] sim::Duration charge(sim::Time now, std::uint64_t tokens);
-  };
-
   struct Staged {
     block::Request request;
     sim::Time start = 0;

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "common/units.hpp"
+
 namespace nvmeshare::nvme {
 
 static_assert(std::endian::native == std::endian::little,
@@ -265,6 +267,39 @@ SubmissionEntry make_dsm_deallocate(std::uint16_t cid, std::uint32_t nsid, std::
   e.cdw10 = static_cast<std::uint32_t>(nr - 1);  // 0-based range count
   e.cdw11 = kDsmDeallocate;
   return e;
+}
+
+SubmissionEntry make_io(IoOpcode op, std::uint32_t nsid, std::uint64_t slba,
+                        std::uint16_t nblocks, std::uint64_t prp1, std::uint64_t prp2,
+                        std::uint32_t prinfo) {
+  switch (op) {
+    case IoOpcode::read:
+    case IoOpcode::write:
+      return make_io_rw(op == IoOpcode::write, 0, nsid, slba, nblocks, prp1, prp2, prinfo);
+    case IoOpcode::write_zeroes:
+      return make_write_zeroes(0, nsid, slba, nblocks);
+    case IoOpcode::dataset_management:
+      return make_dsm_deallocate(0, nsid, 1, prp1);
+    case IoOpcode::vendor_scrub:
+      return make_vendor_scrub(0, nsid, slba, nblocks);
+    case IoOpcode::flush:
+      break;
+  }
+  return make_flush(0, nsid);
+}
+
+PrpPair make_prps(std::uint64_t addr, std::uint64_t bytes, std::uint64_t list_addr) {
+  const std::uint64_t pages = prp_pages(addr, bytes);
+  if (pages <= 1) return {addr, 0};
+  if (pages == 2) return {addr, align_down(addr, kPageSize) + kPageSize};
+  return {addr, list_addr};
+}
+
+void fill_prp_list(std::uint64_t addr, std::uint64_t bytes, ByteSpan list) {
+  const std::uint64_t first = align_down(addr, kPageSize);
+  for (std::uint64_t j = 1; j < prp_pages(addr, bytes); ++j) {
+    store_pod(list, first + j * kPageSize, (j - 1) * 8);
+  }
 }
 
 }  // namespace nvmeshare::nvme

@@ -285,6 +285,33 @@ ParsedNamespaceIdentify parse_identify_namespace(ConstByteSpan data);
 /// The memory page size used throughout (CC.MPS = 0 -> 4 KiB).
 inline constexpr std::uint64_t kPageSize = 4096;
 
+/// The data pointer of one transfer (0 = unused).
+struct PrpPair {
+  std::uint64_t prp1 = 0;
+  std::uint64_t prp2 = 0;
+};
+
+/// Pages the transfer [addr, addr + bytes) touches.
+constexpr std::uint64_t prp_pages(std::uint64_t addr, std::uint64_t bytes) {
+  return (addr % kPageSize + bytes + kPageSize - 1) / kPageSize;
+}
+
+/// Bytes of PRP list the transfer needs: 8 per page after the first, or 0
+/// when PRP2 can point at the data itself.
+constexpr std::uint64_t prp_list_bytes(std::uint64_t addr, std::uint64_t bytes) {
+  return prp_pages(addr, bytes) > 2 ? (prp_pages(addr, bytes) - 1) * 8 : 0;
+}
+
+/// PRPs for `bytes` at the physically contiguous device address `addr`:
+/// PRP2 is 0 when the transfer stays in its first page, the second page
+/// when it ends there, and otherwise `list_addr`, the PRP list that
+/// fill_prp_list() produces.
+PrpPair make_prps(std::uint64_t addr, std::uint64_t bytes, std::uint64_t list_addr);
+
+/// Write the PRP list for `bytes` at `addr` into `list`: one entry per page
+/// after the first. `list` must hold (prp_pages() - 1) * 8 bytes.
+void fill_prp_list(std::uint64_t addr, std::uint64_t bytes, ByteSpan list);
+
 SubmissionEntry make_identify(std::uint16_t cid, IdentifyCns cns, std::uint32_t nsid,
                               std::uint64_t prp1);
 SubmissionEntry make_create_io_cq(std::uint16_t cid, std::uint16_t qid, std::uint16_t qsize,
@@ -314,5 +341,12 @@ SubmissionEntry make_write_zeroes(std::uint16_t cid, std::uint32_t nsid, std::ui
 /// Dataset Management with `nr` ranges whose descriptors are at prp1.
 SubmissionEntry make_dsm_deallocate(std::uint16_t cid, std::uint32_t nsid, std::uint8_t nr,
                                     std::uint64_t prp1);
+
+/// The I/O command every data path submits (cid 0; the queue pair assigns
+/// it): read and write carry both PRPs and `prinfo`, dataset_management
+/// deallocates the one range descriptor at prp1, flush carries nothing.
+SubmissionEntry make_io(IoOpcode op, std::uint32_t nsid, std::uint64_t slba,
+                        std::uint16_t nblocks, std::uint64_t prp1, std::uint64_t prp2,
+                        std::uint32_t prinfo = 0);
 
 }  // namespace nvmeshare::nvme

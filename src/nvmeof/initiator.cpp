@@ -203,7 +203,6 @@ sim::Task Initiator::io_task(block::Request request, sim::Promise<block::Complet
     co_return;
   }
   const std::uint32_t slot = grant.slot;
-  auto release_slot = [&]() { engine_io_->release(grant); };
 
   // Submission path: block layer + capsule construction.
   co_await sim::delay(engine, cfg_.costs.jittered(cfg_.costs.submit_ns, rng_));
@@ -279,24 +278,11 @@ sim::Task Initiator::io_task(block::Request request, sim::Promise<block::Complet
   run_args.ph = &ph;
   run_args.trace = trace;
   std::uint32_t digest_attempts = 0;
-  block::CmdOutcome outcome;
+  Status status = Status::ok();
   for (;;) {
-    outcome = co_await engine_io_->run(run_args);
-    if (outcome.kind == block::CmdOutcome::Kind::aborted) {
-      release_slot();
-      finish(Status(Errc::aborted, "initiator stopped"));
-      co_return;
-    }
-    if (outcome.kind == block::CmdOutcome::Kind::transport_error) {
-      release_slot();
-      finish(outcome.transport);
-      co_return;
-    }
-    if (outcome.kind == block::CmdOutcome::Kind::timed_out) {
-      release_slot();
-      finish(Status(Errc::timed_out, "capsule timed out after retries and reconnect"));
-      co_return;
-    }
+    const block::CmdOutcome outcome = co_await engine_io_->run(run_args);
+    status = block::outcome_status(outcome, "initiator stopped");
+    if (!outcome.completed()) break;
     // Verify the digest the target computed over the read payload it
     // pushed. A mismatch means the data was damaged in flight — the
     // media copy is intact, so a re-send heals it.
@@ -314,23 +300,17 @@ sim::Task Initiator::io_task(block::Request request, sim::Promise<block::Complet
           ph.mark(obs::Phase::recovery, engine.now());
           continue;
         }
-        release_slot();
-        finish(Status(Errc::io_error, "read payload failed data-digest verify"));
-        co_return;
+        status = Status(Errc::io_error, "read payload failed data-digest verify");
+        break;
       }
     }
-    break;  // genuine, digest-clean response
+    // A genuine, digest-clean response: completion path software.
+    co_await sim::delay(engine, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
+    ph.mark(obs::Phase::completion, engine.now());
+    break;
   }
-  // Completion path software.
-  co_await sim::delay(engine, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
-  ph.mark(obs::Phase::completion, engine.now());
-  release_slot();
-  if (outcome.status != 0) {
-    finish(Status(Errc::io_error,
-                  std::string("target returned: ") + nvme::status_name(outcome.status)));
-  } else {
-    finish(Status::ok());
-  }
+  engine_io_->release(grant);
+  finish(std::move(status));
 }
 
 sim::Task Initiator::completion_loop(std::shared_ptr<bool> stop) {

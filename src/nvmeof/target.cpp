@@ -1,6 +1,7 @@
 #include "nvmeof/target.hpp"
 
 #include <array>
+#include <optional>
 
 #include "common/log.hpp"
 #include "integrity/integrity.hpp"
@@ -29,6 +30,36 @@ void trace_target_span(std::uint16_t qid, std::uint16_t cid, obs::Phase phase, s
   if (const std::uint64_t trace = tracer.lookup(qid, cid); trace != 0) {
     tracer.record(trace, obs::Track::target, phase, begin, end, qid, cid);
   }
+}
+
+/// The NVMe command a fabric opcode becomes; nullopt for an unknown one.
+std::optional<nvme::IoOpcode> nvme_opcode(FabricOp op) {
+  switch (op) {
+    case FabricOp::read: return nvme::IoOpcode::read;
+    case FabricOp::write: return nvme::IoOpcode::write;
+    case FabricOp::flush: return nvme::IoOpcode::flush;
+    case FabricOp::write_zeroes: return nvme::IoOpcode::write_zeroes;
+    case FabricOp::discard: return nvme::IoOpcode::dataset_management;
+  }
+  return std::nullopt;
+}
+
+/// Whether a capsule's sizes are consistent. It arrives from another host,
+/// so nothing is trusted: the payload must fit the staging slot (and the
+/// receive slot, when inline), a block count must fit the 16-bit NLB field
+/// without wrapping, and a transfer must move exactly the blocks it names.
+bool capsule_sizes_valid(const CommandCapsule& capsule, std::uint64_t slot_bytes,
+                         std::uint32_t block_size) {
+  const auto op = static_cast<FabricOp>(capsule.opcode);
+  const bool transfer = op == FabricOp::read || op == FabricOp::write;
+  if (capsule.data_len > slot_bytes) return false;
+  if ((capsule.flags & kFlagInlineData) != 0 && capsule.data_len > kInlineDataMax) return false;
+  if ((transfer || op == FabricOp::write_zeroes) &&
+      (capsule.nblocks == 0 || capsule.nblocks > 0xFFFF)) {
+    return false;
+  }
+  return !transfer ||
+         capsule.data_len == static_cast<std::uint64_t>(capsule.nblocks) * block_size;
 }
 }  // namespace
 
@@ -130,13 +161,9 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
 
   // Staging slots never move: prewrite one PRP list per slot.
   mem::PhysMem& dram = cluster_.fabric().host_dram(host);
-  const std::uint64_t pages_per_slot = sb / nvme::kPageSize;
+  Bytes list((sb / nvme::kPageSize - 1) * 8);
   for (std::uint32_t slot = 0; slot < slots; ++slot) {
-    Bytes list((pages_per_slot - 1) * 8);
-    const std::uint64_t base = conn->staging_base + slot * sb;
-    for (std::uint64_t j = 0; j + 1 < pages_per_slot; ++j) {
-      store_pod(list, base + (j + 1) * nvme::kPageSize, j * 8);
-    }
+    nvme::fill_prp_list(conn->staging_base + slot * sb, sb, list);
     (void)dram.write(conn->prp_base + slot * nvme::kPageSize, list);
   }
 
@@ -252,7 +279,7 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   bool ok = true;
 
   const auto op = static_cast<FabricOp>(capsule.opcode);
-  if (capsule.data_len > slot_bytes()) {
+  if (!capsule_sizes_valid(capsule, slot_bytes(), ctrl_->block_size())) {
     ok = false;
     nvme_status = nvme::kScInvalidField;
   }
@@ -313,66 +340,44 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   if (op == FabricOp::read) ++stats_.reads;
 
   // Submit to the local NVMe queue pair.
+  const std::optional<nvme::IoOpcode> nvme_op = nvme_opcode(op);
+  if (ok && !nvme_op) {
+    ok = false;
+    nvme_status = nvme::kScInvalidOpcode;
+  }
   if (ok) {
-    SubmissionEntry sqe;
-    const std::uint64_t bytes = capsule.data_len;
-    std::uint64_t prp2 = 0;
-    if (bytes > 2 * nvme::kPageSize) {
-      prp2 = conn->prp_base + slot * nvme::kPageSize;
-    } else if (bytes > nvme::kPageSize) {
-      prp2 = staging + nvme::kPageSize;
+    if (op == FabricOp::discard) {
+      // Build the range descriptor in this command's staging slot.
+      nvme::DsmRange range;
+      range.nlb = capsule.nblocks;
+      range.slba = capsule.slba;
+      (void)dram.write(staging, as_bytes_of(range));
     }
-    switch (op) {
-      case FabricOp::flush:
-        sqe = nvme::make_flush(0, capsule.nsid);
-        break;
-      case FabricOp::read:
-        sqe = nvme::make_io_rw(false, 0, capsule.nsid, capsule.slba,
-                               static_cast<std::uint16_t>(capsule.nblocks), staging, prp2);
-        break;
-      case FabricOp::write:
-        sqe = nvme::make_io_rw(true, 0, capsule.nsid, capsule.slba,
-                               static_cast<std::uint16_t>(capsule.nblocks), staging, prp2);
-        break;
-      case FabricOp::write_zeroes:
-        sqe = nvme::make_write_zeroes(0, capsule.nsid, capsule.slba,
-                                      static_cast<std::uint16_t>(capsule.nblocks));
-        break;
-      case FabricOp::discard: {
-        // Build the range descriptor in this command's staging slot.
-        nvme::DsmRange range;
-        range.nlb = capsule.nblocks;
-        range.slba = capsule.slba;
-        (void)dram.write(staging, as_bytes_of(range));
-        sqe = nvme::make_dsm_deallocate(0, capsule.nsid, 1, staging);
-        break;
+    const nvme::PrpPair prp = nvme::make_prps(staging, capsule.data_len,
+                                              conn->prp_base + slot * nvme::kPageSize);
+    const SubmissionEntry sqe =
+        nvme::make_io(*nvme_op, capsule.nsid, capsule.slba,
+                      static_cast<std::uint16_t>(capsule.nblocks), prp.prp1, prp.prp2);
+    auto cid = conn->nvme_qp->push(sqe);
+    if (!cid) {
+      ok = false;
+      nvme_status = nvme::kScInternalError;
+    } else {
+      auto [it, ins] =
+          conn->nvme_pending.emplace(*cid, sim::Promise<CompletionEntry>(engine));
+      (void)ins;
+      auto fut = it->second.future();
+      const sim::Time nvme_begin = engine.now();
+      co_await sim::delay(engine, cfg_.costs.doorbell_ns);
+      (void)conn->nvme_qp->ring_sq_doorbell();
+      CompletionEntry cqe = co_await fut;
+      if (*stop) {
+        finish();
+        co_return;
       }
-      default:
-        ok = false;
-        nvme_status = nvme::kScInvalidOpcode;
-    }
-    if (ok) {
-      auto cid = conn->nvme_qp->push(sqe);
-      if (!cid) {
-        ok = false;
-        nvme_status = nvme::kScInternalError;
-      } else {
-        auto [it, ins] =
-            conn->nvme_pending.emplace(*cid, sim::Promise<CompletionEntry>(engine));
-        (void)ins;
-        auto fut = it->second.future();
-        const sim::Time nvme_begin = engine.now();
-        co_await sim::delay(engine, cfg_.costs.doorbell_ns);
-        (void)conn->nvme_qp->ring_sq_doorbell();
-        CompletionEntry cqe = co_await fut;
-        if (*stop) {
-          finish();
-          co_return;
-        }
-        trace_target_span(trace_qid, capsule.cid, obs::Phase::media, nvme_begin, engine.now());
-        nvme_status = cqe.status();
-        ok = cqe.ok();
-      }
+      trace_target_span(trace_qid, capsule.cid, obs::Phase::media, nvme_begin, engine.now());
+      nvme_status = cqe.status();
+      ok = cqe.ok();
     }
   }
   if (!ok) ++stats_.errors;

@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/status.hpp"
+#include "common/token_bucket.hpp"
 #include "common/units.hpp"
 
 namespace nvmeshare {
@@ -157,6 +158,34 @@ TEST(AsciiBoxplot, RendersOneLinePerBox) {
   const std::string out = render_ascii_boxplot(boxes);
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);  // 2 boxes + axis
   EXPECT_NE(out.find('#'), std::string::npos);             // median marker
+}
+
+TEST(TokenBucket, StartsFullThenPacesToItsRate) {
+  TokenBucket bucket;
+  bucket.arm(1000, 2, 0);  // 1000 tokens/s: one per microsecond
+  EXPECT_EQ(bucket.charge(0, 1), 0);
+  EXPECT_EQ(bucket.charge(0, 1), 0);
+  EXPECT_EQ(bucket.charge(0, 1), 1'000'000);  // stall until the deficit refills
+  EXPECT_EQ(bucket.charge(1'000'000, 1), 1'000'000);
+}
+
+TEST(TokenBucket, DisarmedNeverStalls) {
+  TokenBucket bucket;
+  bucket.arm(0, 1, 0);
+  EXPECT_EQ(bucket.charge(0, 1'000'000), 0);
+}
+
+TEST(TokenBucket, LongIdleGapRefillsToCapacityWithoutOverflow) {
+  // 1e9 tokens/s over a 1e12 ns gap: elapsed x rate is 1e21, past the
+  // 64-bit range. The refill must clamp to a full bucket rather than wrap.
+  TokenBucket bucket;
+  bucket.arm(1'000'000'000, 1 << 20, 0);
+  const sim::Duration stall = bucket.charge(0, 4u << 20);  // deep deficit
+  EXPECT_EQ(stall, 3 << 20);  // 3 MiB over budget at 1 token/ns
+  const sim::Time later = 1'000'000'000'000;
+  EXPECT_EQ(bucket.charge(later, 1 << 20), 0);
+  EXPECT_EQ(bucket.scaled, 0);
+  EXPECT_EQ(bucket.charge(later, 1), 1);
 }
 
 TEST(Bytes, PatternRoundTrip) {

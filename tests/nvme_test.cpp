@@ -75,6 +75,83 @@ TEST(Spec, IoCommandBuilder) {
   EXPECT_EQ(e.cdw12 & 0xFFFF, 7u);  // 0-based block count
 }
 
+TEST(Spec, PrpConstructionTable) {
+  constexpr std::uint64_t kBase = 0x40000;  // page-aligned buffer start
+  constexpr std::uint64_t kList = 0x9000;   // where the caller keeps the list
+  struct Case {
+    std::uint64_t offset;
+    std::uint64_t bytes;
+    std::uint64_t pages;  // pages the buffer touches
+    bool uses_list;
+  };
+  const Case cases[] = {
+      {0, 1 * kPageSize, 1, false},    {512, 1 * kPageSize - 512, 1, false},
+      {0, 2 * kPageSize, 2, false},    {512, 1 * kPageSize, 2, false},
+      {0, 3 * kPageSize, 3, true},     {512, 3 * kPageSize, 4, true},
+      {0, 32 * kPageSize, 32, true},   {512, 32 * kPageSize - 512, 32, true},
+      // Two pages' worth of data that reaches a third page only because
+      // of its offset: the list, not the second page, goes in PRP2.
+      {512, 2 * kPageSize, 3, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "offset " << c.offset << " bytes " << c.bytes);
+    const std::uint64_t addr = kBase + c.offset;
+    EXPECT_EQ(prp_pages(addr, c.bytes), c.pages);
+    const PrpPair prp = make_prps(addr, c.bytes, kList);
+    EXPECT_EQ(prp.prp1, addr);
+    if (c.pages == 1) {
+      EXPECT_EQ(prp.prp2, 0u);
+    } else if (!c.uses_list) {
+      EXPECT_EQ(prp.prp2, kBase + kPageSize);
+    } else {
+      EXPECT_EQ(prp.prp2, kList);
+    }
+    EXPECT_EQ(prp_list_bytes(addr, c.bytes), c.uses_list ? (c.pages - 1) * 8 : 0);
+
+    // The list names every page after the first, in order, and writes
+    // nothing past its last entry.
+    Bytes list((c.pages - 1) * 8 + 8, std::byte{0xEE});
+    fill_prp_list(addr, c.bytes, list);
+    for (std::uint64_t j = 1; j < c.pages; ++j) {
+      EXPECT_EQ(load_pod<std::uint64_t>(list, (j - 1) * 8), kBase + j * kPageSize) << j;
+    }
+    EXPECT_EQ(load_pod<std::uint64_t>(list, (c.pages - 1) * 8), 0xEEEEEEEEEEEEEEEEull);
+  }
+}
+
+TEST(Spec, OneIoBuilderForEveryOpcode) {
+  const auto rd = make_io(IoOpcode::read, 1, 0x1'0000'0002ULL, 16, 0x2000, 0x3000,
+                          kPrinfoPrchkGuard);
+  EXPECT_EQ(rd.opcode, static_cast<std::uint8_t>(IoOpcode::read));
+  EXPECT_EQ(rd.nsid, 1u);
+  EXPECT_EQ(rd.prp1, 0x2000u);
+  EXPECT_EQ(rd.prp2, 0x3000u);
+  EXPECT_EQ(rd.cdw10, 2u);
+  EXPECT_EQ(rd.cdw11, 1u);
+  EXPECT_EQ(rd.cdw12, 15u | kPrinfoPrchkGuard);
+
+  const auto wr = make_io(IoOpcode::write, 1, 8, 1, 0x2000, 0, kPrinfoPract);
+  EXPECT_EQ(wr.opcode, static_cast<std::uint8_t>(IoOpcode::write));
+  EXPECT_EQ(wr.cdw12, kPrinfoPract);  // NLB 0 = one block
+
+  const auto wz = make_io(IoOpcode::write_zeroes, 1, 8, 0xFFFF, 0x2000, 0x3000, kPrinfoPract);
+  EXPECT_EQ(wz.opcode, static_cast<std::uint8_t>(IoOpcode::write_zeroes));
+  EXPECT_EQ(wz.prp1, 0u);
+  EXPECT_EQ(wz.cdw12, 0xFFFEu);
+
+  const auto dsm = make_io(IoOpcode::dataset_management, 1, 8, 64, 0x5000, 0x6000);
+  EXPECT_EQ(dsm.opcode, static_cast<std::uint8_t>(IoOpcode::dataset_management));
+  EXPECT_EQ(dsm.prp1, 0x5000u);
+  EXPECT_EQ(dsm.prp2, 0u);
+  EXPECT_EQ(dsm.cdw10, 0u);  // one range
+  EXPECT_EQ(dsm.cdw11, kDsmDeallocate);
+
+  const auto fl = make_io(IoOpcode::flush, 1, 8, 64, 0x5000, 0x6000);
+  EXPECT_EQ(fl.opcode, static_cast<std::uint8_t>(IoOpcode::flush));
+  EXPECT_EQ(fl.prp1, 0u);
+  EXPECT_EQ(fl.cdw10, 0u);
+}
+
 TEST(BlockStore, SparseZeroReads) {
   BlockStore store(1000, 512);
   Bytes buf(512, std::byte{0xFF});

@@ -142,5 +142,103 @@ TEST_F(NvmeofFixture, InlineWriteDeliversCorrectBytes) {
   write_read_verify(tb, **initiator, 1, 8000, 4096 + 512, 0xBBB2);
 }
 
+/// A raw connection to the target with no Initiator in front of it, so a
+/// test can post capsules the block layer would never build.
+struct RawConnection {
+  RawConnection(Testbed& tb, Target& target, rdma::NodeId node)
+      : tb(tb), node(node), ctx(tb.network(), node), cq(tb.engine()) {
+    (void)ctx.register_mr(0, tb.cluster().fabric().host_dram(node).size());
+    auto accepted = tb.wait(target.accept(ctx, cq));
+    EXPECT_TRUE(accepted.has_value()) << accepted.status().to_string();
+    if (accepted) qp = *accepted;
+    capsule_addr = *tb.cluster().alloc_dram(node, kCapsuleSlotBytes, 4096);
+    response_addr = *tb.cluster().alloc_dram(node, 4096, 4096);
+  }
+
+  /// Send `capsule` and run until its response arrives.
+  ResponseCapsule exchange(const CommandCapsule& capsule) {
+    ResponseCapsule response;
+    response.status = 0xFFFF;
+    if (qp == nullptr) return response;
+    mem::PhysMem& dram = tb.cluster().fabric().host_dram(node);
+    EXPECT_TRUE(dram.write(capsule_addr, as_bytes_of(capsule)).is_ok());
+    EXPECT_TRUE(qp->post_recv(1, response_addr, sizeof(ResponseCapsule)).is_ok());
+    EXPECT_TRUE(qp->post_send(2, capsule_addr, sizeof(CommandCapsule)).is_ok());
+    for (int i = 0; i < 1000; ++i) {
+      tb.engine().run_for(1_us);
+      while (auto wc = cq.poll()) {
+        if (wc->opcode != rdma::WcOpcode::recv) continue;
+        EXPECT_TRUE(wc->status.is_ok()) << wc->status.to_string();
+        EXPECT_TRUE(dram.read(response_addr, as_writable_bytes_of(response)).is_ok());
+        return response;
+      }
+    }
+    ADD_FAILURE() << "no response capsule";
+    return response;
+  }
+
+  Testbed& tb;
+  rdma::NodeId node;
+  rdma::Context ctx;
+  rdma::CompletionQueue cq;
+  rdma::QueuePair* qp = nullptr;
+  std::uint64_t capsule_addr = 0;
+  std::uint64_t response_addr = 0;
+};
+
+CommandCapsule raw_capsule(FabricOp op, std::uint64_t slba, std::uint32_t nblocks,
+                           std::uint32_t data_len, std::uint64_t data_addr) {
+  CommandCapsule capsule;
+  capsule.opcode = static_cast<std::uint8_t>(op);
+  capsule.cid = 7;
+  capsule.slba = slba;
+  capsule.nblocks = nblocks;
+  capsule.data_len = data_len;
+  capsule.initiator_data_addr = data_addr;
+  return capsule;
+}
+
+TEST_F(NvmeofFixture, MalformedCapsuleSizesAreRejectedBeforeTheNvmeQueue) {
+  // Data the rejected commands must leave alone.
+  auto initiator = connect(1);
+  ASSERT_TRUE(initiator.has_value());
+  const std::uint64_t pattern = alloc_pattern_buffer(tb, 1, 4096, 0x77);
+  auto wr = do_io(tb, **initiator, {block::Op::write, 100, 8, pattern});
+  ASSERT_TRUE(wr.has_value() && wr->status.is_ok());
+
+  RawConnection raw(tb, *target, 2);
+  const std::uint64_t buf = *tb.cluster().alloc_dram(2, 128 * KiB, 4096);
+  const std::uint64_t fetched = tb.controller().stats().commands_fetched.value();
+  const std::uint64_t errors = target->stats().errors.value();
+  const struct {
+    const char* what;
+    CommandCapsule capsule;
+  } rejected[] = {
+      // 65537 blocks truncated to 16 bits would read 1 block.
+      {"read nblocks 65537", raw_capsule(FabricOp::read, 100, 65537, 512, buf)},
+      {"read nblocks 0", raw_capsule(FabricOp::read, 100, 0, 0, buf)},
+      {"read length mismatch", raw_capsule(FabricOp::read, 100, 8, 512, buf)},
+      {"write length mismatch", raw_capsule(FabricOp::write, 100, 1, 4096, buf)},
+      {"read past the slot", raw_capsule(FabricOp::read, 0, 512, 256 * KiB, buf)},
+      // 65537 truncates to a 1-block zeroing; 65536 wraps the 0-based NLB.
+      {"write_zeroes nblocks 65537", raw_capsule(FabricOp::write_zeroes, 100, 65537, 0, 0)},
+      {"write_zeroes nblocks 65536", raw_capsule(FabricOp::write_zeroes, 100, 65536, 0, 0)},
+      {"write_zeroes nblocks 0", raw_capsule(FabricOp::write_zeroes, 100, 0, 0, 0)},
+  };
+  for (const auto& r : rejected) {
+    EXPECT_EQ(raw.exchange(r.capsule).status, nvme::kScInvalidField) << r.what;
+  }
+  CommandCapsule oversized_inline = raw_capsule(FabricOp::write, 100, 16, 8192, buf);
+  oversized_inline.flags = kFlagInlineData;  // more than a receive slot holds
+  EXPECT_EQ(raw.exchange(oversized_inline).status, nvme::kScInvalidField);
+
+  EXPECT_EQ(tb.controller().stats().commands_fetched.value(), fetched);
+  EXPECT_EQ(target->stats().errors.value(), errors + std::size(rejected) + 1);
+  // A well-formed capsule on the same connection still works, and the
+  // rejected write_zeroes never touched the media.
+  EXPECT_EQ(raw.exchange(raw_capsule(FabricOp::read, 100, 8, 4096, buf)).status, 0u);
+  EXPECT_TRUE(buffer_matches(tb, 2, buf, 4096, 0x77));
+}
+
 }  // namespace
 }  // namespace nvmeshare::nvmeof
