@@ -12,11 +12,15 @@
 //   stack   the full ours-remote scenario (fabric, NVMe controller, bounce
 //           path) driven by the fio workload generator — end-to-end
 //
+// Each mode also counts global operator new calls inside its measured
+// window (a counting hook replaces operator new in this binary only), so
+// the document reports heap allocations per item next to events per item.
+//
 // With --json the machine-readable document ({bench, config, results{},
 // metrics{}}) is written for the BENCH_perf.json perf-trend file that
-// tools/ci_perf.sh regression-checks PR-over-PR. Simulated metrics are
-// deterministic per seed; wall-clock metrics are machine-dependent by
-// nature. See docs/performance.md for the methodology.
+// tools/ci_perf.sh regression-checks PR-over-PR. Simulated metrics and
+// allocation counts are deterministic per seed; wall-clock metrics are
+// machine-dependent by nature. See docs/performance.md for the methodology.
 //
 //   nvsh_perf                          # all three modes, human summary
 //   nvsh_perf --mode engine --events 4000000
@@ -26,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -35,6 +40,25 @@
 
 #include "bench_util.hpp"
 #include "block/io_engine.hpp"
+
+namespace {
+std::uint64_t g_allocations = 0;
+
+void* counted_new(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+// Counting hook: the unaligned new/delete family (nothing in the simulator
+// over-aligns), routed to malloc/free.
+void* operator new(std::size_t size) { return counted_new(size); }
+void* operator new[](std::size_t size) { return counted_new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -142,6 +166,7 @@ struct ModeResult {
   sim::Duration sim_elapsed = 0;  ///< simulated ns covered
   std::uint64_t wall = 0;         ///< wall-clock ns
   std::uint64_t cycles = 0;       ///< timestamp-counter delta
+  std::uint64_t allocs = 0;       ///< global operator new calls
 
   [[nodiscard]] double events_per_sec() const {
     return wall > 0 ? static_cast<double>(sim_events) * 1e9 / static_cast<double>(wall)
@@ -158,6 +183,10 @@ struct ModeResult {
   }
   [[nodiscard]] double cycles_per_item() const {
     return work_items > 0 ? static_cast<double>(cycles) / static_cast<double>(work_items)
+                          : 0.0;
+  }
+  [[nodiscard]] double allocs_per_item() const {
+    return work_items > 0 ? static_cast<double>(allocs) / static_cast<double>(work_items)
                           : 0.0;
   }
 };
@@ -195,11 +224,13 @@ ModeResult run_engine_mode(std::uint64_t total_events) {
                                        static_cast<std::uint32_t>(a) & 7});
   }
 
+  const std::uint64_t a0 = g_allocations;
   const std::uint64_t w0 = wall_ns();
   const std::uint64_t c0 = rdcycles();
   engine.run();
   r.cycles = rdcycles() - c0;
   r.wall = wall_ns() - w0;
+  r.allocs = g_allocations - a0;
   r.sim_events = engine.events_processed();
   r.work_items = r.sim_events;
   r.sim_elapsed = engine.now();
@@ -284,11 +315,13 @@ ModeResult run_io_mode(std::uint64_t ops, std::uint32_t qd, std::uint32_t channe
     Worker::run(io, ops, submitted, completed);
   }
 
+  const std::uint64_t a0 = g_allocations;
   const std::uint64_t w0 = wall_ns();
   const std::uint64_t c0 = rdcycles();
   engine.run();
   r.cycles = rdcycles() - c0;
   r.wall = wall_ns() - w0;
+  r.allocs = g_allocations - a0;
   r.sim_events = engine.events_processed();
   r.sim_elapsed = engine.now();
   r.work_items = completed;
@@ -327,11 +360,13 @@ ModeResult run_stack_mode(std::uint64_t ops, std::uint32_t qd, std::uint32_t cha
   sim::Engine& engine = s.testbed->engine();
   const std::uint64_t events_before = engine.events_processed();
   const sim::Time sim_before = engine.now();
+  const std::uint64_t a0 = g_allocations;
   const std::uint64_t w0 = wall_ns();
   const std::uint64_t c0 = rdcycles();
   const workload::JobResult result = run(s, spec);
   r.cycles = rdcycles() - c0;
   r.wall = wall_ns() - w0;
+  r.allocs = g_allocations - a0;
   r.sim_events = engine.events_processed() - events_before;
   r.sim_elapsed = engine.now() - sim_before;
   r.work_items = result.ops_completed;
@@ -345,8 +380,8 @@ void print_result(const ModeResult& r) {
               static_cast<unsigned long long>(r.work_items),
               static_cast<unsigned long long>(r.sim_events),
               static_cast<double>(r.wall) / 1e6);
-  std::printf("        events/sec %.3fM  cycles/item %.0f\n", r.events_per_sec() / 1e6,
-              r.cycles_per_item());
+  std::printf("        events/sec %.3fM  cycles/item %.0f  allocs/item %.3f\n",
+              r.events_per_sec() / 1e6, r.cycles_per_item(), r.allocs_per_item());
   if (r.mode != "engine") {
     std::printf("        sim IOPS %.0f  wall IOPS %.0f  (sim %.3f ms)\n", r.sim_iops(),
                 r.wall_iops(), static_cast<double>(r.sim_elapsed) / 1e6);
@@ -357,14 +392,16 @@ void append_result_json(std::string& out, const ModeResult& r) {
   char buf[512];
   std::snprintf(buf, sizeof buf,
                 "\"%s\":{\"items\":%llu,\"sim_events\":%llu,\"sim_elapsed_ns\":%lld,"
-                "\"wall_ns\":%llu,\"cycles\":%llu,\"events_per_sec\":%.1f,"
-                "\"sim_iops\":%.1f,\"wall_iops\":%.1f,\"cycles_per_item\":%.1f}",
+                "\"wall_ns\":%llu,\"cycles\":%llu,\"allocs\":%llu,\"events_per_sec\":%.1f,"
+                "\"sim_iops\":%.1f,\"wall_iops\":%.1f,\"cycles_per_item\":%.1f,"
+                "\"allocs_per_item\":%.4f}",
                 r.mode.c_str(), static_cast<unsigned long long>(r.work_items),
                 static_cast<unsigned long long>(r.sim_events),
                 static_cast<long long>(r.sim_elapsed),
                 static_cast<unsigned long long>(r.wall),
-                static_cast<unsigned long long>(r.cycles), r.events_per_sec(),
-                r.sim_iops(), r.wall_iops(), r.cycles_per_item());
+                static_cast<unsigned long long>(r.cycles),
+                static_cast<unsigned long long>(r.allocs), r.events_per_sec(), r.sim_iops(),
+                r.wall_iops(), r.cycles_per_item(), r.allocs_per_item());
   out += buf;
 }
 

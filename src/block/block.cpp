@@ -21,4 +21,12 @@ Status validate_request(const BlockDevice& dev, const Request& request) {
   return Status::ok();
 }
 
+Status validate_command_request(const BlockDevice& dev, const Request& request) {
+  NVS_RETURN_IF_ERROR(validate_request(dev, request));
+  if (request.op == Op::write_zeroes && request.nblocks > kMaxCommandBlocks) {
+    return Status(Errc::invalid_argument, "write_zeroes exceeds one command's block count");
+  }
+  return Status::ok();
+}
+
 }  // namespace nvmeshare::block

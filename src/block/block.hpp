@@ -56,4 +56,14 @@ class BlockDevice {
 /// Validate a request against device limits (shared by implementations).
 Status validate_request(const BlockDevice& dev, const Request& request);
 
+/// Most blocks one NVMe I/O command carries (make_io's 16-bit count).
+inline constexpr std::uint32_t kMaxCommandBlocks = 0xFFFF;
+
+/// validate_request plus the limit of a single NVMe command, for the
+/// backends that turn each request into one command (Client, LocalDriver,
+/// the NVMe-oF initiator): a write_zeroes longer than kMaxCommandBlocks is
+/// rejected instead of being truncated to its low 16 bits. ShardedDevice
+/// splits requests per stripe and checks only validate_request.
+Status validate_command_request(const BlockDevice& dev, const Request& request);
+
 }  // namespace nvmeshare::block

@@ -185,7 +185,10 @@ Status PoolFabric::apply_read_into(const Resolved& t, ByteSpan out) {
     case Resolved::Kind::bar: {
       Result<Bytes> data = endpoints_[t.ep].ep->bar_read(t.bar, t.bar_offset, out.size());
       if (!data) return data.status();
-      std::copy(data->begin(), data->end(), out.begin());
+      // Pooled buffers arrive dirty: a short BAR read leaves zeros behind it.
+      const std::size_t n = std::min(out.size(), data->size());
+      std::copy_n(data->begin(), n, out.begin());
+      std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(), std::byte{0});
       return Status::ok();
     }
   }
@@ -269,22 +272,23 @@ Result<sim::Time> PoolFabric::post_write(const Initiator& who, std::uint64_t add
   const sim::Time arrival =
       posted_arrival(initiator_id(who), floor_key(*target), lat, ser, not_before);
   if (fault_drop) return arrival;
-  Bytes payload(data.size());
+  Bytes payload = take_payload(data.size());
   if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
   if (corrupt.flip) {
     payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
   if (corrupt.torn) payload.resize(corrupt.torn_bytes);
-  engine_.at(arrival, [this, t = *target, d = std::move(payload)]() {
+  engine_.at(arrival, [this, t = *target, d = std::move(payload)]() mutable {
     if (Status st = apply_write(t, d); !st) {
       NVS_LOG(warn, "cxl") << "posted store dropped at target: " << st.to_string();
       ++stats_.unsupported_requests;
     }
+    recycle_payload(std::move(d));
   });
   return arrival;
 }
 
-Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
+Result<sim::Time> PoolFabric::write_sg(const Initiator& who, std::span<const SgEntry> sg,
                                        ConstByteSpan data, sim::Time not_before) {
   std::uint64_t total = 0;
   sim::Duration worst_one_way = 0;
@@ -344,14 +348,15 @@ Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<S
     posted_floor_[{initiator_id(who), k}] = arrival;
   }
   if (fault_drop) return arrival;
-  Bytes payload(data.size());
+  Bytes payload = take_payload(data.size());
   if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
   if (corrupt.flip) {
     payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
   engine_.at(arrival,
-             [this, targets = std::move(targets), sg, d = std::move(payload), deliver]() {
+             [this, targets = std::move(targets), sg = std::vector<SgEntry>(sg.begin(), sg.end()),
+              d = std::move(payload), deliver]() mutable {
                std::size_t off = 0;
                for (std::size_t i = 0; i < targets.size() && off < deliver; ++i) {
                  const std::size_t chunk = std::min<std::size_t>(sg[i].len, deliver - off);
@@ -362,6 +367,7 @@ Result<sim::Time> PoolFabric::write_sg(const Initiator& who, const std::vector<S
                  }
                  off += sg[i].len;
                }
+               recycle_payload(std::move(d));
              });
   return arrival;
 }
@@ -387,7 +393,7 @@ sim::Future<Result<Bytes>> PoolFabric::read(const Initiator& who, std::uint64_t 
   engine_.after(one_way + cfg_.pool_access_ns,
                 [this, t = *target, len, promise, src = who.host,
                  remaining = total - one_way - cfg_.pool_access_ns]() mutable {
-                  Bytes data(len);
+                  Bytes data = take_payload(len);
                   Status st = apply_read_into(t, data);
                   if (st && fault::enabled() &&
                       fault::Injector::global().on_dma_read(
@@ -407,7 +413,7 @@ sim::Future<Result<Bytes>> PoolFabric::read(const Initiator& who, std::uint64_t 
 }
 
 sim::Future<Result<Bytes>> PoolFabric::read_sg(const Initiator& who,
-                                               const std::vector<SgEntry>& sg) {
+                                               std::span<const SgEntry> sg) {
   sim::Promise<Result<Bytes>> promise(engine_);
   auto future = promise.future();
 
@@ -442,9 +448,9 @@ sim::Future<Result<Bytes>> PoolFabric::read_sg(const Initiator& who,
                                   cfg_.pool_access_ns;
   engine_.after(
       first_leg,
-      [this, targets = std::move(targets), sg, promise, src = who.host,
-       remaining = total_lat - first_leg, total]() mutable {
-        Bytes out(total);
+      [this, targets = std::move(targets), sg = std::vector<SgEntry>(sg.begin(), sg.end()),
+       promise, src = who.host, remaining = total_lat - first_leg, total]() mutable {
+        Bytes out = take_payload(total);
         Status failure = Status::ok();
         std::size_t off = 0;
         for (std::size_t i = 0; i < targets.size(); ++i) {

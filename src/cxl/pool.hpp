@@ -124,12 +124,12 @@ class PoolFabric final : public fabric::Substrate {
 
   Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
                                sim::Time not_before = 0) override;
-  Result<sim::Time> write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
+  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
                              ConstByteSpan data, sim::Time not_before = 0) override;
   sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
                                   std::size_t len) override;
   sim::Future<Result<Bytes>> read_sg(const Initiator& who,
-                                     const std::vector<SgEntry>& sg) override;
+                                     std::span<const SgEntry> sg) override;
   Status poll_read(HostId viewer, std::uint64_t addr, ByteSpan out) override;
 
   /// Fail (or restore) `host`'s CXL port: while down the host cannot reach

@@ -687,7 +687,7 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
     promise.set(block::Completion{std::move(st), latency});
   };
 
-  if (Status st = block::validate_request(*this, request); !st) {
+  if (Status st = block::validate_command_request(*this, request); !st) {
     finish(st);
     co_return;
   }

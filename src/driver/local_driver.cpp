@@ -204,7 +204,7 @@ sim::Task LocalDriver::io_task(block::Request request,
     promise.set(block::Completion{std::move(st), eng.now() - start});
   };
 
-  if (Status st = block::validate_request(*this, request); !st) {
+  if (Status st = block::validate_command_request(*this, request); !st) {
     finish(st);
     co_return;
   }

@@ -33,6 +33,24 @@ void Window::release() {
   token_ = 0;
 }
 
+Bytes Substrate::take_payload(std::size_t n) {
+  if (payload_pool_.empty()) return Bytes(n);
+  Bytes b = std::move(payload_pool_.back());
+  payload_pool_.pop_back();
+  b.resize(n);
+  return b;
+}
+
+void Substrate::recycle_payload(Bytes&& b) {
+  // Bound both the number of pooled buffers and the capacity each can pin,
+  // so a burst of large DMAs doesn't park megabytes forever.
+  constexpr std::size_t kMaxPooled = 64;
+  constexpr std::size_t kMaxPooledCapacity = 256 * 1024;
+  if (payload_pool_.size() < kMaxPooled && b.capacity() <= kMaxPooledCapacity) {
+    payload_pool_.push_back(std::move(b));
+  }
+}
+
 Window Substrate::make_window(std::uint64_t token, std::uint64_t addr,
                               std::uint64_t size) noexcept {
   Window w;

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,16 +157,25 @@ class Substrate {
   /// Posted scatter write of one buffer across multiple target ranges
   /// (device DMA of a data block through PRP pages). One aggregate
   /// serialization cost; returns arrival time of the *last* byte.
-  virtual Result<sim::Time> write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
+  virtual Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
                                      ConstByteSpan data, sim::Time not_before = 0) = 0;
 
-  /// Non-posted read; future resolves after the full round trip.
+  /// Non-posted read; future resolves after the full round trip. The
+  /// buffer comes from the payload pool; a caller on a hot path hands it
+  /// back with recycle_payload() once done with it.
   virtual sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
                                           std::size_t len) = 0;
 
-  /// Non-posted gather read across multiple ranges (device DMA fetch).
+  /// Non-posted gather read across multiple ranges (device DMA fetch);
+  /// the buffer comes from the payload pool, as with read().
   virtual sim::Future<Result<Bytes>> read_sg(const Initiator& who,
-                                             const std::vector<SgEntry>& sg) = 0;
+                                             std::span<const SgEntry> sg) = 0;
+
+  /// Recycled byte buffers for data in flight: posted-write payloads, read
+  /// results, and device staging buffers. A warm pool hands out buffers
+  /// without allocating; the contents of a taken buffer are unspecified.
+  [[nodiscard]] Bytes take_payload(std::size_t n);
+  void recycle_payload(Bytes&& b);
 
   /// Zero-cost synchronous read for CQ phase polling. Unlike peek() this is
   /// a sanctioned data-path access: the polled ring must be local, in a
@@ -229,6 +239,7 @@ class Substrate {
 
  private:
   friend class Window;
+  std::vector<Bytes> payload_pool_;
 };
 
 }  // namespace nvmeshare::fabric

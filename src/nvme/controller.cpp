@@ -454,6 +454,7 @@ sim::Task Controller::fetch_turn_task(std::uint16_t qid, std::uint16_t limit, st
     const auto head_after = static_cast<std::uint16_t>((sq.head + i + 1) % sq.size);
     execute_command(qid, sqe, head_after, gen);
   }
+  fabric()->recycle_payload(std::move(*data));
   sq.head = static_cast<std::uint16_t>((sq.head + n) % sq.size);
   stats_.commands_fetched += n;
   promise.set(n);
@@ -605,7 +606,7 @@ sim::Task Controller::run_admin(SubmissionEntry sqe, std::uint16_t sq_head_after
         complete(0, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
         co_return;
       }
-      auto arrival = fabric()->write_sg(dma_initiator(), *sg, payload);
+      auto arrival = fabric()->write_sg(dma_initiator(), sg->span(), payload);
       if (!arrival) {
         complete(0, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
         co_return;
@@ -850,7 +851,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
       complete(qid, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
       co_return;
     }
-    auto ranges_raw = co_await fabric()->read_sg(dma_initiator(), *sg);
+    auto ranges_raw = co_await fabric()->read_sg(dma_initiator(), sg->span());
     if (gen != generation_) co_return;
     if (!ranges_raw) {
       complete(qid, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
@@ -869,6 +870,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
         }
       }
     }
+    fabric()->recycle_payload(std::move(*ranges_raw));
     complete(qid, sq_head_after, sqe.cid, status, 0, gen, 0);
     co_return;
   }
@@ -938,7 +940,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     if (gen != generation_) co_return;
     trace_io_span(qid, sqe.cid, obs::Phase::media, media_begin, engine_.now());
 
-    Bytes data(bytes);
+    Bytes data = fabric()->take_payload(bytes);
     if (Status st = store_.read(slba, nblocks, data); !st) {
       complete(qid, sq_head_after, sqe.cid, kScInternalError, 0, gen, 0);
       co_return;
@@ -978,7 +980,8 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
       complete(qid, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
       co_return;
     }
-    auto arrival = fabric()->write_sg(dma_initiator(), *sg, data);
+    auto arrival = fabric()->write_sg(dma_initiator(), sg->span(), data);
+    fabric()->recycle_payload(std::move(data));
     if (!arrival) {
       complete(qid, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
       co_return;
@@ -1002,7 +1005,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     co_return;
   }
   const sim::Time dma_begin = engine_.now();
-  auto data = co_await fabric()->read_sg(dma_initiator(), *sg);
+  auto data = co_await fabric()->read_sg(dma_initiator(), sg->span());
   if (gen != generation_) co_return;
   if (!data) {
     complete(qid, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
@@ -1037,23 +1040,24 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
       ++istats.pi_generated;
     }
   }
+  fabric()->recycle_payload(std::move(*data));
   complete(qid, sq_head_after, sqe.cid, kScSuccess, 0, gen, 0);
 }
 
 // --- PRP walking -----------------------------------------------------------------------------
 
-sim::Future<Result<std::vector<fabric::SgEntry>>> Controller::walk_prps(std::uint64_t prp1,
-                                                                      std::uint64_t prp2,
-                                                                      std::uint64_t total) {
-  sim::Promise<Result<std::vector<fabric::SgEntry>>> promise(engine_);
+sim::Future<Result<Controller::PrpScatter>> Controller::walk_prps(std::uint64_t prp1,
+                                                                 std::uint64_t prp2,
+                                                                 std::uint64_t total) {
+  sim::Promise<Result<PrpScatter>> promise(engine_);
   walk_prps_task(promise, prp1, prp2, total);
   return promise.future();
 }
 
-sim::Task Controller::walk_prps_task(sim::Promise<Result<std::vector<fabric::SgEntry>>> promise,
+sim::Task Controller::walk_prps_task(sim::Promise<Result<PrpScatter>> promise,
                                      std::uint64_t prp1, std::uint64_t prp2,
                                      std::uint64_t total) {
-  std::vector<fabric::SgEntry> sg;
+  PrpScatter sg;
   if (total == 0) {
     promise.set(std::move(sg));
     co_return;
@@ -1088,7 +1092,7 @@ sim::Task Controller::walk_prps_task(sim::Promise<Result<std::vector<fabric::SgE
   }
   const std::uint64_t entries_needed = div_ceil(remaining, kPageSize);
   const std::uint64_t entries_in_page = (kPageSize - prp2 % kPageSize) / 8;
-  if (entries_needed > entries_in_page) {
+  if (entries_needed > entries_in_page || entries_needed >= PrpScatter::kMaxEntries) {
     promise.set(Status(Errc::invalid_argument, "PRP list would chain (exceeds MDTS model)"));
     co_return;
   }
@@ -1109,6 +1113,7 @@ sim::Task Controller::walk_prps_task(sim::Promise<Result<std::vector<fabric::SgE
     sg.push_back({entry, static_cast<std::uint32_t>(len)});
     remaining -= len;
   }
+  fabric()->recycle_payload(std::move(*list));
   promise.set(std::move(sg));
 }
 

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -190,13 +191,26 @@ class Controller final : public fabric::Endpoint {
   sim::Task run_io(std::uint16_t qid, SubmissionEntry sqe, std::uint16_t sq_head_after,
                    std::uint64_t gen);
 
+  /// A command's data pages as a scatter list, stored inline: a transfer
+  /// of at most MDTS (128 KiB) spans 32 pages plus an unaligned head page,
+  /// so walking a PRP chain never allocates.
+  struct PrpScatter {
+    static constexpr std::size_t kMaxEntries = 33;
+    std::array<fabric::SgEntry, kMaxEntries> entries{};
+    std::size_t count = 0;
+
+    void push_back(fabric::SgEntry e) noexcept { entries[count++] = e; }
+    [[nodiscard]] std::span<const fabric::SgEntry> span() const noexcept {
+      return {entries.data(), count};
+    }
+  };
+
   /// Decode the PRP chain of a command into a scatter list of `total` bytes.
   /// May cost simulated time (PRP-list fetch is a DMA read).
-  sim::Future<Result<std::vector<fabric::SgEntry>>> walk_prps(std::uint64_t prp1,
-                                                            std::uint64_t prp2,
-                                                            std::uint64_t total);
-  sim::Task walk_prps_task(sim::Promise<Result<std::vector<fabric::SgEntry>>> promise,
-                           std::uint64_t prp1, std::uint64_t prp2, std::uint64_t total);
+  sim::Future<Result<PrpScatter>> walk_prps(std::uint64_t prp1, std::uint64_t prp2,
+                                            std::uint64_t total);
+  sim::Task walk_prps_task(sim::Promise<Result<PrpScatter>> promise, std::uint64_t prp1,
+                           std::uint64_t prp2, std::uint64_t total);
 
   [[nodiscard]] sim::Duration media_latency(IoOpcode op, std::uint32_t nblocks);
 

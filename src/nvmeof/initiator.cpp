@@ -192,7 +192,7 @@ sim::Task Initiator::io_task(block::Request request, sim::Promise<block::Complet
     promise.set(block::Completion{std::move(st), engine.now() - start});
   };
 
-  if (Status st = block::validate_request(*this, request); !st) {
+  if (Status st = block::validate_command_request(*this, request); !st) {
     finish(st);
     co_return;
   }

@@ -331,28 +331,49 @@ Status Fabric::apply_read_into(const Resolved& target, ByteSpan out) {
   Result<Bytes> data = endpoints_[target.ep].ep->bar_read(target.bar, target.bar_offset,
                                                           out.size());
   if (!data) return data.status();
-  std::copy(data->begin(), data->end(), out.begin());
+  // Pooled buffers arrive dirty: a short BAR read leaves zeros behind it.
+  const std::size_t n = std::min(out.size(), data->size());
+  std::copy_n(data->begin(), n, out.begin());
+  std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(), std::byte{0});
   return Status::ok();
 }
 
-// --- payload pool ------------------------------------------------------------------
+// --- scatter-gather records ---------------------------------------------------------
 
-Bytes Fabric::take_payload(std::size_t n) {
-  if (payload_pool_.empty()) return Bytes(n);
-  Bytes b = std::move(payload_pool_.back());
-  payload_pool_.pop_back();
-  b.resize(n);
-  return b;
+std::unique_ptr<Fabric::SgOp> Fabric::take_sg_op() {
+  if (sg_pool_.empty()) return std::make_unique<SgOp>();
+  std::unique_ptr<SgOp> op = std::move(sg_pool_.back());
+  sg_pool_.pop_back();
+  return op;
 }
 
-void Fabric::recycle_payload(Bytes&& b) {
-  // Bound both the number of pooled buffers and the capacity each can pin,
-  // so a burst of large DMAs doesn't park megabytes forever.
-  constexpr std::size_t kMaxPooled = 64;
-  constexpr std::size_t kMaxPooledCapacity = 256 * 1024;
-  if (payload_pool_.size() < kMaxPooled && b.capacity() <= kMaxPooledCapacity) {
-    payload_pool_.push_back(std::move(b));
+void Fabric::recycle_sg_op(std::unique_ptr<SgOp> op) {
+  op->targets.clear();
+  op->lens.clear();
+  op->chips.clear();
+  op->total = 0;
+  op->worst_path = 0;
+  op->worst_crossings = 0;
+  sg_pool_.push_back(std::move(op));
+}
+
+Status Fabric::resolve_sg(const Initiator& who, std::span<const SgEntry> sg, SgOp& op) {
+  for (const auto& e : sg) {
+    auto target = resolve(who.host, e.addr, e.len);
+    if (!target) {
+      ++stats_.unsupported_requests;
+      return target.status();
+    }
+    auto pc = path_to(who, *target);
+    if (!pc) return pc.status();
+    op.worst_path = std::max(op.worst_path, pc->cost_ns);
+    op.worst_crossings = std::max(op.worst_crossings, target->ntb_crossings);
+    stats_.ntb_translations += static_cast<std::uint64_t>(target->ntb_crossings);
+    op.targets.push_back(*target);
+    op.lens.push_back(e.len);
+    op.total += e.len;
   }
+  return Status::ok();
 }
 
 // --- transactions -------------------------------------------------------------------
@@ -425,28 +446,16 @@ Result<sim::Time> Fabric::post_write(const Initiator& who, std::uint64_t addr,
   return arrival;
 }
 
-Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
+Result<sim::Time> Fabric::write_sg(const Initiator& who, std::span<const SgEntry> sg,
                                    ConstByteSpan data, sim::Time not_before) {
-  std::uint64_t total = 0;
-  sim::Duration worst_path = 0;
-  int worst_crossings = 0;
-  std::vector<Resolved> targets;
-  targets.reserve(sg.size());
-  for (const auto& e : sg) {
-    auto target = resolve(who.host, e.addr, e.len);
-    if (!target) {
-      ++stats_.unsupported_requests;
-      return target.status();
-    }
-    auto pc = path_to(who, *target);
-    if (!pc) return pc.status();
-    worst_path = std::max(worst_path, pc->cost_ns);
-    worst_crossings = std::max(worst_crossings, target->ntb_crossings);
-    stats_.ntb_translations += static_cast<std::uint64_t>(target->ntb_crossings);
-    targets.push_back(*target);
-    total += e.len;
+  std::unique_ptr<SgOp> op = take_sg_op();
+  if (Status st = resolve_sg(who, sg, *op); !st) {
+    recycle_sg_op(std::move(op));
+    return st;
   }
+  const std::uint64_t total = op->total;
   if (total != data.size()) {
+    recycle_sg_op(std::move(op));
     return Status(Errc::invalid_argument, "scatter list length != payload length");
   }
 
@@ -455,9 +464,10 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
   bool fault_drop = false;
   sim::Duration fault_extra = 0;
   fault::Injector::PostedWriteDecision corrupt;
-  if (fault::enabled() && !targets.empty()) {
+  if (fault::enabled() && !op->targets.empty()) {
+    const Resolved& first = op->targets.front();
     const auto decision = fault::Injector::global().on_posted_write(
-        who.host, targets.front().host, targets.front().kind == Resolved::Kind::bar, total);
+        who.host, first.host, first.kind == Resolved::Kind::bar, total);
     fault_drop = decision.drop;
     fault_extra = decision.extra_ns;
     corrupt = decision;
@@ -469,26 +479,28 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
   const sim::Duration ser = model_.serialization_ns(total);
   const sim::Duration tlp =
       static_cast<sim::Duration>(model_.tlp_count(total)) * model_.tlp_overhead_ns;
-  const sim::Duration lat = model_.one_way_ns(worst_path, worst_crossings) + tlp + ser +
+  const sim::Duration lat = model_.one_way_ns(op->worst_path, op->worst_crossings) + tlp + ser +
                             model_.completer_access_ns + fault_extra;
   // Order against the FIFO of every chunk's completer — advance each
   // distinct completer chip's floor exactly once, so the aggregate
   // serialization gap is charged a single time for the whole scatter
   // list, not once per chunk.
-  std::vector<ChipId> chips;
-  for (const auto& t : targets) {
-    if (std::find(chips.begin(), chips.end(), t.target_chip) == chips.end()) {
-      chips.push_back(t.target_chip);
+  for (const auto& t : op->targets) {
+    if (std::find(op->chips.begin(), op->chips.end(), t.target_chip) == op->chips.end()) {
+      op->chips.push_back(t.target_chip);
     }
   }
   sim::Time arrival = not_before;
-  for (ChipId chip : chips) {
+  for (ChipId chip : op->chips) {
     arrival = std::max(arrival, posted_arrival(who, chip, lat, ser + tlp, not_before));
   }
-  for (ChipId chip : chips) {
+  for (ChipId chip : op->chips) {
     posted_floor_[{who.chip, chip}] = arrival;
   }
-  if (fault_drop) return arrival;
+  if (fault_drop) {
+    recycle_sg_op(std::move(op));
+    return arrival;
+  }
   Bytes payload = take_payload(data.size());
   if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
   if (corrupt.flip) {
@@ -496,20 +508,19 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, const std::vector<SgEnt
   }
   // A torn scatter write delivers only the leading `torn_bytes` of the DMA.
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
-  engine_.at(arrival,
-             [this, targets = std::move(targets), sg, d = std::move(payload), deliver]() mutable {
-               std::size_t off = 0;
-               for (std::size_t i = 0; i < targets.size() && off < deliver; ++i) {
-                 const std::size_t chunk = std::min<std::size_t>(sg[i].len, deliver - off);
-                 if (Status st = apply_write(targets[i], ConstByteSpan(d).subspan(off, chunk));
-                     !st) {
-                   NVS_LOG(warn, "pcie") << "scatter write chunk dropped: " << st.to_string();
-                   ++stats_.unsupported_requests;
-                 }
-                 off += sg[i].len;
-               }
-               recycle_payload(std::move(d));
-             });
+  engine_.at(arrival, [this, op = std::move(op), d = std::move(payload), deliver]() mutable {
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < op->targets.size() && off < deliver; ++i) {
+      const std::size_t chunk = std::min<std::size_t>(op->lens[i], deliver - off);
+      if (Status st = apply_write(op->targets[i], ConstByteSpan(d).subspan(off, chunk)); !st) {
+        NVS_LOG(warn, "pcie") << "scatter write chunk dropped: " << st.to_string();
+        ++stats_.unsupported_requests;
+      }
+      off += op->lens[i];
+    }
+    recycle_payload(std::move(d));
+    recycle_sg_op(std::move(op));
+  });
   return arrival;
 }
 
@@ -542,9 +553,9 @@ sim::Future<Result<Bytes>> Fabric::read(const Initiator& who, std::uint64_t addr
   engine_.after(one_way + model_.completer_access_ns,
                 [this, t = *target, len, promise, src = who.host,
                  remaining = total - one_way - model_.completer_access_ns]() mutable {
-                  // One buffer, filled in place — the DRAM fast path copies
-                  // straight from PhysMem into it.
-                  Bytes data(len);
+                  // One pooled buffer, filled in place — the DRAM fast path
+                  // copies straight from PhysMem into it.
+                  Bytes data = take_payload(len);
                   Status st = apply_read_into(t, data);
                   // Fault injection: a stale read completes successfully but
                   // carries old (zero-filled) data instead of memory contents.
@@ -566,66 +577,48 @@ sim::Future<Result<Bytes>> Fabric::read(const Initiator& who, std::uint64_t addr
 }
 
 sim::Future<Result<Bytes>> Fabric::read_sg(const Initiator& who,
-                                           const std::vector<SgEntry>& sg) {
+                                           std::span<const SgEntry> sg) {
   sim::Promise<Result<Bytes>> promise(engine_);
   auto future = promise.future();
 
-  std::uint64_t total = 0;
-  sim::Duration worst_path = 0;
-  int worst_crossings = 0;
-  std::vector<Resolved> targets;
-  targets.reserve(sg.size());
-  for (const auto& e : sg) {
-    auto target = resolve(who.host, e.addr, e.len);
-    if (!target) {
-      ++stats_.unsupported_requests;
-      engine_.after(2 * model_.tlp_overhead_ns,
-                    [promise, st = target.status()]() mutable { promise.set(st); });
-      return future;
-    }
-    auto pc = path_to(who, *target);
-    if (!pc) {
-      engine_.after(2 * model_.tlp_overhead_ns,
-                    [promise, st = pc.status()]() mutable { promise.set(st); });
-      return future;
-    }
-    worst_path = std::max(worst_path, pc->cost_ns);
-    worst_crossings = std::max(worst_crossings, target->ntb_crossings);
-    stats_.ntb_translations += static_cast<std::uint64_t>(target->ntb_crossings);
-    targets.push_back(*target);
-    total += e.len;
+  std::unique_ptr<SgOp> op = take_sg_op();
+  if (Status st = resolve_sg(who, sg, *op); !st) {
+    recycle_sg_op(std::move(op));
+    engine_.after(2 * model_.tlp_overhead_ns,
+                  [promise, st = std::move(st)]() mutable { promise.set(st); });
+    return future;
   }
   ++stats_.reads;
-  stats_.bytes_read += total;
+  stats_.bytes_read += op->total;
 
-  const sim::Duration one_way = model_.one_way_ns(worst_path, worst_crossings);
-  const sim::Duration total_lat = model_.read_ns(worst_path, worst_crossings, total);
+  const sim::Duration one_way = model_.one_way_ns(op->worst_path, op->worst_crossings);
+  const sim::Duration total_lat = model_.read_ns(op->worst_path, op->worst_crossings, op->total);
   engine_.after(
       one_way + model_.completer_access_ns,
-      [this, targets = std::move(targets), sg, promise, src = who.host,
-       remaining = total_lat - one_way - model_.completer_access_ns, total]() mutable {
-        // Gather into one pre-sized buffer: every DRAM chunk lands directly
-        // in its final position instead of round-tripping through a
-        // per-chunk temporary.
-        Bytes out(total);
+      [this, op = std::move(op), promise, src = who.host,
+       remaining = total_lat - one_way - model_.completer_access_ns]() mutable {
+        // Gather into one pre-sized pooled buffer: every DRAM chunk lands
+        // directly in its final position.
+        Bytes out = take_payload(op->total);
         Status failure = Status::ok();
         std::size_t off = 0;
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-          if (Status st = apply_read_into(targets[i], ByteSpan(out).subspan(off, sg[i].len));
+        for (std::size_t i = 0; i < op->targets.size(); ++i) {
+          if (Status st = apply_read_into(op->targets[i], ByteSpan(out).subspan(off, op->lens[i]));
               !st) {
             failure = st;
             break;
           }
-          off += sg[i].len;
+          off += op->lens[i];
         }
         // Fault injection (one decision per gather, matching write_sg): a
         // stale gather read completes with zero-filled data.
-        if (failure.is_ok() && !targets.empty() && fault::enabled() &&
+        if (failure.is_ok() && !op->targets.empty() && fault::enabled() &&
             fault::Injector::global().on_dma_read(
-                src, targets.front().host,
-                targets.front().kind == Resolved::Kind::bar)) {
+                src, op->targets.front().host,
+                op->targets.front().kind == Resolved::Kind::bar)) {
           out.assign(out.size(), std::byte{0});
         }
+        recycle_sg_op(std::move(op));
         engine_.after(remaining > 0 ? remaining : 0,
                       [promise, failure, d = std::move(out)]() mutable {
                         if (!failure) {

@@ -165,14 +165,14 @@ class Fabric final : public fabric::Substrate {
   Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
                                sim::Time not_before = 0) override;
 
-  Result<sim::Time> write_sg(const Initiator& who, const std::vector<SgEntry>& sg,
+  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
                              ConstByteSpan data, sim::Time not_before = 0) override;
 
   sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
                                   std::size_t len) override;
 
   sim::Future<Result<Bytes>> read_sg(const Initiator& who,
-                                     const std::vector<SgEntry>& sg) override;
+                                     std::span<const SgEntry> sg) override;
 
   /// Zero-cost CQ poll; resolves NTB windows (a taken-over manager polls
   /// the adopted CQ through its map), charging nothing — the paper's CPUs
@@ -240,6 +240,23 @@ class Fabric final : public fabric::Substrate {
   /// One-way chip-path cost from initiator to the resolved target.
   [[nodiscard]] Result<Topology::PathCost> path_to(const Initiator& who,
                                                    const Resolved& target) const;
+
+  /// One scatter-gather DMA in flight: every chunk's resolved target and
+  /// length, kept from submission to delivery. Records are recycled, so a warm
+  /// fabric resolves scatter lists without allocating.
+  struct SgOp {
+    std::vector<Resolved> targets;
+    std::vector<std::uint32_t> lens;
+    std::vector<ChipId> chips;  ///< distinct completer chips (write_sg)
+    std::uint64_t total = 0;
+    sim::Duration worst_path = 0;
+    int worst_crossings = 0;
+  };
+  std::unique_ptr<SgOp> take_sg_op();
+  void recycle_sg_op(std::unique_ptr<SgOp> op);
+  /// Resolve each chunk of `sg` into `op` (targets, lengths, byte total,
+  /// worst path and NTB crossings), counting translations chunk by chunk.
+  Status resolve_sg(const Initiator& who, std::span<const SgEntry> sg, SgOp& op);
   Status apply_write(const Resolved& target, ConstByteSpan data);
   /// Read straight into the caller's span — no temporary for DRAM targets.
   Status apply_read_into(const Resolved& target, ByteSpan out);
@@ -252,19 +269,13 @@ class Fabric final : public fabric::Substrate {
   sim::Time posted_arrival(const Initiator& who, ChipId target_chip, sim::Duration latency,
                            sim::Duration gap, sim::Time not_before);
 
-  /// Recycled payload buffers for in-flight posted writes: the hot path
-  /// copies the caller's span into a pooled buffer instead of allocating a
-  /// fresh Bytes per doorbell/CQE (ROADMAP item 1 headroom).
-  Bytes take_payload(std::size_t n);
-  void recycle_payload(Bytes&& b);
-
   LatencyModel model_;
   Topology topo_;
   std::vector<std::unique_ptr<HostState>> hosts_;
   std::vector<NtbState> ntbs_;
   std::vector<EndpointState> endpoints_;
   std::map<std::pair<ChipId, ChipId>, sim::Time> posted_floor_;
-  std::vector<Bytes> payload_pool_;
+  std::vector<std::unique_ptr<SgOp>> sg_pool_;
   std::map<std::uint64_t, MapRec> windows_;
   std::uint64_t next_window_token_ = 1;
 };

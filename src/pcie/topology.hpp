@@ -47,13 +47,12 @@ class Topology {
   };
 
   /// One-way traversal cost from chip `a` to chip `b` (shortest path by
-  /// chip count; every chip on the path, inclusive of both ends,
-  /// contributes its forward latency once). Cached after first query;
-  /// mutating the topology invalidates the cache.
+  /// chip count, ties going to the first path breadth-first search finds
+  /// in link order; every chip on the path, inclusive of both ends,
+  /// contributes its forward latency once). An O(1) lookup in a table
+  /// filled for every pair on first query; mutating the topology
+  /// invalidates the table.
   [[nodiscard]] PathCost path_cost(ChipId a, ChipId b) const;
-
-  /// Chips on the shortest path a..b inclusive (for diagnostics/tests).
-  [[nodiscard]] std::vector<ChipId> path(ChipId a, ChipId b) const;
 
  private:
   void ensure_cache() const;
@@ -61,8 +60,8 @@ class Topology {
   std::vector<Chip> chips_;
   std::vector<std::vector<ChipId>> adj_;
   std::set<std::pair<ChipId, ChipId>> down_links_;  // normalized (min,max)
-  // cache_[a][b] = predecessor-of-b on shortest path from a (BFS forest).
-  mutable std::vector<std::vector<ChipId>> pred_;
+  // costs_[a * chip_count() + b] = path_cost(a, b), one BFS per source.
+  mutable std::vector<PathCost> costs_;
   mutable bool cache_valid_ = false;
 };
 

@@ -3,6 +3,7 @@
 // clusters.
 #include <gtest/gtest.h>
 
+#include "block/sharded_device.hpp"
 #include "nvmeof/initiator.hpp"
 #include "nvmeof/target.hpp"
 #include "test_util.hpp"
@@ -66,6 +67,85 @@ TEST(WriteZeroes, NvmeofInitiator) {
       tb.wait(nvmeof::Initiator::connect(tb.cluster(), tb.network(), **target, 1, {}));
   ASSERT_TRUE(initiator.has_value());
   check_write_zeroes(tb, **initiator, 1);
+}
+
+// --- Write Zeroes longer than one command ---------------------------------------------
+
+// One NVMe command carries at most 0xFFFF blocks. A 65552-block write_zeroes
+// used to be narrowed to its low 16 bits, a valid 16-block command that
+// zeroed the first 16 blocks and reported success; the single-command
+// backends must refuse it before touching the device.
+constexpr std::uint32_t kOversizeZeroes = 0x10000 + 16;
+
+void check_oversize_write_zeroes_rejected(Testbed& tb, block::BlockDevice& dev,
+                                          sisci::NodeId node) {
+  const std::uint64_t lba = 3000;
+  const std::size_t bytes = 8192;
+  const auto nblocks = static_cast<std::uint32_t>(bytes / dev.block_size());
+  const std::uint64_t buf = alloc_pattern_buffer(tb, node, bytes, 0x7a7a);
+  auto wr = do_io(tb, dev, {block::Op::write, lba, nblocks, buf});
+  ASSERT_TRUE(wr.has_value() && wr->status.is_ok());
+
+  auto wz = do_io(tb, dev, {block::Op::write_zeroes, lba, kOversizeZeroes, 0});
+  ASSERT_TRUE(wz.has_value());
+  EXPECT_EQ(wz->status.code(), Errc::invalid_argument) << wz->status.to_string();
+
+  const std::uint64_t rbuf = alloc_pattern_buffer(tb, node, bytes, 1);
+  auto rd = do_io(tb, dev, {block::Op::read, lba, nblocks, rbuf});
+  ASSERT_TRUE(rd.has_value() && rd->status.is_ok());
+  EXPECT_TRUE(buffer_matches(tb, node, rbuf, bytes, 0x7a7a));
+}
+
+TEST(WriteZeroes, OversizeRejectedByClient) {
+  Testbed tb(small_testbed(2));
+  auto stack = bring_up(tb, 0, 1);
+  ASSERT_TRUE(stack.has_value());
+  check_oversize_write_zeroes_rejected(tb, *stack->client, 1);
+}
+
+TEST(WriteZeroes, OversizeRejectedByLocalDriver) {
+  Testbed tb(small_testbed(1));
+  auto drv = tb.wait(
+      driver::LocalDriver::start(tb.cluster(), tb.nvme_endpoint(), &tb.irq(0), {}));
+  ASSERT_TRUE(drv.has_value());
+  check_oversize_write_zeroes_rejected(tb, **drv, 0);
+}
+
+TEST(WriteZeroes, OversizeSplitBySharding) {
+  // Striping cuts the same request into per-stripe commands, so the
+  // sharded device still accepts it and zeroes the whole range.
+  TestbedConfig cfg = small_testbed(2);
+  cfg.nvme_devices = 2;
+  Testbed tb(cfg);
+  auto d0 = tb.wait(
+      driver::LocalDriver::start(tb.cluster(), tb.nvme_endpoint(0), &tb.irq(0), {}));
+  ASSERT_TRUE(d0.has_value()) << d0.status().to_string();
+  auto d1 = tb.wait(
+      driver::LocalDriver::start(tb.cluster(), tb.nvme_endpoint(1), &tb.irq(1), {}));
+  ASSERT_TRUE(d1.has_value()) << d1.status().to_string();
+  block::ShardedDevice dev(tb.engine(), {d0->get(), d1->get()}, {});
+
+  // 16 blocks straddling the end of the zeroed range, inside stripe 512,
+  // which lives on shard 0 (the driver on host 0, where the buffers are).
+  const std::uint64_t lba = kOversizeZeroes - 8;
+  const std::size_t bytes = 8192;
+  const auto nblocks = static_cast<std::uint32_t>(bytes / dev.block_size());
+  const std::uint64_t buf = alloc_pattern_buffer(tb, 0, bytes, 0x5a5a);
+  auto wr = do_io(tb, dev, {block::Op::write, lba, nblocks, buf});
+  ASSERT_TRUE(wr.has_value() && wr->status.is_ok());
+
+  auto wz = do_io(tb, dev, {block::Op::write_zeroes, 0, kOversizeZeroes, 0});
+  ASSERT_TRUE(wz.has_value());
+  ASSERT_TRUE(wz->status.is_ok()) << wz->status.to_string();
+
+  const std::uint64_t rbuf = alloc_pattern_buffer(tb, 0, bytes, 1);
+  auto rd = do_io(tb, dev, {block::Op::read, lba, nblocks, rbuf});
+  ASSERT_TRUE(rd.has_value() && rd->status.is_ok());
+  Bytes out(bytes);
+  ASSERT_TRUE(tb.fabric().host_dram(0).read(rbuf, out).is_ok());
+  Bytes expect = make_pattern(bytes, 0x5a5a);
+  std::fill(expect.begin(), expect.begin() + static_cast<long>(bytes / 2), std::byte{0});
+  EXPECT_EQ(out, expect);
 }
 
 // --- Dataset Management (discard / TRIM) ---------------------------------------------

@@ -2,6 +2,11 @@
 // translation, transaction timing and ordering.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "pcie/fabric.hpp"
 #include "sim/task.hpp"
 
@@ -87,6 +92,81 @@ TEST(Topology, ShortestPathChosen) {
   ASSERT_TRUE(topo.link(d, e).is_ok());
   ASSERT_TRUE(topo.link(e, c).is_ok());
   EXPECT_EQ(topo.path_cost(a, c).hops, 3);
+}
+
+// Reference for the cost table: walk the breadth-first shortest path chip
+// by chip (neighbors in link order, first discovery wins) and sum it.
+Topology::PathCost walked_path_cost(const Topology& topo, ChipId a, ChipId b) {
+  const std::size_t n = topo.chip_count();
+  std::vector<ChipId> pred(n, kNoChip);
+  std::vector<ChipId> queue{a};
+  pred[a] = a;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (ChipId nxt : topo.neighbors(queue[head])) {
+      if (pred[nxt] == kNoChip && topo.link_up(queue[head], nxt)) {
+        pred[nxt] = queue[head];
+        queue.push_back(nxt);
+      }
+    }
+  }
+  Topology::PathCost pc;
+  if (pred[b] == kNoChip) return pc;
+  pc.reachable = true;
+  for (ChipId cur = b;; cur = pred[cur]) {
+    pc.cost_ns += topo.chip(cur).forward_ns;
+    ++pc.hops;
+    if (cur == a) break;
+  }
+  return pc;
+}
+
+void expect_table_matches_walk(const Topology& topo, const std::string& when) {
+  const auto n = static_cast<ChipId>(topo.chip_count());
+  for (ChipId a = 0; a < n; ++a) {
+    for (ChipId b = 0; b < n; ++b) {
+      const auto got = topo.path_cost(a, b);
+      const auto want = walked_path_cost(topo, a, b);
+      ASSERT_EQ(got.reachable, want.reachable) << when << " " << a << "->" << b;
+      ASSERT_EQ(got.hops, want.hops) << when << " " << a << "->" << b;
+      ASSERT_EQ(got.cost_ns, want.cost_ns) << when << " " << a << "->" << b;
+    }
+  }
+  EXPECT_FALSE(topo.path_cost(n, 0).reachable);  // out-of-range ids
+  EXPECT_FALSE(topo.path_cost(0, n).reachable);
+}
+
+TEST(TopologyProperty, CostTableMatchesWalkedPathsOnRandomGraphs) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Topology topo;
+    const auto n = static_cast<ChipId>(2 + rng.uniform(24));
+    for (ChipId i = 0; i < n; ++i) {
+      topo.add_chip("c" + std::to_string(i), ChipKind::switch_chip, 0,
+                    static_cast<sim::Duration>(1 + rng.uniform(400)));
+    }
+    std::vector<std::pair<ChipId, ChipId>> links;
+    const auto want_links = rng.uniform(3 * static_cast<std::uint64_t>(n));
+    for (std::uint64_t k = 0; k < want_links; ++k) {
+      const auto a = static_cast<ChipId>(rng.uniform(n));
+      const auto b = static_cast<ChipId>(rng.uniform(n));
+      if (topo.link(a, b).is_ok()) links.emplace_back(a, b);
+    }
+    const std::string tag = "seed " + std::to_string(seed);
+    expect_table_matches_walk(topo, tag);
+    if (links.empty()) continue;
+
+    // Cable pulls and restores invalidate the table.
+    for (int flip = 0; flip < 4; ++flip) {
+      const auto& [a, b] = links[rng.uniform(links.size())];
+      ASSERT_TRUE(topo.set_link_state(a, b, !topo.link_up(a, b)).is_ok());
+      expect_table_matches_walk(topo, tag + " after flip " + std::to_string(flip));
+    }
+    // So do new chips and new links.
+    const ChipId extra = topo.add_chip("extra", ChipKind::switch_chip, 0, 77);
+    expect_table_matches_walk(topo, tag + " after add_chip");
+    ASSERT_TRUE(topo.link(extra, static_cast<ChipId>(rng.uniform(n))).is_ok());
+    expect_table_matches_walk(topo, tag + " after link");
+  }
 }
 
 TEST(Topology, DuplicateLinkRejected) {

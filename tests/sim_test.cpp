@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <queue>
 #include <random>
 #include <vector>
@@ -320,6 +321,111 @@ TEST(FuturePromise, TryTakeConsumesOnce) {
   auto v = f.try_take();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 5);
+}
+
+// --- lifetimes of pooled states and wait nodes ---------------------------------
+// These run under AddressSanitizer in tools/ci_asan.sh, where the pool hands
+// every block back to the global allocator: a timeout event or a stale
+// promise handle touching a freed frame or state is reported there.
+
+/// Flags its destruction: lives in a coroutine frame to observe when the
+/// frame is destroyed.
+struct FrameProbe {
+  bool* destroyed;
+  ~FrameProbe() { *destroyed = true; }
+};
+
+TEST(Lifetime, WaitForWokenBySetOutlivesItsFrameUntilTheTimeout) {
+  Engine e;
+  Event ev(e);
+  bool fired = false;
+  bool destroyed = false;
+  Time destroyed_at = -1;
+  [](Engine& eng, Event& event, bool& out, bool& gone, Time& gone_at) -> Task {
+    {
+      FrameProbe probe{&gone};
+      out = co_await event.wait_for(1000);
+    }
+    co_await delay(eng, 1);
+    gone_at = eng.now();
+  }(e, ev, fired, destroyed, destroyed_at);
+  e.at(10, [&] { ev.set(); });
+  e.run_until(500);
+  EXPECT_TRUE(fired);
+  EXPECT_TRUE(destroyed);
+  EXPECT_EQ(destroyed_at, 11);  // the frame finished long before the timeout
+  EXPECT_EQ(e.pending_events(), 1u);  // the timeout event is still armed
+  e.run();
+  EXPECT_EQ(e.now(), 1000);  // and fires harmlessly after the frame is gone
+}
+
+TEST(Lifetime, PopForWokenByPushOutlivesItsFrameUntilTheTimeout) {
+  Engine e;
+  Mailbox<int> box(e);
+  std::optional<int> got;
+  bool finished = false;
+  [](Mailbox<int>& b, std::optional<int>& out, bool& done) -> Task {
+    FrameProbe probe{&done};
+    out = co_await b.pop_for(1000);
+  }(box, got, finished);
+  e.at(10, [&] { box.push(9); });
+  e.run_until(500);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 9);
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(e.pending_events(), 1u);
+  e.run();
+  EXPECT_EQ(e.now(), 1000);
+  // The stale node the timeout left behind does not swallow the next push.
+  box.push(4);
+  EXPECT_EQ(box.try_pop(), std::optional<int>(4));
+}
+
+TEST(Lifetime, FutureOutlivesItsPromise) {
+  Engine e;
+  Future<int> f;
+  {
+    Promise<int> p(e);
+    f = p.future();
+    p.set(11);
+  }
+  ASSERT_TRUE(f.valid());
+  int got = 0;
+  [](Future<int> fut, int& out) -> Task { out = co_await fut; }(f, got);
+  EXPECT_EQ(got, 11);
+}
+
+TEST(Lifetime, PromiseDestroyedUnset) {
+  Engine e;
+  Future<std::vector<int>> f;
+  {
+    Promise<std::vector<int>> p(e);
+    f = p.future();
+  }
+  EXPECT_TRUE(f.valid());
+  EXPECT_FALSE(f.ready());
+  EXPECT_FALSE(f.try_take().has_value());
+  { Promise<std::vector<int>> never_read(e); }
+}
+
+TEST(Lifetime, PromiseCopiesFireAfterTheTaskEnded) {
+  Engine e;
+  Future<int> f;
+  bool task_done = false;
+  [](Engine& eng, Future<int>& out, bool& done) -> Task {
+    Promise<int> p(eng);
+    out = p.future();
+    eng.after(50, [p]() mutable { p.set(3); });
+    eng.after(80, [p]() { EXPECT_TRUE(p.is_set()); });
+    co_await delay(eng, 1);
+    done = true;
+  }(e, f, task_done);
+  e.run_until(10);
+  EXPECT_TRUE(task_done);
+  EXPECT_FALSE(f.ready());
+  e.run();
+  ASSERT_TRUE(f.ready());
+  EXPECT_EQ(f.try_take(), std::optional<int>(3));
 }
 
 TEST(Determinism, SameScheduleTwice) {

@@ -9,6 +9,10 @@
 #     baseline exactly. It does not depend on the machine, so any change is
 #     a real change in the work the simulator does per I/O: either a bug or
 #     an intended change that must refresh the baseline.
+#   - allocs / items (global operator new calls per work item, counted by a
+#     hook in nvsh_perf) must match the baseline exactly, for the same
+#     reason: the steady-state I/O path is allocation-free, and a change
+#     that adds a heap allocation per I/O shows up here.
 #   - wall_iops (work items per wall-clock second) must not fall more than
 #     the tolerance (15%) below the baseline. It is machine-dependent,
 #     hence the generous tolerance.
@@ -17,8 +21,8 @@
 # (a change that saves events per I/O looks like a slowdown).
 #
 # Refresh the baseline, by copying the build-dir document over the repo-root
-# one, whenever the harness, the events per item, or the hardware class
-# changes, not on every run. The modeled metrics (sim IOPS, latencies) are
+# one, whenever the harness, the events or allocations per item, or the
+# hardware class changes, not on every run. The modeled metrics (sim IOPS, latencies) are
 # covered by the determinism checks in ci_asan.sh instead.
 #
 # Usage: tools/ci_perf.sh [build-dir]   (default: build-perf)
@@ -57,24 +61,30 @@ failed = False
 for mode in ("engine", "io", "stack"):
     b = base["results"][mode]
     f = fresh["results"][mode]
-    # Exact: compare the integer ratios by cross-multiplying.
+    # Exact: compare the integer ratios by cross-multiplying. A baseline
+    # without allocation counts predates the gate and must be refreshed.
     same_events = f["sim_events"] * b["items"] == b["sim_events"] * f["items"]
+    same_allocs = "allocs" in b and f["allocs"] * b["items"] == b["allocs"] * f["items"]
     ratio = f["wall_iops"] / b["wall_iops"] if b["wall_iops"] else float("inf")
     verdict = "ok"
     if not same_events:
         verdict = "EVENTS/ITEM CHANGED"
+    elif not same_allocs:
+        verdict = "ALLOCS/ITEM CHANGED"
     elif ratio < 1.0 - tolerance:
         verdict = "REGRESSION"
+    base_allocs = f"{b['allocs'] / b['items']:.4f}" if "allocs" in b else "none"
     print(f"{mode:>6}: events/item baseline {b['sim_events'] / b['items']:.4f} "
           f"fresh {f['sim_events'] / f['items']:.4f}  "
+          f"allocs/item baseline {base_allocs} fresh {f['allocs'] / f['items']:.4f}  "
           f"wall IOPS baseline {b['wall_iops'] / 1e6:8.3f}M fresh {f['wall_iops'] / 1e6:8.3f}M "
           f"({ratio:.0%} of baseline)  [{f['events_per_sec'] / 1e6:.2f}M ev/s] {verdict}")
     if verdict != "ok":
         failed = True
 
 if failed:
-    print(f"ci_perf: events/item differ from the baseline or wall IOPS fell more than "
-          f"{tolerance:.0%} below it", file=sys.stderr)
+    print(f"ci_perf: events/item or allocs/item differ from the baseline, or wall IOPS "
+          f"fell more than {tolerance:.0%} below it", file=sys.stderr)
     sys.exit(1)
 print("ci_perf: all modes within tolerance")
 EOF
