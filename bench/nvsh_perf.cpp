@@ -15,6 +15,8 @@
 // Each mode also counts global operator new calls inside its measured
 // window (a counting hook replaces operator new in this binary only), so
 // the document reports heap allocations per item next to events per item.
+// Next to events per item it also reports the empty poll rounds the engine
+// skipped (sim::Engine::ticks_elided(); not an event, not in the registry).
 //
 // With --json the machine-readable document ({bench, config, results{},
 // metrics{}}) is written for the BENCH_perf.json perf-trend file that
@@ -163,6 +165,7 @@ struct ModeResult {
   std::string mode;
   std::uint64_t work_items = 0;   ///< events (engine) or I/Os (io/stack)
   std::uint64_t sim_events = 0;   ///< engine events dispatched
+  std::uint64_t ticks_elided = 0; ///< empty poll rounds the engine skipped
   sim::Duration sim_elapsed = 0;  ///< simulated ns covered
   std::uint64_t wall = 0;         ///< wall-clock ns
   std::uint64_t cycles = 0;       ///< timestamp-counter delta
@@ -188,6 +191,15 @@ struct ModeResult {
   [[nodiscard]] double allocs_per_item() const {
     return work_items > 0 ? static_cast<double>(allocs) / static_cast<double>(work_items)
                           : 0.0;
+  }
+  [[nodiscard]] double events_per_item() const {
+    return work_items > 0 ? static_cast<double>(sim_events) / static_cast<double>(work_items)
+                          : 0.0;
+  }
+  [[nodiscard]] double ticks_elided_per_item() const {
+    return work_items > 0
+               ? static_cast<double>(ticks_elided) / static_cast<double>(work_items)
+               : 0.0;
   }
 };
 
@@ -232,6 +244,7 @@ ModeResult run_engine_mode(std::uint64_t total_events) {
   r.wall = wall_ns() - w0;
   r.allocs = g_allocations - a0;
   r.sim_events = engine.events_processed();
+  r.ticks_elided = engine.ticks_elided();
   r.work_items = r.sim_events;
   r.sim_elapsed = engine.now();
   return r;
@@ -323,6 +336,7 @@ ModeResult run_io_mode(std::uint64_t ops, std::uint32_t qd, std::uint32_t channe
   r.wall = wall_ns() - w0;
   r.allocs = g_allocations - a0;
   r.sim_events = engine.events_processed();
+  r.ticks_elided = engine.ticks_elided();
   r.sim_elapsed = engine.now();
   r.work_items = completed;
   if (completed != ops) {
@@ -359,6 +373,7 @@ ModeResult run_stack_mode(std::uint64_t ops, std::uint32_t qd, std::uint32_t cha
 
   sim::Engine& engine = s.testbed->engine();
   const std::uint64_t events_before = engine.events_processed();
+  const std::uint64_t elided_before = engine.ticks_elided();
   const sim::Time sim_before = engine.now();
   const std::uint64_t a0 = g_allocations;
   const std::uint64_t w0 = wall_ns();
@@ -368,6 +383,7 @@ ModeResult run_stack_mode(std::uint64_t ops, std::uint32_t qd, std::uint32_t cha
   r.wall = wall_ns() - w0;
   r.allocs = g_allocations - a0;
   r.sim_events = engine.events_processed() - events_before;
+  r.ticks_elided = engine.ticks_elided() - elided_before;
   r.sim_elapsed = engine.now() - sim_before;
   r.work_items = result.ops_completed;
   return r;
@@ -380,6 +396,8 @@ void print_result(const ModeResult& r) {
               static_cast<unsigned long long>(r.work_items),
               static_cast<unsigned long long>(r.sim_events),
               static_cast<double>(r.wall) / 1e6);
+  std::printf("        events/item %.3f  elided ticks/item %.3f\n", r.events_per_item(),
+              r.ticks_elided_per_item());
   std::printf("        events/sec %.3fM  cycles/item %.0f  allocs/item %.3f\n",
               r.events_per_sec() / 1e6, r.cycles_per_item(), r.allocs_per_item());
   if (r.mode != "engine") {
@@ -391,12 +409,14 @@ void print_result(const ModeResult& r) {
 void append_result_json(std::string& out, const ModeResult& r) {
   char buf[512];
   std::snprintf(buf, sizeof buf,
-                "\"%s\":{\"items\":%llu,\"sim_events\":%llu,\"sim_elapsed_ns\":%lld,"
+                "\"%s\":{\"items\":%llu,\"sim_events\":%llu,\"ticks_elided\":%llu,"
+                "\"sim_elapsed_ns\":%lld,"
                 "\"wall_ns\":%llu,\"cycles\":%llu,\"allocs\":%llu,\"events_per_sec\":%.1f,"
                 "\"sim_iops\":%.1f,\"wall_iops\":%.1f,\"cycles_per_item\":%.1f,"
                 "\"allocs_per_item\":%.4f}",
                 r.mode.c_str(), static_cast<unsigned long long>(r.work_items),
                 static_cast<unsigned long long>(r.sim_events),
+                static_cast<unsigned long long>(r.ticks_elided),
                 static_cast<long long>(r.sim_elapsed),
                 static_cast<unsigned long long>(r.wall),
                 static_cast<unsigned long long>(r.cycles),

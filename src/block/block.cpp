@@ -7,7 +7,10 @@ Status validate_request(const BlockDevice& dev, const Request& request) {
   if (request.nblocks == 0) {
     return Status(Errc::invalid_argument, "zero-length block request");
   }
-  if (request.lba + request.nblocks > dev.capacity_blocks()) {
+  // Compare without forming lba + nblocks: near UINT64_MAX the sum wraps
+  // and a request ending past capacity would pass.
+  const std::uint64_t capacity = dev.capacity_blocks();
+  if (request.lba > capacity || request.nblocks > capacity - request.lba) {
     return Status(Errc::out_of_range, "request beyond device capacity");
   }
   if (request.op == Op::write_zeroes || request.op == Op::discard) {

@@ -262,7 +262,7 @@ void IoEngine::disarm(std::uint32_t chan, std::uint16_t token) noexcept {
   auto& table = channels_[chan]->pending;
   if (token >= table.size() || table[token] == nullptr) return;
   table[token] = nullptr;
-  --pending_count_;
+  if (--pending_count_ == 0) transport_.on_idle();
 }
 
 void IoEngine::resolve(PendingCmd* cmd, CmdOutcome outcome) {
@@ -501,7 +501,7 @@ void IoEngine::fail_pending(std::uint32_t chan) {
     if (slot == nullptr) continue;
     doomed.push_back(slot);
     slot = nullptr;
-    --pending_count_;
+    if (--pending_count_ == 0) transport_.on_idle();
   }
   for (PendingCmd* cmd : doomed) {
     CmdOutcome out;

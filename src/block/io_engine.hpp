@@ -108,6 +108,10 @@ class IoTransport {
   /// A command was armed on `chan` (completions are coming): wake an idle
   /// completion poller if the backend parks one.
   virtual void on_armed(std::uint32_t chan) { (void)chan; }
+
+  /// The last armed command left the engine (completion, timeout, recovery
+  /// sweep): a completion poller that parks when idle must see it.
+  virtual void on_idle() {}
 };
 
 /// The backend's own counters the engine bumps on timeout, retry, recovery

@@ -506,6 +506,22 @@ Status PoolFabric::do_poke(HostId host, std::uint64_t addr, ConstByteSpan data) 
   return apply_write(*target, data);
 }
 
+Result<fabric::Substrate::MemoryRef> PoolFabric::resolve_memory(HostId viewer,
+                                                                std::uint64_t addr,
+                                                                std::uint64_t len) {
+  auto target = resolve(viewer, addr, len);
+  if (!target) return target.status();
+  switch (target->kind) {
+    case Resolved::Kind::dram:
+      return MemoryRef{hosts_[target->host].dram.get(), target->addr};
+    case Resolved::Kind::pool:
+      return MemoryRef{&pool_, target->addr};
+    case Resolved::Kind::bar:
+      break;
+  }
+  return Status(Errc::invalid_argument, "range resolves to a BAR, not memory");
+}
+
 Status PoolFabric::do_peek(HostId host, std::uint64_t addr, ByteSpan out) {
   return poll_read(host, addr, out);
 }

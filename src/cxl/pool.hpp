@@ -138,6 +138,8 @@ class PoolFabric final : public fabric::Substrate {
 
  protected:
   Status do_poke(HostId host, std::uint64_t addr, ConstByteSpan data) override;
+  [[nodiscard]] Result<MemoryRef> resolve_memory(HostId viewer, std::uint64_t addr,
+                                                 std::uint64_t len) override;
   Status do_peek(HostId host, std::uint64_t addr, ByteSpan out) override;
   [[nodiscard]] bool backdoor_crosses_host(HostId viewer, std::uint64_t addr,
                                            std::uint64_t len) const override;

@@ -82,7 +82,7 @@ Client::Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceI
       iommu_(cfg.iommu) {}
 
 Client::~Client() {
-  *stop_ = true;
+  halt();
   if (poller_kick_) poller_kick_->set();  // let an idle poller observe the stop and exit
   if (crash_token_ != 0) fault::Injector::global().unregister_crash_handler(crash_token_);
 }
@@ -136,6 +136,15 @@ std::uint16_t Client::trace_qid(std::uint32_t chan) const { return qids_[chan]; 
 void Client::on_armed(std::uint32_t chan) {
   (void)chan;
   poller_kick_->set();  // completions are coming: wake the idle poller
+}
+
+void Client::on_idle() { notify_poller(); }  // the next round parks the poller
+
+void Client::halt() {
+  *stop_ = true;
+  notify_poller();
+  poll_timer_ = nullptr;
+  cq_watch_.reset();
 }
 
 std::uint64_t Client::sq_stride_bytes() const noexcept {
@@ -469,6 +478,14 @@ sim::Task Client::init_task(std::unique_ptr<Client> self,
   if (c.cfg_.channels > 1) c.name_ += "x" + std::to_string(c.cfg_.channels);
   c.attached_ = true;
   c.poller(c.stop_);
+  auto cq_watch = fabric.watch_writes(c.node_, c.cq_cpu_map_.addr(),
+                                      cq_ring_bytes * c.cfg_.channels, *c.poll_timer_);
+  if (!cq_watch) {
+    c.halt();
+    promise.set(cq_watch.status());
+    co_return;
+  }
+  c.cq_watch_ = std::move(*cq_watch);
   if (c.cfg_.heartbeat_interval_ns > 0) c.heartbeat_task(c.stop_);
   if (fault::enabled()) {
     Client* raw = self.get();
@@ -1024,6 +1041,13 @@ sim::Task Client::delete_share_task(std::uint32_t tenant, sim::Promise<Status> p
 
 sim::Task Client::poller(std::shared_ptr<bool> stop) {
   sim::Engine& eng = engine();
+  // A round that finds no CQE is skipped by the engine (sim::PollTimer);
+  // skipped rounds still count. Notified by CQ writes (cq_watch_), the
+  // engine going idle, queue-pair replacement and halt().
+  sim::PollTimer timer(
+      eng, [](void* rounds, std::uint64_t n) { *static_cast<obs::Counter*>(rounds) += n; },
+      &stats_.poll_rounds);
+  poll_timer_ = &timer;
   for (;;) {
     if (*stop) co_return;
     if (engine_io_->idle()) {
@@ -1033,6 +1057,7 @@ sim::Task Client::poller(std::shared_ptr<bool> stop) {
       poller_kick_->reset();
       co_await poller_kick_->wait();
       if (*stop) co_return;
+      timer.clear();  // this round reads everything a notify stood for
       continue;
     }
     std::array<nvme::CompletionEntry, 32> cqes;
@@ -1053,7 +1078,7 @@ sim::Task Client::poller(std::shared_ptr<bool> stop) {
       if (delivered) (void)qps_[chan]->ring_cq_doorbell();
     }
     ++stats_.poll_rounds;
-    co_await sim::delay(eng, cfg_.costs.poll_interval_ns);
+    co_await sim::poll_tick(eng, timer, cfg_.costs.poll_interval_ns);
     if (*stop) co_return;
   }
 }
@@ -1064,7 +1089,7 @@ void Client::crash() {
   if (crashed_) return;
   crashed_ = true;
   attached_ = false;
-  *stop_ = true;
+  halt();
   if (poller_kick_) poller_kick_->set();
   if (mux_) mux_->kick();  // parked tenant scheduler drains its rings as aborted
   // Resolve every in-flight wait so callers observe the death (as an
@@ -1136,6 +1161,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   }
   if (created) {
     qps_[chan] = make_queue_pair(chan, qids_[chan]);
+    notify_poller();
     if (cfg_.channels == 1) {
       name_ = "nvsh-n" + std::to_string(node_) + "-q" + std::to_string(qids_[0]);
     }
@@ -1207,7 +1233,7 @@ sim::Task Client::detach_task(sim::Promise<Status> promise) {
     for (std::uint32_t ch = 0; ch < cfg_.channels; ++ch) req.qids[ch] = qids_[ch];
   }
   auto resp = co_await mailbox_call(req);
-  *stop_ = true;  // stop poller after the RPC (it uses the fabric, not the QP)
+  halt();  // stop poller after the RPC (it uses the fabric, not the QP)
   if (mux_) mux_->kick();  // parked tenant scheduler drains its rings as aborted
   if (!resp) {
     promise.set(resp.status());

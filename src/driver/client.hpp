@@ -233,6 +233,12 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   /// Build the multiplexer on first use, wired to dispatch through io_task.
   mux::QpMultiplexer& ensure_mux();
   sim::Task poller(std::shared_ptr<bool> stop);
+  /// Stop every task of this client; a poller waiting on a tick sees it.
+  void halt();
+  /// Something the next completion-poll round reads has changed.
+  void notify_poller() noexcept {
+    if (poll_timer_ != nullptr) poll_timer_->notify();
+  }
   sim::Task detach_task(sim::Promise<Status> promise);
   sim::Task recover_task(std::uint32_t chan, std::shared_ptr<bool> stop);
   sim::Task heartbeat_task(std::shared_ptr<bool> stop);
@@ -250,6 +256,7 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   void start_recovery(std::uint32_t chan) override;
   [[nodiscard]] std::uint16_t trace_qid(std::uint32_t chan) const override;
   void on_armed(std::uint32_t chan) override;
+  void on_idle() override;
 
   [[nodiscard]] sim::Engine& engine();
   [[nodiscard]] fabric::Substrate& fabric();
@@ -304,6 +311,10 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   std::uint32_t max_transfer_ = 0;
 
   std::unique_ptr<sim::Event> poller_kick_;  ///< wakes the idle poller on submit
+  /// The running poller's tick (it lives in the poller's frame; null once
+  /// the client halted) and the watch that notifies it on CQ writes.
+  sim::PollTimer* poll_timer_ = nullptr;
+  mem::WriteWatch cq_watch_;
   std::unique_ptr<sim::Semaphore> mailbox_lock_;
   /// Tenant multiplexing state. `own_range_` confines the client's own
   /// traffic once shares exist (empty = full range, the seed path).

@@ -20,6 +20,9 @@ LocalDriver::LocalDriver(sisci::Cluster& cluster, Config cfg)
 
 LocalDriver::~LocalDriver() {
   *stop_ = true;
+  if (poll_timer_ != nullptr) poll_timer_->notify();  // a polling loop sees the stop
+  poll_timer_ = nullptr;
+  cq_watch_.reset();
   if (irq_event_) irq_event_->set();  // unblock the completion loop
   if (irq_ != nullptr && irq_vector_allocated_) irq_->release_vector(irq_vector_);
   if (sq_addr_ != 0 && ctrl_) (void)cluster_.free_dram(ctrl_->host(), sq_addr_);
@@ -180,6 +183,15 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   block::IoTransport& transport = d;
   d.engine_io_ = std::make_unique<block::IoEngine>(engine, transport, d.stop_, ec);
   d.completion_loop(d.stop_);
+  if (!d.cfg_.use_interrupts) {
+    auto cq_watch = fabric.watch_writes(host, d.cq_addr_, cq_ring_bytes * d.cfg_.channels,
+                                        *d.poll_timer_);
+    if (!cq_watch) {
+      promise.set(cq_watch.status());
+      co_return;
+    }
+    d.cq_watch_ = std::move(*cq_watch);
+  }
   NVS_LOG(info, "local") << "local driver up, qid " << d.qids_[0]
                          << (d.cfg_.channels > 1
                                  ? " (+" + std::to_string(d.cfg_.channels - 1) + " channels)"
@@ -281,6 +293,10 @@ void LocalDriver::drain_cq() {
 
 sim::Task LocalDriver::completion_loop(std::shared_ptr<bool> stop) {
   sim::Engine& eng = cluster_.engine();
+  // Polled mode: a round that finds no CQE is skipped by the engine
+  // (sim::PollTimer). Notified by CQ writes (cq_watch_) and the destructor.
+  sim::PollTimer timer(eng);
+  poll_timer_ = &timer;
   for (;;) {
     if (*stop) co_return;
     if (cfg_.use_interrupts) {
@@ -296,7 +312,8 @@ sim::Task LocalDriver::completion_loop(std::shared_ptr<bool> stop) {
       drain_cq();
     } else {
       drain_cq();
-      co_await sim::delay(eng, std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 100));
+      co_await sim::poll_tick(eng, timer,
+                              std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 100));
       if (*stop) co_return;
     }
   }

@@ -112,6 +112,10 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   std::unique_ptr<block::IoEngine> engine_io_;
 
   std::unique_ptr<sim::Event> irq_event_;
+  /// Polled mode: the completion loop's tick (in its frame; null once the
+  /// driver stops) and the watch that notifies it on CQ writes.
+  sim::PollTimer* poll_timer_ = nullptr;
+  mem::WriteWatch cq_watch_;
   std::shared_ptr<bool> stop_ = std::make_shared<bool>(false);
   Stats stats_;
 };

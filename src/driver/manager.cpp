@@ -75,12 +75,12 @@ std::uint16_t Manager::active_queue_pairs() const {
 void Manager::shutdown() {
   if (standby_) {  // still watching: nothing published, just stop the watch
     standby_ = false;
-    *stop_ = true;
+    halt();
     return;
   }
   if (!serving_) return;
   serving_ = false;
-  *stop_ = true;
+  halt();
   // Only withdraw the registration while it still names this instance — a
   // fenced or superseded manager must not clobber its successor's.
   auto loc = service_.device_metadata(device_id_);
@@ -93,7 +93,7 @@ void Manager::crash() {
   if (crashed_) return;
   crashed_ = true;
   serving_ = false;
-  *stop_ = true;
+  halt();
   // Deliberately NO clear_device_metadata: a dead process cannot clean up
   // after itself. The metadata segment survives in this host's DRAM, so
   // clients find a mailbox that nobody answers — their calls time out.
@@ -360,7 +360,7 @@ sim::Task Manager::init_task(std::unique_ptr<Manager> self,
   }
 
   m.serving_ = true;
-  m.mailbox_server(m.stop_);
+  m.serve_mailbox();
   if (m.cfg_.lease_duration_ns > 0) m.lease_task(m.stop_);
   if (m.cfg_.client_heartbeat_timeout_ns > 0) m.reaper_task(m.stop_);
   if (m.cfg_.csts_poll_interval_ns > 0) m.watchdog_task(m.stop_);
@@ -415,8 +415,27 @@ sim::Task Manager::admin_task(SubmissionEntry entry,
   }
 }
 
+void Manager::halt() {
+  *stop_ = true;
+  if (mailbox_timer_ != nullptr) mailbox_timer_->notify();
+  mailbox_timer_ = nullptr;
+  mailbox_watch_.reset();
+}
+
+void Manager::serve_mailbox() {
+  mailbox_server(stop_);
+  // Segment reads go straight to the backing memory, so the watch does too.
+  mailbox_watch_ = mem::WriteWatch(
+      fabric().host_dram(metadata_seg_.node()),
+      metadata_seg_.phys_addr() + mbox_slot_offset(header_, 0),
+      static_cast<std::uint64_t>(header_.mailbox_slots) * sizeof(MboxSlot), *mailbox_timer_);
+}
+
 sim::Task Manager::mailbox_server(std::shared_ptr<bool> stop) {
   sim::Engine& eng = engine();
+  // A scan that finds no request is skipped by the engine (sim::PollTimer).
+  sim::PollTimer timer(eng);
+  mailbox_timer_ = &timer;
   for (;;) {
     if (*stop) co_return;
     bool worked = false;
@@ -433,8 +452,10 @@ sim::Task Manager::mailbox_server(std::shared_ptr<bool> stop) {
       co_await handle_slot_await(i, slot, stop);
       if (*stop) co_return;
     }
-    (void)worked;
-    co_await sim::delay(eng, cfg_.mailbox_poll_ns);
+    // Cheap insurance: the next scan after a handled request is real even
+    // if the handler left its slot unchanged.
+    if (worked) timer.notify();
+    co_await sim::poll_tick(eng, timer, cfg_.mailbox_poll_ns);
     if (*stop) co_return;
   }
 }
@@ -1129,7 +1150,7 @@ void Manager::fence(std::uint64_t foreign_epoch) {
                            << " supersedes " << epoch_ << "; ceasing service";
   ++stats_.fencings;
   serving_ = false;
-  *stop_ = true;
+  halt();
   // No clear_device_metadata: the successor already re-pointed the
   // registration (shutdown()'s ownership guard keeps us off it later too).
 }
@@ -1593,7 +1614,7 @@ sim::Task Manager::takeover_task(ManagerLease claim, sim::Promise<Status> done) 
   standby_ = false;
   serving_ = true;
   takeover_time_ = eng.now();
-  mailbox_server(stop_);
+  serve_mailbox();
   lease_task(stop_);
   if (cfg_.client_heartbeat_timeout_ns > 0) reaper_task(stop_);
   if (cfg_.csts_poll_interval_ns > 0) watchdog_task(stop_);

@@ -168,6 +168,11 @@ class Manager {
   sim::Task admin_task(nvme::SubmissionEntry entry,
                        sim::Promise<Result<nvme::CompletionEntry>> promise);
   sim::Task mailbox_server(std::shared_ptr<bool> stop);
+  /// Start mailbox_server and the watch that wakes it on mailbox writes.
+  void serve_mailbox();
+  /// Stop every task of this manager; a mailbox server waiting on a tick
+  /// sees it.
+  void halt();
   sim::Future<bool> handle_slot_await(std::uint32_t slot_index, MboxSlot slot,
                                       std::shared_ptr<bool> stop);
   sim::Task handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
@@ -274,6 +279,10 @@ class Manager {
   sisci::Map watched_meta_map_;    ///< CPU view of the watched (old) metadata
   sisci::Map adopt_asq_map_;       ///< CPU views of adopted admin rings
   sisci::Map adopt_acq_map_;
+  /// The mailbox server's tick (in its frame; null once halted) and the
+  /// watch that notifies it on writes into the mailbox slots.
+  sim::PollTimer* mailbox_timer_ = nullptr;
+  mem::WriteWatch mailbox_watch_;
   std::shared_ptr<bool> stop_ = std::make_shared<bool>(false);
   bool serving_ = false;
   bool crashed_ = false;

@@ -51,6 +51,13 @@ void Substrate::recycle_payload(Bytes&& b) {
   }
 }
 
+Result<mem::WriteWatch> Substrate::watch_writes(HostId viewer, std::uint64_t addr,
+                                                std::uint64_t len, sim::PollTimer& timer) {
+  auto ref = resolve_memory(viewer, addr, len);
+  if (!ref) return ref.status();
+  return mem::WriteWatch(*ref->mem, ref->addr, len, timer);
+}
+
 Window Substrate::make_window(std::uint64_t token, std::uint64_t addr,
                               std::uint64_t size) noexcept {
   Window w;

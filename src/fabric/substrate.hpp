@@ -195,6 +195,16 @@ class Substrate {
     return 0;
   }
 
+  // --- write watches ---------------------------------------------------------
+
+  /// Notify `timer` after every write into [addr, addr+len) of `viewer`'s
+  /// address space, whichever path makes it: posted and scatter writes,
+  /// torn or bit-flipped writes under fault injection, poke(), and direct
+  /// stores into the backing PhysMem. The range must resolve to memory
+  /// (host DRAM or a shared pool), not to a device BAR.
+  [[nodiscard]] Result<mem::WriteWatch> watch_writes(HostId viewer, std::uint64_t addr,
+                                                     std::uint64_t len, sim::PollTimer& timer);
+
   // --- fault control ---------------------------------------------------------
 
   /// Administratively fail (or restore) `host`'s uplink into the shared
@@ -224,6 +234,15 @@ class Substrate {
                                                    std::uint64_t len) const = 0;
   /// Release resources behind a non-direct window token.
   virtual void unmap_window(std::uint64_t token) = 0;
+
+  /// The memory behind [addr, addr+len) of `viewer`'s space, and the
+  /// address of the range in it.
+  struct MemoryRef {
+    mem::PhysMem* mem = nullptr;
+    std::uint64_t addr = 0;
+  };
+  [[nodiscard]] virtual Result<MemoryRef> resolve_memory(HostId viewer, std::uint64_t addr,
+                                                         std::uint64_t len) = 0;
 
   [[nodiscard]] Window make_window(std::uint64_t token, std::uint64_t addr,
                                    std::uint64_t size) noexcept;

@@ -57,7 +57,27 @@ Status PhysMem::write(std::uint64_t addr, ConstByteSpan in) {
     std::memcpy(p.data() + off, in.data() + done, chunk);
     done += chunk;
   }
+  if (!watches_.empty()) notify_watches(addr, in.size());
   return Status::ok();
+}
+
+std::uint64_t PhysMem::watch(std::uint64_t addr, std::uint64_t len, sim::PollTimer& timer) {
+  const std::uint64_t id = next_watch_id_++;
+  watches_.push_back(Watch{addr, addr + len, &timer, id});
+  return id;
+}
+
+void PhysMem::unwatch(std::uint64_t id) noexcept {
+  auto it = std::find_if(watches_.begin(), watches_.end(),
+                         [id](const Watch& w) { return w.id == id; });
+  if (it != watches_.end()) watches_.erase(it);
+}
+
+void PhysMem::notify_watches(std::uint64_t addr, std::uint64_t len) noexcept {
+  const std::uint64_t end = addr + len;
+  for (const Watch& w : watches_) {
+    if (addr < w.hi && w.lo < end) w.timer->notify();
+  }
 }
 
 }  // namespace nvmeshare::mem

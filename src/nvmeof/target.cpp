@@ -82,7 +82,15 @@ Target::Target(sisci::Cluster& cluster, rdma::Network& network, Config cfg)
   }
 }
 
-Target::~Target() { *stop_ = true; }
+Target::~Target() {
+  *stop_ = true;
+  for (auto& conn : connections_) {
+    if (conn->poll_timer != nullptr) conn->poll_timer->notify();  // reactors see the stop
+    conn->poll_timer = nullptr;
+    conn->cq->set_poll_timer(nullptr);
+    conn->cq_watch.reset();
+  }
+}
 
 std::uint64_t Target::slot_bytes() const { return ctrl_->max_transfer_bytes(); }
 
@@ -195,6 +203,13 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
   Connection* raw = conn.get();
   connections_.push_back(std::move(conn));
   connection_loop(raw, stop_);
+  auto cq_watch = cluster_.fabric().watch_writes(host, raw->cq_addr,
+                                                 cfg_.queue_entries * 16ull, *raw->poll_timer);
+  if (!cq_watch) {
+    promise.set(cq_watch.status());
+    co_return;
+  }
+  raw->cq_watch = std::move(*cq_watch);
   NVS_LOG(info, "nvmeof") << "target accepted connection (nvme qid " << raw->qid << ")";
   promise.set(qp_initiator);
 }
@@ -220,6 +235,10 @@ sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) 
     }
   };
 
+  // A round that finds no work is skipped by the engine (sim::PollTimer).
+  sim::PollTimer timer(engine);
+  conn->poll_timer = &timer;
+  conn->cq->set_poll_timer(&timer);
   for (;;) {
     if (*stop) co_return;
     if (conn->inflight == 0) {
@@ -228,6 +247,7 @@ sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) 
       // the event count bounded).
       auto wc = co_await conn->cq->pop();
       if (*stop) co_return;
+      timer.clear();  // this round reads everything a notify stood for
       if (wc) route(*wc);
       continue;
     }
@@ -248,7 +268,8 @@ sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) 
       if (n < cqes.size()) break;
     }
     if (got) (void)conn->nvme_qp->ring_cq_doorbell();
-    co_await sim::delay(engine, std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 100));
+    co_await sim::poll_tick(engine, timer,
+                            std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 100));
   }
 }
 
@@ -258,7 +279,10 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   mem::PhysMem& dram = cluster_.fabric().host_dram(ctrl_->host());
   ++stats_.commands;
 
-  auto finish = [&]() { --conn->inflight; };
+  auto finish = [&]() {
+    // Back to idle: the reactor's next round parks on the RDMA CQ.
+    if (--conn->inflight == 0 && conn->poll_timer != nullptr) conn->poll_timer->notify();
+  };
 
   CommandCapsule capsule;
   (void)dram.read(conn->recv_base + slot * kCapsuleSlotBytes, as_writable_bytes_of(capsule));

@@ -85,6 +85,11 @@ class Target {
     std::map<std::uint64_t, sim::Promise<rdma::WorkCompletion>> wr_pending;
     std::map<std::uint16_t, sim::Promise<nvme::CompletionEntry>> nvme_pending;
     std::uint32_t inflight = 0;
+    /// The reactor's tick (in its frame; null once the target stops) and
+    /// the watch that notifies it on NVMe CQ writes. RDMA CQ pushes and
+    /// `inflight` reaching 0 notify it too.
+    sim::PollTimer* poll_timer = nullptr;
+    mem::WriteWatch cq_watch;
   };
 
   Target(sisci::Cluster& cluster, rdma::Network& network, Config cfg);

@@ -648,6 +648,16 @@ Status Fabric::poll_read(HostId viewer, std::uint64_t addr, ByteSpan out) {
   return apply_read_into(*target, out);
 }
 
+Result<fabric::Substrate::MemoryRef> Fabric::resolve_memory(HostId viewer, std::uint64_t addr,
+                                                            std::uint64_t len) {
+  auto target = resolve(viewer, addr, len);
+  if (!target) return target.status();
+  if (target->kind != Resolved::Kind::dram) {
+    return Status(Errc::invalid_argument, "range resolves to a BAR, not memory");
+  }
+  return MemoryRef{hosts_[target->host]->dram.get(), target->addr};
+}
+
 Status Fabric::do_peek(HostId host, std::uint64_t addr, ByteSpan out) {
   return poll_read(host, addr, out);
 }

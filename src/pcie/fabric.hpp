@@ -187,6 +187,8 @@ class Fabric final : public fabric::Substrate {
   [[nodiscard]] bool backdoor_crosses_host(HostId viewer, std::uint64_t addr,
                                            std::uint64_t len) const override;
   void unmap_window(std::uint64_t token) override;
+  [[nodiscard]] Result<MemoryRef> resolve_memory(HostId viewer, std::uint64_t addr,
+                                                 std::uint64_t len) override;
 
  private:
   struct Region {

@@ -114,28 +114,26 @@ Status QueuePair::post_send(std::uint64_t wr_id, std::uint64_t addr, std::uint32
       // Receiver-not-ready: in RC this would retry and eventually error the
       // QP; we complete both sides with an error immediately.
       ++n.stats_.rnr_drops;
-      cq_->queue_.push(WorkCompletion{WcOpcode::send,
-                                      Status(Errc::unavailable, "RNR: no posted recv"), wr_id,
-                                      len});
+      cq_->push(WorkCompletion{WcOpcode::send, Status(Errc::unavailable, "RNR: no posted recv"),
+                               wr_id, len});
       return;
     }
     RecvBuffer rb = dst->recvs_.front();
     dst->recvs_.pop_front();
     if (len > rb.len) {
-      dst->cq_->queue_.push(WorkCompletion{
+      dst->cq_->push(WorkCompletion{
           WcOpcode::recv, Status(Errc::out_of_range, "message exceeds recv buffer"), rb.wr_id,
           len});
-      cq_->queue_.push(WorkCompletion{WcOpcode::send,
-                                      Status(Errc::out_of_range, "recv buffer too small"),
-                                      wr_id, len});
+      cq_->push(WorkCompletion{WcOpcode::send, Status(Errc::out_of_range, "recv buffer too small"),
+                               wr_id, len});
       return;
     }
     (void)n.fabric_.host_dram(dst->node()).write(rb.addr, payload);
-    dst->cq_->queue_.push(WorkCompletion{WcOpcode::recv, Status::ok(), rb.wr_id, len});
+    dst->cq_->push(WorkCompletion{WcOpcode::recv, Status::ok(), rb.wr_id, len});
     // Sender's completion: generated by the remote ACK, so it trails the
     // delivery by roughly one header traversal.
     n.engine().after(n.message_latency(0) / 2, [this, wr_id, len]() {
-      cq_->queue_.push(WorkCompletion{WcOpcode::send, Status::ok(), wr_id, len});
+      cq_->push(WorkCompletion{WcOpcode::send, Status::ok(), wr_id, len});
     });
   });
   return Status::ok();
@@ -165,7 +163,7 @@ Status QueuePair::rdma_write(std::uint64_t wr_id, std::uint64_t addr, std::uint3
     Network& n = *network_;
     (void)n.fabric_.host_dram(dst->node()).write(remote_addr, payload);
     n.engine().after(n.message_latency(0) / 2, [this, wr_id, len]() {
-      cq_->queue_.push(WorkCompletion{WcOpcode::rdma_write, Status::ok(), wr_id, len});
+      cq_->push(WorkCompletion{WcOpcode::rdma_write, Status::ok(), wr_id, len});
     });
   });
   return Status::ok();
@@ -198,7 +196,7 @@ Status QueuePair::rdma_read(std::uint64_t wr_id, std::uint64_t addr, std::uint32
     n.engine().at(response_at, [this, wr_id, addr, len, payload = std::move(payload)]() mutable {
       Network& nn = *network_;
       (void)nn.fabric_.host_dram(node()).write(addr, payload);
-      cq_->queue_.push(WorkCompletion{WcOpcode::rdma_read, Status::ok(), wr_id, len});
+      cq_->push(WorkCompletion{WcOpcode::rdma_read, Status::ok(), wr_id, len});
     });
   });
   return Status::ok();

@@ -56,9 +56,19 @@ class CompletionQueue {
   [[nodiscard]] auto pop_for(sim::Duration timeout) { return queue_.pop_for(timeout); }
   [[nodiscard]] std::size_t depth() const noexcept { return queue_.size(); }
 
+  /// Notify `timer` (null: nobody) on every completion pushed, so a
+  /// reactor polling this CQ on a sim::PollTimer sees it.
+  void set_poll_timer(sim::PollTimer* timer) noexcept { timer_ = timer; }
+
  private:
   friend class QueuePair;
+  void push(WorkCompletion wc) {
+    queue_.push(std::move(wc));
+    if (timer_ != nullptr) timer_->notify();
+  }
+
   sim::Mailbox<WorkCompletion> queue_;
+  sim::PollTimer* timer_ = nullptr;
 };
 
 class Network;

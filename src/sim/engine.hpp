@@ -21,6 +21,14 @@
 //    so the steady-state schedule/dispatch cycle performs no heap
 //    allocation (oversized callables fall back to one heap box).
 //
+//  - poll timers: a fixed-cadence poller waits on a PollTimer instead of a
+//    delay node. Its tick takes the same (t, seq) key the node would have
+//    taken and sits in a small heap merged with the wheel in dispatch
+//    order. A tick nobody notified is an empty poll round: it runs no
+//    callable and is not counted as an event, but it still consumes the seq
+//    the round's follow-up delay would have taken and reports the round to
+//    the poller's counter, so every other event keeps its (t, seq).
+//
 // Determinism invariants, identical to the original heap-based core:
 // events fire in ascending (timestamp, insertion-seq) order; per-bucket
 // lists are kept (t, seq)-sorted, and the overflow refill re-sorts by
@@ -29,6 +37,7 @@
 #pragma once
 
 #include <cassert>
+#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -40,6 +49,58 @@
 #include "common/units.hpp"
 
 namespace nvmeshare::sim {
+
+class Engine;
+
+/// The wake-up of one fixed-cadence poller (docs/performance.md,
+/// "Event-skipping pollers"). The poller awaits `poll_tick(engine, timer,
+/// period)` where it used to await `delay(engine, period)`.
+///
+/// Contract: a round that finds nothing to do only reads memory, so the
+/// engine may skip it. Every change a round can observe must therefore call
+/// notify() — a write into polled memory, a stop request, work arriving or
+/// draining. The first tick after a notify() is dispatched as a real event;
+/// the round clears the flag when it resumes, before it reads anything.
+/// Over-notifying is always safe; a missed notify() changes the run.
+class PollTimer {
+ public:
+  /// Receives the number of rounds the engine elided, so the poller's own
+  /// round counter stays exact.
+  using RoundHook = void (*)(void* ctx, std::uint64_t rounds);
+
+  explicit PollTimer(Engine& engine, RoundHook on_elided = nullptr,
+                     void* ctx = nullptr) noexcept
+      : engine_(&engine), on_elided_(on_elided), ctx_(ctx) {}
+  ~PollTimer();
+  PollTimer(const PollTimer&) = delete;
+  PollTimer& operator=(const PollTimer&) = delete;
+
+  /// Something the next round reads has changed: run the next tick.
+  void notify() noexcept;
+  /// Forget a pending notify(); for a round that starts without a tick
+  /// (after waking from an idle park) and reads everything anyway.
+  void clear() noexcept {
+    assert(!waiting_ && "clear() while a tick is pending");
+    notified_ = false;
+  }
+  [[nodiscard]] bool notified() const noexcept { return notified_; }
+  /// A tick is pending in the engine.
+  [[nodiscard]] bool waiting() const noexcept { return waiting_; }
+
+ private:
+  friend class Engine;
+  friend struct PollTickAwaiter;
+
+  Engine* engine_;
+  RoundHook on_elided_;
+  void* ctx_;
+  std::coroutine_handle<> waiter_;
+  Time due_ = 0;
+  std::uint64_t seq_ = 0;
+  Duration period_ = 0;
+  bool notified_ = false;
+  bool waiting_ = false;
+};
 
 class Engine {
  public:
@@ -65,7 +126,8 @@ class Engine {
     at(now_ + d, std::forward<F>(fn));
   }
 
-  /// Run until no events remain or stop() is called.
+  /// Run until no events remain or stop() is called. Poll timers nobody
+  /// notified do not keep it running: nothing could ever notify them.
   void run();
 
   /// Run events with timestamp <= `t`; afterwards now() == t (even if the
@@ -79,10 +141,20 @@ class Engine {
   void stop() noexcept { stopped_ = true; }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
+  /// Real events dispatched; elided poll ticks are not counted.
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
-  [[nodiscard]] std::size_t pending_events() const noexcept { return live_nodes_; }
+  /// Scheduled events plus poll timers waiting for their tick.
+  [[nodiscard]] std::size_t pending_events() const noexcept {
+    return live_nodes_ + timers_.size();
+  }
+  /// Poll ticks that fired with nobody notified: rounds skipped without
+  /// running the poller.
+  [[nodiscard]] std::uint64_t ticks_elided() const noexcept { return ticks_elided_; }
 
  private:
+  friend class PollTimer;
+  friend struct PollTickAwaiter;
+
   // Wheel geometry: 2048 buckets of 128 ns cover a 262 us window — wide
   // enough that doorbell stores, switch hops, media service, poll
   // intervals, and retry backoffs all land in the wheel; only ms-scale
@@ -145,19 +217,41 @@ class Engine {
   [[nodiscard]] EvNode* make_node(Time t);
   void enqueue(EvNode* node);
   void insert_bucket(std::uint64_t abs_slot, EvNode* node);
-  /// Unlink and return the earliest event with t <= limit, or nullptr.
-  [[nodiscard]] EvNode* pop_next(Time limit);
+  /// The earliest scheduled event, or nullptr. Never moves the window: a
+  /// poll tick due before this event may still schedule earlier ones.
+  [[nodiscard]] EvNode* peek_node();
+  /// Unlink `head`, which peek_node() just returned.
+  [[nodiscard]] EvNode* take_node(EvNode* head);
   /// Jump the window to the earliest overflow event and move everything
   /// that now fits into the wheel (the wheel must be empty).
   void refill(Time min_t);
   [[nodiscard]] std::uint64_t scan_bitmap(std::uint64_t start_phys) const;
   void recycle(EvNode* node) noexcept;
   void drop_all() noexcept;
+  /// Dispatch events and ticks with t <= limit in (t, seq) order until
+  /// stop(); with `until_idle`, also return once only unnotified timers
+  /// remain. Returns the number of events dispatched.
+  std::uint64_t dispatch(Time limit, bool until_idle);
+
+  // --- poll timers ------------------------------------------------------------
+  void arm(PollTimer& timer, Duration period, std::coroutine_handle<> h);
+  /// Resume the poller of the notified timer at the heap top.
+  void fire_tick(PollTimer& timer);
+  /// Elide the heap top's ticks up to the next real event, the next other
+  /// timer and `limit`, in one step.
+  void elide_ticks(PollTimer& timer, const EvNode* head, Time limit);
+  [[nodiscard]] static bool earlier(const PollTimer& a, const PollTimer& b) noexcept {
+    return a.due_ < b.due_ || (a.due_ == b.due_ && a.seq_ < b.seq_);
+  }
+  void sift_up(std::size_t i) noexcept;
+  void sift_down(std::size_t i) noexcept;
 
   // --- calendar wheel -------------------------------------------------------
   std::unique_ptr<Bucket[]> buckets_;        ///< kSlots, indexed abs_slot & kSlotMask
   std::uint64_t bitmap_[kBitmapWords] = {};  ///< non-empty buckets (physical index)
   std::vector<EvNode*> overflow_;            ///< events past the window, unordered
+  EvNode* overflow_min_ = nullptr;           ///< earliest (t, seq) in overflow_
+  std::uint64_t peek_phys_ = 0;              ///< bucket of the last peek_node()
   std::vector<EvNode*> refill_scratch_;
   std::uint64_t window_slot_ = 0;  ///< abs slot of the window base
   std::uint64_t cursor_slot_ = 0;  ///< abs slot the dispatch cursor reached
@@ -169,10 +263,25 @@ class Engine {
   EvNode* free_list_ = nullptr;
   std::size_t live_nodes_ = 0;  ///< scheduled and not yet fired
 
+  // --- poll timers ------------------------------------------------------------
+  std::vector<PollTimer*> timers_;     ///< binary min-heap on (due, seq)
+  std::size_t notified_waiting_ = 0;   ///< waiting timers with notify() set
+  std::uint64_t ticks_elided_ = 0;
+
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t processed_ = 0;
   bool stopped_ = false;
 };
+
+inline void PollTimer::notify() noexcept {
+  if (notified_) return;
+  notified_ = true;
+  if (waiting_) ++engine_->notified_waiting_;
+}
+
+// A pending tick holds the timer's address, and only the tick resumes the
+// frame the timer lives in; the engine's teardown clears `waiting_`.
+inline PollTimer::~PollTimer() { assert(!waiting_ && "poll timer destroyed with a tick pending"); }
 
 }  // namespace nvmeshare::sim

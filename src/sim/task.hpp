@@ -63,6 +63,29 @@ struct DelayAwaiter {
 
 inline DelayAwaiter delay(Engine& engine, Duration d) { return {engine, d}; }
 
+// --- poll_tick ---------------------------------------------------------------
+
+/// `co_await poll_tick(engine, timer, period)` is `delay(engine, period)` for
+/// a fixed-cadence poller: the tick takes the same (t, seq) slot, but the
+/// engine skips it unless `timer` was notified since the round began (see
+/// PollTimer). Resuming clears the notification, before the round reads.
+struct PollTickAwaiter {
+  Engine& engine;
+  PollTimer& timer;
+  Duration period;
+
+  bool await_ready() const noexcept { return period <= 0; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    assert(timer.engine_ == &engine && "poll timer belongs to another engine");
+    engine.arm(timer, period, h);
+  }
+  void await_resume() const noexcept { timer.notified_ = false; }
+};
+
+inline PollTickAwaiter poll_tick(Engine& engine, PollTimer& timer, Duration period) {
+  return {engine, timer, period};
+}
+
 // --- yield -------------------------------------------------------------------
 
 /// Re-queue the current task at the current timestamp (lets other pending

@@ -111,6 +111,37 @@ TEST(WriteZeroes, OversizeRejectedByLocalDriver) {
   check_oversize_write_zeroes_rejected(tb, **drv, 0);
 }
 
+// --- LBA ranges that wrap around ------------------------------------------------------
+
+// validate_request used to form lba + nblocks before comparing it with the
+// capacity, so a request ending past UINT64_MAX wrapped and passed. The
+// single-command backends must refuse it before a slot is taken, so no
+// command reaches the controller.
+void check_wrapping_lba_rejected(Testbed& tb, block::BlockDevice& dev, sisci::NodeId node) {
+  const std::uint32_t nblocks = 4;
+  const std::uint64_t buf = alloc_pattern_buffer(tb, node, nblocks * dev.block_size(), 0x3c3c);
+  const std::uint64_t fetched = tb.controller().stats().commands_fetched.value();
+  auto wr = do_io(tb, dev, {block::Op::write, UINT64_MAX - 1, nblocks, buf});
+  ASSERT_TRUE(wr.has_value());
+  EXPECT_EQ(wr->status.code(), Errc::out_of_range) << wr->status.to_string();
+  EXPECT_EQ(tb.controller().stats().commands_fetched.value(), fetched);
+}
+
+TEST(LbaWrap, RejectedByClient) {
+  Testbed tb(small_testbed(2));
+  auto stack = bring_up(tb, 0, 1);
+  ASSERT_TRUE(stack.has_value());
+  check_wrapping_lba_rejected(tb, *stack->client, 1);
+}
+
+TEST(LbaWrap, RejectedByLocalDriver) {
+  Testbed tb(small_testbed(1));
+  auto drv = tb.wait(
+      driver::LocalDriver::start(tb.cluster(), tb.nvme_endpoint(), &tb.irq(0), {}));
+  ASSERT_TRUE(drv.has_value());
+  check_wrapping_lba_rejected(tb, **drv, 0);
+}
+
 TEST(WriteZeroes, OversizeSplitBySharding) {
   // Striping cuts the same request into per-stripe commands, so the
   // sharded device still accepts it and zeroes the whole range.

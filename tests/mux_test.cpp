@@ -410,6 +410,24 @@ TEST(Sharding, SubErrorSurfacesInTheMergedStatus) {
   EXPECT_EQ(dev.stats().sub_errors.value(), 1u);
 }
 
+TEST(Sharding, WrappingLbaReachesNoShard) {
+  // lba + nblocks wraps past UINT64_MAX. It used to pass validation, and
+  // the split sent a 2-block write to LBA 0 of shard 0.
+  sim::Engine engine;
+  FakeDisk a(engine, "a", 64), b(engine, "b", 64);
+  block::ShardedDevice dev(engine, {&a, &b}, {.stripe_blocks = 4});
+
+  block::Request req;
+  req.op = block::Op::write;
+  req.lba = UINT64_MAX - 1;
+  req.nblocks = 4;
+  req.buffer_addr = 0x2000;
+  auto done = shard_io(engine, dev, req);
+  EXPECT_EQ(done.status.code(), Errc::out_of_range) << done.status.to_string();
+  EXPECT_TRUE(a.log.empty());
+  EXPECT_TRUE(b.log.empty());
+}
+
 TEST(Sharding, ValidatesAgainstTheFederatedGeometry) {
   sim::Engine engine;
   FakeDisk a(engine, "a", 64), b(engine, "b", 64);

@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "cxl/pool.hpp"
 #include "fabric/substrate.hpp"
 #include "fault/fault.hpp"
 #include "test_util.hpp"
@@ -109,6 +110,107 @@ TEST_P(SubstrateTest, RecoversFromLinkFlap) {
 
   // The flap actually happened, and the stack survived it.
   write_read_verify(tb, *stack->client, 1, /*lba=*/2048, 4096, /*seed=*/0x5A);
+}
+
+// --- write watches -----------------------------------------------------------------
+
+// Event-skipping pollers trust Substrate::watch_writes to report every store
+// into the memory they poll, on every write path.
+TEST_P(SubstrateTest, WriteWatchSeesEveryWritePath) {
+  Testbed tb(config(2));
+  fabric::Substrate& sub = tb.substrate();
+  sim::Engine& engine = tb.engine();
+  auto base = tb.cluster().alloc_dram(1, 4096, 4096);
+  ASSERT_TRUE(base.has_value()) << base.status().to_string();
+  const std::uint64_t lo = *base + 1024;  // watched: [lo, lo + 64)
+  sim::PollTimer timer(engine);
+  auto watch = sub.watch_writes(1, lo, 64, timer);
+  ASSERT_TRUE(watch.has_value()) << watch.status().to_string();
+  const Bytes data(32, std::byte{0x5a});
+
+  // Each write lands (posted writes at their arrival time); then the flag
+  // must match whether the write touched [lo, lo + 64).
+  auto check = [&](bool expect_notify, const char* what) {
+    engine.run_until(engine.now() + 100'000);
+    EXPECT_EQ(timer.notified(), expect_notify) << what;
+    timer.clear();
+  };
+
+  ASSERT_TRUE(sub.post_write(sub.cpu(1), lo + 40, data).has_value());
+  check(true, "posted write overlapping the end");
+  ASSERT_TRUE(sub.post_write(sub.cpu(1), lo - 32, data).has_value());
+  check(false, "posted write ending one byte before the range");
+  ASSERT_TRUE(sub.post_write(sub.cpu(1), lo + 64, data).has_value());
+  check(false, "posted write starting right after the range");
+  const fabric::SgEntry sg[] = {{*base, 16}, {lo + 60, 16}};
+  ASSERT_TRUE(sub.write_sg(sub.cpu(1), sg, data).has_value());
+  check(true, "scatter write with one chunk inside");
+  ASSERT_TRUE(sub.poke(1, lo, data).is_ok());
+  check(true, "poke");
+  ASSERT_TRUE(sub.host_dram(1).write(lo + 8, data).is_ok());
+  check(true, "direct store into the backing memory");
+
+  for (const char* plan_text : {"seed=3;flip_dma_bits:src=1,dst=1,nth=1,count=1",
+                                "seed=3;torn_dma_write:src=1,dst=1,nth=1,count=1"}) {
+    auto plan = fault::parse_plan(plan_text);
+    ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+    fault::Injector::global().configure(std::move(*plan));
+    const auto& fs = fault::Injector::global().stats();
+    const std::uint64_t damaged = fs.bit_flips.value() + fs.torn_writes.value();
+    ASSERT_TRUE(sub.post_write(sub.cpu(1), lo, data).has_value());
+    EXPECT_EQ(fs.bit_flips.value() + fs.torn_writes.value(), damaged + 1) << plan_text;
+    check(true, plan_text);
+    fault::Injector::global().disarm();
+  }
+
+  watch->reset();
+  ASSERT_TRUE(sub.post_write(sub.cpu(1), lo, data).has_value());
+  ASSERT_TRUE(sub.poke(1, lo, data).is_ok());
+  check(false, "write after unwatch");
+}
+
+TEST_P(SubstrateTest, WriteWatchOnSharedMemory) {
+  // The CXL pool is one memory behind every host's HDM window; on NTB the
+  // same role is played by another host's DRAM seen through a window.
+  Testbed tb(config(2));
+  fabric::Substrate& sub = tb.substrate();
+  sim::Engine& engine = tb.engine();
+  sim::PollTimer timer(engine);
+  std::uint64_t viewer_addr = 0;  // the range as host 1 sees it
+  std::uint64_t owner_addr = 0;   // the range in host 0's space (NTB only)
+  fabric::Window window;
+  if (GetParam() == fabric::SubstrateKind::cxl) {
+    viewer_addr = cxl::PoolFabric::kPoolBase + 0x10000;
+    owner_addr = viewer_addr;
+  } else {
+    auto base = tb.cluster().alloc_dram(0, 4096, 4096);
+    ASSERT_TRUE(base.has_value()) << base.status().to_string();
+    auto w = sub.map_window(fabric::MapIntent::cpu, 1, 0, *base, 4096);
+    ASSERT_TRUE(w.has_value()) << w.status().to_string();
+    window = std::move(*w);
+    viewer_addr = window.addr();
+    owner_addr = *base;
+  }
+  auto watch = sub.watch_writes(1, viewer_addr, 128, timer);
+  ASSERT_TRUE(watch.has_value()) << watch.status().to_string();
+
+  const Bytes data(16, std::byte{0x11});
+  // A store by another host, addressed in its own space.
+  ASSERT_TRUE(sub.post_write(sub.cpu(0), owner_addr + 112, data).has_value());
+  engine.run_until(engine.now() + 100'000);
+  EXPECT_TRUE(timer.notified());
+  timer.clear();
+  ASSERT_TRUE(sub.post_write(sub.cpu(0), owner_addr + 128, data).has_value());
+  engine.run_until(engine.now() + 100'000);
+  EXPECT_FALSE(timer.notified());
+}
+
+TEST_P(SubstrateTest, WriteWatchRejectsDeviceRegisters) {
+  Testbed tb(config(1));
+  sim::PollTimer timer(tb.engine());
+  auto bar = tb.substrate().bar_address(tb.nvme_endpoint(), 0);
+  ASSERT_TRUE(bar.has_value()) << bar.status().to_string();
+  EXPECT_FALSE(tb.substrate().watch_writes(0, *bar, 64, timer).has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSubstrates, SubstrateTest,

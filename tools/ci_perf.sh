@@ -17,6 +17,11 @@
 #     the tolerance (15%) below the baseline. It is machine-dependent,
 #     hence the generous tolerance.
 #
+# Exit status: 0 all gates pass; 1 an exact count (events/item or
+# allocs/item) differs or the run failed; 3 only wall IOPS fell below the
+# tolerance. CI blocks on everything but 3, which it reports as a warning:
+# shared runners are too noisy to gate wall-clock speed.
+#
 # Events/sec is reported but not gated: the ratio punishes removing work
 # (a change that saves events per I/O looks like a slowdown).
 #
@@ -57,7 +62,8 @@ base = json.load(open(sys.argv[1]))
 fresh = json.load(open(sys.argv[2]))
 tolerance = float(sys.argv[3])
 
-failed = False
+count_changed = False
+slower = False
 for mode in ("engine", "io", "stack"):
     b = base["results"][mode]
     f = fresh["results"][mode]
@@ -79,12 +85,17 @@ for mode in ("engine", "io", "stack"):
           f"allocs/item baseline {base_allocs} fresh {f['allocs'] / f['items']:.4f}  "
           f"wall IOPS baseline {b['wall_iops'] / 1e6:8.3f}M fresh {f['wall_iops'] / 1e6:8.3f}M "
           f"({ratio:.0%} of baseline)  [{f['events_per_sec'] / 1e6:.2f}M ev/s] {verdict}")
-    if verdict != "ok":
-        failed = True
+    if verdict == "REGRESSION":
+        slower = True
+    elif verdict != "ok":
+        count_changed = True
 
-if failed:
-    print(f"ci_perf: events/item or allocs/item differ from the baseline, or wall IOPS "
-          f"fell more than {tolerance:.0%} below it", file=sys.stderr)
+if count_changed:
+    print("ci_perf: events/item or allocs/item differ from the baseline", file=sys.stderr)
     sys.exit(1)
+if slower:
+    print(f"ci_perf: wall IOPS fell more than {tolerance:.0%} below the baseline",
+          file=sys.stderr)
+    sys.exit(3)
 print("ci_perf: all modes within tolerance")
 EOF
