@@ -288,35 +288,61 @@ Result<sim::Time> PoolFabric::post_write(const Initiator& who, std::uint64_t add
   return arrival;
 }
 
-Result<sim::Time> PoolFabric::write_sg(const Initiator& who, std::span<const SgEntry> sg,
-                                       ConstByteSpan data, sim::Time not_before) {
-  std::uint64_t total = 0;
-  sim::Duration worst_one_way = 0;
-  std::vector<Resolved> targets;
-  targets.reserve(sg.size());
+std::unique_ptr<PoolFabric::SgOp> PoolFabric::take_sg_op() {
+  if (sg_pool_.empty()) return std::make_unique<SgOp>();
+  std::unique_ptr<SgOp> op = std::move(sg_pool_.back());
+  sg_pool_.pop_back();
+  return op;
+}
+
+void PoolFabric::recycle_sg_op(std::unique_ptr<SgOp> op) {
+  op->targets.clear();
+  op->lens.clear();
+  op->keys.clear();
+  op->total = 0;
+  op->worst_one_way = 0;
+  sg_pool_.push_back(std::move(op));
+}
+
+Status PoolFabric::resolve_sg(HostId viewer, std::span<const SgEntry> sg, bool is_store,
+                              SgOp& op) {
   for (const auto& e : sg) {
-    auto target = resolve(who.host, e.addr, e.len);
+    auto target = resolve(viewer, e.addr, e.len);
     if (!target) {
       ++stats_.unsupported_requests;
       return target.status();
     }
-    if (Status st = check_reachable(who.host, *target); !st) return st;
-    worst_one_way =
-        std::max(worst_one_way, one_way_ns(who.host, *target, /*is_store=*/true));
-    targets.push_back(*target);
-    total += e.len;
+    NVS_RETURN_IF_ERROR(check_reachable(viewer, *target));
+    op.worst_one_way = std::max(op.worst_one_way, one_way_ns(viewer, *target, is_store));
+    op.targets.push_back(*target);
+    op.lens.push_back(e.len);
+    op.total += e.len;
   }
+  return Status::ok();
+}
+
+Result<sim::Time> PoolFabric::write_sg(const Initiator& who, std::span<const SgEntry> sg,
+                                       Bytes data, sim::Time not_before) {
+  std::unique_ptr<SgOp> op = take_sg_op();
+  if (Status st = resolve_sg(who.host, sg, /*is_store=*/true, *op); !st) {
+    recycle_sg_op(std::move(op));
+    recycle_payload(std::move(data));
+    return st;
+  }
+  const std::uint64_t total = op->total;
   if (total != data.size()) {
+    recycle_sg_op(std::move(op));
+    recycle_payload(std::move(data));
     return Status(Errc::invalid_argument, "scatter list length != payload length");
   }
 
   bool fault_drop = false;
   sim::Duration fault_extra = 0;
   fault::Injector::PostedWriteDecision corrupt;
-  if (fault::enabled() && !targets.empty()) {
+  if (fault::enabled() && !op->targets.empty()) {
+    const Resolved& first = op->targets.front();
     const auto decision = fault::Injector::global().on_posted_write(
-        who.host, fault_host(who.host, targets.front()),
-        targets.front().kind == Resolved::Kind::bar, total);
+        who.host, fault_host(who.host, first), first.kind == Resolved::Kind::bar, total);
     fault_drop = decision.drop;
     fault_extra = decision.extra_ns;
     corrupt = decision;
@@ -332,43 +358,43 @@ Result<sim::Time> PoolFabric::write_sg(const Initiator& who, std::span<const SgE
   const sim::Duration move_ns =
       dsa ? cfg_.dsa_setup_ns +
                 static_cast<sim::Duration>(static_cast<double>(total) / cfg_.dsa_bytes_per_ns)
-          : worst_one_way + ser;
+          : op->worst_one_way + ser;
   const sim::Duration lat = move_ns + cfg_.pool_access_ns + fault_extra;
 
-  std::vector<std::uint64_t> keys;
-  for (const auto& t : targets) {
+  for (const auto& t : op->targets) {
     const std::uint64_t k = floor_key(t);
-    if (std::find(keys.begin(), keys.end(), k) == keys.end()) keys.push_back(k);
+    if (std::find(op->keys.begin(), op->keys.end(), k) == op->keys.end()) op->keys.push_back(k);
   }
   sim::Time arrival = not_before;
-  for (std::uint64_t k : keys) {
+  for (std::uint64_t k : op->keys) {
     arrival = std::max(arrival, posted_arrival(initiator_id(who), k, lat, ser, not_before));
   }
-  for (std::uint64_t k : keys) {
+  for (std::uint64_t k : op->keys) {
     posted_floor_[{initiator_id(who), k}] = arrival;
   }
-  if (fault_drop) return arrival;
-  Bytes payload = take_payload(data.size());
-  if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
+  if (fault_drop) {
+    recycle_sg_op(std::move(op));
+    recycle_payload(std::move(data));
+    return arrival;
+  }
+  // `data` is the in-flight copy: damage it in place.
   if (corrupt.flip) {
-    payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
+    data[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
-  engine_.at(arrival,
-             [this, targets = std::move(targets), sg = std::vector<SgEntry>(sg.begin(), sg.end()),
-              d = std::move(payload), deliver]() mutable {
-               std::size_t off = 0;
-               for (std::size_t i = 0; i < targets.size() && off < deliver; ++i) {
-                 const std::size_t chunk = std::min<std::size_t>(sg[i].len, deliver - off);
-                 if (Status st = apply_write(targets[i], ConstByteSpan(d).subspan(off, chunk));
-                     !st) {
-                   NVS_LOG(warn, "cxl") << "scatter store chunk dropped: " << st.to_string();
-                   ++stats_.unsupported_requests;
-                 }
-                 off += sg[i].len;
-               }
-               recycle_payload(std::move(d));
-             });
+  engine_.at(arrival, [this, op = std::move(op), d = std::move(data), deliver]() mutable {
+    std::size_t off = 0;
+    for (std::size_t i = 0; i < op->targets.size() && off < deliver; ++i) {
+      const std::size_t chunk = std::min<std::size_t>(op->lens[i], deliver - off);
+      if (Status st = apply_write(op->targets[i], ConstByteSpan(d).subspan(off, chunk)); !st) {
+        NVS_LOG(warn, "cxl") << "scatter store chunk dropped: " << st.to_string();
+        ++stats_.unsupported_requests;
+      }
+      off += op->lens[i];
+    }
+    recycle_payload(std::move(d));
+    recycle_sg_op(std::move(op));
+  });
   return arrival;
 }
 
@@ -417,56 +443,47 @@ sim::Future<Result<Bytes>> PoolFabric::read_sg(const Initiator& who,
   sim::Promise<Result<Bytes>> promise(engine_);
   auto future = promise.future();
 
-  std::uint64_t total = 0;
-  sim::Duration worst_one_way = 0;
-  std::vector<Resolved> targets;
-  targets.reserve(sg.size());
-  for (const auto& e : sg) {
-    auto target = resolve(who.host, e.addr, e.len);
-    Status reach = target ? check_reachable(who.host, *target) : target.status();
-    if (!target || !reach) {
-      if (!target) ++stats_.unsupported_requests;
-      engine_.after(2 * cfg_.local_mem_ns,
-                    [promise, st = reach]() mutable { promise.set(st); });
-      return future;
-    }
-    worst_one_way =
-        std::max(worst_one_way, one_way_ns(who.host, *target, /*is_store=*/false));
-    targets.push_back(*target);
-    total += e.len;
+  std::unique_ptr<SgOp> op = take_sg_op();
+  if (Status st = resolve_sg(who.host, sg, /*is_store=*/false, *op); !st) {
+    recycle_sg_op(std::move(op));
+    engine_.after(2 * cfg_.local_mem_ns,
+                  [promise, st = std::move(st)]() mutable { promise.set(st); });
+    return future;
   }
   ++stats_.reads;
-  stats_.bytes_read += total;
+  stats_.bytes_read += op->total;
 
+  const std::uint64_t total = op->total;
   const bool dsa = total >= cfg_.dsa_threshold;
   const sim::Duration gather_ns =
       dsa ? cfg_.dsa_setup_ns +
                 static_cast<sim::Duration>(static_cast<double>(total) / cfg_.dsa_bytes_per_ns)
-          : 2 * worst_one_way + serialization_ns(total);
+          : 2 * op->worst_one_way + serialization_ns(total);
   const sim::Duration total_lat = gather_ns + cfg_.pool_access_ns;
-  const sim::Duration first_leg = (dsa ? cfg_.dsa_setup_ns : worst_one_way) +
+  const sim::Duration first_leg = (dsa ? cfg_.dsa_setup_ns : op->worst_one_way) +
                                   cfg_.pool_access_ns;
   engine_.after(
       first_leg,
-      [this, targets = std::move(targets), sg = std::vector<SgEntry>(sg.begin(), sg.end()),
-       promise, src = who.host, remaining = total_lat - first_leg, total]() mutable {
-        Bytes out = take_payload(total);
+      [this, op = std::move(op), promise, src = who.host,
+       remaining = total_lat - first_leg]() mutable {
+        Bytes out = take_payload(op->total);
         Status failure = Status::ok();
         std::size_t off = 0;
-        for (std::size_t i = 0; i < targets.size(); ++i) {
-          if (Status st = apply_read_into(targets[i], ByteSpan(out).subspan(off, sg[i].len));
+        for (std::size_t i = 0; i < op->targets.size(); ++i) {
+          if (Status st = apply_read_into(op->targets[i], ByteSpan(out).subspan(off, op->lens[i]));
               !st) {
             failure = st;
             break;
           }
-          off += sg[i].len;
+          off += op->lens[i];
         }
-        if (failure.is_ok() && !targets.empty() && fault::enabled() &&
+        if (failure.is_ok() && !op->targets.empty() && fault::enabled() &&
             fault::Injector::global().on_dma_read(
-                src, fault_host(src, targets.front()),
-                targets.front().kind == Resolved::Kind::bar)) {
+                src, fault_host(src, op->targets.front()),
+                op->targets.front().kind == Resolved::Kind::bar)) {
           out.assign(out.size(), std::byte{0});
         }
+        recycle_sg_op(std::move(op));
         engine_.after(remaining > 0 ? remaining : 0,
                       [promise, failure, d = std::move(out)]() mutable {
                         if (!failure) {

@@ -124,8 +124,8 @@ class PoolFabric final : public fabric::Substrate {
 
   Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
                                sim::Time not_before = 0) override;
-  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
-                             ConstByteSpan data, sim::Time not_before = 0) override;
+  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg, Bytes data,
+                             sim::Time not_before = 0) override;
   sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
                                   std::size_t len) override;
   sim::Future<Result<Bytes>> read_sg(const Initiator& who,
@@ -200,6 +200,21 @@ class PoolFabric final : public fabric::Substrate {
   /// pool loss is indistinguishable from losing your own port).
   [[nodiscard]] HostId fault_host(HostId viewer, const Resolved& t) const;
 
+  /// A scatter-gather transaction's resolved chunks; recycled through
+  /// sg_pool_ so a warm substrate resolves scatter lists without allocating.
+  struct SgOp {
+    std::vector<Resolved> targets;
+    std::vector<std::uint32_t> lens;
+    std::vector<std::uint64_t> keys;  ///< distinct floor keys (write_sg)
+    std::uint64_t total = 0;
+    sim::Duration worst_one_way = 0;
+  };
+  std::unique_ptr<SgOp> take_sg_op();
+  void recycle_sg_op(std::unique_ptr<SgOp> op);
+  /// Resolve and port-check each chunk of `sg` into `op`. A chunk that
+  /// resolves nowhere counts as an unsupported request.
+  Status resolve_sg(HostId viewer, std::span<const SgEntry> sg, bool is_store, SgOp& op);
+
   PoolConfig cfg_;
   std::vector<HostState> hosts_;
   mem::PhysMem pool_;
@@ -207,6 +222,7 @@ class PoolFabric final : public fabric::Substrate {
   std::map<std::uint64_t, BarRegion> bars_;
   std::vector<EndpointState> endpoints_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, sim::Time> posted_floor_;
+  std::vector<std::unique_ptr<SgOp>> sg_pool_;
 };
 
 }  // namespace nvmeshare::cxl

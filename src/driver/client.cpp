@@ -91,15 +91,15 @@ sim::Engine& Client::engine() { return service_.cluster().engine(); }
 fabric::Substrate& Client::fabric() { return service_.cluster().fabric(); }
 
 Status Client::copy_to_bounce(std::uint64_t slot_off, std::uint64_t src, std::uint64_t len) {
-  Bytes tmp(len);
-  NVS_RETURN_IF_ERROR(fabric().host_dram(node_).read(src, tmp));
-  return bounce_seg_.write(slot_off, tmp);
+  NVS_RETURN_IF_ERROR(bounce_seg_.check_access(slot_off, len));
+  return fabric().host_dram(bounce_seg_.node())
+      .copy_from(bounce_seg_.phys_addr() + slot_off, fabric().host_dram(node_), src, len);
 }
 
 Status Client::copy_from_bounce(std::uint64_t dst, std::uint64_t slot_off, std::uint64_t len) {
-  Bytes tmp(len);
-  NVS_RETURN_IF_ERROR(bounce_seg_.read(slot_off, tmp));
-  return fabric().host_dram(node_).write(dst, tmp);
+  NVS_RETURN_IF_ERROR(bounce_seg_.check_access(slot_off, len));
+  return fabric().host_dram(node_).copy_from(
+      dst, fabric().host_dram(bounce_seg_.node()), bounce_seg_.phys_addr() + slot_off, len);
 }
 
 // --- block::IoTransport -------------------------------------------------------------
@@ -825,9 +825,10 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
     prp = nvme::make_prps(device_addr, bytes, prp_win_.device_addr() + slot_page);
     if (const std::uint64_t n = nvme::prp_list_bytes(device_addr, bytes); n > 0) {
       // Write this request's PRP list into the slot's descriptor page.
-      Bytes list(n);
+      Bytes list = fabric().take_payload(n);
       nvme::fill_prp_list(device_addr, bytes, list);
       (void)prp_seg_.write(slot_page, list);
+      fabric().recycle_payload(std::move(list));
     }
   }
 

@@ -248,9 +248,10 @@ sim::Task LocalDriver::io_task(block::Request request,
   } else if (request.op == block::Op::read || request.op == block::Op::write) {
     prp = nvme::make_prps(request.buffer_addr, bytes, page);
     if (const std::uint64_t n = nvme::prp_list_bytes(request.buffer_addr, bytes); n > 0) {
-      Bytes list(n);
+      Bytes list = cluster_.fabric().take_payload(n);
       nvme::fill_prp_list(request.buffer_addr, bytes, list);
       (void)dram.write(page, list);
+      cluster_.fabric().recycle_payload(std::move(list));
     }
   }
 

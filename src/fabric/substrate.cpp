@@ -1,5 +1,6 @@
 #include "fabric/substrate.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/log.hpp"
@@ -34,21 +35,32 @@ void Window::release() {
 }
 
 Bytes Substrate::take_payload(std::size_t n) {
-  if (payload_pool_.empty()) return Bytes(n);
-  Bytes b = std::move(payload_pool_.back());
-  payload_pool_.pop_back();
-  b.resize(n);
-  return b;
+  for (PayloadBin& bin : payload_bins_) {
+    if (bin.size != n) continue;
+    if (bin.free.empty()) break;
+    Bytes b = std::move(bin.free.back());
+    bin.free.pop_back();
+    pooled_bytes_ -= n;
+    --pooled_buffers_;
+    return b;
+  }
+  // A fresh buffer is value-initialised once; after that only its size bin
+  // hands it out again.
+  return Bytes(n);
 }
 
 void Substrate::recycle_payload(Bytes&& b) {
-  // Bound both the number of pooled buffers and the capacity each can pin,
-  // so a burst of large DMAs doesn't park megabytes forever.
-  constexpr std::size_t kMaxPooled = 64;
-  constexpr std::size_t kMaxPooledCapacity = 256 * 1024;
-  if (payload_pool_.size() < kMaxPooled && b.capacity() <= kMaxPooledCapacity) {
-    payload_pool_.push_back(std::move(b));
+  const std::size_t n = b.size();
+  if (n == 0 || b.capacity() != n || pooled_buffers_ >= kMaxPooledBuffers ||
+      pooled_bytes_ + n > kMaxPooledBytes) {
+    return;
   }
+  auto bin = std::find_if(payload_bins_.begin(), payload_bins_.end(),
+                          [n](const PayloadBin& pb) { return pb.size == n; });
+  if (bin == payload_bins_.end()) bin = payload_bins_.insert(bin, PayloadBin{n, {}});
+  bin->free.push_back(std::move(b));
+  pooled_bytes_ += n;
+  ++pooled_buffers_;
 }
 
 Result<mem::WriteWatch> Substrate::watch_writes(HostId viewer, std::uint64_t addr,

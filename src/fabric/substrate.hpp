@@ -156,9 +156,12 @@ class Substrate {
 
   /// Posted scatter write of one buffer across multiple target ranges
   /// (device DMA of a data block through PRP pages). One aggregate
-  /// serialization cost; returns arrival time of the *last* byte.
+  /// serialization cost; returns arrival time of the *last* byte. The
+  /// substrate owns `data` from the call on: it is the in-flight copy, and
+  /// it goes back to the payload pool once applied. A caller done with its
+  /// buffer moves it in; one that keeps it passes a copy.
   virtual Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
-                                     ConstByteSpan data, sim::Time not_before = 0) = 0;
+                                     Bytes data, sim::Time not_before = 0) = 0;
 
   /// Non-posted read; future resolves after the full round trip. The
   /// buffer comes from the payload pool; a caller on a hot path hands it
@@ -172,10 +175,20 @@ class Substrate {
                                              std::span<const SgEntry> sg) = 0;
 
   /// Recycled byte buffers for data in flight: posted-write payloads, read
-  /// results, and device staging buffers. A warm pool hands out buffers
-  /// without allocating; the contents of a taken buffer are unspecified.
+  /// results, RDMA snapshots and device staging buffers. Free buffers are
+  /// binned by exact size, so a warm pool hands out a buffer of size `n`
+  /// without allocating or zero-filling it; the contents of a taken buffer
+  /// are unspecified, and the taker overwrites all of it. recycle_payload()
+  /// keeps only a buffer whose size is its capacity (a torn write shrinks
+  /// one; that one is freed, not re-binned at its smaller size), and only
+  /// while the pool pins at most kMaxPooledBytes in kMaxPooledBuffers.
   [[nodiscard]] Bytes take_payload(std::size_t n);
   void recycle_payload(Bytes&& b);
+  static constexpr std::size_t kMaxPooledBytes = 64 * 256 * 1024;
+  static constexpr std::size_t kMaxPooledBuffers = 4096;
+  /// Bytes and buffers the pool holds right now.
+  [[nodiscard]] std::size_t pooled_bytes() const noexcept { return pooled_bytes_; }
+  [[nodiscard]] std::size_t pooled_buffers() const noexcept { return pooled_buffers_; }
 
   /// Zero-cost synchronous read for CQ phase polling. Unlike peek() this is
   /// a sanctioned data-path access: the polled ring must be local, in a
@@ -258,7 +271,14 @@ class Substrate {
 
  private:
   friend class Window;
-  std::vector<Bytes> payload_pool_;
+  /// Free buffers of one exact size.
+  struct PayloadBin {
+    std::size_t size = 0;
+    std::vector<Bytes> free;
+  };
+  std::vector<PayloadBin> payload_bins_;
+  std::size_t pooled_bytes_ = 0;
+  std::size_t pooled_buffers_ = 0;
 };
 
 }  // namespace nvmeshare::fabric

@@ -61,6 +61,47 @@ Status PhysMem::write(std::uint64_t addr, ConstByteSpan in) {
   return Status::ok();
 }
 
+Status PhysMem::copy_from(std::uint64_t dst, const PhysMem& src, std::uint64_t src_addr,
+                          std::uint64_t len) {
+  if (len == 0) return Status::ok();
+  if (src_addr + len > src.size_ || src_addr + len < src_addr) {
+    return Status(Errc::out_of_range, "phys read past end of DRAM");
+  }
+  if (dst + len > size_ || dst + len < dst) {
+    return Status(Errc::out_of_range, "phys write past end of DRAM");
+  }
+  // One run of bytes that stays within one source and one destination page.
+  auto copy_run = [&](std::uint64_t at, std::size_t n) {
+    Page& to = materialize_page((dst + at) / kPageSize);
+    std::byte* out = to.data() + (dst + at) % kPageSize;
+    if (const Page* from = src.find_page((src_addr + at) / kPageSize)) {
+      std::memmove(out, from->data() + (src_addr + at) % kPageSize, n);
+    } else {
+      std::memset(out, 0, n);
+    }
+  };
+  // Within one memory, a destination above an overlapping source copies
+  // from the back so no source byte is overwritten before it is read.
+  if (&src == this && dst > src_addr && dst < src_addr + len) {
+    for (std::uint64_t left = len; left > 0;) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min({left, (src_addr + left - 1) % kPageSize + 1, (dst + left - 1) % kPageSize + 1}));
+      left -= n;
+      copy_run(left, n);
+    }
+  } else {
+    for (std::uint64_t done = 0; done < len;) {
+      const std::size_t n = static_cast<std::size_t>(
+          std::min({len - done, kPageSize - (src_addr + done) % kPageSize,
+                    kPageSize - (dst + done) % kPageSize}));
+      copy_run(done, n);
+      done += n;
+    }
+  }
+  if (!watches_.empty()) notify_watches(dst, len);
+  return Status::ok();
+}
+
 std::uint64_t PhysMem::watch(std::uint64_t addr, std::uint64_t len, sim::PollTimer& timer) {
   const std::uint64_t id = next_watch_id_++;
   watches_.push_back(Watch{addr, addr + len, &timer, id});

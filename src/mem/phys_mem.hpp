@@ -35,6 +35,15 @@ class PhysMem {
   /// Copy bytes into memory.
   Status write(std::uint64_t addr, ConstByteSpan in);
 
+  /// Copy `len` bytes from [src_addr, src_addr+len) of `src` (another
+  /// memory or this one) to [dst, dst+len) of this memory, run by run with
+  /// no staging buffer. Overlapping ranges copy as memmove does. Source
+  /// pages never written read as zeroes; destination pages materialize and
+  /// watches fire exactly as for one write() of the range. Either range out
+  /// of bounds fails with out_of_range before any byte moves.
+  Status copy_from(std::uint64_t dst, const PhysMem& src, std::uint64_t src_addr,
+                   std::uint64_t len);
+
   /// Read a trivially-copyable value.
   template <typename T>
   [[nodiscard]] Result<T> read_pod(std::uint64_t addr) const {

@@ -980,8 +980,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
       complete(qid, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
       co_return;
     }
-    auto arrival = fabric()->write_sg(dma_initiator(), sg->span(), data);
-    fabric()->recycle_payload(std::move(data));
+    auto arrival = fabric()->write_sg(dma_initiator(), sg->span(), std::move(data));
     if (!arrival) {
       complete(qid, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
       co_return;

@@ -5,6 +5,10 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
+
+#include "fabric/substrate.hpp"
+#include "integrity/integrity.hpp"
 
 namespace nvmeshare::nvmeof {
 
@@ -54,5 +58,17 @@ struct ResponseCapsule {
   std::uint8_t reserved[4] = {};
 };
 static_assert(sizeof(ResponseCapsule) == 16);
+
+/// The data digest (CRC-32C) of [addr, addr+len) in `mem`, read through one
+/// pooled buffer of `sub`. A range that cannot be read fails the digest.
+inline Result<std::uint32_t> memory_digest(fabric::Substrate& sub, const mem::PhysMem& mem,
+                                           std::uint64_t addr, std::uint64_t len) {
+  Bytes payload = sub.take_payload(len);
+  const Status st = mem.read(addr, payload);
+  const std::uint32_t crc = st ? integrity::crc32c(payload) : 0;
+  sub.recycle_payload(std::move(payload));
+  if (!st) return st;
+  return crc;
+}
 
 }  // namespace nvmeshare::nvmeof

@@ -252,16 +252,25 @@ sim::Task Initiator::io_task(block::Request request, sim::Promise<block::Complet
   if (cfg_.data_digest && request.op == block::Op::write && capsule.data_len > 0) {
     // DDGST over the payload as it leaves the application buffer; the
     // target re-computes it after the payload lands on its side.
-    Bytes payload(capsule.data_len);
-    (void)dram.read(request.buffer_addr, payload);
-    capsule.data_digest = integrity::crc32c(payload);
+    auto digest =
+        memory_digest(cluster_.fabric(), dram, request.buffer_addr, capsule.data_len);
+    if (!digest) {
+      engine_io_->release(grant);
+      finish(digest.status());
+      co_return;
+    }
+    capsule.data_digest = *digest;
     ++integrity::stats().digests_generated;
   }
   (void)dram.write(capsule_addr, as_bytes_of(capsule));
   if ((capsule.flags & kFlagInlineData) != 0) {
-    Bytes payload(capsule.data_len);
-    (void)dram.read(request.buffer_addr, payload);
-    (void)dram.write(capsule_addr + sizeof(CommandCapsule), payload);
+    if (Status st = dram.copy_from(capsule_addr + sizeof(CommandCapsule), dram,
+                                   request.buffer_addr, capsule.data_len);
+        !st) {
+      engine_io_->release(grant);
+      finish(std::move(st));
+      co_return;
+    }
   }
 
   // The engine runs the SEND, deadline, retry, and one reconnect cycle;
@@ -288,9 +297,13 @@ sim::Task Initiator::io_task(block::Request request, sim::Promise<block::Complet
     // media copy is intact, so a re-send heals it.
     if (cfg_.data_digest && outcome.status == 0 && request.op == block::Op::read &&
         outcome.aux != 0) {
-      Bytes payload(capsule.data_len);
-      (void)dram.read(request.buffer_addr, payload);
-      if (integrity::crc32c(payload) != outcome.aux) {
+      auto digest =
+          memory_digest(cluster_.fabric(), dram, request.buffer_addr, capsule.data_len);
+      if (!digest) {
+        status = digest.status();
+        break;
+      }
+      if (*digest != outcome.aux) {
         ++integrity::stats().digest_errors;
         if (cfg_.capsule_timeout_ns > 0 && digest_attempts < cfg_.capsule_retry_limit) {
           ++digest_attempts;

@@ -19,6 +19,18 @@ constexpr std::uint64_t kWrRdmaRead = 2ull << 56;
 constexpr std::uint64_t kWrRdmaWrite = 3ull << 56;
 constexpr std::uint64_t kWrSend = 4ull << 56;
 constexpr std::uint64_t kWrSlotMask = (1ull << 56) - 1;
+/// The kinds a command awaits completions of, each with one table row per
+/// slot, starting at kWrRdmaRead.
+constexpr std::uint64_t kWrAwaitedKinds = 3;
+
+/// Row of `wr_id` in a connection's wr_pending table, or nullopt for an id
+/// no command awaits (a RECV, or a kind or slot out of range).
+std::optional<std::size_t> wr_row(std::uint64_t wr_id, std::uint32_t slots) {
+  const std::uint64_t kind = (wr_id >> 56) - (kWrRdmaRead >> 56);
+  const std::uint64_t slot = wr_id & kWrSlotMask;
+  if (kind >= kWrAwaitedKinds || slot >= slots) return std::nullopt;
+  return static_cast<std::size_t>(kind * slots + slot);
+}
 
 /// Attribute a target-side span to the initiator request that sent the
 /// capsule, via the tracer binding the initiator made under its fabric
@@ -136,6 +148,8 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
   const std::uint64_t sb = slot_bytes();
 
   conn->cq = std::make_unique<rdma::CompletionQueue>(engine);
+  conn->wr_pending.resize(kWrAwaitedKinds * slots);
+  conn->nvme_pending.resize(cfg_.queue_entries);
   auto [qp_target, qp_initiator] = network_.create_qp_pair(*ctx_, *conn->cq, *initiator_ctx,
                                                            *initiator_cq);
   conn->qp = qp_target;
@@ -227,10 +241,10 @@ sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) 
       handle_command(conn, static_cast<std::uint32_t>(wc.wr_id & kWrSlotMask), stop);
       return;
     }
-    auto it = conn->wr_pending.find(wc.wr_id);
-    if (it != conn->wr_pending.end()) {
-      auto promise = std::move(it->second);
-      conn->wr_pending.erase(it);
+    const std::optional<std::size_t> row = wr_row(wc.wr_id, cfg_.command_slots);
+    if (row && conn->wr_pending[*row]) {
+      auto promise = std::move(*conn->wr_pending[*row]);
+      conn->wr_pending[*row].reset();
       promise.set(wc);
     }
   };
@@ -257,10 +271,10 @@ sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) 
     for (;;) {
       const std::size_t n = conn->nvme_qp->reap(cqes);
       for (std::size_t i = 0; i < n; ++i) {
-        auto it = conn->nvme_pending.find(cqes[i].cid);
-        if (it != conn->nvme_pending.end()) {
-          auto promise = std::move(it->second);
-          conn->nvme_pending.erase(it);
+        const std::uint16_t cid = cqes[i].cid;
+        if (cid < conn->nvme_pending.size() && conn->nvme_pending[cid]) {
+          auto promise = std::move(*conn->nvme_pending[cid]);
+          conn->nvme_pending[cid].reset();
           promise.set(cqes[i]);
         }
       }
@@ -283,9 +297,22 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
     // Back to idle: the reactor's next round parks on the RDMA CQ.
     if (--conn->inflight == 0 && conn->poll_timer != nullptr) conn->poll_timer->notify();
   };
+  // The wr_pending entry a work request of this slot resolves.
+  auto pending_wr = [&](std::uint64_t wr) -> std::optional<sim::Promise<rdma::WorkCompletion>>& {
+    return conn->wr_pending[*wr_row(wr, cfg_.command_slots)];
+  };
 
   CommandCapsule capsule;
   (void)dram.read(conn->recv_base + slot * kCapsuleSlotBytes, as_writable_bytes_of(capsule));
+  // Whether the write payload at `addr` still carries the capsule's digest
+  // (true without one). A mismatch counts as a digest error; a range that
+  // cannot be read fails the check too.
+  auto write_digest_holds = [&](std::uint64_t addr) {
+    if (capsule.data_digest == 0) return true;
+    auto digest = memory_digest(cluster_.fabric(), dram, addr, capsule.data_len);
+    if (digest && *digest != capsule.data_digest) ++integrity::stats().digest_errors;
+    return digest && *digest == capsule.data_digest;
+  };
   const std::uint16_t trace_qid =
       nvmeof_trace_qid(static_cast<std::uint16_t>(conn->qp->peer()->node()));
 
@@ -314,27 +341,24 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   if (ok && op == FabricOp::write && capsule.data_len > 0 &&
       (capsule.flags & kFlagInlineData) != 0) {
     ++stats_.writes;
-    Bytes payload(capsule.data_len);
-    (void)dram.read(conn->recv_base + slot * kCapsuleSlotBytes + sizeof(CommandCapsule),
-                    payload);
-    if (capsule.data_digest != 0 && integrity::crc32c(payload) != capsule.data_digest) {
-      // Inline payload damaged on the wire: refuse before it reaches media.
-      ++integrity::stats().digest_errors;
+    const std::uint64_t inline_addr =
+        conn->recv_base + slot * kCapsuleSlotBytes + sizeof(CommandCapsule);
+    // Inline payload damaged on the wire: refuse before it reaches media.
+    if (!write_digest_holds(inline_addr) ||
+        !dram.copy_from(staging, dram, inline_addr, capsule.data_len)) {
       ok = false;
       nvme_status = nvme::kScDataTransferError;
-    } else {
-      (void)dram.write(staging, payload);
     }
   } else if (ok && op == FabricOp::write && capsule.data_len > 0) {
     ++stats_.writes;
     const std::uint64_t wr = kWrRdmaRead | slot;
-    auto [it, ins] = conn->wr_pending.emplace(wr, sim::Promise<rdma::WorkCompletion>(engine));
-    (void)ins;
-    auto fut = it->second.future();
+    auto& pending = pending_wr(wr);
+    pending.emplace(engine);
+    auto fut = pending->future();
     if (Status st = conn->qp->rdma_read(wr, staging, capsule.data_len,
                                         capsule.initiator_data_addr);
         !st) {
-      conn->wr_pending.erase(wr);
+      pending.reset();
       ok = false;
       nvme_status = nvme::kScDataTransferError;
     } else {
@@ -349,15 +373,10 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
       if (!wc.status) {
         ok = false;
         nvme_status = nvme::kScDataTransferError;
-      } else if (capsule.data_digest != 0) {
-        // Verify what actually landed in staging after the RDMA READ.
-        Bytes payload(capsule.data_len);
-        (void)dram.read(staging, payload);
-        if (integrity::crc32c(payload) != capsule.data_digest) {
-          ++integrity::stats().digest_errors;
-          ok = false;
-          nvme_status = nvme::kScDataTransferError;
-        }
+      } else if (!write_digest_holds(staging)) {
+        // Verified against what actually landed in staging after the READ.
+        ok = false;
+        nvme_status = nvme::kScDataTransferError;
       }
     }
   }
@@ -387,10 +406,9 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
       ok = false;
       nvme_status = nvme::kScInternalError;
     } else {
-      auto [it, ins] =
-          conn->nvme_pending.emplace(*cid, sim::Promise<CompletionEntry>(engine));
-      (void)ins;
-      auto fut = it->second.future();
+      auto& pending = conn->nvme_pending[*cid];
+      pending.emplace(engine);
+      auto fut = pending->future();
       const sim::Time nvme_begin = engine.now();
       co_await sim::delay(engine, cfg_.costs.doorbell_ns);
       (void)conn->nvme_qp->ring_sq_doorbell();
@@ -414,20 +432,24 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   if (ok && op == FabricOp::read && capsule.data_len > 0 && cfg_.data_digest) {
     // DDGST over the staged data before the push: the initiator compares
     // it against what actually arrives in its buffer.
-    Bytes payload(capsule.data_len);
-    (void)dram.read(staging, payload);
-    read_digest = integrity::crc32c(payload);
-    ++integrity::stats().digests_generated;
+    if (auto digest = memory_digest(cluster_.fabric(), dram, staging, capsule.data_len)) {
+      read_digest = *digest;
+      ++integrity::stats().digests_generated;
+    } else {
+      ok = false;
+      nvme_status = nvme::kScDataTransferError;
+      ++stats_.errors;
+    }
   }
   if (ok && op == FabricOp::read && capsule.data_len > 0) {
     const std::uint64_t wr = kWrRdmaWrite | slot;
-    auto [it, ins] = conn->wr_pending.emplace(wr, sim::Promise<rdma::WorkCompletion>(engine));
-    (void)ins;
-    write_fut = it->second.future();
+    auto& pending = pending_wr(wr);
+    pending.emplace(engine);
+    write_fut = pending->future();
     if (Status st = conn->qp->rdma_write(wr, staging, capsule.data_len,
                                          capsule.initiator_data_addr);
         !st) {
-      conn->wr_pending.erase(wr);
+      pending.reset();
       ok = false;
       nvme_status = nvme::kScDataTransferError;
       ++stats_.errors;
@@ -445,13 +467,13 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   (void)dram.write(conn->resp_base + slot * sizeof(ResponseCapsule), as_bytes_of(response));
 
   const std::uint64_t wr_send = kWrSend | slot;
-  auto [sit, sins] = conn->wr_pending.emplace(wr_send, sim::Promise<rdma::WorkCompletion>(engine));
-  (void)sins;
-  auto send_fut = sit->second.future();
+  auto& send_pending = pending_wr(wr_send);
+  send_pending.emplace(engine);
+  auto send_fut = send_pending->future();
   if (Status st = conn->qp->post_send(wr_send, conn->resp_base + slot * sizeof(ResponseCapsule),
                                       sizeof(ResponseCapsule));
       !st) {
-    conn->wr_pending.erase(wr_send);
+    send_pending.reset();
   } else {
     (void)co_await send_fut;
   }

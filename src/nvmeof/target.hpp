@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "driver/bringup.hpp"
@@ -81,9 +81,12 @@ class Target {
     std::uint64_t prp_base = 0;      ///< command_slots PRP list pages
     std::uint64_t sq_addr = 0;
     std::uint64_t cq_addr = 0;
-    // In-flight bookkeeping.
-    std::map<std::uint64_t, sim::Promise<rdma::WorkCompletion>> wr_pending;
-    std::map<std::uint16_t, sim::Promise<nvme::CompletionEntry>> nvme_pending;
+    // In-flight bookkeeping, in tables sized at connect: RDMA work requests
+    // by (kind, command slot), since a slot posts a kind again only after
+    // its completion, and NVMe commands by CID, which stays below the
+    // queue size.
+    std::vector<std::optional<sim::Promise<rdma::WorkCompletion>>> wr_pending;
+    std::vector<std::optional<sim::Promise<nvme::CompletionEntry>>> nvme_pending;
     std::uint32_t inflight = 0;
     /// The reactor's tick (in its frame; null once the target stops) and
     /// the watch that notifies it on NVMe CQ writes. RDMA CQ pushes and

@@ -447,15 +447,17 @@ Result<sim::Time> Fabric::post_write(const Initiator& who, std::uint64_t addr,
 }
 
 Result<sim::Time> Fabric::write_sg(const Initiator& who, std::span<const SgEntry> sg,
-                                   ConstByteSpan data, sim::Time not_before) {
+                                   Bytes data, sim::Time not_before) {
   std::unique_ptr<SgOp> op = take_sg_op();
   if (Status st = resolve_sg(who, sg, *op); !st) {
     recycle_sg_op(std::move(op));
+    recycle_payload(std::move(data));
     return st;
   }
   const std::uint64_t total = op->total;
   if (total != data.size()) {
     recycle_sg_op(std::move(op));
+    recycle_payload(std::move(data));
     return Status(Errc::invalid_argument, "scatter list length != payload length");
   }
 
@@ -499,16 +501,16 @@ Result<sim::Time> Fabric::write_sg(const Initiator& who, std::span<const SgEntry
   }
   if (fault_drop) {
     recycle_sg_op(std::move(op));
+    recycle_payload(std::move(data));
     return arrival;
   }
-  Bytes payload = take_payload(data.size());
-  if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
+  // `data` is the in-flight copy: damage it in place.
   if (corrupt.flip) {
-    payload[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
+    data[corrupt.flip_bit / 8] ^= std::byte{1} << (corrupt.flip_bit % 8);
   }
   // A torn scatter write delivers only the leading `torn_bytes` of the DMA.
   const std::uint64_t deliver = corrupt.torn ? corrupt.torn_bytes : total;
-  engine_.at(arrival, [this, op = std::move(op), d = std::move(payload), deliver]() mutable {
+  engine_.at(arrival, [this, op = std::move(op), d = std::move(data), deliver]() mutable {
     std::size_t off = 0;
     for (std::size_t i = 0; i < op->targets.size() && off < deliver; ++i) {
       const std::size_t chunk = std::min<std::size_t>(op->lens[i], deliver - off);

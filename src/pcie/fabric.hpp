@@ -165,8 +165,8 @@ class Fabric final : public fabric::Substrate {
   Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
                                sim::Time not_before = 0) override;
 
-  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
-                             ConstByteSpan data, sim::Time not_before = 0) override;
+  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg, Bytes data,
+                             sim::Time not_before = 0) override;
 
   sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
                                   std::size_t len) override;

@@ -19,6 +19,10 @@ Network::Stats::Stats()
 
 Status Context::register_mr(std::uint64_t addr, std::uint64_t len) {
   if (len == 0) return Status(Errc::invalid_argument, "empty MR");
+  const std::uint64_t dram = network_.fabric().host_dram(node_).size();
+  if (addr > dram || len > dram - addr) {
+    return Status(Errc::out_of_range, "MR runs past the end of DRAM");
+  }
   mrs_.emplace_back(addr, len);
   return Status::ok();
 }
@@ -33,7 +37,8 @@ Status Context::deregister_mr(std::uint64_t addr) {
 
 bool Context::covered(std::uint64_t addr, std::uint64_t len) const {
   for (const auto& [base, size] : mrs_) {
-    if (addr >= base && addr + len <= base + size) return true;
+    // Overflow-safe form of base <= addr && addr + len <= base + size.
+    if (addr >= base && len <= size && addr - base <= size - len) return true;
   }
   return false;
 }
@@ -48,8 +53,8 @@ sim::Duration Network::message_latency(std::uint64_t bytes) const {
 
 std::pair<QueuePair*, QueuePair*> Network::create_qp_pair(Context& a, CompletionQueue& cq_a,
                                                           Context& b, CompletionQueue& cq_b) {
-  auto qa = std::make_unique<QueuePair>();
-  auto qb = std::make_unique<QueuePair>();
+  auto qa = std::make_unique<QueuePair>(engine());
+  auto qb = std::make_unique<QueuePair>(engine());
   qa->ctx_ = &a;
   qa->cq_ = &cq_a;
   qa->network_ = this;
@@ -82,7 +87,7 @@ Status QueuePair::post_recv(std::uint64_t wr_id, std::uint64_t addr, std::uint32
     ++network_->stats_.protection_errors;
     return Status(Errc::permission_denied, "recv buffer not in a registered MR");
   }
-  recvs_.push_back(RecvBuffer{wr_id, addr, len});
+  recvs_.push(RecvBuffer{wr_id, addr, len});
   return Status::ok();
 }
 
@@ -103,33 +108,43 @@ Status QueuePair::post_send(std::uint64_t wr_id, std::uint64_t addr, std::uint32
 
   // Snapshot the payload at post time (the HCA DMAs it out immediately;
   // modifying the buffer afterwards must not change the message).
-  Bytes payload(len);
-  if (Status st = net.fabric_.host_dram(node()).read(addr, payload); !st) return st;
+  Bytes payload = net.fabric_.take_payload(len);
+  if (Status st = net.fabric_.host_dram(node()).read(addr, payload); !st) {
+    net.fabric_.recycle_payload(std::move(payload));
+    return st;
+  }
 
   const sim::Time deliver_at = schedule_delivery(net.message_latency(len), len);
   QueuePair* dst = peer_;
   net.engine().at(deliver_at, [this, dst, wr_id, payload = std::move(payload), len]() mutable {
     Network& n = *network_;
-    if (dst->recvs_.empty()) {
+    const std::optional<RecvBuffer> rb = dst->recvs_.try_pop();
+    if (!rb) {
       // Receiver-not-ready: in RC this would retry and eventually error the
       // QP; we complete both sides with an error immediately.
       ++n.stats_.rnr_drops;
+      n.fabric_.recycle_payload(std::move(payload));
       cq_->push(WorkCompletion{WcOpcode::send, Status(Errc::unavailable, "RNR: no posted recv"),
                                wr_id, len});
       return;
     }
-    RecvBuffer rb = dst->recvs_.front();
-    dst->recvs_.pop_front();
-    if (len > rb.len) {
+    if (len > rb->len) {
+      n.fabric_.recycle_payload(std::move(payload));
       dst->cq_->push(WorkCompletion{
-          WcOpcode::recv, Status(Errc::out_of_range, "message exceeds recv buffer"), rb.wr_id,
+          WcOpcode::recv, Status(Errc::out_of_range, "message exceeds recv buffer"), rb->wr_id,
           len});
       cq_->push(WorkCompletion{WcOpcode::send, Status(Errc::out_of_range, "recv buffer too small"),
                                wr_id, len});
       return;
     }
-    (void)n.fabric_.host_dram(dst->node()).write(rb.addr, payload);
-    dst->cq_->push(WorkCompletion{WcOpcode::recv, Status::ok(), rb.wr_id, len});
+    Status landed = n.fabric_.host_dram(dst->node()).write(rb->addr, payload);
+    n.fabric_.recycle_payload(std::move(payload));
+    if (!landed) {
+      dst->cq_->push(WorkCompletion{WcOpcode::recv, landed, rb->wr_id, len});
+      cq_->push(WorkCompletion{WcOpcode::send, landed, wr_id, len});
+      return;
+    }
+    dst->cq_->push(WorkCompletion{WcOpcode::recv, Status::ok(), rb->wr_id, len});
     // Sender's completion: generated by the remote ACK, so it trails the
     // delivery by roughly one header traversal.
     n.engine().after(n.message_latency(0) / 2, [this, wr_id, len]() {
@@ -153,17 +168,24 @@ Status QueuePair::rdma_write(std::uint64_t wr_id, std::uint64_t addr, std::uint3
   ++net.stats_.rdma_writes;
   net.stats_.bytes_moved += len;
 
-  Bytes payload(len);
-  if (Status st = net.fabric_.host_dram(node()).read(addr, payload); !st) return st;
+  Bytes payload = net.fabric_.take_payload(len);
+  if (Status st = net.fabric_.host_dram(node()).read(addr, payload); !st) {
+    net.fabric_.recycle_payload(std::move(payload));
+    return st;
+  }
 
   const sim::Time deliver_at = schedule_delivery(net.message_latency(len), len);
   QueuePair* dst = peer_;
   net.engine().at(deliver_at, [this, dst, wr_id, payload = std::move(payload), remote_addr,
                                len]() mutable {
     Network& n = *network_;
-    (void)n.fabric_.host_dram(dst->node()).write(remote_addr, payload);
-    n.engine().after(n.message_latency(0) / 2, [this, wr_id, len]() {
-      cq_->push(WorkCompletion{WcOpcode::rdma_write, Status::ok(), wr_id, len});
+    const bool landed = n.fabric_.host_dram(dst->node()).write(remote_addr, payload).is_ok();
+    n.fabric_.recycle_payload(std::move(payload));
+    n.engine().after(n.message_latency(0) / 2, [this, wr_id, len, landed]() {
+      cq_->push(WorkCompletion{
+          WcOpcode::rdma_write,
+          landed ? Status::ok() : Status(Errc::out_of_range, "RDMA WRITE did not land"), wr_id,
+          len});
     });
   });
   return Status::ok();
@@ -189,14 +211,20 @@ Status QueuePair::rdma_read(std::uint64_t wr_id, std::uint64_t addr, std::uint32
   QueuePair* dst = peer_;
   net.engine().at(request_at, [this, dst, wr_id, addr, len, remote_addr]() {
     Network& n = *network_;
-    Bytes payload(len);
-    (void)n.fabric_.host_dram(dst->node()).read(remote_addr, payload);
-    // The response travels the peer->us direction and obeys its FIFO.
+    Bytes payload = n.fabric_.take_payload(len);
+    const bool fetched = n.fabric_.host_dram(dst->node()).read(remote_addr, payload).is_ok();
+    // The response travels the peer->us direction and obeys its FIFO. A
+    // failed fetch still answers, with an error and no data.
     const sim::Time response_at = dst->schedule_delivery(n.message_latency(len), len);
-    n.engine().at(response_at, [this, wr_id, addr, len, payload = std::move(payload)]() mutable {
+    n.engine().at(response_at, [this, wr_id, addr, len, fetched,
+                                payload = std::move(payload)]() mutable {
       Network& nn = *network_;
-      (void)nn.fabric_.host_dram(node()).write(addr, payload);
-      cq_->push(WorkCompletion{WcOpcode::rdma_read, Status::ok(), wr_id, len});
+      const bool landed = fetched && nn.fabric_.host_dram(node()).write(addr, payload).is_ok();
+      nn.fabric_.recycle_payload(std::move(payload));
+      cq_->push(WorkCompletion{
+          WcOpcode::rdma_read,
+          landed ? Status::ok() : Status(Errc::out_of_range, "RDMA READ did not land"), wr_id,
+          len});
     });
   });
   return Status::ok();

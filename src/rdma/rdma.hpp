@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -80,7 +79,8 @@ class Context {
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
 
-  /// Register [addr, addr+len) of this host's DRAM for RDMA access.
+  /// Register [addr, addr+len) of this host's DRAM for RDMA access. A
+  /// range that wraps or runs past the end of DRAM fails with out_of_range.
   Status register_mr(std::uint64_t addr, std::uint64_t len);
   Status deregister_mr(std::uint64_t addr);
   [[nodiscard]] bool covered(std::uint64_t addr, std::uint64_t len) const;
@@ -95,6 +95,8 @@ class Context {
 /// One side of a reliable-connected queue pair.
 class QueuePair {
  public:
+  explicit QueuePair(sim::Engine& engine) : recvs_(engine) {}
+
   /// Post a receive buffer (local DRAM, must be registered).
   Status post_recv(std::uint64_t wr_id, std::uint64_t addr, std::uint32_t len);
 
@@ -133,7 +135,9 @@ class QueuePair {
   CompletionQueue* cq_ = nullptr;
   QueuePair* peer_ = nullptr;
   Network* network_ = nullptr;
-  std::deque<RecvBuffer> recvs_;
+  /// Posted RECVs in FIFO order. A mailbox's ring only grows, so a warm
+  /// queue pair reposts into the same storage; nothing ever waits on it.
+  sim::Mailbox<RecvBuffer> recvs_;
   sim::Time out_floor_ = 0;  ///< earliest delivery time of the next outbound message
 };
 

@@ -92,15 +92,19 @@ void Segment::release() {
   cluster_ = nullptr;
 }
 
-Status Segment::write(std::uint64_t offset, ConstByteSpan data) {
+Status Segment::check_access(std::uint64_t offset, std::uint64_t len) const {
   if (!valid()) return Status(Errc::unavailable, "segment released");
-  if (offset + data.size() > size_) return Status(Errc::out_of_range, "segment write OOB");
+  if (offset + len > size_) return Status(Errc::out_of_range, "segment access OOB");
+  return Status::ok();
+}
+
+Status Segment::write(std::uint64_t offset, ConstByteSpan data) {
+  NVS_RETURN_IF_ERROR(check_access(offset, data.size()));
   return cluster_->fabric().host_dram(node_).write(phys_ + offset, data);
 }
 
 Status Segment::read(std::uint64_t offset, ByteSpan out) const {
-  if (!valid()) return Status(Errc::unavailable, "segment released");
-  if (offset + out.size() > size_) return Status(Errc::out_of_range, "segment read OOB");
+  NVS_RETURN_IF_ERROR(check_access(offset, out.size()));
   return cluster_->fabric().host_dram(node_).read(phys_ + offset, out);
 }
 

@@ -91,6 +91,9 @@ class Segment {
   /// Zero-latency CPU access for the owning host (local DRAM).
   Status write(std::uint64_t offset, ConstByteSpan data);
   Status read(std::uint64_t offset, ByteSpan out) const;
+  /// The checks read() and write() make before touching memory: the
+  /// segment is live and [offset, offset+len) lies inside it.
+  [[nodiscard]] Status check_access(std::uint64_t offset, std::uint64_t len) const;
 
   /// Descriptor usable with Map::create / DeviceRef::map_for_device.
   [[nodiscard]] RemoteSegment descriptor() const noexcept;

@@ -1,0 +1,134 @@
+// The byte path's steady state makes no heap allocation. 128 KiB writes and
+// reads through ours-remote (NTB and CXL) and NVMe-oF move payloads through
+// exact-size pooled buffers, staging-free bounce and RDMA copies and owned
+// scatter writes, and the NVMe-oF target tracks in-flight work in tables
+// sized at connect.
+//
+// This binary replaces the global operator new with a counting one, as
+// sim_alloc_test.cpp does. Each stack runs three identical rounds; the first
+// two warm the pools, arenas and container capacities, and the third must not
+// call global operator new at all.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "nvmeof/initiator.hpp"
+#include "nvmeof/target.hpp"
+#include "sim/pool.hpp"
+#include "test_util.hpp"
+
+namespace {
+std::uint64_t g_allocations = 0;
+
+void* counted(std::size_t size) {
+  ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted(size); }
+void* operator new[](std::size_t size) { return counted(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace nvmeshare {
+namespace {
+
+using namespace testutil;
+
+constexpr std::uint32_t kBytes = 128 * KiB;
+/// 32 commands a round: the two warm-up rounds cycle through every CID of a
+/// 64-entry queue and all 64 NVMe-oF target command slots, so they touch
+/// every page and arena entry the third round uses.
+constexpr int kOps = 16;
+
+/// One round: kOps 128 KiB writes from `wbuf` to consecutive blocks, then
+/// reads of the same blocks into `rbuf`, one at a time, so every round
+/// reaches the same peak of buffers and frames in flight.
+sim::Task round_task(block::BlockDevice& dev, std::uint64_t wbuf, std::uint64_t rbuf,
+                     sim::Promise<int> done) {
+  const std::uint32_t nblocks = kBytes / dev.block_size();
+  int failures = 0;
+  for (const block::Op op : {block::Op::write, block::Op::read}) {
+    for (int i = 0; i < kOps; ++i) {
+      const block::Request request{op, static_cast<std::uint64_t>(i) * nblocks, nblocks,
+                                   op == block::Op::write ? wbuf : rbuf};
+      const block::Completion c = co_await dev.submit(request);
+      if (!c.status) ++failures;
+    }
+  }
+  done.set(failures);
+}
+
+class BytePathAlloc : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!sim::pool::kEnabled) GTEST_SKIP() << "the pool passes through under AddressSanitizer";
+  }
+
+  /// Run three identical rounds on `dev` from `node`; returns the global
+  /// operator new calls the third round made. Every request must succeed
+  /// and the reads must return what was written.
+  static std::uint64_t steady_state_allocations(Testbed& tb, block::BlockDevice& dev,
+                                                sisci::NodeId node) {
+    const std::uint64_t wbuf = alloc_pattern_buffer(tb, node, kBytes, 0xB0);
+    const std::uint64_t rbuf = alloc_pattern_buffer(tb, node, kBytes, 0xE0);
+    auto round = [&] {
+      sim::Promise<int> done(tb.engine());
+      round_task(dev, wbuf, rbuf, done);
+      auto failures = tb.wait_plain(done.future(), 1_s);
+      EXPECT_TRUE(failures.has_value());
+      EXPECT_EQ(failures.value_or(-1), 0);
+    };
+    round();
+    round();
+    const std::uint64_t before = g_allocations;
+    round();
+    const std::uint64_t allocations = g_allocations - before;
+    EXPECT_TRUE(buffer_matches(tb, node, rbuf, kBytes, 0xB0));
+    return allocations;
+  }
+};
+
+TEST_F(BytePathAlloc, OursRemoteOnNtb) {
+  Testbed tb(small_testbed(2));
+  auto stack = bring_up(tb, /*manager_node=*/0, /*client_node=*/1);
+  ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1), 0u);
+}
+
+TEST_F(BytePathAlloc, OursRemoteOnCxl) {
+  TestbedConfig cfg = small_testbed(2);
+  cfg.substrate = fabric::SubstrateKind::cxl;
+  Testbed tb(cfg);
+  auto stack = bring_up(tb, /*manager_node=*/0, /*client_node=*/1);
+  ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1), 0u);
+}
+
+TEST_F(BytePathAlloc, Nvmeof) {
+  for (const bool digest : {false, true}) {
+    SCOPED_TRACE(digest ? "with data digests" : "without data digests");
+    Testbed tb(small_testbed(2));
+    nvmeof::Target::Config tc;
+    tc.data_digest = digest;
+    auto target =
+        tb.wait(nvmeof::Target::start(tb.cluster(), tb.nvme_endpoint(), tb.network(), tc));
+    ASSERT_TRUE(target.has_value()) << target.status().to_string();
+    nvmeof::Initiator::Config ic;
+    ic.data_digest = digest;
+    auto initiator =
+        tb.wait(nvmeof::Initiator::connect(tb.cluster(), tb.network(), **target, 1, ic));
+    ASSERT_TRUE(initiator.has_value()) << initiator.status().to_string();
+    EXPECT_EQ(steady_state_allocations(tb, **initiator, 1), 0u);
+    EXPECT_EQ((*target)->stats().errors.value(), 0u);
+  }
+}
+
+}  // namespace
+}  // namespace nvmeshare

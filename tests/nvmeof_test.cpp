@@ -2,6 +2,7 @@
 // multiple connections, data integrity, error propagation.
 #include <gtest/gtest.h>
 
+#include "integrity/integrity.hpp"
 #include "nvmeof/initiator.hpp"
 #include "nvmeof/target.hpp"
 #include "test_util.hpp"
@@ -155,15 +156,17 @@ struct RawConnection {
     response_addr = *tb.cluster().alloc_dram(node, 4096, 4096);
   }
 
-  /// Send `capsule` and run until its response arrives.
-  ResponseCapsule exchange(const CommandCapsule& capsule) {
+  /// Send `capsule` (and `wire_len - 64` bytes of inline data already at
+  /// capsule_addr + 64) and run until its response arrives.
+  ResponseCapsule exchange(const CommandCapsule& capsule,
+                           std::uint32_t wire_len = sizeof(CommandCapsule)) {
     ResponseCapsule response;
     response.status = 0xFFFF;
     if (qp == nullptr) return response;
     mem::PhysMem& dram = tb.cluster().fabric().host_dram(node);
     EXPECT_TRUE(dram.write(capsule_addr, as_bytes_of(capsule)).is_ok());
     EXPECT_TRUE(qp->post_recv(1, response_addr, sizeof(ResponseCapsule)).is_ok());
-    EXPECT_TRUE(qp->post_send(2, capsule_addr, sizeof(CommandCapsule)).is_ok());
+    EXPECT_TRUE(qp->post_send(2, capsule_addr, wire_len).is_ok());
     for (int i = 0; i < 1000; ++i) {
       tb.engine().run_for(1_us);
       while (auto wc = cq.poll()) {
@@ -238,6 +241,45 @@ TEST_F(NvmeofFixture, MalformedCapsuleSizesAreRejectedBeforeTheNvmeQueue) {
   // rejected write_zeroes never touched the media.
   EXPECT_EQ(raw.exchange(raw_capsule(FabricOp::read, 100, 8, 4096, buf)).status, 0u);
   EXPECT_TRUE(buffer_matches(tb, 2, buf, 4096, 0x77));
+}
+
+TEST_F(NvmeofFixture, WritePayloadFailingItsDigestNeverReachesMedia) {
+  RawConnection raw(tb, *target, 2);
+  const std::uint64_t buf = alloc_pattern_buffer(tb, 2, 8192, 0x31);
+  const std::uint64_t readback = *tb.cluster().alloc_dram(2, 8192, 4096);
+  mem::PhysMem& dram = tb.cluster().fabric().host_dram(2);
+  Bytes payload(8192);
+  ASSERT_TRUE(dram.read(buf, payload).is_ok());
+  const std::uint32_t inline_digest = integrity::crc32c(ConstByteSpan(payload).first(4096));
+  const std::uint32_t pulled_digest = integrity::crc32c(payload);
+  // The inline payload rides right behind the capsule header.
+  ASSERT_TRUE(dram.write(raw.capsule_addr + sizeof(CommandCapsule),
+                         ConstByteSpan(payload).first(4096))
+                  .is_ok());
+  const std::uint64_t fetched = tb.controller().stats().commands_fetched.value();
+  const std::uint64_t digest_errors = integrity::stats().digest_errors.value();
+
+  CommandCapsule inline_write = raw_capsule(FabricOp::write, 300, 8, 4096, buf);
+  inline_write.flags = kFlagInlineData;
+  inline_write.data_digest = inline_digest ^ 1;
+  EXPECT_EQ(raw.exchange(inline_write, sizeof(CommandCapsule) + 4096).status,
+            nvme::kScDataTransferError);
+  CommandCapsule pulled_write = raw_capsule(FabricOp::write, 400, 16, 8192, buf);
+  pulled_write.data_digest = pulled_digest ^ 1;
+  EXPECT_EQ(raw.exchange(pulled_write).status, nvme::kScDataTransferError);
+  EXPECT_EQ(integrity::stats().digest_errors.value(), digest_errors + 2);
+  EXPECT_EQ(tb.controller().stats().commands_fetched.value(), fetched);
+
+  // With the right digests both writes land.
+  inline_write.data_digest = inline_digest;
+  pulled_write.data_digest = pulled_digest;
+  EXPECT_EQ(raw.exchange(inline_write, sizeof(CommandCapsule) + 4096).status, 0u);
+  EXPECT_EQ(raw.exchange(pulled_write).status, 0u);
+  EXPECT_EQ(integrity::stats().digest_errors.value(), digest_errors + 2);
+  EXPECT_EQ(raw.exchange(raw_capsule(FabricOp::read, 300, 8, 4096, readback)).status, 0u);
+  EXPECT_TRUE(buffer_matches(tb, 2, readback, 4096, 0x31));
+  EXPECT_EQ(raw.exchange(raw_capsule(FabricOp::read, 400, 16, 8192, readback)).status, 0u);
+  EXPECT_TRUE(buffer_matches(tb, 2, readback, 8192, 0x31));
 }
 
 }  // namespace

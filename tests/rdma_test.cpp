@@ -122,6 +122,52 @@ TEST_F(RdmaFixture, UnregisteredMemoryRejected) {
   EXPECT_EQ(net.stats().protection_errors, 4u);
 }
 
+TEST_F(RdmaFixture, ProtectionCheckDoesNotWrap) {
+  // An address near the top of the 64-bit space plus the length wraps past
+  // zero; that must not read as inside an ordinary 64 KiB MR.
+  const std::uint64_t wrapping = UINT64_MAX - 100;
+  EXPECT_FALSE(ctx1->covered(wrapping, 4096));
+  EXPECT_FALSE(ctx1->covered(buf1, UINT64_MAX));
+  EXPECT_TRUE(ctx1->covered(buf1 + 60 * KiB, 4 * KiB));
+  EXPECT_FALSE(ctx1->covered(buf1 + 60 * KiB, 4 * KiB + 1));
+  EXPECT_EQ(qp0->rdma_read(1, buf0, 4096, wrapping).code(), Errc::permission_denied);
+  EXPECT_EQ(qp0->rdma_write(2, buf0, 4096, wrapping).code(), Errc::permission_denied);
+  EXPECT_EQ(net.stats().protection_errors, 2u);
+  EXPECT_FALSE(drain_one(*cq0).has_value());
+}
+
+TEST_F(RdmaFixture, MemoryRegionMustLieInDram) {
+  const std::uint64_t dram = tb.substrate().host_dram(1).size();
+  EXPECT_EQ(ctx1->register_mr(dram - 4 * KiB, 1 * MiB).code(), Errc::out_of_range);
+  EXPECT_EQ(ctx1->register_mr(UINT64_MAX - 100, 4096).code(), Errc::out_of_range);
+  EXPECT_EQ(ctx1->register_mr(dram, 1).code(), Errc::out_of_range);
+  EXPECT_FALSE(ctx1->covered(dram - 4 * KiB, 4 * KiB));
+  EXPECT_TRUE(ctx1->register_mr(dram - 4 * KiB, 4 * KiB).is_ok());
+  EXPECT_TRUE(ctx1->covered(dram - 4 * KiB, 4 * KiB));
+}
+
+TEST_F(RdmaFixture, RecvRingKeepsFifoOrderAcrossGrowth) {
+  // Consume two receives so the ring's head moves, then post more than its
+  // first capacity: deliveries must still follow posting order.
+  std::uint64_t next = 0;
+  for (; next < 3; ++next) ASSERT_TRUE(qp1->post_recv(next, buf1, 256).is_ok());
+  for (int i = 0; i < 2; ++i) ASSERT_TRUE(qp0->post_send(100 + i, buf0, 16).is_ok());
+  for (int i = 0; i < 2; ++i) {
+    auto wc = drain_one(*cq1);
+    ASSERT_TRUE(wc.has_value());
+    EXPECT_EQ(wc->wr_id, static_cast<std::uint64_t>(i));
+  }
+  for (; next < 20; ++next) ASSERT_TRUE(qp1->post_recv(next, buf1, 256).is_ok());
+  EXPECT_EQ(qp1->posted_recvs(), 18u);
+  for (int i = 0; i < 18; ++i) ASSERT_TRUE(qp0->post_send(200 + i, buf0, 16).is_ok());
+  for (std::uint64_t want = 2; want < 20; ++want) {
+    auto wc = drain_one(*cq1);
+    ASSERT_TRUE(wc.has_value());
+    EXPECT_EQ(wc->wr_id, want);
+  }
+  EXPECT_EQ(qp1->posted_recvs(), 0u);
+}
+
 TEST_F(RdmaFixture, RnrWhenNoRecvPosted) {
   ASSERT_TRUE(qp0->post_send(5, buf0, 64).is_ok());
   auto wc = drain_one(*cq0);

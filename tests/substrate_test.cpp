@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cxl/pool.hpp"
 #include "fabric/substrate.hpp"
@@ -211,6 +212,73 @@ TEST_P(SubstrateTest, WriteWatchRejectsDeviceRegisters) {
   auto bar = tb.substrate().bar_address(tb.nvme_endpoint(), 0);
   ASSERT_TRUE(bar.has_value()) << bar.status().to_string();
   EXPECT_FALSE(tb.substrate().watch_writes(0, *bar, 64, timer).has_value());
+}
+
+// --- payload pool ------------------------------------------------------------------
+
+TEST_P(SubstrateTest, PayloadPoolReusesExactSizes) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  Bytes big = sub.take_payload(128 * KiB);
+  Bytes small = sub.take_payload(64);
+  EXPECT_EQ(big.size(), 128 * KiB);
+  EXPECT_EQ(small.size(), 64u);
+  const std::byte* big_data = big.data();
+  const std::byte* small_data = small.data();
+  const std::size_t bytes_before = sub.pooled_bytes();
+  const std::size_t buffers_before = sub.pooled_buffers();
+  sub.recycle_payload(std::move(big));
+  sub.recycle_payload(std::move(small));
+  EXPECT_EQ(sub.pooled_bytes(), bytes_before + 128 * KiB + 64);
+  EXPECT_EQ(sub.pooled_buffers(), buffers_before + 2);
+
+  // Each size comes back from its own bin, already at its size: a 64-byte
+  // take never grows a 64-byte buffer into a 128 KiB one or the reverse.
+  Bytes again_small = sub.take_payload(64);
+  Bytes again_big = sub.take_payload(128 * KiB);
+  EXPECT_EQ(again_small.data(), small_data);
+  EXPECT_EQ(again_big.data(), big_data);
+  EXPECT_EQ(again_big.size(), 128 * KiB);
+  EXPECT_EQ(sub.pooled_bytes(), bytes_before);
+  EXPECT_EQ(sub.pooled_buffers(), buffers_before);
+}
+
+TEST_P(SubstrateTest, PayloadPoolPinsBoundedBytes) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  constexpr std::size_t kBuf = 256 * KiB;
+  std::vector<Bytes> taken;
+  for (std::size_t i = 0; i < fabric::Substrate::kMaxPooledBytes / kBuf + 8; ++i) {
+    taken.push_back(sub.take_payload(kBuf));
+  }
+  for (Bytes& b : taken) sub.recycle_payload(std::move(b));
+  EXPECT_LE(sub.pooled_bytes(), fabric::Substrate::kMaxPooledBytes);
+  EXPECT_GE(sub.pooled_bytes(), fabric::Substrate::kMaxPooledBytes - kBuf);
+
+  std::vector<Bytes> tiny;
+  for (std::size_t i = 0; i < fabric::Substrate::kMaxPooledBuffers + 8; ++i) {
+    tiny.push_back(sub.take_payload(4));
+  }
+  for (Bytes& b : tiny) sub.recycle_payload(std::move(b));
+  EXPECT_LE(sub.pooled_buffers(), fabric::Substrate::kMaxPooledBuffers);
+}
+
+TEST_P(SubstrateTest, PayloadPoolDropsShrunkBuffers) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  // A torn write shrinks its in-flight buffer; its capacity no longer
+  // matches its size, so it must not join the bin of its smaller size.
+  Bytes torn = sub.take_payload(4096);
+  torn.resize(100);
+  const std::size_t buffers_before = sub.pooled_buffers();
+  sub.recycle_payload(std::move(torn));
+  EXPECT_EQ(sub.pooled_buffers(), buffers_before);
+
+  Bytes fresh = sub.take_payload(100);
+  EXPECT_EQ(fresh.size(), 100u);
+  EXPECT_EQ(fresh.capacity(), 100u);
+  sub.recycle_payload(Bytes());  // empty buffers are not pooled either
+  EXPECT_EQ(sub.pooled_buffers(), buffers_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSubstrates, SubstrateTest,
