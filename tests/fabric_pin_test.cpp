@@ -1,8 +1,9 @@
-// Golden pin for the NTB substrate: the fabric-abstraction refactor must not
-// change a single transaction on the PCIe/NTB path. The constants below were
-// captured from the pre-refactor seed (PR 8 tree) running this exact
-// scenario; the refactored NTB substrate has to reproduce them bit-for-bit —
-// final simulated clock, every fabric counter, and the job's latency sums.
+// Golden pins for both substrates. The first guards the PCIe/NTB path: the
+// fabric-abstraction refactor must not change a single transaction on it.
+// Its constants were captured from the tree before that refactor, running
+// this exact scenario; the refactored NTB substrate has to reproduce them
+// bit-for-bit — final simulated clock, every fabric counter, and the job's
+// latency sums. The last pin does the same for the CXL pool substrate.
 //
 // If this test fails after an intentional change to the NTB latency model or
 // driver instruction stream, re-capture by running with
@@ -292,6 +293,100 @@ TEST(FabricPin, MultiPagePrpPathsMatchPreRefactorSeed) {
     EXPECT_EQ(o.read_sum, e.read_sum);
     EXPECT_EQ(o.other_sum, e.other_sum);
     EXPECT_EQ(o.device_reads, e.device_reads);
+  }
+}
+
+// --- CXL pool scenario ----------------------------------------------------------------
+//
+// Third pin: ours-remote on the CXL pooled-memory substrate. QD-1 random
+// 4 KiB reads and writes take the pool's load/store port costs; 128 KiB
+// reads and writes are above PoolConfig::dsa_threshold and take the DSA
+// scatter/gather branch. Pins the clock, every `nvmeshare.fabric.*` counter
+// and each job's elapsed time and latency sum.
+
+struct CxlJob {
+  workload::JobSpec::Pattern pattern;
+  std::uint32_t block_bytes;
+};
+constexpr std::array<CxlJob, 4> kCxlJobs = {
+    CxlJob{workload::JobSpec::Pattern::randread, 4096},
+    CxlJob{workload::JobSpec::Pattern::randwrite, 4096},
+    CxlJob{workload::JobSpec::Pattern::randread, 128 * 1024},
+    CxlJob{workload::JobSpec::Pattern::randwrite, 128 * 1024}};
+
+struct CxlPinObservation {
+  sim::Time end_time = 0;
+  std::array<std::uint64_t, 7> counters{};  ///< fabric::Stats, declaration order
+  std::array<sim::Duration, kCxlJobs.size()> elapsed{};
+  std::array<sim::Duration, kCxlJobs.size()> latency_sum{};
+};
+
+CxlPinObservation run_cxl_scenario() {
+  CxlPinObservation obs;
+  TestbedConfig cfg = small_testbed(2);
+  cfg.substrate = fabric::SubstrateKind::cxl;
+  Testbed tb(cfg);
+  auto stack = bring_up(tb, 0, 1);
+  EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+  if (!stack) return obs;
+
+  for (std::size_t j = 0; j < kCxlJobs.size(); ++j) {
+    workload::JobSpec spec;
+    spec.pattern = kCxlJobs[j].pattern;
+    spec.block_bytes = kCxlJobs[j].block_bytes;
+    spec.queue_depth = 1;
+    spec.ops = 32;
+    spec.seed = 2024 + j;
+    auto res = workload::run_job_blocking(tb.cluster(), *stack->client, 1, spec);
+    EXPECT_TRUE(res.has_value()) << res.status().to_string();
+    if (!res) continue;
+    EXPECT_EQ(res->errors, 0u);
+    EXPECT_EQ(res->ops_completed, spec.ops);
+    obs.elapsed[j] = res->elapsed;
+    for (sim::Duration ns : res->total_latency.samples()) obs.latency_sum[j] += ns;
+  }
+
+  const fabric::Stats& s = tb.substrate().stats();
+  obs.end_time = tb.engine().now();
+  obs.counters = {s.posted_writes.value(),        s.reads.value(),
+                  s.bytes_written.value(),        s.bytes_read.value(),
+                  s.unsupported_requests.value(), s.ntb_translations.value(),
+                  s.backdoor_violations.value()};
+  return obs;
+}
+
+TEST(FabricPin, CxlPathMatchesParent) {
+  const CxlPinObservation obs = run_cxl_scenario();
+
+  if (std::getenv("NVS_PIN_CAPTURE") != nullptr) {
+    auto print = [](const char* name, const auto& values) {
+      std::printf("  constexpr std::array<std::uint64_t, %zu> %s = {", values.size(), name);
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        std::printf("%s%" PRIu64, i == 0 ? "" : ", ", static_cast<std::uint64_t>(values[i]));
+      }
+      std::printf("};\n");
+    };
+    std::printf("  constexpr sim::Time kEndTime = %" PRIu64 ";\n", obs.end_time);
+    print("kCounters", obs.counters);
+    print("kElapsed", obs.elapsed);
+    print("kLatencySum", obs.latency_sum);
+    return;
+  }
+
+  // Captured from the tree before the transaction engine moved into
+  // fabric::Substrate.
+  constexpr sim::Time kEndTime = 42000000;
+  constexpr std::array<std::uint64_t, 7> kCounters = {605, 284, 4345432, 4350028, 0, 0, 0};
+  constexpr std::array<std::uint64_t, 4> kElapsed = {495109, 520505, 1232191, 1254867};
+  constexpr std::array<std::uint64_t, 4> kLatencySum = {495109, 520505, 1232191, 1254867};
+
+  EXPECT_EQ(obs.end_time, kEndTime);
+  for (std::size_t i = 0; i < kCounters.size(); ++i) {
+    EXPECT_EQ(obs.counters[i], kCounters[i]) << "counter " << i;
+  }
+  for (std::size_t j = 0; j < kCxlJobs.size(); ++j) {
+    EXPECT_EQ(static_cast<std::uint64_t>(obs.elapsed[j]), kElapsed[j]) << "job " << j;
+    EXPECT_EQ(static_cast<std::uint64_t>(obs.latency_sum[j]), kLatencySum[j]) << "job " << j;
   }
 }
 
