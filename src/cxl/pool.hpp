@@ -19,6 +19,8 @@
 //    DSA engine: one descriptor setup, then streaming bandwidth,
 //  * peer MMIO (doorbells) pays the CXL.io p2p cost,
 //  * no per-TLP arithmetic and no NTB translation entries.
+// Those terms, the address ranges above and the CXL port state are all this
+// class supplies; fabric::Substrate runs the transactions.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +35,6 @@
 #include "fabric/substrate.hpp"
 #include "mem/allocator.hpp"
 #include "mem/phys_mem.hpp"
-#include "sim/task.hpp"
 
 namespace nvmeshare::cxl {
 
@@ -94,9 +95,6 @@ class PoolFabric final : public fabric::Substrate {
   [[nodiscard]] Initiator cpu(HostId h) const override { return Initiator{h, h}; }
 
   Result<EndpointId> attach(fabric::Endpoint& ep, HostId host) override;
-  [[nodiscard]] Result<std::uint64_t> bar_address(EndpointId ep, int bar) const override;
-  [[nodiscard]] fabric::Endpoint* endpoint(EndpointId ep) const override;
-  [[nodiscard]] HostId endpoint_host(EndpointId ep) const override;
 
   /// Pool and MMIO ranges are directly addressable — windows are free and
   /// hold nothing. Remote *private* DRAM is unreachable by design.
@@ -122,27 +120,23 @@ class PoolFabric final : public fabric::Substrate {
   [[nodiscard]] sim::Duration copy_cost_ns(HostId owner,
                                            std::uint64_t bytes) const override;
 
-  Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
-                               sim::Time not_before = 0) override;
-  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg, Bytes data,
-                             sim::Time not_before = 0) override;
-  sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
-                                  std::size_t len) override;
-  sim::Future<Result<Bytes>> read_sg(const Initiator& who,
-                                     std::span<const SgEntry> sg) override;
-  Status poll_read(HostId viewer, std::uint64_t addr, ByteSpan out) override;
-
   /// Fail (or restore) `host`'s CXL port: while down the host cannot reach
   /// the pool or peer MMIO, and nobody reaches its devices.
   Status set_host_link(HostId host, bool up) override;
 
  protected:
-  Status do_poke(HostId host, std::uint64_t addr, ConstByteSpan data) override;
-  [[nodiscard]] Result<MemoryRef> resolve_memory(HostId viewer, std::uint64_t addr,
-                                                 std::uint64_t len) override;
-  Status do_peek(HostId host, std::uint64_t addr, ByteSpan out) override;
-  [[nodiscard]] bool backdoor_crosses_host(HostId viewer, std::uint64_t addr,
-                                           std::uint64_t len) const override;
+  [[nodiscard]] Result<Target> route(HostId viewer, std::uint64_t addr,
+                                     std::uint64_t len) override;
+  [[nodiscard]] Result<sim::Duration> path_ns(const Initiator& who, const Target& t,
+                                              bool is_store) const override;
+  [[nodiscard]] PostedCost posted_cost(Path path, std::uint64_t bytes,
+                                       bool scatter) const override;
+  [[nodiscard]] ReadCost read_cost(Path path, std::uint64_t bytes, bool scatter) const override;
+  [[nodiscard]] sim::Duration error_completion_ns() const override {
+    return 2 * cfg_.local_mem_ns;
+  }
+  void map_bar(HostId host, EndpointId ep, int bar, std::uint64_t base,
+               std::uint64_t size) override;
   void unmap_window(std::uint64_t token) override { (void)token; }
 
  private:
@@ -159,70 +153,23 @@ class PoolFabric final : public fabric::Substrate {
     int bar = 0;
   };
 
-  struct EndpointState {
-    fabric::Endpoint* ep = nullptr;
-    HostId host = fabric::kNoHost;
-    std::vector<std::uint64_t> bar_bases;
-  };
+  /// Order keys: posted ordering is kept per (initiating agent, target
+  /// resource) — the pool, a host's DRAM, or a device function. A host CPU
+  /// and a device DMA engine in the same host enter on distinct chips (see
+  /// attach()), so they are independent store streams and do not serialize
+  /// behind each other's backlog.
+  static constexpr std::uint64_t kPoolKey = 0xffff'ffff'0000'0000ULL;
+  static constexpr std::uint64_t kBarKey = 0x1'0000'0000ULL;
 
-  struct Resolved {
-    enum class Kind { dram, pool, bar } kind = Kind::dram;
-    HostId host = fabric::kNoHost;  ///< owning host (dram/bar) — pool has none
-    std::uint64_t addr = 0;         ///< offset in the backing memory (dram/pool)
-    EndpointId ep = 0;
-    int bar = 0;
-    std::uint64_t bar_offset = 0;
-  };
-
-  [[nodiscard]] Result<Resolved> resolve(HostId viewer, std::uint64_t addr,
-                                         std::uint64_t len) const;
-  /// Port check for a resolved target seen from `viewer`.
-  [[nodiscard]] Status check_reachable(HostId viewer, const Resolved& t) const;
-  Status apply_write(const Resolved& t, ConstByteSpan data);
-  Status apply_read_into(const Resolved& t, ByteSpan out);
-
-  /// One-way initiator-side latency to a target.
-  [[nodiscard]] sim::Duration one_way_ns(HostId viewer, const Resolved& t,
-                                         bool is_store) const;
   [[nodiscard]] sim::Duration serialization_ns(std::uint64_t bytes) const;
-  /// Floor key: posted ordering is kept per (initiating agent, target
-  /// resource) — the pool, a host's DRAM, or a device function. The agent
-  /// is the full Initiator (host + entry chip): a host CPU and a device DMA
-  /// engine in the same host are independent store streams and must not
-  /// serialize behind each other's backlog.
-  [[nodiscard]] std::uint64_t floor_key(const Resolved& t) const;
-  [[nodiscard]] static std::uint64_t initiator_id(const Initiator& who) noexcept {
-    return (static_cast<std::uint64_t>(who.host) << 32) | who.chip;
-  }
-  sim::Time posted_arrival(std::uint64_t initiator, std::uint64_t key,
-                           sim::Duration latency, sim::Duration gap, sim::Time not_before);
-  /// Fault-injection host id for a target (the pool reports the initiator —
-  /// pool loss is indistinguishable from losing your own port).
-  [[nodiscard]] HostId fault_host(HostId viewer, const Resolved& t) const;
-
-  /// A scatter-gather transaction's resolved chunks; recycled through
-  /// sg_pool_ so a warm substrate resolves scatter lists without allocating.
-  struct SgOp {
-    std::vector<Resolved> targets;
-    std::vector<std::uint32_t> lens;
-    std::vector<std::uint64_t> keys;  ///< distinct floor keys (write_sg)
-    std::uint64_t total = 0;
-    sim::Duration worst_one_way = 0;
-  };
-  std::unique_ptr<SgOp> take_sg_op();
-  void recycle_sg_op(std::unique_ptr<SgOp> op);
-  /// Resolve and port-check each chunk of `sg` into `op`. A chunk that
-  /// resolves nowhere counts as an unsupported request.
-  Status resolve_sg(HostId viewer, std::span<const SgEntry> sg, bool is_store, SgOp& op);
+  /// A pool-DSA bulk copy: descriptor setup plus streaming.
+  [[nodiscard]] sim::Duration dsa_ns(std::uint64_t bytes) const;
 
   PoolConfig cfg_;
   std::vector<HostState> hosts_;
   mem::PhysMem pool_;
   mem::RangeAllocator mmio_;  // one global MMIO space, CXL.io p2p reachable
   std::map<std::uint64_t, BarRegion> bars_;
-  std::vector<EndpointState> endpoints_;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, sim::Time> posted_floor_;
-  std::vector<std::unique_ptr<SgOp>> sg_pool_;
 };
 
 }  // namespace nvmeshare::cxl

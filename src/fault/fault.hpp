@@ -175,12 +175,12 @@ class Injector {
     bool torn = false;
     std::uint64_t torn_bytes = 0;  ///< strict prefix length delivered
   };
-  /// Consulted by Fabric::post_write/write_sg once the destination resolved.
+  /// Consulted by Substrate::post_write/write_sg once the destination resolved.
   /// `len` is the payload byte count (used to place corruption).
   PostedWriteDecision on_posted_write(std::uint32_t src_host, std::uint32_t dst_host,
                                       bool to_bar, std::uint64_t len);
 
-  /// Consulted by Fabric::read/read_sg at completer-access time. True =
+  /// Consulted by Substrate::read/read_sg at completer-access time. True =
   /// the read completes with stale (zero-filled) data instead of memory
   /// contents (stale_read).
   [[nodiscard]] bool on_dma_read(std::uint32_t src_host, std::uint32_t dst_host,

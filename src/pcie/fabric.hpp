@@ -1,18 +1,16 @@
-// The PCIe cluster fabric: per-host address spaces, BAR enumeration, NTB
-// look-up-table windows, and timed memory transactions that actually move
-// bytes. This is the NTB substrate behind the neutral fabric::Substrate
-// interface (see fabric/substrate.hpp); consumers above sisci should code
-// against the interface, not this class.
+// The PCIe cluster fabric: per-host address spaces, NTB look-up-table
+// windows, and the chip-graph costs of PCIe transactions. This is the NTB
+// substrate behind the neutral fabric::Substrate interface (see
+// fabric/substrate.hpp), which runs the transactions themselves; consumers
+// above sisci should code against the interface, not this class.
 //
-// Timing semantics (matching PCIe ordering rules):
-//  * post_write() is a posted transaction: it returns the *arrival* time
-//    synchronously and applies the payload at that simulated time. Posted
-//    writes issued in order on the same path arrive in order.
-//  * read()/read_sg() are non-posted: the returned future resolves after a
-//    full round trip (request + completion TLPs).
-//  * peek()/poke() are zero-latency backdoors for setup and assertions;
-//    production-path code must not use them across the fabric — enforced
-//    in debug builds once seal_backdoors() is called.
+// What this substrate supplies:
+//  * routing: each host's region map (DRAM, BARs, NTB apertures), with NTB
+//    LUT windows followed to the host they forward to;
+//  * reachability: a live chip path from the initiator to the completer;
+//  * cost: per-chip traversal plus NTB translations, TLP overhead and link
+//    serialization (LatencyModel), with posted writes ordered per
+//    (initiator chip, completer chip).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +28,6 @@
 #include "pcie/latency.hpp"
 #include "pcie/topology.hpp"
 #include "pcie/types.hpp"
-#include "sim/task.hpp"
 
 namespace nvmeshare::pcie {
 
@@ -81,11 +78,9 @@ class Fabric final : public fabric::Substrate {
     return attach_endpoint(ep, host, hosts_[host]->rc);
   }
 
-  [[nodiscard]] Result<std::uint64_t> bar_address(EndpointId ep, int bar) const override;
-  [[nodiscard]] Endpoint* endpoint(EndpointId ep) const override;
-  /// Host the endpoint is physically installed in.
-  [[nodiscard]] HostId endpoint_host(EndpointId ep) const override;
-  [[nodiscard]] ChipId endpoint_chip(EndpointId ep) const;
+  [[nodiscard]] ChipId endpoint_chip(EndpointId ep) const {
+    return ep < endpoints_.size() ? endpoints_[ep].at.chip : kNoChip;
+  }
 
   // --- NTB ------------------------------------------------------------------
 
@@ -160,35 +155,22 @@ class Fabric final : public fabric::Substrate {
   [[nodiscard]] Result<Resolved> resolve(HostId host, std::uint64_t addr,
                                          std::uint64_t len) const;
 
-  // --- transactions ------------------------------------------------------------
-
-  Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
-                               sim::Time not_before = 0) override;
-
-  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg, Bytes data,
-                             sim::Time not_before = 0) override;
-
-  sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr,
-                                  std::size_t len) override;
-
-  sim::Future<Result<Bytes>> read_sg(const Initiator& who,
-                                     std::span<const SgEntry> sg) override;
-
-  /// Zero-cost CQ poll; resolves NTB windows (a taken-over manager polls
-  /// the adopted CQ through its map), charging nothing — the paper's CPUs
-  /// poll rings they can load from.
-  Status poll_read(HostId viewer, std::uint64_t addr, ByteSpan out) override;
-
   using Stats = fabric::Stats;
 
  protected:
-  Status do_poke(HostId host, std::uint64_t addr, ConstByteSpan data) override;
-  Status do_peek(HostId host, std::uint64_t addr, ByteSpan out) override;
-  [[nodiscard]] bool backdoor_crosses_host(HostId viewer, std::uint64_t addr,
-                                           std::uint64_t len) const override;
+  [[nodiscard]] Result<Target> route(HostId viewer, std::uint64_t addr,
+                                     std::uint64_t len) override;
+  [[nodiscard]] Result<sim::Duration> path_ns(const Initiator& who, const Target& t,
+                                              bool is_store) const override;
+  [[nodiscard]] PostedCost posted_cost(Path path, std::uint64_t bytes,
+                                       bool scatter) const override;
+  [[nodiscard]] ReadCost read_cost(Path path, std::uint64_t bytes, bool scatter) const override;
+  [[nodiscard]] sim::Duration error_completion_ns() const override {
+    return 2 * model_.tlp_overhead_ns;  // header TLPs of an unsupported-request round trip
+  }
+  void map_bar(HostId host, EndpointId ep, int bar, std::uint64_t base,
+               std::uint64_t size) override;
   void unmap_window(std::uint64_t token) override;
-  [[nodiscard]] Result<MemoryRef> resolve_memory(HostId viewer, std::uint64_t addr,
-                                                 std::uint64_t len) override;
 
  private:
   struct Region {
@@ -221,13 +203,6 @@ class Fabric final : public fabric::Substrate {
     std::vector<Lut> lut;
   };
 
-  struct EndpointState {
-    Endpoint* ep = nullptr;
-    HostId host = kNoHost;
-    ChipId chip = kNoChip;
-    std::vector<std::uint64_t> bar_bases;
-  };
-
   /// A LUT run held by a fabric::Window.
   struct MapRec {
     NtbId ntb = 0;
@@ -239,45 +214,10 @@ class Fabric final : public fabric::Substrate {
                                           std::uint64_t len) const;
   Result<Resolved> resolve_impl(HostId host, std::uint64_t addr, std::uint64_t len,
                                 int depth, int crossings) const;
-  /// One-way chip-path cost from initiator to the resolved target.
-  [[nodiscard]] Result<Topology::PathCost> path_to(const Initiator& who,
-                                                   const Resolved& target) const;
-
-  /// One scatter-gather DMA in flight: every chunk's resolved target and
-  /// length, kept from submission to delivery. Records are recycled, so a warm
-  /// fabric resolves scatter lists without allocating.
-  struct SgOp {
-    std::vector<Resolved> targets;
-    std::vector<std::uint32_t> lens;
-    std::vector<ChipId> chips;  ///< distinct completer chips (write_sg)
-    std::uint64_t total = 0;
-    sim::Duration worst_path = 0;
-    int worst_crossings = 0;
-  };
-  std::unique_ptr<SgOp> take_sg_op();
-  void recycle_sg_op(std::unique_ptr<SgOp> op);
-  /// Resolve each chunk of `sg` into `op` (targets, lengths, byte total,
-  /// worst path and NTB crossings), counting translations chunk by chunk.
-  Status resolve_sg(const Initiator& who, std::span<const SgEntry> sg, SgOp& op);
-  Status apply_write(const Resolved& target, ConstByteSpan data);
-  /// Read straight into the caller's span — no temporary for DRAM targets.
-  Status apply_read_into(const Resolved& target, ByteSpan out);
-
-  /// PCIe ordering: posted writes from one initiator to one completer may
-  /// not pass each other, but they pipeline — a later write lands one
-  /// serialization gap after its predecessor, not one full path latency.
-  /// `gap` is the wire occupancy (serialization + TLP overhead), computed
-  /// once by the caller and shared with the latency calculation.
-  sim::Time posted_arrival(const Initiator& who, ChipId target_chip, sim::Duration latency,
-                           sim::Duration gap, sim::Time not_before);
-
   LatencyModel model_;
   Topology topo_;
   std::vector<std::unique_ptr<HostState>> hosts_;
   std::vector<NtbState> ntbs_;
-  std::vector<EndpointState> endpoints_;
-  std::map<std::pair<ChipId, ChipId>, sim::Time> posted_floor_;
-  std::vector<std::unique_ptr<SgOp>> sg_pool_;
   std::map<std::uint64_t, MapRec> windows_;
   std::uint64_t next_window_token_ = 1;
 };

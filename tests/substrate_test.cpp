@@ -5,6 +5,7 @@
 // production path may cheat through zero-latency cross-host peek/poke.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -212,6 +213,72 @@ TEST_P(SubstrateTest, WriteWatchRejectsDeviceRegisters) {
   auto bar = tb.substrate().bar_address(tb.nvme_endpoint(), 0);
   ASSERT_TRUE(bar.has_value()) << bar.status().to_string();
   EXPECT_FALSE(tb.substrate().watch_writes(0, *bar, 64, timer).has_value());
+}
+
+// --- transaction contract edges ----------------------------------------------------
+
+TEST_P(SubstrateTest, ScatterLengthMismatchReturnsPayloadToPool) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  auto base = tb.cluster().alloc_dram(0, 8192, 4096);
+  ASSERT_TRUE(base.has_value()) << base.status().to_string();
+  const fabric::SgEntry sg[] = {{*base, 4096}};
+  const std::size_t pooled_before = sub.pooled_bytes();
+  const std::uint64_t writes_before = sub.stats().posted_writes.value();
+
+  auto arrival = sub.write_sg(sub.cpu(0), sg, Bytes(8192));
+  ASSERT_FALSE(arrival.has_value());
+  EXPECT_EQ(arrival.error_code(), Errc::invalid_argument);
+  // The refused payload went back to the pool; nothing was posted.
+  EXPECT_EQ(sub.pooled_bytes(), pooled_before + 8192);
+  EXPECT_EQ(sub.stats().posted_writes.value(), writes_before);
+}
+
+TEST_P(SubstrateTest, UnmappedReadIsOneUnsupportedRequest) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  // Above host DRAM, below the MMIO window (and the CXL pool): routes nowhere.
+  constexpr std::uint64_t kHole = fabric::Substrate::kMmioBase / 2;
+  const std::uint64_t ur_before = sub.stats().unsupported_requests.value();
+  const std::uint64_t reads_before = sub.stats().reads.value();
+
+  auto got = tb.wait(sub.read(sub.cpu(0), kHole, 64));
+  ASSERT_FALSE(got.has_value());
+  EXPECT_EQ(got.error_code(), Errc::unmapped_address);
+  EXPECT_EQ(sub.stats().unsupported_requests.value(), ur_before + 1);
+  EXPECT_EQ(sub.stats().reads.value(), reads_before);
+}
+
+TEST_P(SubstrateTest, TornScatterWriteLandsOnlyLeadingBytes) {
+  Testbed tb(config(1));
+  fabric::Substrate& sub = tb.substrate();
+  auto base = tb.cluster().alloc_dram(0, 8192, 4096);
+  ASSERT_TRUE(base.has_value()) << base.status().to_string();
+  ASSERT_TRUE(sub.host_dram(0).write(*base, Bytes(8192)).is_ok());
+
+  auto plan = fault::parse_plan("seed=4;torn_dma_write:src=0,dst=0,nth=1,count=1");
+  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+  fault::Injector::global().configure(std::move(*plan));
+  const std::uint64_t torn_before = fault::Injector::global().stats().torn_writes.value();
+  // Two chunks, out of address order: delivery follows the scatter list.
+  const fabric::SgEntry sg[] = {{*base + 4096, 4096}, {*base, 4096}};
+  auto arrival = sub.write_sg(sub.cpu(0), sg, Bytes(8192, std::byte{0xa5}));
+  const std::uint64_t torn = fault::Injector::global().stats().torn_writes.value() - torn_before;
+  fault::Injector::global().disarm();
+  ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
+  EXPECT_EQ(torn, 1u);
+  tb.engine().run_until(*arrival + 1);
+
+  // The payload in scatter order: a prefix of 0xa5 bytes, zeros after it.
+  Bytes landed(8192);
+  ASSERT_TRUE(sub.host_dram(0).read(*base + 4096, ByteSpan(landed).first(4096)).is_ok());
+  ASSERT_TRUE(sub.host_dram(0).read(*base, ByteSpan(landed).subspan(4096)).is_ok());
+  const auto prefix = static_cast<std::size_t>(
+      std::find(landed.begin(), landed.end(), std::byte{0}) - landed.begin());
+  EXPECT_GT(prefix, 4096u);  // this seed tears the second chunk
+  EXPECT_LT(prefix, landed.size());
+  EXPECT_TRUE(std::all_of(landed.begin() + static_cast<std::ptrdiff_t>(prefix), landed.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
 }
 
 // --- payload pool ------------------------------------------------------------------
