@@ -1,6 +1,7 @@
 #include "block/sharded_device.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -65,15 +66,26 @@ sim::Task ShardedDevice::submit_task(Request request, sim::Promise<Completion> p
 
   // Carve the request at chunk boundaries and fan the pieces out. Issuing
   // before awaiting lets the shards work in parallel; awaiting in issue
-  // order keeps the merge deterministic.
-  std::vector<sim::Future<Completion>> pieces;
+  // order keeps the merge deterministic. The first kInlinePieces futures
+  // live in the coroutine frame, which the frame pool recycles; a request
+  // spanning more chunks spills the rest to the heap.
+  std::array<sim::Future<Completion>, kInlinePieces> inline_pieces;
+  std::vector<sim::Future<Completion>> spilled;
+  std::size_t count = 0;
+  auto issue = [&](BlockDevice& shard, const Request& piece) {
+    if (count < kInlinePieces) {
+      inline_pieces[count] = shard.submit(piece);
+    } else {
+      spilled.push_back(shard.submit(piece));
+    }
+    ++count;
+    ++stats_.sub_requests;
+  };
   if (request.op == Op::flush) {
     // Flush has no LBA extent: durability requires every shard to flush.
-    pieces.reserve(shards_.size());
     for (BlockDevice* s : shards_) {
-      pieces.push_back(s->submit(request));
+      issue(*s, request);
       ++stats_.flush_fanout;
-      ++stats_.sub_requests;
     }
   } else {
     const std::uint32_t bs = block_size();
@@ -88,20 +100,20 @@ sim::Task ShardedDevice::submit_task(Request request, sim::Promise<Completion> p
       piece.lba = local_lba(lba);
       piece.nblocks = n;
       piece.buffer_addr = buffer;
-      pieces.push_back(shards_[shard_of(lba)]->submit(piece));
-      ++stats_.sub_requests;
+      issue(*shards_[shard_of(lba)], piece);
       lba += n;
       left -= n;
       buffer += static_cast<std::uint64_t>(n) * bs;
     }
-    if (pieces.size() > 1) ++stats_.splits;
+    if (count > 1) ++stats_.splits;
   }
 
   // Merge: first sub-error wins (ascending-LBA order), latency is
   // end-to-end across the slowest piece.
   Status merged = Status::ok();
-  for (auto& piece : pieces) {
-    Completion done = co_await piece;
+  for (std::size_t i = 0; i < count; ++i) {
+    Completion done =
+        co_await (i < kInlinePieces ? inline_pieces[i] : spilled[i - kInlinePieces]);
     if (!done.status) {
       ++stats_.sub_errors;
       if (merged.is_ok()) merged = std::move(done.status);

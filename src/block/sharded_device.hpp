@@ -11,6 +11,7 @@
 // shard 2 never touches traffic bound for shard 0.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -65,6 +66,11 @@ class ShardedDevice final : public BlockDevice {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
+  /// Pieces a request keeps in its coroutine frame before spilling to the
+  /// heap: a flush over up to this many shards, or a request spanning up to
+  /// this many chunks.
+  static constexpr std::size_t kInlinePieces = 8;
+
   sim::Task submit_task(Request request, sim::Promise<Completion> promise);
 
   sim::Engine& engine_;

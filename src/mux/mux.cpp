@@ -35,10 +35,7 @@ QpMultiplexer::~QpMultiplexer() {
   // it will never drain is resolved as aborted here so no submitter hangs.
   *alive_ = false;
   kick_.set();
-  for (auto& [id, t] : tenants_) {
-    for (auto& staged : t->ring) resolve_aborted(staged);
-    t->ring.clear();
-  }
+  for (auto& [id, t] : tenants_) abort_staged(*t);
 }
 
 void QpMultiplexer::kick() { kick_.set(); }
@@ -96,6 +93,10 @@ void QpMultiplexer::resolve_aborted(Staged& staged) {
   ++stats_.aborted_cmds;
   staged.promise.set(
       block::Completion{Status(Errc::aborted, "multiplexer stopped"), engine_.now() - staged.start});
+}
+
+void QpMultiplexer::abort_staged(Tenant& t) {
+  for (; !t.ring.empty(); t.ring.pop_front()) resolve_aborted(t.ring.front());
 }
 
 sim::Future<block::Completion> QpMultiplexer::submit(std::uint32_t tenant,
@@ -176,11 +177,7 @@ sim::Task QpMultiplexer::scheduler_task(std::shared_ptr<bool> stop) {
     (void)co_await kick_.wait();
   }
   // Stop: fail whatever is still staged so no submitter hangs.
-  for (auto& id : order_) {
-    Tenant& t = *tenants_.at(id);
-    for (auto& staged : t.ring) resolve_aborted(staged);
-    t.ring.clear();
-  }
+  for (auto& id : order_) abort_staged(*tenants_.at(id));
   scheduler_running_ = false;
 }
 

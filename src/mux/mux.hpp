@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -39,6 +38,7 @@
 #include "common/units.hpp"
 #include "nvme/queue.hpp"
 #include "obs/metrics.hpp"
+#include "sim/ring.hpp"
 #include "sim/task.hpp"
 
 namespace nvmeshare::mux {
@@ -127,7 +127,7 @@ class QpMultiplexer {
   struct Tenant {
     explicit Tenant(ShareGrant g) : grant(g) {}
     ShareGrant grant;
-    std::deque<Staged> ring;
+    sim::Ring<Staged> ring;  ///< staged commands, FIFO; a warm ring allocates nothing
     std::int64_t deficit = 0;
     std::uint32_t inflight = 0;  ///< dispatched, not yet completed
     TokenBucket cmd_bucket;
@@ -137,6 +137,8 @@ class QpMultiplexer {
   sim::Task scheduler_task(std::shared_ptr<bool> stop);
   sim::Task dispatch_task(Tenant& t, Staged staged, std::shared_ptr<bool> stop);
   void resolve_aborted(Staged& staged);
+  /// Resolve a tenant's staged commands as aborted, in FIFO order.
+  void abort_staged(Tenant& t);
 
   sim::Engine& engine_;
   DispatchFn dispatch_;

@@ -19,16 +19,16 @@ long long log_time_provider() {
 }  // namespace
 
 namespace {
-/// Poll timers a simulation holds before the heap grows (one per client
-/// poller, target connection, manager mailbox and local driver).
-constexpr std::size_t kTimerReserve = 256;
+/// Distinct poll periods a simulation waits on before the lane list grows
+/// (client poller, target reactor, manager mailbox, local driver).
+constexpr std::size_t kLaneReserve = 8;
 /// Events past the wheel window (command deadlines, ms-scale watchdogs) a
 /// simulation holds before the overflow list grows.
 constexpr std::size_t kOverflowReserve = 1024;
 }  // namespace
 
 Engine::Engine() : buckets_(std::make_unique<Bucket[]>(kSlots)) {
-  timers_.reserve(kTimerReserve);
+  lanes_.reserve(kLaneReserve);
   overflow_.reserve(kOverflowReserve);
   refill_scratch_.reserve(kOverflowReserve);
   g_logging_engine = this;
@@ -194,8 +194,8 @@ std::uint64_t Engine::dispatch(Time limit, bool until_idle) {
   std::uint64_t n = 0;
   while (!stopped_) {
     EvNode* head = peek_node();
-    if (!timers_.empty()) {
-      PollTimer& timer = *timers_.front();
+    if (first_ != nullptr) {
+      PollTimer& timer = *first_;
       if (head == nullptr || timer.due_ < head->t ||
           (timer.due_ == head->t && timer.seq_ < head->seq)) {
         if (timer.due_ > limit) break;
@@ -205,7 +205,11 @@ std::uint64_t Engine::dispatch(Time limit, bool until_idle) {
           continue;
         }
         // Nothing can notify a timer any more: only unnotified ticks remain.
-        if (head == nullptr && until_idle && notified_waiting_ == 0) break;
+        if (head == nullptr && until_idle &&
+            std::none_of(lanes_.begin(), lanes_.end(),
+                         [](const Lane& lane) { return lane.notified != 0; })) {
+          break;
+        }
         elide_ticks(timer, head, limit);
         continue;
       }
@@ -240,77 +244,126 @@ void Engine::arm(PollTimer& timer, Duration period, std::coroutine_handle<> h) {
   // The key the delay node of the same round would have taken.
   timer.due_ = now_ + period;
   timer.seq_ = seq_++;
-  timer.period_ = period;
   timer.waiter_ = h;
   timer.waiting_ = true;
-  if (timer.notified_) ++notified_waiting_;
-  timers_.push_back(&timer);
-  sift_up(timers_.size() - 1);
+  timer.lane_ = lane_for(timer.lane_, period);
+  Lane& lane = lanes_[timer.lane_];
+  if (timer.notified_) ++lane.notified;
+  push(lane, timer);
+  if (first_ == nullptr || earlier(timer, *first_)) first_ = &timer;
+}
+
+std::uint32_t Engine::lane_for(std::uint32_t hint, Duration period) {
+  if (hint < lanes_.size() && lanes_[hint].period == period) return hint;
+  for (std::uint32_t i = 0; i < lanes_.size(); ++i) {
+    if (lanes_[i].period == period) return i;
+  }
+  lanes_.push_back(Lane{period});
+  return static_cast<std::uint32_t>(lanes_.size() - 1);
+}
+
+void Engine::push(Lane& lane, PollTimer& timer) noexcept {
+  // Every tick in the lane was pushed at an earlier round of dispatch order,
+  // so it is due no later than this one and carries an older seq.
+  assert(lane.tail == nullptr || earlier(*lane.tail, timer));
+  timer.next_ = nullptr;
+  if (lane.tail == nullptr) {
+    lane.head = &timer;
+  } else {
+    lane.tail->next_ = &timer;
+  }
+  lane.tail = &timer;
+  ++lane.size;
+}
+
+void Engine::pop(Lane& lane) noexcept {
+  lane.head = lane.head->next_;
+  if (lane.head == nullptr) lane.tail = nullptr;
+  --lane.size;
+}
+
+void Engine::find_first() noexcept {
+  first_ = nullptr;
+  for (const Lane& lane : lanes_) {
+    if (lane.head != nullptr && (first_ == nullptr || earlier(*lane.head, *first_))) {
+      first_ = lane.head;
+    }
+  }
 }
 
 void Engine::fire_tick(PollTimer& timer) {
-  timers_.front() = timers_.back();
-  timers_.pop_back();
-  if (!timers_.empty()) sift_down(0);
+  Lane& lane = lanes_[timer.lane_];
+  pop(lane);
+  --lane.notified;
+  find_first();
   timer.waiting_ = false;
-  --notified_waiting_;
   now_ = timer.due_;
   ++processed_;
   timer.waiter_.resume();
 }
 
-void Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
-  // The first tick is known to come first. Each later one carries a seq
-  // newer than every key already waiting, so it precedes the next event
-  // or the next timer only if it is strictly earlier in time; the
-  // follow-up delay of every elided round consumes one seq.
-  const Time due = timer.due_;
-  const Duration period = timer.period_;
-  Time bound = std::numeric_limits<Time>::max();
-  if (head != nullptr) bound = head->t;
-  for (std::size_t child = 1; child <= 2 && child < timers_.size(); ++child) {
-    bound = std::min(bound, timers_[child]->due_);
-  }
-  auto more = static_cast<std::uint64_t>((limit - due) / period);
-  if (bound != std::numeric_limits<Time>::max()) {
-    more = std::min(more, bound > due ? static_cast<std::uint64_t>((bound - due - 1) / period)
-                                      : std::uint64_t{0});
+namespace {
+constexpr Time kNever = std::numeric_limits<Time>::max();
+
+/// Ticks after the one at `from`, `period` apart, that are strictly before
+/// `bound` (kNever: none) and at or before `limit`.
+std::uint64_t more_rounds(Time from, Time bound, Time limit, Duration period) {
+  auto more = static_cast<std::uint64_t>((limit - from) / period);
+  if (bound != kNever) {
+    more = std::min(more, bound > from ? static_cast<std::uint64_t>((bound - from - 1) / period)
+                                       : std::uint64_t{0});
   }
   // run_until(max) with nothing else pending: stop short of overflowing.
-  const auto room = static_cast<std::uint64_t>((std::numeric_limits<Time>::max() - due) / period);
-  if (more >= room) more = room - 1;
+  const auto room = static_cast<std::uint64_t>((kNever - from) / period);
+  return more >= room ? room - 1 : more;
+}
+}  // namespace
+
+void Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
+  Lane& lane = lanes_[timer.lane_];
+  const Duration period = lane.period;
+  // The earliest key outside this lane: the next event or another lane head.
+  Time others = head != nullptr ? head->t : kNever;
+  for (const Lane& other : lanes_) {
+    if (&other != &lane && other.head != nullptr) others = std::min(others, other.head->due_);
+  }
+  // Every later tick carries a seq newer than every key already waiting, so
+  // it precedes a key outside the lane only if it is strictly earlier. The
+  // follow-up delay of every elided round consumes one seq.
+  const Time last = lane.tail->due_;
+  if (lane.notified == 0 && last < others && last <= limit) {
+    // Whole-lane rotation. Every tick in the lane is due within one period
+    // of the first, so single elisions would take the lane's timers in turn,
+    // one round each, until the last tick of a rotation reaches `others` or
+    // passes `limit`: k rotations are k * size single elisions, and timer i
+    // ends with the seq its last one would have taken.
+    const std::uint64_t more = more_rounds(last, others, limit, period);
+    const std::uint64_t rounds = more + 1;
+    std::uint64_t seq = seq_ + more * lane.size;
+    for (PollTimer* t = lane.head; t != nullptr; t = t->next_) {
+      t->due_ += static_cast<Time>(rounds) * period;
+      t->seq_ = seq++;
+      if (t->on_elided_ != nullptr) t->on_elided_(t->ctx_, rounds);
+    }
+    seq_ += rounds * lane.size;
+    ticks_elided_ += rounds * lane.size;
+    find_first();
+    return;
+  }
+  // A single elision: the first tick is known to come first; later ones
+  // stop short of the next timer in the lane too.
+  const Time due = timer.due_;
+  const Time bound = timer.next_ != nullptr ? std::min(others, timer.next_->due_) : others;
+  const std::uint64_t more = more_rounds(due, bound, limit, period);
   const std::uint64_t rounds = more + 1;
+  pop(lane);
   timer.due_ = due + static_cast<Time>(rounds) * period;
   timer.seq_ = seq_ + more;
   seq_ += rounds;
   ticks_elided_ += rounds;
+  push(lane, timer);
   if (timer.on_elided_ != nullptr) timer.on_elided_(timer.ctx_, rounds);
-  sift_down(0);
-}
-
-void Engine::sift_up(std::size_t i) noexcept {
-  PollTimer* t = timers_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(*t, *timers_[parent])) break;
-    timers_[i] = timers_[parent];
-    i = parent;
-  }
-  timers_[i] = t;
-}
-
-void Engine::sift_down(std::size_t i) noexcept {
-  PollTimer* t = timers_[i];
-  const std::size_t n = timers_.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && earlier(*timers_[child + 1], *timers_[child])) ++child;
-    if (!earlier(*timers_[child], *t)) break;
-    timers_[i] = timers_[child];
-    i = child;
-  }
-  timers_[i] = t;
+  find_first();
 }
 
 void Engine::drop_all() noexcept {
@@ -326,9 +379,13 @@ void Engine::drop_all() noexcept {
   wheel_count_ = 0;
   live_nodes_ = 0;
   // Pollers parked on a tick stay parked, like coroutines behind a node.
-  for (PollTimer* timer : timers_) timer->waiting_ = false;
-  timers_.clear();
-  notified_waiting_ = 0;
+  for (Lane& lane : lanes_) {
+    for (PollTimer* timer = lane.head; timer != nullptr; timer = timer->next_) {
+      timer->waiting_ = false;
+    }
+  }
+  lanes_.clear();
+  first_ = nullptr;
 }
 
 }  // namespace nvmeshare::sim

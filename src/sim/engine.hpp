@@ -23,11 +23,17 @@
 //
 //  - poll timers: a fixed-cadence poller waits on a PollTimer instead of a
 //    delay node. Its tick takes the same (t, seq) key the node would have
-//    taken and sits in a small heap merged with the wheel in dispatch
-//    order. A tick nobody notified is an empty poll round: it runs no
-//    callable and is not counted as an event, but it still consumes the seq
-//    the round's follow-up delay would have taken and reports the round to
-//    the poller's counter, so every other event keeps its (t, seq).
+//    taken and waits in the FIFO lane of its period, merged with the wheel
+//    in dispatch order. A lane needs no comparisons to stay sorted: a tick
+//    is pushed at (round time + period, newest seq), and every tick already
+//    in the lane was pushed at an earlier round, so it is due no later. A
+//    tick nobody notified is an empty poll round: it runs no callable and
+//    is not counted as an event, but it still consumes the seq the round's
+//    follow-up delay would have taken and reports the round to the
+//    poller's counter, so every other event keeps its (t, seq). When a
+//    whole lane is unnotified and its last tick precedes everything else,
+//    the engine rotates the lane k periods in one pass, which is exactly
+//    k rounds of single elisions.
 //
 // Determinism invariants, identical to the original heap-based core:
 // events fire in ascending (timestamp, insertion-seq) order; per-bucket
@@ -97,7 +103,8 @@ class PollTimer {
   std::coroutine_handle<> waiter_;
   Time due_ = 0;
   std::uint64_t seq_ = 0;
-  Duration period_ = 0;
+  PollTimer* next_ = nullptr;  ///< next tick in the lane
+  std::uint32_t lane_ = UINT32_MAX;  ///< lane of the last arm(), kept for re-arms
   bool notified_ = false;
   bool waiting_ = false;
 };
@@ -145,7 +152,9 @@ class Engine {
   [[nodiscard]] std::uint64_t events_processed() const noexcept { return processed_; }
   /// Scheduled events plus poll timers waiting for their tick.
   [[nodiscard]] std::size_t pending_events() const noexcept {
-    return live_nodes_ + timers_.size();
+    std::size_t n = live_nodes_;
+    for (const Lane& lane : lanes_) n += lane.size;
+    return n;
   }
   /// Poll ticks that fired with nobody notified: rounds skipped without
   /// running the poller.
@@ -234,17 +243,31 @@ class Engine {
   std::uint64_t dispatch(Time limit, bool until_idle);
 
   // --- poll timers ------------------------------------------------------------
+  /// The waiting timers of one poll period, in (due, seq) order.
+  struct Lane {
+    Duration period = 0;
+    PollTimer* head = nullptr;
+    PollTimer* tail = nullptr;
+    std::size_t size = 0;
+    std::size_t notified = 0;  ///< waiting timers with notify() set
+  };
+
   void arm(PollTimer& timer, Duration period, std::coroutine_handle<> h);
-  /// Resume the poller of the notified timer at the heap top.
+  /// Resume the poller of the notified timer `first_`.
   void fire_tick(PollTimer& timer);
-  /// Elide the heap top's ticks up to the next real event, the next other
-  /// timer and `limit`, in one step.
+  /// Elide the ticks of `first_` up to the next real event, the next other
+  /// timer and `limit`; or, when its whole lane comes first, rotate it.
   void elide_ticks(PollTimer& timer, const EvNode* head, Time limit);
+  /// The lane of `period`: the timer's last one (`hint`), another existing
+  /// one, or a new one. Lanes live as long as the engine.
+  [[nodiscard]] std::uint32_t lane_for(std::uint32_t hint, Duration period);
+  void push(Lane& lane, PollTimer& timer) noexcept;
+  void pop(Lane& lane) noexcept;
+  /// Recompute `first_` from the lane heads.
+  void find_first() noexcept;
   [[nodiscard]] static bool earlier(const PollTimer& a, const PollTimer& b) noexcept {
     return a.due_ < b.due_ || (a.due_ == b.due_ && a.seq_ < b.seq_);
   }
-  void sift_up(std::size_t i) noexcept;
-  void sift_down(std::size_t i) noexcept;
 
   // --- calendar wheel -------------------------------------------------------
   std::unique_ptr<Bucket[]> buckets_;        ///< kSlots, indexed abs_slot & kSlotMask
@@ -264,8 +287,8 @@ class Engine {
   std::size_t live_nodes_ = 0;  ///< scheduled and not yet fired
 
   // --- poll timers ------------------------------------------------------------
-  std::vector<PollTimer*> timers_;     ///< binary min-heap on (due, seq)
-  std::size_t notified_waiting_ = 0;   ///< waiting timers with notify() set
+  std::vector<Lane> lanes_;      ///< one per period ever armed
+  PollTimer* first_ = nullptr;   ///< earliest lane head: the next tick
   std::uint64_t ticks_elided_ = 0;
 
   Time now_ = 0;
@@ -277,7 +300,7 @@ class Engine {
 inline void PollTimer::notify() noexcept {
   if (notified_) return;
   notified_ = true;
-  if (waiting_) ++engine_->notified_waiting_;
+  if (waiting_) ++engine_->lanes_[lane_].notified;
 }
 
 // A pending tick holds the timer's address, and only the tick resumes the

@@ -23,6 +23,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/pool.hpp"
+#include "sim/ring.hpp"
 
 namespace nvmeshare::sim {
 
@@ -342,28 +343,24 @@ class Event {
 
 /// Unbounded FIFO channel with awaitable pop; the shared-memory mailbox RPC
 /// between driver manager and clients, and block-layer dispatch, sit on it.
-/// Items sit in a ring that only grows, so a warm mailbox allocates nothing.
+/// Items sit in a Ring, so a warm mailbox allocates nothing.
 template <typename T>
 class Mailbox {
  public:
   explicit Mailbox(Engine& engine) : engine_(engine) {}
 
   void push(T item) {
-    if (count_ == ring_.size()) grow();
-    ring_[(head_ + count_) % ring_.size()].emplace(std::move(item));
-    ++count_;
+    ring_.push_back(std::move(item));
     wake_one();
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return ring_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return ring_.empty(); }
 
   [[nodiscard]] std::optional<T> try_pop() {
-    if (count_ == 0) return std::nullopt;
-    std::optional<T> out = std::move(ring_[head_]);
-    ring_[head_].reset();
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
+    if (ring_.empty()) return std::nullopt;
+    std::optional<T> out(std::move(ring_.front()));
+    ring_.pop_front();
     return out;
   }
 
@@ -398,19 +395,8 @@ class Mailbox {
     }
   }
 
-  void grow() {
-    std::vector<std::optional<T>> bigger(ring_.empty() ? 8 : 2 * ring_.size());
-    for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
-    }
-    ring_ = std::move(bigger);
-    head_ = 0;
-  }
-
   Engine& engine_;
-  std::vector<std::optional<T>> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  Ring<T> ring_;
   detail::WaitList waiters_;
 };
 

@@ -379,6 +379,28 @@ TEST(Sharding, StraddlingRequestSplitsWithBufferAdvance) {
   EXPECT_EQ(dev.stats().sub_requests.value(), 3u);
 }
 
+TEST(Sharding, WideRequestMergesPiecesPastTheInlineOnes) {
+  sim::Engine engine;
+  FakeDisk a(engine, "a", 64), b(engine, "b", 64);
+  b.fail = Status(Errc::io_error, "shard b is unhappy");
+  block::ShardedDevice dev(engine, {&a, &b}, {.stripe_blocks = 1});
+
+  // Twelve one-block chunks: more pieces than a request keeps in its frame.
+  block::Request req;
+  req.op = block::Op::write;
+  req.lba = 0;
+  req.nblocks = 12;
+  req.buffer_addr = 0x3000;
+  auto done = shard_io(engine, dev, req);
+  EXPECT_EQ(done.status.code(), Errc::io_error);
+  ASSERT_EQ(a.log.size(), 6u);
+  ASSERT_EQ(b.log.size(), 6u);
+  EXPECT_EQ(b.log[5].lba, 5u);
+  EXPECT_EQ(b.log[5].buffer_addr, 0x3000u + 11 * 512);
+  EXPECT_EQ(dev.stats().sub_requests.value(), 12u);
+  EXPECT_EQ(dev.stats().sub_errors.value(), 6u);  // every failed piece is awaited
+}
+
 TEST(Sharding, FlushFansOutToEveryShard) {
   sim::Engine engine;
   FakeDisk a(engine, "a", 64), b(engine, "b", 64), c(engine, "c", 64);
