@@ -101,27 +101,18 @@ IoEngine::IoEngine(sim::Engine& engine, IoTransport& transport, std::shared_ptr<
 // --- scheduling ---------------------------------------------------------------
 
 std::uint32_t IoEngine::pick_channel() {
-  // Two passes: channels mid-recovery only get new work when no surviving
-  // channel has capacity (their run() loops then wait on the recovered
-  // event, so nothing is lost — just queued behind the rebuild).
+  // Round robin over channels with a free slot, in two passes: channels
+  // mid-recovery only get new work when no surviving channel has capacity
+  // (their run() loops then wait on the recovered event, so nothing is
+  // lost — just queued behind the rebuild).
   for (int pass = 0; pass < 2; ++pass) {
     const bool allow_recovering = pass == 1;
-    if (cfg_.scheduler == Scheduler::least_inflight) {
-      std::uint32_t best = cfg_.channels;
-      for (std::uint32_t c = 0; c < cfg_.channels; ++c) {
-        Channel& ch = *channels_[c];
-        if (ch.free_slots.empty() || (ch.recovering && !allow_recovering)) continue;
-        if (best == cfg_.channels || ch.inflight < channels_[best]->inflight) best = c;
-      }
-      if (best != cfg_.channels) return best;
-    } else {
-      for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
-        const std::uint32_t c = (rr_cursor_ + i) % cfg_.channels;
-        Channel& ch = *channels_[c];
-        if (ch.free_slots.empty() || (ch.recovering && !allow_recovering)) continue;
-        rr_cursor_ = (c + 1) % cfg_.channels;
-        return c;
-      }
+    for (std::uint32_t i = 0; i < cfg_.channels; ++i) {
+      const std::uint32_t c = (rr_cursor_ + i) % cfg_.channels;
+      Channel& ch = *channels_[c];
+      if (ch.free_slots.empty() || (ch.recovering && !allow_recovering)) continue;
+      rr_cursor_ = (c + 1) % cfg_.channels;
+      return c;
     }
   }
   // Unreachable: the slot semaphore admitted us, so some channel has a slot.

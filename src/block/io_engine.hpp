@@ -3,8 +3,8 @@
 // nvmeof::Initiator) instantiate instead of hand-rolling their own loops.
 //
 // The engine owns everything that is the same across backends:
-//  - a set of per-channel queue slots with a pluggable scheduler
-//    (round-robin or least-inflight) behind one acquire() facade;
+//  - a set of per-channel queue slots, granted round robin behind one
+//    acquire() facade;
 //  - doorbell write coalescing: submissions that land inside one
 //    doorbell-latency window share a single ring, so sustained load rings
 //    the doorbell less than once per command (shadow-doorbell-style
@@ -128,10 +128,6 @@ struct EngineCounters {
 
 class IoEngine {
  public:
-  enum class Scheduler : std::uint8_t {
-    round_robin,     ///< rotate across channels with a free slot
-    least_inflight,  ///< pick the channel with the fewest commands in flight
-  };
   /// How the engine annotates trace spans around its awaits.
   enum class TraceStyle : std::uint8_t {
     none,    ///< no marks (local driver)
@@ -144,7 +140,6 @@ class IoEngine {
     std::uint32_t channels = 1;
     std::uint32_t queue_depth = 32;    ///< in-flight ceiling per channel
     std::uint16_t queue_entries = 0;   ///< ring entries per channel; 0 = no ring
-    Scheduler scheduler = Scheduler::round_robin;
     /// Ring once per submission burst instead of once per command. Off by
     /// default: the seed path rings per command, and fault-free runs must
     /// execute the exact seed instruction stream.

@@ -10,9 +10,8 @@
 #include <optional>
 
 #include "common/status.hpp"
+#include "driver/admin_queue.hpp"
 #include "driver/cost_model.hpp"
-#include "nvme/queue.hpp"
-#include "nvme/spec.hpp"
 #include "sisci/sisci.hpp"
 
 namespace nvmeshare::driver {
@@ -46,7 +45,6 @@ class BareController {
                                                        std::uint64_t cq_addr,
                                                        std::uint16_t cq_size,
                                                        std::optional<std::uint16_t> irq_vector);
-  sim::Future<Result<std::uint16_t>> delete_queue_pair(std::uint16_t qid);
 
   // --- discovered properties ---------------------------------------------------
   [[nodiscard]] std::uint64_t capacity_blocks() const noexcept { return capacity_blocks_; }
@@ -73,12 +71,7 @@ class BareController {
 
   static sim::Task init_task(std::unique_ptr<BareController> self,
                              sim::Promise<Result<std::unique_ptr<BareController>>> promise);
-  sim::Task admin_task(nvme::SubmissionEntry entry,
-                       sim::Promise<Result<nvme::CompletionEntry>> promise);
-  sim::Task create_qp_task(std::uint64_t sq_addr, std::uint16_t sq_size, std::uint64_t cq_addr,
-                           std::uint16_t cq_size, std::optional<std::uint16_t> irq_vector,
-                           sim::Promise<Result<std::uint16_t>> promise);
-  sim::Task delete_qp_task(std::uint16_t qid, sim::Promise<Result<std::uint16_t>> promise);
+  sim::Task create_qp_task(IoPairSpec spec, sim::Promise<Result<std::uint16_t>> promise);
 
   sisci::Cluster& cluster_;
   pcie::EndpointId endpoint_;
@@ -88,9 +81,7 @@ class BareController {
   std::uint64_t asq_addr_ = 0;
   std::uint64_t acq_addr_ = 0;
   std::uint64_t admin_data_addr_ = 0;  ///< 4 KiB buffer for identify payloads
-  std::unique_ptr<nvme::QueuePair> admin_qp_;
-  std::unique_ptr<sim::Semaphore> admin_lock_;
-  Rng rng_{0xbabe};
+  AdminQueue admin_;
 
   std::uint64_t capacity_blocks_ = 0;
   std::uint32_t block_size_ = 0;

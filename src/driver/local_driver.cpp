@@ -80,7 +80,6 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   ec.channels = d.cfg_.channels;
   ec.queue_depth = d.cfg_.queue_depth;
   ec.queue_entries = d.cfg_.queue_entries;
-  ec.scheduler = d.cfg_.scheduler;
   ec.coalesce_doorbells = d.cfg_.coalesce_doorbells;
   ec.doorbell_ns = d.cfg_.costs.doorbell_ns;
   if (Status st = block::IoEngine::validate(ec); !st) {

@@ -29,7 +29,6 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
     std::uint32_t queue_depth = 128;    ///< concurrent requests per channel
     /// I/O channels (queue pairs); all share one MSI-X vector.
     std::uint32_t channels = 1;
-    block::IoEngine::Scheduler scheduler = block::IoEngine::Scheduler::round_robin;
     /// Ring each SQ doorbell once per submission burst (off = seed stream).
     bool coalesce_doorbells = false;
     CostModel costs = CostModel::stock_linux();

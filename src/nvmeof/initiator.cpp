@@ -62,7 +62,6 @@ sim::Task Initiator::connect_task(std::unique_ptr<Initiator> self, Target* targe
   ec.channels = i.cfg_.channels;
   ec.queue_depth = i.cfg_.queue_depth;
   ec.queue_entries = 0;  // message transport: no ring wrap to guard
-  ec.scheduler = i.cfg_.scheduler;
   ec.coalesce_doorbells = i.cfg_.coalesce_doorbells;
   ec.doorbell_ns = i.cfg_.costs.doorbell_ns;
   ec.cmd_timeout_ns = i.cfg_.capsule_timeout_ns;

@@ -31,7 +31,6 @@ class Initiator final : public block::BlockDevice, private block::IoTransport {
     /// I/O channels: independent RDMA queue pairs to the target, sharing
     /// one completion queue (kernel initiators open one QP per core).
     std::uint32_t channels = 1;
-    block::IoEngine::Scheduler scheduler = block::IoEngine::Scheduler::round_robin;
     /// Batch SENDs: capsules staged within one doorbell-latency window go
     /// out in a single post burst (off = seed stream, one post per capsule).
     bool coalesce_doorbells = false;

@@ -47,6 +47,62 @@ struct Task {
   };
 };
 
+// --- Co ----------------------------------------------------------------------
+
+/// A step of a larger coroutine, factored out: `T v = co_await step(...)`
+/// runs the step's body inline until it suspends, and its `co_return`
+/// resumes the awaiting coroutine inline (symmetric transfer). No engine
+/// event is queued on either edge, so the schedule is exactly that of the
+/// body written out in the caller. Lazy: a Co that is never awaited never
+/// runs.
+template <typename T>
+class [[nodiscard]] Co {
+ public:
+  struct promise_type {
+    std::optional<T> value;
+    std::coroutine_handle<> parent;
+
+    Co get_return_object() noexcept {
+      return Co(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    struct FinalAwaiter {
+      bool await_ready() const noexcept { return false; }
+      std::coroutine_handle<> await_suspend(std::coroutine_handle<promise_type> h) noexcept {
+        return h.promise().parent;
+      }
+      void await_resume() const noexcept {}
+    };
+    FinalAwaiter final_suspend() noexcept { return {}; }
+    void return_value(T v) { value.emplace(std::move(v)); }
+    [[noreturn]] void unhandled_exception() { std::terminate(); }
+
+    static void* operator new(std::size_t size) { return pool::allocate(size); }
+    static void operator delete(void* p, std::size_t size) noexcept {
+      pool::deallocate(p, size);
+    }
+  };
+
+  Co(Co&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
+  Co(const Co&) = delete;
+  Co& operator=(const Co&) = delete;
+  Co& operator=(Co&&) = delete;
+  ~Co() {
+    if (h_) h_.destroy();
+  }
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
+    h_.promise().parent = parent;
+    return h_;
+  }
+  T await_resume() { return std::move(*h_.promise().value); }
+
+ private:
+  explicit Co(std::coroutine_handle<promise_type> h) noexcept : h_(h) {}
+  std::coroutine_handle<promise_type> h_;
+};
+
 // --- delay -------------------------------------------------------------------
 
 /// `co_await delay(engine, 100_ns)` suspends the current task for `d`

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
 
 #include "driver/irq.hpp"
 #include "test_util.hpp"
@@ -128,41 +129,45 @@ TEST(Manager, ShutdownStopsServingButIoContinues) {
 // Drive the mailbox protocol by hand (no Client) to exercise the manager's
 // validation paths.
 struct RawMailbox {
-  explicit RawMailbox(Testbed& tb, const MetadataHeader& header) : tb_(tb) {
+  RawMailbox(Testbed& tb, const MetadataHeader& header, sisci::NodeId node = 1)
+      : tb_(tb), node_(node) {
     auto loc = tb.service().device_metadata(tb.device_id());
     EXPECT_TRUE(loc.has_value());
     auto remote = tb.cluster().connect(loc->first, loc->second);
     EXPECT_TRUE(remote.has_value());
-    auto map = sisci::Map::create(tb.cluster(), 1, *remote);
+    auto map = sisci::Map::create(tb.cluster(), node, *remote);
     EXPECT_TRUE(map.has_value());
     map_ = std::move(*map);
-    slot_addr_ = map_.addr() + mbox_slot_offset(header, 1);
+    slot_addr_ = map_.addr() + mbox_slot_offset(header, node);
   }
 
-  /// Post `slot` from node 1 and wait for the manager's response.
-  MboxSlot call(MboxSlot slot) {
-    slot.client_node = 1;
+  /// Post `slot` into this node's slot, claiming to be `claimed_node`
+  /// (honestly: this node), and wait for the manager's response.
+  MboxSlot call(MboxSlot slot, std::optional<std::uint32_t> claimed_node = std::nullopt) {
+    slot.client_node = claimed_node.value_or(node_);
     slot.state = static_cast<std::uint32_t>(MboxState::request);
     Bytes buf(sizeof(MboxSlot));
     store_pod(buf, slot);
-    EXPECT_TRUE(tb_.fabric().post_write(tb_.fabric().cpu(1), slot_addr_, std::move(buf))
+    EXPECT_TRUE(tb_.fabric().post_write(tb_.fabric().cpu(node_), slot_addr_, std::move(buf))
                     .has_value());
     const sim::Time give_up = tb_.engine().now() + 1_s;
     MboxSlot response;
     while (tb_.engine().now() < give_up) {
       tb_.engine().run_until(tb_.engine().now() + 10_us);
-      EXPECT_TRUE(tb_.fabric().peek(1, slot_addr_, as_writable_bytes_of(response)).is_ok());
+      EXPECT_TRUE(
+          tb_.fabric().peek(node_, slot_addr_, as_writable_bytes_of(response)).is_ok());
       if (response.state == static_cast<std::uint32_t>(MboxState::done)) break;
     }
     // Hand the slot back for the next call.
     Bytes free_word(4);
     store_pod(free_word, static_cast<std::uint32_t>(MboxState::free));
-    (void)tb_.fabric().post_write(tb_.fabric().cpu(1), slot_addr_, std::move(free_word));
+    (void)tb_.fabric().post_write(tb_.fabric().cpu(node_), slot_addr_, std::move(free_word));
     tb_.engine().run_for(10_us);
     return response;
   }
 
   Testbed& tb_;
+  sisci::NodeId node_;
   sisci::Map map_;
   std::uint64_t slot_addr_ = 0;
 };
@@ -204,6 +209,57 @@ TEST(Manager, MailboxValidatesRequests) {
   EXPECT_EQ((*mgr)->stats().mailbox_requests, 4u);
   // No queue pairs were created by any of this.
   EXPECT_EQ((*mgr)->active_queue_pairs(), 1u);
+
+  // Node 0 holds an honest pair with 16-entry rings in its own DRAM.
+  auto honest = [&](MboxOp op, std::uint16_t count) {
+    MboxSlot s;
+    s.op = static_cast<std::uint32_t>(op);
+    s.qp_count = count;
+    s.sq_size = 16;
+    s.cq_size = 16;
+    s.sq_device_addr = *tb.cluster().alloc_dram(0, 16 * 64 * 4, 4096);
+    s.cq_device_addr = *tb.cluster().alloc_dram(0, 16 * 16 * 4, 4096);
+    s.sq_stride = 16 * 64;
+    s.cq_stride = 16 * 16;
+    return s;
+  };
+  RawMailbox mbox0(tb, (*mgr)->header(), 0);
+  const MboxSlot node0_create = honest(MboxOp::create_qp, 0);
+  auto r5 = mbox0.call(node0_create);
+  ASSERT_EQ(static_cast<Errc>(r5.status), Errc::ok);
+  EXPECT_EQ((*mgr)->active_queue_pairs(), 2u);
+
+  // A request in node 1's slot may not speak for node 0: neither delete
+  // its pair nor re-serve (and so reclaim) it.
+  MboxSlot spoof_delete;
+  spoof_delete.op = static_cast<std::uint32_t>(MboxOp::delete_qp);
+  spoof_delete.qid_in = r5.qid_out;
+  auto r6 = mbox.call(spoof_delete, 0);
+  EXPECT_EQ(static_cast<Errc>(r6.status), Errc::permission_denied);
+  auto r7 = mbox.call(node0_create, 0);
+  EXPECT_EQ(static_cast<Errc>(r7.status), Errc::permission_denied);
+  EXPECT_EQ((*mgr)->active_queue_pairs(), 2u);
+
+  // Batch strides shorter than one ring would overlap consecutive rings.
+  MboxSlot sq_overlap = honest(MboxOp::create_qp_batch, 2);
+  sq_overlap.sq_stride = 16 * 64 - 64;
+  EXPECT_EQ(static_cast<Errc>(mbox.call(sq_overlap).status), Errc::invalid_argument);
+  MboxSlot cq_overlap = honest(MboxOp::create_qp_batch, 2);
+  cq_overlap.cq_stride = 16 * 16 - 16;
+  EXPECT_EQ(static_cast<Errc>(mbox.call(cq_overlap).status), Errc::invalid_argument);
+
+  // No ring may wrap past 2^64, in a batch or on its own.
+  MboxSlot batch_wrap = honest(MboxOp::create_qp_batch, 2);
+  batch_wrap.sq_device_addr = ~std::uint64_t{0} - 1023;  // second SQ would start at 2^64
+  EXPECT_EQ(static_cast<Errc>(mbox.call(batch_wrap).status), Errc::invalid_argument);
+  MboxSlot single_wrap = honest(MboxOp::create_qp, 0);
+  single_wrap.cq_device_addr = ~std::uint64_t{0} - 127;  // 256-byte CQ from 2^64 - 128
+  EXPECT_EQ(static_cast<Errc>(mbox.call(single_wrap).status), Errc::invalid_argument);
+
+  EXPECT_EQ((*mgr)->stats().request_errors, 9u);
+  EXPECT_EQ((*mgr)->stats().mailbox_requests, 11u);
+  EXPECT_EQ((*mgr)->stats().qps_created, 1u);
+  EXPECT_EQ((*mgr)->active_queue_pairs(), 2u);
   EXPECT_FALSE(tb.controller().is_fatal());
 }
 

@@ -193,27 +193,6 @@ TEST(EngineScheduler, RoundRobinSpreadsGrantsEvenly) {
   for (const auto& g : grants) EXPECT_EQ(g.slot / cfg.queue_depth, g.chan);
 }
 
-TEST(EngineScheduler, LeastInflightPicksEmptiestChannel) {
-  IoEngine::Config cfg;
-  cfg.channels = 3;
-  cfg.queue_depth = 4;
-  cfg.scheduler = IoEngine::Scheduler::least_inflight;
-  EngineHarness h(cfg);
-
-  auto grants = acquire_n(h, 6);
-  ASSERT_EQ(grants.size(), 6u);
-  for (std::uint32_t c = 0; c < 3; ++c) EXPECT_EQ(h.io.inflight(c), 2u);
-
-  // Free both slots on channel 1: the next two grants must land there.
-  for (const auto& g : grants) {
-    if (g.chan == 1) h.io.release(g);
-  }
-  auto refill = acquire_n(h, 2);
-  ASSERT_EQ(refill.size(), 2u);
-  EXPECT_EQ(refill[0].chan, 1u);
-  EXPECT_EQ(refill[1].chan, 1u);
-}
-
 TEST(EngineRecovery, DrainsToSurvivorsWhileOneChannelRebuilds) {
   IoEngine::Config cfg;
   cfg.channels = 4;
