@@ -68,7 +68,9 @@ enum class MboxState : std::uint32_t {
 
 enum class MboxOp : std::uint32_t {
   none = 0,
+  /// create_qp_batch with qp_count = 1 (kept for v1 requesters).
   create_qp = 1,
+  /// delete_qp_batch of the one qid in qid_in (kept for v1 requesters).
   delete_qp = 2,
   ping = 3,
   /// Grant qp_count queue pairs in one request: channel c's SQ lives at
@@ -90,7 +92,8 @@ enum class MboxOp : std::uint32_t {
 };
 
 /// One mailbox slot (one per cluster node, indexed by the client's NodeId,
-/// so no two clients ever contend for a slot).
+/// so no two clients ever contend for a slot). The manager refuses a
+/// request whose client_node is not the slot's index.
 struct MboxSlot {
   std::uint32_t state = 0;  ///< MboxState
   std::uint32_t op = 0;     ///< MboxOp

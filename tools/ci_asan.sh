@@ -142,6 +142,24 @@ cmp "$CHAOS_A" "$CHAOS_B"
 grep -q '"nvmeshare.fault.link_downs":1' "$CHAOS_A"
 echo "chaos determinism ok: same-seed fault runs produced byte-identical documents"
 
+# --- fatal controller reset ---------------------------------------------------
+# Every 300th command raises CSTS.CFS: the manager's CSTS watchdog runs the
+# controller-recovery enable handshake and the client re-creates its queue
+# pair through the mailbox. No I/O may fail (exit 0), twice, byte-identical,
+# and the watchdog must have reset the controller at least once.
+FATAL_PLAN="seed=11;ctrl_error:nth=300,fatal=1"
+fatal_smoke() {
+  "$BUILD_DIR/tools/nvsh_fio" --scenario ours-remote --rw randrw --qd 4 \
+    --ops 2000 --seed 7 --faults "$FATAL_PLAN" --json "$1" > /dev/null
+}
+FATAL_A="$BUILD_DIR/fatal_a.json"
+FATAL_B="$BUILD_DIR/fatal_b.json"
+fatal_smoke "$FATAL_A"
+fatal_smoke "$FATAL_B"
+cmp "$FATAL_A" "$FATAL_B"
+grep -q '"nvmeshare.manager.ctrl_resets":[1-9]' "$FATAL_A"
+echo "fatal reset ok: watchdog reset and queue-pair re-create, byte-identical reruns"
+
 # --- corruption + integrity pipeline ------------------------------------------
 # End-to-end data-integrity check: a PI-formatted namespace with client-side
 # verify, the background scrubber running, and seeded bit flips on the DMA
