@@ -128,6 +128,39 @@ TEST(FuturePromise, ValueBeforeAwaitIsImmediate) {
   EXPECT_EQ(got, 7);
 }
 
+Co<int> add_one_after(Engine& eng, int a, Duration d) {
+  co_await delay(eng, d);
+  co_return a + 1;
+}
+
+Co<int> two_steps(Engine& eng) {
+  const int x = co_await add_one_after(eng, 1, 10);
+  co_return co_await add_one_after(eng, x, 5);
+}
+
+TEST(Co, StepsResumeTheirCallerInline) {
+  Engine e;
+  int got = 0;
+  Time at = 0;
+  [](Engine& eng, int& out, Time& when) -> Task {
+    out = co_await two_steps(eng);
+    when = eng.now();
+  }(e, got, at);
+  e.run();
+  EXPECT_EQ(got, 3);
+  EXPECT_EQ(at, 15);
+  // Only the two delays: handing a value back to the caller queues nothing.
+  EXPECT_EQ(e.events_processed(), 2u);
+}
+
+TEST(Co, StepThatNeverSuspendsFinishesBeforeTheCallerReturns) {
+  Engine e;
+  int got = 0;
+  [](Engine& eng, int& out) -> Task { out = co_await add_one_after(eng, 41, 0); }(e, got);
+  EXPECT_EQ(got, 42);
+  EXPECT_EQ(e.pending_events(), 0u);
+}
+
 TEST(Event, WakesAllWaiters) {
   Engine e;
   Event ev(e);
