@@ -262,8 +262,8 @@ class NullTransport final : public block::IoTransport {
       : engine_(engine), token_space_(token_space), staged_(channels) {}
   void attach(block::IoEngine* io) { io_ = io; }
 
-  Result<std::uint16_t> issue(std::uint32_t chan, void* cookie) override {
-    (void)cookie;
+  Result<std::uint16_t> issue(std::uint32_t chan, const block::Command* cmd) override {
+    (void)cmd;
     const auto token = next_token_[chan]++;
     if (next_token_[chan] == token_space_) next_token_[chan] = 0;
     staged_[chan].push_back(token);

@@ -2,10 +2,33 @@
 
 #include <algorithm>
 
-#include "block/block.hpp"
 #include "common/log.hpp"
+#include "integrity/integrity.hpp"
 
 namespace nvmeshare::block {
+
+namespace {
+obs::Kind trace_kind(Op op) {
+  switch (op) {
+    case Op::read: return obs::Kind::read;
+    case Op::write: return obs::Kind::write;
+    case Op::flush: return obs::Kind::flush;
+    case Op::write_zeroes: return obs::Kind::write_zeroes;
+    case Op::discard: return obs::Kind::discard;
+  }
+  return obs::Kind::other;
+}
+
+void bump(obs::Counter* counter) {
+  if (counter != nullptr) ++*counter;
+}
+}  // namespace
+
+RequestStats::RequestStats(const std::string& prefix)
+    : reads(prefix + ".reads"),
+      writes(prefix + ".writes"),
+      flushes(prefix + ".flushes"),
+      errors(prefix + ".errors") {}
 
 Status outcome_status(const CmdOutcome& outcome, const char* stopped) {
   switch (outcome.kind) {
@@ -98,6 +121,8 @@ IoEngine::IoEngine(sim::Engine& engine, IoTransport& transport, std::shared_ptr<
   }
 }
 
+IoEngine::~IoEngine() { *alive_ = false; }
+
 // --- scheduling ---------------------------------------------------------------
 
 std::uint32_t IoEngine::pick_channel() {
@@ -126,7 +151,9 @@ sim::Future<IoEngine::Grant> IoEngine::acquire() {
 }
 
 sim::Task IoEngine::acquire_task(sim::Promise<Grant> promise) {
+  const auto alive = alive_;
   co_await slots_->acquire();
+  if (!*alive) co_return;
   const std::uint32_t chan = pick_channel();
   Channel& ch = *channels_[chan];
   const std::uint32_t local = ch.free_slots.back();
@@ -147,7 +174,13 @@ void IoEngine::release(const Grant& grant) {
 // --- doorbell coalescing ------------------------------------------------------
 
 sim::Task IoEngine::flush_task(std::uint32_t chan, std::shared_ptr<FlushBatch> batch) {
+  const auto alive = alive_;
   co_await sim::delay(engine_, cfg_.doorbell_ns);
+  if (!*alive) {
+    batch->status = Status(Errc::aborted, "stopped");
+    batch->done.set();
+    co_return;
+  }
   Channel& ch = *channels_[chan];
   // Close the batch before ringing: commands issued from here on start a
   // fresh burst (they were not covered by this tail store).
@@ -168,7 +201,12 @@ sim::Task IoEngine::flush_wait_task(std::uint32_t chan, sim::Promise<Status> pro
   Channel& ch = *channels_[chan];
   if (!cfg_.coalesce_doorbells) {
     // Seed behavior: every command pays the doorbell cost and rings.
+    const auto alive = alive_;
     co_await sim::delay(engine_, cfg_.doorbell_ns);
+    if (!*alive) {
+      promise.set(Status(Errc::aborted, "stopped"));
+      co_return;
+    }
     ++ch.doorbell_writes;
     ++ch.coalesced_cmds;
     promise.set(*stop_ ? Status(Errc::aborted, "stopped") : transport_.ring(chan));
@@ -268,6 +306,160 @@ void IoEngine::resolve(PendingCmd* cmd, CmdOutcome outcome) {
   }
 }
 
+// --- the request lifecycle ---------------------------------------------------
+
+sim::Future<Completion> IoEngine::serve(const BlockDevice& device, const Request& request,
+                                        nvme::CidRange range) {
+  sim::Promise<Completion> promise(engine_);
+  serve_task(device, request, range, promise);
+  return promise.future();
+}
+
+sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
+                               nvme::CidRange range, sim::Promise<Completion> promise) {
+  // The backend, and this engine with it, may be destroyed while the request
+  // is suspended: after every suspension gone() is checked first, and once
+  // it is true only this frame is touched. A stopped backend that is still
+  // alive aborts at the stop checks, releasing its slot.
+  const auto alive = alive_;
+  const auto stop = stop_;
+  const char* const stopped = transport_.stopped_reason();
+  sim::Engine& eng = engine_;
+  const sim::Time start = eng.now();
+  const std::uint64_t bytes = static_cast<std::uint64_t>(request.nblocks) * device.block_size();
+  obs::Tracer& tracer = obs::Tracer::global();
+  const std::uint64_t trace = cfg_.trace_style != TraceStyle::none && tracer.enabled()
+                                  ? tracer.begin_trace(trace_kind(request.op), start)
+                                  : 0;
+  obs::PhaseMarker ph(tracer, trace, obs::Track::client, start);
+  // NVMe backends tag the request's own spans with the granted queue and
+  // the command's cid; message backends, whose channels share one fabric
+  // qid, leave them untagged.
+  const bool tagged = cfg_.trace_style == TraceStyle::nvme;
+  std::uint16_t span_qid = 0;
+  auto finish = [&](Status st) {
+    const sim::Duration latency = eng.now() - start;
+    if (*alive) {
+      if (!st && cfg_.counters.requests != nullptr) ++cfg_.counters.requests->errors;
+      obs::Histogram* hist = request.op == Op::read    ? cfg_.counters.read_latency
+                             : request.op == Op::write ? cfg_.counters.write_latency
+                                                       : nullptr;
+      if (st && hist != nullptr) hist->record(static_cast<std::uint64_t>(latency));
+    }
+    if (trace != 0) {
+      // Tile any residual (IOMMU teardown, early error exit) so the request's
+      // phase durations always sum to its end-to-end latency.
+      if (eng.now() > ph.last()) ph.mark(obs::Phase::completion, eng.now(), span_qid);
+      tracer.end_trace(trace, eng.now());
+    }
+    promise.set(Completion{std::move(st), latency});
+  };
+  auto gone = [&] {
+    if (!*alive) finish(Status(Errc::aborted, stopped));
+    return !*alive;
+  };
+  Grant grant;
+  auto stopped_now = [&] {
+    if (!*stop) return false;
+    release(grant);
+    finish(Status(Errc::aborted, stopped));
+    return true;
+  };
+
+  if (Status st = validate_command_request(device, request); !st) {
+    finish(std::move(st));
+    co_return;
+  }
+  grant = co_await acquire();
+  if (gone() || stopped_now()) co_return;
+  if (tagged) span_qid = transport_.trace_qid(grant.chan);
+  co_await sim::delay(eng, transport_.cpu_ns(obs::Phase::submit));
+  if (gone()) co_return;
+  ph.mark(obs::Phase::submit, eng.now(), span_qid);
+  if (stopped_now()) co_return;
+
+  pi_note_submit(request);  // before any data moves; a no-op unless armed
+  const Command cmd{request, grant.slot, range};
+  for (std::uint32_t i = 0;; ++i) {
+    Step step = transport_.prepare(cmd, i);
+    if (!step.status) {
+      release(grant);
+      finish(std::move(step.status));
+      co_return;
+    }
+    co_await sim::delay(eng, step.cost);
+    if (gone()) co_return;
+    if (step.phase) ph.mark(*step.phase, eng.now(), span_qid);
+    if (!step.again) break;
+  }
+  if (RequestStats* counts = cfg_.counters.requests) {
+    obs::Counter& kind = request.op == Op::read    ? counts->reads
+                         : request.op == Op::flush ? counts->flushes
+                                                   : counts->writes;
+    ++kind;
+  }
+
+  RunArgs args{grant, &cmd, &ph, trace, bytes};
+  const bool settle_first = transport_.settle_before_completion();
+  std::uint32_t verify_attempts = 0;
+  Status status = Status::ok();
+  bool completed = false;
+  for (;;) {
+    const CmdOutcome outcome = co_await run(args);
+    if (gone()) co_return;
+    if (tagged) span_qid = transport_.trace_qid(grant.chan);  // recovery may re-grant it
+    status = outcome_status(outcome, stopped);
+    completed = outcome.completed();
+    if (!completed) break;
+    const std::uint16_t cid = tagged ? outcome.token : 0;
+    if (!settle_first) {
+      co_await sim::delay(eng, transport_.cpu_ns(obs::Phase::completion));
+      if (gone()) co_return;
+      ph.mark(obs::Phase::completion, eng.now(), span_qid, cid);
+    }
+    Step settled;
+    if (outcome.ok()) {
+      settled = transport_.settle(cmd, outcome);
+      co_await sim::delay(eng, settled.cost);
+      if (gone()) co_return;
+      if (settled.phase) ph.mark(*settled.phase, eng.now(), span_qid, cid);
+      if (settled.status && request.op == Op::read && !pi_check_read(request)) {
+        ++integrity::stats().client_verify_failures;
+        settled = Status(Errc::io_error, "read data failed protection-information verify");
+        settled.mismatch = true;
+      }
+    }
+    if (!settled.status) {
+      // Corruption on the return path: a resubmission re-reads intact media,
+      // so a mismatch gets the same bounded retry as a check-error status.
+      if (settled.mismatch && cfg_.cmd_timeout_ns > 0 &&
+          verify_attempts < cfg_.cmd_retry_limit) {
+        ++verify_attempts;
+        bump(cfg_.counters.retries);
+        co_await sim::delay(eng, backoff_ns(cfg_.retry_backoff_ns, verify_attempts));
+        if (gone()) co_return;
+        ph.mark(obs::Phase::recovery, eng.now(), span_qid);
+        continue;  // resubmit with a fresh retry budget
+      }
+      status = std::move(settled.status);
+    } else if (settle_first) {
+      co_await sim::delay(eng, transport_.cpu_ns(obs::Phase::completion));
+      if (gone()) co_return;
+      ph.mark(obs::Phase::completion, eng.now(), span_qid, cid);
+    }
+    break;
+  }
+
+  for (std::uint32_t i = 0;; ++i) {
+    const Step step = transport_.teardown(cmd, completed, i);
+    co_await sim::delay(eng, step.cost);
+    if (gone()) co_return;
+    if (!step.again) break;
+  }
+  release(grant);
+  finish(std::move(status));
+}
+
 // --- submission/completion/retry core ----------------------------------------
 
 sim::Future<CmdOutcome> IoEngine::run(RunArgs args) {
@@ -277,6 +469,9 @@ sim::Future<CmdOutcome> IoEngine::run(RunArgs args) {
 }
 
 sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
+  // After every suspension `alive` is checked before anything else: the
+  // backend and this engine may have been destroyed meanwhile.
+  const auto alive = alive_;
   auto stop = stop_;
   const std::uint32_t chan = args.grant.chan;
   obs::Tracer& tracer = obs::Tracer::global();
@@ -290,6 +485,10 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
     out.transport = std::move(st);
     promise.set(std::move(out));
   };
+  auto aborts = [&](bool stopped) {
+    if (stopped) fail(CmdOutcome::Kind::aborted);
+    return stopped;
+  };
 
   // QoS pacing: charge the token buckets once per command (retries ride the
   // original charge) and sleep off any deficit before touching the ring.
@@ -301,25 +500,28 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
       ++qos_deferred_cmds_;
       qos_throttle_ns_ += static_cast<std::uint64_t>(stall);
       co_await sim::delay(engine_, stall);
-      if (*stop) {
-        fail(CmdOutcome::Kind::aborted);
-        co_return;
-      }
+      if (aborts(!*alive || *stop)) co_return;
     }
   }
 
   std::uint32_t attempt = 0;
   bool recovered_once = false;
+  bool back_off = false;  // the last attempt failed and has budget left
   for (;;) {
+    if (back_off) {
+      back_off = false;
+      ++attempt;
+      bump(cfg_.counters.retries);
+      co_await sim::delay(engine_, backoff_ns(cfg_.retry_backoff_ns, attempt));
+      if (aborts(!*alive)) co_return;
+      mark(obs::Phase::recovery);
+    }
     if (channels_[chan]->recovering) {
       // A channel rebuild is in flight; wait for the fresh rings.
       (void)co_await channels_[chan]->recovered.wait();
     }
-    if (*stop) {
-      fail(CmdOutcome::Kind::aborted);
-      co_return;
-    }
-    auto token = transport_.issue(chan, args.cookie);
+    if (aborts(!*alive || *stop)) co_return;
+    auto token = transport_.issue(chan, args.cmd);
     if (!token) {
       // Issue fails when the queue memory is unreachable (NTB link down) or
       // the ring is full of timed-out entries; both deserve a bounded retry.
@@ -340,10 +542,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
         fail(CmdOutcome::Kind::transport_error, token.status());
         co_return;
       }
-      ++attempt;
-      if (cfg_.counters.retries != nullptr) ++*cfg_.counters.retries;
-      co_await sim::delay(engine_, backoff_ns(cfg_.retry_backoff_ns, attempt, cfg_.retry_backoff_max_ns));
-      mark(obs::Phase::recovery);
+      back_off = true;
       continue;
     }
     // The command store is a posted write (no simulated CPU stall), so this
@@ -376,7 +575,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
         PendingCmd* doomed = lookup(chan, token);
         if (doomed == nullptr || doomed->seq != seq) return;
         disarm(chan, token);
-        if (cfg_.counters.timeouts != nullptr) ++*cfg_.counters.timeouts;
+        bump(cfg_.counters.timeouts);
         CmdOutcome out;
         out.kind = CmdOutcome::Kind::timed_out;
         resolve(doomed, std::move(out));
@@ -386,6 +585,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
     // Doorbell-latency delay, then one tail store for the burst this
     // command joined (or its own store when coalescing is off).
     Status rung = co_await flush(chan);
+    if (aborts(!*alive)) co_return;
     if (!rung && transport_.ring_failure_fails_attempt()) {
       // Message transports: the SEND is the submission, so a failed ring
       // dooms the staged attempt. Unarm it (seq-guarded) and retry. Nobody
@@ -402,10 +602,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
         fail(CmdOutcome::Kind::transport_error, std::move(rung));
         co_return;
       }
-      ++attempt;
-      if (cfg_.counters.retries != nullptr) ++*cfg_.counters.retries;
-      co_await sim::delay(engine_, backoff_ns(cfg_.retry_backoff_ns, attempt, cfg_.retry_backoff_max_ns));
-      mark(obs::Phase::recovery);
+      back_off = true;
       continue;
     }
     if (cfg_.trace_style == TraceStyle::nvme) {
@@ -415,16 +612,14 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
     }
 
     CmdOutcome outcome = co_await OutcomeAwaiter{cmd};
+    if (aborts(!*alive)) co_return;
     free_cmd(cmd);
     outcome.token = *token;
     mark(obs::Phase::cq_wait, *token);
     if (cfg_.trace_style != TraceStyle::none && args.trace != 0) {
       tracer.unbind(qid, *token);
     }
-    if (*stop) {
-      fail(CmdOutcome::Kind::aborted);
-      co_return;
-    }
+    if (aborts(*stop)) co_return;
     const bool retry_status = outcome.kind == CmdOutcome::Kind::completed &&
                               outcome.status != 0 && cfg_.cmd_timeout_ns > 0 &&
                               transport_.retryable(outcome.status);
@@ -432,11 +627,8 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
       promise.set(std::move(outcome));  // genuine completion: success or final error
       co_return;
     }
-    ++attempt;
-    if (attempt <= cfg_.cmd_retry_limit) {
-      if (cfg_.counters.retries != nullptr) ++*cfg_.counters.retries;
-      co_await sim::delay(engine_, backoff_ns(cfg_.retry_backoff_ns, attempt, cfg_.retry_backoff_max_ns));
-      mark(obs::Phase::recovery);
+    if (attempt < cfg_.cmd_retry_limit) {
+      back_off = true;
       continue;
     }
     // Retry budget spent. A command that keeps timing out means the channel
@@ -459,7 +651,7 @@ bool IoEngine::complete(std::uint32_t chan, std::uint16_t token, std::uint16_t s
   if (cmd == nullptr) {
     // Expected under fault injection: the command timed out and was
     // retried, and this is the original submission completing late.
-    if (cfg_.counters.late_completions != nullptr) ++*cfg_.counters.late_completions;
+    bump(cfg_.counters.late_completions);
     return false;
   }
   disarm(chan, token);
@@ -478,7 +670,7 @@ void IoEngine::request_recovery(std::uint32_t chan) {
   if (ch.recovering || *stop_) return;
   ch.recovering = true;
   ch.recovered.reset();
-  if (cfg_.counters.recoveries != nullptr) ++*cfg_.counters.recoveries;
+  bump(cfg_.counters.recoveries);
   transport_.start_recovery(chan);
 }
 

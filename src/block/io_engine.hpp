@@ -1,8 +1,11 @@
-// Multi-queue I/O engine: the shared submission/completion/retry core that
-// all three data paths (driver::Client, driver::LocalDriver,
-// nvmeof::Initiator) instantiate instead of hand-rolling their own loops.
+// Multi-queue I/O engine: the request lifecycle and submission/completion/
+// retry core that all three data paths (driver::Client, driver::LocalDriver,
+// nvmeof::Initiator) share instead of hand-rolling their own loops.
 //
 // The engine owns everything that is the same across backends:
+//  - serve(): one request from submit to finish — validation, slot grant,
+//    software costs, request counters and spans, the post-completion
+//    verify-and-retry, and the stop and lifetime checks after suspensions;
 //  - a set of per-channel queue slots, granted round robin behind one
 //    acquire() facade;
 //  - doorbell write coalescing: submissions that land inside one
@@ -11,39 +14,41 @@
 //    batching; off by default, the seed rings once per command);
 //  - the pending-command table with per-command deadline watchdogs,
 //    exponential-backoff retries, and one channel-recovery cycle before a
-//    command is failed (the machinery previously private to Client);
+//    command is failed;
 //  - the pi_verify shadow-tuple table (client-side DIX: generate a DIF
 //    tuple per written block, verify returned read data against it).
 //
 // What stays in the backend is the transport personality, expressed as an
-// IoTransport: how a command is placed on the wire (SQE push vs. capsule
-// staging), what one doorbell write means (tail store vs. RDMA SEND burst),
-// which NVMe statuses are worth retrying, and how a broken channel is
-// rebuilt (mailbox re-create vs. fabric reconnect).
+// IoTransport: how data and command reach the device (bounce copy, IOMMU
+// map or direct PRPs; SQE push vs. capsule staging), what happens to the
+// data after completion (bounce copy-back, digest verify), what one
+// doorbell write means (tail store vs. RDMA SEND burst), which NVMe
+// statuses are worth retrying, and how a broken channel is rebuilt
+// (mailbox re-create vs. fabric reconnect).
 #pragma once
 
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "block/block.hpp"
 #include "common/status.hpp"
 #include "common/token_bucket.hpp"
 #include "common/units.hpp"
 #include "integrity/integrity.hpp"
 #include "mem/phys_mem.hpp"
+#include "nvme/queue.hpp"
 #include "nvme/spec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/task.hpp"
 
 namespace nvmeshare::block {
-
-enum class Op : std::uint8_t;
-struct Request;
 
 /// Ceiling on channels per engine; matches the largest queue-pair batch the
 /// manager mailbox can grant in one request (driver/mailbox.hpp).
@@ -65,7 +70,7 @@ struct CmdOutcome {
   [[nodiscard]] bool ok() const noexcept { return completed() && status == 0; }
 };
 
-/// The Status an io_task finishes with for `outcome`: ok for a clean
+/// The Status a request finishes with for `outcome`: ok for a clean
 /// completion, io_error naming a nonzero NVMe status, timed_out, the
 /// transport's own failure, or aborted with the backend's `stopped` reason.
 [[nodiscard]] Status outcome_status(const CmdOutcome& outcome, const char* stopped);
@@ -73,18 +78,74 @@ struct CmdOutcome {
 /// The NVMe I/O opcode a block request is issued as.
 [[nodiscard]] nvme::IoOpcode nvme_opcode(Op op);
 
+/// One request in flight through IoEngine::serve(), as the transport hooks
+/// see it. `slot` is the engine-global grant slot; backends key their
+/// per-request staging on it (bounce partition, PRP page, capsule buffer).
+struct Command {
+  Request request;
+  std::uint32_t slot = 0;
+  nvme::CidRange range;  ///< NVMe CID window; hi == 0 selects the whole queue
+};
+
+/// What one transport hook step asks of the request lifecycle.
+struct Step {
+  Step() = default;
+  /// A step that ends the request with `st`.
+  Step(Status st) : status(std::move(st)) {}  // NOLINT(google-explicit-constructor)
+
+  Status status = Status::ok();  ///< a failure ends the request with it
+  sim::Duration cost = 0;        ///< CPU time to charge before going on
+  std::optional<obs::Phase> phase;  ///< span to mark once the cost is charged
+  bool again = false;     ///< prepare/teardown: call the hook once more
+  bool mismatch = false;  ///< settle: data failed a verify a resend may heal
+};
+
 /// The per-backend transport personality the engine drives. One channel ==
 /// one queue pair (NVMe SQ/CQ or RDMA QP). All hooks run on the simulation
-/// thread; issue() and ring() must not suspend (posted writes only).
+/// thread and none suspends: the request lifecycle charges the costs they
+/// return, so it owns every suspension and every stop check after one.
 class IoTransport {
  public:
   virtual ~IoTransport() = default;
+
+  // --- the request lifecycle (IoEngine::serve) ------------------------------
+
+  /// Abort reason of requests that find the backend stopped or destroyed.
+  [[nodiscard]] virtual const char* stopped_reason() const { return "stopped"; }
+
+  /// Jittered software cost of the submit (Phase::submit) or completion
+  /// (Phase::completion) path, drawn from the backend's own cost model and
+  /// random stream.
+  [[nodiscard]] virtual sim::Duration cpu_ns(obs::Phase) { return 0; }
+
+  /// Step `step` of placing the data and the wire command in the slot
+  /// (bounce copy, IOMMU map, PRPs, SQE or capsule). A failed step must
+  /// undo what earlier steps set up.
+  virtual Step prepare(const Command&, std::uint32_t /*step*/) { return {}; }
+
+  /// Data handling after a clean completion (bounce copy-back, read-digest
+  /// verify). The lifecycle marks a returned phase with the command's cid.
+  virtual Step settle(const Command&, const CmdOutcome&) { return {}; }
+
+  /// true: the completion cost is charged only after a settle() without
+  /// failure. false: it is charged as soon as the command completes, before
+  /// settle().
+  [[nodiscard]] virtual bool settle_before_completion() const { return false; }
+
+  /// Step `step` of releasing what prepare() set up, once the command ran;
+  /// `completed` tells whether it genuinely completed.
+  virtual Step teardown(const Command&, bool /*completed*/, std::uint32_t /*step*/) {
+    return {};
+  }
+
+  // --- the command core (IoEngine::run) --------------------------------------
 
   /// Place the command on channel `chan` without ringing any doorbell
   /// (push the SQE / stage the capsule). Returns the completion token the
   /// transport will later hand to IoEngine::complete() (NVMe cid, capsule
   /// cid). Fails when the queue memory is unreachable or the ring is full.
-  virtual Result<std::uint16_t> issue(std::uint32_t chan, void* cookie) = 0;
+  /// `cmd` is the request serve() runs (null for a bare run()).
+  virtual Result<std::uint16_t> issue(std::uint32_t chan, const Command* cmd) = 0;
 
   /// One doorbell write for everything issued on `chan` since the last
   /// ring (SQ tail store; NVMe-oF: post the staged SENDs).
@@ -95,8 +156,9 @@ class IoTransport {
   /// deadline watchdog (NVMe doorbells to an unreachable BAR).
   [[nodiscard]] virtual bool ring_failure_fails_attempt() const { return false; }
 
-  /// Is this wire status worth a bounded resubmission?
-  [[nodiscard]] virtual bool retryable(std::uint16_t status) const = 0;
+  /// Is this wire status worth a bounded resubmission? (Default: no — a
+  /// genuine device response is final.)
+  [[nodiscard]] virtual bool retryable(std::uint16_t) const { return false; }
 
   /// Rebuild channel `chan` (delete/re-create the queue pair, reconnect).
   /// The transport must eventually call IoEngine::finish_recovery(chan).
@@ -114,16 +176,32 @@ class IoTransport {
   virtual void on_idle() {}
 };
 
-/// The backend's own counters the engine bumps on timeout, retry, recovery
-/// and late-completion events (nvmeshare.client.*,
-/// nvmeshare.nvmeof_initiator.*). They are the only counters for these
-/// events: the engine's own nvmeshare.engine.* metrics cover per-channel
-/// traffic and QoS pacing. Null pointers are skipped.
+/// The request counters of every backend that serves through IoEngine,
+/// registered as `<prefix>.reads` and so on. write_zeroes and discard count
+/// as writes; errors counts requests that finished with a failure.
+struct RequestStats {
+  explicit RequestStats(const std::string& prefix);
+  obs::Counter reads;
+  obs::Counter writes;
+  obs::Counter flushes;
+  obs::Counter errors;
+};
+
+/// The backend's own metrics the engine updates for requests and for
+/// timeout, retry, recovery and late-completion events (nvmeshare.client.*,
+/// nvmeshare.local_driver.*, nvmeshare.nvmeof_initiator.*). They are the
+/// only metrics for these events: the engine's own nvmeshare.engine.*
+/// metrics cover per-channel traffic and QoS pacing. Null pointers are
+/// skipped.
 struct EngineCounters {
+  RequestStats* requests = nullptr;
   obs::Counter* timeouts = nullptr;
   obs::Counter* retries = nullptr;
   obs::Counter* recoveries = nullptr;
   obs::Counter* late_completions = nullptr;
+  /// Latency of successful reads and writes.
+  obs::Histogram* read_latency = nullptr;
+  obs::Histogram* write_latency = nullptr;
 };
 
 class IoEngine {
@@ -150,9 +228,6 @@ class IoEngine {
     sim::Duration cmd_timeout_ns = 0;
     std::uint32_t cmd_retry_limit = 3;
     sim::Duration retry_backoff_ns = 100'000;
-    /// Ceiling on a single backoff delay. A plain `base << attempts` wraps
-    /// the 64-bit Duration for large bases; every backoff clamps here.
-    sim::Duration retry_backoff_max_ns = 100'000'000;
     // QoS pacing (token bucket over commands and payload bytes). Both rates
     // zero (the default) leave the pacer disarmed, so unconfigured runs
     // execute the exact seed instruction stream.
@@ -169,17 +244,35 @@ class IoEngine {
   /// indistinguishable from SQ-empty on wrap, wedging the ring.
   [[nodiscard]] static Status validate(const Config& cfg);
 
+  /// Ceiling on a single backoff delay. A plain `base << attempts` wraps
+  /// the 64-bit Duration for large bases; every backoff clamps here.
+  static constexpr sim::Duration kMaxBackoffNs = 100'000'000;
+
   /// Exponential backoff before retry `attempt` (1-based): `base`, doubling
   /// per attempt, clamped to `max`. The clamp is compared before shifting —
   /// `base << n` on a 64-bit Duration wraps (and can go negative, i.e. a
   /// zero-length sleep) once the product crosses 2^63.
   [[nodiscard]] static sim::Duration backoff_ns(sim::Duration base, std::uint32_t attempt,
-                                                sim::Duration max = 100'000'000);
+                                                sim::Duration max = kMaxBackoffNs);
 
+  /// `stop` is the backend's stop flag: set, it aborts requests at their
+  /// next check with the transport's stopped_reason().
   IoEngine(sim::Engine& engine, IoTransport& transport, std::shared_ptr<bool> stop,
            Config cfg);
+  /// Requests suspended in serve() resolve `aborted` when they next wake,
+  /// touching neither the engine nor its backend.
+  ~IoEngine();
   IoEngine(const IoEngine&) = delete;
   IoEngine& operator=(const IoEngine&) = delete;
+
+  /// Serve one block request from submit to finish: validate it against
+  /// `device`, take a slot, charge the submit cost, let the transport place
+  /// the data and command, run the command (see run()), charge the
+  /// completion cost, let the transport settle the data (a PI or digest
+  /// mismatch is resent with a fresh retry budget), tear down and finish.
+  /// `range` confines NVMe CID allocation to a tenant's window.
+  [[nodiscard]] sim::Future<Completion> serve(const BlockDevice& device, const Request& request,
+                                              nvme::CidRange range = {});
 
   // --- slot accounting and channel scheduling -----------------------------
 
@@ -201,7 +294,7 @@ class IoEngine {
 
   struct RunArgs {
     Grant grant;
-    void* cookie = nullptr;           ///< passed through to IoTransport::issue
+    const Command* cmd = nullptr;     ///< passed through to IoTransport::issue
     obs::PhaseMarker* ph = nullptr;   ///< optional phase marks (sq_write, ...)
     std::uint64_t trace = 0;          ///< trace id for (qid, cid) binding
     std::uint64_t bytes = 0;          ///< payload size, for byte-rate pacing
@@ -210,9 +303,8 @@ class IoEngine {
   /// Run one command to a final outcome: issue, coalesced doorbell,
   /// completion wait bounded by the deadline watchdog, bounded
   /// exponential-backoff retries, and one channel-recovery cycle before
-  /// giving up. Post-completion data handling (bounce copy-back, digest
-  /// or PI verify) stays with the caller, who may call run() again for a
-  /// verify-failure resubmission.
+  /// giving up. serve() handles the data around it and calls run() again
+  /// for a verify-failure resubmission.
   [[nodiscard]] sim::Future<CmdOutcome> run(RunArgs args);
 
   /// Deliver a completion observed by the backend's poller. Returns false
@@ -237,19 +329,10 @@ class IoEngine {
     return channels_[chan]->recovering;
   }
 
-  // --- pi_verify shadow tuples (moved from driver::Client) ----------------
-
-  /// Arm the shadow-PI table: tuples are generated/verified over the user
-  /// buffer in `dram` with `block_size`-byte logical blocks.
+  /// Arm pi_verify: serve() generates a shadow DIF tuple per written block
+  /// of the user buffer in `dram` and verifies read data against it, with
+  /// `block_size`-byte logical blocks.
   void enable_pi(mem::PhysMem& dram, std::uint32_t block_size);
-  [[nodiscard]] bool pi_enabled() const noexcept { return pi_dram_ != nullptr; }
-  /// Write path: remember a tuple per block of the user buffer (before any
-  /// bounce copy, so everything downstream is covered). write_zeroes and
-  /// discard drop the tuples, mirroring device PI semantics.
-  void pi_note_submit(const Request& request);
-  /// Read path: check returned data against the shadow tuples. Blocks this
-  /// engine never wrote have no tuple and are skipped.
-  [[nodiscard]] bool pi_check_read(const Request& request);
 
   [[nodiscard]] std::uint32_t channels() const noexcept { return cfg_.channels; }
   [[nodiscard]] std::uint32_t total_depth() const noexcept {
@@ -279,6 +362,15 @@ class IoEngine {
   }
 
  private:
+  /// Write path: remember a tuple per block of the user buffer (before any
+  /// bounce copy, so everything downstream is covered). write_zeroes and
+  /// discard drop the tuples, mirroring device PI semantics. No-op unless
+  /// armed.
+  void pi_note_submit(const Request& request);
+  /// Read path: check returned data against the shadow tuples. Blocks this
+  /// engine never wrote have no tuple and are skipped; true unless armed.
+  [[nodiscard]] bool pi_check_read(const Request& request);
+
   /// One coalesced doorbell burst: the first command to stage schedules the
   /// ring doorbell_ns later; everything staged meanwhile shares it.
   struct FlushBatch {
@@ -328,6 +420,8 @@ class IoEngine {
     obs::Counter coalesced_cmds;
   };
 
+  sim::Task serve_task(const BlockDevice& device, Request request, nvme::CidRange range,
+                       sim::Promise<Completion> promise);
   sim::Task acquire_task(sim::Promise<Grant> promise);
   sim::Task run_task(RunArgs args, sim::Promise<CmdOutcome> promise);
   sim::Task flush_task(std::uint32_t chan, std::shared_ptr<FlushBatch> batch);
@@ -361,6 +455,9 @@ class IoEngine {
   sim::Engine& engine_;
   IoTransport& transport_;
   std::shared_ptr<bool> stop_;
+  /// Cleared by the destructor. A coroutine checks its copy after every
+  /// suspension before it touches the engine or the backend.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   Config cfg_;
 
   std::vector<std::unique_ptr<Channel>> channels_;

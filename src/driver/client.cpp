@@ -1,12 +1,10 @@
 #include "driver/client.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 
 #include "common/log.hpp"
 #include "fault/fault.hpp"
-#include "integrity/integrity.hpp"
 #include "obs/trace.hpp"
 
 namespace nvmeshare::driver {
@@ -15,10 +13,7 @@ using nvme::CompletionEntry;
 using nvme::SubmissionEntry;
 
 Client::Stats::Stats()
-    : reads("nvmeshare.client.reads"),
-      writes("nvmeshare.client.writes"),
-      flushes("nvmeshare.client.flushes"),
-      errors("nvmeshare.client.errors"),
+    : RequestStats("nvmeshare.client"),
       bounce_copies("nvmeshare.client.bounce_copies"),
       bounce_copy_bytes("nvmeshare.client.bounce_copy_bytes"),
       iommu_maps("nvmeshare.client.iommu_maps"),
@@ -32,29 +27,9 @@ Client::Stats::Stats()
       manager_failovers("nvmeshare.client.manager_failovers") {}
 
 namespace {
-obs::Kind trace_kind(block::Op op) {
-  switch (op) {
-    case block::Op::read: return obs::Kind::read;
-    case block::Op::write: return obs::Kind::write;
-    case block::Op::flush: return obs::Kind::flush;
-    case block::Op::write_zeroes: return obs::Kind::write_zeroes;
-    case block::Op::discard: return obs::Kind::discard;
-  }
-  return obs::Kind::other;
-}
-}  // namespace
-
-namespace {
-/// What io_task hands the engine as its opaque submission cookie: the SQE
-/// plus the CID window it must allocate from. An empty range (hi == 0)
-/// selects the default full-range scan, which is byte-identical to the
-/// pre-share submission path.
-struct IssueCtx {
-  SubmissionEntry sqe;
-  nvme::CidRange range;
-};
-
 constexpr sim::Duration kAcquireRetryNs = 50'000;
+/// Cadence of the mailbox state-word poll while a request is outstanding.
+constexpr sim::Duration kMailboxPollNs = 3000;
 constexpr int kAcquireRetryLimit = 200;
 
 constexpr int kRecoverRetryLimit = 8;
@@ -78,8 +53,7 @@ Client::Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceI
       node_(node),
       device_id_(device),
       cfg_(cfg),
-      rng_(cfg.seed ^ (0x9e37ull * node)),
-      iommu_(cfg.iommu) {}
+      rng_(cfg.seed ^ (0x9e37ull * node)) {}
 
 Client::~Client() {
   halt();
@@ -108,10 +82,12 @@ Status Client::copy_from_bounce(std::uint64_t dst, std::uint64_t slot_off, std::
 // store into channel's SQ slice, a ring is the SQ tail doorbell, and a
 // broken channel is rebuilt through the manager mailbox.
 
-Result<std::uint16_t> Client::issue(std::uint32_t chan, void* cookie) {
-  const auto* ctx = static_cast<const IssueCtx*>(cookie);
-  if (ctx->range.hi == 0) return qps_[chan]->push(ctx->sqe);
-  return qps_[chan]->push(ctx->sqe, ctx->range);
+Result<std::uint16_t> Client::issue(std::uint32_t chan, const block::Command* cmd) {
+  // An empty CID range (hi == 0) selects the default full-range scan, which
+  // is byte-identical to the pre-share submission path.
+  const SubmissionEntry& sqe = staged_[cmd->slot].sqe;
+  if (cmd->range.hi == 0) return qps_[chan]->push(sqe);
+  return qps_[chan]->push(sqe, cmd->range);
 }
 
 Status Client::ring(std::uint32_t chan) {
@@ -145,16 +121,6 @@ void Client::halt() {
   notify_poller();
   poll_timer_ = nullptr;
   cq_watch_.reset();
-}
-
-std::uint64_t Client::sq_stride_bytes() const noexcept {
-  const std::uint64_t ring = cfg_.queue_entries * 64ull;
-  return cfg_.channels == 1 ? ring : div_ceil(ring, nvme::kPageSize) * nvme::kPageSize;
-}
-
-std::uint64_t Client::cq_stride_bytes() const noexcept {
-  const std::uint64_t ring = cfg_.queue_entries * 16ull;
-  return cfg_.channels == 1 ? ring : div_ceil(ring, nvme::kPageSize) * nvme::kPageSize;
 }
 
 std::unique_ptr<nvme::QueuePair> Client::make_queue_pair(std::uint32_t chan,
@@ -208,8 +174,10 @@ sim::Co<Status> Client::connect() {
   ec.cmd_timeout_ns = cfg_.cmd_timeout_ns;
   ec.cmd_retry_limit = cfg_.cmd_retry_limit;
   ec.retry_backoff_ns = cfg_.retry_backoff_ns;
-  ec.retry_backoff_max_ns = cfg_.retry_backoff_max_ns;
   ec.trace_style = block::IoEngine::TraceStyle::nvme;
+  ec.counters.requests = &stats_;
+  ec.counters.read_latency = &read_latency_hist_;
+  ec.counters.write_latency = &write_latency_hist_;
   ec.counters.timeouts = &stats_.cmd_timeouts;
   ec.counters.retries = &stats_.cmd_retries;
   ec.counters.recoveries = &stats_.qp_recoveries;
@@ -418,6 +386,7 @@ sim::Co<Status> Client::connect() {
   // accessible (make_unique's internals cannot see it).
   block::IoTransport& transport = *this;
   engine_io_ = std::make_unique<block::IoEngine>(eng, transport, stop_, ec);
+  staged_.resize(total_depth);
   if (cfg_.pi_verify) {
     engine_io_->enable_pi(fab.host_dram(node_), header_.block_size);
   }
@@ -475,8 +444,8 @@ sim::Task Client::mailbox_call_task(MboxSlot request, sim::Promise<Result<MboxSl
   for (std::uint32_t attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) {
       ++stats_.mailbox_retries;
-      co_await sim::delay(eng, block::IoEngine::backoff_ns(cfg_.mailbox_retry_backoff_ns,
-                                                           attempt, cfg_.retry_backoff_max_ns));
+      co_await sim::delay(eng,
+                          block::IoEngine::backoff_ns(cfg_.mailbox_retry_backoff_ns, attempt));
       if (*stop_ || crashed_) {
         last = Status(Errc::aborted, "client stopped during mailbox retry");
         break;
@@ -500,7 +469,7 @@ sim::Task Client::mailbox_call_task(MboxSlot request, sim::Promise<Result<MboxSl
     bool done = false;
     bool fatal = false;
     for (;;) {
-      co_await sim::delay(eng, cfg_.mailbox_poll_ns);
+      co_await sim::delay(eng, kMailboxPollNs);
       // Poll the state word with a remote read through the NTB.
       auto state = co_await fab.read(cpu, mbox_addr_, 4);
       if (!state) {
@@ -600,96 +569,49 @@ sim::Co<Status> Client::follow_manager() {
 }
 
 // --- data path -----------------------------------------------------------------------
+//
+// IoEngine::serve runs each request; these hooks are what the distributed
+// client adds: a bounce copy or an IOMMU mapping around the SQE.
 
 sim::Future<block::Completion> Client::submit(const block::Request& request) {
-  sim::Promise<block::Completion> promise(engine());
-  io_task(request, promise, own_range_);
-  return promise.future();
+  return engine_io_->serve(*this, request, own_range_);
 }
 
-sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion> promise,
-                          nvme::CidRange range) {
-  auto stop = stop_;
-  sim::Engine& eng = engine();
-  const sim::Time start = eng.now();
-  obs::Tracer& tracer = obs::Tracer::global();
-  const std::uint64_t trace =
-      tracer.enabled() ? tracer.begin_trace(trace_kind(request.op), start) : 0;
-  obs::PhaseMarker ph(tracer, trace, obs::Track::client, start);
-  std::uint16_t span_qid = 0;  // the granted channel's qid, once known
-  auto finish = [&](Status st) {
-    if (!st) ++stats_.errors;
-    const sim::Duration latency = eng.now() - start;
-    if (st) {
-      if (request.op == block::Op::read) {
-        read_latency_hist_.record(static_cast<std::uint64_t>(latency));
-      } else if (request.op == block::Op::write) {
-        write_latency_hist_.record(static_cast<std::uint64_t>(latency));
-      }
-    }
-    if (trace != 0) {
-      // Tile any residual (IOMMU teardown, early error exit) so client-track
-      // phase durations always sum to the end-to-end latency.
-      if (eng.now() > ph.last()) ph.mark(obs::Phase::completion, eng.now(), span_qid);
-      tracer.end_trace(trace, eng.now());
-    }
-    promise.set(block::Completion{std::move(st), latency});
-  };
+sim::Duration Client::cpu_ns(obs::Phase phase) {
+  return cfg_.costs.jittered(
+      phase == obs::Phase::submit ? cfg_.costs.submit_ns : cfg_.costs.completion_ns, rng_);
+}
 
-  if (Status st = block::validate_command_request(*this, request); !st) {
-    finish(st);
-    co_return;
-  }
-  // Bounce mode: the slot is the hard ceiling for any data-moving request —
-  // an oversized payload would overrun the neighbouring partition and the
-  // prewritten PRP list would hand the controller another request's pages.
-  // The max_transfer clamp normally keeps such requests out; enforce the
-  // invariant directly so it fails fast here even if the clamp is bypassed.
-  if (cfg_.data_path == DataPath::bounce_buffer &&
-      (request.op == block::Op::read || request.op == block::Op::write) &&
-      static_cast<std::uint64_t>(request.nblocks) * header_.block_size > cfg_.slot_bytes) {
-    finish(Status(Errc::invalid_argument, "request exceeds bounce slot size"));
-    co_return;
-  }
-  const block::IoEngine::Grant grant = co_await engine_io_->acquire();
-  if (*stop) {
-    engine_io_->release(grant);
-    finish(Status(Errc::aborted, "client detached"));
-    co_return;
-  }
-  span_qid = qids_[grant.chan];
-  const std::uint32_t slot = grant.slot;
-  auto release_slot = [&]() { engine_io_->release(grant); };
-
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(request.nblocks) * header_.block_size;
+block::Step Client::prepare(const block::Command& cmd, std::uint32_t step) {
+  const block::Request& request = cmd.request;
+  Staged& staged = staged_[cmd.slot];
+  const std::uint64_t bytes = static_cast<std::uint64_t>(request.nblocks) * header_.block_size;
   const bool is_write = request.op == block::Op::write;
+  const bool moves_data = is_write || request.op == block::Op::read;
+  const bool bounce = cfg_.data_path == DataPath::bounce_buffer;
+  // Offset of the slot's partition within the bounce segment, and of its
+  // descriptor page (a PRP list or a discard range) within the PRP segment.
+  const std::uint64_t slot_base = static_cast<std::uint64_t>(cmd.slot) * cfg_.slot_bytes;
+  const std::uint64_t slot_page = static_cast<std::uint64_t>(cmd.slot) * nvme::kPageSize;
+  const std::uint64_t map_base = align_down(request.buffer_addr, nvme::kPageSize);
+  block::Step out;
 
-  // Driver submission-path software cost.
-  co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.submit_ns, rng_));
-  ph.mark(obs::Phase::submit, eng.now(), span_qid);
-  if (*stop) {
-    release_slot();
-    finish(Status(Errc::aborted, "client detached"));
-    co_return;
+  if (moves_data && !bounce && step == 0) {
+    // IOMMU mode: map the request buffer dynamically; no copy. The device
+    // view is set up once the mapping cost is charged (step 1).
+    const std::uint64_t map_span =
+        align_up(request.buffer_addr + bytes, nvme::kPageSize) - map_base;
+    auto cost = iommu_.map(map_base, map_base, map_span);
+    if (!cost) return cost.status();
+    ++stats_.iommu_maps;
+    staged.mapped = true;
+    out.cost = *cost;
+    out.again = true;
+    return out;
   }
-
-  // pi_verify bookkeeping: generate shadow tuples for a write's user buffer
-  // before any copy (everything downstream is covered), drop them on
-  // deallocation. No-op unless the engine's PI table is armed.
-  engine_io_->pi_note_submit(request);
 
   nvme::PrpPair prp;
-  fabric::Window dynamic_map;  // IOMMU mode: torn down after completion
-  bool iommu_mapped = false;
-  const std::uint64_t slot_base =
-      static_cast<std::uint64_t>(slot) * cfg_.slot_bytes;  // offset within bounce segment
-  // This slot's descriptor page: a PRP list or a discard range.
-  const std::uint64_t slot_page = static_cast<std::uint64_t>(slot) * nvme::kPageSize;
-
-  if (request.op == block::Op::flush || request.op == block::Op::write_zeroes) {
-    // no data pointer
-  } else if (request.op == block::Op::discard) {
+  if (request.op == block::Op::discard) {
     // The range descriptor is the command's payload. In bounce mode it
     // rides in the request's bounce slot (the prewritten PRP lists must
     // stay intact); in IOMMU mode it uses the slot's descriptor page,
@@ -697,62 +619,44 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
     nvme::DsmRange range;
     range.nlb = request.nblocks;
     range.slba = request.lba;
-    if (cfg_.data_path == DataPath::bounce_buffer) {
+    if (bounce) {
       (void)bounce_seg_.write(slot_base, as_bytes_of(range));
       prp.prp1 = bounce_win_.device_addr() + slot_base;
     } else {
       (void)prp_seg_.write(slot_page, as_bytes_of(range));
       prp.prp1 = prp_win_.device_addr() + slot_page;
     }
-  } else if (cfg_.data_path == DataPath::bounce_buffer) {
+  } else if (moves_data && bounce) {
     if (is_write) {
       // The extra copy on the submission path (Section V).
-      if (Status st = copy_to_bounce(slot_base, request.buffer_addr, bytes); !st) {
-        release_slot();
-        finish(st);
-        co_return;
-      }
+      if (Status st = copy_to_bounce(slot_base, request.buffer_addr, bytes); !st) return st;
       ++stats_.bounce_copies;
       stats_.bounce_copy_bytes += bytes;
-      co_await sim::delay(eng, cfg_.costs.memcpy_ns(bytes) +
-                                   fabric().copy_cost_ns(bounce_seg_.node(), bytes));
-      ph.mark(obs::Phase::bounce_copy, eng.now(), span_qid);
+      out.cost = cfg_.costs.memcpy_ns(bytes) + fabric().copy_cost_ns(bounce_seg_.node(), bytes);
+      out.phase = obs::Phase::bounce_copy;
     }
     // The slot's PRP list was prewritten at attach.
     prp = nvme::make_prps(bounce_win_.device_addr() + slot_base, bytes,
                           prp_win_.device_addr() + slot_page);
-  } else {
-    // IOMMU mode: map the request buffer dynamically; no copy.
-    const std::uint64_t map_base = align_down(request.buffer_addr, nvme::kPageSize);
-    const std::uint64_t map_span =
-        align_up(request.buffer_addr + bytes, nvme::kPageSize) - map_base;
-    auto cost = iommu_.map(map_base, map_base, map_span);
-    if (!cost) {
-      release_slot();
-      finish(cost.status());
-      co_return;
-    }
-    ++stats_.iommu_maps;
-    co_await sim::delay(eng, *cost);
-
+  } else if (moves_data) {
     std::uint64_t mapped_base = map_base;  // device == client host: direct
     auto dev = ref_.info();
     if (dev && dev->host != node_) {
       // Viewed from the device's host: a device-side NTB window on the NTB
       // substrate; unsupported on the CXL pool (private DRAM is unreachable
       // — pooled bounce buffers are the supported data path there).
-      auto mapping = fabric().map_window(fabric::MapIntent::dma, dev->host, node_,
-                                         map_base, map_span);
+      const std::uint64_t map_span =
+          align_up(request.buffer_addr + bytes, nvme::kPageSize) - map_base;
+      auto mapping = fabric().map_window(fabric::MapIntent::dma, dev->host, node_, map_base,
+                                         map_span);
       if (!mapping) {
         (void)iommu_.unmap(map_base);
-        release_slot();
-        finish(mapping.status());
-        co_return;
+        staged.mapped = false;
+        return mapping.status();
       }
-      dynamic_map = std::move(*mapping);
-      mapped_base = dynamic_map.addr();
+      staged.map = std::move(*mapping);
+      mapped_base = staged.map.addr();
     }
-    iommu_mapped = true;
     const std::uint64_t device_addr = mapped_base + (request.buffer_addr - map_base);
     prp = nvme::make_prps(device_addr, bytes, prp_win_.device_addr() + slot_page);
     if (const std::uint64_t n = nvme::prp_list_bytes(device_addr, bytes); n > 0) {
@@ -764,7 +668,7 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
     }
   }
 
-  // Build and post the SQE (a posted write into SQ memory: local store for
+  // The SQE issue() posts (a posted write into SQ memory: local store for
   // host-side placement, a store through the NTB for device-side).
   // pi_verify: PRACT has the controller seal what a write delivered
   // (arming later PRCHK reads and the scrubber); PRCHK has it verify stored
@@ -775,84 +679,43 @@ sim::Task Client::io_task(block::Request request, sim::Promise<block::Completion
     prinfo = is_write ? nvme::kPrinfoPract
                       : nvme::kPrinfoPrchkGuard | nvme::kPrinfoPrchkApp | nvme::kPrinfoPrchkRef;
   }
-  const SubmissionEntry sqe =
-      nvme::make_io(block::nvme_opcode(request.op), 1, request.lba,
-                    static_cast<std::uint16_t>(request.nblocks), prp.prp1, prp.prp2, prinfo);
-  if (request.op == block::Op::read) {
-    ++stats_.reads;
-  } else if (request.op == block::Op::flush) {
-    ++stats_.flushes;
-  } else {
-    ++stats_.writes;
+  staged.sqe = nvme::make_io(block::nvme_opcode(request.op), 1, request.lba,
+                             static_cast<std::uint16_t>(request.nblocks), prp.prp1, prp.prp2,
+                             prinfo);
+  return out;
+}
+
+block::Step Client::settle(const block::Command& cmd, const block::CmdOutcome& outcome) {
+  (void)outcome;
+  if (cmd.request.op != block::Op::read || cfg_.data_path != DataPath::bounce_buffer) return {};
+  // The extra copy on the completion path (Section V).
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(cmd.request.nblocks) * header_.block_size;
+  block::Step out;
+  out.status = copy_from_bounce(cmd.request.buffer_addr,
+                                static_cast<std::uint64_t>(cmd.slot) * cfg_.slot_bytes, bytes);
+  ++stats_.bounce_copies;
+  stats_.bounce_copy_bytes += bytes;
+  out.cost = cfg_.costs.memcpy_ns(bytes) + fabric().copy_cost_ns(bounce_seg_.node(), bytes);
+  out.phase = obs::Phase::bounce_copy;
+  return out;
+}
+
+block::Step Client::teardown(const block::Command& cmd, bool completed, std::uint32_t step) {
+  Staged& staged = staged_[cmd.slot];
+  if (!staged.mapped) return {};
+  if (step == 0) {
+    // The IOMMU teardown is charged only after a genuine completion; a
+    // failed or aborted command drops its mapping without waiting.
+    auto cost = iommu_.unmap(align_down(cmd.request.buffer_addr, nvme::kPageSize));
+    block::Step out;
+    if (cost && completed) out.cost = *cost;
+    out.again = true;
+    return out;
   }
-  // Submission and completion wait: the engine runs the command to a final
-  // outcome (per-attempt deadline watchdog, bounded exponential-backoff
-  // retries, one queue-pair recovery cycle before giving up), ringing this
-  // channel's doorbell once per submission burst when coalescing is on.
-  IssueCtx issue_ctx{sqe, range};
-  block::IoEngine::RunArgs run_args;
-  run_args.grant = grant;
-  run_args.cookie = &issue_ctx;
-  run_args.ph = &ph;
-  run_args.trace = trace;
-  run_args.bytes = bytes;
-  std::uint32_t verify_attempts = 0;
-  Status status = Status::ok();
-  bool completed = false;
-  for (;;) {
-    const block::CmdOutcome outcome = co_await engine_io_->run(run_args);
-    span_qid = qids_[grant.chan];  // recovery may have re-granted the qid
-    status = block::outcome_status(outcome, "client detached");
-    completed = outcome.completed();
-    if (!completed) break;
-
-    // Completion-path software cost.
-    co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
-    ph.mark(obs::Phase::completion, eng.now(), span_qid, outcome.token);
-
-    if (status.ok() && request.op == block::Op::read &&
-        cfg_.data_path == DataPath::bounce_buffer) {
-      // The extra copy on the completion path (Section V).
-      status = copy_from_bounce(request.buffer_addr, slot_base, bytes);
-      ++stats_.bounce_copies;
-      stats_.bounce_copy_bytes += bytes;
-      co_await sim::delay(eng, cfg_.costs.memcpy_ns(bytes) +
-                                   fabric().copy_cost_ns(bounce_seg_.node(), bytes));
-      ph.mark(obs::Phase::bounce_copy, eng.now(), span_qid, outcome.token);
-    }
-
-    // End-to-end check: verify the data that actually reached the user
-    // buffer against the shadow tuples. Corruption anywhere on the return
-    // path (DMA bit flip, torn delivery, stale read) lands here; a
-    // resubmission re-reads intact media, so it gets the same bounded retry
-    // as a check-error status.
-    if (status.ok() && outcome.ok() && request.op == block::Op::read && cfg_.pi_verify &&
-        !engine_io_->pi_check_read(request)) {
-      ++integrity::stats().client_verify_failures;
-      if (cfg_.cmd_timeout_ns > 0 && verify_attempts < cfg_.cmd_retry_limit) {
-        ++verify_attempts;
-        ++stats_.cmd_retries;
-        co_await sim::delay(
-            eng, block::IoEngine::backoff_ns(cfg_.retry_backoff_ns, verify_attempts,
-                                             cfg_.retry_backoff_max_ns));
-        ph.mark(obs::Phase::recovery, eng.now(), span_qid);
-        continue;  // resubmit with a fresh retry budget
-      }
-      status = Status(Errc::io_error, "read data failed protection-information verify");
-    }
-    break;
-  }
-
-  // The one exit path once the command was issued. The IOMMU teardown is
-  // charged only after a genuine completion; a failed or aborted command
-  // drops its mapping without waiting.
-  if (iommu_mapped) {
-    auto cost = iommu_.unmap(align_down(request.buffer_addr, nvme::kPageSize));
-    if (cost && completed) co_await sim::delay(eng, *cost);
-    dynamic_map.release();
-  }
-  release_slot();
-  finish(std::move(status));
+  staged.map.release();
+  staged.mapped = false;
+  return {};
 }
 
 // --- tenant shares (docs/MODEL.md §12) ------------------------------------------------
@@ -867,9 +730,7 @@ mux::QpMultiplexer& Client::ensure_mux() {
     mux_ = std::make_unique<mux::QpMultiplexer>(
         engine(),
         [this](const block::Request& r, const nvme::CidRange& range) {
-          sim::Promise<block::Completion> p(engine());
-          io_task(r, p, range);
-          return p.future();
+          return engine_io_->serve(*this, r, range);
         },
         stop_, mc);
   }
@@ -993,22 +854,14 @@ sim::Task Client::poller(std::shared_ptr<bool> stop) {
       timer.clear();  // this round reads everything a notify stood for
       continue;
     }
-    std::array<nvme::CompletionEntry, 32> cqes;
     for (std::uint32_t chan = 0; chan < cfg_.channels; ++chan) {
-      bool delivered = false;
-      for (;;) {
-        const std::size_t n = qps_[chan]->reap(cqes);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (!engine_io_->complete(chan, cqes[i].cid, cqes[i].status())) {
-            // Expected under fault injection: the command timed out and was
-            // retried, and this is the original submission completing late.
-            NVS_LOG(warn, "client") << name_ << " completion for unknown cid " << cqes[i].cid;
-          }
+      qps_[chan]->drain([&](const nvme::CompletionEntry& cqe) {
+        if (!engine_io_->complete(chan, cqe.cid, cqe.status())) {
+          // Expected under fault injection: the command timed out and was
+          // retried, and this is the original submission completing late.
+          NVS_LOG(warn, "client") << name_ << " completion for unknown cid " << cqe.cid;
         }
-        if (n > 0) delivered = true;
-        if (n < cqes.size()) break;
-      }
-      if (delivered) (void)qps_[chan]->ring_cq_doorbell();
+      });
     }
     ++stats_.poll_rounds;
     co_await sim::poll_tick(eng, timer, cfg_.costs.poll_interval_ns);
@@ -1089,9 +942,8 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
       created = true;
       break;
     }
-    co_await sim::delay(eng, block::IoEngine::backoff_ns(cfg_.retry_backoff_ns,
-                                                         static_cast<std::uint32_t>(attempt) + 1,
-                                                         cfg_.retry_backoff_max_ns));
+    co_await sim::delay(eng, block::IoEngine::backoff_ns(
+                                 cfg_.retry_backoff_ns, static_cast<std::uint32_t>(attempt) + 1));
     if (*stop || crashed_) break;
   }
   if (created) {
@@ -1107,12 +959,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
                              << "will exhaust their deadlines";
   }
 
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (tracer.enabled()) {
-    const std::uint64_t t = tracer.begin_trace(obs::Kind::other, begin);
-    tracer.record(t, obs::Track::client, obs::Phase::recovery, begin, eng.now(), qids_[chan]);
-    tracer.end_trace(t, eng.now());
-  }
+  obs::Tracer::global().record_recovery(obs::Track::client, begin, eng.now(), qids_[chan]);
   engine_io_->finish_recovery(chan);
 }
 

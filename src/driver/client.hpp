@@ -21,9 +21,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "block/block.hpp"
@@ -67,7 +65,6 @@ class Client final : public block::BlockDevice, private block::IoTransport {
     SqPlacement sq_placement = SqPlacement::device_side;
     DataPath data_path = DataPath::bounce_buffer;
     CostModel costs = CostModel::distributed_driver();
-    sim::Duration mailbox_poll_ns = 3000;
     sim::Duration mailbox_timeout_ns = 100_ms;
     // --- fault recovery (docs/faults.md); all off by default so fault-free
     // --- runs execute exactly the pre-recovery instruction stream ---------
@@ -76,11 +73,9 @@ class Client final : public block::BlockDevice, private block::IoTransport {
     sim::Duration cmd_timeout_ns = 0;
     /// Submission attempts per command before queue-pair recovery is tried.
     std::uint32_t cmd_retry_limit = 3;
-    /// Backoff before the first retry; doubles per subsequent attempt.
+    /// Backoff before the first retry; doubles per subsequent attempt, up
+    /// to block::IoEngine::kMaxBackoffNs.
     sim::Duration retry_backoff_ns = 100'000;
-    /// Ceiling on a single backoff delay (the doubling clamps here instead
-    /// of overflowing the 64-bit duration).
-    sim::Duration retry_backoff_max_ns = 100'000'000;
     /// Cadence of the liveness heartbeat posted into this client's mailbox
     /// slot (the manager's reaper watches it). 0 disables heartbeating.
     sim::Duration heartbeat_interval_ns = 0;
@@ -92,8 +87,8 @@ class Client final : public block::BlockDevice, private block::IoTransport {
     /// Responses are also epoch-checked against the last lease read
     /// (docs/MODEL.md §10): a fenced manager cannot confirm a grant.
     std::uint32_t mailbox_retry_limit = 0;
-    /// Backoff before the second mailbox attempt; doubles per attempt,
-    /// clamped by retry_backoff_max_ns.
+    /// Backoff before the second mailbox attempt; doubles per attempt, up
+    /// to block::IoEngine::kMaxBackoffNs.
     sim::Duration mailbox_retry_backoff_ns = 200'000;
     /// End-to-end protection information (docs/MODEL.md §7). When set, the
     /// client generates a DIF tuple per block before the bounce copy of a
@@ -114,7 +109,6 @@ class Client final : public block::BlockDevice, private block::IoTransport {
     /// token-bucket pacer; an uncapped grant leaves the client unpaced.
     std::uint32_t qos_iops = 0;
     std::uint32_t qos_bytes_per_s = 0;
-    mem::Iommu::Config iommu = {};
     /// Disambiguates this client's segment ids when one node attaches to
     /// several devices (one client per device needs its own namespace).
     std::uint32_t segment_namespace = 0;
@@ -193,12 +187,8 @@ class Client final : public block::BlockDevice, private block::IoTransport {
 
   /// Per-client counters; each also feeds the global obs::Registry under
   /// `nvmeshare.client.*`, aggregated across all clients.
-  struct Stats {
+  struct Stats : block::RequestStats {
     Stats();
-    obs::Counter reads;
-    obs::Counter writes;
-    obs::Counter flushes;
-    obs::Counter errors;
     obs::Counter bounce_copies;
     obs::Counter bounce_copy_bytes;
     obs::Counter iommu_maps;
@@ -224,14 +214,11 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   /// Post a mailbox request and await the manager's response.
   sim::Future<Result<MboxSlot>> mailbox_call(MboxSlot request);
   sim::Task mailbox_call_task(MboxSlot request, sim::Promise<Result<MboxSlot>> promise);
-  /// `range` pins CID allocation to a tenant's share window; hi == 0 means
-  /// the default full-range scan (the seed instruction stream).
-  sim::Task io_task(block::Request request, sim::Promise<block::Completion> promise,
-                    nvme::CidRange range);
   sim::Task create_share_task(ShareRequest request,
                               sim::Promise<Result<mux::ShareGrant>> promise);
   sim::Task delete_share_task(std::uint32_t tenant, sim::Promise<Status> promise);
-  /// Build the multiplexer on first use, wired to dispatch through io_task.
+  /// Build the multiplexer on first use, wired to dispatch through the
+  /// engine with each tenant's CID window.
   mux::QpMultiplexer& ensure_mux();
   sim::Task poller(std::shared_ptr<bool> stop);
   /// Stop every task of this client; a poller waiting on a tick sees it.
@@ -252,7 +239,12 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   sim::Co<Status> follow_manager();
 
   // --- block::IoTransport (the NVMe queue-pair personality) ----------------
-  Result<std::uint16_t> issue(std::uint32_t chan, void* cookie) override;
+  [[nodiscard]] const char* stopped_reason() const override { return "client detached"; }
+  [[nodiscard]] sim::Duration cpu_ns(obs::Phase phase) override;
+  block::Step prepare(const block::Command& cmd, std::uint32_t step) override;
+  block::Step settle(const block::Command& cmd, const block::CmdOutcome& outcome) override;
+  block::Step teardown(const block::Command& cmd, bool completed, std::uint32_t step) override;
+  Result<std::uint16_t> issue(std::uint32_t chan, const block::Command* cmd) override;
   Status ring(std::uint32_t chan) override;
   [[nodiscard]] bool retryable(std::uint16_t status) const override;
   void start_recovery(std::uint32_t chan) override;
@@ -271,11 +263,13 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   /// Build channel `chan`'s queue-pair view over this client's ring slices.
   [[nodiscard]] std::unique_ptr<nvme::QueuePair> make_queue_pair(std::uint32_t chan,
                                                                  std::uint16_t qid);
-  /// Per-channel ring stride within the SQ/CQ segment. Single-channel keeps
-  /// the seed-exact ring size; multi-channel slices are page-rounded
-  /// because NVMe queue base addresses must be page-aligned.
-  [[nodiscard]] std::uint64_t sq_stride_bytes() const noexcept;
-  [[nodiscard]] std::uint64_t cq_stride_bytes() const noexcept;
+  /// Per-channel ring stride within the SQ/CQ segment.
+  [[nodiscard]] std::uint64_t sq_stride_bytes() const noexcept {
+    return nvme::ring_stride(cfg_.queue_entries, 64, cfg_.channels);
+  }
+  [[nodiscard]] std::uint64_t cq_stride_bytes() const noexcept {
+    return nvme::ring_stride(cfg_.queue_entries, 16, cfg_.channels);
+  }
 
   smartio::Service& service_;
   smartio::NodeId node_;
@@ -311,6 +305,13 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   std::vector<std::uint16_t> qids_;
   std::unique_ptr<block::IoEngine> engine_io_;
   std::uint32_t max_transfer_ = 0;
+  /// What prepare() leaves in a granted slot for issue() and teardown().
+  struct Staged {
+    nvme::SubmissionEntry sqe;
+    fabric::Window map;   ///< IOMMU mode: the device host's view of the buffer
+    bool mapped = false;  ///< IOMMU mode: the buffer is mapped in iommu_
+  };
+  std::vector<Staged> staged_;  ///< one per engine slot
 
   std::unique_ptr<sim::Event> poller_kick_;  ///< wakes the idle poller on submit
   /// The running poller's tick (it lives in the poller's frame; null once

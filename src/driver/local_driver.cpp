@@ -1,18 +1,11 @@
 #include "driver/local_driver.hpp"
 
-#include <array>
-
 #include "common/log.hpp"
 
 namespace nvmeshare::driver {
 
-using nvme::SubmissionEntry;
-
 LocalDriver::Stats::Stats()
-    : reads("nvmeshare.local_driver.reads"),
-      writes("nvmeshare.local_driver.writes"),
-      flushes("nvmeshare.local_driver.flushes"),
-      errors("nvmeshare.local_driver.errors"),
+    : RequestStats("nvmeshare.local_driver"),
       interrupts("nvmeshare.local_driver.interrupts") {}
 
 LocalDriver::LocalDriver(sisci::Cluster& cluster, Config cfg)
@@ -32,18 +25,11 @@ LocalDriver::~LocalDriver() {
 
 // --- block::IoTransport -------------------------------------------------------------
 
-Result<std::uint16_t> LocalDriver::issue(std::uint32_t chan, void* cookie) {
-  return qps_[chan]->push(*static_cast<const SubmissionEntry*>(cookie));
+Result<std::uint16_t> LocalDriver::issue(std::uint32_t chan, const block::Command* cmd) {
+  return qps_[chan]->push(sqes_[cmd->slot]);
 }
 
 Status LocalDriver::ring(std::uint32_t chan) { return qps_[chan]->ring_sq_doorbell(); }
-
-bool LocalDriver::retryable(std::uint16_t status) const {
-  // The local baseline reports controller errors straight up (no deadline
-  // watchdog is configured, so the engine never retries anyway).
-  (void)status;
-  return false;
-}
 
 void LocalDriver::start_recovery(std::uint32_t chan) {
   // A local device has no manager or fabric to rebuild through; fail what
@@ -82,6 +68,7 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   ec.queue_entries = d.cfg_.queue_entries;
   ec.coalesce_doorbells = d.cfg_.coalesce_doorbells;
   ec.doorbell_ns = d.cfg_.costs.doorbell_ns;
+  ec.counters.requests = &d.stats_;
   if (Status st = block::IoEngine::validate(ec); !st) {
     promise.set(st);
     co_return;
@@ -99,17 +86,8 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   const pcie::HostId host = d.ctrl_->host();
   fabric::Substrate& fabric = d.cluster_.fabric();
 
-  // Per-channel ring stride. Single-channel keeps the seed-exact ring size;
-  // multi-channel slices are page-rounded because NVMe queue base addresses
-  // must be page-aligned.
-  const std::uint64_t sq_ring_bytes =
-      d.cfg_.channels == 1 ? d.cfg_.queue_entries * 64ull
-                           : div_ceil(d.cfg_.queue_entries * 64ull, nvme::kPageSize) *
-                                 nvme::kPageSize;
-  const std::uint64_t cq_ring_bytes =
-      d.cfg_.channels == 1 ? d.cfg_.queue_entries * 16ull
-                           : div_ceil(d.cfg_.queue_entries * 16ull, nvme::kPageSize) *
-                                 nvme::kPageSize;
+  const std::uint64_t sq_ring_bytes = nvme::ring_stride(d.cfg_.queue_entries, 64, d.cfg_.channels);
+  const std::uint64_t cq_ring_bytes = nvme::ring_stride(d.cfg_.queue_entries, 16, d.cfg_.channels);
   auto sq = d.cluster_.alloc_dram(host, sq_ring_bytes * d.cfg_.channels, 4096);
   auto cq = d.cluster_.alloc_dram(host, cq_ring_bytes * d.cfg_.channels, 4096);
   auto prp = d.cluster_.alloc_dram(
@@ -181,6 +159,7 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
 
   block::IoTransport& transport = d;
   d.engine_io_ = std::make_unique<block::IoEngine>(engine, transport, d.stop_, ec);
+  d.sqes_.resize(total_depth);
   d.completion_loop(d.stop_);
   if (!d.cfg_.use_interrupts) {
     auto cq_watch = fabric.watch_writes(host, d.cq_addr_, cq_ring_bytes * d.cfg_.channels,
@@ -200,42 +179,23 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
 }
 
 sim::Future<block::Completion> LocalDriver::submit(const block::Request& request) {
-  sim::Promise<block::Completion> promise(cluster_.engine());
-  io_task(request, promise);
-  return promise.future();
+  return engine_io_->serve(*this, request);
 }
 
-sim::Task LocalDriver::io_task(block::Request request,
-                               sim::Promise<block::Completion> promise) {
-  auto stop = stop_;
-  sim::Engine& eng = cluster_.engine();
-  const sim::Time start = eng.now();
-  auto finish = [&](Status st) {
-    if (!st) ++stats_.errors;
-    promise.set(block::Completion{std::move(st), eng.now() - start});
-  };
+sim::Duration LocalDriver::cpu_ns(obs::Phase phase) {
+  return cfg_.costs.jittered(
+      phase == obs::Phase::submit ? cfg_.costs.submit_ns : cfg_.costs.completion_ns, rng_);
+}
 
-  if (Status st = block::validate_command_request(*this, request); !st) {
-    finish(st);
-    co_return;
-  }
-  const block::IoEngine::Grant grant = co_await engine_io_->acquire();
-  if (*stop) {
-    engine_io_->release(grant);
-    finish(Status(Errc::aborted, "driver stopped"));
-    co_return;
-  }
-  const std::uint32_t slot = grant.slot;
-
-  co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.submit_ns, rng_));
-
+block::Step LocalDriver::prepare(const block::Command& cmd, std::uint32_t step) {
+  (void)step;
+  const block::Request& request = cmd.request;
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(request.nblocks) * ctrl_->block_size();
-
   // Direct DMA: PRPs point straight at the request buffer (local memory, no
   // bounce). PRP lists and discard ranges go into this slot's list page.
   const std::uint64_t page =
-      prp_pages_addr_ + static_cast<std::uint64_t>(slot) * nvme::kPageSize;
+      prp_pages_addr_ + static_cast<std::uint64_t>(cmd.slot) * nvme::kPageSize;
   mem::PhysMem& dram = cluster_.fabric().host_dram(ctrl_->host());
   nvme::PrpPair prp;
   if (request.op == block::Op::discard) {
@@ -253,41 +213,17 @@ sim::Task LocalDriver::io_task(block::Request request,
       cluster_.fabric().recycle_payload(std::move(list));
     }
   }
-
-  SubmissionEntry sqe =
+  sqes_[cmd.slot] =
       nvme::make_io(block::nvme_opcode(request.op), 1, request.lba,
                     static_cast<std::uint16_t>(request.nblocks), prp.prp1, prp.prp2);
-  if (request.op == block::Op::read) {
-    ++stats_.reads;
-  } else if (request.op == block::Op::flush) {
-    ++stats_.flushes;
-  } else {
-    ++stats_.writes;
-  }
-  block::IoEngine::RunArgs run_args;
-  run_args.grant = grant;
-  run_args.cookie = &sqe;
-  const block::CmdOutcome outcome = co_await engine_io_->run(run_args);
-  if (outcome.completed()) {
-    co_await sim::delay(eng, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
-  }
-  engine_io_->release(grant);
-  finish(block::outcome_status(outcome, "driver stopped"));
+  return {};
 }
 
 void LocalDriver::drain_cq() {
-  std::array<nvme::CompletionEntry, 32> cqes;
   for (std::uint32_t chan = 0; chan < cfg_.channels; ++chan) {
-    bool delivered = false;
-    for (;;) {
-      const std::size_t n = qps_[chan]->reap(cqes);
-      for (std::size_t i = 0; i < n; ++i) {
-        (void)engine_io_->complete(chan, cqes[i].cid, cqes[i].status());
-      }
-      if (n > 0) delivered = true;
-      if (n < cqes.size()) break;
-    }
-    if (delivered) (void)qps_[chan]->ring_cq_doorbell();
+    qps_[chan]->drain([&](const nvme::CompletionEntry& cqe) {
+      (void)engine_io_->complete(chan, cqe.cid, cqe.status());
+    });
   }
 }
 

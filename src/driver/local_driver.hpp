@@ -67,12 +67,8 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   [[nodiscard]] const block::IoEngine& io_engine() const noexcept { return *engine_io_; }
 
   /// Per-driver counters, also registered as `nvmeshare.local_driver.*`.
-  struct Stats {
+  struct Stats : block::RequestStats {
     Stats();
-    obs::Counter reads;
-    obs::Counter writes;
-    obs::Counter flushes;
-    obs::Counter errors;
     obs::Counter interrupts;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
@@ -83,13 +79,14 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   static sim::Task init_task(std::unique_ptr<LocalDriver> self, pcie::EndpointId endpoint,
                              IrqController* irq,
                              sim::Promise<Result<std::unique_ptr<LocalDriver>>> promise);
-  sim::Task io_task(block::Request request, sim::Promise<block::Completion> promise);
   sim::Task completion_loop(std::shared_ptr<bool> stop);
 
   // --- block::IoTransport (the local queue-pair personality) ---------------
-  Result<std::uint16_t> issue(std::uint32_t chan, void* cookie) override;
+  [[nodiscard]] const char* stopped_reason() const override { return "driver stopped"; }
+  [[nodiscard]] sim::Duration cpu_ns(obs::Phase phase) override;
+  block::Step prepare(const block::Command& cmd, std::uint32_t step) override;
+  Result<std::uint16_t> issue(std::uint32_t chan, const block::Command* cmd) override;
   Status ring(std::uint32_t chan) override;
-  [[nodiscard]] bool retryable(std::uint16_t status) const override;
   void start_recovery(std::uint32_t chan) override;
   [[nodiscard]] std::uint16_t trace_qid(std::uint32_t chan) const override;
 
@@ -109,6 +106,7 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   std::vector<std::uint16_t> qids_;
   std::vector<std::unique_ptr<nvme::QueuePair>> qps_;
   std::unique_ptr<block::IoEngine> engine_io_;
+  std::vector<nvme::SubmissionEntry> sqes_;  ///< per engine slot, built by prepare()
 
   std::unique_ptr<sim::Event> irq_event_;
   /// Polled mode: the completion loop's tick (in its frame; null once the

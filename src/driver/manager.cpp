@@ -22,11 +22,7 @@ constexpr int kStandbyRetryLimit = 200;
 
 /// One recovery-phase span on the controller track.
 void trace_recovery(sim::Time begin, sim::Time end) {
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (!tracer.enabled()) return;
-  const std::uint64_t t = tracer.begin_trace(obs::Kind::other, begin);
-  tracer.record(t, obs::Track::controller, obs::Phase::recovery, begin, end, 0);
-  tracer.end_trace(t, end);
+  obs::Tracer::global().record_recovery(obs::Track::controller, begin, end);
 }
 
 QpOwnerEntry make_owner_entry(const MboxSlot& slot, std::uint64_t sq_base,

@@ -10,12 +10,14 @@
 // can use DMA to is a valid queue memory location".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/status.hpp"
+#include "common/units.hpp"
 #include "nvme/spec.hpp"
 #include "obs/metrics.hpp"
 #include "fabric/substrate.hpp"
@@ -25,6 +27,16 @@ namespace nvmeshare::nvme {
 /// A contiguous `[lo, hi)` slice of a queue pair's CID space. Tenant shares
 /// (src/mux) each hold a disjoint range so completions can be routed back to
 /// their owner by CID alone, with no per-command tagging on the wire.
+/// Bytes from one channel's ring to the next when `channels` rings of
+/// `entries` x `entry_bytes` share one allocation. One channel keeps the
+/// exact ring size; several are page-rounded, because NVMe queue base
+/// addresses must be page-aligned.
+[[nodiscard]] inline std::uint64_t ring_stride(std::uint32_t entries, std::uint32_t entry_bytes,
+                                               std::uint32_t channels) {
+  const std::uint64_t ring = static_cast<std::uint64_t>(entries) * entry_bytes;
+  return channels == 1 ? ring : div_ceil(ring, kPageSize) * kPageSize;
+}
+
 struct CidRange {
   std::uint16_t lo = 0;
   std::uint16_t hi = 0;  ///< exclusive
@@ -103,6 +115,21 @@ class QueuePair {
 
   /// Tell the controller how far the CQ has been consumed.
   Status ring_cq_doorbell();
+
+  /// Drain the CQ: reap() batches of 32 until a short batch, hand every
+  /// entry to `on_cqe`, then ring the CQ head doorbell once if any arrived.
+  template <typename OnCqe>
+  void drain(OnCqe&& on_cqe) {
+    std::array<CompletionEntry, 32> batch;
+    bool got = false;
+    for (;;) {
+      const std::size_t n = reap(batch);
+      for (std::size_t i = 0; i < n; ++i) on_cqe(batch[i]);
+      if (n > 0) got = true;
+      if (n < batch.size()) break;
+    }
+    if (got) (void)ring_cq_doorbell();
+  }
 
   /// Externally persisted ring cursors — what a hot-standby manager needs to
   /// continue an admin queue pair another host was operating (the ring

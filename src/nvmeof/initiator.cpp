@@ -12,24 +12,10 @@ namespace {
 constexpr std::uint64_t kWrSend = 4ull << 56;
 constexpr std::uint64_t kWrRecv = 1ull << 56;
 constexpr std::uint64_t kWrSlotMask = (1ull << 56) - 1;
-
-obs::Kind trace_kind(block::Op op) {
-  switch (op) {
-    case block::Op::read: return obs::Kind::read;
-    case block::Op::write: return obs::Kind::write;
-    case block::Op::flush: return obs::Kind::flush;
-    case block::Op::write_zeroes: return obs::Kind::write_zeroes;
-    case block::Op::discard: return obs::Kind::discard;
-  }
-  return obs::Kind::other;
-}
 }  // namespace
 
 Initiator::Stats::Stats()
-    : reads("nvmeshare.nvmeof_initiator.reads"),
-      writes("nvmeshare.nvmeof_initiator.writes"),
-      flushes("nvmeshare.nvmeof_initiator.flushes"),
-      errors("nvmeshare.nvmeof_initiator.errors"),
+    : RequestStats("nvmeshare.nvmeof_initiator"),
       interrupts("nvmeshare.nvmeof_initiator.interrupts"),
       capsule_timeouts("nvmeshare.nvmeof_initiator.capsule_timeouts"),
       capsule_retries("nvmeshare.nvmeof_initiator.capsule_retries"),
@@ -68,6 +54,7 @@ sim::Task Initiator::connect_task(std::unique_ptr<Initiator> self, Target* targe
   ec.cmd_retry_limit = i.cfg_.capsule_retry_limit;
   ec.retry_backoff_ns = i.cfg_.retry_backoff_ns;
   ec.trace_style = block::IoEngine::TraceStyle::fabric;
+  ec.counters.requests = &i.stats_;
   ec.counters.timeouts = &i.stats_.capsule_timeouts;
   ec.counters.retries = &i.stats_.capsule_retries;
   ec.counters.recoveries = &i.stats_.reconnects;
@@ -132,10 +119,12 @@ void Initiator::post_recv_ring(std::uint32_t chan) {
 
 // --- block::IoTransport ---------------------------------------------------------------
 
-Result<std::uint16_t> Initiator::issue(std::uint32_t chan, void* cookie) {
-  const auto& desc = *static_cast<const SendDesc*>(cookie);
-  staged_[chan].push_back(desc);
-  return desc.cid;
+Result<std::uint16_t> Initiator::issue(std::uint32_t chan, const block::Command* cmd) {
+  // A duplicate SEND after a timeout is idempotent: same slot, same cid — a
+  // late duplicate response resolves nothing and is dropped by the engine.
+  const auto cid = static_cast<std::uint16_t>(cmd->slot);
+  staged_[chan].push_back(SendDesc{capsule_addr(cmd->slot), wire_len(cmd->request), cid});
+  return cid;
 }
 
 Status Initiator::ring(std::uint32_t chan) {
@@ -152,13 +141,6 @@ Status Initiator::ring(std::uint32_t chan) {
   return first;
 }
 
-bool Initiator::retryable(std::uint16_t status) const {
-  // A genuine target response is final: the fabric retry machinery exists
-  // for lost capsules, not for NVMe-status errors.
-  (void)status;
-  return false;
-}
-
 void Initiator::start_recovery(std::uint32_t chan) { reconnect_task(chan, stop_); }
 
 std::uint16_t Initiator::trace_qid(std::uint32_t chan) const {
@@ -169,160 +151,74 @@ std::uint16_t Initiator::trace_qid(std::uint32_t chan) const {
 }
 
 sim::Future<block::Completion> Initiator::submit(const block::Request& request) {
-  sim::Promise<block::Completion> promise(cluster_.engine());
-  io_task(request, promise);
-  return promise.future();
+  return engine_io_->serve(*this, request);
 }
 
-sim::Task Initiator::io_task(block::Request request, sim::Promise<block::Completion> promise) {
-  auto stop = stop_;
-  sim::Engine& engine = cluster_.engine();
-  const sim::Time start = engine.now();
-  obs::Tracer& tracer = obs::Tracer::global();
-  const std::uint64_t trace =
-      tracer.enabled() ? tracer.begin_trace(trace_kind(request.op), start) : 0;
-  obs::PhaseMarker ph(tracer, trace, obs::Track::client, start);
-  auto finish = [&](Status st) {
-    if (!st) ++stats_.errors;
-    if (trace != 0) {
-      if (engine.now() > ph.last()) ph.mark(obs::Phase::completion, engine.now());
-      tracer.end_trace(trace, engine.now());
-    }
-    promise.set(block::Completion{std::move(st), engine.now() - start});
-  };
+sim::Duration Initiator::cpu_ns(obs::Phase phase) {
+  return cfg_.costs.jittered(
+      phase == obs::Phase::submit ? cfg_.costs.submit_ns : cfg_.costs.completion_ns, rng_);
+}
 
-  if (Status st = block::validate_command_request(*this, request); !st) {
-    finish(st);
-    co_return;
-  }
-  const block::IoEngine::Grant grant = co_await engine_io_->acquire();
-  if (*stop) {
-    engine_io_->release(grant);
-    finish(Status(Errc::aborted, "initiator stopped"));
-    co_return;
-  }
-  const std::uint32_t slot = grant.slot;
+std::uint32_t Initiator::wire_len(const block::Request& request) const {
+  // Small writes ride in-capsule (the NIC gathers payload from the request
+  // buffer; no CPU copy), like SPDK's in-capsule data path.
+  const std::uint32_t data_len = request.nblocks * block_size_;
+  const bool inline_data = request.op == block::Op::write && data_len <= kInlineDataMax;
+  return sizeof(CommandCapsule) + (inline_data ? data_len : 0);
+}
 
-  // Submission path: block layer + capsule construction.
-  co_await sim::delay(engine, cfg_.costs.jittered(cfg_.costs.submit_ns, rng_));
-  ph.mark(obs::Phase::submit, engine.now());
-
+block::Step Initiator::prepare(const block::Command& cmd, std::uint32_t step) {
+  (void)step;
+  const block::Request& request = cmd.request;
+  static constexpr FabricOp kOps[] = {FabricOp::read, FabricOp::write, FabricOp::flush,
+                                      FabricOp::write_zeroes, FabricOp::discard};  // by block::Op
   CommandCapsule capsule;
-  capsule.cid = static_cast<std::uint16_t>(slot);
+  capsule.opcode = static_cast<std::uint8_t>(kOps[static_cast<std::size_t>(request.op)]);
+  capsule.cid = static_cast<std::uint16_t>(cmd.slot);
   capsule.slba = request.lba;
   capsule.nblocks = request.nblocks;
   capsule.initiator_data_addr = request.buffer_addr;
-  std::uint32_t wire_len = sizeof(CommandCapsule);
-  switch (request.op) {
-    case block::Op::read:
-      capsule.opcode = static_cast<std::uint8_t>(FabricOp::read);
-      capsule.data_len = request.nblocks * block_size_;
-      ++stats_.reads;
-      break;
-    case block::Op::write:
-      capsule.opcode = static_cast<std::uint8_t>(FabricOp::write);
-      capsule.data_len = request.nblocks * block_size_;
-      // Small writes ride in-capsule (the NIC gathers payload from the
-      // request buffer; no CPU copy), like SPDK's in-capsule data path.
-      if (capsule.data_len <= kInlineDataMax) {
-        capsule.flags |= kFlagInlineData;
-        wire_len += capsule.data_len;
-      }
-      ++stats_.writes;
-      break;
-    case block::Op::flush:
-      capsule.opcode = static_cast<std::uint8_t>(FabricOp::flush);
-      capsule.data_len = 0;
-      ++stats_.flushes;
-      break;
-    case block::Op::write_zeroes:
-      capsule.opcode = static_cast<std::uint8_t>(FabricOp::write_zeroes);
-      capsule.data_len = 0;
-      ++stats_.writes;
-      break;
-    case block::Op::discard:
-      capsule.opcode = static_cast<std::uint8_t>(FabricOp::discard);
-      capsule.data_len = 0;
-      ++stats_.writes;
-      break;
+  if (request.op == block::Op::read || request.op == block::Op::write) {
+    capsule.data_len = request.nblocks * block_size_;
   }
-  const std::uint64_t capsule_addr = cmd_base_ + slot * kCapsuleSlotBytes;
+  if (wire_len(request) > sizeof(CommandCapsule)) capsule.flags |= kFlagInlineData;
+  const std::uint64_t addr = capsule_addr(cmd.slot);
   mem::PhysMem& dram = cluster_.fabric().host_dram(node_);
   if (cfg_.data_digest && request.op == block::Op::write && capsule.data_len > 0) {
     // DDGST over the payload as it leaves the application buffer; the
     // target re-computes it after the payload lands on its side.
     auto digest =
         memory_digest(cluster_.fabric(), dram, request.buffer_addr, capsule.data_len);
-    if (!digest) {
-      engine_io_->release(grant);
-      finish(digest.status());
-      co_return;
-    }
+    if (!digest) return digest.status();
     capsule.data_digest = *digest;
     ++integrity::stats().digests_generated;
   }
-  (void)dram.write(capsule_addr, as_bytes_of(capsule));
+  (void)dram.write(addr, as_bytes_of(capsule));
   if ((capsule.flags & kFlagInlineData) != 0) {
-    if (Status st = dram.copy_from(capsule_addr + sizeof(CommandCapsule), dram,
-                                   request.buffer_addr, capsule.data_len);
+    if (Status st = dram.copy_from(addr + sizeof(CommandCapsule), dram, request.buffer_addr,
+                                   capsule.data_len);
         !st) {
-      engine_io_->release(grant);
-      finish(std::move(st));
-      co_return;
+      return st;
     }
   }
+  return {};
+}
 
-  // The engine runs the SEND, deadline, retry, and one reconnect cycle;
-  // issue() stages the capsule and ring() posts it. A duplicate SEND after
-  // a timeout is idempotent: same slot, same cid — a late duplicate
-  // response resolves nothing and is dropped by the engine.
-  SendDesc desc;
-  desc.addr = capsule_addr;
-  desc.len = wire_len;
-  desc.cid = static_cast<std::uint16_t>(slot);
-  block::IoEngine::RunArgs run_args;
-  run_args.grant = grant;
-  run_args.cookie = &desc;
-  run_args.ph = &ph;
-  run_args.trace = trace;
-  std::uint32_t digest_attempts = 0;
-  Status status = Status::ok();
-  for (;;) {
-    const block::CmdOutcome outcome = co_await engine_io_->run(run_args);
-    status = block::outcome_status(outcome, "initiator stopped");
-    if (!outcome.completed()) break;
-    // Verify the digest the target computed over the read payload it
-    // pushed. A mismatch means the data was damaged in flight — the
-    // media copy is intact, so a re-send heals it.
-    if (cfg_.data_digest && outcome.status == 0 && request.op == block::Op::read &&
-        outcome.aux != 0) {
-      auto digest =
-          memory_digest(cluster_.fabric(), dram, request.buffer_addr, capsule.data_len);
-      if (!digest) {
-        status = digest.status();
-        break;
-      }
-      if (*digest != outcome.aux) {
-        ++integrity::stats().digest_errors;
-        if (cfg_.capsule_timeout_ns > 0 && digest_attempts < cfg_.capsule_retry_limit) {
-          ++digest_attempts;
-          ++stats_.capsule_retries;
-          co_await sim::delay(
-              engine, block::IoEngine::backoff_ns(cfg_.retry_backoff_ns, digest_attempts));
-          ph.mark(obs::Phase::recovery, engine.now());
-          continue;
-        }
-        status = Status(Errc::io_error, "read payload failed data-digest verify");
-        break;
-      }
-    }
-    // A genuine, digest-clean response: completion path software.
-    co_await sim::delay(engine, cfg_.costs.jittered(cfg_.costs.completion_ns, rng_));
-    ph.mark(obs::Phase::completion, engine.now());
-    break;
-  }
-  engine_io_->release(grant);
-  finish(std::move(status));
+block::Step Initiator::settle(const block::Command& cmd, const block::CmdOutcome& outcome) {
+  // Verify the digest the target computed over the read payload it pushed.
+  // A mismatch means the data was damaged in flight — the media copy is
+  // intact, so a re-send heals it.
+  const block::Request& request = cmd.request;
+  if (!cfg_.data_digest || request.op != block::Op::read || outcome.aux == 0) return {};
+  auto digest = memory_digest(cluster_.fabric(), cluster_.fabric().host_dram(node_),
+                              request.buffer_addr, request.nblocks * block_size_);
+  if (!digest) return digest.status();
+  if (*digest == outcome.aux) return {};
+  ++integrity::stats().digest_errors;
+  block::Step out;
+  out.status = Status(Errc::io_error, "read payload failed data-digest verify");
+  out.mismatch = true;
+  return out;
 }
 
 sim::Task Initiator::completion_loop(std::shared_ptr<bool> stop) {
@@ -361,7 +257,7 @@ sim::Task Initiator::completion_loop(std::shared_ptr<bool> stop) {
 
     // One interrupt wakes the handler, which then drains every completion
     // that arrived meanwhile (interrupt coalescing; the per-request
-    // software cost is charged in io_task, not here).
+    // software cost is charged by the request lifecycle, not here).
     ++stats_.interrupts;
     co_await sim::delay(engine, cfg_.costs.jittered(cfg_.costs.irq_delivery_ns, rng_));
     if (*stop) co_return;
@@ -373,7 +269,7 @@ sim::Task Initiator::completion_loop(std::shared_ptr<bool> stop) {
 // --- fault recovery -------------------------------------------------------------------
 
 // Connection re-establishment for one channel: fail out its in-flight waits
-// (their io_tasks replay through the engine's retry loop once the fresh
+// (their requests replay through the engine's retry loop once the fresh
 // queue pair exists) and accept a new connection from the same target. The
 // old RDMA queue pair and its posted RECVs are abandoned — a bounded leak
 // per reconnect, like a real RC QP left in the error state until teardown.
@@ -396,13 +292,8 @@ sim::Task Initiator::reconnect_task(std::uint32_t chan, std::shared_ptr<bool> st
     NVS_LOG(error, "nvmeof") << "initiator reconnect failed: " << qp.status().message();
   }
 
-  obs::Tracer& tracer = obs::Tracer::global();
-  if (tracer.enabled()) {
-    const std::uint64_t t = tracer.begin_trace(obs::Kind::other, begin);
-    tracer.record(t, obs::Track::client, obs::Phase::recovery, begin, engine.now(),
-                  nvmeof_trace_qid(static_cast<std::uint16_t>(node_)));
-    tracer.end_trace(t, engine.now());
-  }
+  obs::Tracer::global().record_recovery(obs::Track::client, begin, engine.now(),
+                                        trace_qid(chan));
   engine_io_->finish_recovery(chan);
 }
 

@@ -75,12 +75,8 @@ class Initiator final : public block::BlockDevice, private block::IoTransport {
   [[nodiscard]] const block::IoEngine& io_engine() const noexcept { return *engine_io_; }
 
   /// Per-initiator counters, also registered as `nvmeshare.nvmeof_initiator.*`.
-  struct Stats {
+  struct Stats : block::RequestStats {
     Stats();
-    obs::Counter reads;
-    obs::Counter writes;
-    obs::Counter flushes;
-    obs::Counter errors;
     obs::Counter interrupts;
     obs::Counter capsule_timeouts;  ///< response deadlines that expired
     obs::Counter capsule_retries;   ///< capsules re-sent after a timeout
@@ -100,17 +96,28 @@ class Initiator final : public block::BlockDevice, private block::IoTransport {
 
   static sim::Task connect_task(std::unique_ptr<Initiator> self, Target* target,
                                 sim::Promise<Result<std::unique_ptr<Initiator>>> promise);
-  sim::Task io_task(block::Request request, sim::Promise<block::Completion> promise);
   sim::Task completion_loop(std::shared_ptr<bool> stop);
   sim::Task reconnect_task(std::uint32_t chan, std::shared_ptr<bool> stop);
   /// Post channel `chan`'s share of the RECV ring on its queue pair.
   void post_recv_ring(std::uint32_t chan);
 
+  /// Capsule buffer of engine slot `slot`.
+  [[nodiscard]] std::uint64_t capsule_addr(std::uint32_t slot) const noexcept {
+    return cmd_base_ + static_cast<std::uint64_t>(slot) * kCapsuleSlotBytes;
+  }
+  /// Bytes one SEND of `request`'s capsule puts on the wire (in-capsule
+  /// data included).
+  [[nodiscard]] std::uint32_t wire_len(const block::Request& request) const;
+
   // --- block::IoTransport (the message-transport personality) --------------
-  Result<std::uint16_t> issue(std::uint32_t chan, void* cookie) override;
+  [[nodiscard]] const char* stopped_reason() const override { return "initiator stopped"; }
+  [[nodiscard]] sim::Duration cpu_ns(obs::Phase phase) override;
+  block::Step prepare(const block::Command& cmd, std::uint32_t step) override;
+  block::Step settle(const block::Command& cmd, const block::CmdOutcome& outcome) override;
+  [[nodiscard]] bool settle_before_completion() const override { return true; }
+  Result<std::uint16_t> issue(std::uint32_t chan, const block::Command* cmd) override;
   Status ring(std::uint32_t chan) override;
   [[nodiscard]] bool ring_failure_fails_attempt() const override { return true; }
-  [[nodiscard]] bool retryable(std::uint16_t status) const override;
   void start_recovery(std::uint32_t chan) override;
   [[nodiscard]] std::uint16_t trace_qid(std::uint32_t chan) const override;
 

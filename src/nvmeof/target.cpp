@@ -1,6 +1,5 @@
 #include "nvmeof/target.hpp"
 
-#include <array>
 #include <optional>
 
 #include "common/log.hpp"
@@ -266,22 +265,13 @@ sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) 
       continue;
     }
     while (auto wc = conn->cq->poll()) route(*wc);
-    std::array<nvme::CompletionEntry, 32> cqes;
-    bool got = false;
-    for (;;) {
-      const std::size_t n = conn->nvme_qp->reap(cqes);
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::uint16_t cid = cqes[i].cid;
-        if (cid < conn->nvme_pending.size() && conn->nvme_pending[cid]) {
-          auto promise = std::move(*conn->nvme_pending[cid]);
-          conn->nvme_pending[cid].reset();
-          promise.set(cqes[i]);
-        }
+    conn->nvme_qp->drain([&](const nvme::CompletionEntry& cqe) {
+      if (cqe.cid < conn->nvme_pending.size() && conn->nvme_pending[cqe.cid]) {
+        auto promise = std::move(*conn->nvme_pending[cqe.cid]);
+        conn->nvme_pending[cqe.cid].reset();
+        promise.set(cqe);
       }
-      if (n > 0) got = true;
-      if (n < cqes.size()) break;
-    }
-    if (got) (void)conn->nvme_qp->ring_cq_doorbell();
+    });
     co_await sim::poll_tick(engine, timer,
                             std::max<sim::Duration>(cfg_.costs.poll_interval_ns, 100));
   }

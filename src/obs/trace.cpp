@@ -86,6 +86,12 @@ void Tracer::end_trace(std::uint64_t trace, sim::Time now) {
   open_.erase(it);
 }
 
+void Tracer::record_recovery(Track track, sim::Time begin, sim::Time end, std::uint16_t qid) {
+  const std::uint64_t t = begin_trace(Kind::other, begin);
+  record(t, track, Phase::recovery, begin, end, qid);
+  end_trace(t, end);
+}
+
 void Tracer::record(std::uint64_t trace, Track track, Phase phase, sim::Time begin,
                     sim::Time end, std::uint16_t qid, std::uint16_t cid) {
   if (trace == 0 || !enabled_) return;

@@ -110,6 +110,8 @@ class Tracer {
   /// Append one span.
   void record(std::uint64_t trace, Track track, Phase phase, sim::Time begin, sim::Time end,
               std::uint16_t qid = 0, std::uint16_t cid = 0);
+  /// A recovery window on `track` as a trace of its own.
+  void record_recovery(Track track, sim::Time begin, sim::Time end, std::uint16_t qid = 0);
 
   /// (qid, cid) -> trace correlation, so the controller can attribute its
   /// spans to the request that queued the command.

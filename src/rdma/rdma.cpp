@@ -17,6 +17,8 @@ Network::Stats::Stats()
 
 // --- Context -------------------------------------------------------------------
 
+Context::~Context() { network_.close(*this); }
+
 Status Context::register_mr(std::uint64_t addr, std::uint64_t len) {
   if (len == 0) return Status(Errc::invalid_argument, "empty MR");
   const std::uint64_t dram = network_.fabric().host_dram(node_).size();
@@ -55,9 +57,11 @@ std::pair<QueuePair*, QueuePair*> Network::create_qp_pair(Context& a, Completion
                                                           Context& b, CompletionQueue& cq_b) {
   auto qa = std::make_unique<QueuePair>(engine());
   auto qb = std::make_unique<QueuePair>(engine());
+  qa->node_ = a.node();
   qa->ctx_ = &a;
   qa->cq_ = &cq_a;
   qa->network_ = this;
+  qb->node_ = b.node();
   qb->ctx_ = &b;
   qb->cq_ = &cq_b;
   qb->network_ = this;
@@ -68,6 +72,14 @@ std::pair<QueuePair*, QueuePair*> Network::create_qp_pair(Context& a, Completion
   qps_.push_back(std::move(qa));
   qps_.push_back(std::move(qb));
   return {pa, pb};
+}
+
+void Network::close(const Context& ctx) noexcept {
+  for (auto& qp : qps_) {
+    if (qp->ctx_ != &ctx) continue;
+    qp->ctx_ = nullptr;
+    qp->cq_ = nullptr;
+  }
 }
 
 // --- QueuePair -----------------------------------------------------------------
@@ -124,31 +136,31 @@ Status QueuePair::post_send(std::uint64_t wr_id, std::uint64_t addr, std::uint32
       // QP; we complete both sides with an error immediately.
       ++n.stats_.rnr_drops;
       n.fabric_.recycle_payload(std::move(payload));
-      cq_->push(WorkCompletion{WcOpcode::send, Status(Errc::unavailable, "RNR: no posted recv"),
-                               wr_id, len});
+      complete(WorkCompletion{WcOpcode::send, Status(Errc::unavailable, "RNR: no posted recv"),
+                              wr_id, len});
       return;
     }
     if (len > rb->len) {
       n.fabric_.recycle_payload(std::move(payload));
-      dst->cq_->push(WorkCompletion{
+      dst->complete(WorkCompletion{
           WcOpcode::recv, Status(Errc::out_of_range, "message exceeds recv buffer"), rb->wr_id,
           len});
-      cq_->push(WorkCompletion{WcOpcode::send, Status(Errc::out_of_range, "recv buffer too small"),
-                               wr_id, len});
+      complete(WorkCompletion{WcOpcode::send, Status(Errc::out_of_range, "recv buffer too small"),
+                              wr_id, len});
       return;
     }
     Status landed = n.fabric_.host_dram(dst->node()).write(rb->addr, payload);
     n.fabric_.recycle_payload(std::move(payload));
     if (!landed) {
-      dst->cq_->push(WorkCompletion{WcOpcode::recv, landed, rb->wr_id, len});
-      cq_->push(WorkCompletion{WcOpcode::send, landed, wr_id, len});
+      dst->complete(WorkCompletion{WcOpcode::recv, landed, rb->wr_id, len});
+      complete(WorkCompletion{WcOpcode::send, landed, wr_id, len});
       return;
     }
-    dst->cq_->push(WorkCompletion{WcOpcode::recv, Status::ok(), rb->wr_id, len});
+    dst->complete(WorkCompletion{WcOpcode::recv, Status::ok(), rb->wr_id, len});
     // Sender's completion: generated by the remote ACK, so it trails the
     // delivery by roughly one header traversal.
     n.engine().after(n.message_latency(0) / 2, [this, wr_id, len]() {
-      cq_->push(WorkCompletion{WcOpcode::send, Status::ok(), wr_id, len});
+      complete(WorkCompletion{WcOpcode::send, Status::ok(), wr_id, len});
     });
   });
   return Status::ok();
@@ -161,7 +173,7 @@ Status QueuePair::rdma_write(std::uint64_t wr_id, std::uint64_t addr, std::uint3
     return Status(Errc::permission_denied, "local buffer not in a registered MR");
   }
   Network& net = *network_;
-  if (!peer_->ctx_->covered(remote_addr, len)) {
+  if (peer_->closed() || !peer_->ctx_->covered(remote_addr, len)) {
     ++net.stats_.protection_errors;
     return Status(Errc::permission_denied, "remote address not in a registered MR");
   }
@@ -182,7 +194,7 @@ Status QueuePair::rdma_write(std::uint64_t wr_id, std::uint64_t addr, std::uint3
     const bool landed = n.fabric_.host_dram(dst->node()).write(remote_addr, payload).is_ok();
     n.fabric_.recycle_payload(std::move(payload));
     n.engine().after(n.message_latency(0) / 2, [this, wr_id, len, landed]() {
-      cq_->push(WorkCompletion{
+      complete(WorkCompletion{
           WcOpcode::rdma_write,
           landed ? Status::ok() : Status(Errc::out_of_range, "RDMA WRITE did not land"), wr_id,
           len});
@@ -198,7 +210,7 @@ Status QueuePair::rdma_read(std::uint64_t wr_id, std::uint64_t addr, std::uint32
     return Status(Errc::permission_denied, "local buffer not in a registered MR");
   }
   Network& net = *network_;
-  if (!peer_->ctx_->covered(remote_addr, len)) {
+  if (peer_->closed() || !peer_->ctx_->covered(remote_addr, len)) {
     ++net.stats_.protection_errors;
     return Status(Errc::permission_denied, "remote address not in a registered MR");
   }
@@ -221,7 +233,7 @@ Status QueuePair::rdma_read(std::uint64_t wr_id, std::uint64_t addr, std::uint32
       Network& nn = *network_;
       const bool landed = fetched && nn.fabric_.host_dram(node()).write(addr, payload).is_ok();
       nn.fabric_.recycle_payload(std::move(payload));
-      cq_->push(WorkCompletion{
+      complete(WorkCompletion{
           WcOpcode::rdma_read,
           landed ? Status::ok() : Status(Errc::out_of_range, "RDMA READ did not land"), wr_id,
           len});

@@ -76,6 +76,10 @@ class Network;
 class Context {
  public:
   Context(Network& network, NodeId node) : network_(network), node_(node) {}
+  /// Closes every queue pair created on this context (see QueuePair::closed).
+  ~Context();
+  Context(const Context&) = delete;
+  Context& operator=(const Context&) = delete;
 
   [[nodiscard]] NodeId node() const noexcept { return node_; }
 
@@ -113,8 +117,11 @@ class QueuePair {
   Status rdma_read(std::uint64_t wr_id, std::uint64_t addr, std::uint32_t len,
                    std::uint64_t remote_addr);
 
-  [[nodiscard]] NodeId node() const noexcept { return ctx_->node(); }
+  [[nodiscard]] NodeId node() const noexcept { return node_; }
   [[nodiscard]] QueuePair* peer() const noexcept { return peer_; }
+  /// The owner's context is gone: completions for this side are dropped,
+  /// and one-sided operations aimed at it fail.
+  [[nodiscard]] bool closed() const noexcept { return ctx_ == nullptr; }
   [[nodiscard]] std::size_t posted_recvs() const noexcept { return recvs_.size(); }
 
  private:
@@ -130,7 +137,12 @@ class QueuePair {
   /// RDMA WRITE issued before it. Messages pipeline: a successor lands one
   /// wire-serialization gap after its predecessor, not one full latency.
   [[nodiscard]] sim::Time schedule_delivery(sim::Duration latency, std::uint64_t bytes);
+  /// Push `wc` to this side's completion queue, unless it was closed.
+  void complete(WorkCompletion wc) {
+    if (cq_ != nullptr) cq_->push(std::move(wc));
+  }
 
+  NodeId node_ = 0;
   Context* ctx_ = nullptr;
   CompletionQueue* cq_ = nullptr;
   QueuePair* peer_ = nullptr;
@@ -156,6 +168,8 @@ class Network {
   /// share the fate of the returned objects (owned by the Network).
   std::pair<QueuePair*, QueuePair*> create_qp_pair(Context& a, CompletionQueue& cq_a,
                                                    Context& b, CompletionQueue& cq_b);
+  /// Close every queue pair on `ctx` (its owner is being destroyed).
+  void close(const Context& ctx) noexcept;
 
   /// Network-wide counters, also registered as `nvmeshare.rdma.*`.
   struct Stats {

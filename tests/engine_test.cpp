@@ -1,8 +1,9 @@
 // Unit and integration tests for the shared multi-queue I/O engine
 // (block::IoEngine): attach-time config validation, queue-pair scheduling
 // policies, drain-to-survivors during channel recovery, doorbell
-// coalescing, per-channel metrics, and multi-channel operation through the
-// full distributed-driver and NVMe-oF stacks.
+// coalescing, per-channel metrics, the request lifecycle's verify retry,
+// multi-channel operation through the full distributed-driver and NVMe-oF
+// stacks, and every backend destroyed in the middle of a request.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,8 +116,22 @@ class FakeTransport final : public IoTransport {
   void attach(IoEngine* eng) { engine_io_ = eng; }
   void set_auto_complete(bool on) { auto_complete_ = on; }
 
-  Result<std::uint16_t> issue(std::uint32_t chan, void* cookie) override {
-    (void)cookie;
+  /// The next `n` settles report a data mismatch (a failed read verify).
+  void fail_verifies(std::uint32_t n) { verify_failures_ = n; }
+
+  Step settle(const Command& cmd, const CmdOutcome& outcome) override {
+    (void)cmd;
+    (void)outcome;
+    if (verify_failures_ == 0) return {};
+    --verify_failures_;
+    Step step = Status(Errc::io_error, "verify failed");
+    step.mismatch = true;
+    return step;
+  }
+
+  Result<std::uint16_t> issue(std::uint32_t chan, const Command* cmd) override {
+    (void)cmd;
+    issue_times_.push_back(engine_.now());
     const auto token = static_cast<std::uint16_t>(issued_[chan].size());
     issued_[chan].push_back(token);
     staged_.push_back({chan, token});
@@ -145,11 +160,14 @@ class FakeTransport final : public IoTransport {
 
   std::uint64_t rings(std::uint32_t chan) const { return rings_[chan]; }
   const std::vector<std::uint32_t>& recoveries() const { return recoveries_; }
+  const std::vector<sim::Time>& issue_times() const { return issue_times_; }
 
  private:
   sim::Engine& engine_;
   IoEngine* engine_io_ = nullptr;
   bool auto_complete_ = false;
+  std::uint32_t verify_failures_ = 0;
+  std::vector<sim::Time> issue_times_;
   std::vector<std::vector<std::uint16_t>> issued_;
   std::vector<std::uint64_t> rings_;
   std::vector<std::pair<std::uint32_t, std::uint16_t>> staged_;
@@ -388,6 +406,78 @@ TEST(EngineBackoff, ClampsToMaxInsteadOfOverflowing) {
       << "default clamp must keep the result positive";
 }
 
+// --- the shared post-completion verify retry ---------------------------------
+
+/// A device for serve() to validate requests against.
+class FakeDevice final : public BlockDevice {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "fake"; }
+  [[nodiscard]] std::uint32_t block_size() const override { return 512; }
+  [[nodiscard]] std::uint64_t capacity_blocks() const override { return 1u << 20; }
+  [[nodiscard]] std::uint32_t max_queue_depth() const override { return 4; }
+  [[nodiscard]] std::uint64_t max_transfer_bytes() const override { return 128 * KiB; }
+  sim::Future<Completion> submit(const Request&) override { return {}; }
+};
+
+struct VerifyRun {
+  Completion completion;
+  std::uint64_t retries = 0;
+  std::vector<sim::Time> issue_times;
+};
+
+/// Serve one read whose verify fails `failures` times.
+VerifyRun serve_with_failing_verify(std::uint32_t failures, sim::Duration timeout) {
+  obs::Counter retries("test.engine.verify_retries");
+  IoEngine::Config cfg;
+  cfg.queue_entries = 8;
+  cfg.queue_depth = 4;
+  cfg.cmd_timeout_ns = timeout;
+  cfg.cmd_retry_limit = 3;
+  cfg.retry_backoff_ns = 1'000;
+  cfg.counters.retries = &retries;
+  EngineHarness h(cfg);
+  h.transport.set_auto_complete(true);
+  h.transport.fail_verifies(failures);
+  FakeDevice device;
+  auto done = h.io.serve(device, {Op::read, 0, 8, 0});
+  h.engine.run();
+  VerifyRun run;
+  auto completion = done.try_take();
+  EXPECT_TRUE(completion.has_value());
+  if (completion) run.completion = *completion;
+  run.retries = retries.value();
+  run.issue_times = h.transport.issue_times();
+  return run;
+}
+
+TEST(EngineVerify, MismatchRetriesWithDoublingBackoffUntilClean) {
+  const sim::Duration attempt_ns = IoEngine::Config{}.doorbell_ns + 100;  // ring + completion
+  for (std::uint32_t k = 1; k <= 3; ++k) {
+    const VerifyRun run = serve_with_failing_verify(k, 1'000'000);
+    EXPECT_TRUE(run.completion.status.is_ok()) << run.completion.status.to_string();
+    EXPECT_EQ(run.retries, k);
+    ASSERT_EQ(run.issue_times.size(), k + 1);
+    for (std::uint32_t i = 1; i <= k; ++i) {
+      EXPECT_EQ(run.issue_times[i] - run.issue_times[i - 1], attempt_ns + (1'000 << (i - 1)))
+          << "k=" << k << " retry " << i;
+    }
+  }
+}
+
+TEST(EngineVerify, MismatchBeyondTheLimitFailsWithIoError) {
+  const VerifyRun run = serve_with_failing_verify(4, 1'000'000);
+  EXPECT_EQ(run.completion.status.code(), Errc::io_error);
+  EXPECT_EQ(run.retries, 3u);
+  EXPECT_EQ(run.issue_times.size(), 4u);
+}
+
+TEST(EngineVerify, ZeroTimeoutFailsTheFirstMismatchWithoutRetry) {
+  const VerifyRun run = serve_with_failing_verify(1, 0);
+  EXPECT_EQ(run.completion.status.code(), Errc::io_error);
+  EXPECT_EQ(run.retries, 0u);
+  EXPECT_EQ(run.issue_times.size(), 1u);
+}
+
 // --- QoS token-bucket pacer -------------------------------------------------
 
 TEST(EngineQos, PacerDefersCommandsBeyondTheBurst) {
@@ -428,7 +518,7 @@ TEST(EngineQos, PacerAdmitsExactlyRateTimesHorizonPlusBurst) {
     CyclingTransport(sim::Engine& engine, std::uint16_t depth)
         : engine_(engine), depth_(depth) {}
     void attach(IoEngine* io) { io_ = io; }
-    Result<std::uint16_t> issue(std::uint32_t, void*) override {
+    Result<std::uint16_t> issue(std::uint32_t, const Command*) override {
       const auto token = next_;
       next_ = static_cast<std::uint16_t>((next_ + 1) % depth_);
       staged_.push_back(token);
@@ -492,7 +582,7 @@ TEST(EngineQos, PacerAdmitsExactlyRateTimesHorizonPlusBurst) {
 class RogueTokenTransport final : public IoTransport {
  public:
   explicit RogueTokenTransport(std::uint16_t token) : token_(token) {}
-  Result<std::uint16_t> issue(std::uint32_t, void*) override { return token_; }
+  Result<std::uint16_t> issue(std::uint32_t, const Command*) override { return token_; }
   Status ring(std::uint32_t) override { return Status::ok(); }
   [[nodiscard]] bool retryable(std::uint16_t) const override { return false; }
   void start_recovery(std::uint32_t) override {}
@@ -569,6 +659,105 @@ TEST(EngineQos, DisarmedPacerLeavesTheStreamUntouched) {
   EXPECT_EQ(h.io.qos_deferred_cmds(), 0u);
   EXPECT_EQ(h.io.qos_throttle_ns(), 0u);
 }
+
+
+// --- request lifetime: the backend destroyed mid-request -----------------------
+
+enum class Backend { client_bounce, client_iommu, local, initiator };
+
+struct LifetimeCase {
+  Backend backend;
+  Op op;
+};
+
+std::string lifetime_name(const testing::TestParamInfo<LifetimeCase>& info) {
+  static const char* const kBackends[] = {"ClientBounce", "ClientIommu", "LocalDriver",
+                                          "Initiator"};
+  return std::string(kBackends[static_cast<int>(info.param.backend)]) +
+         (info.param.op == Op::read ? "Read" : "Write");
+}
+
+class RequestLifetime : public testing::TestWithParam<LifetimeCase> {};
+
+// One 4 KiB request; the backend is destroyed k x 250 ns after submit, then
+// the simulation runs 1 ms more. Whatever the request was suspended in,
+// nothing may touch the destroyed backend: no crash, and a future that
+// resolves says ok or aborted. Stops at the first k where the request
+// finished before the destroy.
+TEST_P(RequestLifetime, DestroyedBackendAbortsOrLeavesRequestParked) {
+  const LifetimeCase c = GetParam();
+  bool finished_before_destroy = false;
+  int k = 0;
+  for (; !finished_before_destroy; ++k) {
+    ASSERT_LT(k, 1000) << "request never finished";
+    Testbed tb(small_testbed(2));
+    std::unique_ptr<driver::Manager> manager;
+    std::unique_ptr<nvmeof::Target> target;
+    std::unique_ptr<BlockDevice> dev;
+    sisci::NodeId node = 1;
+    switch (c.backend) {
+      case Backend::client_bounce:
+      case Backend::client_iommu: {
+        driver::Client::Config cc;
+        if (c.backend == Backend::client_iommu) cc.data_path = driver::Client::DataPath::iommu;
+        auto stack = bring_up(tb, 0, 1, cc);
+        ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+        manager = std::move(stack->manager);
+        dev = std::move(stack->client);
+        break;
+      }
+      case Backend::local: {
+        node = 0;
+        auto drv = tb.wait(
+            driver::LocalDriver::start(tb.cluster(), tb.nvme_endpoint(), &tb.irq(0), {}));
+        ASSERT_TRUE(drv.has_value()) << drv.status().to_string();
+        dev = std::move(*drv);
+        break;
+      }
+      case Backend::initiator: {
+        auto t = tb.wait(
+            nvmeof::Target::start(tb.cluster(), tb.nvme_endpoint(), tb.network(), {}));
+        ASSERT_TRUE(t.has_value()) << t.status().to_string();
+        target = std::move(*t);
+        auto in = tb.wait(nvmeof::Initiator::connect(tb.cluster(), tb.network(), *target, 1, {}));
+        ASSERT_TRUE(in.has_value()) << in.status().to_string();
+        dev = std::move(*in);
+        break;
+      }
+    }
+    auto buf = tb.cluster().alloc_dram(node, 4096, 4096);
+    ASSERT_TRUE(buf.has_value());
+    const auto nblocks = static_cast<std::uint32_t>(4096 / dev->block_size());
+    auto done = dev->submit({c.op, 64, nblocks, *buf});
+    tb.engine().run_until(tb.engine().now() + static_cast<sim::Duration>(k) * 250);
+    finished_before_destroy = done.ready();
+    dev.reset();
+    tb.engine().run_until(tb.engine().now() + 1_ms);
+    if (auto completion = done.try_take()) {
+      const Errc code = completion->status.code();
+      EXPECT_TRUE(code == Errc::ok || code == Errc::aborted)
+          << "k=" << k << ": " << completion->status.to_string();
+      if (finished_before_destroy) {
+        EXPECT_EQ(code, Errc::ok);
+      }
+    }
+  }
+  // Every backend spends microseconds on a 4 KiB request, so the sweep
+  // destroyed it at many points of its life.
+  EXPECT_GT(k, 8);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RequestLifetime,
+    testing::Values(LifetimeCase{Backend::client_bounce, Op::read},
+                    LifetimeCase{Backend::client_bounce, Op::write},
+                    LifetimeCase{Backend::client_iommu, Op::read},
+                    LifetimeCase{Backend::client_iommu, Op::write},
+                    LifetimeCase{Backend::local, Op::read},
+                    LifetimeCase{Backend::local, Op::write},
+                    LifetimeCase{Backend::initiator, Op::read},
+                    LifetimeCase{Backend::initiator, Op::write}),
+    lifetime_name);
 
 }  // namespace
 }  // namespace nvmeshare::block

@@ -160,6 +160,30 @@ cmp "$FATAL_A" "$FATAL_B"
 grep -q '"nvmeshare.manager.ctrl_resets":[1-9]' "$FATAL_A"
 echo "fatal reset ok: watchdog reset and queue-pair re-create, byte-identical reruns"
 
+# --- request lifecycle --------------------------------------------------------
+# The three data paths around the one serve() lifecycle in block::IoEngine:
+# the IOMMU data path with PI verify under the chaos plan, the NVMe-oF
+# initiator with data digests and dropped capsules, and the local driver
+# with read verification. Each must exit 0, twice, byte-identical, and the
+# fault recovery it is there for must have run.
+lifecycle_smoke() {
+  local name="$1"
+  shift
+  for run in a b; do
+    "$BUILD_DIR/tools/nvsh_fio" "$@" --rw randrw --qd 4 --ops 2000 --seed 7 \
+      --json "$BUILD_DIR/${name}_$run.json" > /dev/null
+  done
+  cmp "$BUILD_DIR/${name}_a.json" "$BUILD_DIR/${name}_b.json"
+}
+lifecycle_smoke iommu --scenario ours-remote --data-path iommu --integrity --faults "$CHAOS_PLAN"
+grep -q '"nvmeshare.client.iommu_maps":2000' "$BUILD_DIR/iommu_a.json"
+grep -q '"nvmeshare.client.cmd_retries":[1-9]' "$BUILD_DIR/iommu_a.json"
+lifecycle_smoke nvmeof --scenario nvmeof-remote --integrity \
+  --faults "seed=5;drop_capsule:nth=50,count=3"
+grep -q '"nvmeshare.nvmeof_initiator.capsule_retries":[1-9]' "$BUILD_DIR/nvmeof_a.json"
+lifecycle_smoke local --scenario linux-local --verify
+echo "request lifecycle ok: iommu, nvmeof and local cells recovered, byte-identical reruns"
+
 # --- corruption + integrity pipeline ------------------------------------------
 # End-to-end data-integrity check: a PI-formatted namespace with client-side
 # verify, the background scrubber running, and seeded bit flips on the DMA
