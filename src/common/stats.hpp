@@ -17,7 +17,10 @@ class LatencyRecorder {
  public:
   void add(sim::Duration ns) { samples_.push_back(ns); }
   void reserve(std::size_t n) { samples_.reserve(n); }
-  void clear() { samples_.clear(); }
+  void clear() {
+    samples_.clear();
+    sorted_.clear();
+  }
 
   /// Append every sample of `other`; used by the multi-host benches to fold
   /// per-host recorders into one cluster-wide distribution.

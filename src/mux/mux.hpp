@@ -1,4 +1,4 @@
-// Tenant multiplexing over one physical NVMe queue pair (ROADMAP item 2).
+// Tenant multiplexing over one physical NVMe queue pair.
 //
 // The paper's sharing model is one queue pair per borrowing host, which caps
 // the cluster at 31 hosts (the controller exposes 32 pairs). Following the

@@ -222,6 +222,7 @@ std::uint64_t Engine::dispatch(Time limit, bool until_idle) {
     node->run(node);
     recycle(node);
   }
+  report_all();
   return n;
 }
 
@@ -299,6 +300,9 @@ void Engine::fire_tick(PollTimer& timer) {
   timer.waiting_ = false;
   now_ = timer.due_;
   ++processed_;
+  // Only a notified tick fires, and notify() of a waiting timer already
+  // handed its skipped rounds over: the round starts with the count exact.
+  assert(timer.skipped_ == 0);
   timer.waiter_.resume();
 }
 
@@ -322,48 +326,64 @@ std::uint64_t more_rounds(Time from, Time bound, Time limit, Duration period) {
 void Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
   Lane& lane = lanes_[timer.lane_];
   const Duration period = lane.period;
-  // The earliest key outside this lane: the next event or another lane head.
-  Time others = head != nullptr ? head->t : kNever;
+  // The earliest key outside this lane: the next event or another lane
+  // head. Eliding moves neither.
+  Time bound_t = head != nullptr ? head->t : kNever;
+  std::uint64_t bound_seq = head != nullptr ? head->seq : UINT64_MAX;
   for (const Lane& other : lanes_) {
-    if (&other != &lane && other.head != nullptr) others = std::min(others, other.head->due_);
+    const PollTimer* h = other.head;
+    if (&other != &lane && h != nullptr &&
+        (h->due_ < bound_t || (h->due_ == bound_t && h->seq_ < bound_seq))) {
+      bound_t = h->due_;
+      bound_seq = h->seq_;
+    }
   }
-  // Every later tick carries a seq newer than every key already waiting, so
-  // it precedes a key outside the lane only if it is strictly earlier. The
-  // follow-up delay of every elided round consumes one seq.
-  const Time last = lane.tail->due_;
-  if (lane.notified == 0 && last < others && last <= limit) {
+  // A tick of this lane comes next if it precedes that key and is due in the run.
+  const auto next = [=](const PollTimer& t) {
+    return t.due_ <= limit && (t.due_ < bound_t || (t.due_ == bound_t && t.seq_ < bound_seq));
+  };
+  if (lane.notified == 0 && next(*lane.tail)) {
     // Whole-lane rotation. Every tick in the lane is due within one period
     // of the first, so single elisions would take the lane's timers in turn,
-    // one round each, until the last tick of a rotation reaches `others` or
-    // passes `limit`: k rotations are k * size single elisions, and timer i
-    // ends with the seq its last one would have taken.
-    const std::uint64_t more = more_rounds(last, others, limit, period);
-    const std::uint64_t rounds = more + 1;
-    std::uint64_t seq = seq_ + more * lane.size;
+    // one round each, until the last tick of a rotation reaches the next
+    // key or passes `limit`: k rotations are k * size single elisions, and
+    // timer i ends with the seq its last one would have taken. Every later
+    // tick carries a seq newer than every key already waiting, so it
+    // precedes a key outside the lane only if it is strictly earlier. A
+    // lone timer is a lane of one, whose tick is known to come first.
+    const std::uint64_t rounds = more_rounds(lane.tail->due_, bound_t, limit, period) + 1;
+    std::uint64_t seq = seq_ + (rounds - 1) * lane.size;
     for (PollTimer* t = lane.head; t != nullptr; t = t->next_) {
       t->due_ += static_cast<Time>(rounds) * period;
       t->seq_ = seq++;
-      if (t->on_elided_ != nullptr) t->on_elided_(t->ctx_, rounds);
+      t->skipped_ += rounds;
     }
     seq_ += rounds * lane.size;
     ticks_elided_ += rounds * lane.size;
-    find_first();
-    return;
+  } else {
+    // Single elisions. A lane holding a notified tick, or whose last tick
+    // does not come first, has two or more timers, so each elision is one
+    // round: the head's next tick is due no earlier than every other tick
+    // in the lane and moves to the tail with the newest seq, as the
+    // follow-up delay of its round would have.
+    PollTimer* t = &timer;
+    do {
+      pop(lane);
+      t->due_ += period;
+      t->seq_ = seq_++;
+      ++t->skipped_;
+      ++ticks_elided_;
+      push(lane, *t);
+      t = lane.head;
+    } while (!t->notified_ && next(*t));
   }
-  // A single elision: the first tick is known to come first; later ones
-  // stop short of the next timer in the lane too.
-  const Time due = timer.due_;
-  const Time bound = timer.next_ != nullptr ? std::min(others, timer.next_->due_) : others;
-  const std::uint64_t more = more_rounds(due, bound, limit, period);
-  const std::uint64_t rounds = more + 1;
-  pop(lane);
-  timer.due_ = due + static_cast<Time>(rounds) * period;
-  timer.seq_ = seq_ + more;
-  seq_ += rounds;
-  ticks_elided_ += rounds;
-  push(lane, timer);
-  if (timer.on_elided_ != nullptr) timer.on_elided_(timer.ctx_, rounds);
   find_first();
+}
+
+void Engine::report_all() noexcept {
+  for (const Lane& lane : lanes_) {
+    for (PollTimer* t = lane.head; t != nullptr; t = t->next_) t->report();
+  }
 }
 
 void Engine::drop_all() noexcept {
@@ -381,6 +401,7 @@ void Engine::drop_all() noexcept {
   // Pollers parked on a tick stay parked, like coroutines behind a node.
   for (Lane& lane : lanes_) {
     for (PollTimer* timer = lane.head; timer != nullptr; timer = timer->next_) {
+      assert(timer->skipped_ == 0 && "dispatch() returned with rounds unreported");
       timer->waiting_ = false;
     }
   }

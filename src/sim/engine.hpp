@@ -29,11 +29,19 @@
 //    in the lane was pushed at an earlier round, so it is due no later. A
 //    tick nobody notified is an empty poll round: it runs no callable and
 //    is not counted as an event, but it still consumes the seq the round's
-//    follow-up delay would have taken and reports the round to the
-//    poller's counter, so every other event keeps its (t, seq). When a
+//    follow-up delay would have taken and counts as a round for the
+//    poller, so every other event keeps its (t, seq). When a
 //    whole lane is unnotified and its last tick precedes everything else,
 //    the engine rotates the lane k periods in one pass, which is exactly
-//    k rounds of single elisions.
+//    k rounds of single elisions. Otherwise it elides the successive lane
+//    heads in one loop, one round each, until a head is notified or stops
+//    preceding the next event, the other lanes and the run limit.
+//    Skipped rounds reach the poller's counter lazily: a timer counts them
+//    and hands the count over inside notify(), which every tick that fires
+//    went through, and when run()/run_until() returns. So the counter is
+//    exact during the poller's own round, after notify() returns and
+//    whenever the engine is not running; inside another component's event
+//    it may lag.
 //
 // Determinism invariants, identical to the original heap-based core:
 // events fire in ascending (timestamp, insertion-seq) order; per-bucket
@@ -71,7 +79,14 @@ class Engine;
 class PollTimer {
  public:
   /// Receives the number of rounds the engine elided, so the poller's own
-  /// round counter stays exact.
+  /// round counter stays exact. The engine holds the count back and calls
+  /// the hook inside notify() of a waiting timer, so before the tick that
+  /// notify() makes real fires (an owner that notifies on its way out is
+  /// called while still alive, and never again), and for every waiting
+  /// timer when run() or run_until() returns. The count is therefore exact
+  /// during the poller's own round, after notify() returns and whenever the
+  /// engine is not running; read from another component's event it may lag.
+  /// The hook must not touch the engine.
   using RoundHook = void (*)(void* ctx, std::uint64_t rounds);
 
   explicit PollTimer(Engine& engine, RoundHook on_elided = nullptr,
@@ -97,12 +112,21 @@ class PollTimer {
   friend class Engine;
   friend struct PollTickAwaiter;
 
+  /// Hand the skipped rounds over to the hook.
+  void report() noexcept {
+    if (skipped_ == 0) return;
+    const std::uint64_t rounds = skipped_;
+    skipped_ = 0;
+    if (on_elided_ != nullptr) on_elided_(ctx_, rounds);
+  }
+
   Engine* engine_;
   RoundHook on_elided_;
   void* ctx_;
   std::coroutine_handle<> waiter_;
   Time due_ = 0;
   std::uint64_t seq_ = 0;
+  std::uint64_t skipped_ = 0;  ///< elided rounds not yet reported
   PollTimer* next_ = nullptr;  ///< next tick in the lane
   std::uint32_t lane_ = UINT32_MAX;  ///< lane of the last arm(), kept for re-arms
   bool notified_ = false;
@@ -255,9 +279,12 @@ class Engine {
   void arm(PollTimer& timer, Duration period, std::coroutine_handle<> h);
   /// Resume the poller of the notified timer `first_`.
   void fire_tick(PollTimer& timer);
-  /// Elide the ticks of `first_` up to the next real event, the next other
-  /// timer and `limit`; or, when its whole lane comes first, rotate it.
+  /// Elide unnotified ticks of the lane of `first_` that precede the next
+  /// real event `head`, every other lane and `limit`: rotate the whole lane
+  /// when its last tick comes first, else take its heads one round each.
   void elide_ticks(PollTimer& timer, const EvNode* head, Time limit);
+  /// Hand every waiting timer's skipped rounds over to its hook.
+  void report_all() noexcept;
   /// The lane of `period`: the timer's last one (`hint`), another existing
   /// one, or a new one. Lanes live as long as the engine.
   [[nodiscard]] std::uint32_t lane_for(std::uint32_t hint, Duration period);
@@ -300,7 +327,10 @@ class Engine {
 inline void PollTimer::notify() noexcept {
   if (notified_) return;
   notified_ = true;
-  if (waiting_) ++engine_->lanes_[lane_].notified;
+  if (waiting_) {
+    ++engine_->lanes_[lane_].notified;
+    report();
+  }
 }
 
 // A pending tick holds the timer's address, and only the tick resumes the

@@ -138,6 +138,17 @@ TEST(LatencyRecorder, PercentileIsMonotonic) {
   }
 }
 
+TEST(LatencyRecorder, ClearDropsSortedCache) {
+  LatencyRecorder rec;
+  for (const sim::Duration ns : {1, 2, 3}) rec.add(ns);
+  EXPECT_DOUBLE_EQ(rec.percentile(50), 2.0);
+  rec.clear();
+  for (const sim::Duration ns : {7, 8, 9}) rec.add(ns);  // same size as before
+  EXPECT_DOUBLE_EQ(rec.percentile(50), 8.0);
+  EXPECT_EQ(rec.min(), 7);
+  EXPECT_EQ(rec.max(), 9);
+}
+
 TEST(BoxSummary, FromRecorder) {
   LatencyRecorder rec;
   for (int i = 1; i <= 1000; ++i) rec.add(i * 10);

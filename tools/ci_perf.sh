@@ -13,12 +13,16 @@
 #     hook in nvsh_perf) must match the baseline exactly, for the same
 #     reason: the steady-state I/O path is allocation-free, and a change
 #     that adds a heap allocation per I/O shows up here.
+#   - ticks_elided / items (poll rounds the engine skipped per work item)
+#     must match the baseline exactly: the skipped rounds are fixed by the
+#     simulated schedule, so a change here means a poller now runs rounds
+#     it used to skip, or skips rounds it used to run.
 #   - wall_iops (work items per wall-clock second) must not fall more than
 #     the tolerance (15%) below the baseline. It is machine-dependent,
 #     hence the generous tolerance.
 #
-# Exit status: 0 all gates pass; 1 an exact count (events/item or
-# allocs/item) differs or the run failed; 3 only wall IOPS fell below the
+# Exit status: 0 all gates pass; 1 an exact count (events/item,
+# allocs/item or ticks_elided/item) differs or the run failed; 3 only wall IOPS fell below the
 # tolerance. CI blocks on everything but 3, which it reports as a warning:
 # shared runners are too noisy to gate wall-clock speed.
 #
@@ -26,8 +30,8 @@
 # (a change that saves events per I/O looks like a slowdown).
 #
 # Refresh the baseline, by copying the build-dir document over the repo-root
-# one, whenever the harness, the events or allocations per item, or the
-# hardware class changes, not on every run. The modeled metrics (sim IOPS, latencies) are
+# one, whenever the harness, the events, allocations or elided ticks per
+# item, or the hardware class changes, not on every run. The modeled metrics (sim IOPS, latencies) are
 # covered by the determinism checks in ci_asan.sh instead.
 #
 # Usage: tools/ci_perf.sh [build-dir]   (default: build-perf)
@@ -68,21 +72,28 @@ for mode in ("engine", "io", "stack"):
     b = base["results"][mode]
     f = fresh["results"][mode]
     # Exact: compare the integer ratios by cross-multiplying. A baseline
-    # without allocation counts predates the gate and must be refreshed.
-    same_events = f["sim_events"] * b["items"] == b["sim_events"] * f["items"]
-    same_allocs = "allocs" in b and f["allocs"] * b["items"] == b["allocs"] * f["items"]
+    # without allocation or elided-tick counts predates those gates and must
+    # be refreshed.
+    same = lambda key: key in b and f[key] * b["items"] == b[key] * f["items"]
+    same_events = same("sim_events")
+    same_allocs = same("allocs")
+    same_elided = same("ticks_elided")
     ratio = f["wall_iops"] / b["wall_iops"] if b["wall_iops"] else float("inf")
     verdict = "ok"
     if not same_events:
         verdict = "EVENTS/ITEM CHANGED"
     elif not same_allocs:
         verdict = "ALLOCS/ITEM CHANGED"
+    elif not same_elided:
+        verdict = "ELIDED/ITEM CHANGED"
     elif ratio < 1.0 - tolerance:
         verdict = "REGRESSION"
-    base_allocs = f"{b['allocs'] / b['items']:.4f}" if "allocs" in b else "none"
-    print(f"{mode:>6}: events/item baseline {b['sim_events'] / b['items']:.4f} "
-          f"fresh {f['sim_events'] / f['items']:.4f}  "
-          f"allocs/item baseline {base_allocs} fresh {f['allocs'] / f['items']:.4f}  "
+    per_item = lambda doc, key: f"{doc[key] / doc['items']:.4f}" if key in doc else "none"
+    print(f"{mode:>6}: events/item baseline {per_item(b, 'sim_events')} "
+          f"fresh {per_item(f, 'sim_events')}  "
+          f"allocs/item baseline {per_item(b, 'allocs')} fresh {per_item(f, 'allocs')}  "
+          f"elided/item baseline {per_item(b, 'ticks_elided')} "
+          f"fresh {per_item(f, 'ticks_elided')}  "
           f"wall IOPS baseline {b['wall_iops'] / 1e6:8.3f}M fresh {f['wall_iops'] / 1e6:8.3f}M "
           f"({ratio:.0%} of baseline)  [{f['events_per_sec'] / 1e6:.2f}M ev/s] {verdict}")
     if verdict == "REGRESSION":
@@ -91,7 +102,8 @@ for mode in ("engine", "io", "stack"):
         count_changed = True
 
 if count_changed:
-    print("ci_perf: events/item or allocs/item differ from the baseline", file=sys.stderr)
+    print("ci_perf: events/item, allocs/item or ticks_elided/item differ from the baseline",
+          file=sys.stderr)
     sys.exit(1)
 if slower:
     print(f"ci_perf: wall IOPS fell more than {tolerance:.0%} below the baseline",
