@@ -104,7 +104,7 @@ IoEngine::IoEngine(sim::Engine& engine, IoTransport& transport, std::shared_ptr<
   // Buckets start full: a client gets its burst allowance up front, then
   // settles to the steady-state rate.
   qos_cmds_.arm(cfg_.qos_iops_limit, cfg_.qos_burst_cmds, engine_.now());
-  qos_bytes_.arm(cfg_.qos_bytes_per_s, cfg_.qos_burst_bytes, engine_.now());
+  qos_bytes_.arm(cfg_.qos_bytes_per_s, kQosBurstBytes, engine_.now());
   slots_ = std::make_unique<sim::Semaphore>(engine_, total_depth());
   channels_.reserve(cfg_.channels);
   for (std::uint32_t c = 0; c < cfg_.channels; ++c) {

@@ -234,7 +234,6 @@ class IoEngine {
     std::uint64_t qos_iops_limit = 0;   ///< commands per second; 0 = off
     std::uint64_t qos_bytes_per_s = 0;  ///< payload bytes per second; 0 = off
     std::uint32_t qos_burst_cmds = 32;  ///< command-bucket capacity
-    std::uint64_t qos_burst_bytes = 1u << 20;  ///< byte-bucket capacity
     TraceStyle trace_style = TraceStyle::none;
     EngineCounters counters;
   };
@@ -243,6 +242,8 @@ class IoEngine {
   /// queue_depth < queue_entries — a depth equal to entries makes SQ-full
   /// indistinguishable from SQ-empty on wrap, wedging the ring.
   [[nodiscard]] static Status validate(const Config& cfg);
+
+  static constexpr std::uint64_t kQosBurstBytes = 1u << 20;  ///< QoS byte-bucket capacity
 
   /// Ceiling on a single backoff delay. A plain `base << attempts` wraps
   /// the 64-bit Duration for large bases; every backoff clamps here.

@@ -22,6 +22,9 @@
 
 namespace nvmeshare::driver {
 
+/// Admin SQ and CQ depth of both controller owners (Manager, BareController).
+inline constexpr std::uint16_t kAdminEntries = 32;
+
 /// One admin ring: the CPU's view of it (SQE stores, CQ polling), the
 /// address ASQ/ACQ latch, and the backing memory zeroed before an enable.
 struct AdminRing {

@@ -39,9 +39,8 @@ sim::Task BareController::init_task(std::unique_ptr<BareController> self,
 
   // Admin queues + a page for identify payloads, all in local DRAM: the CPU,
   // the controller and the backing memory see the same addresses.
-  const std::uint16_t entries = m.cfg_.admin_entries;
-  auto asq = m.cluster_.alloc_dram(m.host_, entries * 64ull, 4096);
-  auto acq = m.cluster_.alloc_dram(m.host_, entries * 16ull, 4096);
+  auto asq = m.cluster_.alloc_dram(m.host_, kAdminEntries * 64ull, 4096);
+  auto acq = m.cluster_.alloc_dram(m.host_, kAdminEntries * 16ull, 4096);
   auto buf = m.cluster_.alloc_dram(m.host_, 4096, 4096);
   if (!asq || !acq || !buf) {
     promise.set(Status(Errc::resource_exhausted, "no DRAM for admin queues"));
@@ -53,8 +52,8 @@ sim::Task BareController::init_task(std::unique_ptr<BareController> self,
   auto local = [&](std::uint64_t addr, std::uint64_t bytes) {
     return AdminRing{addr, addr, m.host_, addr, bytes};
   };
-  m.admin_.place({fabric.cpu(m.host_), m.bar_base_, entries, local(*asq, entries * 64ull),
-                  local(*acq, entries * 16ull)});
+  m.admin_.place({fabric.cpu(m.host_), m.bar_base_, kAdminEntries,
+                  local(*asq, kAdminEntries * 64ull), local(*acq, kAdminEntries * 16ull)});
 
   const EnableResult up = co_await m.admin_.enable(0, /*strict=*/true);
   if (!up.status) {

@@ -19,7 +19,6 @@ namespace nvmeshare::driver {
 class BareController {
  public:
   struct Config {
-    std::uint16_t admin_entries = 32;
     std::uint16_t requested_io_queues = 31;
     CostModel costs = CostModel::stock_linux();
   };

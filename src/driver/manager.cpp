@@ -235,12 +235,11 @@ Status Manager::make_admin_rings() {
   // Placed by access-pattern hint (Figure 8): the SQ goes device-side so
   // command fetches never cross the NTB; the CQ stays local so polling never
   // stalls.
-  const std::uint64_t entries = cfg_.admin_entries;
   auto asq_seg = service_.create_segment_hinted(node_, cfg_.private_segment_base + 0,
-                                                entries * 64, device_id_,
+                                                kAdminEntries * 64ull, device_id_,
                                                 smartio::AccessHint::sq());
   auto acq_seg = service_.create_segment_hinted(node_, cfg_.private_segment_base + 1,
-                                                entries * 16, device_id_,
+                                                kAdminEntries * 16ull, device_id_,
                                                 smartio::AccessHint::cq());
   if (!asq_seg || !acq_seg) return Status(Errc::resource_exhausted, "no memory for admin rings");
   // Device-visible addresses, and CPU views: the SQ may live device-side;
@@ -262,13 +261,13 @@ Status Manager::make_admin_rings() {
   journal_.asq_segment = asq_seg_.id();
   journal_.acq_node = acq_seg_.node();
   journal_.acq_segment = acq_seg_.id();
-  journal_.entries = cfg_.admin_entries;
+  journal_.entries = kAdminEntries;
   auto ring = [](const sisci::Segment& seg, const smartio::DmaWindow& win,
                  const sisci::Map& cpu_view) {
     return AdminRing{cpu_view.addr(), win.device_addr(), seg.node(), seg.phys_addr(),
                      seg.size()};
   };
-  admin_.place({fabric().cpu(node_), bar_.addr(), cfg_.admin_entries,
+  admin_.place({fabric().cpu(node_), bar_.addr(), kAdminEntries,
                 ring(asq_seg_, asq_win_, asq_cpu_map_), ring(acq_seg_, acq_win_, acq_cpu_map_)});
   return Status::ok();
 }
@@ -304,7 +303,7 @@ sim::Future<Result<CompletionEntry>> Manager::submit_admin(SubmissionEntry entry
 }
 
 sim::Future<Result<CompletionEntry>> Manager::set_arbitration() {
-  return admin_.submit(nvme::make_set_arbitration(0, cfg_.arb_burst_log2, cfg_.wrr_low_weight,
+  return admin_.submit(nvme::make_set_arbitration(0, kArbBurstLog2, cfg_.wrr_low_weight,
                                                   cfg_.wrr_medium_weight,
                                                   cfg_.wrr_high_weight));
 }
@@ -349,7 +348,7 @@ sim::Task Manager::mailbox_server(std::shared_ptr<bool> stop) {
     // Cheap insurance: the next scan after a handled request is real even
     // if the handler left its slot unchanged.
     if (worked) timer.notify();
-    co_await sim::poll_tick(eng, timer, cfg_.mailbox_poll_ns);
+    co_await sim::poll_tick(eng, timer, kMailboxPollNs);
     if (*stop) co_return;
   }
 }
@@ -366,7 +365,7 @@ sim::Future<bool> Manager::handle_slot_await(std::uint32_t slot_index, MboxSlot 
 sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
                                     std::shared_ptr<bool> stop, sim::Promise<bool> done) {
   ++stats_.mailbox_requests;
-  co_await sim::delay(engine(), cfg_.mailbox_service_ns);
+  co_await sim::delay(engine(), kMailboxServiceNs);
   if (*stop) {
     done.set(false);
     co_return;
@@ -654,7 +653,7 @@ sim::Task Manager::reaper_task(std::shared_ptr<bool> stop) {
     if (*stop) co_return;
     // Post-takeover grace: survivors are still re-resolving the new mailbox
     // location; judging their silence now would mis-reap live clients.
-    if (takeover_time_ != 0 && eng.now() < takeover_time_ + cfg_.takeover_grace_ns) continue;
+    if (takeover_time_ != 0 && eng.now() < takeover_time_ + kTakeoverGraceNs) continue;
     for (std::uint16_t qid = 1; qid < grants_.size(); ++qid) {
       if (!grants_[qid].active()) continue;
       const std::uint32_t owner = grants_[qid].entry.owner_node;
@@ -761,10 +760,10 @@ sim::Task Manager::scrub_task(std::shared_ptr<bool> stop) {
     co_await sim::delay(eng, cfg_.scrub_interval_ns);
     if (*stop) co_return;
     const std::uint64_t capacity = header_.capacity_blocks;
-    if (capacity == 0 || cfg_.scrub_blocks_per_cmd == 0) continue;
+    if (capacity == 0) continue;
     if (cursor >= capacity) cursor = 0;
     const auto span = static_cast<std::uint16_t>(
-        std::min<std::uint64_t>(cfg_.scrub_blocks_per_cmd, capacity - cursor));
+        std::min<std::uint64_t>(kScrubBlocksPerCmd, capacity - cursor));
     const sim::Time begin = eng.now();
     auto cqe = co_await submit_admin(nvme::make_vendor_scrub(0, 1, cursor, span));
     if (*stop) co_return;
@@ -961,7 +960,7 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
   const pcie::Initiator cpu = fab.cpu(node_);
 
   for (;;) {
-    co_await sim::delay(eng, cfg_.standby_poll_ns);
+    co_await sim::delay(eng, kStandbyPollNs);
     if (*stop) co_return;
 
     // Follow the registration: a completed takeover (possibly by a peer
@@ -982,7 +981,7 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
 
     // Expired. Competing standbys resolve deterministically: wait our
     // stagger slot, re-read, and only claim if nobody else did.
-    co_await sim::delay(eng, static_cast<sim::Duration>(node_) * cfg_.claim_stagger_ns);
+    co_await sim::delay(eng, static_cast<sim::Duration>(node_) * kClaimStaggerNs);
     if (*stop) co_return;
     raw =
         co_await fab.read(cpu, watched_meta_map_.addr() + kLeaseOffset, sizeof(ManagerLease));
@@ -1005,7 +1004,7 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
       continue;
     }
     // Let the posted write land, then confirm the claim stuck.
-    co_await sim::delay(eng, cfg_.claim_stagger_ns);
+    co_await sim::delay(eng, kClaimStaggerNs);
     if (*stop) co_return;
     raw =
         co_await fab.read(cpu, watched_meta_map_.addr() + kLeaseOffset, sizeof(ManagerLease));

@@ -25,17 +25,28 @@ namespace nvmeshare::driver {
 
 class Manager {
  public:
+  static constexpr sim::Duration kMailboxPollNs = 2000;     ///< mailbox server poll period
+  static constexpr sim::Duration kMailboxServiceNs = 1500;  ///< per-request decode + validation
+  static constexpr sim::Duration kStandbyPollNs = 100'000;  ///< standby's lease-read cadence
+  /// Competing standbys resolve deterministically by staggering: the
+  /// standby on node n waits n * kClaimStaggerNs after seeing an expired
+  /// lease before claiming, and another kClaimStaggerNs after writing the
+  /// claim (posted) before concluding it won.
+  static constexpr sim::Duration kClaimStaggerNs = 50'000;
+  /// Post-takeover reaper grace: no queue pair is reaped until this long
+  /// after a takeover, giving surviving clients time to re-resolve the new
+  /// mailbox location and heartbeat into it.
+  static constexpr sim::Duration kTakeoverGraceNs = 2'000'000;
+  static constexpr std::uint16_t kScrubBlocksPerCmd = 256;  ///< blocks per scrub command
+  static constexpr std::uint8_t kArbBurstLog2 = 3;  ///< WRR Arbitration Burst (2^AB per turn)
+
   struct Config {
-    std::uint16_t admin_entries = 32;
     std::uint16_t requested_io_queues = 31;
     sisci::SegmentId metadata_segment_id = 0x4d455441;  // "META"
     /// Base id for the manager's private segments (admin queues, identify
     /// buffer); ids base..base+3 are used.
     sisci::SegmentId private_segment_base = 0x4d000000;
     CostModel costs = CostModel::distributed_driver();
-    sim::Duration mailbox_poll_ns = 2000;
-    /// Per-request manager-side processing cost (decode + validation).
-    sim::Duration mailbox_service_ns = 1500;
     // --- fault recovery (docs/faults.md); both watchdogs off by default ---
     /// Reap a client's queue pair when its mailbox heartbeat (or the pair's
     /// creation) is older than this. 0 disables the reaper. Only meaningful
@@ -53,32 +64,18 @@ class Manager {
     /// lease_duration_ns / 4 — a handful of local-memory writes per
     /// millisecond, nothing on the I/O hot path.
     sim::Duration lease_duration_ns = 0;
-    /// Standby: cadence of the remote lease reads while watching.
-    sim::Duration standby_poll_ns = 100'000;
-    /// Competing standbys resolve deterministically by staggering: the
-    /// standby on node n waits n * claim_stagger_ns after seeing an expired
-    /// lease before claiming, and another claim_stagger_ns after writing the
-    /// claim (posted) before concluding it won.
-    sim::Duration claim_stagger_ns = 50'000;
-    /// Post-takeover reaper grace: no queue pair is reaped until this long
-    /// after a takeover, giving surviving clients time to re-resolve the new
-    /// mailbox location and heartbeat into it.
-    sim::Duration takeover_grace_ns = 2'000'000;
     /// Cadence of the background scrubber (docs/MODEL.md §7): every tick it
     /// issues one vendor scrub command verifying the stored protection
-    /// tuples of the next `scrub_blocks_per_cmd` blocks, wrapping at the
+    /// tuples of the next kScrubBlocksPerCmd blocks, wrapping at the
     /// namespace end. 0 disables scrubbing. Only useful when the namespace
     /// is PI-formatted (the command is a cheap no-op otherwise).
     sim::Duration scrub_interval_ns = 0;
-    /// Blocks covered by one scrub command.
-    std::uint16_t scrub_blocks_per_cmd = 256;
     // --- QoS / noisy-neighbor protection (docs/MODEL.md §9) ----------------
     /// Enable the controller with CC.AMS = weighted round robin and program
     /// the arbitration weights below; each client's granted priority class
     /// then rides in its Create I/O SQ commands. Off by default — the seed
     /// enables plain round robin and stays byte-identical.
     bool enable_wrr = false;
-    std::uint8_t arb_burst_log2 = 3;     ///< Arbitration AB (2^AB per turn)
     std::uint8_t wrr_low_weight = 0;     ///< LPW, 0-based (weight = LPW + 1)
     std::uint8_t wrr_medium_weight = 1;  ///< MPW
     std::uint8_t wrr_high_weight = 3;    ///< HPW

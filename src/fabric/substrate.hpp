@@ -2,11 +2,11 @@
 // engine.
 //
 // Everything the stack above (sisci segments, smartio windows, the NVMe
-// driver, NVMe-oF, the filesystem) needs from an interconnect is captured
-// here: a host/DRAM registry, endpoint attachment with BAR addressing,
-// timed posted writes and non-posted reads (scalar and scatter-gather),
-// address-window mapping for CPU access and device DMA, a segment-placement
-// policy, and setup-only peek/poke backdoors.
+// driver, NVMe-oF) needs from an interconnect is captured here: a
+// host/DRAM registry, endpoint attachment with BAR addressing, timed posted
+// writes and non-posted reads (scalar and scatter-gather), address-window
+// mapping for CPU access and device DMA, a segment-placement policy, and
+// setup-only peek/poke backdoors.
 //
 // Two substrates plug into it:
 //  * pcie::Fabric — the paper's PCIe cluster with NTB LUT windows,

@@ -25,9 +25,7 @@ QpMultiplexer::QpMultiplexer(sim::Engine& engine, DispatchFn dispatch,
       dispatch_(std::move(dispatch)),
       stop_(std::move(stop)),
       cfg_(cfg),
-      kick_(engine) {
-  cfg_.quantum_blocks = std::max<std::uint32_t>(cfg_.quantum_blocks, 1);
-}
+      kick_(engine) {}
 
 QpMultiplexer::~QpMultiplexer() {
   // A parked scheduler (or an in-flight dispatch) wakes, observes the
@@ -67,7 +65,7 @@ Status QpMultiplexer::attach_tenant(const ShareGrant& grant) {
   }
   auto tenant = std::make_unique<Tenant>(grant);
   tenant->cmd_bucket.arm(grant.qos_iops, cfg_.qos_burst_cmds, engine_.now());
-  tenant->byte_bucket.arm(grant.qos_bytes_per_s, cfg_.qos_burst_bytes, engine_.now());
+  tenant->byte_bucket.arm(grant.qos_bytes_per_s, kQosBurstBytes, engine_.now());
   tenants_.emplace(grant.tenant, std::move(tenant));
   order_.push_back(grant.tenant);
   ++stats_.shares_attached;
@@ -147,7 +145,7 @@ sim::Task QpMultiplexer::scheduler_task(std::shared_ptr<bool> stop) {
         continue;
       }
       if (t.inflight >= t.grant.range.count()) continue;  // window full: kick on completion
-      t.deficit += static_cast<std::int64_t>(cfg_.quantum_blocks) * t.grant.weight;
+      t.deficit += static_cast<std::int64_t>(kQuantumBlocks) * t.grant.weight;
       while (!t.ring.empty() && t.inflight < t.grant.range.count()) {
         const auto cost = std::max<std::int64_t>(1, t.ring.front().request.nblocks);
         if (t.deficit < cost) {

@@ -65,13 +65,14 @@ class QpMultiplexer {
   using DispatchFn =
       std::function<sim::Future<block::Completion>(const block::Request&, const nvme::CidRange&)>;
 
+  /// DRR quantum in blocks added per round to each backlogged tenant
+  /// (scaled by the share's weight). A request costs max(1, nblocks).
+  static constexpr std::uint32_t kQuantumBlocks = 8;
+  static constexpr std::uint64_t kQosBurstBytes = 256 * KiB;  ///< QoS byte-bucket capacity
+
   struct Config {
-    /// DRR quantum in blocks added per round to each backlogged tenant
-    /// (scaled by the share's weight). A request costs max(1, nblocks).
-    std::uint32_t quantum_blocks = 8;
-    std::uint32_t block_size = 512;            ///< for byte-rate pacing
-    std::uint32_t qos_burst_cmds = 16;         ///< command-bucket capacity
-    std::uint64_t qos_burst_bytes = 256 * KiB; ///< byte-bucket capacity
+    std::uint32_t block_size = 512;     ///< for byte-rate pacing
+    std::uint32_t qos_burst_cmds = 16;  ///< command-bucket capacity
   };
 
   QpMultiplexer(sim::Engine& engine, DispatchFn dispatch, std::shared_ptr<bool> stop,

@@ -47,11 +47,11 @@ Controller::Controller(sim::Engine& engine, Config cfg)
       cfg_(cfg),
       store_(cfg.capacity_blocks, cfg.block_size),
       rng_(cfg.seed) {
-  cap_ = static_cast<std::uint64_t>(cfg_.max_queue_entries - 1)  // MQES (0-based)
-         | (1ull << 16)                                          // CQR
-         | (1ull << 17)                                          // AMS: WRR w/ urgent
-         | (10ull << 24)                                          // TO
-         | (1ull << 37);                                          // CSS: NVM command set
+  cap_ = static_cast<std::uint64_t>(kMaxQueueEntries - 1)  // MQES (0-based)
+         | (1ull << 16)                                   // CQR
+         | (1ull << 17)                                   // AMS: WRR w/ urgent
+         | (10ull << 24)                                  // TO
+         | (1ull << 37);                                  // CSS: NVM command set
   sqs_.resize(cfg_.max_queue_pairs);
   cqs_.resize(cfg_.max_queue_pairs);
   for (std::uint16_t i = 0; i < cfg_.max_queue_pairs; ++i) {
@@ -204,7 +204,7 @@ void Controller::write_cc(std::uint32_t value) {
 void Controller::enable_controller() {
   const std::uint16_t asqs = static_cast<std::uint16_t>((aqa_ & 0xFFF) + 1);
   const std::uint16_t acqs = static_cast<std::uint16_t>(((aqa_ >> 16) & 0xFFF) + 1);
-  if (asqs < 2 || acqs < 2 || asqs > cfg_.max_queue_entries || acqs > cfg_.max_queue_entries ||
+  if (asqs < 2 || acqs < 2 || asqs > kMaxQueueEntries || acqs > kMaxQueueEntries ||
       asq_ == 0 || acq_ == 0 || asq_ % kPageSize != 0 || acq_ % kPageSize != 0) {
     NVS_LOG(warn, "nvme") << "enable with bad admin queue config -> fatal";
     disable_controller(/*fatal=*/true);
@@ -302,7 +302,7 @@ sim::Task Controller::arbiter_task(std::uint64_t gen) {
     if (gen != generation_) co_return;
 
     if (sqs_[0].valid && sqs_[0].head != sqs_[0].tail) {
-      const int n = co_await fetch_turn(0, cfg_.fetch_burst, gen);
+      const int n = co_await fetch_turn(0, kFetchBurst, gen);
       if (gen != generation_ || n == -2) co_return;
       continue;  // keep admin drained before offering I/O turns
     }
@@ -415,7 +415,7 @@ sim::Task Controller::fetch_turn_task(std::uint16_t qid, std::uint16_t limit, st
   SqState& sq = sqs_[qid];
   const auto avail = static_cast<std::uint16_t>((sq.tail - sq.head + sq.size) % sq.size);
   const auto until_wrap = static_cast<std::uint16_t>(sq.size - sq.head);
-  const std::uint16_t n = std::min({avail, until_wrap, cfg_.fetch_burst, limit});
+  const std::uint16_t n = std::min({avail, until_wrap, kFetchBurst, limit});
   ++stats_.fetch_dma_reads;
   const sim::Time fetch_begin = engine_.now();
   auto data = co_await fabric()->read(
@@ -668,7 +668,7 @@ Controller::AdminResult Controller::admin_create_cq(const SubmissionEntry& sqe) 
   const auto iv = static_cast<std::uint16_t>(sqe.cdw11 >> 16);
   if (qid == 0 || qid > granted_io_queues_) return {kScInvalidQueueId, 0};
   if (cqs_[qid].valid) return {kScInvalidQueueId, 0};
-  if (qsize < 2 || qsize > cfg_.max_queue_entries) return {kScInvalidQueueSize, 0};
+  if (qsize < 2 || qsize > kMaxQueueEntries) return {kScInvalidQueueSize, 0};
   if (!pc || sqe.prp1 == 0 || sqe.prp1 % kPageSize != 0) return {kScInvalidField, 0};
   if (iv >= kMsixVectors) return {kScInvalidInterruptVector, 0};
   CqState& cq = cqs_[qid];
@@ -693,7 +693,7 @@ Controller::AdminResult Controller::admin_create_sq(const SubmissionEntry& sqe,
   const auto cqid = static_cast<std::uint16_t>(sqe.cdw11 >> 16);
   if (qid == 0 || qid > granted_io_queues_) return {kScInvalidQueueId, 0};
   if (sqs_[qid].valid) return {kScInvalidQueueId, 0};
-  if (qsize < 2 || qsize > cfg_.max_queue_entries) return {kScInvalidQueueSize, 0};
+  if (qsize < 2 || qsize > kMaxQueueEntries) return {kScInvalidQueueSize, 0};
   if (cqid == 0 || cqid >= cfg_.max_queue_pairs || !cqs_[cqid].valid) {
     return {kScInvalidQueueId, 0};  // completion queue invalid
   }

@@ -30,6 +30,9 @@ namespace nvmeshare::nvme {
 
 class Controller final : public fabric::Endpoint {
  public:
+  static constexpr std::uint16_t kMaxQueueEntries = 1024;  ///< CAP.MQES + 1, any queue's bound
+  static constexpr std::uint16_t kFetchBurst = 8;  ///< max SQEs fetched per DMA read
+
   /// Media / processing latency profile. Defaults approximate an Intel
   /// Optane P4800X: low, very consistent 4 KiB latency (the paper picked
   /// this device precisely for its consistency).
@@ -54,7 +57,6 @@ class Controller final : public fabric::Endpoint {
   struct Config {
     /// Device name as seen in the SmartIO registry.
     std::string name = "nvme0";
-    std::uint16_t max_queue_entries = 1024;  ///< CAP.MQES + 1
     /// Queue pairs including the admin pair. P4800X: 32, hence the paper's
     /// "shared by up to 31 hosts".
     std::uint16_t max_queue_pairs = 32;
@@ -65,7 +67,6 @@ class Controller final : public fabric::Endpoint {
     /// vendor scrub command verifies stored guards. Off by default —
     /// fault-free integrity-off runs execute the seed instruction stream.
     bool pi_enabled = false;
-    std::uint16_t fetch_burst = 8;  ///< max SQEs fetched per DMA read
     ServiceModel service;
     std::uint64_t seed = 0x5eed;
   };

@@ -143,20 +143,19 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
   auto conn = std::make_unique<Connection>();
   sim::Engine& engine = cluster_.engine();
   const pcie::HostId host = ctrl_->host();
-  const std::uint32_t slots = cfg_.command_slots;
   const std::uint64_t sb = slot_bytes();
 
   conn->cq = std::make_unique<rdma::CompletionQueue>(engine);
-  conn->wr_pending.resize(kWrAwaitedKinds * slots);
+  conn->wr_pending.resize(kWrAwaitedKinds * kCommandSlots);
   conn->nvme_pending.resize(cfg_.queue_entries);
   auto [qp_target, qp_initiator] = network_.create_qp_pair(*ctx_, *conn->cq, *initiator_ctx,
                                                            *initiator_cq);
   conn->qp = qp_target;
 
-  auto recv = cluster_.alloc_dram(host, slots * kCapsuleSlotBytes, 4096);
-  auto resp = cluster_.alloc_dram(host, slots * sizeof(ResponseCapsule), 4096);
-  auto staging = cluster_.alloc_dram(host, slots * sb, 4096);
-  auto prp = cluster_.alloc_dram(host, slots * nvme::kPageSize, 4096);
+  auto recv = cluster_.alloc_dram(host, kCommandSlots * kCapsuleSlotBytes, 4096);
+  auto resp = cluster_.alloc_dram(host, kCommandSlots * sizeof(ResponseCapsule), 4096);
+  auto staging = cluster_.alloc_dram(host, kCommandSlots * sb, 4096);
+  auto prp = cluster_.alloc_dram(host, kCommandSlots * nvme::kPageSize, 4096);
   auto sq = cluster_.alloc_dram(host, cfg_.queue_entries * 64ull, 4096);
   auto cq = cluster_.alloc_dram(host, cfg_.queue_entries * 16ull, 4096);
   if (!recv || !resp || !staging || !prp || !sq || !cq) {
@@ -176,14 +175,14 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
     (void)d.write(conn->cq_addr, Bytes(cfg_.queue_entries * 16ull, std::byte{0}));
   }
 
-  (void)ctx_->register_mr(conn->recv_base, slots * kCapsuleSlotBytes);
-  (void)ctx_->register_mr(conn->resp_base, slots * sizeof(ResponseCapsule));
-  (void)ctx_->register_mr(conn->staging_base, slots * sb);
+  (void)ctx_->register_mr(conn->recv_base, kCommandSlots * kCapsuleSlotBytes);
+  (void)ctx_->register_mr(conn->resp_base, kCommandSlots * sizeof(ResponseCapsule));
+  (void)ctx_->register_mr(conn->staging_base, kCommandSlots * sb);
 
   // Staging slots never move: prewrite one PRP list per slot.
   mem::PhysMem& dram = cluster_.fabric().host_dram(host);
   Bytes list((sb / nvme::kPageSize - 1) * 8);
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
+  for (std::uint32_t slot = 0; slot < kCommandSlots; ++slot) {
     nvme::fill_prp_list(conn->staging_base + slot * sb, sb, list);
     (void)dram.write(conn->prp_base + slot * nvme::kPageSize, list);
   }
@@ -208,7 +207,7 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
   qc.cpu = cluster_.fabric().cpu(host);
   conn->nvme_qp = std::make_unique<nvme::QueuePair>(cluster_.fabric(), qc);
 
-  for (std::uint32_t slot = 0; slot < slots; ++slot) {
+  for (std::uint32_t slot = 0; slot < kCommandSlots; ++slot) {
     (void)conn->qp->post_recv(kWrRecv | slot, conn->recv_base + slot * kCapsuleSlotBytes,
                               kCapsuleSlotBytes);
   }
@@ -240,7 +239,7 @@ sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) 
       handle_command(conn, static_cast<std::uint32_t>(wc.wr_id & kWrSlotMask), stop);
       return;
     }
-    const std::optional<std::size_t> row = wr_row(wc.wr_id, cfg_.command_slots);
+    const std::optional<std::size_t> row = wr_row(wc.wr_id, kCommandSlots);
     if (row && conn->wr_pending[*row]) {
       auto promise = std::move(*conn->wr_pending[*row]);
       conn->wr_pending[*row].reset();
@@ -289,7 +288,7 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   };
   // The wr_pending entry a work request of this slot resolves.
   auto pending_wr = [&](std::uint64_t wr) -> std::optional<sim::Promise<rdma::WorkCompletion>>& {
-    return conn->wr_pending[*wr_row(wr, cfg_.command_slots)];
+    return conn->wr_pending[*wr_row(wr, kCommandSlots)];
   };
 
   CommandCapsule capsule;

@@ -24,9 +24,11 @@ namespace nvmeshare::nvmeof {
 
 class Target {
  public:
+  /// Concurrent commands per connection.
+  static constexpr std::uint32_t kCommandSlots = 64;
+
   struct Config {
     std::uint16_t queue_entries = 128;  ///< NVMe SQ/CQ entries per connection
-    std::uint32_t command_slots = 64;   ///< concurrent commands per connection
     driver::CostModel costs = driver::CostModel::spdk();
     /// Target offloading: the NIC firmware translates capsules to NVMe
     /// commands, replacing the host software path with a small hardware
@@ -75,10 +77,10 @@ class Target {
     std::unique_ptr<rdma::CompletionQueue> cq;
     std::unique_ptr<nvme::QueuePair> nvme_qp;
     std::uint16_t qid = 0;
-    std::uint64_t recv_base = 0;     ///< command_slots RECV buffers (capsule size)
-    std::uint64_t resp_base = 0;     ///< command_slots response capsule buffers
-    std::uint64_t staging_base = 0;  ///< command_slots data staging slots
-    std::uint64_t prp_base = 0;      ///< command_slots PRP list pages
+    std::uint64_t recv_base = 0;     ///< kCommandSlots RECV buffers (capsule size)
+    std::uint64_t resp_base = 0;     ///< kCommandSlots response capsule buffers
+    std::uint64_t staging_base = 0;  ///< kCommandSlots data staging slots
+    std::uint64_t prp_base = 0;      ///< kCommandSlots PRP list pages
     std::uint64_t sq_addr = 0;
     std::uint64_t cq_addr = 0;
     // In-flight bookkeeping, in tables sized at connect: RDMA work requests

@@ -52,7 +52,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
     if (cfg.hosts > 1) {
       pcie::ChipId cluster_switch = ntb_->add_cluster_switch("mxs924");
       for (std::uint32_t h = 0; h < cfg.hosts; ++h) {
-        auto ntb = ntb_->add_ntb(h, cfg.ntb_windows, cfg.ntb_window_size);
+        auto ntb = ntb_->add_ntb(h, kNtbWindows, kNtbWindowSize);
         assert(ntb);
         (void)ntb_->link_chips(ntb_->ntb_chip(*ntb), cluster_switch);
       }

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cxl/pool.hpp"
@@ -27,8 +28,6 @@ struct TestbedConfig {
   fabric::SubstrateKind substrate = fabric::SubstrateKind::ntb;
   std::uint32_t hosts = 2;
   std::uint64_t dram_per_host = 8 * GiB;
-  std::uint32_t ntb_windows = 2048;
-  std::uint64_t ntb_window_size = 1 * MiB;
   /// Extra transparent switch chips between host 0's root complex and the
   /// NVMe device (0 = device directly below the root complex).
   std::uint32_t local_switch_chips = 0;
@@ -43,6 +42,10 @@ struct TestbedConfig {
 
 class Testbed {
  public:
+  /// LUT entries of each host's NTB adapter, and the bytes one entry maps.
+  static constexpr std::uint32_t kNtbWindows = 2048;
+  static constexpr std::uint64_t kNtbWindowSize = 1 * MiB;
+
   explicit Testbed(TestbedConfig cfg);
   Testbed() : Testbed(TestbedConfig{}) {}
 
@@ -77,31 +80,25 @@ class Testbed {
   /// elapses; returns the future's value (or a timeout error).
   template <typename T>
   Result<T> wait(sim::Future<Result<T>> future, sim::Duration bound = 10_s) {
-    const sim::Time give_up = engine_.now() + bound;
-    while (!future.ready() && engine_.pending_events() > 0 && engine_.now() < give_up) {
-      engine_.run_until(std::min(engine_.now() + 1_ms, give_up));
-    }
-    if (!future.ready()) {
-      return Status(Errc::timed_out, "future did not resolve within the time bound");
-    }
-    return *future.try_take();
+    return drive<Result<T>>(std::move(future), bound);
   }
 
   /// Same, for futures of bare Status.
   Status wait_status(sim::Future<Status> future, sim::Duration bound = 10_s) {
-    const sim::Time give_up = engine_.now() + bound;
-    while (!future.ready() && engine_.pending_events() > 0 && engine_.now() < give_up) {
-      engine_.run_until(std::min(engine_.now() + 1_ms, give_up));
-    }
-    if (!future.ready()) {
-      return Status(Errc::timed_out, "future did not resolve within the time bound");
-    }
-    return *future.try_take();
+    return drive<Status>(std::move(future), bound);
   }
 
   /// Same, for futures of plain (non-Result) values.
   template <typename T>
   Result<T> wait_plain(sim::Future<T> future, sim::Duration bound = 10_s) {
+    return drive<Result<T>>(std::move(future), bound);
+  }
+
+ private:
+  /// The loop behind the three waits: `R` holds either the future's value
+  /// or the timeout status.
+  template <typename R, typename T>
+  R drive(sim::Future<T> future, sim::Duration bound) {
     const sim::Time give_up = engine_.now() + bound;
     while (!future.ready() && engine_.pending_events() > 0 && engine_.now() < give_up) {
       engine_.run_until(std::min(engine_.now() + 1_ms, give_up));
@@ -112,7 +109,6 @@ class Testbed {
     return *future.try_take();
   }
 
- private:
   TestbedConfig cfg_;
   sim::Engine engine_;
   std::unique_ptr<fabric::Substrate> substrate_;

@@ -245,6 +245,73 @@ TEST_F(ControllerFixture, CreateCqBadSizeRejected) {
   EXPECT_EQ(cqe->status(), kScInvalidQueueSize);
 }
 
+// Queue sizes arrive in admin commands another host builds, so the upper
+// bound (CAP.MQES + 1) is input validation as much as the lower one.
+TEST_F(ControllerFixture, CreateQueuesAboveMaxEntriesRejected) {
+  constexpr std::uint16_t too_many = Controller::kMaxQueueEntries + 1;
+  auto cq_mem = tb.cluster().alloc_dram(0, 64 * 16, 4096);
+  auto big = tb.cluster().alloc_dram(0, too_many * 64ull, 4096);
+  ASSERT_TRUE(cq_mem && big);
+
+  auto cq = admin(make_create_io_cq(0, 1, too_many, *big, false, 0));
+  ASSERT_TRUE(cq.has_value());
+  EXPECT_EQ(cq->status(), kScInvalidQueueSize);
+
+  ASSERT_TRUE(admin(make_create_io_cq(0, 1, 64, *cq_mem, false, 0))->ok());
+  auto sq = admin(make_create_io_sq(0, 1, too_many, *big, 1));
+  ASSERT_TRUE(sq.has_value());
+  EXPECT_EQ(sq->status(), kScInvalidQueueSize);
+}
+
+TEST_F(ControllerFixture, CreateQueuesAtMaxEntriesAccepted) {
+  constexpr std::uint16_t entries = Controller::kMaxQueueEntries;
+  auto sq_mem = tb.cluster().alloc_dram(0, entries * 64ull, 4096);
+  auto cq_mem = tb.cluster().alloc_dram(0, entries * 16ull, 4096);
+  ASSERT_TRUE(sq_mem && cq_mem);
+  auto cq = admin(make_create_io_cq(0, 1, entries, *cq_mem, false, 0));
+  ASSERT_TRUE(cq.has_value());
+  EXPECT_TRUE(cq->ok()) << cq->status();
+  auto sq = admin(make_create_io_sq(0, 1, entries, *sq_mem, 1));
+  ASSERT_TRUE(sq.has_value());
+  EXPECT_TRUE(sq->ok()) << sq->status();
+}
+
+// CC.EN 0 -> 1 on a fresh controller with admin queues of `entries` slots
+// (AQA holds both sizes 0-based).
+void enable_with_admin_entries(Testbed& tb, std::uint16_t entries) {
+  pcie::Fabric& fabric = tb.fabric();
+  auto bar = fabric.bar_address(tb.nvme_endpoint(), 0);
+  ASSERT_TRUE(bar.has_value());
+  auto asq = tb.cluster().alloc_dram(0, entries * 64ull, 4096);
+  auto acq = tb.cluster().alloc_dram(0, entries * 16ull, 4096);
+  ASSERT_TRUE(asq && acq);
+  auto store = [&](std::uint64_t offset, auto value) {
+    Bytes b(sizeof(value));
+    store_pod(b, value);
+    (void)fabric.post_write(fabric.cpu(0), *bar + offset, std::move(b));
+  };
+  const std::uint32_t size = entries - 1u;
+  store(reg::kAsq, std::uint64_t{*asq});
+  store(reg::kAcq, std::uint64_t{*acq});
+  store(reg::kAqa, std::uint32_t{size | (size << 16)});
+  store(reg::kCc, kCcEnable);
+  tb.engine().run_for(1_ms);
+}
+
+TEST(ControllerEnable, AdminQueuesAboveMaxEntriesAreFatal) {
+  Testbed tb(small_testbed(1));
+  enable_with_admin_entries(tb, Controller::kMaxQueueEntries + 1);
+  EXPECT_TRUE(tb.controller().is_fatal());
+  EXPECT_FALSE(tb.controller().is_ready());
+}
+
+TEST(ControllerEnable, AdminQueuesAtMaxEntriesBecomeReady) {
+  Testbed tb(small_testbed(1));
+  enable_with_admin_entries(tb, Controller::kMaxQueueEntries);
+  EXPECT_FALSE(tb.controller().is_fatal());
+  EXPECT_TRUE(tb.controller().is_ready());
+}
+
 TEST_F(ControllerFixture, DeleteCqWithAttachedSqRejected) {
   auto sq_mem = tb.cluster().alloc_dram(0, 64 * 64, 4096);
   auto cq_mem = tb.cluster().alloc_dram(0, 64 * 16, 4096);
@@ -644,7 +711,7 @@ struct RegisterFixture : ::testing::Test {
 
 TEST_F(RegisterFixture, CapFieldsAndHalfWordReads) {
   const std::uint64_t cap = read_reg(reg::kCap, 8);
-  EXPECT_EQ(cap & 0xFFFF, tb.config().nvme.max_queue_entries - 1u);  // MQES
+  EXPECT_EQ(cap & 0xFFFF, Controller::kMaxQueueEntries - 1u);  // MQES
   EXPECT_NE(cap & (1ull << 16), 0u);                                // CQR
   EXPECT_NE(cap & (1ull << 17), 0u);                                // AMS: WRR w/ urgent
   EXPECT_NE(cap & (1ull << 37), 0u);                                // CSS: NVM

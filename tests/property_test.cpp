@@ -445,7 +445,7 @@ TEST_P(NtbMappingFuzz, RandomSegmentsMapAndRoundTrip) {
     // Probe a few random offsets, including near the end. Single accesses
     // may not straddle an NTB window boundary (hardware would split them;
     // the model rejects them), so nudge any straddler back.
-    const std::uint64_t window = tb.config().ntb_window_size;
+    const std::uint64_t window = workload::Testbed::kNtbWindowSize;
     for (int probe = 0; probe < 4; ++probe) {
       const std::uint64_t len = std::min<std::uint64_t>(rng.uniform(4096) + 1, size);
       std::uint64_t off = align_down(rng.uniform(size - len + 1), 4);

@@ -90,7 +90,7 @@ TEST(SmartIo, BarWindowRemoteReachesRegisters) {
   Bytes out(8);
   ASSERT_TRUE(tb.fabric().peek(1, bar->addr() + nvme::reg::kCap, out).is_ok());
   const auto cap = load_pod<std::uint64_t>(out);
-  EXPECT_EQ(cap & 0xFFFF, tb.config().nvme.max_queue_entries - 1u);  // MQES
+  EXPECT_EQ(cap & 0xFFFF, nvme::Controller::kMaxQueueEntries - 1u);  // MQES
 }
 
 TEST(SmartIo, DmaWindowLocalSegmentIsDirect) {
