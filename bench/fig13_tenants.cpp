@@ -64,7 +64,10 @@ struct HostRig {
 
 workload::JobSpec tenant_job(std::uint32_t host, std::uint32_t tenant) {
   workload::JobSpec spec;
-  spec.name = "t" + std::to_string(host) + "." + std::to_string(tenant);
+  spec.name = "t";
+  spec.name += std::to_string(host);
+  spec.name += '.';
+  spec.name += std::to_string(tenant);
   spec.pattern = workload::JobSpec::Pattern::randread;
   spec.block_bytes = kBlockBytes;
   spec.queue_depth = kTenantQd;

@@ -312,12 +312,12 @@ ModeResult run_io_mode(std::uint64_t ops, std::uint32_t qd, std::uint32_t channe
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   struct Worker {
-    static sim::Task run(block::IoEngine& io, std::uint64_t ops, std::uint64_t& submitted,
-                         std::uint64_t& completed) {
+    static sim::Task run(sim::Engine& eng, block::IoEngine& io, std::uint64_t ops,
+                         std::uint64_t& submitted, std::uint64_t& completed) {
       while (submitted < ops) {
         ++submitted;
         auto grant = co_await io.acquire();
-        auto outcome = co_await io.run({grant});
+        auto outcome = co_await sim::spawn(eng, io.run({grant}));
         io.release(grant);
         if (outcome.ok()) ++completed;
       }
@@ -325,7 +325,7 @@ ModeResult run_io_mode(std::uint64_t ops, std::uint32_t qd, std::uint32_t channe
   };
   const std::uint32_t workers = qd * channels;
   for (std::uint32_t w = 0; w < workers; ++w) {
-    Worker::run(io, ops, submitted, completed);
+    Worker::run(engine, io, ops, submitted, completed);
   }
 
   const std::uint64_t a0 = g_allocations;

@@ -150,6 +150,10 @@ sim::Future<IoEngine::Grant> IoEngine::acquire() {
   return promise.future();
 }
 
+// A Promise rather than a spawned Co<Grant>: when the engine is destroyed
+// while the slot wait is parked, there is no Grant to return, and the
+// Future must stay unresolved (the waiting serve() frame stays parked
+// instead of resuming into a dead engine).
 sim::Task IoEngine::acquire_task(sim::Promise<Grant> promise) {
   const auto alive = alive_;
   co_await slots_->acquire();
@@ -191,26 +195,16 @@ sim::Task IoEngine::flush_task(std::uint32_t chan, std::shared_ptr<FlushBatch> b
   batch->done.set();
 }
 
-sim::Future<Status> IoEngine::flush(std::uint32_t chan) {
-  sim::Promise<Status> promise(engine_);
-  flush_wait_task(chan, promise);
-  return promise.future();
-}
-
-sim::Task IoEngine::flush_wait_task(std::uint32_t chan, sim::Promise<Status> promise) {
+sim::Co<Status> IoEngine::flush(std::uint32_t chan) {
   Channel& ch = *channels_[chan];
   if (!cfg_.coalesce_doorbells) {
     // Seed behavior: every command pays the doorbell cost and rings.
     const auto alive = alive_;
     co_await sim::delay(engine_, cfg_.doorbell_ns);
-    if (!*alive) {
-      promise.set(Status(Errc::aborted, "stopped"));
-      co_return;
-    }
+    if (!*alive) co_return Status(Errc::aborted, "stopped");
     ++ch.doorbell_writes;
     ++ch.coalesced_cmds;
-    promise.set(*stop_ ? Status(Errc::aborted, "stopped") : transport_.ring(chan));
-    co_return;
+    co_return *stop_ ? Status(Errc::aborted, "stopped") : transport_.ring(chan);
   }
   std::shared_ptr<FlushBatch> batch = ch.open_batch;
   if (!batch) {
@@ -220,7 +214,7 @@ sim::Task IoEngine::flush_wait_task(std::uint32_t chan, sim::Promise<Status> pro
   }
   ++batch->staged;
   (void)co_await batch->done.wait();
-  promise.set(batch->status);
+  co_return batch->status;
 }
 
 std::uint64_t IoEngine::doorbell_writes() const {
@@ -298,7 +292,7 @@ void IoEngine::resolve(PendingCmd* cmd, CmdOutcome outcome) {
   cmd->outcome = std::move(outcome);
   cmd->resolved = true;
   // Wake through the engine queue, never inline — the same deterministic
-  // deferred resume sim::Promise::set performed. No waiter means run_task
+  // deferred resume sim::Promise::set performs. No waiter means run()
   // has not reached its co_await yet; it will see `resolved` and continue
   // without suspending.
   if (cmd->waiter) {
@@ -310,15 +304,13 @@ void IoEngine::resolve(PendingCmd* cmd, CmdOutcome outcome) {
 
 sim::Future<Completion> IoEngine::serve(const BlockDevice& device, const Request& request,
                                         nvme::CidRange range) {
-  sim::Promise<Completion> promise(engine_);
-  serve_task(device, request, range, promise);
-  return promise.future();
+  return sim::spawn(engine_, serve_steps(device, request, range));
 }
 
-sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
-                               nvme::CidRange range, sim::Promise<Completion> promise) {
+sim::Co<Completion> IoEngine::serve_steps(const BlockDevice& device, Request request,
+                                          nvme::CidRange range) {
   // The backend, and this engine with it, may be destroyed while the request
-  // is suspended: after every suspension gone() is checked first, and once
+  // is suspended: after every suspension `alive` is checked first, and once
   // it is true only this frame is touched. A stopped backend that is still
   // alive aborts at the stop checks, releasing its slot.
   const auto alive = alive_;
@@ -337,7 +329,7 @@ sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
   // qid, leave them untagged.
   const bool tagged = cfg_.trace_style == TraceStyle::nvme;
   std::uint16_t span_qid = 0;
-  auto finish = [&](Status st) {
+  auto finish = [&](Status st) -> Completion {
     const sim::Duration latency = eng.now() - start;
     if (*alive) {
       if (!st && cfg_.counters.requests != nullptr) ++cfg_.counters.requests->errors;
@@ -352,31 +344,25 @@ sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
       if (eng.now() > ph.last()) ph.mark(obs::Phase::completion, eng.now(), span_qid);
       tracer.end_trace(trace, eng.now());
     }
-    promise.set(Completion{std::move(st), latency});
+    return Completion{std::move(st), latency};
   };
-  auto gone = [&] {
-    if (!*alive) finish(Status(Errc::aborted, stopped));
-    return !*alive;
-  };
+  auto aborted = [&] { return finish(Status(Errc::aborted, stopped)); };
   Grant grant;
   auto stopped_now = [&] {
-    if (!*stop) return false;
-    release(grant);
-    finish(Status(Errc::aborted, stopped));
-    return true;
+    if (*stop) release(grant);
+    return *stop;
   };
 
   if (Status st = validate_command_request(device, request); !st) {
-    finish(std::move(st));
-    co_return;
+    co_return finish(std::move(st));
   }
   grant = co_await acquire();
-  if (gone() || stopped_now()) co_return;
+  if (!*alive || stopped_now()) co_return aborted();
   if (tagged) span_qid = transport_.trace_qid(grant.chan);
   co_await sim::delay(eng, transport_.cpu_ns(obs::Phase::submit));
-  if (gone()) co_return;
+  if (!*alive) co_return aborted();
   ph.mark(obs::Phase::submit, eng.now(), span_qid);
-  if (stopped_now()) co_return;
+  if (stopped_now()) co_return aborted();
 
   pi_note_submit(request);  // before any data moves; a no-op unless armed
   const Command cmd{request, grant.slot, range};
@@ -384,11 +370,10 @@ sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
     Step step = transport_.prepare(cmd, i);
     if (!step.status) {
       release(grant);
-      finish(std::move(step.status));
-      co_return;
+      co_return finish(std::move(step.status));
     }
     co_await sim::delay(eng, step.cost);
-    if (gone()) co_return;
+    if (!*alive) co_return aborted();
     if (step.phase) ph.mark(*step.phase, eng.now(), span_qid);
     if (!step.again) break;
   }
@@ -405,8 +390,8 @@ sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
   Status status = Status::ok();
   bool completed = false;
   for (;;) {
-    const CmdOutcome outcome = co_await run(args);
-    if (gone()) co_return;
+    const CmdOutcome outcome = co_await sim::spawn(eng, run(args));
+    if (!*alive) co_return aborted();
     if (tagged) span_qid = transport_.trace_qid(grant.chan);  // recovery may re-grant it
     status = outcome_status(outcome, stopped);
     completed = outcome.completed();
@@ -414,14 +399,14 @@ sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
     const std::uint16_t cid = tagged ? outcome.token : 0;
     if (!settle_first) {
       co_await sim::delay(eng, transport_.cpu_ns(obs::Phase::completion));
-      if (gone()) co_return;
+      if (!*alive) co_return aborted();
       ph.mark(obs::Phase::completion, eng.now(), span_qid, cid);
     }
     Step settled;
     if (outcome.ok()) {
       settled = transport_.settle(cmd, outcome);
       co_await sim::delay(eng, settled.cost);
-      if (gone()) co_return;
+      if (!*alive) co_return aborted();
       if (settled.phase) ph.mark(*settled.phase, eng.now(), span_qid, cid);
       if (settled.status && request.op == Op::read && !pi_check_read(request)) {
         ++integrity::stats().client_verify_failures;
@@ -437,14 +422,14 @@ sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
         ++verify_attempts;
         bump(cfg_.counters.retries);
         co_await sim::delay(eng, backoff_ns(cfg_.retry_backoff_ns, verify_attempts));
-        if (gone()) co_return;
+        if (!*alive) co_return aborted();
         ph.mark(obs::Phase::recovery, eng.now(), span_qid);
         continue;  // resubmit with a fresh retry budget
       }
       status = std::move(settled.status);
     } else if (settle_first) {
       co_await sim::delay(eng, transport_.cpu_ns(obs::Phase::completion));
-      if (gone()) co_return;
+      if (!*alive) co_return aborted();
       ph.mark(obs::Phase::completion, eng.now(), span_qid, cid);
     }
     break;
@@ -453,22 +438,16 @@ sim::Task IoEngine::serve_task(const BlockDevice& device, Request request,
   for (std::uint32_t i = 0;; ++i) {
     const Step step = transport_.teardown(cmd, completed, i);
     co_await sim::delay(eng, step.cost);
-    if (gone()) co_return;
+    if (!*alive) co_return aborted();
     if (!step.again) break;
   }
   release(grant);
-  finish(std::move(status));
+  co_return finish(std::move(status));
 }
 
 // --- submission/completion/retry core ----------------------------------------
 
-sim::Future<CmdOutcome> IoEngine::run(RunArgs args) {
-  sim::Promise<CmdOutcome> promise(engine_);
-  run_task(args, promise);
-  return promise.future();
-}
-
-sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
+sim::Co<CmdOutcome> IoEngine::run(RunArgs args) {
   // After every suspension `alive` is checked before anything else: the
   // backend and this engine may have been destroyed meanwhile.
   const auto alive = alive_;
@@ -479,16 +458,13 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
   auto mark = [&](obs::Phase phase, std::uint16_t cid = 0) {
     if (args.ph != nullptr) args.ph->mark(phase, engine_.now(), qid, cid);
   };
-  auto fail = [&](CmdOutcome::Kind kind, Status st = Status::ok()) {
+  auto fail = [](CmdOutcome::Kind kind, Status st = Status::ok()) {
     CmdOutcome out;
     out.kind = kind;
     out.transport = std::move(st);
-    promise.set(std::move(out));
+    return out;
   };
-  auto aborts = [&](bool stopped) {
-    if (stopped) fail(CmdOutcome::Kind::aborted);
-    return stopped;
-  };
+  const auto aborted = [&] { return fail(CmdOutcome::Kind::aborted); };
 
   // QoS pacing: charge the token buckets once per command (retries ride the
   // original charge) and sleep off any deficit before touching the ring.
@@ -500,7 +476,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
       ++qos_deferred_cmds_;
       qos_throttle_ns_ += static_cast<std::uint64_t>(stall);
       co_await sim::delay(engine_, stall);
-      if (aborts(!*alive || *stop)) co_return;
+      if (!*alive || *stop) co_return aborted();
     }
   }
 
@@ -513,14 +489,14 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
       ++attempt;
       bump(cfg_.counters.retries);
       co_await sim::delay(engine_, backoff_ns(cfg_.retry_backoff_ns, attempt));
-      if (aborts(!*alive)) co_return;
+      if (!*alive) co_return aborted();
       mark(obs::Phase::recovery);
     }
     if (channels_[chan]->recovering) {
       // A channel rebuild is in flight; wait for the fresh rings.
       (void)co_await channels_[chan]->recovered.wait();
     }
-    if (aborts(!*alive || *stop)) co_return;
+    if (!*alive || *stop) co_return aborted();
     auto token = transport_.issue(chan, args.cmd);
     if (!token) {
       // Issue fails when the queue memory is unreachable (NTB link down) or
@@ -539,8 +515,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
           mark(obs::Phase::recovery);
           continue;
         }
-        fail(CmdOutcome::Kind::transport_error, token.status());
-        co_return;
+        co_return fail(CmdOutcome::Kind::transport_error, token.status());
       }
       back_off = true;
       continue;
@@ -560,9 +535,8 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
       if (cfg_.trace_style != TraceStyle::none && args.trace != 0) {
         tracer.unbind(qid, *token);
       }
-      fail(CmdOutcome::Kind::transport_error,
-           Status(Errc::internal, "completion token beyond pending-table cap"));
-      co_return;
+      co_return fail(CmdOutcome::Kind::transport_error,
+                     Status(Errc::internal, "completion token beyond pending-table cap"));
     }
     transport_.on_armed(chan);  // completions are coming: wake an idle poller
 
@@ -584,8 +558,8 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
 
     // Doorbell-latency delay, then one tail store for the burst this
     // command joined (or its own store when coalescing is off).
-    Status rung = co_await flush(chan);
-    if (aborts(!*alive)) co_return;
+    Status rung = co_await sim::spawn(engine_, flush(chan));
+    if (!*alive) co_return aborted();
     if (!rung && transport_.ring_failure_fails_attempt()) {
       // Message transports: the SEND is the submission, so a failed ring
       // dooms the staged attempt. Unarm it (seq-guarded) and retry. Nobody
@@ -599,8 +573,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
         tracer.unbind(qid, *token);
       }
       if (cfg_.cmd_timeout_ns == 0 || attempt >= cfg_.cmd_retry_limit) {
-        fail(CmdOutcome::Kind::transport_error, std::move(rung));
-        co_return;
+        co_return fail(CmdOutcome::Kind::transport_error, std::move(rung));
       }
       back_off = true;
       continue;
@@ -612,20 +585,19 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
     }
 
     CmdOutcome outcome = co_await OutcomeAwaiter{cmd};
-    if (aborts(!*alive)) co_return;
+    if (!*alive) co_return aborted();
     free_cmd(cmd);
     outcome.token = *token;
     mark(obs::Phase::cq_wait, *token);
     if (cfg_.trace_style != TraceStyle::none && args.trace != 0) {
       tracer.unbind(qid, *token);
     }
-    if (aborts(*stop)) co_return;
+    if (*stop) co_return aborted();
     const bool retry_status = outcome.kind == CmdOutcome::Kind::completed &&
                               outcome.status != 0 && cfg_.cmd_timeout_ns > 0 &&
                               transport_.retryable(outcome.status);
     if (outcome.kind == CmdOutcome::Kind::completed && !retry_status) {
-      promise.set(std::move(outcome));  // genuine completion: success or final error
-      co_return;
+      co_return outcome;  // genuine completion: success or final error
     }
     if (attempt < cfg_.cmd_retry_limit) {
       back_off = true;
@@ -634,10 +606,7 @@ sim::Task IoEngine::run_task(RunArgs args, sim::Promise<CmdOutcome> promise) {
     // Retry budget spent. A command that keeps timing out means the channel
     // itself is broken (lost CQE => permanent phase hole; controller reset
     // => rings deleted); rebuild it once, then run one fresh retry round.
-    if (recovered_once) {
-      fail(CmdOutcome::Kind::timed_out);
-      co_return;
-    }
+    if (recovered_once) co_return fail(CmdOutcome::Kind::timed_out);
     recovered_once = true;
     attempt = 0;
     request_recovery(chan);

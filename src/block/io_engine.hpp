@@ -304,9 +304,9 @@ class IoEngine {
   /// Run one command to a final outcome: issue, coalesced doorbell,
   /// completion wait bounded by the deadline watchdog, bounded
   /// exponential-backoff retries, and one channel-recovery cycle before
-  /// giving up. serve() handles the data around it and calls run() again
+  /// giving up. serve() handles the data around it and spawns run() again
   /// for a verify-failure resubmission.
-  [[nodiscard]] sim::Future<CmdOutcome> run(RunArgs args);
+  sim::Co<CmdOutcome> run(RunArgs args);
 
   /// Deliver a completion observed by the backend's poller. Returns false
   /// for an unknown (already timed out / swept) token — counted as a late
@@ -386,7 +386,7 @@ class IoEngine {
   /// direct-mapped table, so the submit/complete hot path performs no heap
   /// allocation and no tree walk (the former std::map + per-attempt
   /// sim::Promise both allocated). The one-shot channel the waiting
-  /// run_task() parks on is intrusive: complete()/the watchdog store the
+  /// run() parks on is intrusive: complete()/the watchdog store the
   /// outcome here and schedule the resume through the engine queue —
   /// identical wake-up ordering to the Promise it replaces.
   struct PendingCmd {
@@ -421,15 +421,13 @@ class IoEngine {
     obs::Counter coalesced_cmds;
   };
 
-  sim::Task serve_task(const BlockDevice& device, Request request, nvme::CidRange range,
-                       sim::Promise<Completion> promise);
+  sim::Co<Completion> serve_steps(const BlockDevice& device, Request request,
+                                  nvme::CidRange range);
   sim::Task acquire_task(sim::Promise<Grant> promise);
-  sim::Task run_task(RunArgs args, sim::Promise<CmdOutcome> promise);
   sim::Task flush_task(std::uint32_t chan, std::shared_ptr<FlushBatch> batch);
   /// Doorbell-latency delay, then one ring for the burst this command
-  /// joined; resolves with the ring status.
-  [[nodiscard]] sim::Future<Status> flush(std::uint32_t chan);
-  sim::Task flush_wait_task(std::uint32_t chan, sim::Promise<Status> promise);
+  /// joined; returns the ring status.
+  sim::Co<Status> flush(std::uint32_t chan);
   /// Pick a channel for the next grant; requires at least one free slot
   /// somewhere (the slot semaphore guarantees it).
   [[nodiscard]] std::uint32_t pick_channel();
@@ -449,7 +447,7 @@ class IoEngine {
   /// beyond token_cap() — the caller fails the attempt as a transport error.
   [[nodiscard]] bool arm(std::uint32_t chan, std::uint16_t token, PendingCmd* cmd);
   void disarm(std::uint32_t chan, std::uint16_t token) noexcept;
-  /// Store the outcome and wake the waiting run_task (via the engine queue,
+  /// Store the outcome and wake the waiting run() (via the engine queue,
   /// preserving deterministic wake-up order). Call after disarm().
   void resolve(PendingCmd* cmd, CmdOutcome outcome);
 

@@ -50,18 +50,12 @@ std::uint64_t ShardedDevice::max_transfer_bytes() const {
 }
 
 sim::Future<Completion> ShardedDevice::submit(const Request& request) {
-  sim::Promise<Completion> promise(engine_);
-  auto future = promise.future();
-  if (Status st = validate_request(*this, request); !st) {
-    promise.set(Completion{std::move(st), 0});
-    return future;
-  }
-  ++stats_.requests;
-  submit_task(request, std::move(promise));
-  return future;
+  return sim::spawn(engine_, submit_steps(request));
 }
 
-sim::Task ShardedDevice::submit_task(Request request, sim::Promise<Completion> promise) {
+sim::Co<Completion> ShardedDevice::submit_steps(Request request) {
+  if (Status st = validate_request(*this, request); !st) co_return Completion{std::move(st), 0};
+  ++stats_.requests;
   const sim::Time start = engine_.now();
 
   // Carve the request at chunk boundaries and fan the pieces out. Issuing
@@ -119,7 +113,7 @@ sim::Task ShardedDevice::submit_task(Request request, sim::Promise<Completion> p
       if (merged.is_ok()) merged = std::move(done.status);
     }
   }
-  promise.set(Completion{std::move(merged), engine_.now() - start});
+  co_return Completion{std::move(merged), engine_.now() - start};
 }
 
 }  // namespace nvmeshare::block

@@ -71,7 +71,7 @@ class ShardedDevice final : public BlockDevice {
   /// this many chunks.
   static constexpr std::size_t kInlinePieces = 8;
 
-  sim::Task submit_task(Request request, sim::Promise<Completion> promise);
+  sim::Co<Completion> submit_steps(Request request);
 
   sim::Engine& engine_;
   std::vector<BlockDevice*> shards_;

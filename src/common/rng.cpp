@@ -46,12 +46,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
   }
 }
 
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) noexcept {
-  if (lo >= hi) return lo;
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double Rng::uniform01() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }

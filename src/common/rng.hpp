@@ -18,9 +18,6 @@ class Rng {
   /// Uniform in [0, bound). bound must be nonzero. Unbiased (rejection).
   std::uint64_t uniform(std::uint64_t bound) noexcept;
 
-  /// Uniform in [lo, hi] inclusive.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Uniform double in [0, 1).
   double uniform01() noexcept;
 

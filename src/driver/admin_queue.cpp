@@ -112,21 +112,13 @@ sim::Co<EnableResult> AdminQueue::enable(std::uint32_t cc_extra, bool strict) {
   co_return r;
 }
 
-sim::Future<Result<CompletionEntry>> AdminQueue::submit(SubmissionEntry entry) {
-  sim::Promise<Result<CompletionEntry>> promise(fabric_.engine());
-  submit_task(entry, promise);
-  return promise.future();
-}
-
-sim::Task AdminQueue::submit_task(SubmissionEntry entry,
-                                  sim::Promise<Result<CompletionEntry>> promise) {
+sim::Co<Result<CompletionEntry>> AdminQueue::submit(SubmissionEntry entry) {
   sim::Engine& engine = fabric_.engine();
   co_await lock_.acquire();
   auto cid = qp_->push(entry);
   if (!cid) {
     lock_.release();
-    promise.set(cid.status());
-    co_return;
+    co_return cid.status();
   }
   // Report the pushed SQ cursor before the doorbell: an owner dying in
   // between leaves a pushed-but-unfetched entry its successor overwrites.
@@ -140,20 +132,19 @@ sim::Task AdminQueue::submit_task(SubmissionEntry entry,
       (void)qp_->ring_cq_doorbell();
       advanced();
       lock_.release();
-      promise.set(*cqe);  // NVMe-level failures are reported via cqe->status()
-      co_return;
+      co_return *cqe;  // NVMe-level failures are reported via cqe->status()
     }
     if (engine.now() >= deadline) {
       lock_.release();
-      promise.set(Status(Errc::timed_out, "admin command timed out"));
-      co_return;
+      co_return Status(Errc::timed_out, "admin command timed out");
     }
     co_await sim::delay(engine, std::max<sim::Duration>(costs_.poll_interval_ns, 200));
   }
 }
 
 sim::Co<Result<std::uint16_t>> AdminQueue::negotiate_queues(std::uint16_t requested) {
-  auto feat = co_await submit(nvme::make_set_num_queues(0, requested, requested));
+  auto feat =
+      co_await sim::spawn(engine(), submit(nvme::make_set_num_queues(0, requested, requested)));
   if (!feat || !feat->ok()) co_return refused(feat, "set number of queues");
   const auto nsqa = static_cast<std::uint16_t>((feat->dw0 & 0xFFFF) + 1);
   const auto ncqa = static_cast<std::uint16_t>((feat->dw0 >> 16) + 1);
@@ -163,14 +154,15 @@ sim::Co<Result<std::uint16_t>> AdminQueue::negotiate_queues(std::uint16_t reques
 sim::Co<Result<ControllerInfo>> AdminQueue::identify(AdminRing data, std::uint16_t requested) {
   ControllerInfo info;
   Bytes payload(4096);
-  auto ctrl = co_await submit(
-      nvme::make_identify(0, nvme::IdentifyCns::controller, 0, data.device_addr));
+  auto ctrl = co_await sim::spawn(
+      engine(), submit(nvme::make_identify(0, nvme::IdentifyCns::controller, 0, data.device_addr)));
   if (!ctrl || !ctrl->ok()) co_return refused(ctrl, "identify controller");
   (void)fabric_.host_dram(data.home).read(data.phys, payload);
   info.max_transfer_bytes = static_cast<std::uint32_t>(
       (1u << nvme::parse_identify_controller(payload).mdts_pages_log2) * nvme::kPageSize);
 
-  auto ns = co_await submit(nvme::make_identify(0, nvme::IdentifyCns::ns, 1, data.device_addr));
+  auto ns = co_await sim::spawn(
+      engine(), submit(nvme::make_identify(0, nvme::IdentifyCns::ns, 1, data.device_addr)));
   if (!ns || !ns->ok()) co_return refused(ns, "identify namespace");
   (void)fabric_.host_dram(data.home).read(data.phys, payload);
   const auto nsinfo = nvme::parse_identify_namespace(payload);
@@ -183,15 +175,16 @@ sim::Co<Result<ControllerInfo>> AdminQueue::identify(AdminRing data, std::uint16
   co_return info;
 }
 
-sim::Future<Result<CompletionEntry>> AdminQueue::delete_cq(std::uint16_t qid) {
+sim::Co<Result<CompletionEntry>> AdminQueue::delete_cq(std::uint16_t qid) {
   return submit(nvme::make_delete_io_cq(0, qid));
 }
 
 sim::Co<CreateResult> AdminQueue::create_io_pair(IoPairSpec spec, const bool* stop) {
   CreateResult r;
-  auto cq = co_await submit(nvme::make_create_io_cq(0, spec.qid, spec.cq_size, spec.cq_addr,
-                                                    spec.irq_vector.has_value(),
-                                                    spec.irq_vector.value_or(0)));
+  auto cq = co_await sim::spawn(
+      engine(), submit(nvme::make_create_io_cq(0, spec.qid, spec.cq_size, spec.cq_addr,
+                                               spec.irq_vector.has_value(),
+                                               spec.irq_vector.value_or(0))));
   if (stop != nullptr && *stop) {
     r.stopped = true;
     co_return r;
@@ -201,14 +194,15 @@ sim::Co<CreateResult> AdminQueue::create_io_pair(IoPairSpec spec, const bool* st
     r.nvme_status = cq ? cq->status() : 0;
     co_return r;
   }
-  auto sq = co_await submit(nvme::make_create_io_sq(0, spec.qid, spec.sq_size, spec.sq_addr,
-                                                    spec.qid, spec.priority));
+  auto sq = co_await sim::spawn(
+      engine(), submit(nvme::make_create_io_sq(0, spec.qid, spec.sq_size, spec.sq_addr, spec.qid,
+                                               spec.priority)));
   if (stop != nullptr && *stop) {
     r.stopped = true;
     co_return r;
   }
   if (!sq || !sq->ok()) {
-    (void)co_await delete_cq(spec.qid);
+    (void)co_await sim::spawn(engine(), delete_cq(spec.qid));
     r.status = refused(sq, "create SQ");
     r.nvme_status = sq ? sq->status() : 0;
   }
@@ -216,8 +210,8 @@ sim::Co<CreateResult> AdminQueue::create_io_pair(IoPairSpec spec, const bool* st
 }
 
 sim::Co<DeleteResult> AdminQueue::delete_io_pair(std::uint16_t qid) {
-  auto sq = co_await submit(nvme::make_delete_io_sq(0, qid));
-  auto cq = co_await delete_cq(qid);
+  auto sq = co_await sim::spawn(engine(), submit(nvme::make_delete_io_sq(0, qid)));
+  auto cq = co_await sim::spawn(engine(), delete_cq(qid));
   co_return DeleteResult{sq && sq->ok(), cq && cq->ok()};
 }
 

@@ -110,8 +110,8 @@ class AdminQueue {
   void adopt(const nvme::QueuePair::RingState& state);
 
   /// Issue one admin command and await its completion (serialized). NVMe
-  /// failures come back in the completion's status.
-  sim::Future<Result<nvme::CompletionEntry>> submit(nvme::SubmissionEntry entry);
+  /// failures come back in the completion's status. Callers spawn it.
+  sim::Co<Result<nvme::CompletionEntry>> submit(nvme::SubmissionEntry entry);
 
   /// Identify controller and namespace 1 through the 4 KiB buffer `data`,
   /// then negotiate `requested` I/O queues.
@@ -130,12 +130,11 @@ class AdminQueue {
   [[nodiscard]] nvme::QueuePair::RingState ring_state() const { return qp_->ring_state(); }
 
  private:
-  sim::Task submit_task(nvme::SubmissionEntry entry,
-                        sim::Promise<Result<nvme::CompletionEntry>> promise);
   /// Poll CSTS until RDY equals `want` (see enable() for `strict`).
   sim::Co<Status> wait_ready(bool want, bool strict);
   Status write_reg(std::uint64_t offset, std::uint64_t value, std::size_t width);
-  sim::Future<Result<nvme::CompletionEntry>> delete_cq(std::uint16_t qid);
+  sim::Co<Result<nvme::CompletionEntry>> delete_cq(std::uint16_t qid);
+  [[nodiscard]] sim::Engine& engine() const noexcept { return fabric_.engine(); }
   void open();
   void advanced() {
     if (on_advance_) on_advance_();

@@ -18,23 +18,18 @@ BareController::~BareController() {
 
 sim::Future<Result<std::unique_ptr<BareController>>> BareController::init(
     sisci::Cluster& cluster, pcie::EndpointId endpoint, Config cfg) {
-  sim::Promise<Result<std::unique_ptr<BareController>>> promise(cluster.engine());
-  auto self = std::unique_ptr<BareController>(new BareController(cluster, endpoint, cfg));
-  init_task(std::move(self), promise);
-  return promise.future();
+  return sim::spawn(cluster.engine(), init_steps(std::unique_ptr<BareController>(
+                                          new BareController(cluster, endpoint, cfg))));
 }
 
-sim::Task BareController::init_task(std::unique_ptr<BareController> self,
-                                    sim::Promise<Result<std::unique_ptr<BareController>>> promise) {
+sim::Co<Result<std::unique_ptr<BareController>>> BareController::init_steps(
+    std::unique_ptr<BareController> self) {
   BareController& m = *self;
   fabric::Substrate& fabric = m.cluster_.fabric();
 
   m.host_ = fabric.endpoint_host(m.endpoint_);
   auto bar = fabric.bar_address(m.endpoint_, 0);
-  if (!bar) {
-    promise.set(bar.status());
-    co_return;
-  }
+  if (!bar) co_return bar.status();
   m.bar_base_ = *bar;
 
   // Admin queues + a page for identify payloads, all in local DRAM: the CPU,
@@ -42,10 +37,7 @@ sim::Task BareController::init_task(std::unique_ptr<BareController> self,
   auto asq = m.cluster_.alloc_dram(m.host_, kAdminEntries * 64ull, 4096);
   auto acq = m.cluster_.alloc_dram(m.host_, kAdminEntries * 16ull, 4096);
   auto buf = m.cluster_.alloc_dram(m.host_, 4096, 4096);
-  if (!asq || !acq || !buf) {
-    promise.set(Status(Errc::resource_exhausted, "no DRAM for admin queues"));
-    co_return;
-  }
+  if (!asq || !acq || !buf) co_return Status(Errc::resource_exhausted, "no DRAM for admin queues");
   m.asq_addr_ = *asq;
   m.acq_addr_ = *acq;
   m.admin_data_addr_ = *buf;
@@ -56,15 +48,9 @@ sim::Task BareController::init_task(std::unique_ptr<BareController> self,
                   local(*asq, kAdminEntries * 64ull), local(*acq, kAdminEntries * 16ull)});
 
   const EnableResult up = co_await m.admin_.enable(0, /*strict=*/true);
-  if (!up.status) {
-    promise.set(up.status);
-    co_return;
-  }
+  if (!up.status) co_return up.status;
   auto info = co_await m.admin_.identify(local(*buf, 4096), m.cfg_.requested_io_queues);
-  if (!info) {
-    promise.set(info.status());
-    co_return;
-  }
+  if (!info) co_return info.status();
   m.mdts_bytes_ = info->max_transfer_bytes;
   m.capacity_blocks_ = info->capacity_blocks;
   m.block_size_ = info->block_size;
@@ -72,35 +58,27 @@ sim::Task BareController::init_task(std::unique_ptr<BareController> self,
 
   NVS_LOG(info, "bringup") << "controller up: " << m.capacity_blocks_ << " blocks of "
                            << m.block_size_ << "B, " << m.granted_io_queues_ << " IO queues";
-  promise.set(std::move(self));
+  co_return std::move(self);
 }
 
-sim::Future<Result<CompletionEntry>> BareController::submit_admin(SubmissionEntry entry) {
+sim::Co<Result<CompletionEntry>> BareController::submit_admin(SubmissionEntry entry) {
   return admin_.submit(entry);
 }
 
-sim::Future<Result<std::uint16_t>> BareController::create_queue_pair(
+sim::Co<Result<std::uint16_t>> BareController::create_queue_pair(
     std::uint64_t sq_addr, std::uint16_t sq_size, std::uint64_t cq_addr, std::uint16_t cq_size,
     std::optional<std::uint16_t> irq_vector) {
-  sim::Promise<Result<std::uint16_t>> promise(cluster_.engine());
-  create_qp_task({0, sq_addr, sq_size, cq_addr, cq_size, irq_vector}, promise);
-  return promise.future();
-}
-
-sim::Task BareController::create_qp_task(IoPairSpec spec,
-                                         sim::Promise<Result<std::uint16_t>> promise) {
+  IoPairSpec spec{0, sq_addr, sq_size, cq_addr, cq_size, irq_vector};
   if (next_qid_ > granted_io_queues_) {
-    promise.set(Status(Errc::resource_exhausted, "no I/O queue ids left"));
-    co_return;
+    co_return Status(Errc::resource_exhausted, "no I/O queue ids left");
   }
   spec.qid = next_qid_++;
   const CreateResult created = co_await admin_.create_io_pair(spec);
   if (!created.status) {
     --next_qid_;
-    promise.set(created.status);
-    co_return;
+    co_return created.status;
   }
-  promise.set(spec.qid);
+  co_return spec.qid;
 }
 
 Status BareController::program_msix(std::uint16_t vector, std::uint64_t addr,

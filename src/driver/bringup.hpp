@@ -34,16 +34,14 @@ class BareController {
   BareController& operator=(const BareController&) = delete;
 
   /// Issue one admin command and await its completion (serialized).
-  sim::Future<Result<nvme::CompletionEntry>> submit_admin(nvme::SubmissionEntry entry);
+  sim::Co<Result<nvme::CompletionEntry>> submit_admin(nvme::SubmissionEntry entry);
 
   /// Create an I/O queue pair with both queues in this host's memory.
   /// Returns the queue id. `irq_vector`: MSI-X vector for CQ interrupts,
   /// or nullopt for a polled CQ.
-  sim::Future<Result<std::uint16_t>> create_queue_pair(std::uint64_t sq_addr,
-                                                       std::uint16_t sq_size,
-                                                       std::uint64_t cq_addr,
-                                                       std::uint16_t cq_size,
-                                                       std::optional<std::uint16_t> irq_vector);
+  sim::Co<Result<std::uint16_t>> create_queue_pair(std::uint64_t sq_addr, std::uint16_t sq_size,
+                                                   std::uint64_t cq_addr, std::uint16_t cq_size,
+                                                   std::optional<std::uint16_t> irq_vector);
 
   // --- discovered properties ---------------------------------------------------
   [[nodiscard]] std::uint64_t capacity_blocks() const noexcept { return capacity_blocks_; }
@@ -68,9 +66,8 @@ class BareController {
  private:
   BareController(sisci::Cluster& cluster, pcie::EndpointId endpoint, Config cfg);
 
-  static sim::Task init_task(std::unique_ptr<BareController> self,
-                             sim::Promise<Result<std::unique_ptr<BareController>>> promise);
-  sim::Task create_qp_task(IoPairSpec spec, sim::Promise<Result<std::uint16_t>> promise);
+  static sim::Co<Result<std::unique_ptr<BareController>>> init_steps(
+      std::unique_ptr<BareController> self);
 
   sisci::Cluster& cluster_;
   pcie::EndpointId endpoint_;

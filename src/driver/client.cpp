@@ -141,19 +141,13 @@ sim::Future<Result<std::unique_ptr<Client>>> Client::attach(smartio::Service& se
                                                             smartio::NodeId node,
                                                             smartio::DeviceId device,
                                                             Config cfg) {
-  sim::Promise<Result<std::unique_ptr<Client>>> promise(service.cluster().engine());
-  auto self = std::unique_ptr<Client>(new Client(service, node, device, cfg));
-  init_task(std::move(self), promise);
-  return promise.future();
+  return sim::spawn(service.cluster().engine(),
+                    attach_steps(std::unique_ptr<Client>(new Client(service, node, device, cfg))));
 }
 
-sim::Task Client::init_task(std::unique_ptr<Client> self,
-                            sim::Promise<Result<std::unique_ptr<Client>>> promise) {
-  if (Status st = co_await self->connect(); !st) {
-    promise.set(st);
-    co_return;
-  }
-  promise.set(std::move(self));
+sim::Co<Result<std::unique_ptr<Client>>> Client::attach_steps(std::unique_ptr<Client> self) {
+  if (Status st = co_await self->connect(); !st) co_return st;
+  co_return std::move(self);
 }
 
 sim::Co<Status> Client::connect() {
@@ -350,7 +344,7 @@ sim::Co<Status> Client::connect() {
   req.qp_count = static_cast<std::uint16_t>(cfg_.channels);
   req.sq_stride = static_cast<std::uint32_t>(sq_ring_bytes);
   req.cq_stride = static_cast<std::uint32_t>(cq_ring_bytes);
-  auto resp = co_await mailbox_call(req);
+  auto resp = co_await sim::spawn(engine(), mailbox_call(req));
   if (!resp) co_return resp.status();
   if (resp->status != static_cast<std::uint32_t>(Errc::ok)) {
     co_return Status(static_cast<Errc>(resp->status), "manager rejected create_qp");
@@ -419,12 +413,6 @@ sim::Co<Status> Client::connect() {
 
 // --- mailbox RPC ------------------------------------------------------------------
 
-sim::Future<Result<MboxSlot>> Client::mailbox_call(MboxSlot request) {
-  sim::Promise<Result<MboxSlot>> promise(engine());
-  mailbox_call_task(request, promise);
-  return promise.future();
-}
-
 // One attempt posts the request, polls the state word until the manager
 // flips it to done, reads the full slot back and frees it. With the retry
 // knob off that is the whole story (the seed instruction stream); with it
@@ -433,7 +421,7 @@ sim::Future<Result<MboxSlot>> Client::mailbox_call(MboxSlot request) {
 // the standby's fresh segment) and re-posts. Duplicate grants from a
 // re-post the old manager already served are safe: the manager reclaims a
 // same-client grant whose SQ address overlaps before creating the new one.
-sim::Task Client::mailbox_call_task(MboxSlot request, sim::Promise<Result<MboxSlot>> promise) {
+sim::Co<Result<MboxSlot>> Client::mailbox_call(MboxSlot request) {
   sim::Engine& eng = engine();
   fabric::Substrate& fab = fabric();
   const pcie::Initiator cpu = fab.cpu(node_);
@@ -450,7 +438,7 @@ sim::Task Client::mailbox_call_task(MboxSlot request, sim::Promise<Result<MboxSl
         last = Status(Errc::aborted, "client stopped during mailbox retry");
         break;
       }
-      if (Status st = co_await refresh_manager(); !st) {
+      if (Status st = co_await sim::spawn(eng, follow_manager()); !st) {
         last = st;
         continue;  // registration gone or unreadable; back off and look again
       }
@@ -512,17 +500,10 @@ sim::Task Client::mailbox_call_task(MboxSlot request, sim::Promise<Result<MboxSl
       lease_epoch_ = response.epoch;
     }
     mailbox_lock_->release();
-    promise.set(response);
-    co_return;
+    co_return response;
   }
   mailbox_lock_->release();
-  promise.set(last);
-}
-
-sim::Future<Status> Client::refresh_manager() {
-  sim::Promise<Status> promise(engine());
-  refresh_manager_task(promise);
-  return promise.future();
+  co_return last;
 }
 
 // Follow a manager takeover: SmartIO's metadata registration is the source
@@ -531,10 +512,6 @@ sim::Future<Status> Client::refresh_manager() {
 // recompute this node's mailbox slot address. Heartbeats and retried
 // mailbox calls then land in the new manager's segment; nothing about the
 // established queue pairs changes (the takeover adopted them).
-sim::Task Client::refresh_manager_task(sim::Promise<Status> promise) {
-  promise.set(co_await follow_manager());
-}
-
 sim::Co<Status> Client::follow_manager() {
   fabric::Substrate& fab = fabric();
   sisci::Cluster& cluster = service_.cluster();
@@ -738,26 +715,17 @@ mux::QpMultiplexer& Client::ensure_mux() {
 }
 
 sim::Future<Result<mux::ShareGrant>> Client::create_share(const ShareRequest& request) {
-  sim::Promise<Result<mux::ShareGrant>> promise(engine());
-  create_share_task(request, promise);
-  return promise.future();
+  return sim::spawn(engine(), create_share_steps(request));
 }
 
 sim::Future<Status> Client::delete_share(std::uint32_t tenant) {
-  sim::Promise<Status> promise(engine());
-  delete_share_task(tenant, promise);
-  return promise.future();
+  return sim::spawn(engine(), delete_share_steps(tenant));
 }
 
-sim::Task Client::create_share_task(ShareRequest request,
-                                    sim::Promise<Result<mux::ShareGrant>> promise) {
-  if (!attached_) {
-    promise.set(Status(Errc::unavailable, "not attached"));
-    co_return;
-  }
+sim::Co<Result<mux::ShareGrant>> Client::create_share_steps(ShareRequest request) {
+  if (!attached_) co_return Status(Errc::unavailable, "not attached");
   if (cfg_.channels != 1) {
-    promise.set(Status(Errc::unsupported, "tenant shares need a single-channel client"));
-    co_return;
+    co_return Status(Errc::unsupported, "tenant shares need a single-channel client");
   }
   // Tenants live above the client's own window: [queue_depth, queue_entries).
   // depth < entries is an engine attach-time invariant, so the space is
@@ -773,14 +741,10 @@ sim::Task Client::create_share_task(ShareRequest request,
   req.qos_class = static_cast<std::uint8_t>(request.qos_class);
   req.qos_iops = request.qos_iops;
   req.qos_bytes_per_s = request.qos_bytes_per_s;
-  auto resp = co_await mailbox_call(req);
-  if (!resp) {
-    promise.set(resp.status());
-    co_return;
-  }
+  auto resp = co_await sim::spawn(engine(), mailbox_call(req));
+  if (!resp) co_return resp.status();
   if (resp->status != static_cast<std::uint32_t>(Errc::ok)) {
-    promise.set(Status(static_cast<Errc>(resp->status), "manager rejected create_share"));
-    co_return;
+    co_return Status(static_cast<Errc>(resp->status), "manager rejected create_share");
   }
   mux::ShareGrant grant;
   grant.tenant = request.tenant;
@@ -793,44 +757,32 @@ sim::Task Client::create_share_task(ShareRequest request,
   if (m.grant(request.tenant) != nullptr) {
     // The manager treats a repeat create_share as a re-grant; swap the
     // local attachment too (refused while the tenant has work in flight).
-    if (Status st = m.detach_tenant(request.tenant); !st) {
-      promise.set(st);
-      co_return;
-    }
+    if (Status st = m.detach_tenant(request.tenant); !st) co_return st;
   }
-  if (Status st = m.attach_tenant(grant); !st) {
-    promise.set(st);
-    co_return;
-  }
+  if (Status st = m.attach_tenant(grant); !st) co_return st;
   // From here on the client's own submissions stay below the share floor,
   // so they can never collide with a tenant's window.
   own_range_ = nvme::CidRange{0, floor};
-  promise.set(grant);
+  co_return grant;
 }
 
-sim::Task Client::delete_share_task(std::uint32_t tenant, sim::Promise<Status> promise) {
+sim::Co<Status> Client::delete_share_steps(std::uint32_t tenant) {
   if (mux_ == nullptr || mux_->grant(tenant) == nullptr) {
-    promise.set(Status(Errc::not_found, "no share for this tenant"));
-    co_return;
+    co_return Status(Errc::not_found, "no share for this tenant");
   }
   if (Status st = mux_->detach_tenant(tenant); !st) {
-    promise.set(st);  // busy: staged or in-flight commands
-    co_return;
+    co_return st;  // busy: staged or in-flight commands
   }
   MboxSlot req;
   req.op = static_cast<std::uint32_t>(MboxOp::delete_share);
   req.qid_in = qids_[0];
   req.share_tenant = tenant;
-  auto resp = co_await mailbox_call(req);
-  if (!resp) {
-    promise.set(resp.status());
-    co_return;
-  }
+  auto resp = co_await sim::spawn(engine(), mailbox_call(req));
+  if (!resp) co_return resp.status();
   if (resp->status != static_cast<std::uint32_t>(Errc::ok)) {
-    promise.set(Status(static_cast<Errc>(resp->status), "manager rejected delete_share"));
-    co_return;
+    co_return Status(static_cast<Errc>(resp->status), "manager rejected delete_share");
   }
-  promise.set(Status::ok());
+  co_return Status::ok();
 }
 
 sim::Task Client::poller(std::shared_ptr<bool> stop) {
@@ -903,7 +855,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   del.op = static_cast<std::uint32_t>(MboxOp::delete_qp_batch);
   del.qp_count = 1;
   del.qids[0] = old_qid;
-  (void)co_await mailbox_call(del);
+  (void)co_await sim::spawn(engine(), mailbox_call(del));
   if (*stop || crashed_) {
     engine_io_->finish_recovery(chan);
     co_return;
@@ -935,7 +887,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
   req.qos_bytes_per_s = cfg_.qos_bytes_per_s;
   bool created = false;
   for (int attempt = 0; attempt < kRecoverRetryLimit; ++attempt) {
-    auto resp = co_await mailbox_call(req);
+    auto resp = co_await sim::spawn(engine(), mailbox_call(req));
     if (*stop || crashed_) break;
     if (resp && resp->status == static_cast<std::uint32_t>(Errc::ok)) {
       qids_[chan] = resp->qids[0];
@@ -980,7 +932,7 @@ sim::Task Client::heartbeat_task(std::shared_ptr<bool> stop) {
       // dead segment would look orphaned once the grace window closes.
       auto loc = service_.device_metadata(device_id_);
       if (loc && *loc != meta_loc_) {
-        (void)co_await refresh_manager();
+        (void)co_await sim::spawn(eng, follow_manager());
         if (*stop) co_return;
       }
     }
@@ -993,32 +945,21 @@ sim::Task Client::heartbeat_task(std::shared_ptr<bool> stop) {
 
 // --- detach ---------------------------------------------------------------------------
 
-sim::Future<Status> Client::detach() {
-  sim::Promise<Status> promise(engine());
-  detach_task(promise);
-  return promise.future();
-}
+sim::Future<Status> Client::detach() { return sim::spawn(engine(), detach_steps()); }
 
-sim::Task Client::detach_task(sim::Promise<Status> promise) {
-  if (!attached_) {
-    promise.set(Status(Errc::unavailable, "not attached"));
-    co_return;
-  }
+sim::Co<Status> Client::detach_steps() {
+  if (!attached_) co_return Status(Errc::unavailable, "not attached");
   attached_ = false;
   MboxSlot req;
   req.op = static_cast<std::uint32_t>(MboxOp::delete_qp_batch);
   req.qp_count = static_cast<std::uint16_t>(cfg_.channels);
   std::copy(qids_.begin(), qids_.end(), req.qids);
-  auto resp = co_await mailbox_call(req);
+  auto resp = co_await sim::spawn(engine(), mailbox_call(req));
   halt();  // stop poller after the RPC (it uses the fabric, not the QP)
   if (mux_) mux_->kick();  // parked tenant scheduler drains its rings as aborted
-  if (!resp) {
-    promise.set(resp.status());
-    co_return;
-  }
+  if (!resp) co_return resp.status();
   if (resp->status != static_cast<std::uint32_t>(Errc::ok)) {
-    promise.set(Status(static_cast<Errc>(resp->status), "manager rejected delete_qp"));
-    co_return;
+    co_return Status(static_cast<Errc>(resp->status), "manager rejected delete_qp");
   }
   // The queue pair is gone; release DMA windows (device-side NTB entries)
   // and then the segments so another client can reuse the resources.
@@ -1031,7 +972,7 @@ sim::Task Client::detach_task(sim::Promise<Status> promise) {
   cq_seg_.release();
   bounce_seg_.release();
   prp_seg_.release();
-  promise.set(Status::ok());
+  co_return Status::ok();
 }
 
 }  // namespace nvmeshare::driver

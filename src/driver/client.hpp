@@ -206,17 +206,14 @@ class Client final : public block::BlockDevice, private block::IoTransport {
  private:
   Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceId device, Config cfg);
 
-  static sim::Task init_task(std::unique_ptr<Client> self,
-                             sim::Promise<Result<std::unique_ptr<Client>>> promise);
+  static sim::Co<Result<std::unique_ptr<Client>>> attach_steps(std::unique_ptr<Client> self);
   /// Attach: find the manager, build the rings and windows, get the queue
   /// pairs granted, and start polling.
   sim::Co<Status> connect();
   /// Post a mailbox request and await the manager's response.
-  sim::Future<Result<MboxSlot>> mailbox_call(MboxSlot request);
-  sim::Task mailbox_call_task(MboxSlot request, sim::Promise<Result<MboxSlot>> promise);
-  sim::Task create_share_task(ShareRequest request,
-                              sim::Promise<Result<mux::ShareGrant>> promise);
-  sim::Task delete_share_task(std::uint32_t tenant, sim::Promise<Status> promise);
+  sim::Co<Result<MboxSlot>> mailbox_call(MboxSlot request);
+  sim::Co<Result<mux::ShareGrant>> create_share_steps(ShareRequest request);
+  sim::Co<Status> delete_share_steps(std::uint32_t tenant);
   /// Build the multiplexer on first use, wired to dispatch through the
   /// engine with each tenant's CID window.
   mux::QpMultiplexer& ensure_mux();
@@ -227,15 +224,13 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   void notify_poller() noexcept {
     if (poll_timer_ != nullptr) poll_timer_->notify();
   }
-  sim::Task detach_task(sim::Promise<Status> promise);
+  sim::Co<Status> detach_steps();
   sim::Task recover_task(std::uint32_t chan, std::shared_ptr<bool> stop);
   sim::Task heartbeat_task(std::shared_ptr<bool> stop);
   /// Re-look-up the manager's metadata registration and, if it moved (a
   /// standby took over), re-connect, re-map, re-read the header/lease and
   /// recompute this node's mailbox slot address. Returns ok when the
   /// mailbox address is usable (moved or not).
-  sim::Future<Status> refresh_manager();
-  sim::Task refresh_manager_task(sim::Promise<Status> promise);
   sim::Co<Status> follow_manager();
 
   // --- block::IoTransport (the NVMe queue-pair personality) ----------------

@@ -45,21 +45,18 @@ sim::Future<Result<std::unique_ptr<LocalDriver>>> LocalDriver::start(sisci::Clus
                                                                      pcie::EndpointId endpoint,
                                                                      IrqController* irq,
                                                                      Config cfg) {
-  sim::Promise<Result<std::unique_ptr<LocalDriver>>> promise(cluster.engine());
-  auto self = std::unique_ptr<LocalDriver>(new LocalDriver(cluster, cfg));
-  init_task(std::move(self), endpoint, irq, promise);
-  return promise.future();
+  return sim::spawn(cluster.engine(),
+                    init_steps(std::unique_ptr<LocalDriver>(new LocalDriver(cluster, cfg)),
+                               endpoint, irq));
 }
 
-sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::EndpointId endpoint,
-                                 IrqController* irq,
-                                 sim::Promise<Result<std::unique_ptr<LocalDriver>>> promise) {
+sim::Co<Result<std::unique_ptr<LocalDriver>>> LocalDriver::init_steps(
+    std::unique_ptr<LocalDriver> self, pcie::EndpointId endpoint, IrqController* irq) {
   LocalDriver& d = *self;
   sim::Engine& engine = d.cluster_.engine();
 
   if (d.cfg_.use_interrupts && irq == nullptr) {
-    promise.set(Status(Errc::invalid_argument, "interrupt mode needs an IrqController"));
-    co_return;
+    co_return Status(Errc::invalid_argument, "interrupt mode needs an IrqController");
   }
   block::IoEngine::Config ec;
   ec.backend = "local";
@@ -69,19 +66,13 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   ec.coalesce_doorbells = d.cfg_.coalesce_doorbells;
   ec.doorbell_ns = d.cfg_.costs.doorbell_ns;
   ec.counters.requests = &d.stats_;
-  if (Status st = block::IoEngine::validate(ec); !st) {
-    promise.set(st);
-    co_return;
-  }
+  if (Status st = block::IoEngine::validate(ec); !st) co_return st;
   const std::uint32_t total_depth = d.cfg_.queue_depth * d.cfg_.channels;
 
   BareController::Config bc;
   bc.costs = d.cfg_.costs;
   auto ctrl = co_await BareController::init(d.cluster_, endpoint, bc);
-  if (!ctrl) {
-    promise.set(ctrl.status());
-    co_return;
-  }
+  if (!ctrl) co_return ctrl.status();
   d.ctrl_ = std::move(*ctrl);
   const pcie::HostId host = d.ctrl_->host();
   fabric::Substrate& fabric = d.cluster_.fabric();
@@ -92,10 +83,7 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   auto cq = d.cluster_.alloc_dram(host, cq_ring_bytes * d.cfg_.channels, 4096);
   auto prp = d.cluster_.alloc_dram(
       host, static_cast<std::uint64_t>(total_depth) * nvme::kPageSize, 4096);
-  if (!sq || !cq || !prp) {
-    promise.set(Status(Errc::resource_exhausted, "no DRAM for IO queues"));
-    co_return;
-  }
+  if (!sq || !cq || !prp) co_return Status(Errc::resource_exhausted, "no DRAM for IO queues");
   d.sq_addr_ = *sq;
   d.cq_addr_ = *cq;
   d.prp_pages_addr_ = *prp;
@@ -112,22 +100,13 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
     auto v = irq->allocate_vector([event, stop](std::uint32_t) {
       if (!*stop) event->set();
     });
-    if (!v) {
-      promise.set(v.status());
-      co_return;
-    }
+    if (!v) co_return v.status();
     d.irq_vector_ = *v;
     d.irq_vector_allocated_ = true;
     vector = static_cast<std::uint16_t>(*v);
     auto addr = irq->vector_address(*v);
-    if (!addr) {
-      promise.set(addr.status());
-      co_return;
-    }
-    if (Status st = d.ctrl_->program_msix(*vector, *addr, *v); !st) {
-      promise.set(st);
-      co_return;
-    }
+    if (!addr) co_return addr.status();
+    if (Status st = d.ctrl_->program_msix(*vector, *addr, *v); !st) co_return st;
   }
 
   // One queue pair per channel, each on its own slice of the shared ring
@@ -137,12 +116,10 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   for (std::uint32_t chan = 0; chan < d.cfg_.channels; ++chan) {
     const std::uint64_t sq_base = d.sq_addr_ + chan * sq_ring_bytes;
     const std::uint64_t cq_base = d.cq_addr_ + chan * cq_ring_bytes;
-    auto qid = co_await d.ctrl_->create_queue_pair(sq_base, d.cfg_.queue_entries, cq_base,
-                                                   d.cfg_.queue_entries, vector);
-    if (!qid) {
-      promise.set(qid.status());
-      co_return;
-    }
+    auto qid = co_await sim::spawn(engine, d.ctrl_->create_queue_pair(
+                                               sq_base, d.cfg_.queue_entries, cq_base,
+                                               d.cfg_.queue_entries, vector));
+    if (!qid) co_return qid.status();
     d.qids_[chan] = *qid;
 
     nvme::QueuePair::Config qc;
@@ -164,10 +141,7 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
   if (!d.cfg_.use_interrupts) {
     auto cq_watch = fabric.watch_writes(host, d.cq_addr_, cq_ring_bytes * d.cfg_.channels,
                                         *d.poll_timer_);
-    if (!cq_watch) {
-      promise.set(cq_watch.status());
-      co_return;
-    }
+    if (!cq_watch) co_return cq_watch.status();
     d.cq_watch_ = std::move(*cq_watch);
   }
   NVS_LOG(info, "local") << "local driver up, qid " << d.qids_[0]
@@ -175,7 +149,7 @@ sim::Task LocalDriver::init_task(std::unique_ptr<LocalDriver> self, pcie::Endpoi
                                  ? " (+" + std::to_string(d.cfg_.channels - 1) + " channels)"
                                  : "")
                          << (d.cfg_.use_interrupts ? " (MSI-X)" : " (polled)");
-  promise.set(std::move(self));
+  co_return std::move(self);
 }
 
 sim::Future<block::Completion> LocalDriver::submit(const block::Request& request) {

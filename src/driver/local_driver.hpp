@@ -76,9 +76,8 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
  private:
   LocalDriver(sisci::Cluster& cluster, Config cfg);
 
-  static sim::Task init_task(std::unique_ptr<LocalDriver> self, pcie::EndpointId endpoint,
-                             IrqController* irq,
-                             sim::Promise<Result<std::unique_ptr<LocalDriver>>> promise);
+  static sim::Co<Result<std::unique_ptr<LocalDriver>>> init_steps(
+      std::unique_ptr<LocalDriver> self, pcie::EndpointId endpoint, IrqController* irq);
   sim::Task completion_loop(std::shared_ptr<bool> stop);
 
   // --- block::IoTransport (the local queue-pair personality) ---------------

@@ -117,30 +117,24 @@ sim::Future<Result<std::unique_ptr<Manager>>> Manager::start(smartio::Service& s
                                                              smartio::NodeId node,
                                                              smartio::DeviceId device,
                                                              Config cfg) {
-  sim::Promise<Result<std::unique_ptr<Manager>>> promise(service.cluster().engine());
-  start_task(std::unique_ptr<Manager>(new Manager(service, node, device, cfg)),
-             &Manager::bring_up, promise);
-  return promise.future();
+  return sim::spawn(service.cluster().engine(),
+                    start_steps(std::unique_ptr<Manager>(new Manager(service, node, device, cfg)),
+                                &Manager::bring_up));
 }
 
 sim::Future<Result<std::unique_ptr<Manager>>> Manager::start_standby(smartio::Service& service,
                                                                      smartio::NodeId node,
                                                                      smartio::DeviceId device,
                                                                      Config cfg) {
-  sim::Promise<Result<std::unique_ptr<Manager>>> promise(service.cluster().engine());
   auto self = std::unique_ptr<Manager>(new Manager(service, node, device, cfg));
   self->standby_ = true;
-  start_task(std::move(self), &Manager::stand_by, promise);
-  return promise.future();
+  return sim::spawn(service.cluster().engine(), start_steps(std::move(self), &Manager::stand_by));
 }
 
-sim::Task Manager::start_task(std::unique_ptr<Manager> self, sim::Co<Status> (Manager::*steps)(),
-                              sim::Promise<Result<std::unique_ptr<Manager>>> promise) {
-  if (Status st = co_await (self.get()->*steps)(); !st) {
-    promise.set(st);
-    co_return;
-  }
-  promise.set(std::move(self));
+sim::Co<Result<std::unique_ptr<Manager>>> Manager::start_steps(
+    std::unique_ptr<Manager> self, sim::Co<Status> (Manager::*steps)()) {
+  if (Status st = co_await (self.get()->*steps)(); !st) co_return st;
+  co_return std::move(self);
 }
 
 sim::Co<Status> Manager::bring_up() {
@@ -299,13 +293,13 @@ void Manager::register_crash_handler() {
 }
 
 sim::Future<Result<CompletionEntry>> Manager::submit_admin(SubmissionEntry entry) {
-  return admin_.submit(entry);
+  return sim::spawn(engine(), admin_.submit(entry));
 }
 
 sim::Future<Result<CompletionEntry>> Manager::set_arbitration() {
-  return admin_.submit(nvme::make_set_arbitration(0, kArbBurstLog2, cfg_.wrr_low_weight,
-                                                  cfg_.wrr_medium_weight,
-                                                  cfg_.wrr_high_weight));
+  return sim::spawn(engine(), admin_.submit(nvme::make_set_arbitration(
+                                  0, kArbBurstLog2, cfg_.wrr_low_weight, cfg_.wrr_medium_weight,
+                                  cfg_.wrr_high_weight)));
 }
 
 void Manager::halt() {
@@ -342,7 +336,7 @@ sim::Task Manager::mailbox_server(std::shared_ptr<bool> stop) {
       }
       if (slot.state != static_cast<std::uint32_t>(MboxState::request)) continue;
       worked = true;
-      co_await handle_slot_await(i, slot, stop);
+      co_await sim::spawn(eng, handle_slot(i, slot, stop));
       if (*stop) co_return;
     }
     // Cheap insurance: the next scan after a handled request is real even
@@ -353,23 +347,13 @@ sim::Task Manager::mailbox_server(std::shared_ptr<bool> stop) {
   }
 }
 
-// handle_slot_task is awaited inline from the server loop (via the future
-// wrapper) so one request fully completes before the next slot is scanned.
-sim::Future<bool> Manager::handle_slot_await(std::uint32_t slot_index, MboxSlot slot,
-                                             std::shared_ptr<bool> stop) {
-  sim::Promise<bool> done(engine());
-  handle_slot_task(slot_index, slot, std::move(stop), done);
-  return done.future();
-}
-
-sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
-                                    std::shared_ptr<bool> stop, sim::Promise<bool> done) {
+// The server loop awaits each handler it spawns, so one request fully
+// completes before the next slot is scanned.
+sim::Co<bool> Manager::handle_slot(std::uint32_t slot_index, MboxSlot slot,
+                                   std::shared_ptr<bool> stop) {
   ++stats_.mailbox_requests;
   co_await sim::delay(engine(), kMailboxServiceNs);
-  if (*stop) {
-    done.set(false);
-    co_return;
-  }
+  if (*stop) co_return false;
 
   Reply reply;
   // A slot speaks only for its own node: ownership checks, stale-grant
@@ -404,10 +388,7 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
         break;
     }
   }
-  if (reply.stopped) {
-    done.set(false);
-    co_return;
-  }
+  if (reply.stopped) co_return false;
   slot.status = static_cast<std::uint32_t>(reply.errc);
   slot.qid_out = reply.qid;
   slot.nvme_status = reply.nvme_status;
@@ -415,7 +396,7 @@ sim::Task Manager::handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
   slot.state = static_cast<std::uint32_t>(MboxState::done);
   (void)metadata_seg_.write(mbox_slot_offset(header_, slot_index), as_bytes_of(slot));
   if (reply.errc != Errc::ok) ++stats_.request_errors;
-  done.set(true);
+  co_return true;
 }
 
 bool Manager::valid_create(const MboxSlot& slot) {
@@ -452,7 +433,8 @@ sim::Co<Manager::Reply> Manager::create_pairs(MboxSlot& slot, const bool* stop) 
   const std::uint64_t batch_hi =
       slot.sq_device_addr + static_cast<std::uint64_t>(count - 1) * slot.sq_stride + 1;
   if (has_stale_overlap(slot.client_node, slot.sq_device_addr, batch_hi)) {
-    co_await reclaim_stale_await(slot.client_node, slot.sq_device_addr, batch_hi);
+    co_await sim::spawn(engine(),
+                        reclaim_stale(slot.client_node, slot.sq_device_addr, batch_hi));
     if (*stop) co_return Reply{.stopped = true};
   }
   Reply reply;
@@ -854,15 +836,8 @@ bool Manager::has_stale_overlap(std::uint32_t client_node, std::uint64_t lo,
   return false;
 }
 
-sim::Future<bool> Manager::reclaim_stale_await(std::uint32_t client_node, std::uint64_t lo,
-                                               std::uint64_t hi) {
-  sim::Promise<bool> done(engine());
-  reclaim_stale_task(client_node, lo, hi, done);
-  return done.future();
-}
-
-sim::Task Manager::reclaim_stale_task(std::uint32_t client_node, std::uint64_t lo,
-                                      std::uint64_t hi, sim::Promise<bool> done) {
+sim::Co<bool> Manager::reclaim_stale(std::uint32_t client_node, std::uint64_t lo,
+                                     std::uint64_t hi) {
   for (std::uint16_t q = 1; q < grants_.size(); ++q) {
     const QpOwnerEntry& e = grants_[q].entry;
     if (!grants_[q].active() || e.owner_node != client_node) continue;
@@ -873,7 +848,7 @@ sim::Task Manager::reclaim_stale_task(std::uint32_t client_node, std::uint64_t l
     forget(q);
     ++stats_.qps_deleted;
   }
-  done.set(true);
+  co_return true;
 }
 
 sim::Co<Status> Manager::stand_by() {
@@ -977,7 +952,7 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
     if (!raw) continue;  // link down; retry next tick
     const auto lease = load_pod<ManagerLease>(*raw);
     if (lease.epoch == 0) continue;  // registration moved to a non-HA manager
-    if (eng.now() < lease.expires_at_ns) continue;
+    if (!lease_lapsed(lease)) continue;
 
     // Expired. Competing standbys resolve deterministically: wait our
     // stagger slot, re-read, and only claim if nobody else did.
@@ -988,14 +963,14 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
     if (*stop) co_return;
     if (!raw) continue;
     auto cur = load_pod<ManagerLease>(*raw);
-    if (cur.epoch != lease.epoch || eng.now() < cur.expires_at_ns) continue;
+    if (cur.epoch != lease.epoch || !lease_lapsed(cur)) continue;
 
     ManagerLease claim;
     claim.epoch = cur.epoch + 1;
     // Generous claim expiry: it must outlive the whole takeover sequence,
     // or a peer standby would start a second takeover against the same old
     // state mid-way through ours.
-    claim.expires_at_ns = eng.now() + 4 * cfg_.lease_duration_ns;
+    claim.expires_at_ns = eng.now() + kClaimLeases * cfg_.lease_duration_ns;
     claim.manager_node = node_;
     claim.state = static_cast<std::uint32_t>(LeaseState::claiming);
     Bytes buf(sizeof(ManagerLease));
@@ -1013,7 +988,7 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
     cur = load_pod<ManagerLease>(*raw);
     if (cur.epoch != claim.epoch || cur.manager_node != node_) continue;  // lost the race
 
-    Status st = co_await takeover_await(claim);
+    Status st = co_await sim::spawn(eng, take_over(claim));
     if (*stop) co_return;
     if (st) co_return;  // promoted: serving tasks run now, the watch ends
     NVS_LOG(error, "manager") << "standby on node " << node_
@@ -1021,14 +996,15 @@ sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
   }
 }
 
-sim::Future<Status> Manager::takeover_await(ManagerLease claim) {
-  sim::Promise<Status> done(engine());
-  takeover_task(claim, done);
-  return done.future();
-}
-
-sim::Task Manager::takeover_task(ManagerLease claim, sim::Promise<Status> done) {
-  done.set(co_await take_over(claim));
+bool Manager::lease_lapsed(const ManagerLease& lease) {
+  const auto now = static_cast<std::uint64_t>(engine().now());
+  if (lease.expires_at_ns != seen_expiry_) {
+    seen_expiry_ = lease.expires_at_ns;
+    seen_expiry_at_ = now;
+  }
+  const std::uint64_t limit =
+      seen_expiry_at_ + kClaimLeases * static_cast<std::uint64_t>(cfg_.lease_duration_ns);
+  return now >= std::min(lease.expires_at_ns, limit);
 }
 
 // Takeover: continue the old admin rings (AQA/ASQ/ACQ are latched — fresh

@@ -33,6 +33,10 @@ class Manager {
   /// lease before claiming, and another kClaimStaggerNs after writing the
   /// claim (posted) before concluding it won.
   static constexpr sim::Duration kClaimStaggerNs = 50'000;
+  /// A standby's claim holds the lease this many lease durations, enough to
+  /// outlive the whole takeover. No well-behaved writer publishes a later
+  /// expiry.
+  static constexpr std::uint64_t kClaimLeases = 4;
   /// Post-takeover reaper grace: no queue pair is reaped until this long
   /// after a takeover, giving surviving clients time to re-resolve the new
   /// mailbox location and heartbeat into it.
@@ -161,9 +165,9 @@ class Manager {
   Manager(smartio::Service& service, smartio::NodeId node, smartio::DeviceId device,
           Config cfg);
 
-  /// Resolve `promise` with the manager once `steps` succeeded.
-  static sim::Task start_task(std::unique_ptr<Manager> self, sim::Co<Status> (Manager::*steps)(),
-                              sim::Promise<Result<std::unique_ptr<Manager>>> promise);
+  /// The manager once `steps` succeeded.
+  static sim::Co<Result<std::unique_ptr<Manager>>> start_steps(
+      std::unique_ptr<Manager> self, sim::Co<Status> (Manager::*steps)());
   /// Exclusive bring-up: reset and enable the controller, identify it,
   /// downgrade to a shared claim, publish the metadata segment and serve.
   sim::Co<Status> bring_up();
@@ -182,10 +186,9 @@ class Manager {
   /// Stop every task of this manager; a mailbox server waiting on a tick
   /// sees it.
   void halt();
-  sim::Future<bool> handle_slot_await(std::uint32_t slot_index, MboxSlot slot,
-                                      std::shared_ptr<bool> stop);
-  sim::Task handle_slot_task(std::uint32_t slot_index, MboxSlot slot,
-                             std::shared_ptr<bool> stop, sim::Promise<bool> done);
+  /// Serve the request in mailbox slot `slot_index`; false when halted
+  /// mid-request (no response written).
+  sim::Co<bool> handle_slot(std::uint32_t slot_index, MboxSlot slot, std::shared_ptr<bool> stop);
   /// A mailbox handler's verdict, written back into the slot.
   struct Reply {
     Errc errc = Errc::ok;
@@ -219,9 +222,12 @@ class Manager {
   Status watch(std::pair<smartio::NodeId, sisci::SegmentId> loc);
   /// Standby main loop: watch the lease, claim on expiry, take over.
   sim::Task standby_watch_task(std::shared_ptr<bool> stop);
-  sim::Future<Status> takeover_await(ManagerLease claim);
-  sim::Task takeover_task(ManagerLease claim, sim::Promise<Status> done);
   sim::Co<Status> take_over(ManagerLease claim);
+  /// Has the watched lease lapsed? The expiry is a uint64 read from another
+  /// host's segment: compared sign-safe, and clamped to kClaimLeases lease
+  /// durations after this standby first read the value. A live manager
+  /// overwrites a bogus value at its next renewal; a dead one lets it lapse.
+  [[nodiscard]] bool lease_lapsed(const ManagerLease& lease);
   /// Active-manager lease renewal; self-fences on a foreign epoch.
   sim::Task lease_task(std::shared_ptr<bool> stop);
   void publish_lease();
@@ -245,10 +251,7 @@ class Manager {
   [[nodiscard]] bool has_stale_overlap(std::uint32_t client_node, std::uint64_t lo,
                                        std::uint64_t hi) const;
   /// Delete such grants (idempotent re-serve after a manager died mid-grant).
-  sim::Future<bool> reclaim_stale_await(std::uint32_t client_node, std::uint64_t lo,
-                                        std::uint64_t hi);
-  sim::Task reclaim_stale_task(std::uint32_t client_node, std::uint64_t lo, std::uint64_t hi,
-                               sim::Promise<bool> done);
+  sim::Co<bool> reclaim_stale(std::uint32_t client_node, std::uint64_t lo, std::uint64_t hi);
   /// v4 QoS admission: demote the requested class to the nearest allowed
   /// lower-priority one and clamp the budgets to the class caps, writing
   /// the granted values into the slot's echo fields. Returns false when no
@@ -316,6 +319,8 @@ class Manager {
   smartio::NodeId watched_node_ = 0;        ///< registration owner being watched
   sisci::SegmentId watched_seg_id_ = 0;
   sisci::Map watched_meta_map_;    ///< CPU view of the watched (old) metadata
+  std::uint64_t seen_expiry_ = 0;     ///< last lease expiry read by the watch
+  std::uint64_t seen_expiry_at_ = 0;  ///< when the watch first read it
   sisci::Map adopt_asq_map_;       ///< CPU views of adopted admin rings
   sisci::Map adopt_acq_map_;
   /// The mailbox server's tick (in its frame; null once halted) and the

@@ -244,7 +244,6 @@ class Substrate {
   /// Declare bring-up complete: from now on cross-host peek/poke is a bug.
   void seal_backdoors() noexcept { sealed_ = true; }
   void unseal_backdoors() noexcept { sealed_ = false; }
-  [[nodiscard]] bool backdoors_sealed() const noexcept { return sealed_; }
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 

@@ -66,16 +66,6 @@ ProtectionInfo generate_pi(ConstByteSpan block, std::uint64_t lba,
   return pi;
 }
 
-const char* pi_check_name(PiCheck check) noexcept {
-  switch (check) {
-    case PiCheck::ok: return "ok";
-    case PiCheck::guard_mismatch: return "guard_mismatch";
-    case PiCheck::app_tag_mismatch: return "app_tag_mismatch";
-    case PiCheck::ref_tag_mismatch: return "ref_tag_mismatch";
-  }
-  return "?";
-}
-
 PiCheck verify_pi(const ProtectionInfo& pi, ConstByteSpan block, std::uint64_t lba,
                   PiCheckMask mask, std::uint16_t app_tag) noexcept {
   if (mask.guard && pi.guard != crc16_t10dif(block)) return PiCheck::guard_mismatch;

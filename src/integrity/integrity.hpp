@@ -56,8 +56,6 @@ enum class PiCheck : std::uint8_t {
   ref_tag_mismatch,  ///< -> Reference Tag Check Error (SCT 2h / SC 84h)
 };
 
-[[nodiscard]] const char* pi_check_name(PiCheck check) noexcept;
-
 /// Which of the three fields to check (the command's PRCHK bits).
 struct PiCheckMask {
   bool guard = true;

@@ -24,7 +24,6 @@ class RangeAllocator {
 
   [[nodiscard]] std::uint64_t bytes_free() const noexcept { return bytes_free_; }
   [[nodiscard]] std::uint64_t bytes_used() const noexcept { return size_ - bytes_free_; }
-  [[nodiscard]] std::size_t allocation_count() const noexcept { return allocated_.size(); }
 
  private:
   std::uint64_t base_;

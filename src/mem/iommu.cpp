@@ -21,7 +21,6 @@ Result<sim::Duration> Iommu::map(std::uint64_t iova, std::uint64_t phys, std::ui
     }
   }
   maps_.emplace(iova, Mapping{phys, len});
-  ++total_maps_;
   return cfg_.map_fixed_ns +
          static_cast<sim::Duration>(cfg_.map_per_page_ns * (len / kPageSize));
 }
@@ -31,7 +30,6 @@ Result<sim::Duration> Iommu::unmap(std::uint64_t iova) {
   if (it == maps_.end()) return Status(Errc::not_found, "no IOMMU mapping at IOVA");
   const std::uint64_t pages = it->second.len / kPageSize;
   maps_.erase(it);
-  ++total_unmaps_;
   return cfg_.unmap_fixed_ns + static_cast<sim::Duration>(cfg_.unmap_per_page_ns * pages);
 }
 

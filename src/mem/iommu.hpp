@@ -45,10 +45,6 @@ class Iommu {
   /// itself is folded into chip latency (IOTLB hit) and costs no extra time.
   [[nodiscard]] Result<std::uint64_t> translate(std::uint64_t iova) const;
 
-  [[nodiscard]] std::size_t mapping_count() const noexcept { return maps_.size(); }
-  [[nodiscard]] std::uint64_t total_maps() const noexcept { return total_maps_; }
-  [[nodiscard]] std::uint64_t total_unmaps() const noexcept { return total_unmaps_; }
-
  private:
   struct Mapping {
     std::uint64_t phys;
@@ -57,8 +53,6 @@ class Iommu {
 
   Config cfg_;
   std::map<std::uint64_t, Mapping> maps_;  // iova -> mapping
-  std::uint64_t total_maps_ = 0;
-  std::uint64_t total_unmaps_ = 0;
 };
 
 }  // namespace nvmeshare::mem

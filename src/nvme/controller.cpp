@@ -302,41 +302,24 @@ sim::Task Controller::arbiter_task(std::uint64_t gen) {
     if (gen != generation_) co_return;
 
     if (sqs_[0].valid && sqs_[0].head != sqs_[0].tail) {
-      const int n = co_await fetch_turn(0, kFetchBurst, gen);
+      const int n = co_await sim::spawn(engine_, fetch_turn(0, kFetchBurst, gen));
       if (gen != generation_ || n == -2) co_return;
       continue;  // keep admin drained before offering I/O turns
     }
 
-    bool fetched = false;
     bool deferred = false;
     sim::Time next_retry = 0;
-    const auto nio = static_cast<std::uint16_t>(cfg_.max_queue_pairs - 1);
-    if (ams_ == kCcAmsWrr) {
-      const std::uint16_t qid = wrr_pick(deferred, next_retry);
-      if (qid != 0) {
-        const int n = co_await fetch_turn(qid, arb_burst(), gen);
-        if (gen != generation_ || n == -2) co_return;
-        fetched = true;
-      }
-    } else {
-      for (std::uint16_t step = 0; step < nio && !fetched; ++step) {
-        const auto qid = static_cast<std::uint16_t>(1 + (rr_next_ - 1 + step) % nio);
-        SqState& sq = sqs_[qid];
-        if (!sq.valid || sq.head == sq.tail) continue;
-        if (sq.retry_not_before > engine_.now()) {
-          deferred = true;
-          if (next_retry == 0 || sq.retry_not_before < next_retry) {
-            next_retry = sq.retry_not_before;
-          }
-          continue;
-        }
-        const int n = co_await fetch_turn(qid, arb_burst(), gen);
-        if (gen != generation_ || n == -2) co_return;
-        rr_next_ = static_cast<std::uint16_t>(1 + qid % nio);  // queue after this one
-        fetched = true;
-      }
+    // Round robin advances its cursor only after a completed turn; WRR
+    // advances a class cursor as it picks.
+    const bool round_robin = ams_ != kCcAmsWrr;
+    const std::uint16_t qid = round_robin ? scan_queues(rr_next_, kAnyClass, deferred, next_retry)
+                                          : wrr_pick(deferred, next_retry);
+    if (qid != 0) {
+      const int n = co_await sim::spawn(engine_, fetch_turn(qid, arb_burst(), gen));
+      if (gen != generation_ || n == -2) co_return;
+      if (round_robin) rr_next_ = next_queue(qid);
+      continue;
     }
-    if (fetched) continue;
 
     work_->reset();
     if (deferred) {
@@ -351,30 +334,36 @@ sim::Task Controller::arbiter_task(std::uint64_t gen) {
   }
 }
 
-std::uint16_t Controller::wrr_pick(bool& deferred, sim::Time& next_retry) {
+std::uint16_t Controller::next_queue(std::uint16_t qid) const noexcept {
+  return static_cast<std::uint16_t>(1 + qid % (cfg_.max_queue_pairs - 1));
+}
+
+std::uint16_t Controller::scan_queues(std::uint16_t cursor, int cls, bool& deferred,
+                                      sim::Time& next_retry) {
   const auto nio = static_cast<std::uint16_t>(cfg_.max_queue_pairs - 1);
-  auto ready = [&](std::uint16_t qid) -> bool {
+  for (std::uint16_t step = 0; step < nio; ++step) {
+    const auto qid = static_cast<std::uint16_t>(1 + (cursor - 1 + step) % nio);
     SqState& sq = sqs_[qid];
-    if (!sq.valid || sq.head == sq.tail) return false;
+    if ((cls != kAnyClass && sq.prio != cls) || !sq.valid || sq.head == sq.tail) continue;
     if (sq.retry_not_before > engine_.now()) {
       deferred = true;
       if (next_retry == 0 || sq.retry_not_before < next_retry) {
         next_retry = sq.retry_not_before;
       }
-      return false;
+      continue;
     }
-    return true;
-  };
+    return qid;
+  }
+  return 0;
+}
+
+std::uint16_t Controller::wrr_pick(bool& deferred, sim::Time& next_retry) {
   // Round-robin inside one class, advancing that class's cursor only when a
   // queue is actually chosen (a fruitless scan must not rotate fairness).
   auto scan_class = [&](std::uint8_t cls) -> std::uint16_t {
-    for (std::uint16_t step = 0; step < nio; ++step) {
-      const auto qid = static_cast<std::uint16_t>(1 + (wrr_next_[cls] - 1 + step) % nio);
-      if (sqs_[qid].prio != cls || !ready(qid)) continue;
-      wrr_next_[cls] = static_cast<std::uint16_t>(1 + qid % nio);
-      return qid;
-    }
-    return 0;
+    const std::uint16_t qid = scan_queues(wrr_next_[cls], cls, deferred, next_retry);
+    if (qid != 0) wrr_next_[cls] = next_queue(qid);
+    return qid;
   };
   // Urgent is strict priority: it pre-empts the weighted classes entirely.
   if (const std::uint16_t qid = scan_class(static_cast<std::uint8_t>(SqPriority::urgent))) {
@@ -403,15 +392,7 @@ std::uint16_t Controller::wrr_pick(bool& deferred, sim::Time& next_retry) {
   return 0;
 }
 
-sim::Future<int> Controller::fetch_turn(std::uint16_t qid, std::uint16_t limit,
-                                        std::uint64_t gen) {
-  sim::Promise<int> promise(engine_);
-  fetch_turn_task(qid, limit, gen, promise);
-  return promise.future();
-}
-
-sim::Task Controller::fetch_turn_task(std::uint16_t qid, std::uint16_t limit, std::uint64_t gen,
-                                      sim::Promise<int> promise) {
+sim::Co<int> Controller::fetch_turn(std::uint16_t qid, std::uint16_t limit, std::uint64_t gen) {
   SqState& sq = sqs_[qid];
   const auto avail = static_cast<std::uint16_t>((sq.tail - sq.head + sq.size) % sq.size);
   const auto until_wrap = static_cast<std::uint16_t>(sq.size - sq.head);
@@ -421,10 +402,7 @@ sim::Task Controller::fetch_turn_task(std::uint16_t qid, std::uint16_t limit, st
   auto data = co_await fabric()->read(
       dma_initiator(), sq.base + static_cast<std::uint64_t>(sq.head) * sizeof(SubmissionEntry),
       static_cast<std::size_t>(n) * sizeof(SubmissionEntry));
-  if (gen != generation_ || !sqs_[qid].valid) {
-    promise.set(0);
-    co_return;
-  }
+  if (gen != generation_ || !sqs_[qid].valid) co_return 0;
   if (!data) {
     // Per-queue isolation: an I/O queue whose memory became *transiently*
     // unreachable (NTB link down -> Errc::unavailable) must not take the
@@ -436,14 +414,12 @@ sim::Task Controller::fetch_turn_task(std::uint16_t qid, std::uint16_t limit, st
       NVS_LOG(warn, "nvme") << "SQ fetch DMA failed (q" << qid
                             << "): " << data.status().to_string() << " -> retry";
       sq.retry_not_before = engine_.now() + cfg_.service.queue_retry_ns;
-      promise.set(-1);
-      co_return;
+      co_return -1;
     }
     NVS_LOG(error, "nvme") << "SQ fetch DMA failed (q" << qid
                            << "): " << data.status().to_string() << " -> fatal";
     disable_controller(/*fatal=*/true);
-    promise.set(-2);
-    co_return;
+    co_return -2;
   }
   for (std::uint16_t i = 0; i < n; ++i) {
     const auto sqe =
@@ -457,7 +433,7 @@ sim::Task Controller::fetch_turn_task(std::uint16_t qid, std::uint16_t limit, st
   fabric()->recycle_payload(std::move(*data));
   sq.head = static_cast<std::uint16_t>((sq.head + n) % sq.size);
   stats_.commands_fetched += n;
-  promise.set(n);
+  co_return n;
 }
 
 sim::Task Controller::execute_command(std::uint16_t qid, SubmissionEntry sqe,
@@ -600,7 +576,7 @@ sim::Task Controller::run_admin(SubmissionEntry sqe, std::uint16_t sq_head_after
         complete(0, sq_head_after, sqe.cid, status, 0, gen, 0);
         co_return;
       }
-      auto sg = co_await walk_prps(sqe.prp1, sqe.prp2, payload.size());
+      auto sg = co_await sim::spawn(engine_, walk_prps(sqe.prp1, sqe.prp2, payload.size()));
       if (gen != generation_) co_return;
       if (!sg) {
         complete(0, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
@@ -790,7 +766,8 @@ Controller::AdminResult Controller::admin_get_features(const SubmissionEntry& sq
 sim::Duration Controller::media_latency(IoOpcode op, std::uint32_t nblocks) {
   sim::Duration base = 0;
   switch (op) {
-    case IoOpcode::read: base = cfg_.service.read_media_ns; break;
+    case IoOpcode::read:
+    case IoOpcode::vendor_scrub: base = cfg_.service.read_media_ns; break;  // scrub reads media
     case IoOpcode::write:
     case IoOpcode::write_zeroes: base = cfg_.service.write_media_ns; break;
     case IoOpcode::flush:
@@ -845,7 +822,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     // Fetch the range descriptors (the command's data payload), then
     // deallocate each range if the attribute asks for it.
     const std::uint32_t nr = (sqe.cdw10 & 0xFF) + 1;
-    auto sg = co_await walk_prps(sqe.prp1, sqe.prp2, nr * sizeof(DsmRange));
+    auto sg = co_await sim::spawn(engine_, walk_prps(sqe.prp1, sqe.prp2, nr * sizeof(DsmRange)));
     if (gen != generation_) co_return;
     if (!sg) {
       complete(qid, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
@@ -896,8 +873,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     // data at media-read cost, no host DMA. DW0 reports the mismatch
     // count; any mismatch completes with Guard Check Error.
     co_await channels_->acquire();
-    co_await sim::delay(engine_,
-                        cfg_.service.cmd_fixed_ns + media_latency(IoOpcode::read, nblocks));
+    co_await sim::delay(engine_, cfg_.service.cmd_fixed_ns + media_latency(op, nblocks));
     channels_->release();
     if (gen != generation_) co_return;
     auto mismatches = store_.verify_stored_pi(slba, nblocks);
@@ -974,7 +950,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
         co_return;
       }
     }
-    auto sg = co_await walk_prps(sqe.prp1, sqe.prp2, bytes);
+    auto sg = co_await sim::spawn(engine_, walk_prps(sqe.prp1, sqe.prp2, bytes));
     if (gen != generation_) co_return;
     if (!sg) {
       complete(qid, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
@@ -997,7 +973,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
   // larger remote-write delta than remote-read), then commit to media.
   ++stats_.io_writes;
   stats_.bytes_written += bytes;
-  auto sg = co_await walk_prps(sqe.prp1, sqe.prp2, bytes);
+  auto sg = co_await sim::spawn(engine_, walk_prps(sqe.prp1, sqe.prp2, bytes));
   if (gen != generation_) co_return;
   if (!sg) {
     complete(qid, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
@@ -1045,75 +1021,52 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
 
 // --- PRP walking -----------------------------------------------------------------------------
 
-sim::Future<Result<Controller::PrpScatter>> Controller::walk_prps(std::uint64_t prp1,
-                                                                 std::uint64_t prp2,
-                                                                 std::uint64_t total) {
-  sim::Promise<Result<PrpScatter>> promise(engine_);
-  walk_prps_task(promise, prp1, prp2, total);
-  return promise.future();
-}
-
-sim::Task Controller::walk_prps_task(sim::Promise<Result<PrpScatter>> promise,
-                                     std::uint64_t prp1, std::uint64_t prp2,
-                                     std::uint64_t total) {
+sim::Co<Result<Controller::PrpScatter>> Controller::walk_prps(std::uint64_t prp1,
+                                                             std::uint64_t prp2,
+                                                             std::uint64_t total) {
   PrpScatter sg;
-  if (total == 0) {
-    promise.set(std::move(sg));
-    co_return;
-  }
+  if (total == 0) co_return std::move(sg);
   if (prp1 == 0 || prp1 % 4 != 0) {
-    promise.set(Status(Errc::invalid_argument, "PRP1 null or not dword-aligned"));
-    co_return;
+    co_return Status(Errc::invalid_argument, "PRP1 null or not dword-aligned");
   }
   const std::uint64_t off1 = prp1 % kPageSize;
   const std::uint64_t first = std::min(total, kPageSize - off1);
   sg.push_back({prp1, static_cast<std::uint32_t>(first)});
   std::uint64_t remaining = total - first;
-  if (remaining == 0) {
-    promise.set(std::move(sg));
-    co_return;
-  }
+  if (remaining == 0) co_return std::move(sg);
   if (remaining <= kPageSize) {
     // PRP2 is the second (and last) data page; must have offset 0.
     if (prp2 == 0 || prp2 % kPageSize != 0) {
-      promise.set(Status(Errc::invalid_argument, "PRP2 null or not page-aligned"));
-      co_return;
+      co_return Status(Errc::invalid_argument, "PRP2 null or not page-aligned");
     }
     sg.push_back({prp2, static_cast<std::uint32_t>(remaining)});
-    promise.set(std::move(sg));
-    co_return;
+    co_return std::move(sg);
   }
   // PRP2 points to a PRP list. With MDTS = 128 KiB a single list page always
   // suffices (<= 31 entries), so chained lists are rejected as invalid.
   if (prp2 == 0 || prp2 % 8 != 0) {
-    promise.set(Status(Errc::invalid_argument, "PRP list pointer misaligned"));
-    co_return;
+    co_return Status(Errc::invalid_argument, "PRP list pointer misaligned");
   }
   const std::uint64_t entries_needed = div_ceil(remaining, kPageSize);
   const std::uint64_t entries_in_page = (kPageSize - prp2 % kPageSize) / 8;
   if (entries_needed > entries_in_page || entries_needed >= PrpScatter::kMaxEntries) {
-    promise.set(Status(Errc::invalid_argument, "PRP list would chain (exceeds MDTS model)"));
-    co_return;
+    co_return Status(Errc::invalid_argument, "PRP list would chain (exceeds MDTS model)");
   }
   // Fetching the PRP list is itself a DMA read and costs simulated time.
   auto list = co_await fabric()->read(dma_initiator(), prp2,
                                       static_cast<std::size_t>(entries_needed) * 8);
-  if (!list) {
-    promise.set(list.status());
-    co_return;
-  }
+  if (!list) co_return list.status();
   for (std::uint64_t i = 0; i < entries_needed; ++i) {
     const auto entry = load_pod<std::uint64_t>(*list, static_cast<std::size_t>(i) * 8);
     if (entry == 0 || entry % kPageSize != 0) {
-      promise.set(Status(Errc::invalid_argument, "PRP list entry not page-aligned"));
-      co_return;
+      co_return Status(Errc::invalid_argument, "PRP list entry not page-aligned");
     }
     const std::uint64_t len = std::min(remaining, kPageSize);
     sg.push_back({entry, static_cast<std::uint32_t>(len)});
     remaining -= len;
   }
   fabric()->recycle_payload(std::move(*list));
-  promise.set(std::move(sg));
+  co_return std::move(sg);
 }
 
 }  // namespace nvmeshare::nvme

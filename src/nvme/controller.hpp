@@ -153,17 +153,22 @@ class Controller final : public fabric::Endpoint {
   // class — urgent queues strictly first, then high/medium/low spending
   // per-class credits reloaded from the arbitration weights.
   sim::Task arbiter_task(std::uint64_t gen);
+  /// `cls` value for scan_queues() that matches every priority class.
+  static constexpr int kAnyClass = -1;
+  /// The first fetchable I/O queue at or after `cursor`, rotating, of class
+  /// `cls` (0 = nothing fetchable). Queues with work but mid-retry set
+  /// `deferred` and lower `next_retry` to their retry time.
+  [[nodiscard]] std::uint16_t scan_queues(std::uint16_t cursor, int cls, bool& deferred,
+                                          sim::Time& next_retry);
+  /// The I/O queue after `qid` in rotation order.
+  [[nodiscard]] std::uint16_t next_queue(std::uint16_t qid) const noexcept;
   /// WRR queue selection for one arbitration turn. Returns the chosen qid
-  /// (0 = nothing fetchable); queues mid-retry set `deferred`/`next_retry`
-  /// exactly like the round-robin scan.
+  /// (0 = nothing fetchable).
   [[nodiscard]] std::uint16_t wrr_pick(bool& deferred, sim::Time& next_retry);
   /// Fetch and dispatch up to `limit` commands from `qid` with one DMA
-  /// read. Resolves with the count fetched, -1 after a transient DMA
-  /// failure (the queue's retry_not_before was armed), -2 on a fatal one.
-  [[nodiscard]] sim::Future<int> fetch_turn(std::uint16_t qid, std::uint16_t limit,
-                                            std::uint64_t gen);
-  sim::Task fetch_turn_task(std::uint16_t qid, std::uint16_t limit, std::uint64_t gen,
-                            sim::Promise<int> promise);
+  /// read. Returns the count fetched, -1 after a transient DMA failure
+  /// (the queue's retry_not_before was armed), -2 on a fatal one.
+  sim::Co<int> fetch_turn(std::uint16_t qid, std::uint16_t limit, std::uint64_t gen);
   /// Commands one I/O queue may fetch per arbitration turn (2^AB; AB = 7
   /// means unlimited per spec).
   [[nodiscard]] std::uint16_t arb_burst() const noexcept {
@@ -208,10 +213,8 @@ class Controller final : public fabric::Endpoint {
 
   /// Decode the PRP chain of a command into a scatter list of `total` bytes.
   /// May cost simulated time (PRP-list fetch is a DMA read).
-  sim::Future<Result<PrpScatter>> walk_prps(std::uint64_t prp1, std::uint64_t prp2,
-                                            std::uint64_t total);
-  sim::Task walk_prps_task(sim::Promise<Result<PrpScatter>> promise, std::uint64_t prp1,
-                           std::uint64_t prp2, std::uint64_t total);
+  sim::Co<Result<PrpScatter>> walk_prps(std::uint64_t prp1, std::uint64_t prp2,
+                                        std::uint64_t total);
 
   [[nodiscard]] sim::Duration media_latency(IoOpcode op, std::uint32_t nblocks);
 

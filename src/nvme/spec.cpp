@@ -82,7 +82,7 @@ Bytes build_identify_namespace(const NamespaceInfo& info) {
   // stored out-of-band (this model keeps PI beside each block, not
   // interleaved, so MS in LBAF0 stays 0).
   out[28] = std::byte{0x01};
-  out[29] = std::byte{info.pi_enabled ? 0x01 : 0x00};
+  out[29] = info.pi_enabled ? std::byte{0x01} : std::byte{0x00};
   // LBAF0 @128: MS[15:0]=0, LBADS[23:16]=log2(block size)
   std::uint32_t lbads = 0;
   for (std::uint32_t bs = info.block_size; bs > 1; bs >>= 1) ++lbads;

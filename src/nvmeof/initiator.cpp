@@ -32,14 +32,12 @@ sim::Future<Result<std::unique_ptr<Initiator>>> Initiator::connect(sisci::Cluste
                                                                    Target& target,
                                                                    rdma::NodeId node,
                                                                    Config cfg) {
-  sim::Promise<Result<std::unique_ptr<Initiator>>> promise(cluster.engine());
   auto self = std::unique_ptr<Initiator>(new Initiator(cluster, network, node, cfg));
-  connect_task(std::move(self), &target, promise);
-  return promise.future();
+  return sim::spawn(cluster.engine(), connect_steps(std::move(self), &target));
 }
 
-sim::Task Initiator::connect_task(std::unique_ptr<Initiator> self, Target* target,
-                                  sim::Promise<Result<std::unique_ptr<Initiator>>> promise) {
+sim::Co<Result<std::unique_ptr<Initiator>>> Initiator::connect_steps(
+    std::unique_ptr<Initiator> self, Target* target) {
   Initiator& i = *self;
   sim::Engine& engine = i.cluster_.engine();
 
@@ -58,10 +56,7 @@ sim::Task Initiator::connect_task(std::unique_ptr<Initiator> self, Target* targe
   ec.counters.timeouts = &i.stats_.capsule_timeouts;
   ec.counters.retries = &i.stats_.capsule_retries;
   ec.counters.recoveries = &i.stats_.reconnects;
-  if (Status st = block::IoEngine::validate(ec); !st) {
-    promise.set(st);
-    co_return;
-  }
+  if (Status st = block::IoEngine::validate(ec); !st) co_return st;
 
   i.target_ = target;
   i.ctx_ = std::make_unique<rdma::Context>(i.network_, i.node_);
@@ -71,8 +66,7 @@ sim::Task Initiator::connect_task(std::unique_ptr<Initiator> self, Target* targe
   auto cmd = i.cluster_.alloc_dram(i.node_, total_depth * kCapsuleSlotBytes, 4096);
   auto resp = i.cluster_.alloc_dram(i.node_, total_depth * sizeof(ResponseCapsule), 4096);
   if (!cmd || !resp) {
-    promise.set(Status(Errc::resource_exhausted, "initiator: no DRAM for capsule buffers"));
-    co_return;
+    co_return Status(Errc::resource_exhausted, "initiator: no DRAM for capsule buffers");
   }
   i.cmd_base_ = *cmd;
   i.resp_base_ = *resp;
@@ -88,10 +82,7 @@ sim::Task Initiator::connect_task(std::unique_ptr<Initiator> self, Target* targe
   i.staged_.resize(i.cfg_.channels);
   for (std::uint32_t chan = 0; chan < i.cfg_.channels; ++chan) {
     auto qp = co_await target->accept(*i.ctx_, *i.cq_);
-    if (!qp) {
-      promise.set(qp.status());
-      co_return;
-    }
+    if (!qp) co_return qp.status();
     i.qps_[chan] = *qp;
     i.post_recv_ring(chan);
   }
@@ -107,7 +98,7 @@ sim::Task Initiator::connect_task(std::unique_ptr<Initiator> self, Target* targe
                           << (i.cfg_.channels > 1
                                   ? " with " + std::to_string(i.cfg_.channels) + " channels"
                                   : "");
-  promise.set(std::move(self));
+  co_return std::move(self);
 }
 
 void Initiator::post_recv_ring(std::uint32_t chan) {

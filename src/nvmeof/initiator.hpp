@@ -94,8 +94,8 @@ class Initiator final : public block::BlockDevice, private block::IoTransport {
 
   Initiator(sisci::Cluster& cluster, rdma::Network& network, rdma::NodeId node, Config cfg);
 
-  static sim::Task connect_task(std::unique_ptr<Initiator> self, Target* target,
-                                sim::Promise<Result<std::unique_ptr<Initiator>>> promise);
+  static sim::Co<Result<std::unique_ptr<Initiator>>> connect_steps(
+      std::unique_ptr<Initiator> self, Target* target);
   sim::Task completion_loop(std::shared_ptr<bool> stop);
   sim::Task reconnect_task(std::uint32_t chan, std::shared_ptr<bool> stop);
   /// Post channel `chan`'s share of the RECV ring on its queue pair.

@@ -108,38 +108,31 @@ std::uint64_t Target::slot_bytes() const { return ctrl_->max_transfer_bytes(); }
 sim::Future<Result<std::unique_ptr<Target>>> Target::start(sisci::Cluster& cluster,
                                                            pcie::EndpointId endpoint,
                                                            rdma::Network& network, Config cfg) {
-  sim::Promise<Result<std::unique_ptr<Target>>> promise(cluster.engine());
-  auto self = std::unique_ptr<Target>(new Target(cluster, network, cfg));
-  start_task(std::move(self), endpoint, promise);
-  return promise.future();
+  return sim::spawn(cluster.engine(),
+                    start_steps(std::unique_ptr<Target>(new Target(cluster, network, cfg)),
+                                endpoint));
 }
 
-sim::Task Target::start_task(std::unique_ptr<Target> self, pcie::EndpointId endpoint,
-                             sim::Promise<Result<std::unique_ptr<Target>>> promise) {
+sim::Co<Result<std::unique_ptr<Target>>> Target::start_steps(std::unique_ptr<Target> self,
+                                                             pcie::EndpointId endpoint) {
   Target& t = *self;
   driver::BareController::Config bc;
   bc.costs = t.cfg_.costs;
   auto ctrl = co_await driver::BareController::init(t.cluster_, endpoint, bc);
-  if (!ctrl) {
-    promise.set(ctrl.status());
-    co_return;
-  }
+  if (!ctrl) co_return ctrl.status();
   t.ctrl_ = std::move(*ctrl);
   t.ctx_ = std::make_unique<rdma::Context>(t.network_, t.ctrl_->host());
   NVS_LOG(info, "nvmeof") << "target up on host " << t.ctrl_->host();
-  promise.set(std::move(self));
+  co_return std::move(self);
 }
 
 sim::Future<Result<rdma::QueuePair*>> Target::accept(rdma::Context& initiator_ctx,
                                                      rdma::CompletionQueue& initiator_cq) {
-  sim::Promise<Result<rdma::QueuePair*>> promise(cluster_.engine());
-  accept_task(&initiator_ctx, &initiator_cq, promise);
-  return promise.future();
+  return sim::spawn(cluster_.engine(), accept_steps(&initiator_ctx, &initiator_cq));
 }
 
-sim::Task Target::accept_task(rdma::Context* initiator_ctx,
-                              rdma::CompletionQueue* initiator_cq,
-                              sim::Promise<Result<rdma::QueuePair*>> promise) {
+sim::Co<Result<rdma::QueuePair*>> Target::accept_steps(rdma::Context* initiator_ctx,
+                                                       rdma::CompletionQueue* initiator_cq) {
   auto conn = std::make_unique<Connection>();
   sim::Engine& engine = cluster_.engine();
   const pcie::HostId host = ctrl_->host();
@@ -159,8 +152,7 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
   auto sq = cluster_.alloc_dram(host, cfg_.queue_entries * 64ull, 4096);
   auto cq = cluster_.alloc_dram(host, cfg_.queue_entries * 16ull, 4096);
   if (!recv || !resp || !staging || !prp || !sq || !cq) {
-    promise.set(Status(Errc::resource_exhausted, "target: no DRAM for connection"));
-    co_return;
+    co_return Status(Errc::resource_exhausted, "target: no DRAM for connection");
   }
   conn->recv_base = *recv;
   conn->resp_base = *resp;
@@ -187,13 +179,10 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
     (void)dram.write(conn->prp_base + slot * nvme::kPageSize, list);
   }
 
-  auto qid = co_await ctrl_->create_queue_pair(conn->sq_addr, cfg_.queue_entries,
-                                               conn->cq_addr, cfg_.queue_entries,
-                                               std::nullopt /* polled */);
-  if (!qid) {
-    promise.set(qid.status());
-    co_return;
-  }
+  auto qid = co_await sim::spawn(
+      engine, ctrl_->create_queue_pair(conn->sq_addr, cfg_.queue_entries, conn->cq_addr,
+                                       cfg_.queue_entries, std::nullopt /* polled */));
+  if (!qid) co_return qid.status();
   conn->qid = *qid;
 
   nvme::QueuePair::Config qc;
@@ -217,13 +206,10 @@ sim::Task Target::accept_task(rdma::Context* initiator_ctx,
   connection_loop(raw, stop_);
   auto cq_watch = cluster_.fabric().watch_writes(host, raw->cq_addr,
                                                  cfg_.queue_entries * 16ull, *raw->poll_timer);
-  if (!cq_watch) {
-    promise.set(cq_watch.status());
-    co_return;
-  }
+  if (!cq_watch) co_return cq_watch.status();
   raw->cq_watch = std::move(*cq_watch);
   NVS_LOG(info, "nvmeof") << "target accepted connection (nvme qid " << raw->qid << ")";
-  promise.set(qp_initiator);
+  co_return qp_initiator;
 }
 
 sim::Task Target::connection_loop(Connection* conn, std::shared_ptr<bool> stop) {

@@ -99,10 +99,10 @@ class Target {
 
   Target(sisci::Cluster& cluster, rdma::Network& network, Config cfg);
 
-  static sim::Task start_task(std::unique_ptr<Target> self, pcie::EndpointId endpoint,
-                              sim::Promise<Result<std::unique_ptr<Target>>> promise);
-  sim::Task accept_task(rdma::Context* initiator_ctx, rdma::CompletionQueue* initiator_cq,
-                        sim::Promise<Result<rdma::QueuePair*>> promise);
+  static sim::Co<Result<std::unique_ptr<Target>>> start_steps(std::unique_ptr<Target> self,
+                                                              pcie::EndpointId endpoint);
+  sim::Co<Result<rdma::QueuePair*>> accept_steps(rdma::Context* initiator_ctx,
+                                                 rdma::CompletionQueue* initiator_cq);
   sim::Task connection_loop(Connection* conn, std::shared_ptr<bool> stop);
   sim::Task handle_command(Connection* conn, std::uint32_t slot, std::shared_ptr<bool> stop);
 

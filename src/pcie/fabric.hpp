@@ -90,10 +90,6 @@ class Fabric final : public fabric::Substrate {
   Result<NtbId> add_ntb(HostId host, std::uint32_t windows, std::uint64_t window_size);
 
   [[nodiscard]] ChipId ntb_chip(NtbId ntb) const { return ntbs_.at(ntb).chip; }
-  [[nodiscard]] HostId ntb_host(NtbId ntb) const { return ntbs_.at(ntb).host; }
-  [[nodiscard]] std::uint32_t ntb_window_count(NtbId ntb) const {
-    return static_cast<std::uint32_t>(ntbs_.at(ntb).lut.size());
-  }
   [[nodiscard]] std::uint64_t ntb_window_size(NtbId ntb) const {
     return ntbs_.at(ntb).window_size;
   }

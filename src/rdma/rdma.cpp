@@ -29,14 +29,6 @@ Status Context::register_mr(std::uint64_t addr, std::uint64_t len) {
   return Status::ok();
 }
 
-Status Context::deregister_mr(std::uint64_t addr) {
-  auto it = std::find_if(mrs_.begin(), mrs_.end(),
-                         [addr](const auto& mr) { return mr.first == addr; });
-  if (it == mrs_.end()) return Status(Errc::not_found, "no MR at address");
-  mrs_.erase(it);
-  return Status::ok();
-}
-
 bool Context::covered(std::uint64_t addr, std::uint64_t len) const {
   for (const auto& [base, size] : mrs_) {
     // Overflow-safe form of base <= addr && addr + len <= base + size.

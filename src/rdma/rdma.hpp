@@ -86,7 +86,6 @@ class Context {
   /// Register [addr, addr+len) of this host's DRAM for RDMA access. A
   /// range that wraps or runs past the end of DRAM fails with out_of_range.
   Status register_mr(std::uint64_t addr, std::uint64_t len);
-  Status deregister_mr(std::uint64_t addr);
   [[nodiscard]] bool covered(std::uint64_t addr, std::uint64_t len) const;
 
  private:

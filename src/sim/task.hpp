@@ -1,13 +1,21 @@
 // C++20 coroutine primitives on top of the discrete-event Engine.
 //
 // Conventions:
-//  * Task is an eager, detached coroutine: it runs to its first suspension
-//    point when called and owns its own frame (destroyed at completion).
-//    Long-lived pollers must observe a stop flag / event so the frame is
-//    released before the simulation ends.
-//  * All wake-ups are funneled through the Engine queue (never resumed
-//    inline), which keeps interleavings deterministic and prevents
-//    unbounded recursion in completion chains.
+//  * A step that produces a result is a Co<T> and delivers it with
+//    `co_return`. The caller picks how it runs: `co_await step(...)` runs it
+//    inline (no engine event), `co_await spawn(engine, step(...))` starts it
+//    as a task of its own whose completion wakes the caller through the
+//    engine queue (one event). Write `spawn` where that engine hop is
+//    wanted, so it stays visible at the call site.
+//  * Promise is only for producers that are not coroutines: I/O callbacks
+//    and tables of in-flight operations that something else resolves.
+//  * Task is an eager, detached coroutine with no result: it runs to its
+//    first suspension point when called and owns its own frame (destroyed
+//    at completion). Long-lived pollers must observe a stop flag / event so
+//    the frame is released before the simulation ends.
+//  * Apart from Co's inline edges, all wake-ups are funneled through the
+//    Engine queue (never resumed inline), which keeps interleavings
+//    deterministic and prevents unbounded recursion in completion chains.
 //  * Single-threaded: none of these types are thread-safe; they don't need
 //    to be.
 #pragma once
@@ -45,62 +53,6 @@ struct Task {
       pool::deallocate(p, size);
     }
   };
-};
-
-// --- Co ----------------------------------------------------------------------
-
-/// A step of a larger coroutine, factored out: `T v = co_await step(...)`
-/// runs the step's body inline until it suspends, and its `co_return`
-/// resumes the awaiting coroutine inline (symmetric transfer). No engine
-/// event is queued on either edge, so the schedule is exactly that of the
-/// body written out in the caller. Lazy: a Co that is never awaited never
-/// runs.
-template <typename T>
-class [[nodiscard]] Co {
- public:
-  struct promise_type {
-    std::optional<T> value;
-    std::coroutine_handle<> parent;
-
-    Co get_return_object() noexcept {
-      return Co(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    struct FinalAwaiter {
-      bool await_ready() const noexcept { return false; }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        return h.promise().parent;
-      }
-      void await_resume() const noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_value(T v) { value.emplace(std::move(v)); }
-    [[noreturn]] void unhandled_exception() { std::terminate(); }
-
-    static void* operator new(std::size_t size) { return pool::allocate(size); }
-    static void operator delete(void* p, std::size_t size) noexcept {
-      pool::deallocate(p, size);
-    }
-  };
-
-  Co(Co&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
-  Co(const Co&) = delete;
-  Co& operator=(const Co&) = delete;
-  Co& operator=(Co&&) = delete;
-  ~Co() {
-    if (h_) h_.destroy();
-  }
-
-  bool await_ready() const noexcept { return false; }
-  std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
-    h_.promise().parent = parent;
-    return h_;
-  }
-  T await_resume() { return std::move(*h_.promise().value); }
-
- private:
-  explicit Co(std::coroutine_handle<promise_type> h) noexcept : h_(h) {}
-  std::coroutine_handle<promise_type> h_;
 };
 
 // --- delay -------------------------------------------------------------------
@@ -291,6 +243,13 @@ struct FutureState : Counted {
   Engine* engine;
   std::optional<T> value;
   std::coroutine_handle<> waiter;
+
+  /// Store the value; a parked waiter resumes from the engine queue.
+  void set(T v) {
+    assert(!value.has_value() && "future set twice");
+    value.emplace(std::move(v));
+    if (auto h = std::exchange(waiter, nullptr)) resume_later(*engine, h);
+  }
 };
 
 }  // namespace detail
@@ -298,9 +257,17 @@ struct FutureState : Counted {
 // --- Future / Promise ----------------------------------------------------------
 
 /// One-shot value channel: a producer sets the value once; a single consumer
-/// `co_await`s it. Copyable handles share one pooled state.
+/// `co_await`s it. Copyable handles share one pooled state. A coroutine
+/// producer is a Co<T> started by spawn(); Promise is for producers that are
+/// not coroutines (callbacks, tables of in-flight operations).
 template <typename T>
 class Future;
+
+template <typename T>
+class Co;
+
+template <typename T>
+Future<T> spawn(Engine& engine, Co<T> body);
 
 template <typename T>
 class Promise {
@@ -308,11 +275,7 @@ class Promise {
   explicit Promise(Engine& engine) : state_(new State(engine)) {}
 
   /// Fulfill the future. Must be called exactly once.
-  void set(T value) {
-    assert(!state_->value.has_value() && "promise set twice");
-    state_->value.emplace(std::move(value));
-    if (auto h = std::exchange(state_->waiter, nullptr)) detail::resume_later(*state_->engine, h);
-  }
+  void set(T value) { state_->set(std::move(value)); }
 
   [[nodiscard]] bool is_set() const noexcept { return state_->value.has_value(); }
 
@@ -353,9 +316,96 @@ class Future {
 
  private:
   friend class Promise<T>;
+  friend Future spawn<T>(Engine&, Co<T>);
   explicit Future(detail::Ref<detail::FutureState<T>> state) : state_(std::move(state)) {}
   detail::Ref<detail::FutureState<T>> state_;
 };
+
+// --- Co / spawn ----------------------------------------------------------------
+
+/// A coroutine step that delivers its result with `co_return`. It runs one
+/// of two ways:
+///  * `T v = co_await step(...)` runs the body inline until it suspends, and
+///    its `co_return` resumes the awaiting coroutine inline (symmetric
+///    transfer). No engine event is queued on either edge, so the schedule
+///    is exactly that of the body written out in the caller.
+///  * `spawn(engine, step(...))` starts the body at once as a task of its
+///    own and returns a Future for its result (see spawn()).
+/// Lazy: a Co that is neither awaited nor spawned never runs.
+template <typename T>
+class [[nodiscard]] Co {
+ public:
+  struct promise_type {
+    std::optional<T> value;
+    std::coroutine_handle<> parent;
+    detail::Ref<detail::FutureState<T>> spawned;  ///< set by spawn()
+
+    Co get_return_object() noexcept {
+      return Co(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    /// Inline: transfer to the awaiting coroutine. Spawned: nobody awaits
+    /// the frame, so it runs off the end and frees itself.
+    struct FinalAwaiter {
+      bool spawned;
+      bool await_ready() const noexcept { return spawned; }
+      std::coroutine_handle<> await_suspend(std::coroutine_handle<promise_type> h) noexcept {
+        return h.promise().parent;
+      }
+      void await_resume() const noexcept {}
+    };
+    FinalAwaiter final_suspend() noexcept { return {static_cast<bool>(spawned)}; }
+    /// Runs at the `co_return`, before the body's locals are destroyed.
+    void return_value(T v) {
+      if (spawned) {
+        spawned->set(std::move(v));
+      } else {
+        value.emplace(std::move(v));
+      }
+    }
+    [[noreturn]] void unhandled_exception() { std::terminate(); }
+
+    static void* operator new(std::size_t size) { return pool::allocate(size); }
+    static void operator delete(void* p, std::size_t size) noexcept {
+      pool::deallocate(p, size);
+    }
+  };
+
+  Co(Co&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
+  Co(const Co&) = delete;
+  Co& operator=(const Co&) = delete;
+  Co& operator=(Co&&) = delete;
+  ~Co() {
+    if (h_) h_.destroy();
+  }
+
+  bool await_ready() const noexcept { return false; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
+    h_.promise().parent = parent;
+    return h_;
+  }
+  T await_resume() { return std::move(*h_.promise().value); }
+
+ private:
+  friend Future<T> spawn<T>(Engine&, Co<T>);
+  explicit Co(std::coroutine_handle<promise_type> h) noexcept : h_(h) {}
+  std::coroutine_handle<promise_type> h_;
+};
+
+/// Start `body` now, as an eager task with one pooled frame: it runs inline
+/// until its first suspension. Its `co_return` fulfils the returned Future
+/// the way Promise::set does (a parked consumer resumes from the engine
+/// queue, one event; a consumer that has not suspended yet finds the value
+/// ready and queues nothing). The frame frees itself after the `co_return`
+/// whether or not the Future is still held.
+template <typename T>
+Future<T> spawn(Engine& engine, Co<T> body) {
+  detail::Ref<detail::FutureState<T>> state(new detail::FutureState<T>(engine));
+  const auto h = std::exchange(body.h_, nullptr);
+  h.promise().spawned = state;
+  h.resume();
+  return Future<T>(std::move(state));
+}
 
 // --- Event -------------------------------------------------------------------
 

@@ -18,7 +18,6 @@ NtbMapping& NtbMapping::operator=(NtbMapping&& other) noexcept {
     ntb_ = other.ntb_;
     first_entry_ = other.first_entry_;
     entry_count_ = other.entry_count_;
-    local_addr_ = other.local_addr_;
     size_ = other.size_;
   }
   return *this;
@@ -59,12 +58,6 @@ Result<NtbMapping> NtbMapping::program(pcie::Fabric& fabric, pcie::NtbId ntb,
       return st;
     }
   }
-  auto addr = fabric.ntb_window_address(ntb, *first);
-  if (!addr) {
-    out.release();
-    return addr.status();
-  }
-  out.local_addr_ = *addr;
   return out;
 }
 

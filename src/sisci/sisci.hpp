@@ -56,8 +56,6 @@ class NtbMapping {
                                     std::uint64_t size);
 
   [[nodiscard]] bool valid() const noexcept { return fabric_ != nullptr; }
-  /// Address of the mapped range in the NTB's host's address space.
-  [[nodiscard]] std::uint64_t local_addr() const noexcept { return local_addr_; }
   [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
   void release();
@@ -67,7 +65,6 @@ class NtbMapping {
   pcie::NtbId ntb_ = 0;
   std::uint32_t first_entry_ = 0;
   std::uint32_t entry_count_ = 0;
-  std::uint64_t local_addr_ = 0;
   std::uint64_t size_ = 0;
 };
 

@@ -83,6 +83,12 @@ class Testbed {
     return drive<Result<T>>(std::move(future), bound);
   }
 
+  /// Same, for a step started here with sim::spawn.
+  template <typename T>
+  Result<T> wait(sim::Co<Result<T>> step, sim::Duration bound = 10_s) {
+    return wait(sim::spawn(engine_, std::move(step)), bound);
+  }
+
   /// Same, for futures of bare Status.
   Status wait_status(sim::Future<Status> future, sim::Duration bound = 10_s) {
     return drive<Status>(std::move(future), bound);

@@ -226,7 +226,7 @@ TEST(EngineRecovery, DrainsToSurvivorsWhileOneChannelRebuilds) {
   auto grants = acquire_n(h, 1);
   ASSERT_EQ(grants.size(), 1u);
   ASSERT_EQ(grants[0].chan, 0u);
-  auto doomed = h.io.run({grants[0]});
+  auto doomed = sim::spawn(h.engine, h.io.run({grants[0]}));
   h.engine.run();
   ASSERT_EQ(h.transport.recoveries().size(), 1u);
   EXPECT_EQ(h.transport.recoveries()[0], 0u);
@@ -260,7 +260,7 @@ TEST(EngineDoorbell, CoalescingRingsOncePerBurst) {
   auto grants = acquire_n(h, 4);
   ASSERT_EQ(grants.size(), 4u);
   std::vector<sim::Future<CmdOutcome>> cmds;
-  for (const auto& g : grants) cmds.push_back(h.io.run({g}));
+  for (const auto& g : grants) cmds.push_back(sim::spawn(h.engine, h.io.run({g})));
   h.engine.run();
   for (auto& c : cmds) {
     auto out = c.try_take();
@@ -282,7 +282,7 @@ TEST(EngineDoorbell, WithoutCoalescingEveryCommandRings) {
 
   auto grants = acquire_n(h, 4);
   std::vector<sim::Future<CmdOutcome>> cmds;
-  for (const auto& g : grants) cmds.push_back(h.io.run({g}));
+  for (const auto& g : grants) cmds.push_back(sim::spawn(h.engine, h.io.run({g})));
   h.engine.run();
   for (auto& c : cmds) {
     auto out = c.try_take();
@@ -493,7 +493,7 @@ TEST(EngineQos, PacerDefersCommandsBeyondTheBurst) {
   auto grants = acquire_n(h, 6);
   ASSERT_EQ(grants.size(), 6u);
   std::vector<sim::Future<CmdOutcome>> outcomes;
-  for (const auto& g : grants) outcomes.push_back(h.io.run({g}));
+  for (const auto& g : grants) outcomes.push_back(sim::spawn(h.engine, h.io.run({g})));
   h.engine.run();
   for (auto& f : outcomes) {
     auto o = f.try_take();
@@ -561,7 +561,7 @@ TEST(EngineQos, PacerAdmitsExactlyRateTimesHorizonPlusBurst) {
     engine.run();
     auto grant = grant_f.try_take();
     ASSERT_TRUE(grant.has_value()) << "op " << i;
-    auto outcome_f = io.run({*grant});
+    auto outcome_f = sim::spawn(engine, io.run({*grant}));
     engine.run();
     auto o = outcome_f.try_take();
     ASSERT_TRUE(o.has_value()) << "op " << i;
@@ -609,7 +609,7 @@ TEST(EngineTokens, OutOfCapTokenFailsTheCommandInsteadOfGrowingTheTable) {
   engine.run();
   auto grant = grant_f.try_take();
   ASSERT_TRUE(grant.has_value());
-  auto outcome_f = io.run({*grant});
+  auto outcome_f = sim::spawn(engine, io.run({*grant}));
   engine.run();
   auto outcome = outcome_f.try_take();
   ASSERT_TRUE(outcome.has_value());
@@ -635,7 +635,7 @@ TEST(EngineTokens, StrayCompletionTokenIsANoOp) {
   auto grants = acquire_n(h, 2);
   ASSERT_EQ(grants.size(), 2u);
   std::vector<sim::Future<CmdOutcome>> cmds;
-  for (const auto& g : grants) cmds.push_back(h.io.run({g}));
+  for (const auto& g : grants) cmds.push_back(sim::spawn(h.engine, h.io.run({g})));
   h.engine.run();
   for (auto& c : cmds) {
     auto out = c.try_take();
@@ -654,7 +654,7 @@ TEST(EngineQos, DisarmedPacerLeavesTheStreamUntouched) {
   ASSERT_FALSE(h.io.qos_enabled());
   auto grants = acquire_n(h, 4);
   std::vector<sim::Future<CmdOutcome>> outcomes;
-  for (const auto& g : grants) outcomes.push_back(h.io.run({g}));
+  for (const auto& g : grants) outcomes.push_back(sim::spawn(h.engine, h.io.run({g})));
   h.engine.run();
   EXPECT_EQ(h.io.qos_deferred_cmds(), 0u);
   EXPECT_EQ(h.io.qos_throttle_ns(), 0u);

@@ -250,6 +250,38 @@ TEST(Takeover, OrphanReapedExactlyOnceAndSurvivorSpared) {
   fault::Injector::global().disarm();
 }
 
+TEST(Takeover, StandbyClampsAFarFutureLeaseExpiry) {
+  // The lease expiry is a uint64 the standby reads from another host's
+  // segment. A value no well-behaved writer publishes — above 2^63, or just
+  // far in the future — must not keep the standby waiting forever once the
+  // manager that should have renewed it is dead.
+  for (const std::uint64_t bogus : {std::numeric_limits<std::uint64_t>::max(),
+                                    std::uint64_t{1} << 62}) {
+    SCOPED_TRACE(bogus);
+    Testbed tb(small_testbed(3));
+    auto manager =
+        tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), ha_manager()));
+    ASSERT_TRUE(manager.has_value()) << manager.status().to_string();
+    auto standby =
+        tb.wait(driver::Manager::start_standby(tb.service(), 2, tb.device_id(), ha_standby()));
+    ASSERT_TRUE(standby.has_value()) << standby.status().to_string();
+    tb.engine().run_for(1_ms);
+
+    auto loc = tb.service().device_metadata(tb.device_id());
+    ASSERT_TRUE(loc.has_value());
+    auto seg = tb.cluster().connect(loc->first, loc->second);
+    ASSERT_TRUE(seg.has_value());
+    const std::uint64_t expiry_addr =
+        seg->phys_addr + driver::kLeaseOffset + offsetof(driver::ManagerLease, expires_at_ns);
+    ASSERT_TRUE(tb.fabric().host_dram(seg->owner).write_pod(expiry_addr, bogus).is_ok());
+    (*manager)->crash();
+
+    tb.engine().run_for(20_ms);
+    EXPECT_TRUE((*standby)->is_active());
+    EXPECT_EQ((*standby)->stats().takeovers.value(), 1u);
+  }
+}
+
 TEST(Takeover, StandbyRequiresLeasePublishingManager) {
   // Without lease_duration_ns the active manager never writes the lease
   // slot; a standby has nothing to watch and must fail cleanly rather than

@@ -141,7 +141,9 @@ TEST(TopologyProperty, CostTableMatchesWalkedPathsOnRandomGraphs) {
     Topology topo;
     const auto n = static_cast<ChipId>(2 + rng.uniform(24));
     for (ChipId i = 0; i < n; ++i) {
-      topo.add_chip("c" + std::to_string(i), ChipKind::switch_chip, 0,
+      std::string name = "c";
+      name += std::to_string(i);
+      topo.add_chip(name, ChipKind::switch_chip, 0,
                     static_cast<sim::Duration>(1 + rng.uniform(400)));
     }
     std::vector<std::pair<ChipId, ChipId>> links;

@@ -87,6 +87,25 @@ TEST_F(SimAlloc, TaskSpawnAndFinish) {
   EXPECT_EQ(finished, 3000);
 }
 
+Co<int> value_after_delay(Engine& e, int v) {
+  co_await delay(e, 2);
+  co_return v;
+}
+
+TEST_F(SimAlloc, SpawnedAndInlineSteps) {
+  int sum = 0;
+  auto consumer = [](Engine& e, int& out) -> Task {
+    const auto step = value_after_delay;
+    for (int i = 0; i < 1000; ++i) {
+      out += co_await spawn(e, step(e, 1));
+      out += co_await step(e, 1);
+      (void)spawn(e, step(e, 0));  // dropped Future: the frame still frees itself
+    }
+  };
+  EXPECT_EQ(steady_state_allocations(engine, [&] { consumer(engine, sum); }), 0u);
+  EXPECT_EQ(sum, 3 * 2000);
+}
+
 TEST_F(SimAlloc, DelayLoop) {
   auto loop = [](Engine& e) -> Task {
     for (int i = 0; i < kRounds; ++i) co_await delay(e, 5);

@@ -161,6 +161,153 @@ TEST(Co, StepThatNeverSuspendsFinishesBeforeTheCallerReturns) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
+// --- spawn -------------------------------------------------------------------
+
+/// One producer of a spawn soup: it delays through `steps`, logging after
+/// each, and yields `value`. Its consumer first waits `consumer_delay` (so
+/// the value may be ready before it awaits) and logs what it got.
+struct SoupJob {
+  Time start = 0;
+  std::vector<Duration> steps;
+  Duration consumer_delay = 0;
+  int value = 0;
+};
+
+struct SoupEntry {
+  Time t;
+  int who;
+  char what;
+  bool operator==(const SoupEntry&) const = default;
+};
+using SoupLog = std::vector<SoupEntry>;
+
+/// The hand-built triad spawn replaces: wrapper, Task, Promise.
+Task soup_task(Engine& eng, const SoupJob& job, SoupLog& log, Promise<int> promise) {
+  for (const Duration d : job.steps) {
+    co_await delay(eng, d);
+    log.push_back({eng.now(), job.value, 'p'});
+  }
+  promise.set(job.value);
+}
+
+Future<int> soup_triad(Engine& eng, const SoupJob& job, SoupLog& log) {
+  Promise<int> promise(eng);
+  soup_task(eng, job, log, promise);
+  return promise.future();
+}
+
+Co<int> soup_step(Engine& eng, const SoupJob& job, SoupLog& log) {
+  for (const Duration d : job.steps) {
+    co_await delay(eng, d);
+    log.push_back({eng.now(), job.value, 'p'});
+  }
+  co_return job.value;
+}
+
+Task soup_consumer(Engine& eng, const SoupJob& job, SoupLog& log, bool use_spawn) {
+  Future<int> f = use_spawn ? spawn(eng, soup_step(eng, job, log)) : soup_triad(eng, job, log);
+  co_await delay(eng, job.consumer_delay);
+  const int v = co_await f;
+  log.push_back({eng.now(), v, 'c'});
+}
+
+/// Run the soup; returns the log and the number of events processed.
+std::pair<SoupLog, std::uint64_t> run_soup(const std::vector<SoupJob>& jobs,
+                                           const std::vector<Time>& noise, bool use_spawn) {
+  Engine eng;
+  SoupLog log;
+  for (const SoupJob& job : jobs) {
+    eng.at(job.start, [&eng, &job, &log, use_spawn] { soup_consumer(eng, job, log, use_spawn); });
+  }
+  for (std::size_t i = 0; i < noise.size(); ++i) {
+    eng.at(noise[i], [&eng, &log, i] { log.push_back({eng.now(), static_cast<int>(i), 'n'}); });
+  }
+  eng.run();
+  return {std::move(log), eng.events_processed()};
+}
+
+TEST(Spawn, MatchesAHandBuiltTaskAndPromiseOnEventSoups) {
+  for (std::uint32_t seed = 1; seed <= 50; ++seed) {
+    std::mt19937 rng(seed);
+    auto pick = [&](int n) { return static_cast<Duration>(rng() % static_cast<unsigned>(n)); };
+    std::vector<SoupJob> jobs(40);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      SoupJob& job = jobs[i];
+      job.start = pick(20);
+      job.steps.resize(static_cast<std::size_t>(pick(4)));  // zero steps: never suspends
+      for (Duration& d : job.steps) d = pick(3) * 5;      // zero delays included
+      job.consumer_delay = pick(3) * 5;
+      job.value = static_cast<int>(i);
+    }
+    std::vector<Time> noise(60);
+    for (Time& t : noise) t = pick(40);
+    const auto triad = run_soup(jobs, noise, /*use_spawn=*/false);
+    const auto spawned = run_soup(jobs, noise, /*use_spawn=*/true);
+    ASSERT_EQ(spawned.first, triad.first) << "seed " << seed;
+    ASSERT_EQ(spawned.second, triad.second) << "seed " << seed;
+  }
+}
+
+/// Queues a log entry at the current time when destroyed.
+struct LogsOnDestroy {
+  Engine& eng;
+  std::vector<char>& log;
+  ~LogsOnDestroy() {
+    eng.at(eng.now(), [&out = log] { out.push_back('d'); });
+  }
+};
+
+Co<int> value_then_locals(Engine& eng, std::vector<char>& log) {
+  LogsOnDestroy local{eng, log};
+  co_await delay(eng, 10);
+  co_return 5;
+}
+
+TEST(Spawn, FulfilsTheFutureBeforeTheBodysLocalsDie) {
+  Engine e;
+  std::vector<char> log;
+  int got = 0;
+  [](Engine& eng, std::vector<char>& out, int& v) -> Task {
+    v = co_await spawn(eng, value_then_locals(eng, out));
+    out.push_back('c');
+  }(e, log, got);
+  e.run();
+  EXPECT_EQ(got, 5);
+  // The consumer's wake-up was queued at the co_return, ahead of the event
+  // the local's destructor queued afterwards.
+  EXPECT_EQ(log, (std::vector<char>{'c', 'd'}));
+}
+
+TEST(Spawn, BodyThatNeverSuspendsLeavesTheFutureReadyAndCostsNoEvent) {
+  Engine e;
+  Future<int> f = spawn(e, add_one_after(e, 41, 0));
+  EXPECT_TRUE(f.ready());
+  EXPECT_EQ(e.pending_events(), 0u);
+  EXPECT_EQ(f.try_take(), std::optional<int>(42));
+  e.run();
+  EXPECT_EQ(e.events_processed(), 0u);
+}
+
+TEST(Spawn, DroppedFutureStillLetsTheBodyFinish) {
+  Engine e;
+  bool finished = false;
+  bool destroyed = false;
+  struct Flag {
+    bool& set;
+    ~Flag() { set = true; }
+  };
+  (void)spawn(e, [](Engine& eng, bool& done, bool& gone) -> Co<int> {
+    Flag flag{gone};
+    co_await delay(eng, 10);
+    done = true;
+    co_return 1;
+  }(e, finished, destroyed));
+  EXPECT_FALSE(finished);
+  e.run();
+  EXPECT_TRUE(finished);
+  EXPECT_TRUE(destroyed);
+}
+
 TEST(Event, WakesAllWaiters) {
   Engine e;
   Event ev(e);
