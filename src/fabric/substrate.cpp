@@ -176,6 +176,26 @@ Status Substrate::apply_read_into(const Sink& s, ByteSpan out) {
   return Status::ok();
 }
 
+Status Substrate::apply_write(const Sink& s, mem::PayloadReader& in, std::uint64_t len) {
+  if (s.mem != nullptr) return s.mem->write(s.addr, in, len);
+  Bytes staged = take_payload(len);
+  in.read(staged);
+  Status st = s.ep->bar_write(s.bar, s.addr, staged);
+  recycle_payload(std::move(staged));
+  return st;
+}
+
+Status Substrate::apply_read_into(const Sink& s, std::uint64_t len, mem::Payload& out) {
+  if (s.mem != nullptr) return s.mem->read(s.addr, len, out);
+  Result<Bytes> data = s.ep->bar_read(s.bar, s.addr, len);
+  if (!data) return data.status();
+  // A short BAR read leaves zeros behind it.
+  const std::size_t n = std::min<std::size_t>(len, data->size());
+  out.append_bytes(ConstByteSpan(*data).first(n));
+  out.append_zeros(len - n);
+  return Status::ok();
+}
+
 Status Substrate::poll_read(HostId viewer, std::uint64_t addr, ByteSpan out) {
   auto target = route(viewer, addr, out.size());
   if (!target) return target.status();
@@ -278,7 +298,7 @@ Result<sim::Time> Substrate::post_write(const Initiator& who, std::uint64_t addr
 }
 
 Result<sim::Time> Substrate::write_sg(const Initiator& who, std::span<const SgEntry> sg,
-                                      Bytes data, sim::Time not_before) {
+                                      mem::Payload data, sim::Time not_before) {
   std::unique_ptr<SgOp> op = take_sg_op();
   Status st = resolve_sg(who, sg, /*is_store=*/true, *op);
   if (st && op->total != data.size()) {
@@ -286,7 +306,6 @@ Result<sim::Time> Substrate::write_sg(const Initiator& who, std::span<const SgEn
   }
   if (!st) {
     recycle_sg_op(std::move(op));
-    recycle_payload(std::move(data));
     return st;
   }
   const std::uint64_t total = op->total;
@@ -314,24 +333,23 @@ Result<sim::Time> Substrate::write_sg(const Initiator& who, std::span<const SgEn
   for (std::uint64_t key : op->keys) posted_floor_[{who.chip, key}] = arrival;
   if (decision.drop) {
     recycle_sg_op(std::move(op));
-    recycle_payload(std::move(data));
     return arrival;
   }
   // `data` is the in-flight copy: damage it in place. A torn scatter write
   // delivers only the leading `torn_bytes` of the DMA.
-  flip_bit(data, decision);
-  const std::uint64_t deliver = decision.torn ? decision.torn_bytes : total;
-  engine_.at(arrival, [this, op = std::move(op), d = std::move(data), deliver]() mutable {
-    std::size_t off = 0;
-    for (std::size_t i = 0; i < op->sinks.size() && off < deliver; ++i) {
-      const std::size_t chunk = std::min<std::size_t>(op->lens[i], deliver - off);
-      if (Status st = apply_write(op->sinks[i], ConstByteSpan(d).subspan(off, chunk)); !st) {
+  if (decision.flip) data.flip_bit(decision.flip_bit);
+  if (decision.torn) data.truncate(decision.torn_bytes);
+  engine_.at(arrival, [this, op = std::move(op), d = std::move(data)]() mutable {
+    mem::PayloadReader in(d);
+    for (std::size_t i = 0; i < op->sinks.size() && in.remaining() > 0; ++i) {
+      const std::uint64_t chunk = std::min<std::uint64_t>(op->lens[i], in.remaining());
+      mem::PayloadReader at = in;
+      in.skip(chunk);
+      if (Status st = apply_write(op->sinks[i], at, chunk); !st) {
         NVS_LOG(warn, "fabric") << "scatter write chunk dropped: " << st.to_string();
         ++stats_.unsupported_requests;
       }
-      off += op->lens[i];
     }
-    recycle_payload(std::move(d));
     recycle_sg_op(std::move(op));
   });
   return arrival;
@@ -378,9 +396,9 @@ sim::Future<Result<Bytes>> Substrate::read(const Initiator& who, std::uint64_t a
   return future;
 }
 
-sim::Future<Result<Bytes>> Substrate::read_sg(const Initiator& who,
-                                              std::span<const SgEntry> sg) {
-  sim::Promise<Result<Bytes>> promise(engine_);
+sim::Future<Result<mem::Payload>> Substrate::read_sg(const Initiator& who,
+                                                     std::span<const SgEntry> sg) {
+  sim::Promise<Result<mem::Payload>> promise(engine_);
   auto future = promise.future();
 
   std::unique_ptr<SgOp> op = take_sg_op();
@@ -396,24 +414,19 @@ sim::Future<Result<Bytes>> Substrate::read_sg(const Initiator& who,
   const ReadCost cost = read_cost(op->worst, op->total, /*scatter=*/true);
   engine_.after(cost.request, [this, op = std::move(op), promise, src = who.host,
                                remaining = cost.response]() mutable {
-    // Gather into one pre-sized pooled buffer: every memory chunk lands
-    // directly in its final position.
-    Bytes out = take_payload(op->total);
+    mem::Payload out;
     Status failure = Status::ok();
-    std::size_t off = 0;
     for (std::size_t i = 0; i < op->sinks.size(); ++i) {
-      if (Status st = apply_read_into(op->sinks[i], ByteSpan(out).subspan(off, op->lens[i]));
-          !st) {
+      if (Status st = apply_read_into(op->sinks[i], op->lens[i], out); !st) {
         failure = st;
         break;
       }
-      off += op->lens[i];
     }
     // Fault injection (one decision per gather, matching write_sg): a stale
-    // gather read completes with zero-filled data.
+    // gather read completes with zero pages.
     if (failure.is_ok() && !op->sinks.empty() &&
         stale_read(src, op->sinks.front().owner, op->sinks.front().mem == nullptr)) {
-      out.assign(out.size(), std::byte{0});
+      out.zero();
     }
     recycle_sg_op(std::move(op));
     engine_.after(remaining > 0 ? remaining : 0,

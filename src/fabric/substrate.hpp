@@ -15,8 +15,8 @@
 // A substrate supplies routing (route()), reachability and path cost
 // (path_ns()) and its cost arithmetic (posted_cost(), read_cost(),
 // error_completion_ns()). This class owns everything else once: posted
-// ordering floors, scatter-gather records, fault damage, the payload pool,
-// BAR assignment and the backdoor guard.
+// ordering floors, scatter-gather records, fault damage, the scalar payload
+// pool, BAR assignment and the backdoor guard.
 //
 // Timing semantics every substrate honors:
 //  * post_write() is posted: it returns the *arrival* time synchronously
@@ -164,26 +164,25 @@ class Substrate {
   Result<sim::Time> post_write(const Initiator& who, std::uint64_t addr, ConstByteSpan data,
                                sim::Time not_before = 0);
 
-  /// Posted scatter write of one buffer across multiple target ranges
+  /// Posted scatter write of one payload across multiple target ranges
   /// (device DMA of a data block through PRP pages). One aggregate
-  /// serialization cost; returns arrival time of the *last* byte. The
-  /// substrate owns `data` from the call on: it is the in-flight copy, and
-  /// it goes back to the payload pool once applied. A caller done with its
-  /// buffer moves it in; one that keeps it passes a copy.
-  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg, Bytes data,
-                             sim::Time not_before = 0);
+  /// serialization cost; returns arrival time of the *last* byte. `data`
+  /// is the in-flight copy; its whole pages land by reference where a
+  /// target page lines up with them.
+  Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
+                             mem::Payload data, sim::Time not_before = 0);
 
   /// Non-posted read; future resolves after the full round trip. The
   /// buffer comes from the payload pool; a caller on a hot path hands it
   /// back with recycle_payload() once done with it.
   sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr, std::size_t len);
 
-  /// Non-posted gather read across multiple ranges (device DMA fetch);
-  /// the buffer comes from the payload pool, as with read().
-  sim::Future<Result<Bytes>> read_sg(const Initiator& who, std::span<const SgEntry> sg);
+  /// Non-posted gather read across multiple ranges (device DMA fetch). The
+  /// payload takes whole aligned pages of memory by reference.
+  sim::Future<Result<mem::Payload>> read_sg(const Initiator& who, std::span<const SgEntry> sg);
 
-  /// Recycled byte buffers for data in flight: posted-write payloads, read
-  /// results, RDMA snapshots and device staging buffers. Free buffers are
+  /// Recycled byte buffers for scalar data in flight: posted-write
+  /// payloads, read() results, digest and PRP-list staging. Free buffers are
   /// binned by exact size, so a warm pool hands out a buffer of size `n`
   /// without allocating or zero-filling it; the contents of a taken buffer
   /// are unspecified, and the taker overwrites all of it. recycle_payload()
@@ -344,6 +343,10 @@ class Substrate {
   static Status apply_write(const Sink& s, ConstByteSpan data);
   /// Read straight into the caller's span — no temporary for memory sinks.
   static Status apply_read_into(const Sink& s, ByteSpan out);
+  /// The payload forms of the two: store the next `len` bytes of `in`, or
+  /// append `len` bytes to `out`. A BAR sees plain bytes.
+  Status apply_write(const Sink& s, mem::PayloadReader& in, std::uint64_t len);
+  static Status apply_read_into(const Sink& s, std::uint64_t len, mem::Payload& out);
 
   /// Posted ordering: posted writes from one initiator to one completer may
   /// not pass each other, but they pipeline — a later write lands one `gap`

@@ -5,76 +5,99 @@
 
 namespace nvmeshare::mem {
 
-const PhysMem::Page* PhysMem::find_page(std::uint64_t page_index) const {
+const PageRef* PhysMem::find_page(std::uint64_t page_index) const {
   auto it = pages_.find(page_index);
-  return it == pages_.end() ? nullptr : it->second.get();
+  return it == pages_.end() ? nullptr : &it->second;
 }
 
-PhysMem::Page& PhysMem::materialize_page(std::uint64_t page_index) {
-  auto& slot = pages_[page_index];
-  if (!slot) {
-    slot = std::make_unique<Page>();
-    slot->fill(std::byte{0});
-  }
-  return *slot;
+Status PhysMem::check_range(std::uint64_t addr, std::uint64_t len, const char* what) const {
+  if (addr + len > size_ || addr + len < addr) return Status(Errc::out_of_range, what);
+  return Status::ok();
 }
 
 Status PhysMem::read(std::uint64_t addr, ByteSpan out) const {
   if (out.empty()) return Status::ok();
-  if (addr + out.size() > size_ || addr + out.size() < addr) {
-    return Status(Errc::out_of_range, "phys read past end of DRAM");
-  }
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::uint64_t cur = addr + done;
-    const std::uint64_t page = cur / kPageSize;
-    const std::uint64_t off = cur % kPageSize;
-    const std::size_t chunk =
-        std::min<std::size_t>(out.size() - done, static_cast<std::size_t>(kPageSize - off));
-    if (const Page* p = find_page(page)) {
-      std::memcpy(out.data() + done, p->data() + off, chunk);
+  NVS_RETURN_IF_ERROR(check_range(addr, out.size(), "phys read past end of DRAM"));
+  std::byte* to = out.data();
+  for_each_page_run(addr, out.size(), [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+    if (const PageRef* p = find_page(page)) {
+      std::memcpy(to, p->data() + off, n);
     } else {
-      std::memset(out.data() + done, 0, chunk);
+      std::memset(to, 0, n);
     }
-    done += chunk;
-  }
+    to += n;
+  });
   return Status::ok();
 }
 
 Status PhysMem::write(std::uint64_t addr, ConstByteSpan in) {
   if (in.empty()) return Status::ok();
-  if (addr + in.size() > size_ || addr + in.size() < addr) {
-    return Status(Errc::out_of_range, "phys write past end of DRAM");
-  }
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const std::uint64_t cur = addr + done;
-    const std::uint64_t page = cur / kPageSize;
-    const std::uint64_t off = cur % kPageSize;
-    const std::size_t chunk =
-        std::min<std::size_t>(in.size() - done, static_cast<std::size_t>(kPageSize - off));
-    Page& p = materialize_page(page);
-    std::memcpy(p.data() + off, in.data() + done, chunk);
-    done += chunk;
-  }
+  NVS_RETURN_IF_ERROR(check_range(addr, in.size(), "phys write past end of DRAM"));
+  const std::byte* from = in.data();
+  for_each_page_run(addr, in.size(), [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+    std::memcpy(pages_[page].writable(n == kPageSize) + off, from, n);
+    from += n;
+  });
   if (!watches_.empty()) notify_watches(addr, in.size());
+  return Status::ok();
+}
+
+Status PhysMem::read(std::uint64_t addr, std::uint64_t len, Payload& out) const {
+  if (len == 0) return Status::ok();
+  NVS_RETURN_IF_ERROR(check_range(addr, len, "phys read past end of DRAM"));
+  for_each_page_run(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+    const PageRef* p = find_page(page);
+    if (n == kPageSize) {
+      out.append_page(p != nullptr ? *p : PageRef());
+    } else if (p != nullptr) {
+      out.append_bytes(ConstByteSpan(p->data() + off, n));
+    } else {
+      out.append_zeros(n);
+    }
+  });
+  return Status::ok();
+}
+
+Status PhysMem::write(std::uint64_t addr, PayloadReader& in, std::uint64_t len) {
+  if (len == 0) return Status::ok();
+  if (len > in.remaining()) return Status(Errc::invalid_argument, "write past end of payload");
+  NVS_RETURN_IF_ERROR(check_range(addr, len, "phys write past end of DRAM"));
+  for_each_page_run(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+    PageRef& slot = pages_[page];
+    if (const PageRef* whole = n == kPageSize ? in.whole_page() : nullptr; whole && *whole) {
+      slot = *whole;
+      in.skip(n);
+    } else {
+      in.read(ByteSpan(slot.writable(n == kPageSize) + off, n));
+    }
+  });
+  if (!watches_.empty()) notify_watches(addr, len);
   return Status::ok();
 }
 
 Status PhysMem::copy_from(std::uint64_t dst, const PhysMem& src, std::uint64_t src_addr,
                           std::uint64_t len) {
   if (len == 0) return Status::ok();
-  if (src_addr + len > src.size_ || src_addr + len < src_addr) {
-    return Status(Errc::out_of_range, "phys read past end of DRAM");
-  }
-  if (dst + len > size_ || dst + len < dst) {
-    return Status(Errc::out_of_range, "phys write past end of DRAM");
-  }
-  // One run of bytes that stays within one source and one destination page.
+  NVS_RETURN_IF_ERROR(src.check_range(src_addr, len, "phys read past end of DRAM"));
+  NVS_RETURN_IF_ERROR(check_range(dst, len, "phys write past end of DRAM"));
+  // One run of bytes that stays within one source and one destination page;
+  // a whole page on both sides is shared.
   auto copy_run = [&](std::uint64_t at, std::size_t n) {
-    Page& to = materialize_page((dst + at) / kPageSize);
-    std::byte* out = to.data() + (dst + at) % kPageSize;
-    if (const Page* from = src.find_page((src_addr + at) / kPageSize)) {
+    const std::uint64_t page = (dst + at) / kPageSize;
+    PageRef& to = pages_[page];
+    const PageRef* from = src.find_page((src_addr + at) / kPageSize);
+    if (n == kPageSize && from != nullptr) {
+      to = *from;
+      return;
+    }
+    // A destination page the copy covers whole keeps none of its old
+    // bytes, unless it is also a source page. Otherwise make the
+    // destination its own before reading the source: when both are one page
+    // of this memory, the source reads the same private copy.
+    const bool overwrite = &src != this && page * kPageSize >= dst &&
+                           (page + 1) * kPageSize <= dst + len;
+    std::byte* out = to.writable(overwrite) + (dst + at) % kPageSize;
+    if (from != nullptr) {
       std::memmove(out, from->data() + (src_addr + at) % kPageSize, n);
     } else {
       std::memset(out, 0, n);

@@ -5,24 +5,28 @@
 // here, so data-integrity tests observe exactly what a device would have
 // written over the fabric. For the same reason a write watch here sees
 // every store into a range, whichever path made it.
+//
+// Pages are copy-on-write (mem/page.hpp): a copy or payload install of a
+// whole aligned page shares the page instead of copying its bytes, and a
+// store into a shared page first gives this memory a copy of its own.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "mem/page.hpp"
+#include "mem/payload.hpp"
 #include "sim/engine.hpp"
 
 namespace nvmeshare::mem {
 
 class PhysMem {
  public:
-  static constexpr std::uint64_t kPageSize = 4096;
+  static constexpr std::uint64_t kPageSize = mem::kPageSize;
 
   /// A memory of `size` bytes starting at physical address 0.
   explicit PhysMem(std::uint64_t size) : size_(size) {}
@@ -37,12 +41,24 @@ class PhysMem {
 
   /// Copy `len` bytes from [src_addr, src_addr+len) of `src` (another
   /// memory or this one) to [dst, dst+len) of this memory, run by run with
-  /// no staging buffer. Overlapping ranges copy as memmove does. Source
-  /// pages never written read as zeroes; destination pages materialize and
+  /// no staging buffer; a run that is a whole aligned page on both sides
+  /// shares the page. Overlapping ranges copy as memmove does. Source pages
+  /// never written read as zeroes; destination pages materialize and
   /// watches fire exactly as for one write() of the range. Either range out
   /// of bounds fails with out_of_range before any byte moves.
   Status copy_from(std::uint64_t dst, const PhysMem& src, std::uint64_t src_addr,
                    std::uint64_t len);
+
+  /// Append [addr, addr+len) to `out`: whole aligned pages by reference
+  /// (never-written ones as zeros), the rest copied.
+  Status read(std::uint64_t addr, std::uint64_t len, Payload& out) const;
+
+  /// Store the next `len` bytes of `in` at [addr, addr+len), taking each
+  /// whole piece that lines up with a whole page by reference. Pages
+  /// materialize and watches fire exactly as for write() of the same bytes.
+  /// `in` advances only when the range is in bounds and `in` holds `len`
+  /// more bytes.
+  Status write(std::uint64_t addr, PayloadReader& in, std::uint64_t len);
 
   /// Read a trivially-copyable value.
   template <typename T>
@@ -68,7 +84,6 @@ class PhysMem {
   void unwatch(std::uint64_t id) noexcept;
 
  private:
-  using Page = std::array<std::byte, kPageSize>;
   struct Watch {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;  ///< exclusive
@@ -76,12 +91,14 @@ class PhysMem {
     std::uint64_t id = 0;
   };
 
-  [[nodiscard]] const Page* find_page(std::uint64_t page_index) const;
-  Page& materialize_page(std::uint64_t page_index);
+  /// The page at `page_index`, or null if it never materialized.
+  [[nodiscard]] const PageRef* find_page(std::uint64_t page_index) const;
+  [[nodiscard]] Status check_range(std::uint64_t addr, std::uint64_t len,
+                                   const char* what) const;
   void notify_watches(std::uint64_t addr, std::uint64_t len) noexcept;
 
   std::uint64_t size_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
+  std::unordered_map<std::uint64_t, PageRef> pages_;  ///< never holds a null page
   std::vector<Watch> watches_;
   std::uint64_t next_watch_id_ = 1;
 };

@@ -16,31 +16,31 @@ Status BlockStore::check_range(std::uint64_t slba, std::uint32_t nblocks) const 
   return Status::ok();
 }
 
-Status BlockStore::read(std::uint64_t slba, std::uint32_t nblocks, ByteSpan out) const {
+Status BlockStore::read(std::uint64_t slba, std::uint32_t nblocks, mem::Payload& out) const {
   NVS_RETURN_IF_ERROR(check_range(slba, nblocks));
-  const std::uint64_t bytes = static_cast<std::uint64_t>(nblocks) * block_size_;
-  if (out.size() != bytes) return Status(Errc::invalid_argument, "buffer size mismatch");
-
-  std::uint64_t pos = slba * block_size_;
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::uint64_t chunk_idx = pos / kChunkBytes;
-    const std::uint64_t off = pos % kChunkBytes;
-    const std::size_t n =
-        std::min<std::size_t>(bytes - done, static_cast<std::size_t>(kChunkBytes - off));
-    auto it = chunks_.find(chunk_idx);
-    if (it != chunks_.end()) {
-      std::memcpy(out.data() + done, it->second.data() + off, n);
-    } else {
-      std::memset(out.data() + done, 0, n);
-    }
-    done += n;
-    pos += n;
-  }
+  const Chunk* chunk = nullptr;
+  std::uint64_t chunk_idx = UINT64_MAX;
+  mem::for_each_page_run(
+      slba * block_size_, static_cast<std::uint64_t>(nblocks) * block_size_,
+      [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+        if (page / kChunkPages != chunk_idx) {
+          chunk_idx = page / kChunkPages;
+          auto it = chunks_.find(chunk_idx);
+          chunk = it == chunks_.end() ? nullptr : &it->second;
+        }
+        const mem::PageRef* p = chunk != nullptr ? &(*chunk)[page % kChunkPages] : nullptr;
+        if (n == mem::kPageSize) {
+          out.append_page(p != nullptr ? *p : mem::PageRef());
+        } else if (p != nullptr && *p) {
+          out.append_bytes(ConstByteSpan(p->data() + off, n));
+        } else {
+          out.append_zeros(n);
+        }
+      });
   return Status::ok();
 }
 
-Status BlockStore::write(std::uint64_t slba, std::uint32_t nblocks, ConstByteSpan in) {
+Status BlockStore::write(std::uint64_t slba, std::uint32_t nblocks, const mem::Payload& in) {
   NVS_RETURN_IF_ERROR(check_range(slba, nblocks));
   const std::uint64_t bytes = static_cast<std::uint64_t>(nblocks) * block_size_;
   if (in.size() != bytes) return Status(Errc::invalid_argument, "buffer size mismatch");
@@ -51,19 +51,23 @@ Status BlockStore::write(std::uint64_t slba, std::uint32_t nblocks, ConstByteSpa
     for (std::uint64_t lba = slba; lba < slba + nblocks; ++lba) pi_.erase(lba);
   }
 
-  std::uint64_t pos = slba * block_size_;
-  std::size_t done = 0;
-  while (done < bytes) {
-    const std::uint64_t chunk_idx = pos / kChunkBytes;
-    const std::uint64_t off = pos % kChunkBytes;
-    const std::size_t n =
-        std::min<std::size_t>(bytes - done, static_cast<std::size_t>(kChunkBytes - off));
-    auto& chunk = chunks_[chunk_idx];
-    if (chunk.empty()) chunk.assign(kChunkBytes, std::byte{0});
-    std::memcpy(chunk.data() + off, in.data() + done, n);
-    done += n;
-    pos += n;
-  }
+  mem::PayloadReader from(in);
+  Chunk* chunk = nullptr;
+  std::uint64_t chunk_idx = UINT64_MAX;
+  mem::for_each_page_run(
+      slba * block_size_, bytes, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+        if (page / kChunkPages != chunk_idx) {
+          chunk_idx = page / kChunkPages;
+          chunk = &chunks_[chunk_idx];
+        }
+        mem::PageRef& slot = (*chunk)[page % kChunkPages];
+        if (const mem::PageRef* whole = n == mem::kPageSize ? from.whole_page() : nullptr) {
+          slot = *whole;
+          from.skip(n);
+        } else {
+          from.read(ByteSpan(slot.writable(n == mem::kPageSize) + off, n));
+        }
+      });
   return Status::ok();
 }
 
@@ -84,7 +88,14 @@ Status BlockStore::write_zeroes(std::uint64_t slba, std::uint32_t nblocks) {
       if (off == 0 && n == kChunkBytes) {
         chunks_.erase(it);  // whole chunk zeroed -> drop it
       } else {
-        std::memset(it->second.data() + off, 0, n);
+        mem::for_each_page_run(pos, n, [&](std::uint64_t page, std::uint64_t at, std::uint64_t len) {
+          mem::PageRef& slot = it->second[page % kChunkPages];
+          if (len == mem::kPageSize) {
+            slot.reset();
+          } else if (slot) {
+            std::memset(slot.writable(false) + at, 0, len);
+          }
+        });
       }
     }
     done += n;
@@ -119,7 +130,9 @@ Result<std::uint64_t> BlockStore::verify_stored_pi(std::uint64_t slba,
   for (std::uint64_t lba = slba; lba < slba + nblocks; ++lba) {
     auto it = pi_.find(lba);
     if (it == pi_.end()) continue;  // deallocated: checks disabled
-    if (Status st = read(lba, 1, block); !st) return st;
+    mem::Payload data;
+    if (Status st = read(lba, 1, data); !st) return st;
+    data.copy_out(0, block);
     if (integrity::verify_pi(it->second, block, lba, {}, it->second.app_tag) !=
         integrity::PiCheck::ok) {
       ++mismatches;

@@ -1,7 +1,9 @@
 // Sparse backing store for one NVMe namespace. Chunked so that a mostly
 // empty multi-hundred-GB namespace costs memory proportional to the data
 // actually written; unwritten blocks read as zeroes (matching a freshly
-// formatted SSD with deallocated blocks).
+// formatted SSD with deallocated blocks). A chunk holds its data as
+// copy-on-write pages (mem/page.hpp), so media reads and writes of whole
+// aligned pages move page references, not bytes.
 //
 // Formatted with protection information, the store additionally keeps one
 // 8-byte DIF tuple per written block ("extended metadata", held out-of-band
@@ -9,6 +11,7 @@
 // them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -16,6 +19,7 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "integrity/integrity.hpp"
+#include "mem/payload.hpp"
 
 namespace nvmeshare::nvme {
 
@@ -26,10 +30,10 @@ class BlockStore {
   [[nodiscard]] std::uint64_t capacity_blocks() const noexcept { return capacity_blocks_; }
   [[nodiscard]] std::uint32_t block_size() const noexcept { return block_size_; }
 
-  /// Read `nblocks` starting at `slba`; `out` must be nblocks*block_size.
-  Status read(std::uint64_t slba, std::uint32_t nblocks, ByteSpan out) const;
-  /// Write `nblocks` starting at `slba`.
-  Status write(std::uint64_t slba, std::uint32_t nblocks, ConstByteSpan in);
+  /// Append `nblocks` starting at `slba` to `out`.
+  Status read(std::uint64_t slba, std::uint32_t nblocks, mem::Payload& out) const;
+  /// Write `nblocks` starting at `slba`; `in` must hold nblocks*block_size.
+  Status write(std::uint64_t slba, std::uint32_t nblocks, const mem::Payload& in);
   /// Deallocate / zero a range (Write Zeroes). Drops stored PI: checks are
   /// disabled for deallocated blocks until they are written again.
   Status write_zeroes(std::uint64_t slba, std::uint32_t nblocks);
@@ -56,13 +60,16 @@ class BlockStore {
 
  private:
   static constexpr std::uint64_t kChunkBytes = 32 * 1024;
+  static constexpr std::uint64_t kChunkPages = kChunkBytes / mem::kPageSize;
+  /// A written chunk's pages; a null page reads as zeros.
+  using Chunk = std::array<mem::PageRef, kChunkPages>;
 
   [[nodiscard]] Status check_range(std::uint64_t slba, std::uint32_t nblocks) const;
 
   std::uint64_t capacity_blocks_;
   std::uint32_t block_size_;
   bool pi_enabled_ = false;
-  std::unordered_map<std::uint64_t, Bytes> chunks_;  // chunk index -> kChunkBytes
+  std::unordered_map<std::uint64_t, Chunk> chunks_;  // chunk index -> pages
   std::unordered_map<std::uint64_t, integrity::ProtectionInfo> pi_;  // lba -> tuple
 };
 

@@ -582,7 +582,8 @@ sim::Task Controller::run_admin(SubmissionEntry sqe, std::uint16_t sq_head_after
         complete(0, sq_head_after, sqe.cid, kScInvalidField, 0, gen, 0);
         co_return;
       }
-      auto arrival = fabric()->write_sg(dma_initiator(), sg->span(), payload);
+      auto arrival =
+          fabric()->write_sg(dma_initiator(), sg->span(), mem::Payload::copy_of(payload));
       if (!arrival) {
         complete(0, sq_head_after, sqe.cid, kScDataTransferError, 0, gen, 0);
         co_return;
@@ -839,7 +840,8 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     std::uint16_t status = kScSuccess;
     if ((sqe.cdw11 & kDsmDeallocate) != 0) {
       for (std::uint32_t r = 0; r < nr; ++r) {
-        const auto range = load_pod<DsmRange>(*ranges_raw, r * sizeof(DsmRange));
+        DsmRange range;
+        ranges_raw->copy_out(r * sizeof(DsmRange), as_writable_bytes_of(range));
         if (range.nlb == 0) continue;
         if (Status st = store_.write_zeroes(range.slba, range.nlb); !st) {
           status = kScLbaOutOfRange;
@@ -847,7 +849,6 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
         }
       }
     }
-    fabric()->recycle_payload(std::move(*ranges_raw));
     complete(qid, sq_head_after, sqe.cid, status, 0, gen, 0);
     co_return;
   }
@@ -916,7 +917,7 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     if (gen != generation_) co_return;
     trace_io_span(qid, sqe.cid, obs::Phase::media, media_begin, engine_.now());
 
-    Bytes data = fabric()->take_payload(bytes);
+    mem::Payload data;
     if (Status st = store_.read(slba, nblocks, data); !st) {
       complete(qid, sq_head_after, sqe.cid, kScInternalError, 0, gen, 0);
       co_return;
@@ -927,12 +928,12 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
       const integrity::PiCheckMask mask{(sqe.cdw12 & kPrinfoPrchkGuard) != 0,
                                         (sqe.cdw12 & kPrinfoPrchkApp) != 0,
                                         (sqe.cdw12 & kPrinfoPrchkRef) != 0};
+      Bytes block(store_.block_size());
       for (std::uint32_t i = 0; i < nblocks; ++i) {
         const std::uint64_t lba = slba + i;
         auto pi = store_.read_pi(lba);
         if (!pi) continue;  // deallocated block: checks disabled per spec
-        const auto block = ConstByteSpan(data).subspan(
-            static_cast<std::size_t>(i) * store_.block_size(), store_.block_size());
+        data.copy_out(static_cast<std::uint64_t>(i) * store_.block_size(), block);
         ++istats.pi_verified;
         const integrity::PiCheck check = integrity::verify_pi(*pi, block, lba, mask);
         if (check == integrity::PiCheck::ok) continue;
@@ -1007,15 +1008,14 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
     // corrupted bytes — end-to-end write protection needs the host-side
     // verify (driver pi_verify), exactly as with real inline metadata.
     auto& istats = integrity::stats();
+    Bytes block(store_.block_size());
     for (std::uint32_t i = 0; i < nblocks; ++i) {
       const std::uint64_t lba = slba + i;
-      const auto block = ConstByteSpan(*data).subspan(
-          static_cast<std::size_t>(i) * store_.block_size(), store_.block_size());
+      data->copy_out(static_cast<std::uint64_t>(i) * store_.block_size(), block);
       store_.write_pi(lba, integrity::generate_pi(block, lba));
       ++istats.pi_generated;
     }
   }
-  fabric()->recycle_payload(std::move(*data));
   complete(qid, sq_head_after, sqe.cid, kScSuccess, 0, gen, 0);
 }
 

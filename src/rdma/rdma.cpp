@@ -112,11 +112,8 @@ Status QueuePair::post_send(std::uint64_t wr_id, std::uint64_t addr, std::uint32
 
   // Snapshot the payload at post time (the HCA DMAs it out immediately;
   // modifying the buffer afterwards must not change the message).
-  Bytes payload = net.fabric_.take_payload(len);
-  if (Status st = net.fabric_.host_dram(node()).read(addr, payload); !st) {
-    net.fabric_.recycle_payload(std::move(payload));
-    return st;
-  }
+  mem::Payload payload;
+  if (Status st = net.fabric_.host_dram(node()).read(addr, len, payload); !st) return st;
 
   const sim::Time deliver_at = schedule_delivery(net.message_latency(len), len);
   QueuePair* dst = peer_;
@@ -127,13 +124,11 @@ Status QueuePair::post_send(std::uint64_t wr_id, std::uint64_t addr, std::uint32
       // Receiver-not-ready: in RC this would retry and eventually error the
       // QP; we complete both sides with an error immediately.
       ++n.stats_.rnr_drops;
-      n.fabric_.recycle_payload(std::move(payload));
       complete(WorkCompletion{WcOpcode::send, Status(Errc::unavailable, "RNR: no posted recv"),
                               wr_id, len});
       return;
     }
     if (len > rb->len) {
-      n.fabric_.recycle_payload(std::move(payload));
       dst->complete(WorkCompletion{
           WcOpcode::recv, Status(Errc::out_of_range, "message exceeds recv buffer"), rb->wr_id,
           len});
@@ -141,8 +136,8 @@ Status QueuePair::post_send(std::uint64_t wr_id, std::uint64_t addr, std::uint32
                               wr_id, len});
       return;
     }
-    Status landed = n.fabric_.host_dram(dst->node()).write(rb->addr, payload);
-    n.fabric_.recycle_payload(std::move(payload));
+    mem::PayloadReader in(payload);
+    Status landed = n.fabric_.host_dram(dst->node()).write(rb->addr, in, len);
     if (!landed) {
       dst->complete(WorkCompletion{WcOpcode::recv, landed, rb->wr_id, len});
       complete(WorkCompletion{WcOpcode::send, landed, wr_id, len});
@@ -172,19 +167,16 @@ Status QueuePair::rdma_write(std::uint64_t wr_id, std::uint64_t addr, std::uint3
   ++net.stats_.rdma_writes;
   net.stats_.bytes_moved += len;
 
-  Bytes payload = net.fabric_.take_payload(len);
-  if (Status st = net.fabric_.host_dram(node()).read(addr, payload); !st) {
-    net.fabric_.recycle_payload(std::move(payload));
-    return st;
-  }
+  mem::Payload payload;
+  if (Status st = net.fabric_.host_dram(node()).read(addr, len, payload); !st) return st;
 
   const sim::Time deliver_at = schedule_delivery(net.message_latency(len), len);
   QueuePair* dst = peer_;
   net.engine().at(deliver_at, [this, dst, wr_id, payload = std::move(payload), remote_addr,
                                len]() mutable {
     Network& n = *network_;
-    const bool landed = n.fabric_.host_dram(dst->node()).write(remote_addr, payload).is_ok();
-    n.fabric_.recycle_payload(std::move(payload));
+    mem::PayloadReader in(payload);
+    const bool landed = n.fabric_.host_dram(dst->node()).write(remote_addr, in, len).is_ok();
     n.engine().after(n.message_latency(0) / 2, [this, wr_id, len, landed]() {
       complete(WorkCompletion{
           WcOpcode::rdma_write,
@@ -215,16 +207,17 @@ Status QueuePair::rdma_read(std::uint64_t wr_id, std::uint64_t addr, std::uint32
   QueuePair* dst = peer_;
   net.engine().at(request_at, [this, dst, wr_id, addr, len, remote_addr]() {
     Network& n = *network_;
-    Bytes payload = n.fabric_.take_payload(len);
-    const bool fetched = n.fabric_.host_dram(dst->node()).read(remote_addr, payload).is_ok();
+    mem::Payload payload;
+    const bool fetched =
+        n.fabric_.host_dram(dst->node()).read(remote_addr, len, payload).is_ok();
     // The response travels the peer->us direction and obeys its FIFO. A
     // failed fetch still answers, with an error and no data.
     const sim::Time response_at = dst->schedule_delivery(n.message_latency(len), len);
     n.engine().at(response_at, [this, wr_id, addr, len, fetched,
                                 payload = std::move(payload)]() mutable {
       Network& nn = *network_;
-      const bool landed = fetched && nn.fabric_.host_dram(node()).write(addr, payload).is_ok();
-      nn.fabric_.recycle_payload(std::move(payload));
+      mem::PayloadReader in(payload);
+      const bool landed = fetched && nn.fabric_.host_dram(node()).write(addr, in, len).is_ok();
       complete(WorkCompletion{
           WcOpcode::rdma_read,
           landed ? Status::ok() : Status(Errc::out_of_range, "RDMA READ did not land"), wr_id,

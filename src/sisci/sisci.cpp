@@ -7,60 +7,6 @@
 
 namespace nvmeshare::sisci {
 
-// --- NtbMapping ------------------------------------------------------------------
-
-NtbMapping::NtbMapping(NtbMapping&& other) noexcept { *this = std::move(other); }
-
-NtbMapping& NtbMapping::operator=(NtbMapping&& other) noexcept {
-  if (this != &other) {
-    release();
-    fabric_ = std::exchange(other.fabric_, nullptr);
-    ntb_ = other.ntb_;
-    first_entry_ = other.first_entry_;
-    entry_count_ = other.entry_count_;
-    size_ = other.size_;
-  }
-  return *this;
-}
-
-NtbMapping::~NtbMapping() { release(); }
-
-void NtbMapping::release() {
-  if (fabric_ == nullptr) return;
-  for (std::uint32_t i = 0; i < entry_count_; ++i) {
-    (void)fabric_->ntb_clear(ntb_, first_entry_ + i);
-  }
-  fabric_ = nullptr;
-}
-
-Result<NtbMapping> NtbMapping::program(pcie::Fabric& fabric, pcie::NtbId ntb,
-                                       pcie::HostId remote_host, std::uint64_t remote_base,
-                                       std::uint64_t size) {
-  if (size == 0) return Status(Errc::invalid_argument, "cannot map empty range");
-  const std::uint64_t window = fabric.ntb_window_size(ntb);
-  const auto count = static_cast<std::uint32_t>(div_ceil(size, window));
-  auto first = fabric.ntb_alloc_run(ntb, count);
-  if (!first) return first.status();
-
-  NtbMapping out;
-  out.fabric_ = &fabric;
-  out.ntb_ = ntb;
-  out.first_entry_ = *first;
-  out.entry_count_ = count;
-  out.size_ = size;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (Status st = fabric.ntb_program(ntb, *first + i, remote_host,
-                                       remote_base + static_cast<std::uint64_t>(i) * window);
-        !st) {
-      // Roll back the entries programmed so far.
-      out.entry_count_ = i;
-      out.release();
-      return st;
-    }
-  }
-  return out;
-}
-
 // --- Segment ----------------------------------------------------------------------
 
 Segment::Segment(Segment&& other) noexcept { *this = std::move(other); }

@@ -7,10 +7,6 @@
 //                    space (a host's DRAM, or the CXL pool), exported under
 //                    a (node, segment id) name.
 //  * RemoteSegment — a connection to an exported segment by name.
-//  * NtbMapping    — RAII ownership of one or more consecutive NTB LUT
-//                    entries; an NTB-substrate detail kept for tests and
-//                    benchmarks that exercise the LUT directly. Substrate-
-//                    neutral code uses fabric::Window via Map instead.
 //  * Map           — a CPU mapping of a remote segment through whatever the
 //                    substrate provides (NTB LUT window, CXL HDM range).
 //
@@ -36,37 +32,6 @@ using SegmentId = std::uint32_t;
 
 class Cluster;
 struct RemoteSegment;
-
-/// RAII ownership of `count` consecutive LUT entries on one NTB, mapping
-/// the aperture range to [remote_base, remote_base + count*window).
-class NtbMapping {
- public:
-  NtbMapping() = default;
-  NtbMapping(NtbMapping&& other) noexcept;
-  NtbMapping& operator=(NtbMapping&& other) noexcept;
-  NtbMapping(const NtbMapping&) = delete;
-  NtbMapping& operator=(const NtbMapping&) = delete;
-  ~NtbMapping();
-
-  /// Program a run of consecutive free LUT entries on `ntb` so that the
-  /// returned local aperture range of `size` bytes forwards to
-  /// [remote_base, ...) in `remote_host`'s address space.
-  static Result<NtbMapping> program(pcie::Fabric& fabric, pcie::NtbId ntb,
-                                    pcie::HostId remote_host, std::uint64_t remote_base,
-                                    std::uint64_t size);
-
-  [[nodiscard]] bool valid() const noexcept { return fabric_ != nullptr; }
-  [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
-
-  void release();
-
- private:
-  pcie::Fabric* fabric_ = nullptr;
-  pcie::NtbId ntb_ = 0;
-  std::uint32_t first_entry_ = 0;
-  std::uint32_t entry_count_ = 0;
-  std::uint64_t size_ = 0;
-};
 
 /// A contiguous region of one host's physical memory, exported cluster-wide
 /// under (node, id).

@@ -1,9 +1,11 @@
 // The byte path's steady state makes no heap allocation. 128 KiB writes and
-// reads through ours-remote (NTB and CXL) and NVMe-oF move payloads through
-// exact-size pooled buffers, staging-free bounce and RDMA copies and owned
-// scatter writes, and the NVMe-oF target tracks in-flight work in tables
-// sized at connect. A sharded namespace over tenant shares keeps a request's
-// pieces in its coroutine frame and stages commands in grow-only rings.
+// reads through ours-remote (NTB and CXL) and NVMe-oF move payloads as
+// shared page references (mem::Payload), copy partial edges into pooled
+// pages, and the NVMe-oF target tracks in-flight work in tables sized at
+// connect. So do unaligned 4 KiB requests, whose edges are copied, and reads
+// into a buffer whose pages the device's media still shares. A sharded
+// namespace over tenant shares keeps a request's pieces in its coroutine
+// frame and stages commands in grow-only rings.
 //
 // This binary replaces the global operator new with a counting one, as
 // sim_alloc_test.cpp does. Each stack runs three identical rounds; the first
@@ -50,19 +52,42 @@ constexpr std::uint32_t kBytes = 128 * KiB;
 /// every page and arena entry the third round uses.
 constexpr int kOps = 16;
 
-/// One round: kOps 128 KiB writes from `wbuf` to consecutive blocks, then
-/// reads of the same blocks into `rbuf`, one at a time, so every round
-/// reaches the same peak of buffers and frames in flight.
+/// The requests of one round.
+struct RoundShape {
+  std::uint32_t bytes = kBytes;
+  std::uint64_t first_lba = 0;
+  /// Where the data starts in the buffers' first page.
+  std::uint64_t buffer_offset = 0;
+  /// Read each request's blocks straight back into the buffer the write
+  /// came from, instead of all writes and then all reads into another one.
+  bool read_back = false;
+};
+
+/// One round: kOps writes from `wbuf` to consecutive block ranges and reads
+/// of the same ranges, one request at a time, so every round reaches the
+/// same peak of buffers and frames in flight.
 sim::Task round_task(block::BlockDevice& dev, std::uint64_t wbuf, std::uint64_t rbuf,
-                     sim::Promise<int> done) {
-  const std::uint32_t nblocks = kBytes / dev.block_size();
+                     RoundShape shape, sim::Promise<int> done) {
+  const std::uint32_t nblocks = shape.bytes / dev.block_size();
   int failures = 0;
-  for (const block::Op op : {block::Op::write, block::Op::read}) {
+  auto io = [&](block::Op op, int i) {
+    const std::uint64_t lba = shape.first_lba + static_cast<std::uint64_t>(i) * nblocks;
+    const std::uint64_t buf = op == block::Op::write || shape.read_back ? wbuf : rbuf;
+    return dev.submit(block::Request{op, lba, nblocks, buf});
+  };
+  if (shape.read_back) {
     for (int i = 0; i < kOps; ++i) {
-      const block::Request request{op, static_cast<std::uint64_t>(i) * nblocks, nblocks,
-                                   op == block::Op::write ? wbuf : rbuf};
-      const block::Completion c = co_await dev.submit(request);
-      if (!c.status) ++failures;
+      for (const block::Op op : {block::Op::write, block::Op::read}) {
+        const block::Completion c = co_await io(op, i);
+        if (!c.status) ++failures;
+      }
+    }
+  } else {
+    for (const block::Op op : {block::Op::write, block::Op::read}) {
+      for (int i = 0; i < kOps; ++i) {
+        const block::Completion c = co_await io(op, i);
+        if (!c.status) ++failures;
+      }
     }
   }
   done.set(failures);
@@ -74,16 +99,28 @@ class BytePathAlloc : public ::testing::Test {
     if (!sim::pool::kEnabled) GTEST_SKIP() << "the pool passes through under AddressSanitizer";
   }
 
+  /// A buffer holding pattern `seed` at `offset` into its first page.
+  static std::uint64_t pattern_buffer(Testbed& tb, sisci::NodeId node, const RoundShape& shape,
+                                      std::uint64_t seed) {
+    const std::uint64_t base =
+        alloc_pattern_buffer(tb, node, shape.buffer_offset + shape.bytes, seed);
+    EXPECT_TRUE(tb.substrate()
+                    .host_dram(node)
+                    .write(base + shape.buffer_offset, make_pattern(shape.bytes, seed))
+                    .is_ok());
+    return base + shape.buffer_offset;
+  }
+
   /// Run three identical rounds on `dev` from `node`; returns the global
   /// operator new calls the third round made. Every request must succeed
   /// and the reads must return what was written.
   static std::uint64_t steady_state_allocations(Testbed& tb, block::BlockDevice& dev,
-                                                sisci::NodeId node) {
-    const std::uint64_t wbuf = alloc_pattern_buffer(tb, node, kBytes, 0xB0);
-    const std::uint64_t rbuf = alloc_pattern_buffer(tb, node, kBytes, 0xE0);
+                                                sisci::NodeId node, RoundShape shape = {}) {
+    const std::uint64_t wbuf = pattern_buffer(tb, node, shape, 0xB0);
+    const std::uint64_t rbuf = pattern_buffer(tb, node, shape, 0xE0);
     auto round = [&] {
       sim::Promise<int> done(tb.engine());
-      round_task(dev, wbuf, rbuf, done);
+      round_task(dev, wbuf, rbuf, shape, done);
       auto failures = tb.wait_plain(done.future(), 1_s);
       EXPECT_TRUE(failures.has_value());
       EXPECT_EQ(failures.value_or(-1), 0);
@@ -93,7 +130,7 @@ class BytePathAlloc : public ::testing::Test {
     const std::uint64_t before = g_allocations;
     round();
     const std::uint64_t allocations = g_allocations - before;
-    EXPECT_TRUE(buffer_matches(tb, node, rbuf, kBytes, 0xB0));
+    EXPECT_TRUE(buffer_matches(tb, node, shape.read_back ? wbuf : rbuf, shape.bytes, 0xB0));
     return allocations;
   }
 };
@@ -131,6 +168,29 @@ TEST_F(BytePathAlloc, Nvmeof) {
     EXPECT_EQ(steady_state_allocations(tb, **initiator, 1), 0u);
     EXPECT_EQ((*target)->stats().errors.value(), 0u);
   }
+}
+
+TEST_F(BytePathAlloc, UnalignedSmallRequestsCopyEdges) {
+  // 4 KiB requests starting one 512 B block into a page of the media, from
+  // buffers that start 512 B into a page: no page lines up, every byte is
+  // an edge copy into a pooled page.
+  Testbed tb(small_testbed(2));
+  auto stack = bring_up(tb, /*manager_node=*/0, /*client_node=*/1);
+  ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+  ASSERT_EQ(stack->client->block_size(), 512u);
+  const RoundShape shape{.bytes = 4 * KiB, .first_lba = 1, .buffer_offset = 512};
+  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape), 0u);
+}
+
+TEST_F(BytePathAlloc, ReadBackIntoPagesTheMediaShares) {
+  // After a write, the buffer, the bounce slot and the media hold the same
+  // pages; reading the blocks back into that buffer swaps shared pages for
+  // shared pages.
+  Testbed tb(small_testbed(2));
+  auto stack = bring_up(tb, /*manager_node=*/0, /*client_node=*/1);
+  ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+  const RoundShape shape{.read_back = true};
+  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape), 0u);
 }
 
 /// One sharded round: kOps single-stripe requests and kOps that span five

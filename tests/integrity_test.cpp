@@ -163,7 +163,7 @@ TEST(BlockStorePi, ScrubCountsOnlyGenuineMismatches) {
   nvme::BlockStore store(1000, 512);
   store.format_with_pi(true);
   Bytes data = make_pattern(4 * 512, 11);
-  ASSERT_TRUE(store.write(100, 4, data).is_ok());
+  ASSERT_TRUE(store.write(100, 4, mem::Payload::copy_of(data)).is_ok());
   for (std::uint64_t b = 0; b < 4; ++b) {
     store.write_pi(100 + b, integrity::generate_pi(
                                 ConstByteSpan(data).subspan(b * 512, 512), 100 + b));
@@ -191,9 +191,9 @@ TEST(BlockStorePi, PlainOverwriteInvalidatesStoredTuples) {
   nvme::BlockStore store(1000, 512);
   store.format_with_pi(true);
   Bytes data = make_pattern(512, 12);
-  ASSERT_TRUE(store.write(50, 1, data).is_ok());
+  ASSERT_TRUE(store.write(50, 1, mem::Payload::copy_of(data)).is_ok());
   store.write_pi(50, integrity::generate_pi(data, 50));
-  ASSERT_TRUE(store.write(50, 1, make_pattern(512, 13)).is_ok());
+  ASSERT_TRUE(store.write(50, 1, mem::Payload::copy_of(make_pattern(512, 13))).is_ok());
   EXPECT_FALSE(store.read_pi(50).has_value());
   auto scrub = store.verify_stored_pi(50, 1);
   ASSERT_TRUE(scrub.has_value());
@@ -204,7 +204,7 @@ TEST(BlockStorePi, WriteZeroesDropsTuples) {
   nvme::BlockStore store(1000, 512);
   store.format_with_pi(true);
   Bytes data = make_pattern(512, 14);
-  ASSERT_TRUE(store.write(60, 1, data).is_ok());
+  ASSERT_TRUE(store.write(60, 1, mem::Payload::copy_of(data)).is_ok());
   store.write_pi(60, integrity::generate_pi(data, 60));
   ASSERT_TRUE(store.write_zeroes(60, 1).is_ok());
   EXPECT_FALSE(store.read_pi(60).has_value());

@@ -154,44 +154,47 @@ TEST(Spec, OneIoBuilderForEveryOpcode) {
 
 TEST(BlockStore, SparseZeroReads) {
   BlockStore store(1000, 512);
-  Bytes buf(512, std::byte{0xFF});
+  mem::Payload buf;
   ASSERT_TRUE(store.read(5, 1, buf).is_ok());
-  for (auto b : buf) EXPECT_EQ(b, std::byte{0});
+  EXPECT_EQ(buf.to_bytes(), Bytes(512, std::byte{0}));
   EXPECT_EQ(store.resident_chunks(), 0u);
 }
 
 TEST(BlockStore, WriteReadAndZeroes) {
   BlockStore store(100'000, 512);
   Bytes data = make_pattern(8 * 512, 3);
-  ASSERT_TRUE(store.write(64, 8, data).is_ok());
-  Bytes out(8 * 512);
+  ASSERT_TRUE(store.write(64, 8, mem::Payload::copy_of(data)).is_ok());
+  mem::Payload out;
   ASSERT_TRUE(store.read(64, 8, out).is_ok());
-  EXPECT_EQ(data, out);
+  EXPECT_EQ(out.to_bytes(), data);
   ASSERT_TRUE(store.write_zeroes(64, 8).is_ok());
-  ASSERT_TRUE(store.read(64, 8, out).is_ok());
-  for (auto b : out) EXPECT_EQ(b, std::byte{0});
+  mem::Payload zeroed;
+  ASSERT_TRUE(store.read(64, 8, zeroed).is_ok());
+  EXPECT_EQ(zeroed.to_bytes(), Bytes(8 * 512, std::byte{0}));
 }
 
 TEST(BlockStore, RangeChecks) {
   BlockStore store(100, 512);
-  Bytes buf(512);
+  mem::Payload buf;
   EXPECT_EQ(store.read(100, 1, buf).code(), Errc::out_of_range);
-  EXPECT_EQ(store.write(99, 2, Bytes(1024)).code(), Errc::out_of_range);
-  EXPECT_EQ(store.read(0, 0, {}).code(), Errc::invalid_argument);
-  EXPECT_EQ(store.read(0, 1, buf.empty() ? buf : ByteSpan(buf.data(), 100)).code(),
+  EXPECT_EQ(store.write(99, 2, mem::Payload::copy_of(Bytes(1024))).code(), Errc::out_of_range);
+  EXPECT_EQ(store.read(0, 0, buf).code(), Errc::invalid_argument);
+  // A payload of the wrong size is refused.
+  EXPECT_EQ(store.write(0, 1, mem::Payload::copy_of(Bytes(100))).code(),
             Errc::invalid_argument);
 }
 
 TEST(BlockStore, CapacityEdgeAndOverflow) {
   BlockStore store(100, 512);
-  Bytes buf(512);
+  mem::Payload buf;
   // The last valid block works; one past it does not.
   EXPECT_TRUE(store.read(99, 1, buf).is_ok());
   EXPECT_EQ(store.read(100, 1, buf).code(), Errc::out_of_range);
   // slba + nblocks must not wrap around u64 into an apparently-valid range.
   EXPECT_EQ(store.read(~0ull, 1, buf).code(), Errc::out_of_range);
-  Bytes eight(8 * 512);
-  EXPECT_EQ(store.read(~0ull - 3, 8, eight).code(), Errc::out_of_range);
+  const mem::Payload eight = mem::Payload::copy_of(Bytes(8 * 512));
+  mem::Payload out;
+  EXPECT_EQ(store.read(~0ull - 3, 8, out).code(), Errc::out_of_range);
   EXPECT_EQ(store.write(~0ull - 3, 8, eight).code(), Errc::out_of_range);
   EXPECT_EQ(store.write_zeroes(~0ull - 3, 8).code(), Errc::out_of_range);
 }

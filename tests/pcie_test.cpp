@@ -332,14 +332,14 @@ TEST(Fabric, ScatterGatherRoundTrip) {
   TwoHostFixture f;
   std::vector<SgEntry> sg{{0x10000, 4096}, {0x30000, 4096}, {0x50000, 4096}};
   Bytes data = make_pattern(3 * 4096, 21);
-  auto arrival = f.fabric.write_sg(f.fabric.cpu(f.h0), sg, data);
+  auto arrival = f.fabric.write_sg(f.fabric.cpu(f.h0), sg, mem::Payload::copy_of(data));
   ASSERT_TRUE(arrival.has_value());
   f.engine.run();
 
   bool done = false;
   [](Fabric& fab, HostId h, std::vector<SgEntry> list, Bytes expect, bool& ok) -> sim::Task {
     auto got = co_await fab.read_sg(fab.cpu(h), list);
-    ok = got.has_value() && *got == expect;
+    ok = got.has_value() && got->to_bytes() == expect;
   }(f.fabric, f.h0, sg, data, done);
   f.engine.run();
   EXPECT_TRUE(done);

@@ -1,5 +1,5 @@
 // Unit tests for the SISCI-style shared-memory API: segments, exports,
-// remote connect, NTB mappings, CPU maps.
+// remote connect, CPU maps and the NTB LUT runs behind them.
 #include <gtest/gtest.h>
 
 #include "sisci/sisci.hpp"
@@ -112,14 +112,16 @@ TEST_F(ClusterFixture, NtbMappingMultiWindowSegment) {
 }
 
 TEST_F(ClusterFixture, NtbMappingReleaseFreesLutEntries) {
-  auto seg = cluster->create_segment(h1, 6, 1 * MiB);
+  // A 3 MiB segment maps through a run of three 1 MiB LUT entries; dropping
+  // the Map must free the whole run.
+  auto seg = cluster->create_segment(h1, 6, 3 * MiB);
   ASSERT_TRUE(seg.has_value());
-  const auto free_before = fabric.ntb_alloc_run(ntb0, 32);
-  EXPECT_TRUE(free_before.has_value());  // all 32 free
+  EXPECT_TRUE(fabric.ntb_alloc_run(ntb0, 32).has_value());  // all 32 free
   {
-    auto mapping = NtbMapping::program(fabric, ntb0, h1, seg->phys_addr(), 1 * MiB);
-    ASSERT_TRUE(mapping.has_value());
-    EXPECT_FALSE(fabric.ntb_alloc_run(ntb0, 32).has_value());  // one in use
+    auto map = Map::create(*cluster, h0, seg->descriptor());
+    ASSERT_TRUE(map.has_value()) << map.status().to_string();
+    EXPECT_FALSE(fabric.ntb_alloc_run(ntb0, 30).has_value());  // three in use
+    EXPECT_TRUE(fabric.ntb_alloc_run(ntb0, 29).has_value());
   }
   EXPECT_TRUE(fabric.ntb_alloc_run(ntb0, 32).has_value());  // released
 }

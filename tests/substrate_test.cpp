@@ -6,12 +6,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <memory>
+#include <numeric>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "cxl/pool.hpp"
 #include "fabric/substrate.hpp"
 #include "fault/fault.hpp"
+#include "mem/payload.hpp"
+#include "nvme/block_store.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -145,7 +153,7 @@ TEST_P(SubstrateTest, WriteWatchSeesEveryWritePath) {
   ASSERT_TRUE(sub.post_write(sub.cpu(1), lo + 64, data).has_value());
   check(false, "posted write starting right after the range");
   const fabric::SgEntry sg[] = {{*base, 16}, {lo + 60, 16}};
-  ASSERT_TRUE(sub.write_sg(sub.cpu(1), sg, data).has_value());
+  ASSERT_TRUE(sub.write_sg(sub.cpu(1), sg, mem::Payload::copy_of(data)).has_value());
   check(true, "scatter write with one chunk inside");
   ASSERT_TRUE(sub.poke(1, lo, data).is_ok());
   check(true, "poke");
@@ -217,21 +225,22 @@ TEST_P(SubstrateTest, WriteWatchRejectsDeviceRegisters) {
 
 // --- transaction contract edges ----------------------------------------------------
 
-TEST_P(SubstrateTest, ScatterLengthMismatchReturnsPayloadToPool) {
+TEST_P(SubstrateTest, ScatterLengthMismatchPostsNothing) {
   Testbed tb(config(1));
   fabric::Substrate& sub = tb.substrate();
   auto base = tb.cluster().alloc_dram(0, 8192, 4096);
   ASSERT_TRUE(base.has_value()) << base.status().to_string();
   const fabric::SgEntry sg[] = {{*base, 4096}};
-  const std::size_t pooled_before = sub.pooled_bytes();
+  const std::size_t resident_before = sub.host_dram(0).resident_pages();
   const std::uint64_t writes_before = sub.stats().posted_writes.value();
 
-  auto arrival = sub.write_sg(sub.cpu(0), sg, Bytes(8192));
+  auto arrival = sub.write_sg(sub.cpu(0), sg, mem::Payload::copy_of(Bytes(8192)));
   ASSERT_FALSE(arrival.has_value());
   EXPECT_EQ(arrival.error_code(), Errc::invalid_argument);
-  // The refused payload went back to the pool; nothing was posted.
-  EXPECT_EQ(sub.pooled_bytes(), pooled_before + 8192);
+  // Nothing was posted, and nothing lands later.
   EXPECT_EQ(sub.stats().posted_writes.value(), writes_before);
+  tb.engine().run_until(tb.engine().now() + 100'000);
+  EXPECT_EQ(sub.host_dram(0).resident_pages(), resident_before);
 }
 
 TEST_P(SubstrateTest, UnmappedReadIsOneUnsupportedRequest) {
@@ -262,7 +271,8 @@ TEST_P(SubstrateTest, TornScatterWriteLandsOnlyLeadingBytes) {
   const std::uint64_t torn_before = fault::Injector::global().stats().torn_writes.value();
   // Two chunks, out of address order: delivery follows the scatter list.
   const fabric::SgEntry sg[] = {{*base + 4096, 4096}, {*base, 4096}};
-  auto arrival = sub.write_sg(sub.cpu(0), sg, Bytes(8192, std::byte{0xa5}));
+  auto arrival =
+      sub.write_sg(sub.cpu(0), sg, mem::Payload::copy_of(Bytes(8192, std::byte{0xa5})));
   const std::uint64_t torn = fault::Injector::global().stats().torn_writes.value() - torn_before;
   fault::Injector::global().disarm();
   ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
@@ -279,6 +289,409 @@ TEST_P(SubstrateTest, TornScatterWriteLandsOnlyLeadingBytes) {
   EXPECT_LT(prefix, landed.size());
   EXPECT_TRUE(std::all_of(landed.begin() + static_cast<std::ptrdiff_t>(prefix), landed.end(),
                           [](std::byte b) { return b == std::byte{0}; }));
+}
+
+// --- copy-on-write pages: seeded operation soups ------------------------------------
+
+/// One seeded soup of every operation that moves bytes between two host
+/// memories, a block store and the substrate's scatter DMA, checked against
+/// flat reference byte arrays. Whole aligned pages travel by reference, so
+/// the soup mixes page-aligned and unaligned ranges: a store into a page
+/// that a payload, the store or another range still shares must leave their
+/// bytes alone. Each step also records which write watches fired; the
+/// sequence must match what write() of the same ranges fires.
+class CowSoup {
+ public:
+  static constexpr std::uint64_t kRegion = 64 * KiB;
+  static constexpr std::uint32_t kBlock = 512;
+  static constexpr std::uint64_t kStoreBlocks = kRegion / kBlock;
+  static constexpr int kWatchesPerHost = 3;
+
+  CowSoup(Testbed& tb, std::uint64_t seed)
+      : tb_(tb), sub_(tb.substrate()), seed_(seed), rng_(seed), store_(kStoreBlocks, kBlock),
+        store_ref_(kRegion) {
+    for (fabric::HostId h = 0; h < 2; ++h) {
+      auto base = tb.cluster().alloc_dram(h, kRegion, mem::kPageSize);
+      EXPECT_TRUE(base.has_value()) << base.status().to_string();
+      base_[h] = base.value_or(0);
+      ref_[h] = make_pattern(kRegion, rng_.next());
+      EXPECT_TRUE(dram(h).write(base_[h], ref_[h]).is_ok());
+      for (int w = 0; w < kWatchesPerHost; ++w) {
+        const std::uint64_t len = 1 + rng_.uniform(2 * mem::kPageSize);
+        const std::uint64_t off = rng_.uniform(kRegion - len + 1);
+        timers_.push_back(std::make_unique<sim::PollTimer>(tb.engine()));
+        watched_.push_back({h, off, len});
+        watches_.emplace_back(dram(h), base_[h] + off, len, *timers_.back());
+      }
+    }
+  }
+
+  void run(int steps) {
+    for (step_ = 0; step_ < steps && !::testing::Test::HasFailure(); ++step_) {
+      const std::uint64_t op = rng_.uniform(10);
+      switch (op) {
+        case 0: write(); break;
+        case 1: copy(); break;
+        case 2: payload_round_trip(); break;
+        case 3: scatter_write(); break;
+        case 4: gather_read(); break;
+        case 5: store_write(); break;
+        case 6: store_read(); break;
+        case 7: store_zeroes(); break;
+        default: read_check(); break;
+      }
+      ops_.push_back(op);
+      settle_watches();
+    }
+    for (fabric::HostId h = 0; h < 2; ++h) {
+      Bytes got(kRegion);
+      ASSERT_TRUE(dram(h).read(base_[h], got).is_ok());
+      EXPECT_EQ(got, ref_[h]) << where() << ", host " << h;
+    }
+    mem::Payload media;
+    ASSERT_TRUE(store_.read(0, kStoreBlocks, media).is_ok());
+    EXPECT_EQ(media.to_bytes(), store_ref_) << where();
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& fired() const { return fired_; }
+  [[nodiscard]] const std::vector<std::uint64_t>& expected() const { return expected_; }
+  /// The operation each step drew (the case labels of run()).
+  [[nodiscard]] const std::vector<std::uint64_t>& ops() const { return ops_; }
+
+ private:
+  struct Watched {
+    fabric::HostId host = 0;
+    std::uint64_t off = 0;
+    std::uint64_t len = 0;
+  };
+
+  mem::PhysMem& dram(fabric::HostId h) { return sub_.host_dram(h); }
+  fabric::HostId host() { return static_cast<fabric::HostId>(rng_.uniform(2)); }
+  std::string where() const {
+    return "seed " + std::to_string(seed_) + " step " + std::to_string(step_);
+  }
+
+  /// Where `len` bytes go in a region: page-aligned half the time.
+  std::uint64_t place(std::uint64_t len) {
+    const std::uint64_t room = kRegion - len;
+    return rng_.uniform(2) == 0 ? rng_.uniform(room / mem::kPageSize + 1) * mem::kPageSize
+                                : rng_.uniform(room + 1);
+  }
+  /// A length: whole pages half the time.
+  std::uint64_t length() {
+    return rng_.uniform(2) == 0 ? (1 + rng_.uniform(4)) * mem::kPageSize
+                                : 1 + rng_.uniform(3 * mem::kPageSize);
+  }
+
+  /// A write of [off, off+len) of host `h`'s region: the watches it fires.
+  void note(fabric::HostId h, std::uint64_t off, std::uint64_t len) {
+    for (std::size_t i = 0; i < watched_.size(); ++i) {
+      const Watched& w = watched_[i];
+      if (w.host == h && off < w.off + w.len && w.off < off + len) expected_now_ |= 1ull << i;
+    }
+  }
+  void settle_watches() {
+    std::uint64_t fired = 0;
+    for (std::size_t i = 0; i < timers_.size(); ++i) {
+      if (timers_[i]->notified()) fired |= 1ull << i;
+      timers_[i]->clear();
+    }
+    fired_.push_back(fired);
+    expected_.push_back(std::exchange(expected_now_, 0));
+  }
+
+  void write() {
+    const fabric::HostId h = host();
+    const std::uint64_t len = length();
+    const std::uint64_t off = place(len);
+    const Bytes data = make_pattern(len, rng_.next());
+    ASSERT_TRUE(dram(h).write(base_[h] + off, data).is_ok());
+    std::copy(data.begin(), data.end(), ref_[h].begin() + static_cast<std::ptrdiff_t>(off));
+    note(h, off, len);
+  }
+
+  void read_check() {
+    const fabric::HostId h = host();
+    const std::uint64_t len = length();
+    const std::uint64_t off = place(len);
+    Bytes got(len);
+    ASSERT_TRUE(dram(h).read(base_[h] + off, got).is_ok());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(),
+                           ref_[h].begin() + static_cast<std::ptrdiff_t>(off)))
+        << where();
+  }
+
+  /// copy_from across the two memories or within one, overlapping in
+  /// either direction half the time.
+  void copy() {
+    const fabric::HostId dh = host();
+    const fabric::HostId sh = host();
+    const std::uint64_t len = length();
+    const std::uint64_t doff = place(len);
+    std::uint64_t soff = place(len);
+    if (sh == dh && rng_.uniform(2) == 0) {
+      static constexpr std::int64_t kShifts[] = {-5000, -4096, -1, 1, 17, 4096, 5000};
+      const std::int64_t shifted = static_cast<std::int64_t>(doff) + kShifts[rng_.uniform(7)];
+      soff = static_cast<std::uint64_t>(
+          std::clamp<std::int64_t>(shifted, 0, static_cast<std::int64_t>(kRegion - len)));
+    }
+    ASSERT_TRUE(dram(dh).copy_from(base_[dh] + doff, dram(sh), base_[sh] + soff, len).is_ok());
+    const Bytes moved = slice(ref_[sh], soff, len);
+    std::copy(moved.begin(), moved.end(), ref_[dh].begin() + static_cast<std::ptrdiff_t>(doff));
+    note(dh, doff, len);
+  }
+
+  static Bytes slice(const Bytes& b, std::uint64_t off, std::uint64_t len) {
+    const auto at = b.begin() + static_cast<std::ptrdiff_t>(off);
+    return Bytes(at, at + static_cast<std::ptrdiff_t>(len));
+  }
+
+  /// Damage `p` as a fault would (bit flip, torn, stale), and `expect` alike.
+  void damage(mem::Payload& p, Bytes& expect) {
+    switch (rng_.uniform(6)) {
+      case 0: {
+        const std::uint64_t bit = rng_.uniform(expect.size() * 8);
+        p.flip_bit(bit);
+        expect[bit / 8] ^= std::byte{1} << (bit % 8);
+        break;
+      }
+      case 1: {
+        const std::uint64_t keep = rng_.uniform(expect.size() + 1);
+        p.truncate(keep);
+        expect.resize(keep);
+        break;
+      }
+      case 2:
+        p.zero();
+        std::fill(expect.begin(), expect.end(), std::byte{0});
+        break;
+      default:
+        break;
+    }
+  }
+
+  /// Store all of `p` somewhere in a random memory.
+  void install(const mem::Payload& p, const Bytes& expect) {
+    ASSERT_EQ(p.to_bytes(), expect) << where();
+    if (p.size() == 0) return;
+    const fabric::HostId h = host();
+    const std::uint64_t off = place(p.size());
+    mem::PayloadReader in(p);
+    ASSERT_TRUE(dram(h).write(base_[h] + off, in, p.size()).is_ok());
+    EXPECT_EQ(in.remaining(), 0u);
+    std::copy(expect.begin(), expect.end(), ref_[h].begin() + static_cast<std::ptrdiff_t>(off));
+    note(h, off, p.size());
+  }
+
+  void payload_round_trip() {
+    const fabric::HostId h = host();
+    const std::uint64_t len = length();
+    const std::uint64_t off = place(len);
+    mem::Payload p;
+    ASSERT_TRUE(dram(h).read(base_[h] + off, len, p).is_ok());
+    Bytes expect = slice(ref_[h], off, len);
+    damage(p, expect);
+    if (rng_.uniform(2) == 0) write();  // the source changes under the payload
+    install(p, expect);
+  }
+
+  /// One to four disjoint chunks of host `h`'s region, each inside a page.
+  std::vector<fabric::SgEntry> scatter(fabric::HostId h) {
+    std::vector<std::uint64_t> pages(kRegion / mem::kPageSize);
+    std::iota(pages.begin(), pages.end(), 0);
+    const std::uint64_t k = 1 + rng_.uniform(4);
+    std::vector<fabric::SgEntry> sg;
+    for (std::uint64_t i = 0; i < k; ++i) {
+      std::swap(pages[i], pages[i + rng_.uniform(pages.size() - i)]);
+      const bool whole = rng_.uniform(2) == 0;
+      const std::uint64_t off = whole ? 0 : rng_.uniform(mem::kPageSize);
+      const std::uint64_t len = whole ? mem::kPageSize : 1 + rng_.uniform(mem::kPageSize - off);
+      sg.push_back({base_[h] + pages[i] * mem::kPageSize + off, static_cast<std::uint32_t>(len)});
+    }
+    return sg;
+  }
+
+  /// Arm `kind` to fire once on host `h`'s next transfer.
+  void arm(const char* kind, fabric::HostId h) {
+    const std::string text = "seed=" + std::to_string(rng_.uniform(1000)) + ";" + kind +
+                             ":src=" + std::to_string(h) + ",dst=" + std::to_string(h) +
+                             ",nth=1,count=1";
+    auto plan = fault::parse_plan(text);
+    ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+    fault::Injector::global().configure(std::move(*plan));
+  }
+
+  /// write_sg of a payload gathered from memory (sharing its pages) or of
+  /// fresh bytes, sometimes bit-flipped or torn in flight.
+  void scatter_write() {
+    const fabric::HostId h = host();
+    const std::vector<fabric::SgEntry> sg = scatter(h);
+    std::uint64_t total = 0;
+    for (const auto& e : sg) total += e.len;
+    const std::uint64_t fault = rng_.uniform(8);  // 0: bit flip, 1: torn, else none
+    mem::Payload p;
+    Bytes expect;
+    // A torn write is told from the bytes that landed, so it carries fresh
+    // bytes that differ from what it overwrites.
+    if (fault != 1 && rng_.uniform(2) == 0) {
+      const fabric::HostId sh = host();
+      const std::uint64_t soff = place(total);
+      ASSERT_TRUE(dram(sh).read(base_[sh] + soff, total, p).is_ok());
+      expect = slice(ref_[sh], soff, total);
+    } else {
+      expect = make_pattern(total, rng_.next());
+      p = mem::Payload::copy_of(expect);
+    }
+    if (fault == 0) arm("flip_dma_bits", h);
+    if (fault == 1) arm("torn_dma_write", h);
+    const auto& fs = fault::Injector::global().stats();
+    const std::uint64_t damaged_before = fs.bit_flips.value() + fs.torn_writes.value();
+    auto arrival = sub_.write_sg(sub_.cpu(h), sg, std::move(p));
+    const std::uint64_t damaged = fs.bit_flips.value() + fs.torn_writes.value() - damaged_before;
+    fault::Injector::global().disarm();
+    ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
+    EXPECT_EQ(damaged, fault < 2 ? 1u : 0u) << where();
+    if (rng_.uniform(2) == 0) write();  // the payload's source changes in flight
+    tb_.engine().run_until(*arrival + 1);
+
+    Bytes landed(kRegion);
+    ASSERT_TRUE(dram(h).read(base_[h], landed).is_ok());
+    // Delivered bytes in scatter order: all of them, or a torn prefix.
+    std::uint64_t delivered = total;
+    if (fault == 1) {
+      // Up to the first byte in scatter order that does not show the payload.
+      delivered = 0;
+      std::uint64_t j = 0;
+      for (const auto& e : sg) {
+        const std::uint64_t at = e.addr - base_[h];
+        for (std::uint64_t i = 0; i < e.len; ++i, ++j) {
+          if (delivered == j && landed[at + i] == expect[j]) ++delivered;
+        }
+      }
+    }
+    std::uint64_t j = 0;
+    for (const auto& e : sg) {
+      const std::uint64_t at = e.addr - base_[h];
+      if (j < delivered) note(h, at, std::min<std::uint64_t>(e.len, delivered - j));
+      for (std::uint64_t i = 0; i < e.len; ++i, ++j) {
+        if (j < delivered) ref_[h][at + i] = expect[j];
+      }
+    }
+    if (fault == 0) {
+      // Exactly one bit differs from the undamaged payload, inside it.
+      int bits = 0;
+      for (std::uint64_t i = 0; i < kRegion; ++i) {
+        bits += std::popcount(std::to_integer<unsigned>(landed[i] ^ ref_[h][i]));
+      }
+      EXPECT_EQ(bits, 1) << where();
+      ref_[h] = landed;
+    }
+    EXPECT_EQ(landed, ref_[h]) << where();
+  }
+
+  /// read_sg, sometimes stale, then the gathered payload stored elsewhere.
+  void gather_read() {
+    const fabric::HostId h = host();
+    const std::vector<fabric::SgEntry> sg = scatter(h);
+    Bytes expect;
+    for (const auto& e : sg) {
+      const Bytes part = slice(ref_[h], e.addr - base_[h], e.len);
+      expect.insert(expect.end(), part.begin(), part.end());
+    }
+    const bool stale = rng_.uniform(8) == 0;
+    if (stale) arm("stale_read", h);
+    const std::uint64_t stale_before = fault::Injector::global().stats().stale_reads.value();
+    auto got = tb_.wait(sub_.read_sg(sub_.cpu(h), sg));
+    const std::uint64_t stale_reads =
+        fault::Injector::global().stats().stale_reads.value() - stale_before;
+    fault::Injector::global().disarm();
+    ASSERT_TRUE(got.has_value()) << got.status().to_string();
+    EXPECT_EQ(stale_reads, stale ? 1u : 0u) << where();
+    if (stale) std::fill(expect.begin(), expect.end(), std::byte{0});
+    if (rng_.uniform(2) == 0) write();  // memory changes under the gathered pages
+    install(*got, expect);
+  }
+
+  /// A block range: page-aligned half the time.
+  std::pair<std::uint64_t, std::uint32_t> blocks() {
+    constexpr std::uint64_t kPerPage = mem::kPageSize / kBlock;
+    const auto nblocks = static_cast<std::uint32_t>(1 + rng_.uniform(3 * kPerPage));
+    const std::uint64_t room = kStoreBlocks - nblocks;
+    const std::uint64_t slba = rng_.uniform(2) == 0 ? rng_.uniform(room / kPerPage + 1) * kPerPage
+                                                    : rng_.uniform(room + 1);
+    return {slba, nblocks};
+  }
+
+  void store_write() {
+    const auto [slba, nblocks] = blocks();
+    const std::uint64_t len = std::uint64_t{nblocks} * kBlock;
+    const fabric::HostId h = host();
+    const std::uint64_t off = place(len);
+    mem::Payload p;
+    ASSERT_TRUE(dram(h).read(base_[h] + off, len, p).is_ok());
+    ASSERT_TRUE(store_.write(slba, nblocks, p).is_ok());
+    const Bytes data = slice(ref_[h], off, len);
+    std::copy(data.begin(), data.end(),
+              store_ref_.begin() + static_cast<std::ptrdiff_t>(slba * kBlock));
+  }
+
+  void store_read() {
+    const auto [slba, nblocks] = blocks();
+    mem::Payload p;
+    ASSERT_TRUE(store_.read(slba, nblocks, p).is_ok());
+    const Bytes expect = slice(store_ref_, slba * kBlock, std::uint64_t{nblocks} * kBlock);
+    if (rng_.uniform(2) == 0) store_write();  // the media changes under the payload
+    install(p, expect);
+  }
+
+  void store_zeroes() {
+    std::uint64_t slba = 0;
+    std::uint32_t nblocks = 0;
+    if (rng_.uniform(4) == 0) {
+      // Whole 32 KiB chunks: the store drops them.
+      constexpr std::uint32_t kChunkBlocks = 32 * KiB / kBlock;
+      nblocks = kChunkBlocks;
+      slba = rng_.uniform(kStoreBlocks / kChunkBlocks) * kChunkBlocks;
+    } else {
+      std::tie(slba, nblocks) = blocks();
+    }
+    ASSERT_TRUE(store_.write_zeroes(slba, nblocks).is_ok());
+    std::fill_n(store_ref_.begin() + static_cast<std::ptrdiff_t>(slba * kBlock),
+                std::uint64_t{nblocks} * kBlock, std::byte{0});
+  }
+
+  Testbed& tb_;
+  fabric::Substrate& sub_;
+  std::uint64_t seed_;
+  Rng rng_;
+  int step_ = 0;
+  std::uint64_t base_[2] = {};
+  Bytes ref_[2];
+  nvme::BlockStore store_;
+  Bytes store_ref_;
+  std::vector<std::unique_ptr<sim::PollTimer>> timers_;
+  std::vector<Watched> watched_;
+  std::vector<mem::WriteWatch> watches_;
+  std::uint64_t expected_now_ = 0;
+  std::vector<std::uint64_t> fired_;
+  std::vector<std::uint64_t> expected_;
+  std::vector<std::uint64_t> ops_;
+};
+
+TEST_P(SubstrateTest, CopyOnWriteSoupsMatchFlatReference) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    Testbed tb(config(2));
+    CowSoup soup(tb, seed);
+    soup.run(400);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+    const auto [fired, expected] =
+        std::mismatch(soup.fired().begin(), soup.fired().end(), soup.expected().begin());
+    EXPECT_TRUE(fired == soup.fired().end())
+        << "seed " << seed << " step " << (fired - soup.fired().begin()) << " (operation "
+        << soup.ops()[static_cast<std::size_t>(fired - soup.fired().begin())]
+        << "): watches fired " << *fired << ", a write() of the same ranges fires "
+        << *expected;
+  }
 }
 
 // --- payload pool ------------------------------------------------------------------
