@@ -7,7 +7,7 @@ namespace nvmeshare::driver {
 using nvme::CompletionEntry;
 using nvme::SubmissionEntry;
 
-BareController::BareController(sisci::Cluster& cluster, pcie::EndpointId endpoint, Config cfg)
+BareController::BareController(sisci::Cluster& cluster, fabric::EndpointId endpoint, Config cfg)
     : cluster_(cluster), endpoint_(endpoint), cfg_(cfg), admin_(cluster.fabric(), cfg.costs) {}
 
 BareController::~BareController() {
@@ -17,7 +17,7 @@ BareController::~BareController() {
 }
 
 sim::Future<Result<std::unique_ptr<BareController>>> BareController::init(
-    sisci::Cluster& cluster, pcie::EndpointId endpoint, Config cfg) {
+    sisci::Cluster& cluster, fabric::EndpointId endpoint, Config cfg) {
   return sim::spawn(cluster.engine(), init_steps(std::unique_ptr<BareController>(
                                           new BareController(cluster, endpoint, cfg))));
 }

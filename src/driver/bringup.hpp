@@ -12,6 +12,7 @@
 #include "common/status.hpp"
 #include "driver/admin_queue.hpp"
 #include "driver/cost_model.hpp"
+#include "fabric/types.hpp"
 #include "sisci/sisci.hpp"
 
 namespace nvmeshare::driver {
@@ -26,7 +27,7 @@ class BareController {
   /// Reset and enable the controller, set up admin queues in local DRAM,
   /// identify controller + namespace, and negotiate I/O queue count.
   static sim::Future<Result<std::unique_ptr<BareController>>> init(sisci::Cluster& cluster,
-                                                                   pcie::EndpointId endpoint,
+                                                                   fabric::EndpointId endpoint,
                                                                    Config cfg);
 
   ~BareController();
@@ -49,7 +50,7 @@ class BareController {
   [[nodiscard]] std::uint32_t max_transfer_bytes() const noexcept { return mdts_bytes_; }
   [[nodiscard]] std::uint16_t granted_io_queues() const noexcept { return granted_io_queues_; }
   [[nodiscard]] std::uint64_t bar_base() const noexcept { return bar_base_; }
-  [[nodiscard]] pcie::HostId host() const noexcept { return host_; }
+  [[nodiscard]] fabric::HostId host() const noexcept { return host_; }
   [[nodiscard]] sisci::Cluster& cluster() noexcept { return cluster_; }
 
   /// Doorbell addresses for queue `qid` (local BAR addresses).
@@ -64,15 +65,15 @@ class BareController {
   Status program_msix(std::uint16_t vector, std::uint64_t addr, std::uint32_t data);
 
  private:
-  BareController(sisci::Cluster& cluster, pcie::EndpointId endpoint, Config cfg);
+  BareController(sisci::Cluster& cluster, fabric::EndpointId endpoint, Config cfg);
 
   static sim::Co<Result<std::unique_ptr<BareController>>> init_steps(
       std::unique_ptr<BareController> self);
 
   sisci::Cluster& cluster_;
-  pcie::EndpointId endpoint_;
+  fabric::EndpointId endpoint_;
   Config cfg_;
-  pcie::HostId host_ = 0;
+  fabric::HostId host_ = 0;
   std::uint64_t bar_base_ = 0;
   std::uint64_t asq_addr_ = 0;
   std::uint64_t acq_addr_ = 0;

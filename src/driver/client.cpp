@@ -1,6 +1,7 @@
 #include "driver/client.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 
 #include "common/log.hpp"
@@ -154,7 +155,7 @@ sim::Co<Status> Client::connect() {
   sim::Engine& eng = engine();
   fabric::Substrate& fab = fabric();
   sisci::Cluster& cluster = service_.cluster();
-  const pcie::Initiator cpu = fab.cpu(node_);
+  const fabric::Initiator cpu = fab.cpu(node_);
 
   // Config sanity. Queue geometry (depth < entries, channel count) is the
   // engine's attach-time rule, shared by every backend.
@@ -424,7 +425,7 @@ sim::Co<Status> Client::connect() {
 sim::Co<Result<MboxSlot>> Client::mailbox_call(MboxSlot request) {
   sim::Engine& eng = engine();
   fabric::Substrate& fab = fabric();
-  const pcie::Initiator cpu = fab.cpu(node_);
+  const fabric::Initiator cpu = fab.cpu(node_);
   co_await mailbox_lock_->acquire();
 
   const std::uint32_t attempts = std::max<std::uint32_t>(cfg_.mailbox_retry_limit, 1);
@@ -515,7 +516,7 @@ sim::Co<Result<MboxSlot>> Client::mailbox_call(MboxSlot request) {
 sim::Co<Status> Client::follow_manager() {
   fabric::Substrate& fab = fabric();
   sisci::Cluster& cluster = service_.cluster();
-  const pcie::Initiator cpu = fab.cpu(node_);
+  const fabric::Initiator cpu = fab.cpu(node_);
 
   auto loc = service_.device_metadata(device_id_);
   if (!loc) co_return Status(Errc::unavailable, "device has no manager metadata registered");
@@ -638,10 +639,10 @@ block::Step Client::prepare(const block::Command& cmd, std::uint32_t step) {
     prp = nvme::make_prps(device_addr, bytes, prp_win_.device_addr() + slot_page);
     if (const std::uint64_t n = nvme::prp_list_bytes(device_addr, bytes); n > 0) {
       // Write this request's PRP list into the slot's descriptor page.
-      Bytes list = fabric().take_payload(n);
-      nvme::fill_prp_list(device_addr, bytes, list);
-      (void)prp_seg_.write(slot_page, list);
-      fabric().recycle_payload(std::move(list));
+      std::array<std::byte, nvme::kMaxPrpListBytes> list{};
+      const ByteSpan staged = ByteSpan(list).first(std::min<std::size_t>(n, list.size()));
+      nvme::fill_prp_list(device_addr, bytes, staged);
+      (void)prp_seg_.write(slot_page, staged);
     }
   }
 
@@ -921,7 +922,7 @@ sim::Task Client::recover_task(std::uint32_t chan, std::shared_ptr<bool> stop) {
 sim::Task Client::heartbeat_task(std::shared_ptr<bool> stop) {
   sim::Engine& eng = engine();
   fabric::Substrate& fab = fabric();
-  const pcie::Initiator cpu = fab.cpu(node_);
+  const fabric::Initiator cpu = fab.cpu(node_);
   for (;;) {
     co_await sim::delay(eng, cfg_.heartbeat_interval_ns);
     if (*stop) co_return;

@@ -1,5 +1,8 @@
 #include "driver/local_driver.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "common/log.hpp"
 
 namespace nvmeshare::driver {
@@ -42,7 +45,7 @@ void LocalDriver::start_recovery(std::uint32_t chan) {
 std::uint16_t LocalDriver::trace_qid(std::uint32_t chan) const { return qids_[chan]; }
 
 sim::Future<Result<std::unique_ptr<LocalDriver>>> LocalDriver::start(sisci::Cluster& cluster,
-                                                                     pcie::EndpointId endpoint,
+                                                                     fabric::EndpointId endpoint,
                                                                      IrqController* irq,
                                                                      Config cfg) {
   return sim::spawn(cluster.engine(),
@@ -51,7 +54,7 @@ sim::Future<Result<std::unique_ptr<LocalDriver>>> LocalDriver::start(sisci::Clus
 }
 
 sim::Co<Result<std::unique_ptr<LocalDriver>>> LocalDriver::init_steps(
-    std::unique_ptr<LocalDriver> self, pcie::EndpointId endpoint, IrqController* irq) {
+    std::unique_ptr<LocalDriver> self, fabric::EndpointId endpoint, IrqController* irq) {
   LocalDriver& d = *self;
   sim::Engine& engine = d.cluster_.engine();
 
@@ -74,7 +77,7 @@ sim::Co<Result<std::unique_ptr<LocalDriver>>> LocalDriver::init_steps(
   auto ctrl = co_await BareController::init(d.cluster_, endpoint, bc);
   if (!ctrl) co_return ctrl.status();
   d.ctrl_ = std::move(*ctrl);
-  const pcie::HostId host = d.ctrl_->host();
+  const fabric::HostId host = d.ctrl_->host();
   fabric::Substrate& fabric = d.cluster_.fabric();
 
   const std::uint64_t sq_ring_bytes = nvme::ring_stride(d.cfg_.queue_entries, 64, d.cfg_.channels);
@@ -181,10 +184,10 @@ block::Step LocalDriver::prepare(const block::Command& cmd, std::uint32_t step) 
   } else if (request.op == block::Op::read || request.op == block::Op::write) {
     prp = nvme::make_prps(request.buffer_addr, bytes, page);
     if (const std::uint64_t n = nvme::prp_list_bytes(request.buffer_addr, bytes); n > 0) {
-      Bytes list = cluster_.fabric().take_payload(n);
-      nvme::fill_prp_list(request.buffer_addr, bytes, list);
-      (void)dram.write(page, list);
-      cluster_.fabric().recycle_payload(std::move(list));
+      std::array<std::byte, nvme::kMaxPrpListBytes> list{};
+      const ByteSpan staged = ByteSpan(list).first(std::min<std::size_t>(n, list.size()));
+      nvme::fill_prp_list(request.buffer_addr, bytes, staged);
+      (void)dram.write(page, staged);
     }
   }
   sqes_[cmd.slot] =

@@ -40,7 +40,7 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   /// Bring up the controller and the I/O queue pairs. `irq` may be null
   /// when use_interrupts is false.
   static sim::Future<Result<std::unique_ptr<LocalDriver>>> start(sisci::Cluster& cluster,
-                                                                 pcie::EndpointId endpoint,
+                                                                 fabric::EndpointId endpoint,
                                                                  IrqController* irq,
                                                                  Config cfg);
 
@@ -77,7 +77,7 @@ class LocalDriver final : public block::BlockDevice, private block::IoTransport 
   LocalDriver(sisci::Cluster& cluster, Config cfg);
 
   static sim::Co<Result<std::unique_ptr<LocalDriver>>> init_steps(
-      std::unique_ptr<LocalDriver> self, pcie::EndpointId endpoint, IrqController* irq);
+      std::unique_ptr<LocalDriver> self, fabric::EndpointId endpoint, IrqController* irq);
   sim::Task completion_loop(std::shared_ptr<bool> stop);
 
   // --- block::IoTransport (the local queue-pair personality) ---------------

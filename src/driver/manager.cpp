@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/log.hpp"
 #include "fault/fault.hpp"
@@ -666,7 +666,7 @@ sim::Task Manager::reaper_task(std::shared_ptr<bool> stop) {
 sim::Task Manager::watchdog_task(std::shared_ptr<bool> stop) {
   sim::Engine& eng = engine();
   fabric::Substrate& fab = fabric();
-  const pcie::Initiator cpu = fab.cpu(node_);
+  const fabric::Initiator cpu = fab.cpu(node_);
   for (;;) {
     co_await sim::delay(eng, cfg_.csts_poll_interval_ns);
     if (*stop) co_return;
@@ -853,7 +853,7 @@ sim::Co<bool> Manager::reclaim_stale(std::uint32_t client_node, std::uint64_t lo
 
 sim::Co<Status> Manager::stand_by() {
   sim::Engine& eng = engine();
-  const pcie::Initiator cpu = fabric().cpu(node_);
+  const fabric::Initiator cpu = fabric().cpu(node_);
   if (cfg_.lease_duration_ns == 0) {
     co_return Status(Errc::invalid_argument,
                      "standby requires lease_duration_ns > 0 (it must publish its own "
@@ -932,7 +932,7 @@ Status Manager::watch(std::pair<smartio::NodeId, sisci::SegmentId> loc) {
 sim::Task Manager::standby_watch_task(std::shared_ptr<bool> stop) {
   sim::Engine& eng = engine();
   fabric::Substrate& fab = fabric();
-  const pcie::Initiator cpu = fab.cpu(node_);
+  const fabric::Initiator cpu = fab.cpu(node_);
 
   for (;;) {
     co_await sim::delay(eng, kStandbyPollNs);
@@ -1017,7 +1017,7 @@ sim::Co<Status> Manager::take_over(ManagerLease claim) {
   sim::Engine& eng = engine();
   fabric::Substrate& fab = fabric();
   sisci::Cluster& cluster = service_.cluster();
-  const pcie::Initiator cpu = fab.cpu(node_);
+  const fabric::Initiator cpu = fab.cpu(node_);
   const sim::Time begin = eng.now();
   const std::uint64_t old_base = watched_meta_map_.addr();
   const Status stopped(Errc::aborted, "stopped during takeover");
@@ -1039,7 +1039,7 @@ sim::Co<Status> Manager::take_over(ManagerLease claim) {
   raw = co_await fab.read(cpu, old_base + kOwnerTableOffset,
                           kOwnerTableEntries * sizeof(QpOwnerEntry));
   if (!raw) co_return raw.status();
-  std::memcpy(owners.data(), raw->data(), owners.size() * sizeof(QpOwnerEntry));
+  raw->copy_out(0, std::as_writable_bytes(std::span(owners)));
 
   // 2. Adopt the admin rings: CPU views of the old ASQ/ACQ. Both survive in
   // the dead manager's DRAM (its process died, its host memory did not).
@@ -1128,7 +1128,7 @@ sim::Co<Status> Manager::take_over(ManagerLease claim) {
     const std::uint64_t beat_off = mbox_slot_offset(header_, n) + offsetof(MboxSlot, heartbeat_ns);
     auto beat = co_await fab.read(cpu, old_base + beat_off, sizeof(std::uint64_t));
     if (!beat) continue;
-    (void)metadata_seg_.write(beat_off, *beat);
+    (void)metadata_seg_.write(beat_off, as_bytes_of(load_pod<std::uint64_t>(*beat)));
   }
   if (*stop_) co_return stopped;
 

@@ -1,12 +1,12 @@
 #include "fabric/substrate.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "common/log.hpp"
 #include "fabric/endpoint.hpp"
 #include "fault/fault.hpp"
+#include "sim/pool.hpp"
 
 namespace nvmeshare::fabric {
 
@@ -28,12 +28,6 @@ fault::Injector::PostedWriteDecision posted_fault(HostId src, HostId owner, bool
 /// Fault injection for a read: true = complete with stale (zero) data.
 bool stale_read(HostId src, HostId owner, bool to_bar) {
   return fault::enabled() && fault::Injector::global().on_dma_read(src, owner, to_bar);
-}
-
-/// Flip the decided bit of an in-flight copy; the initiator's buffer is
-/// untouched, the completer sees damaged bytes.
-void flip_bit(Bytes& d, const fault::Injector::PostedWriteDecision& decision) {
-  if (decision.flip) d[decision.flip_bit / 8] ^= std::byte{1} << (decision.flip_bit % 8);
 }
 
 }  // namespace
@@ -63,35 +57,6 @@ void Window::release() {
   if (token_ != 0) sub_->unmap_window(token_);
   sub_ = nullptr;
   token_ = 0;
-}
-
-Bytes Substrate::take_payload(std::size_t n) {
-  for (PayloadBin& bin : payload_bins_) {
-    if (bin.size != n) continue;
-    if (bin.free.empty()) break;
-    Bytes b = std::move(bin.free.back());
-    bin.free.pop_back();
-    pooled_bytes_ -= n;
-    --pooled_buffers_;
-    return b;
-  }
-  // A fresh buffer is value-initialised once; after that only its size bin
-  // hands it out again.
-  return Bytes(n);
-}
-
-void Substrate::recycle_payload(Bytes&& b) {
-  const std::size_t n = b.size();
-  if (n == 0 || b.capacity() != n || pooled_buffers_ >= kMaxPooledBuffers ||
-      pooled_bytes_ + n > kMaxPooledBytes) {
-    return;
-  }
-  auto bin = std::find_if(payload_bins_.begin(), payload_bins_.end(),
-                          [n](const PayloadBin& pb) { return pb.size == n; });
-  if (bin == payload_bins_.end()) bin = payload_bins_.insert(bin, PayloadBin{n, {}});
-  bin->free.push_back(std::move(b));
-  pooled_bytes_ += n;
-  ++pooled_buffers_;
 }
 
 Result<mem::WriteWatch> Substrate::watch_writes(HostId viewer, std::uint64_t addr,
@@ -169,7 +134,7 @@ Status Substrate::apply_read_into(const Sink& s, ByteSpan out) {
   if (s.mem != nullptr) return s.mem->read(s.addr, out);
   Result<Bytes> data = s.ep->bar_read(s.bar, s.addr, out.size());
   if (!data) return data.status();
-  // Pooled buffers arrive dirty: a short BAR read leaves zeros behind it.
+  // A short BAR read leaves zeros behind it.
   const std::size_t n = std::min(out.size(), data->size());
   std::copy_n(data->begin(), n, out.begin());
   std::fill(out.begin() + static_cast<std::ptrdiff_t>(n), out.end(), std::byte{0});
@@ -178,11 +143,9 @@ Status Substrate::apply_read_into(const Sink& s, ByteSpan out) {
 
 Status Substrate::apply_write(const Sink& s, mem::PayloadReader& in, std::uint64_t len) {
   if (s.mem != nullptr) return s.mem->write(s.addr, in, len);
-  Bytes staged = take_payload(len);
-  in.read(staged);
-  Status st = s.ep->bar_write(s.bar, s.addr, staged);
-  recycle_payload(std::move(staged));
-  return st;
+  bar_staging_.resize(len);
+  in.read(bar_staging_);
+  return s.ep->bar_write(s.bar, s.addr, bar_staging_);
 }
 
 Status Substrate::apply_read_into(const Sink& s, std::uint64_t len, mem::Payload& out) {
@@ -204,25 +167,18 @@ Status Substrate::poll_read(HostId viewer, std::uint64_t addr, ByteSpan out) {
 
 // --- scatter-gather records ---------------------------------------------------------
 
-std::unique_ptr<Substrate::SgOp> Substrate::take_sg_op() {
-  if (sg_pool_.empty()) return std::make_unique<SgOp>();
-  std::unique_ptr<SgOp> op = std::move(sg_pool_.back());
-  sg_pool_.pop_back();
-  return op;
+void Substrate::SgOpFree::operator()(SgOp* op) const noexcept {
+  const std::size_t bytes = SgOp::bytes(op->count);
+  op->~SgOp();
+  sim::pool::deallocate(op, bytes);
 }
 
-void Substrate::recycle_sg_op(std::unique_ptr<SgOp> op) {
-  op->sinks.clear();
-  op->lens.clear();
-  op->keys.clear();
-  op->total = 0;
-  op->worst = {};
-  sg_pool_.push_back(std::move(op));
-}
-
-Status Substrate::resolve_sg(const Initiator& who, std::span<const SgEntry> sg, bool is_store,
-                             SgOp& op) {
-  for (const auto& e : sg) {
+Result<Substrate::SgOpPtr> Substrate::resolve_sg(const Initiator& who,
+                                                 std::span<const SgEntry> sg, bool is_store) {
+  SgOpPtr op(::new (sim::pool::allocate(SgOp::bytes(sg.size()))) SgOp);
+  op->count = static_cast<std::uint32_t>(sg.size());
+  for (std::size_t i = 0; i < sg.size(); ++i) {
+    const SgEntry& e = sg[i];
     auto target = route(who.host, e.addr, e.len);
     if (!target) {
       ++stats_.unsupported_requests;
@@ -230,17 +186,14 @@ Status Substrate::resolve_sg(const Initiator& who, std::span<const SgEntry> sg, 
     }
     auto path = path_ns(who, *target, is_store);
     if (!path) return path.status();
-    op.worst.ns = std::max(op.worst.ns, *path);
-    op.worst.ntb_crossings = std::max(op.worst.ntb_crossings, target->ntb_crossings);
+    op->worst.ns = std::max(op->worst.ns, *path);
+    op->worst.ntb_crossings = std::max(op->worst.ntb_crossings, target->ntb_crossings);
     stats_.ntb_translations += static_cast<std::uint64_t>(target->ntb_crossings);
-    op.sinks.push_back(target->sink);
-    op.lens.push_back(e.len);
-    op.total += e.len;
-    if (is_store && std::find(op.keys.begin(), op.keys.end(), target->order_key) == op.keys.end()) {
-      op.keys.push_back(target->order_key);
-    }
+    ::new (&op->chunks()[i]) Chunk{target->sink, e.len};
+    op->total += e.len;
+    if (is_store) op->add_key(target->order_key);
   }
-  return Status::ok();
+  return op;
 }
 
 // --- transactions -------------------------------------------------------------------
@@ -256,179 +209,126 @@ sim::Time Substrate::posted_arrival(const Initiator& who, std::uint64_t key,
 
 Result<sim::Time> Substrate::post_write(const Initiator& who, std::uint64_t addr,
                                         ConstByteSpan data, sim::Time not_before) {
-  auto target = route(who.host, addr, data.size());
-  if (!target) {
-    ++stats_.unsupported_requests;
-    return target.status();
-  }
-  auto path = path_ns(who, *target, /*is_store=*/true);
-  if (!path) return path.status();
-  const Sink& sink = target->sink;
-
-  // Fault injection: a dropped posted write still occupies the wire (the
-  // initiator saw it leave; stats and ordering floors advance), it simply
-  // never lands — exactly how a lost doorbell or CQE looks to software.
-  // Corruption (bit flip, torn write) mutates the in-flight copy.
-  const auto decision = posted_fault(who.host, sink.owner, sink.mem == nullptr, data.size());
-
-  ++stats_.posted_writes;
-  stats_.bytes_written += data.size();
-  stats_.ntb_translations += static_cast<std::uint64_t>(target->ntb_crossings);
-
-  const PostedCost cost =
-      posted_cost(Path{*path, target->ntb_crossings}, data.size(), /*scatter=*/false);
-  const sim::Time arrival = posted_arrival(who, target->order_key,
-                                           cost.latency + decision.extra_ns, cost.gap, not_before);
-  if (decision.drop) return arrival;
-  // Wire timing above used the full payload; damage only what lands. The
-  // in-flight copy comes from the payload pool — the hot path allocates
-  // nothing once the pool is warm.
-  Bytes payload = take_payload(data.size());
-  if (!data.empty()) std::memcpy(payload.data(), data.data(), data.size());
-  flip_bit(payload, decision);
-  if (decision.torn) payload.resize(decision.torn_bytes);
-  engine_.at(arrival, [this, s = sink, d = std::move(payload)]() mutable {
-    if (Status st = apply_write(s, d); !st) {
-      NVS_LOG(warn, "fabric") << "posted write dropped at target: " << st.to_string();
-      ++stats_.unsupported_requests;
-    }
-    recycle_payload(std::move(d));
-  });
-  return arrival;
+  const SgEntry one{addr, static_cast<std::uint32_t>(data.size())};
+  return posted_write(who, {&one, 1}, mem::Payload::copy_of(data), not_before,
+                      /*scatter=*/false);
 }
 
 Result<sim::Time> Substrate::write_sg(const Initiator& who, std::span<const SgEntry> sg,
                                       mem::Payload data, sim::Time not_before) {
-  std::unique_ptr<SgOp> op = take_sg_op();
-  Status st = resolve_sg(who, sg, /*is_store=*/true, *op);
-  if (st && op->total != data.size()) {
-    st = Status(Errc::invalid_argument, "scatter list length != payload length");
-  }
-  if (!st) {
-    recycle_sg_op(std::move(op));
-    return st;
-  }
+  return posted_write(who, sg, std::move(data), not_before, /*scatter=*/true);
+}
+
+sim::Future<Result<mem::Payload>> Substrate::read(const Initiator& who, std::uint64_t addr,
+                                                  std::size_t len) {
+  const SgEntry one{addr, static_cast<std::uint32_t>(len)};
+  return nonposted_read(who, {&one, 1}, /*scatter=*/false);
+}
+
+sim::Future<Result<mem::Payload>> Substrate::read_sg(const Initiator& who,
+                                                     std::span<const SgEntry> sg) {
+  return nonposted_read(who, sg, /*scatter=*/true);
+}
+
+Result<sim::Time> Substrate::posted_write(const Initiator& who, std::span<const SgEntry> sg,
+                                          mem::Payload data, sim::Time not_before,
+                                          bool scatter) {
+  auto resolved = resolve_sg(who, sg, /*is_store=*/true);
+  if (!resolved) return resolved.status();
+  SgOpPtr op = std::move(*resolved);
   const std::uint64_t total = op->total;
+  if (total != data.size()) {
+    return Status(Errc::invalid_argument, "scatter list length != payload length");
+  }
 
   // Fault injection (one decision for the whole scatter list — the data of
-  // one DMA either lands or is lost/damaged as a unit).
+  // one DMA either lands or is lost/damaged as a unit). A dropped posted
+  // write still occupies the wire (the initiator saw it leave; stats and
+  // ordering floors advance), it simply never lands — exactly how a lost
+  // doorbell or CQE looks to software.
   fault::Injector::PostedWriteDecision decision;
-  if (!op->sinks.empty()) {
-    const Sink& first = op->sinks.front();
+  if (op->count > 0) {
+    const Sink& first = op->chunks().front().sink;
     decision = posted_fault(who.host, first.owner, first.mem == nullptr, total);
   }
 
   ++stats_.posted_writes;
   stats_.bytes_written += total;
 
-  const PostedCost cost = posted_cost(op->worst, total, /*scatter=*/true);
+  const PostedCost cost = posted_cost(op->worst, total, scatter);
   const sim::Duration lat = cost.latency + decision.extra_ns;
   // Order against the FIFO of every chunk's completer — advance each
   // distinct key's floor exactly once, so the aggregate gap is charged a
-  // single time for the whole scatter list, not once per chunk.
+  // single time for the whole scatter list, not once per chunk. A single
+  // key's floor is already at `arrival`.
   sim::Time arrival = not_before;
-  for (std::uint64_t key : op->keys) {
+  for (std::uint64_t key : op->order_keys()) {
     arrival = std::max(arrival, posted_arrival(who, key, lat, cost.gap, not_before));
   }
-  for (std::uint64_t key : op->keys) posted_floor_[{who.chip, key}] = arrival;
-  if (decision.drop) {
-    recycle_sg_op(std::move(op));
-    return arrival;
+  if (op->keys > 1) {
+    for (std::uint64_t key : op->order_keys()) posted_floor_[{who.chip, key}] = arrival;
   }
-  // `data` is the in-flight copy: damage it in place. A torn scatter write
-  // delivers only the leading `torn_bytes` of the DMA.
+  if (decision.drop) return arrival;
+  // Wire timing above used the full payload; damage only what lands. `data`
+  // is the in-flight copy: damage it in place. A torn write delivers only
+  // its leading `torn_bytes`.
   if (decision.flip) data.flip_bit(decision.flip_bit);
   if (decision.torn) data.truncate(decision.torn_bytes);
   engine_.at(arrival, [this, op = std::move(op), d = std::move(data)]() mutable {
     mem::PayloadReader in(d);
-    for (std::size_t i = 0; i < op->sinks.size() && in.remaining() > 0; ++i) {
-      const std::uint64_t chunk = std::min<std::uint64_t>(op->lens[i], in.remaining());
+    // A write torn to nothing still reaches its first sink: memory ignores
+    // an empty store, a BAR register may reject it.
+    for (std::size_t i = 0; i < op->count && (i == 0 || in.remaining() > 0); ++i) {
+      const Chunk& c = op->chunks()[i];
+      const std::uint64_t n = std::min<std::uint64_t>(c.len, in.remaining());
       mem::PayloadReader at = in;
-      in.skip(chunk);
-      if (Status st = apply_write(op->sinks[i], at, chunk); !st) {
-        NVS_LOG(warn, "fabric") << "scatter write chunk dropped: " << st.to_string();
+      in.skip(n);
+      if (Status st = apply_write(c.sink, at, n); !st) {
+        NVS_LOG(warn, "fabric") << "posted write dropped at target: " << st.to_string();
         ++stats_.unsupported_requests;
       }
     }
-    recycle_sg_op(std::move(op));
   });
   return arrival;
 }
 
-sim::Future<Result<Bytes>> Substrate::read(const Initiator& who, std::uint64_t addr,
-                                           std::size_t len) {
-  sim::Promise<Result<Bytes>> promise(engine_);
-  auto future = promise.future();
-
-  auto target = route(who.host, addr, len);
-  if (!target) ++stats_.unsupported_requests;
-  auto path = target ? path_ns(who, *target, /*is_store=*/false)
-                     : Result<sim::Duration>(target.status());
-  if (!path) {
-    // The error completion comes back after one short round trip.
-    engine_.after(error_completion_ns(),
-                  [promise, st = path.status()]() mutable { promise.set(st); });
-    return future;
-  }
-  ++stats_.reads;
-  stats_.bytes_read += len;
-  stats_.ntb_translations += static_cast<std::uint64_t>(target->ntb_crossings);
-
-  const ReadCost cost = read_cost(Path{*path, target->ntb_crossings}, len, /*scatter=*/false);
-  // The completer is accessed when the request arrives; data travels back.
-  engine_.after(cost.request, [this, s = target->sink, len, promise, src = who.host,
-                               remaining = cost.response]() mutable {
-    // One pooled buffer, filled in place — the memory fast path copies
-    // straight from PhysMem into it.
-    Bytes data = take_payload(len);
-    Status st = apply_read_into(s, data);
-    // Fault injection: a stale read completes successfully but carries old
-    // (zero-filled) data instead of memory contents.
-    if (st && stale_read(src, s.owner, s.mem == nullptr)) data.assign(data.size(), std::byte{0});
-    engine_.after(remaining > 0 ? remaining : 0, [promise, st, d = std::move(data)]() mutable {
-      if (!st) {
-        promise.set(st);
-      } else {
-        promise.set(std::move(d));
-      }
-    });
-  });
-  return future;
-}
-
-sim::Future<Result<mem::Payload>> Substrate::read_sg(const Initiator& who,
-                                                     std::span<const SgEntry> sg) {
+sim::Future<Result<mem::Payload>> Substrate::nonposted_read(const Initiator& who,
+                                                            std::span<const SgEntry> sg,
+                                                            bool scatter) {
   sim::Promise<Result<mem::Payload>> promise(engine_);
   auto future = promise.future();
 
-  std::unique_ptr<SgOp> op = take_sg_op();
-  if (Status st = resolve_sg(who, sg, /*is_store=*/false, *op); !st) {
-    recycle_sg_op(std::move(op));
+  auto resolved = resolve_sg(who, sg, /*is_store=*/false);
+  if (!resolved) {
+    // The error completion comes back after one short round trip.
     engine_.after(error_completion_ns(),
-                  [promise, st = std::move(st)]() mutable { promise.set(st); });
+                  [promise, st = resolved.status()]() mutable { promise.set(st); });
     return future;
   }
+  SgOpPtr op = std::move(*resolved);
   ++stats_.reads;
   stats_.bytes_read += op->total;
 
-  const ReadCost cost = read_cost(op->worst, op->total, /*scatter=*/true);
+  const ReadCost cost = read_cost(op->worst, op->total, scatter);
+  // The completer is accessed when the request arrives; data travels back.
   engine_.after(cost.request, [this, op = std::move(op), promise, src = who.host,
                                remaining = cost.response]() mutable {
     mem::Payload out;
     Status failure = Status::ok();
-    for (std::size_t i = 0; i < op->sinks.size(); ++i) {
-      if (Status st = apply_read_into(op->sinks[i], op->lens[i], out); !st) {
+    for (const Chunk& c : op->chunks()) {
+      if (Status st = apply_read_into(c.sink, c.len, out); !st) {
         failure = st;
         break;
       }
     }
-    // Fault injection (one decision per gather, matching write_sg): a stale
-    // gather read completes with zero pages.
-    if (failure.is_ok() && !op->sinks.empty() &&
-        stale_read(src, op->sinks.front().owner, op->sinks.front().mem == nullptr)) {
+    // Fault injection (one decision per read, matching posted writes): a
+    // stale read completes successfully but carries zeros instead of memory
+    // contents.
+    if (failure.is_ok() && op->count > 0 &&
+        stale_read(src, op->chunks().front().sink.owner,
+                   op->chunks().front().sink.mem == nullptr)) {
       out.zero();
     }
-    recycle_sg_op(std::move(op));
     engine_.after(remaining > 0 ? remaining : 0,
                   [promise, failure, d = std::move(out)]() mutable {
                     if (!failure) {

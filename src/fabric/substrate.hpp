@@ -4,7 +4,7 @@
 // Everything the stack above (sisci segments, smartio windows, the NVMe
 // driver, NVMe-oF) needs from an interconnect is captured here: a
 // host/DRAM registry, endpoint attachment with BAR addressing, timed posted
-// writes and non-posted reads (scalar and scatter-gather), address-window
+// writes and non-posted reads (one range or a scatter list), address-window
 // mapping for CPU access and device DMA, a segment-placement policy, and
 // setup-only peek/poke backdoors.
 //
@@ -15,8 +15,10 @@
 // A substrate supplies routing (route()), reachability and path cost
 // (path_ns()) and its cost arithmetic (posted_cost(), read_cost(),
 // error_completion_ns()). This class owns everything else once: posted
-// ordering floors, scatter-gather records, fault damage, the scalar payload
-// pool, BAR assignment and the backdoor guard.
+// ordering floors, scatter-gather records, fault damage, BAR assignment and
+// the backdoor guard. Every timed transaction carries its bytes as a
+// mem::Payload through one posted-write body and one read body; a
+// one-range call is a one-entry scatter list priced as a single access.
 //
 // Timing semantics every substrate honors:
 //  * post_write() is posted: it returns the *arrival* time synchronously
@@ -33,6 +35,7 @@
 //    `permission_denied` and count it in stats().backdoor_violations.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -172,30 +175,13 @@ class Substrate {
   Result<sim::Time> write_sg(const Initiator& who, std::span<const SgEntry> sg,
                              mem::Payload data, sim::Time not_before = 0);
 
-  /// Non-posted read; future resolves after the full round trip. The
-  /// buffer comes from the payload pool; a caller on a hot path hands it
-  /// back with recycle_payload() once done with it.
-  sim::Future<Result<Bytes>> read(const Initiator& who, std::uint64_t addr, std::size_t len);
+  /// Non-posted read; future resolves after the full round trip.
+  sim::Future<Result<mem::Payload>> read(const Initiator& who, std::uint64_t addr,
+                                         std::size_t len);
 
   /// Non-posted gather read across multiple ranges (device DMA fetch). The
   /// payload takes whole aligned pages of memory by reference.
   sim::Future<Result<mem::Payload>> read_sg(const Initiator& who, std::span<const SgEntry> sg);
-
-  /// Recycled byte buffers for scalar data in flight: posted-write
-  /// payloads, read() results, digest and PRP-list staging. Free buffers are
-  /// binned by exact size, so a warm pool hands out a buffer of size `n`
-  /// without allocating or zero-filling it; the contents of a taken buffer
-  /// are unspecified, and the taker overwrites all of it. recycle_payload()
-  /// keeps only a buffer whose size is its capacity (a torn write shrinks
-  /// one; that one is freed, not re-binned at its smaller size), and only
-  /// while the pool pins at most kMaxPooledBytes in kMaxPooledBuffers.
-  [[nodiscard]] Bytes take_payload(std::size_t n);
-  void recycle_payload(Bytes&& b);
-  static constexpr std::size_t kMaxPooledBytes = 64 * 256 * 1024;
-  static constexpr std::size_t kMaxPooledBuffers = 4096;
-  /// Bytes and buffers the pool holds right now.
-  [[nodiscard]] std::size_t pooled_bytes() const noexcept { return pooled_bytes_; }
-  [[nodiscard]] std::size_t pooled_buffers() const noexcept { return pooled_buffers_; }
 
   /// Zero-cost synchronous read for CQ phase polling. Unlike peek() this is
   /// a sanctioned data-path access: the polled ring must be local, in a
@@ -344,7 +330,8 @@ class Substrate {
   /// Read straight into the caller's span — no temporary for memory sinks.
   static Status apply_read_into(const Sink& s, ByteSpan out);
   /// The payload forms of the two: store the next `len` bytes of `in`, or
-  /// append `len` bytes to `out`. A BAR sees plain bytes.
+  /// append `len` bytes to `out`. A BAR sees plain bytes, staged in
+  /// bar_staging_.
   Status apply_write(const Sink& s, mem::PayloadReader& in, std::uint64_t len);
   static Status apply_read_into(const Sink& s, std::uint64_t len, mem::Payload& out);
 
@@ -354,36 +341,63 @@ class Substrate {
   sim::Time posted_arrival(const Initiator& who, std::uint64_t key, sim::Duration latency,
                            sim::Duration gap, sim::Time not_before);
 
-  /// One scatter-gather DMA in flight: every chunk's sink and length, kept
-  /// from submission to delivery. Records are recycled, so a warm substrate
-  /// resolves scatter lists without allocating.
+  /// One routed entry of a transaction's scatter list.
+  struct Chunk {
+    Sink sink;
+    std::uint32_t len = 0;
+  };
+  /// One transaction in flight, from submission to delivery: its chunks
+  /// and, for a posted write, their distinct order keys. One sim::pool
+  /// record sized to the scatter list, so a warm substrate resolves
+  /// transactions without allocating.
   struct SgOp {
-    std::vector<Sink> sinks;
-    std::vector<std::uint32_t> lens;
-    std::vector<std::uint64_t> keys;  ///< distinct order keys (write_sg)
+    std::uint32_t count = 0;  ///< chunks, and room for as many keys
+    std::uint32_t keys = 0;
     std::uint64_t total = 0;
     Path worst;
+
+    [[nodiscard]] static std::size_t bytes(std::size_t count) noexcept {
+      return sizeof(SgOp) + count * (sizeof(Chunk) + sizeof(std::uint64_t));
+    }
+    [[nodiscard]] std::span<Chunk> chunks() noexcept {
+      return {reinterpret_cast<Chunk*>(this + 1), count};
+    }
+    [[nodiscard]] std::span<std::uint64_t> order_keys() noexcept { return {key_slots(), keys}; }
+    /// Record `key` unless an earlier chunk did.
+    void add_key(std::uint64_t key) noexcept {
+      if (std::find(key_slots(), key_slots() + keys, key) == key_slots() + keys) {
+        key_slots()[keys++] = key;
+      }
+    }
+
+   private:
+    [[nodiscard]] std::uint64_t* key_slots() noexcept {
+      return reinterpret_cast<std::uint64_t*>(chunks().data() + count);
+    }
   };
-  std::unique_ptr<SgOp> take_sg_op();
-  void recycle_sg_op(std::unique_ptr<SgOp> op);
-  /// Route and reach each chunk of `sg` into `op`, counting NTB
-  /// translations chunk by chunk. A chunk that routes nowhere counts as an
-  /// unsupported request.
-  Status resolve_sg(const Initiator& who, std::span<const SgEntry> sg, bool is_store,
-                    SgOp& op);
+  struct SgOpFree {
+    void operator()(SgOp* op) const noexcept;
+  };
+  using SgOpPtr = std::unique_ptr<SgOp, SgOpFree>;
+
+  /// The one posted-write body and the one read body. `scatter` selects
+  /// the substrate's scatter-gather pricing (posted_cost(), read_cost());
+  /// post_write() and read() are one-entry calls without it.
+  Result<sim::Time> posted_write(const Initiator& who, std::span<const SgEntry> sg,
+                                 mem::Payload data, sim::Time not_before, bool scatter);
+  sim::Future<Result<mem::Payload>> nonposted_read(const Initiator& who,
+                                                   std::span<const SgEntry> sg, bool scatter);
+
+  /// Route and reach each entry of `sg`, counting NTB translations entry
+  /// by entry. An entry that routes nowhere counts as an unsupported
+  /// request.
+  Result<SgOpPtr> resolve_sg(const Initiator& who, std::span<const SgEntry> sg, bool is_store);
 
   bool sealed_ = false;
   std::map<std::pair<ChipId, std::uint64_t>, sim::Time> posted_floor_;
-  std::vector<std::unique_ptr<SgOp>> sg_pool_;
-
-  /// Free buffers of one exact size.
-  struct PayloadBin {
-    std::size_t size = 0;
-    std::vector<Bytes> free;
-  };
-  std::vector<PayloadBin> payload_bins_;
-  std::size_t pooled_bytes_ = 0;
-  std::size_t pooled_buffers_ = 0;
+  /// The bytes of a posted write into a BAR; keeps its capacity, so a warm
+  /// substrate delivers doorbells and MSI-X stores without allocating.
+  Bytes bar_staging_;
 };
 
 }  // namespace nvmeshare::fabric

@@ -47,8 +47,8 @@ std::uint16_t crc16_t10dif(ConstByteSpan data) noexcept {
   return crc;
 }
 
-std::uint32_t crc32c(ConstByteSpan data) noexcept {
-  std::uint32_t crc = 0xFFFFFFFFu;
+std::uint32_t crc32c(ConstByteSpan data, std::uint32_t crc) noexcept {
+  crc ^= 0xFFFFFFFFu;
   for (const std::byte b : data) {
     const auto idx =
         static_cast<std::uint8_t>((crc ^ std::to_integer<std::uint8_t>(b)) & 0xFF);

@@ -28,8 +28,8 @@ namespace nvmeshare::integrity {
 [[nodiscard]] std::uint16_t crc16_t10dif(ConstByteSpan data) noexcept;
 
 /// CRC-32C (Castagnoli, reflected, init/xorout 0xFFFFFFFF) — the NVMe-oF
-/// data digest.
-[[nodiscard]] std::uint32_t crc32c(ConstByteSpan data) noexcept;
+/// data digest. `crc` chains: the CRC of a‖b is crc32c(b, crc32c(a)).
+[[nodiscard]] std::uint32_t crc32c(ConstByteSpan data, std::uint32_t crc = 0) noexcept;
 
 /// Per-block protection information (the 8-byte DIF tuple).
 struct ProtectionInfo {

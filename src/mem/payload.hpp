@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 
 #include "common/bytes.hpp"
@@ -122,3 +123,17 @@ class PayloadReader {
 };
 
 }  // namespace nvmeshare::mem
+
+namespace nvmeshare {
+
+/// Copy a trivially-copyable value out of a payload, like load_pod() on a
+/// byte range.
+template <typename T>
+[[nodiscard]] T load_pod(const mem::Payload& src, std::size_t offset = 0) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T out{};
+  src.copy_out(offset, as_writable_bytes_of(out));
+  return out;
+}
+
+}  // namespace nvmeshare

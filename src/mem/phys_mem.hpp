@@ -60,6 +60,21 @@ class PhysMem {
   /// more bytes.
   Status write(std::uint64_t addr, PayloadReader& in, std::uint64_t len);
 
+  /// Call fn(ConstByteSpan) on each page run of [addr, addr+len) in address
+  /// order, in place: no byte is copied, and a never-written page reads as
+  /// zeros. A range out of bounds fails with out_of_range before fn sees
+  /// any byte.
+  template <typename Fn>
+  Status for_each_run(std::uint64_t addr, std::uint64_t len, Fn&& fn) const {
+    if (len == 0) return Status::ok();
+    NVS_RETURN_IF_ERROR(check_range(addr, len, "phys read past end of DRAM"));
+    for_each_page_run(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+      const PageRef* p = find_page(page);
+      fn(ConstByteSpan((p != nullptr ? p->data() : kZeros) + off, n));
+    });
+    return Status::ok();
+  }
+
   /// Read a trivially-copyable value.
   template <typename T>
   [[nodiscard]] Result<T> read_pod(std::uint64_t addr) const {
@@ -90,6 +105,9 @@ class PhysMem {
     sim::PollTimer* timer = nullptr;
     std::uint64_t id = 0;
   };
+
+  /// What a page that never materialized reads as.
+  static constexpr std::byte kZeros[kPageSize] = {};
 
   /// The page at `page_index`, or null if it never materialized.
   [[nodiscard]] const PageRef* find_page(std::uint64_t page_index) const;

@@ -430,7 +430,6 @@ sim::Co<int> Controller::fetch_turn(std::uint16_t qid, std::uint16_t limit, std:
     const auto head_after = static_cast<std::uint16_t>((sq.head + i + 1) % sq.size);
     execute_command(qid, sqe, head_after, gen);
   }
-  fabric()->recycle_payload(std::move(*data));
   sq.head = static_cast<std::uint16_t>((sq.head + n) % sq.size);
   stats_.commands_fetched += n;
   co_return n;
@@ -1065,7 +1064,6 @@ sim::Co<Result<Controller::PrpScatter>> Controller::walk_prps(std::uint64_t prp1
     sg.push_back({entry, static_cast<std::uint32_t>(len)});
     remaining -= len;
   }
-  fabric()->recycle_payload(std::move(*list));
   co_return std::move(sg);
 }
 

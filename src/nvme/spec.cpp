@@ -1,5 +1,6 @@
 #include "nvme/spec.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -297,7 +298,8 @@ PrpPair make_prps(std::uint64_t addr, std::uint64_t bytes, std::uint64_t list_ad
 
 void fill_prp_list(std::uint64_t addr, std::uint64_t bytes, ByteSpan list) {
   const std::uint64_t first = align_down(addr, kPageSize);
-  for (std::uint64_t j = 1; j < prp_pages(addr, bytes); ++j) {
+  const std::uint64_t pages = std::min<std::uint64_t>(prp_pages(addr, bytes), list.size() / 8 + 1);
+  for (std::uint64_t j = 1; j < pages; ++j) {
     store_pod(list, first + j * kPageSize, (j - 1) * 8);
   }
 }

@@ -308,8 +308,14 @@ constexpr std::uint64_t prp_list_bytes(std::uint64_t addr, std::uint64_t bytes) 
 /// fill_prp_list() produces.
 PrpPair make_prps(std::uint64_t addr, std::uint64_t bytes, std::uint64_t list_addr);
 
+/// PRP-list bytes of the largest transfer: MDTS (128 KiB) from an unaligned
+/// start spans 33 pages, so 32 entries. A host stages one command's list in
+/// this much stack.
+inline constexpr std::size_t kMaxPrpListBytes = 32 * 8;
+
 /// Write the PRP list for `bytes` at `addr` into `list`: one entry per page
-/// after the first. `list` must hold (prp_pages() - 1) * 8 bytes.
+/// after the first, prp_list_bytes() in all. Entries that do not fit in
+/// `list` are left out.
 void fill_prp_list(std::uint64_t addr, std::uint64_t bytes, ByteSpan list);
 
 SubmissionEntry make_identify(std::uint16_t cid, IdentifyCns cns, std::uint32_t nsid,

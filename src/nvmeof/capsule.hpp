@@ -5,10 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
-#include "fabric/substrate.hpp"
 #include "integrity/integrity.hpp"
+#include "mem/phys_mem.hpp"
 
 namespace nvmeshare::nvmeof {
 
@@ -59,15 +58,13 @@ struct ResponseCapsule {
 };
 static_assert(sizeof(ResponseCapsule) == 16);
 
-/// The data digest (CRC-32C) of [addr, addr+len) in `mem`, read through one
-/// pooled buffer of `sub`. A range that cannot be read fails the digest.
-inline Result<std::uint32_t> memory_digest(fabric::Substrate& sub, const mem::PhysMem& mem,
-                                           std::uint64_t addr, std::uint64_t len) {
-  Bytes payload = sub.take_payload(len);
-  const Status st = mem.read(addr, payload);
-  const std::uint32_t crc = st ? integrity::crc32c(payload) : 0;
-  sub.recycle_payload(std::move(payload));
-  if (!st) return st;
+/// The data digest (CRC-32C) of [addr, addr+len) in `mem`, computed over
+/// its page runs in place. A range that cannot be read fails the digest.
+inline Result<std::uint32_t> memory_digest(const mem::PhysMem& mem, std::uint64_t addr,
+                                           std::uint64_t len) {
+  std::uint32_t crc = 0;
+  NVS_RETURN_IF_ERROR(
+      mem.for_each_run(addr, len, [&](ConstByteSpan run) { crc = integrity::crc32c(run, crc); }));
   return crc;
 }
 

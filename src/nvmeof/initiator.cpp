@@ -178,8 +178,7 @@ block::Step Initiator::prepare(const block::Command& cmd, std::uint32_t step) {
   if (cfg_.data_digest && request.op == block::Op::write && capsule.data_len > 0) {
     // DDGST over the payload as it leaves the application buffer; the
     // target re-computes it after the payload lands on its side.
-    auto digest =
-        memory_digest(cluster_.fabric(), dram, request.buffer_addr, capsule.data_len);
+    auto digest = memory_digest(dram, request.buffer_addr, capsule.data_len);
     if (!digest) return digest.status();
     capsule.data_digest = *digest;
     ++integrity::stats().digests_generated;
@@ -201,8 +200,8 @@ block::Step Initiator::settle(const block::Command& cmd, const block::CmdOutcome
   // intact, so a re-send heals it.
   const block::Request& request = cmd.request;
   if (!cfg_.data_digest || request.op != block::Op::read || outcome.aux == 0) return {};
-  auto digest = memory_digest(cluster_.fabric(), cluster_.fabric().host_dram(node_),
-                              request.buffer_addr, request.nblocks * block_size_);
+  auto digest = memory_digest(cluster_.fabric().host_dram(node_), request.buffer_addr,
+                              request.nblocks * block_size_);
   if (!digest) return digest.status();
   if (*digest == outcome.aux) return {};
   ++integrity::stats().digest_errors;

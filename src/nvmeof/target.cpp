@@ -106,7 +106,7 @@ Target::~Target() {
 std::uint64_t Target::slot_bytes() const { return ctrl_->max_transfer_bytes(); }
 
 sim::Future<Result<std::unique_ptr<Target>>> Target::start(sisci::Cluster& cluster,
-                                                           pcie::EndpointId endpoint,
+                                                           fabric::EndpointId endpoint,
                                                            rdma::Network& network, Config cfg) {
   return sim::spawn(cluster.engine(),
                     start_steps(std::unique_ptr<Target>(new Target(cluster, network, cfg)),
@@ -114,7 +114,7 @@ sim::Future<Result<std::unique_ptr<Target>>> Target::start(sisci::Cluster& clust
 }
 
 sim::Co<Result<std::unique_ptr<Target>>> Target::start_steps(std::unique_ptr<Target> self,
-                                                             pcie::EndpointId endpoint) {
+                                                             fabric::EndpointId endpoint) {
   Target& t = *self;
   driver::BareController::Config bc;
   bc.costs = t.cfg_.costs;
@@ -135,7 +135,7 @@ sim::Co<Result<rdma::QueuePair*>> Target::accept_steps(rdma::Context* initiator_
                                                        rdma::CompletionQueue* initiator_cq) {
   auto conn = std::make_unique<Connection>();
   sim::Engine& engine = cluster_.engine();
-  const pcie::HostId host = ctrl_->host();
+  const fabric::HostId host = ctrl_->host();
   const std::uint64_t sb = slot_bytes();
 
   conn->cq = std::make_unique<rdma::CompletionQueue>(engine);
@@ -284,7 +284,7 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   // cannot be read fails the check too.
   auto write_digest_holds = [&](std::uint64_t addr) {
     if (capsule.data_digest == 0) return true;
-    auto digest = memory_digest(cluster_.fabric(), dram, addr, capsule.data_len);
+    auto digest = memory_digest(dram, addr, capsule.data_len);
     if (digest && *digest != capsule.data_digest) ++integrity::stats().digest_errors;
     return digest && *digest == capsule.data_digest;
   };
@@ -407,7 +407,7 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   if (ok && op == FabricOp::read && capsule.data_len > 0 && cfg_.data_digest) {
     // DDGST over the staged data before the push: the initiator compares
     // it against what actually arrives in its buffer.
-    if (auto digest = memory_digest(cluster_.fabric(), dram, staging, capsule.data_len)) {
+    if (auto digest = memory_digest(dram, staging, capsule.data_len)) {
       read_digest = *digest;
       ++integrity::stats().digests_generated;
     } else {

@@ -44,7 +44,7 @@ class Target {
 
   /// Take over the controller and get ready to accept connections.
   static sim::Future<Result<std::unique_ptr<Target>>> start(sisci::Cluster& cluster,
-                                                            pcie::EndpointId endpoint,
+                                                            fabric::EndpointId endpoint,
                                                             rdma::Network& network,
                                                             Config cfg);
 
@@ -100,7 +100,7 @@ class Target {
   Target(sisci::Cluster& cluster, rdma::Network& network, Config cfg);
 
   static sim::Co<Result<std::unique_ptr<Target>>> start_steps(std::unique_ptr<Target> self,
-                                                              pcie::EndpointId endpoint);
+                                                              fabric::EndpointId endpoint);
   sim::Co<Result<rdma::QueuePair*>> accept_steps(rdma::Context* initiator_ctx,
                                                  rdma::CompletionQueue* initiator_cq);
   sim::Task connection_loop(Connection* conn, std::shared_ptr<bool> stop);

@@ -23,7 +23,6 @@
 #include "common/status.hpp"
 #include "fabric/substrate.hpp"
 #include "mem/allocator.hpp"
-#include "pcie/fabric.hpp"
 
 namespace nvmeshare::sisci {
 

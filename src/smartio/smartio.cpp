@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/log.hpp"
+#include "fabric/endpoint.hpp"
 
 namespace nvmeshare::smartio {
 

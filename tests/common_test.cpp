@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -211,6 +212,42 @@ TEST(Bytes, PatternsDifferAcrossSeeds) {
   Bytes a = make_pattern(64, 1);
   Bytes b = make_pattern(64, 2);
   EXPECT_NE(a, b);
+}
+
+TEST(Bytes, PatternMatchesPerByteFormula) {
+  // The pattern as first defined, one mixer run per byte: byte i of stream
+  // `seed` is byte i % 8 of mix(seed, i / 8).
+  auto reference = [](std::uint64_t seed, std::size_t i) {
+    std::uint64_t x = seed ^ (0x9e3779b97f4a7c15ULL * (i / 8 + 1));
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return std::byte{static_cast<std::uint8_t>(x >> ((i % 8) * 8))};
+  };
+  std::vector<std::size_t> lengths(18);
+  for (std::size_t n = 0; n < lengths.size(); ++n) lengths[n] = n;
+  lengths.push_back(4096 + 5);
+  for (const std::uint64_t seed : {0ull, 0x1234ull, 0xfeedfacecafebeefull}) {
+    for (const std::size_t n : lengths) {
+      // Filled at an odd offset into a larger buffer, so the span starts
+      // unaligned; bytes around it stay untouched.
+      for (const std::size_t at : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+        Bytes buf(n + 8, std::byte{0xA5});
+        const ByteSpan span = ByteSpan(buf).subspan(at, n);
+        fill_pattern(span, seed);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(span[i], reference(seed, i)) << "seed " << seed << " n " << n << " i " << i;
+        }
+        for (std::size_t i = 0; i < at; ++i) EXPECT_EQ(buf[i], std::byte{0xA5});
+        for (std::size_t i = at + n; i < buf.size(); ++i) EXPECT_EQ(buf[i], std::byte{0xA5});
+        EXPECT_TRUE(check_pattern(span, seed));
+        if (n > 0) {
+          span[n - 1] ^= std::byte{0x80};
+          EXPECT_FALSE(check_pattern(span, seed)) << "seed " << seed << " n " << n;
+        }
+      }
+    }
+  }
 }
 
 TEST(Bytes, PodRoundTrip) {

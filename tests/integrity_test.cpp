@@ -11,6 +11,7 @@
 #include "nvme/block_store.hpp"
 #include "nvme/queue.hpp"
 #include "nvme/spec.hpp"
+#include "nvmeof/capsule.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -48,6 +49,36 @@ TEST(Checksums, SensitiveToEveryByte) {
     EXPECT_NE(integrity::crc16_t10dif(mutated), guard) << "byte " << i;
     EXPECT_NE(integrity::crc32c(mutated), digest) << "byte " << i;
   }
+}
+
+TEST(Checksums, Crc32cChains) {
+  const Bytes data = make_pattern(5000, 42);
+  const ConstByteSpan all(data);
+  for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, std::size_t{4095}, data.size()}) {
+    EXPECT_EQ(integrity::crc32c(all.subspan(cut), integrity::crc32c(all.first(cut))),
+              integrity::crc32c(all))
+        << "cut " << cut;
+  }
+}
+
+TEST(Checksums, MemoryDigestIsFlatCrcOverPageRuns) {
+  // Four pages: the first and third written, the second and fourth never.
+  mem::PhysMem dram(4 * mem::kPageSize);
+  const Bytes written = make_pattern(mem::kPageSize, 5);
+  ASSERT_TRUE(dram.write(0, written).is_ok());
+  ASSERT_TRUE(dram.write(2 * mem::kPageSize, written).is_ok());
+  // An unaligned head in page 0 through an unaligned tail in page 3.
+  const std::uint64_t addr = 100;
+  const std::uint64_t len = 3 * mem::kPageSize + 50 - addr;
+  Bytes flat(len);
+  ASSERT_TRUE(dram.read(addr, flat).is_ok());
+  auto digest = nvmeof::memory_digest(dram, addr, len);
+  ASSERT_TRUE(digest.has_value()) << digest.status().to_string();
+  EXPECT_EQ(*digest, integrity::crc32c(flat));
+  EXPECT_EQ(dram.resident_pages(), 2u);  // digesting materialized nothing
+
+  auto past_end = nvmeof::memory_digest(dram, 4 * mem::kPageSize - 10, 11);
+  EXPECT_EQ(past_end.error_code(), Errc::out_of_range);
 }
 
 // --- DIF tuples -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // remote connect, CPU maps and the NTB LUT runs behind them.
 #include <gtest/gtest.h>
 
+#include "pcie/fabric.hpp"
 #include "sisci/sisci.hpp"
 #include "sim/task.hpp"
 

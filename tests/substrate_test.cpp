@@ -294,8 +294,9 @@ TEST_P(SubstrateTest, TornScatterWriteLandsOnlyLeadingBytes) {
 // --- copy-on-write pages: seeded operation soups ------------------------------------
 
 /// One seeded soup of every operation that moves bytes between two host
-/// memories, a block store and the substrate's scatter DMA, checked against
-/// flat reference byte arrays. Whole aligned pages travel by reference, so
+/// memories, a block store and the substrate's transactions (one-range
+/// posted writes and reads, scatter DMA), checked against flat reference
+/// byte arrays. Whole aligned pages travel by reference, so
 /// the soup mixes page-aligned and unaligned ranges: a store into a page
 /// that a payload, the store or another range still shares must leave their
 /// bytes alone. Each step also records which write watches fired; the
@@ -328,7 +329,7 @@ class CowSoup {
 
   void run(int steps) {
     for (step_ = 0; step_ < steps && !::testing::Test::HasFailure(); ++step_) {
-      const std::uint64_t op = rng_.uniform(10);
+      const std::uint64_t op = rng_.uniform(12);
       switch (op) {
         case 0: write(); break;
         case 1: copy(); break;
@@ -338,6 +339,8 @@ class CowSoup {
         case 5: store_write(); break;
         case 6: store_read(); break;
         case 7: store_zeroes(); break;
+        case 8: posted_write(); break;
+        case 9: scalar_read(); break;
         default: read_check(); break;
       }
       ops_.push_back(op);
@@ -612,6 +615,80 @@ class CowSoup {
     install(*got, expect);
   }
 
+  /// post_write of one range, sometimes bit-flipped, torn or dropped in
+  /// flight.
+  void posted_write() {
+    const fabric::HostId h = host();
+    const std::uint64_t len = length();
+    const std::uint64_t off = place(len);
+    // Every byte differs from what it overwrites, so the bytes that landed
+    // tell exactly how much of a torn write was delivered.
+    Bytes data = make_pattern(len, rng_.next());
+    for (std::uint64_t i = 0; i < len; ++i) {
+      if (data[i] == ref_[h][off + i]) data[i] = ~data[i];
+    }
+    const std::uint64_t fault = rng_.uniform(8);  // 0: bit flip, 1: torn, 2: drop, else none
+    if (fault == 0) arm("flip_dma_bits", h);
+    if (fault == 1) arm("torn_dma_write", h);
+    if (fault == 2) arm("drop_posted_write", h);
+    const auto& fs = fault::Injector::global().stats();
+    const std::uint64_t faulted_before =
+        fs.bit_flips.value() + fs.torn_writes.value() + fs.posted_drops.value();
+    auto arrival = sub_.post_write(sub_.cpu(h), base_[h] + off, data);
+    const std::uint64_t faulted =
+        fs.bit_flips.value() + fs.torn_writes.value() + fs.posted_drops.value() - faulted_before;
+    fault::Injector::global().disarm();
+    ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
+    EXPECT_EQ(faulted, fault < 3 ? 1u : 0u) << where();
+    const Bytes sent = std::exchange(data, Bytes(len));  // the buffer is free once posted
+    tb_.engine().run_until(*arrival + 1);
+
+    Bytes landed(kRegion);
+    ASSERT_TRUE(dram(h).read(base_[h], landed).is_ok());
+    std::uint64_t delivered = fault == 2 ? 0 : len;
+    if (fault == 1) {
+      delivered = 0;
+      while (delivered < len && landed[off + delivered] == sent[delivered]) ++delivered;
+      EXPECT_LT(delivered, len) << where();
+    }
+    if (delivered > 0) note(h, off, delivered);
+    std::copy_n(sent.begin(), delivered, ref_[h].begin() + static_cast<std::ptrdiff_t>(off));
+    if (fault == 0) {
+      int bits = 0;
+      for (std::uint64_t i = 0; i < kRegion; ++i) {
+        bits += std::popcount(std::to_integer<unsigned>(landed[i] ^ ref_[h][i]));
+      }
+      EXPECT_EQ(bits, 1) << where();
+      ref_[h] = landed;
+    }
+    EXPECT_EQ(landed, ref_[h]) << where();
+  }
+
+  /// read of one range, sometimes stale, then stored elsewhere.
+  void scalar_read() {
+    const fabric::HostId h = host();
+    const std::uint64_t len = length();
+    const std::uint64_t off = place(len);
+    Bytes expect = slice(ref_[h], off, len);
+    const bool stale = rng_.uniform(8) == 0;
+    if (stale) arm("stale_read", h);
+    const std::uint64_t stale_before = fault::Injector::global().stats().stale_reads.value();
+    auto got = tb_.wait(sub_.read(sub_.cpu(h), base_[h] + off, len));
+    const std::uint64_t stale_reads =
+        fault::Injector::global().stats().stale_reads.value() - stale_before;
+    fault::Injector::global().disarm();
+    ASSERT_TRUE(got.has_value()) << got.status().to_string();
+    EXPECT_EQ(stale_reads, stale ? 1u : 0u) << where();
+    if (stale) std::fill(expect.begin(), expect.end(), std::byte{0});
+    if (len >= 8) {
+      const std::uint64_t at = rng_.uniform(len - 7);
+      EXPECT_EQ(load_pod<std::uint64_t>(*got, at), load_pod<std::uint64_t>(expect, at))
+          << where();
+    }
+    if (rng_.uniform(2) == 0) write();  // memory changes under the read bytes
+    install(*got, expect);
+  }
+
   /// A block range: page-aligned half the time.
   std::pair<std::uint64_t, std::uint32_t> blocks() {
     constexpr std::uint64_t kPerPage = mem::kPageSize / kBlock;
@@ -694,71 +771,30 @@ TEST_P(SubstrateTest, CopyOnWriteSoupsMatchFlatReference) {
   }
 }
 
-// --- payload pool ------------------------------------------------------------------
+// --- torn doorbell ---------------------------------------------------------------------
 
-TEST_P(SubstrateTest, PayloadPoolReusesExactSizes) {
+TEST_P(SubstrateTest, DoorbellWriteTornToNothingIsOneUnsupportedRequest) {
   Testbed tb(config(1));
   fabric::Substrate& sub = tb.substrate();
-  Bytes big = sub.take_payload(128 * KiB);
-  Bytes small = sub.take_payload(64);
-  EXPECT_EQ(big.size(), 128 * KiB);
-  EXPECT_EQ(small.size(), 64u);
-  const std::byte* big_data = big.data();
-  const std::byte* small_data = small.data();
-  const std::size_t bytes_before = sub.pooled_bytes();
-  const std::size_t buffers_before = sub.pooled_buffers();
-  sub.recycle_payload(std::move(big));
-  sub.recycle_payload(std::move(small));
-  EXPECT_EQ(sub.pooled_bytes(), bytes_before + 128 * KiB + 64);
-  EXPECT_EQ(sub.pooled_buffers(), buffers_before + 2);
+  auto ref = tb.service().acquire(tb.device_id(), smartio::AcquireMode::shared);
+  ASSERT_TRUE(ref.has_value()) << ref.status().to_string();
+  auto bar = ref->map_bar(/*node=*/0, /*bar=*/0);
+  ASSERT_TRUE(bar.has_value()) << bar.status().to_string();
 
-  // Each size comes back from its own bin, already at its size: a 64-byte
-  // take never grows a 64-byte buffer into a 128 KiB one or the reverse.
-  Bytes again_small = sub.take_payload(64);
-  Bytes again_big = sub.take_payload(128 * KiB);
-  EXPECT_EQ(again_small.data(), small_data);
-  EXPECT_EQ(again_big.data(), big_data);
-  EXPECT_EQ(again_big.size(), 128 * KiB);
-  EXPECT_EQ(sub.pooled_bytes(), bytes_before);
-  EXPECT_EQ(sub.pooled_buffers(), buffers_before);
-}
-
-TEST_P(SubstrateTest, PayloadPoolPinsBoundedBytes) {
-  Testbed tb(config(1));
-  fabric::Substrate& sub = tb.substrate();
-  constexpr std::size_t kBuf = 256 * KiB;
-  std::vector<Bytes> taken;
-  for (std::size_t i = 0; i < fabric::Substrate::kMaxPooledBytes / kBuf + 8; ++i) {
-    taken.push_back(sub.take_payload(kBuf));
-  }
-  for (Bytes& b : taken) sub.recycle_payload(std::move(b));
-  EXPECT_LE(sub.pooled_bytes(), fabric::Substrate::kMaxPooledBytes);
-  EXPECT_GE(sub.pooled_bytes(), fabric::Substrate::kMaxPooledBytes - kBuf);
-
-  std::vector<Bytes> tiny;
-  for (std::size_t i = 0; i < fabric::Substrate::kMaxPooledBuffers + 8; ++i) {
-    tiny.push_back(sub.take_payload(4));
-  }
-  for (Bytes& b : tiny) sub.recycle_payload(std::move(b));
-  EXPECT_LE(sub.pooled_buffers(), fabric::Substrate::kMaxPooledBuffers);
-}
-
-TEST_P(SubstrateTest, PayloadPoolDropsShrunkBuffers) {
-  Testbed tb(config(1));
-  fabric::Substrate& sub = tb.substrate();
-  // A torn write shrinks its in-flight buffer; its capacity no longer
-  // matches its size, so it must not join the bin of its smaller size.
-  Bytes torn = sub.take_payload(4096);
-  torn.resize(100);
-  const std::size_t buffers_before = sub.pooled_buffers();
-  sub.recycle_payload(std::move(torn));
-  EXPECT_EQ(sub.pooled_buffers(), buffers_before);
-
-  Bytes fresh = sub.take_payload(100);
-  EXPECT_EQ(fresh.size(), 100u);
-  EXPECT_EQ(fresh.capacity(), 100u);
-  sub.recycle_payload(Bytes());  // empty buffers are not pooled either
-  EXPECT_EQ(sub.pooled_buffers(), buffers_before);
+  // A one-byte store can only tear to its empty prefix. The empty store
+  // still reaches the doorbell register, which rejects it.
+  auto plan = fault::parse_plan("seed=3;torn_dma_write:src=0,class=bar,nth=1,count=1");
+  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+  fault::Injector::global().configure(std::move(*plan));
+  const std::uint64_t torn_before = fault::Injector::global().stats().torn_writes.value();
+  const std::uint64_t ur_before = sub.stats().unsupported_requests.value();
+  const std::byte one{0x01};
+  auto arrival = sub.post_write(sub.cpu(0), bar->addr() + nvme::reg::kDoorbellBase, {&one, 1});
+  fault::Injector::global().disarm();
+  ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
+  tb.engine().run_until(*arrival + 1);
+  EXPECT_EQ(fault::Injector::global().stats().torn_writes.value(), torn_before + 1);
+  EXPECT_EQ(sub.stats().unsupported_requests.value(), ur_before + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSubstrates, SubstrateTest,
