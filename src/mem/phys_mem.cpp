@@ -5,11 +5,6 @@
 
 namespace nvmeshare::mem {
 
-const PageRef* PhysMem::find_page(std::uint64_t page_index) const {
-  auto it = pages_.find(page_index);
-  return it == pages_.end() ? nullptr : &it->second;
-}
-
 Status PhysMem::check_range(std::uint64_t addr, std::uint64_t len, const char* what) const {
   if (addr + len > size_ || addr + len < addr) return Status(Errc::out_of_range, what);
   return Status::ok();
@@ -20,8 +15,8 @@ Status PhysMem::read(std::uint64_t addr, ByteSpan out) const {
   NVS_RETURN_IF_ERROR(check_range(addr, out.size(), "phys read past end of DRAM"));
   std::byte* to = out.data();
   for_each_page_run(addr, out.size(), [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
-    if (const PageRef* p = find_page(page)) {
-      std::memcpy(to, p->data() + off, n);
+    if (const PageRef& p = pages_.get(page)) {
+      std::memcpy(to, p.data() + off, n);
     } else {
       std::memset(to, 0, n);
     }
@@ -35,7 +30,7 @@ Status PhysMem::write(std::uint64_t addr, ConstByteSpan in) {
   NVS_RETURN_IF_ERROR(check_range(addr, in.size(), "phys write past end of DRAM"));
   const std::byte* from = in.data();
   for_each_page_run(addr, in.size(), [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
-    std::memcpy(pages_[page].writable(n == kPageSize) + off, from, n);
+    std::memcpy(pages_.writable(page, n == kPageSize) + off, from, n);
     from += n;
   });
   if (!watches_.empty()) notify_watches(addr, in.size());
@@ -46,11 +41,11 @@ Status PhysMem::read(std::uint64_t addr, std::uint64_t len, Payload& out) const 
   if (len == 0) return Status::ok();
   NVS_RETURN_IF_ERROR(check_range(addr, len, "phys read past end of DRAM"));
   for_each_page_run(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
-    const PageRef* p = find_page(page);
+    const PageRef& p = pages_.get(page);
     if (n == kPageSize) {
-      out.append_page(p != nullptr ? *p : PageRef());
-    } else if (p != nullptr) {
-      out.append_bytes(ConstByteSpan(p->data() + off, n));
+      out.append_page(p);
+    } else if (p) {
+      out.append_bytes(ConstByteSpan(p.data() + off, n));
     } else {
       out.append_zeros(n);
     }
@@ -63,12 +58,11 @@ Status PhysMem::write(std::uint64_t addr, PayloadReader& in, std::uint64_t len) 
   if (len > in.remaining()) return Status(Errc::invalid_argument, "write past end of payload");
   NVS_RETURN_IF_ERROR(check_range(addr, len, "phys write past end of DRAM"));
   for_each_page_run(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
-    PageRef& slot = pages_[page];
     if (const PageRef* whole = n == kPageSize ? in.whole_page() : nullptr; whole && *whole) {
-      slot = *whole;
+      pages_.set(page, *whole);
       in.skip(n);
     } else {
-      in.read(ByteSpan(slot.writable(n == kPageSize) + off, n));
+      in.read(ByteSpan(pages_.writable(page, n == kPageSize) + off, n));
     }
   });
   if (!watches_.empty()) notify_watches(addr, len);
@@ -84,10 +78,11 @@ Status PhysMem::copy_from(std::uint64_t dst, const PhysMem& src, std::uint64_t s
   // a whole page on both sides is shared.
   auto copy_run = [&](std::uint64_t at, std::size_t n) {
     const std::uint64_t page = (dst + at) / kPageSize;
-    PageRef& to = pages_[page];
-    const PageRef* from = src.find_page((src_addr + at) / kPageSize);
-    if (n == kPageSize && from != nullptr) {
-      to = *from;
+    // A reference to the source slot: when it is the destination slot too,
+    // it sees the private copy writable() makes below.
+    const PageRef& from = src.pages_.get((src_addr + at) / kPageSize);
+    if (n == kPageSize && from) {
+      pages_.set(page, from);
       return;
     }
     // A destination page the copy covers whole keeps none of its old
@@ -96,9 +91,9 @@ Status PhysMem::copy_from(std::uint64_t dst, const PhysMem& src, std::uint64_t s
     // of this memory, the source reads the same private copy.
     const bool overwrite = &src != this && page * kPageSize >= dst &&
                            (page + 1) * kPageSize <= dst + len;
-    std::byte* out = to.writable(overwrite) + (dst + at) % kPageSize;
-    if (from != nullptr) {
-      std::memmove(out, from->data() + (src_addr + at) % kPageSize, n);
+    std::byte* out = pages_.writable(page, overwrite) + (dst + at) % kPageSize;
+    if (from) {
+      std::memmove(out, from.data() + (src_addr + at) % kPageSize, n);
     } else {
       std::memset(out, 0, n);
     }

@@ -6,19 +6,23 @@
 // written over the fabric. For the same reason a write watch here sees
 // every store into a range, whichever path made it.
 //
+// The pages sit in a mem::PageTable (mem/page_table.hpp) sized from the
+// memory's size: a page lookup is three loads, and the memory pays 4 KiB of
+// index per 2 MiB region it ever stored into.
+//
 // Pages are copy-on-write (mem/page.hpp): a copy or payload install of a
 // whole aligned page shares the page instead of copying its bytes, and a
 // store into a shared page first gives this memory a copy of its own.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "mem/page.hpp"
+#include "mem/page_table.hpp"
 #include "mem/payload.hpp"
 #include "sim/engine.hpp"
 
@@ -29,7 +33,8 @@ class PhysMem {
   static constexpr std::uint64_t kPageSize = mem::kPageSize;
 
   /// A memory of `size` bytes starting at physical address 0.
-  explicit PhysMem(std::uint64_t size) : size_(size) {}
+  explicit PhysMem(std::uint64_t size)
+      : size_(size), pages_((size + kPageSize - 1) / kPageSize) {}
 
   [[nodiscard]] std::uint64_t size() const noexcept { return size_; }
 
@@ -69,8 +74,8 @@ class PhysMem {
     if (len == 0) return Status::ok();
     NVS_RETURN_IF_ERROR(check_range(addr, len, "phys read past end of DRAM"));
     for_each_page_run(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
-      const PageRef* p = find_page(page);
-      fn(ConstByteSpan((p != nullptr ? p->data() : kZeros) + off, n));
+      const PageRef& p = pages_.get(page);
+      fn(ConstByteSpan((p ? p.data() : kZeros) + off, n));
     });
     return Status::ok();
   }
@@ -90,7 +95,7 @@ class PhysMem {
   }
 
   /// Number of pages that have been materialized (for tests / footprint).
-  [[nodiscard]] std::size_t resident_pages() const noexcept { return pages_.size(); }
+  [[nodiscard]] std::size_t resident_pages() const noexcept { return pages_.resident(); }
 
   /// Notify `timer` after every write that overlaps [addr, addr+len): a
   /// poller skips its empty rounds until memory it polls changes. Returns
@@ -109,14 +114,12 @@ class PhysMem {
   /// What a page that never materialized reads as.
   static constexpr std::byte kZeros[kPageSize] = {};
 
-  /// The page at `page_index`, or null if it never materialized.
-  [[nodiscard]] const PageRef* find_page(std::uint64_t page_index) const;
   [[nodiscard]] Status check_range(std::uint64_t addr, std::uint64_t len,
                                    const char* what) const;
   void notify_watches(std::uint64_t addr, std::uint64_t len) noexcept;
 
   std::uint64_t size_;
-  std::unordered_map<std::uint64_t, PageRef> pages_;  ///< never holds a null page
+  PageTable pages_;
   std::vector<Watch> watches_;
   std::uint64_t next_watch_id_ = 1;
 };

@@ -1,12 +1,15 @@
 #include "nvme/block_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace nvmeshare::nvme {
 
 BlockStore::BlockStore(std::uint64_t capacity_blocks, std::uint32_t block_size)
-    : capacity_blocks_(capacity_blocks), block_size_(block_size) {}
+    : capacity_blocks_(capacity_blocks),
+      block_size_(block_size),
+      pages_((capacity_blocks * block_size + mem::kPageSize - 1) / mem::kPageSize) {}
 
 Status BlockStore::check_range(std::uint64_t slba, std::uint32_t nblocks) const {
   if (nblocks == 0) return Status(Errc::invalid_argument, "zero-length block access");
@@ -16,23 +19,35 @@ Status BlockStore::check_range(std::uint64_t slba, std::uint32_t nblocks) const 
   return Status::ok();
 }
 
+void BlockStore::mark_chunks(std::uint64_t first, std::uint64_t end, bool resident) {
+  while (first < end) {
+    const std::uint64_t leaf = first / kLeafChunks;
+    const std::uint64_t stop = std::min(end, (leaf + 1) * kLeafChunks);
+    const std::uint64_t span = stop - first;
+    const std::uint64_t bits = span == kLeafChunks
+                                   ? ~std::uint64_t{0}
+                                   : ((std::uint64_t{1} << span) - 1) << first % kLeafChunks;
+    const std::uint64_t was = pages_.mask(leaf);
+    const std::uint64_t now = resident ? was | bits : was & ~bits;
+    if (now != was) {
+      resident_chunks_ += static_cast<std::size_t>(std::popcount(now));
+      resident_chunks_ -= static_cast<std::size_t>(std::popcount(was));
+      pages_.set_mask(leaf, now);
+    }
+    first = stop;
+  }
+}
+
 Status BlockStore::read(std::uint64_t slba, std::uint32_t nblocks, mem::Payload& out) const {
   NVS_RETURN_IF_ERROR(check_range(slba, nblocks));
-  const Chunk* chunk = nullptr;
-  std::uint64_t chunk_idx = UINT64_MAX;
   mem::for_each_page_run(
       slba * block_size_, static_cast<std::uint64_t>(nblocks) * block_size_,
       [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
-        if (page / kChunkPages != chunk_idx) {
-          chunk_idx = page / kChunkPages;
-          auto it = chunks_.find(chunk_idx);
-          chunk = it == chunks_.end() ? nullptr : &it->second;
-        }
-        const mem::PageRef* p = chunk != nullptr ? &(*chunk)[page % kChunkPages] : nullptr;
+        const mem::PageRef& p = pages_.get(page);
         if (n == mem::kPageSize) {
-          out.append_page(p != nullptr ? *p : mem::PageRef());
-        } else if (p != nullptr && *p) {
-          out.append_bytes(ConstByteSpan(p->data() + off, n));
+          out.append_page(p);
+        } else if (p) {
+          out.append_bytes(ConstByteSpan(p.data() + off, n));
         } else {
           out.append_zeros(n);
         }
@@ -51,23 +66,17 @@ Status BlockStore::write(std::uint64_t slba, std::uint32_t nblocks, const mem::P
     for (std::uint64_t lba = slba; lba < slba + nblocks; ++lba) pi_.erase(lba);
   }
 
+  const std::uint64_t pos = slba * block_size_;
+  mark_chunks(pos / kChunkBytes, (pos + bytes - 1) / kChunkBytes + 1, true);
   mem::PayloadReader from(in);
-  Chunk* chunk = nullptr;
-  std::uint64_t chunk_idx = UINT64_MAX;
-  mem::for_each_page_run(
-      slba * block_size_, bytes, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
-        if (page / kChunkPages != chunk_idx) {
-          chunk_idx = page / kChunkPages;
-          chunk = &chunks_[chunk_idx];
-        }
-        mem::PageRef& slot = (*chunk)[page % kChunkPages];
-        if (const mem::PageRef* whole = n == mem::kPageSize ? from.whole_page() : nullptr) {
-          slot = *whole;
-          from.skip(n);
-        } else {
-          from.read(ByteSpan(slot.writable(n == mem::kPageSize) + off, n));
-        }
-      });
+  mem::for_each_page_run(pos, bytes, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n) {
+    if (const mem::PageRef* whole = n == mem::kPageSize ? from.whole_page() : nullptr) {
+      pages_.set(page, *whole);
+      from.skip(n);
+    } else {
+      from.read(ByteSpan(pages_.writable(page, n == mem::kPageSize) + off, n));
+    }
+  });
   return Status::ok();
 }
 
@@ -76,31 +85,22 @@ Status BlockStore::write_zeroes(std::uint64_t slba, std::uint32_t nblocks) {
   if (pi_enabled_) {
     for (std::uint64_t lba = slba; lba < slba + nblocks; ++lba) pi_.erase(lba);
   }
-  const std::uint64_t bytes = static_cast<std::uint64_t>(nblocks) * block_size_;
-  std::uint64_t pos = slba * block_size_;
-  std::uint64_t done = 0;
-  while (done < bytes) {
-    const std::uint64_t chunk_idx = pos / kChunkBytes;
-    const std::uint64_t off = pos % kChunkBytes;
-    const std::uint64_t n = std::min<std::uint64_t>(bytes - done, kChunkBytes - off);
-    auto it = chunks_.find(chunk_idx);
-    if (it != chunks_.end()) {
-      if (off == 0 && n == kChunkBytes) {
-        chunks_.erase(it);  // whole chunk zeroed -> drop it
-      } else {
-        mem::for_each_page_run(pos, n, [&](std::uint64_t page, std::uint64_t at, std::uint64_t len) {
-          mem::PageRef& slot = it->second[page % kChunkPages];
-          if (len == mem::kPageSize) {
-            slot.reset();
-          } else if (slot) {
-            std::memset(slot.writable(false) + at, 0, len);
-          }
-        });
-      }
+  const std::uint64_t pos = slba * block_size_;
+  const std::uint64_t end = pos + static_cast<std::uint64_t>(nblocks) * block_size_;
+  // Whole pages drop out of the table; a page the range covers in part is
+  // zeroed there, if it holds data.
+  constexpr std::uint64_t kPage = mem::kPageSize;
+  auto zero_part = [&](std::uint64_t at, std::uint64_t n) {
+    if (n > 0 && pages_.get(at / kPage)) {
+      std::memset(pages_.writable(at / kPage, false) + at % kPage, 0, n);
     }
-    done += n;
-    pos += n;
-  }
+  };
+  const std::uint64_t head_end = std::min(end, (pos + kPage - 1) / kPage * kPage);
+  const std::uint64_t tail = std::max(head_end, end / kPage * kPage);
+  zero_part(pos, head_end - pos);
+  pages_.clear(head_end / kPage, (tail - head_end) / kPage);
+  zero_part(tail, end - tail);
+  mark_chunks((pos + kChunkBytes - 1) / kChunkBytes, end / kChunkBytes, false);
   return Status::ok();
 }
 

@@ -1,9 +1,14 @@
-// Sparse backing store for one NVMe namespace. Chunked so that a mostly
-// empty multi-hundred-GB namespace costs memory proportional to the data
-// actually written; unwritten blocks read as zeroes (matching a freshly
-// formatted SSD with deallocated blocks). A chunk holds its data as
+// Sparse backing store for one NVMe namespace. Its pages sit in a
+// mem::PageTable (mem/page_table.hpp) sized from capacity, so a mostly
+// empty multi-hundred-GB namespace costs memory proportional to the 2 MiB
+// regions actually written; unwritten blocks read as zeroes (matching a
+// freshly formatted SSD with deallocated blocks). The data are
 // copy-on-write pages (mem/page.hpp), so media reads and writes of whole
 // aligned pages move page references, not bytes.
+//
+// Residency is counted in 32 KiB chunks: a chunk is resident from its first
+// write until a Write Zeroes covers it whole. The table's per-leaf mask
+// holds one bit per chunk of the leaf's 2 MiB.
 //
 // Formatted with protection information, the store additionally keeps one
 // 8-byte DIF tuple per written block ("extended metadata", held out-of-band
@@ -11,7 +16,6 @@
 // them.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -19,6 +23,7 @@
 #include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "integrity/integrity.hpp"
+#include "mem/page_table.hpp"
 #include "mem/payload.hpp"
 
 namespace nvmeshare::nvme {
@@ -56,20 +61,25 @@ class BlockStore {
   /// blocks are skipped.
   Result<std::uint64_t> verify_stored_pi(std::uint64_t slba, std::uint32_t nblocks) const;
 
-  [[nodiscard]] std::size_t resident_chunks() const noexcept { return chunks_.size(); }
+  /// 32 KiB chunks written and not wholly zeroed since.
+  [[nodiscard]] std::size_t resident_chunks() const noexcept { return resident_chunks_; }
 
  private:
   static constexpr std::uint64_t kChunkBytes = 32 * 1024;
-  static constexpr std::uint64_t kChunkPages = kChunkBytes / mem::kPageSize;
-  /// A written chunk's pages; a null page reads as zeros.
-  using Chunk = std::array<mem::PageRef, kChunkPages>;
+  /// Chunks one page-table leaf covers: one bit each in its mask.
+  static constexpr std::uint64_t kLeafChunks =
+      mem::PageTable::kLeafPages * mem::kPageSize / kChunkBytes;
+  static_assert(kLeafChunks == 64, "one mask bit per chunk");
 
   [[nodiscard]] Status check_range(std::uint64_t slba, std::uint32_t nblocks) const;
+  /// Mark chunks [first, end) resident, or not.
+  void mark_chunks(std::uint64_t first, std::uint64_t end, bool resident);
 
   std::uint64_t capacity_blocks_;
   std::uint32_t block_size_;
   bool pi_enabled_ = false;
-  std::unordered_map<std::uint64_t, Chunk> chunks_;  // chunk index -> pages
+  mem::PageTable pages_;
+  std::size_t resident_chunks_ = 0;
   std::unordered_map<std::uint64_t, integrity::ProtectionInfo> pi_;  // lba -> tuple
 };
 

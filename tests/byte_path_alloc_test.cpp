@@ -5,12 +5,14 @@
 // connect. So do unaligned 4 KiB requests, whose edges are copied, and reads
 // into a buffer whose pages the device's media still shares. A sharded
 // namespace over tenant shares keeps a request's pieces in its coroutine
-// frame and stages commands in grow-only rings.
+// frame and stages commands in grow-only rings. Writes to blocks never
+// written before, inside a 2 MiB region of the media already written, find
+// their page-table leaf in place.
 //
 // This binary replaces the global operator new with a counting one, as
-// sim_alloc_test.cpp does. Each stack runs three identical rounds; the first
-// two warm the pools, arenas and container capacities, and the third must not
-// call global operator new at all.
+// sim_alloc_test.cpp does. Each stack runs three rounds of one shape; the
+// first two warm the pools, arenas and container capacities, and the third
+// must not call global operator new at all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -61,6 +63,9 @@ struct RoundShape {
   /// Read each request's blocks straight back into the buffer the write
   /// came from, instead of all writes and then all reads into another one.
   bool read_back = false;
+  /// Start each round past the blocks the round before wrote, so that every
+  /// round writes blocks never written before.
+  bool fresh_blocks = false;
 };
 
 /// One round: kOps writes from `wbuf` to consecutive block ranges and reads
@@ -111,7 +116,7 @@ class BytePathAlloc : public ::testing::Test {
     return base + shape.buffer_offset;
   }
 
-  /// Run three identical rounds on `dev` from `node`; returns the global
+  /// Run three rounds of `shape` on `dev` from `node`; returns the global
   /// operator new calls the third round made. Every request must succeed
   /// and the reads must return what was written.
   static std::uint64_t steady_state_allocations(Testbed& tb, block::BlockDevice& dev,
@@ -124,6 +129,7 @@ class BytePathAlloc : public ::testing::Test {
       auto failures = tb.wait_plain(done.future(), 1_s);
       EXPECT_TRUE(failures.has_value());
       EXPECT_EQ(failures.value_or(-1), 0);
+      if (shape.fresh_blocks) shape.first_lba += kOps * (shape.bytes / dev.block_size());
     };
     round();
     round();
@@ -191,6 +197,18 @@ TEST_F(BytePathAlloc, ReadBackIntoPagesTheMediaShares) {
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
   const RoundShape shape{.read_back = true};
   EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape), 0u);
+}
+
+TEST_F(BytePathAlloc, FreshBlocksInATouchedMediaRegion) {
+  // Each round writes 16 x 16 KiB to blocks no earlier round wrote, all in
+  // the media's first 2 MiB: the third round stores into new 32 KiB chunks
+  // of a page-table leaf the first round made.
+  Testbed tb(small_testbed(2));
+  auto stack = bring_up(tb, /*manager_node=*/0, /*client_node=*/1);
+  ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+  const RoundShape shape{.bytes = 16 * KiB, .fresh_blocks = true};
+  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape), 0u);
+  EXPECT_EQ(tb.controller().store().resident_chunks(), 3u * kOps * shape.bytes / (32 * KiB));
 }
 
 /// One sharded round: kOps single-stripe requests and kOps that span five

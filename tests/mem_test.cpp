@@ -1,10 +1,21 @@
-// Unit tests for the memory substrate: sparse DRAM, range allocator, IOMMU.
+// Unit tests for the memory substrate: sparse DRAM and the page table it
+// shares with the NVMe media, range allocator, IOMMU.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <set>
+#include <vector>
+
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
+#include "common/units.hpp"
 #include "mem/allocator.hpp"
 #include "mem/iommu.hpp"
 #include "mem/phys_mem.hpp"
+#include "nvme/block_store.hpp"
+#include "nvme/controller.hpp"
 #include "sim/engine.hpp"
 
 namespace nvmeshare::mem {
@@ -161,6 +172,331 @@ TEST(PhysMemCopy, UnalignedOffsetsOnBothSides) {
       Bytes out(data.size());
       ASSERT_TRUE(dst.read(256 * KiB + dst_off, out).is_ok());
       EXPECT_EQ(out, data) << "src +" << src_off << " dst +" << dst_off;
+    }
+  }
+}
+
+// --- sparse page tables: seeded soups against a flat reference ----------------
+
+/// What a memory or namespace must hold: a flat copy of its bytes, by 4 KiB
+/// page (a page never stored into reads as zeros), and the pages or chunks
+/// it must count resident.
+struct Reference {
+  static constexpr std::uint64_t kPage = 4096;
+  std::map<std::uint64_t, Bytes> pages;
+  std::set<std::uint64_t> resident;
+
+  /// Call fn(page, offset, n, done) on each piece of [addr, addr+len) that
+  /// stays in one page; `done` counts the bytes before it.
+  template <typename Fn>
+  static void pieces(std::uint64_t addr, std::uint64_t len, Fn&& fn) {
+    for (std::uint64_t done = 0; done < len;) {
+      const std::uint64_t off = (addr + done) % kPage;
+      const std::uint64_t n = std::min(len - done, kPage - off);
+      fn((addr + done) / kPage, off, n, done);
+      done += n;
+    }
+  }
+  void store(std::uint64_t addr, ConstByteSpan in) {
+    pieces(addr, in.size(), [&](std::uint64_t page, std::uint64_t off, std::uint64_t n,
+                                std::uint64_t done) {
+      Bytes& bytes = pages[page];
+      bytes.resize(kPage);
+      std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(done), n,
+                  bytes.begin() + static_cast<std::ptrdiff_t>(off));
+    });
+  }
+  void zero(std::uint64_t addr, std::uint64_t len) {
+    pieces(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n, std::uint64_t) {
+      if (auto it = pages.find(page); it != pages.end()) {
+        std::fill_n(it->second.begin() + static_cast<std::ptrdiff_t>(off), n, std::byte{0});
+      }
+    });
+  }
+  [[nodiscard]] Bytes load(std::uint64_t addr, std::uint64_t len) const {
+    Bytes out(len);
+    pieces(addr, len, [&](std::uint64_t page, std::uint64_t off, std::uint64_t n,
+                          std::uint64_t done) {
+      if (auto it = pages.find(page); it != pages.end()) {
+        std::copy_n(it->second.begin() + static_cast<std::ptrdiff_t>(off), n,
+                    out.begin() + static_cast<std::ptrdiff_t>(done));
+      }
+    });
+    return out;
+  }
+  /// Mark units [first, last] resident.
+  void add(std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t u = first; u <= last; ++u) resident.insert(u);
+  }
+};
+
+/// An offset of `len` units that fits in `size`, within a few pages of one
+/// of `spots`, page-aligned half of the time.
+std::uint64_t near(Rng& rng, const std::vector<std::uint64_t>& spots, std::uint64_t len,
+                   std::uint64_t size, std::uint64_t page) {
+  const std::uint64_t jitter = rng.uniform(8 * page);
+  const std::uint64_t spot = spots[rng.uniform(spots.size())] + jitter;
+  std::uint64_t at = std::min(spot < 4 * page ? 0 : spot - 4 * page, size - len);
+  if (rng.chance(0.5)) at -= at % page;
+  return at;
+}
+
+/// Spots of a space of `size` units with `per_leaf` units per 2 MiB leaf:
+/// its start and end, leaf boundaries, and directory (1 GiB) boundaries.
+std::vector<std::uint64_t> spots_of(std::uint64_t size, std::uint64_t per_leaf) {
+  std::vector<std::uint64_t> spots{0, size};
+  for (const std::uint64_t leaf : {1, 2, 511, 512, 513, 1024}) {
+    if (leaf * per_leaf < size) spots.push_back(leaf * per_leaf);
+  }
+  return spots;
+}
+
+/// Two memories, each shadowed by a Reference, under a seeded mix of
+/// write, read, copy_from, payload installs and payload reads.
+class PhysMemSoup {
+ public:
+  PhysMemSoup(std::uint64_t size_a, std::uint64_t size_b, std::uint64_t seed)
+      : rng_(seed), seed_(seed) {
+    for (const std::uint64_t size : {size_a, size_b}) {
+      mems_.push_back(std::make_unique<PhysMem>(size));
+      refs_.emplace_back();
+      spots_.push_back(spots_of(size, 2 * MiB));
+    }
+  }
+
+  void run(int steps) {
+    for (int step = 0; step < steps && !::testing::Test::HasFailure(); ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed_ << " step " << step);
+      this->step();
+      for (std::size_t m = 0; m < mems_.size(); ++m) {
+        ASSERT_EQ(mems_[m]->resident_pages(), refs_[m].resident.size()) << "memory " << m;
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kPage = PhysMem::kPageSize;
+
+  std::uint64_t length(std::size_t m) {
+    const std::uint64_t len =
+        rng_.chance(0.5) ? (1 + rng_.uniform(4)) * kPage : 1 + rng_.uniform(3 * kPage);
+    return std::min(len, mems_[m]->size());
+  }
+  std::uint64_t at(std::size_t m, std::uint64_t len) {
+    return near(rng_, spots_[m], len, mems_[m]->size(), kPage);
+  }
+  /// `len` bytes of a fresh pattern, or zeros.
+  Bytes data(std::uint64_t len) {
+    return rng_.chance(0.2) ? Bytes(len) : make_pattern(len, rng_.next());
+  }
+  void stored(std::size_t m, std::uint64_t addr, ConstByteSpan in) {
+    refs_[m].store(addr, in);
+    refs_[m].add(addr / kPage, (addr + in.size() - 1) / kPage);
+    expect_holds(m, addr - std::min(addr, kPage), in.size() + 2 * kPage);
+  }
+  /// Memory `m` reads as its reference over [addr, addr+len), clipped.
+  void expect_holds(std::size_t m, std::uint64_t addr, std::uint64_t len) {
+    len = std::min(len, mems_[m]->size() - addr);
+    Bytes out(len);
+    ASSERT_TRUE(mems_[m]->read(addr, out).is_ok());
+    ASSERT_EQ(out, refs_[m].load(addr, len)) << "memory " << m << " at " << addr;
+  }
+
+  void step() {
+    const std::size_t m = rng_.uniform(2);
+    const std::size_t other = rng_.uniform(2);
+    PhysMem& mem = *mems_[m];
+    const std::uint64_t len = length(m);
+    const std::uint64_t addr = at(m, len);
+    switch (rng_.uniform(6)) {
+      case 0: {
+        const Bytes in = data(len);
+        ASSERT_TRUE(mem.write(addr, in).is_ok());
+        stored(m, addr, in);
+        break;
+      }
+      case 1:
+        expect_holds(m, addr, len);
+        break;
+      case 2: {
+        const std::uint64_t n = std::min(len, mems_[other]->size());
+        const std::uint64_t from = at(other, n);
+        const Bytes moved = refs_[other].load(from, n);
+        ASSERT_TRUE(mem.copy_from(addr, *mems_[other], from, n).is_ok());
+        stored(m, addr, moved);
+        break;
+      }
+      case 3: {
+        // A payload of shared pages read from a memory, or of copied bytes.
+        mem::Payload payload;
+        Bytes in;
+        if (rng_.chance(0.5) && len <= mems_[other]->size()) {
+          const std::uint64_t from = at(other, len);
+          ASSERT_TRUE(mems_[other]->read(from, len, payload).is_ok());
+          in = refs_[other].load(from, len);
+        } else {
+          in = data(len);
+          payload = mem::Payload::copy_of(in);
+        }
+        mem::PayloadReader reader(payload);
+        ASSERT_TRUE(mem.write(addr, reader, len).is_ok());
+        stored(m, addr, in);
+        break;
+      }
+      case 4: {
+        mem::Payload out;
+        ASSERT_TRUE(mem.read(addr, len, out).is_ok());
+        ASSERT_EQ(out.to_bytes(), refs_[m].load(addr, len));
+        break;
+      }
+      default: {
+        Bytes runs;
+        ASSERT_TRUE(mem.for_each_run(addr, len, [&](ConstByteSpan run) {
+                         runs.insert(runs.end(), run.begin(), run.end());
+                       }).is_ok());
+        ASSERT_EQ(runs, refs_[m].load(addr, len));
+        break;
+      }
+    }
+  }
+
+  Rng rng_;
+  std::uint64_t seed_;
+  std::vector<std::unique_ptr<PhysMem>> mems_;
+  std::vector<Reference> refs_;
+  std::vector<std::vector<std::uint64_t>> spots_;
+};
+
+TEST(PageTableSoup, PhysMemMatchesFlatReference) {
+  // An 8 GiB host beside a two-page memory, and a memory whose end lies
+  // inside a leaf beside the 8 GiB one.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const bool small = seed % 2 == 1;
+    PhysMemSoup soup(8 * GiB, small ? 8192 : 3 * GiB + 5000, seed);
+    soup.run(300);
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "seed " << seed;
+  }
+}
+
+/// A namespace shadowed by a Reference (bytes, and the 32 KiB chunks it
+/// must count resident) under a seeded mix of writes (copied bytes, shared
+/// pages, zeros), reads and Write Zeroes over whole and partial chunks.
+class BlockStoreSoup {
+ public:
+  BlockStoreSoup(std::uint64_t capacity_blocks, std::uint32_t block_size, std::uint64_t seed)
+      : store_(capacity_blocks, block_size),
+        source_(64 * KiB),
+        rng_(seed),
+        seed_(seed),
+        spots_(spots_of(capacity_blocks, 2 * MiB / block_size)) {
+    EXPECT_TRUE(source_.write(0, make_pattern(source_.size(), seed)).is_ok());
+  }
+
+  void run(int steps) {
+    for (int step = 0; step < steps && !::testing::Test::HasFailure(); ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed_ << " step " << step);
+      this->step();
+      ASSERT_EQ(store_.resident_chunks(), ref_.resident.size());
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kChunk = 32 * KiB;
+
+  std::uint64_t bs() const { return store_.block_size(); }
+  /// [slba, slba+n) reads as the reference, with a chunk of margin.
+  void expect_holds(std::uint64_t slba, std::uint64_t n) {
+    const std::uint64_t margin = kChunk / bs();
+    const std::uint64_t first = slba - std::min(slba, margin);
+    const std::uint64_t count = std::min(n + 2 * margin, store_.capacity_blocks() - first);
+    mem::Payload out;
+    ASSERT_TRUE(store_.read(first, static_cast<std::uint32_t>(count), out).is_ok());
+    ASSERT_EQ(out.to_bytes(), ref_.load(first * bs(), count * bs())) << "at LBA " << first;
+  }
+
+  void step() {
+    const std::uint64_t chunk_blocks = kChunk / bs();
+    std::uint64_t n = rng_.chance(0.5) ? (1 + rng_.uniform(3)) * chunk_blocks
+                                       : 1 + rng_.uniform(3 * chunk_blocks);
+    const int op = static_cast<int>(rng_.uniform(4));
+    // A Write Zeroes sometimes spans a whole leaf and more.
+    if (op == 2 && rng_.chance(0.2)) n = 1 + rng_.uniform(4 * MiB / bs());
+    n = std::min(n, store_.capacity_blocks());
+    std::uint64_t slba = near(rng_, spots_, n, store_.capacity_blocks(), mem::kPageSize / bs());
+    if (op == 2 && rng_.chance(0.5)) {
+      // Whole chunks.
+      slba -= slba % chunk_blocks;
+      n = std::min(std::max(n - n % chunk_blocks, chunk_blocks), store_.capacity_blocks() - slba);
+    }
+    const auto nblocks = static_cast<std::uint32_t>(n);
+    const std::uint64_t pos = slba * bs();
+    const std::uint64_t bytes = n * bs();
+    switch (op) {
+      case 0:
+      case 1: {
+        mem::Payload payload;
+        Bytes in;
+        const std::uint64_t kind = rng_.uniform(3);
+        if (kind == 0 && bytes <= source_.size()) {
+          ASSERT_TRUE(source_.read(0, bytes, payload).is_ok());
+          in.resize(bytes);
+          ASSERT_TRUE(source_.read(0, in).is_ok());
+        } else if (kind == 1) {
+          payload.append_zeros(bytes);
+          in.resize(bytes);
+        } else {
+          in = make_pattern(bytes, rng_.next());
+          payload = mem::Payload::copy_of(in);
+        }
+        ASSERT_TRUE(store_.write(slba, nblocks, payload).is_ok());
+        ref_.store(pos, in);
+        ref_.add(pos / kChunk, (pos + bytes - 1) / kChunk);
+        expect_holds(slba, n);
+        break;
+      }
+      case 2: {
+        ASSERT_TRUE(store_.write_zeroes(slba, nblocks).is_ok());
+        ref_.zero(pos, bytes);
+        // Chunks the range covers whole are no longer resident.
+        const std::uint64_t first = (pos + kChunk - 1) / kChunk;
+        const std::uint64_t end = (pos + bytes) / kChunk;
+        if (first < end) {
+          ref_.resident.erase(ref_.resident.lower_bound(first), ref_.resident.lower_bound(end));
+        }
+        expect_holds(slba, std::min<std::uint64_t>(n, 4 * chunk_blocks));
+        break;
+      }
+      default:
+        expect_holds(slba, n);
+        break;
+    }
+  }
+
+  nvme::BlockStore store_;
+  PhysMem source_;  ///< where shared pages come from
+  Reference ref_;
+  Rng rng_;
+  std::uint64_t seed_;
+  std::vector<std::uint64_t> spots_;
+};
+
+TEST(PageTableSoup, BlockStoreMatchesFlatReference) {
+  struct Shape {
+    std::uint64_t capacity_blocks;
+    std::uint32_t block_size;
+  };
+  // The default 375 GB namespace (its last LBA is a spot), one that ends
+  // inside its first leaf, and one of 4 KiB blocks ending inside a leaf
+  // past its first directory.
+  const Shape shapes[] = {{nvme::Controller::Config{}.capacity_blocks, 512},
+                          {1000, 512},
+                          {(1 * GiB + 40 * KiB) / 4096, 4096}};
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      BlockStoreSoup soup(shape.capacity_blocks, shape.block_size, seed);
+      soup.run(300);
+      ASSERT_FALSE(::testing::Test::HasFailure())
+          << "capacity " << shape.capacity_blocks << " seed " << seed;
     }
   }
 }
