@@ -74,6 +74,7 @@ Result<fabric::Substrate::Target> PoolFabric::route(HostId viewer, std::uint64_t
   if (addr + span <= hosts_[viewer].dram->size()) {
     t.sink = {hosts_[viewer].dram.get(), nullptr, addr, 0, viewer};
     t.order_key = viewer;
+    t.span = hosts_[viewer].dram->size() - addr;
     return t;
   }
   if (addr >= kPoolBase && addr + span <= kPoolBase + cfg_.pool_size) {
@@ -81,6 +82,7 @@ Result<fabric::Substrate::Target> PoolFabric::route(HostId viewer, std::uint64_t
     // see the viewer as the owner.
     t.sink = {&pool_, nullptr, addr - kPoolBase, 0, viewer};
     t.order_key = kPoolKey;
+    t.span = kPoolBase + cfg_.pool_size - addr;
     return t;
   }
   if (addr >= kMmioBase && addr < kMmioBase + kMmioSize) {
@@ -91,6 +93,7 @@ Result<fabric::Substrate::Target> PoolFabric::route(HostId viewer, std::uint64_t
       if (addr >= r.base && addr + span <= r.base + r.len) {
         t.sink = {nullptr, endpoints_[r.ep].ep, addr - r.base, r.bar, endpoints_[r.ep].at.host};
         t.order_key = kBarKey | r.ep;
+        t.span = r.base + r.len - addr;
         return t;
       }
     }

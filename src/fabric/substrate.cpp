@@ -177,21 +177,33 @@ Result<Substrate::SgOpPtr> Substrate::resolve_sg(const Initiator& who,
                                                  std::span<const SgEntry> sg, bool is_store) {
   SgOpPtr op(::new (sim::pool::allocate(SgOp::bytes(sg.size()))) SgOp);
   op->count = static_cast<std::uint32_t>(sg.size());
+  // The run: the target of the last routed entry, which holds for
+  // [run_addr, run_addr + run.span). No window, LUT entry or link changes
+  // during this call, so an entry inside the run resolves and costs alike.
+  Target run;
+  std::uint64_t run_addr = 0;
   for (std::size_t i = 0; i < sg.size(); ++i) {
     const SgEntry& e = sg[i];
-    auto target = route(who.host, e.addr, e.len);
-    if (!target) {
-      ++stats_.unsupported_requests;
-      return target.status();
+    const std::uint64_t off = e.addr - run_addr;  // an entry below the run wraps past span
+    if (off >= run.span || e.len > run.span - off) {
+      auto target = route(who.host, e.addr, e.len);
+      if (!target) {
+        ++stats_.unsupported_requests;
+        return target.status();
+      }
+      auto path = path_ns(who, *target, is_store);
+      if (!path) return path.status();
+      op->worst.ns = std::max(op->worst.ns, *path);
+      op->worst.ntb_crossings = std::max(op->worst.ntb_crossings, target->ntb_crossings);
+      if (is_store) op->add_key(target->order_key);
+      run = *target;
+      run_addr = e.addr;
     }
-    auto path = path_ns(who, *target, is_store);
-    if (!path) return path.status();
-    op->worst.ns = std::max(op->worst.ns, *path);
-    op->worst.ntb_crossings = std::max(op->worst.ntb_crossings, target->ntb_crossings);
-    stats_.ntb_translations += static_cast<std::uint64_t>(target->ntb_crossings);
-    ::new (&op->chunks()[i]) Chunk{target->sink, e.len};
+    stats_.ntb_translations += static_cast<std::uint64_t>(run.ntb_crossings);
+    Sink sink = run.sink;
+    sink.addr += e.addr - run_addr;
+    ::new (&op->chunks()[i]) Chunk{sink, e.len};
     op->total += e.len;
-    if (is_store) op->add_key(target->order_key);
   }
   return op;
 }

@@ -256,6 +256,11 @@ class Substrate {
     /// ordering key can change without changing reachability or cost.
     std::uint64_t completer = 0;
     int ntb_crossings = 0;
+    /// How far the translation holds: every address in [addr, addr + span)
+    /// of the routed `addr` resolves to this sink (its addr shifted by the
+    /// distance from `addr`), owner, order key, completer and crossing
+    /// count. Ends at the region's end and at every NTB window boundary.
+    std::uint64_t span = 0;
   };
 
   /// One-way path cost of an access; for a scatter list, the worst chunk.
@@ -278,7 +283,8 @@ class Substrate {
 
   // --- what a substrate supplies ---------------------------------------------
 
-  /// Resolve [addr, addr+len) of `viewer`'s space. Routing only: no
+  /// Resolve [addr, addr+len) of `viewer`'s space, and report in `span`
+  /// how far past `addr` the same translation holds. Routing only: no
   /// reachability check and no cost. Fails when the range lands nowhere.
   [[nodiscard]] virtual Result<Target> route(HostId viewer, std::uint64_t addr,
                                              std::uint64_t len) = 0;
@@ -321,6 +327,8 @@ class Substrate {
 
  private:
   friend class Window;
+  /// Checks resolve_sg() against route() entry by entry (substrate_test).
+  friend class SubstrateProbe;
 
   /// Guard check shared by peek/poke; returns non-ok when the access must
   /// be rejected.
@@ -390,7 +398,9 @@ class Substrate {
 
   /// Route and reach each entry of `sg`, counting NTB translations entry
   /// by entry. An entry that routes nowhere counts as an unsupported
-  /// request.
+  /// request. Entries that stay inside the previous routed entry's span
+  /// share its target and path: only an entry that leaves it is routed and
+  /// priced again.
   Result<SgOpPtr> resolve_sg(const Initiator& who, std::span<const SgEntry> sg, bool is_store);
 
   bool sealed_ = false;

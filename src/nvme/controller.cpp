@@ -480,12 +480,20 @@ sim::Task Controller::complete(std::uint16_t sqid, std::uint16_t sq_head_after,
   cq.tail = static_cast<std::uint16_t>((cq.tail + 1) % cq.size);
   if (cq.tail == 0) cq.phase = !cq.phase;
 
-  Result<sim::Time> arrival = Status(Errc::internal, "unattempted");
   for (;;) {
-    arrival = fabric()->post_write(
+    auto arrival = fabric()->post_write(
         dma_initiator(), cq.base + static_cast<std::uint64_t>(slot) * sizeof(CompletionEntry),
         as_bytes_of(e), not_before);
-    if (arrival) break;
+    if (arrival) {
+      if (sqid != 0) trace_io_span(sqid, cid, obs::Phase::cq_write, engine_.now(), *arrival);
+      if (cq.irq_enabled && cq.irq_vector < msix_.size() && !msix_[cq.irq_vector].masked &&
+          msix_[cq.irq_vector].addr != 0) {
+        // The interrupt message is a posted write ordered behind the CQE.
+        (void)fabric()->post_write(dma_initiator(), msix_[cq.irq_vector].addr,
+                                   as_bytes_of(msix_[cq.irq_vector].data), *arrival);
+      }
+      co_return;
+    }
     // Per-queue isolation, mirroring the SQ-fetch path: retry transient
     // unreachability (link down) until the CQ heals or is deleted; permanent
     // routing failures and admin-queue failures stay fatal.
@@ -500,13 +508,6 @@ sim::Task Controller::complete(std::uint16_t sqid, std::uint16_t sq_head_after,
                            << "): " << arrival.status().to_string();
     disable_controller(/*fatal=*/true);
     co_return;
-  }
-  if (sqid != 0) trace_io_span(sqid, cid, obs::Phase::cq_write, engine_.now(), *arrival);
-  if (cq.irq_enabled && cq.irq_vector < msix_.size() && !msix_[cq.irq_vector].masked &&
-      msix_[cq.irq_vector].addr != 0) {
-    // The interrupt message is a posted write ordered behind the CQE.
-    (void)fabric()->post_write(dma_initiator(), msix_[cq.irq_vector].addr,
-                               as_bytes_of(msix_[cq.irq_vector].data), *arrival);
   }
 }
 
@@ -1020,6 +1021,21 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
 
 // --- PRP walking -----------------------------------------------------------------------------
 
+bool Controller::append_prp_list(const mem::Payload& list, std::uint64_t remaining,
+                                 PrpScatter& sg) {
+  std::array<std::uint64_t, PrpScatter::kMaxEntries> entries{};
+  const std::span<std::uint64_t> fetched(entries.data(),
+                                         std::min(entries.size(), list.size() / 8));
+  list.copy_out(0, std::as_writable_bytes(fetched));
+  for (const std::uint64_t entry : fetched) {
+    if (entry == 0 || entry % kPageSize != 0) return false;
+    const std::uint64_t len = std::min(remaining, kPageSize);
+    sg.push_back({entry, static_cast<std::uint32_t>(len)});
+    remaining -= len;
+  }
+  return true;
+}
+
 sim::Co<Result<Controller::PrpScatter>> Controller::walk_prps(std::uint64_t prp1,
                                                              std::uint64_t prp2,
                                                              std::uint64_t total) {
@@ -1055,14 +1071,8 @@ sim::Co<Result<Controller::PrpScatter>> Controller::walk_prps(std::uint64_t prp1
   auto list = co_await fabric()->read(dma_initiator(), prp2,
                                       static_cast<std::size_t>(entries_needed) * 8);
   if (!list) co_return list.status();
-  for (std::uint64_t i = 0; i < entries_needed; ++i) {
-    const auto entry = load_pod<std::uint64_t>(*list, static_cast<std::size_t>(i) * 8);
-    if (entry == 0 || entry % kPageSize != 0) {
-      co_return Status(Errc::invalid_argument, "PRP list entry not page-aligned");
-    }
-    const std::uint64_t len = std::min(remaining, kPageSize);
-    sg.push_back({entry, static_cast<std::uint32_t>(len)});
-    remaining -= len;
+  if (!append_prp_list(*list, remaining, sg)) {
+    co_return Status(Errc::invalid_argument, "PRP list entry not page-aligned");
   }
   co_return std::move(sg);
 }

@@ -215,6 +215,11 @@ class Controller final : public fabric::Endpoint {
   /// May cost simulated time (PRP-list fetch is a DMA read).
   sim::Co<Result<PrpScatter>> walk_prps(std::uint64_t prp1, std::uint64_t prp2,
                                         std::uint64_t total);
+  /// Append the data pages of a fetched PRP list to `sg`; false if an
+  /// entry is not page-aligned. Not a coroutine, so the list is copied once
+  /// onto the stack, not into a frame.
+  static bool append_prp_list(const mem::Payload& list, std::uint64_t remaining,
+                              PrpScatter& sg);
 
   [[nodiscard]] sim::Duration media_latency(IoOpcode op, std::uint32_t nblocks);
 

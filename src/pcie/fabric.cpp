@@ -1,5 +1,8 @@
 #include "pcie/fabric.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/units.hpp"
 
 namespace nvmeshare::pcie {
@@ -196,61 +199,55 @@ const Fabric::Region* Fabric::find_region(HostId host, std::uint64_t addr,
   return &r;
 }
 
-Result<Fabric::Resolved> Fabric::resolve_impl(HostId host, std::uint64_t addr,
-                                              std::uint64_t len, int depth,
-                                              int crossings) const {
-  if (host >= hosts_.size()) return Status(Errc::invalid_argument, "bad host id");
-  if (depth > kMaxNtbDepth) {
-    return Status(Errc::protocol_error, "NTB forwarding loop (depth > 4)");
-  }
-  const Region* r = find_region(host, addr, len == 0 ? 1 : len);
-  if (r == nullptr) {
-    return Status(Errc::unmapped_address,
-                  "no region for address in host '" + hosts_[host]->name + "'");
-  }
-  switch (r->kind) {
-    case Region::Kind::dram: {
-      Resolved out;
+Result<Fabric::Resolved> Fabric::resolve(HostId host, std::uint64_t addr,
+                                         std::uint64_t len) const {
+  // Each NTB window forwards to the host its LUT entry names. The span ends
+  // no later than the end of any window crossed: the next LUT entry may
+  // forward elsewhere.
+  std::uint64_t span = ~std::uint64_t{0};
+  for (int crossings = 0;; ++crossings) {
+    if (host >= hosts_.size()) return Status(Errc::invalid_argument, "bad host id");
+    if (crossings > kMaxNtbDepth) {
+      return Status(Errc::protocol_error, "NTB forwarding loop (depth > 4)");
+    }
+    const Region* r = find_region(host, addr, len == 0 ? 1 : len);
+    if (r == nullptr) {
+      return Status(Errc::unmapped_address,
+                    "no region for address in host '" + hosts_[host]->name + "'");
+    }
+    if (r->kind == Region::Kind::ntb) {
+      const NtbState& ntb = ntbs_[r->ntb];
+      const std::uint64_t off = addr - r->base;
+      const std::uint64_t within = off & (ntb.window_size - 1);  // window sizes are powers of 2
+      if (within + len > ntb.window_size) {
+        return Status(Errc::out_of_range, "access crosses NTB window boundary");
+      }
+      const auto& lut = ntb.lut[off >> std::countr_zero(ntb.window_size)];
+      if (!lut.valid) {
+        return Status(Errc::unmapped_address, "NTB LUT entry not programmed");
+      }
+      span = std::min(span, ntb.window_size - within);
+      host = lut.remote_host;
+      addr = lut.remote_base + within;
+      continue;
+    }
+    Resolved out;
+    out.host = host;
+    out.ntb_crossings = crossings;
+    out.span = std::min(span, r->base + r->len - addr);
+    if (r->kind == Region::Kind::dram) {
       out.kind = Resolved::Kind::dram;
-      out.host = host;
       out.addr = addr;
       out.target_chip = hosts_[host]->rc;
-      out.ntb_crossings = crossings;
-      return out;
-    }
-    case Region::Kind::bar: {
-      Resolved out;
+    } else {
       out.kind = Resolved::Kind::bar;
-      out.host = host;
       out.ep = r->ep;
       out.bar = r->bar;
       out.bar_offset = addr - r->base;
       out.target_chip = endpoints_[r->ep].at.chip;
-      out.ntb_crossings = crossings;
-      return out;
     }
-    case Region::Kind::ntb: {
-      const NtbState& ntb = ntbs_[r->ntb];
-      const std::uint64_t off = addr - r->base;
-      const std::uint64_t entry = off / ntb.window_size;
-      const std::uint64_t within = off % ntb.window_size;
-      if (within + len > ntb.window_size) {
-        return Status(Errc::out_of_range, "access crosses NTB window boundary");
-      }
-      const auto& lut = ntb.lut[entry];
-      if (!lut.valid) {
-        return Status(Errc::unmapped_address, "NTB LUT entry not programmed");
-      }
-      return resolve_impl(lut.remote_host, lut.remote_base + within, len, depth + 1,
-                          crossings + 1);
-    }
+    return out;
   }
-  return Status(Errc::internal, "unreachable");
-}
-
-Result<Fabric::Resolved> Fabric::resolve(HostId host, std::uint64_t addr,
-                                         std::uint64_t len) const {
-  return resolve_impl(host, addr, len, 0, 0);
 }
 
 Result<fabric::Substrate::Target> Fabric::route(HostId viewer, std::uint64_t addr,
@@ -270,6 +267,7 @@ Result<fabric::Substrate::Target> Fabric::route(HostId viewer, std::uint64_t add
   t.order_key = r->target_chip;  // posted writes are ordered per completer chip
   t.completer = r->target_chip;
   t.ntb_crossings = r->ntb_crossings;
+  t.span = r->span;
   return t;
 }
 

@@ -144,6 +144,9 @@ class Fabric final : public fabric::Substrate {
     std::uint64_t bar_offset = 0;
     ChipId target_chip = kNoChip;
     int ntb_crossings = 0;
+    /// Bytes from `addr` that resolve alike: to the end of the final DRAM
+    /// or BAR region, clipped at every NTB window boundary on the way.
+    std::uint64_t span = 0;
   };
 
   /// Resolve an address in `host`'s space, following NTB windows. The whole
@@ -208,8 +211,6 @@ class Fabric final : public fabric::Substrate {
 
   [[nodiscard]] const Region* find_region(HostId host, std::uint64_t addr,
                                           std::uint64_t len) const;
-  Result<Resolved> resolve_impl(HostId host, std::uint64_t addr, std::uint64_t len,
-                                int depth, int crossings) const;
   LatencyModel model_;
   Topology topo_;
   std::vector<std::unique_ptr<HostState>> hosts_;

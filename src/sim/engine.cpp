@@ -210,8 +210,8 @@ std::uint64_t Engine::dispatch(Time limit, bool until_idle) {
                          [](const Lane& lane) { return lane.notified != 0; })) {
           break;
         }
-        elide_ticks(timer, head, limit);
-        continue;
+        if (elide_ticks(timer, head, limit)) continue;
+        // Its next tick would pass the end of time: it never comes.
       }
     }
     if (head == nullptr || head->t > limit) break;
@@ -310,22 +310,19 @@ namespace {
 constexpr Time kNever = std::numeric_limits<Time>::max();
 
 /// Ticks after the one at `from`, `period` apart, that are strictly before
-/// `bound` (kNever: none) and at or before `limit`.
-std::uint64_t more_rounds(Time from, Time bound, Time limit, Duration period) {
-  auto more = static_cast<std::uint64_t>((limit - from) / period);
-  if (bound != kNever) {
-    more = std::min(more, bound > from ? static_cast<std::uint64_t>((bound - from - 1) / period)
-                                       : std::uint64_t{0});
-  }
-  // run_until(max) with nothing else pending: stop short of overflowing.
-  const auto room = static_cast<std::uint64_t>((kNever - from) / period);
-  return more >= room ? room - 1 : more;
+/// `bound` (kNever: none) and at or before `last`.
+std::uint64_t more_rounds(Time from, Time bound, Time last, Duration period) {
+  const Time span = std::min(last - from, bound - from - 1);
+  return span > 0 ? static_cast<std::uint64_t>(span / period) : 0;
 }
 }  // namespace
 
-void Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
+bool Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
   Lane& lane = lanes_[timer.lane_];
   const Duration period = lane.period;
+  // The last tick this call may elide: due in the run, and with a next
+  // tick that does not pass the end of time (run_until(max)).
+  const Time last = std::min(limit, kNever - period);
   // The earliest key outside this lane: the next event or another lane
   // head. Eliding moves neither.
   Time bound_t = head != nullptr ? head->t : kNever;
@@ -340,8 +337,9 @@ void Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
   }
   // A tick of this lane comes next if it precedes that key and is due in the run.
   const auto next = [=](const PollTimer& t) {
-    return t.due_ <= limit && (t.due_ < bound_t || (t.due_ == bound_t && t.seq_ < bound_seq));
+    return t.due_ <= last && (t.due_ < bound_t || (t.due_ == bound_t && t.seq_ < bound_seq));
   };
+  if (timer.due_ > last) return false;  // `timer` comes first: only `last` can stop it
   if (lane.notified == 0 && next(*lane.tail)) {
     // Whole-lane rotation. Every tick in the lane is due within one period
     // of the first, so single elisions would take the lane's timers in turn,
@@ -351,7 +349,7 @@ void Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
     // tick carries a seq newer than every key already waiting, so it
     // precedes a key outside the lane only if it is strictly earlier. A
     // lone timer is a lane of one, whose tick is known to come first.
-    const std::uint64_t rounds = more_rounds(lane.tail->due_, bound_t, limit, period) + 1;
+    const std::uint64_t rounds = more_rounds(lane.tail->due_, bound_t, last, period) + 1;
     std::uint64_t seq = seq_ + (rounds - 1) * lane.size;
     for (PollTimer* t = lane.head; t != nullptr; t = t->next_) {
       t->due_ += static_cast<Time>(rounds) * period;
@@ -378,6 +376,7 @@ void Engine::elide_ticks(PollTimer& timer, const EvNode* head, Time limit) {
     } while (!t->notified_ && next(*t));
   }
   find_first();
+  return true;
 }
 
 void Engine::report_all() noexcept {

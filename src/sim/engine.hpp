@@ -282,7 +282,9 @@ class Engine {
   /// Elide unnotified ticks of the lane of `first_` that precede the next
   /// real event `head`, every other lane and `limit`: rotate the whole lane
   /// when its last tick comes first, else take its heads one round each.
-  void elide_ticks(PollTimer& timer, const EvNode* head, Time limit);
+  /// False if `timer`'s tick cannot move: its next one would pass the end
+  /// of time.
+  bool elide_ticks(PollTimer& timer, const EvNode* head, Time limit);
   /// Hand every waiting timer's skipped rounds over to its hook.
   void report_all() noexcept;
   /// The lane of `period`: the timer's last one (`hint`), another existing

@@ -202,7 +202,7 @@ TEST(BlockStore, CapacityEdgeAndOverflow) {
 // --- controller fixture --------------------------------------------------------
 
 struct ControllerFixture : ::testing::Test {
-  ControllerFixture() : tb(small_testbed(1)) {
+  explicit ControllerFixture(std::uint32_t hosts = 1) : tb(small_testbed(hosts)) {
     auto c = tb.wait(driver::BareController::init(tb.cluster(), tb.nvme_endpoint(), {}));
     EXPECT_TRUE(c.has_value()) << c.status().to_string();
     ctrl = std::move(*c);
@@ -210,6 +210,47 @@ struct ControllerFixture : ::testing::Test {
 
   Result<CompletionEntry> admin(const SubmissionEntry& e) {
     return tb.wait(ctrl->submit_admin(e));
+  }
+
+  /// An I/O queue pair of `entries` slots, both rings in host 0's DRAM.
+  std::unique_ptr<QueuePair> make_queue_pair(std::uint16_t entries) {
+    auto sq_mem = tb.cluster().alloc_dram(0, entries * 64ull, 4096);
+    auto cq_mem = tb.cluster().alloc_dram(0, entries * 16ull, 4096);
+    if (!sq_mem || !cq_mem) {
+      ADD_FAILURE() << "no DRAM for the queues";
+      return nullptr;
+    }
+    auto qid = tb.wait(ctrl->create_queue_pair(*sq_mem, entries, *cq_mem, entries,
+                                               std::nullopt));
+    if (!qid) {
+      ADD_FAILURE() << qid.status().to_string();
+      return nullptr;
+    }
+    QueuePair::Config qc;
+    qc.qid = *qid;
+    qc.sq_size = entries;
+    qc.cq_size = entries;
+    qc.sq_write_addr = *sq_mem;
+    qc.cq_poll_addr = *cq_mem;
+    qc.sq_doorbell_addr = ctrl->sq_doorbell(*qid);
+    qc.cq_doorbell_addr = ctrl->cq_doorbell(*qid);
+    qc.cpu = tb.fabric().cpu(0);
+    return std::make_unique<QueuePair>(tb.fabric(), qc);
+  }
+
+  /// Submit `sqe` alone on `qp` and poll up to 1 s for its status.
+  std::uint16_t execute(QueuePair& qp, const SubmissionEntry& sqe) {
+    EXPECT_TRUE(qp.push(sqe).has_value());
+    EXPECT_TRUE(qp.ring_sq_doorbell().is_ok());
+    const sim::Time deadline = tb.engine().now() + 1_s;
+    std::optional<CompletionEntry> cqe;
+    while (!cqe && tb.engine().now() < deadline) {
+      tb.engine().run_until(tb.engine().now() + 1_us);
+      cqe = qp.poll();
+    }
+    EXPECT_TRUE(cqe.has_value());
+    EXPECT_TRUE(qp.ring_cq_doorbell().is_ok());
+    return cqe.value_or(CompletionEntry{}).status();
   }
 
   Testbed tb;
@@ -531,22 +572,8 @@ TEST_F(ControllerFixture, SpuriousCqeIsCountedNotSilentlyDropped) {
 
 struct CidFixture : ControllerFixture {
   void build(std::uint16_t entries) {
-    auto sq_mem = tb.cluster().alloc_dram(0, entries * 64ull, 4096);
-    auto cq_mem = tb.cluster().alloc_dram(0, entries * 16ull, 4096);
-    ASSERT_TRUE(sq_mem && cq_mem);
-    auto qid = tb.wait(ctrl->create_queue_pair(*sq_mem, entries, *cq_mem, entries,
-                                               std::nullopt));
-    ASSERT_TRUE(qid.has_value()) << qid.status().to_string();
-    QueuePair::Config qc;
-    qc.qid = *qid;
-    qc.sq_size = entries;
-    qc.cq_size = entries;
-    qc.sq_write_addr = *sq_mem;
-    qc.cq_poll_addr = *cq_mem;
-    qc.sq_doorbell_addr = ctrl->sq_doorbell(*qid);
-    qc.cq_doorbell_addr = ctrl->cq_doorbell(*qid);
-    qc.cpu = tb.fabric().cpu(0);
-    qp = std::make_unique<QueuePair>(tb.fabric(), qc);
+    qp = make_queue_pair(entries);
+    ASSERT_NE(qp, nullptr);
   }
 
   /// Drain every outstanding completion (rings both doorbells).
@@ -651,37 +678,12 @@ TEST_F(CidFixture, RestoreDropsOldEpochCompletionsViaSpuriousPath) {
 TEST_F(ControllerFixture, LbaArithmeticOverflowRejected) {
   // An slba near UINT64_MAX must fail with LBA Out of Range, not wrap
   // around into an apparently-valid range and touch the wrong blocks.
-  auto sq_mem = tb.cluster().alloc_dram(0, 16 * 64, 4096);
-  auto cq_mem = tb.cluster().alloc_dram(0, 16 * 16, 4096);
   auto buf = tb.cluster().alloc_dram(0, 8 * 4096, 4096);
-  ASSERT_TRUE(sq_mem && cq_mem && buf);
-  auto qid = tb.wait(ctrl->create_queue_pair(*sq_mem, 16, *cq_mem, 16, std::nullopt));
-  ASSERT_TRUE(qid.has_value()) << qid.status().to_string();
-
-  QueuePair::Config qc;
-  qc.qid = *qid;
-  qc.sq_size = 16;
-  qc.cq_size = 16;
-  qc.sq_write_addr = *sq_mem;
-  qc.cq_poll_addr = *cq_mem;
-  qc.sq_doorbell_addr = ctrl->sq_doorbell(*qid);
-  qc.cq_doorbell_addr = ctrl->cq_doorbell(*qid);
-  qc.cpu = tb.fabric().cpu(0);
-  QueuePair qp(tb.fabric(), qc);
-
+  ASSERT_TRUE(buf.has_value());
+  const std::unique_ptr<QueuePair> qp = make_queue_pair(16);
+  ASSERT_NE(qp, nullptr);
   auto submit = [&](std::uint64_t slba, std::uint16_t nblocks) {
-    auto cid = qp.push(make_io_rw(false, 0, 1, slba, nblocks, *buf, 0));
-    EXPECT_TRUE(cid.has_value());
-    EXPECT_TRUE(qp.ring_sq_doorbell().is_ok());
-    const sim::Time deadline = tb.engine().now() + 1_s;
-    std::optional<CompletionEntry> cqe;
-    while (!cqe && tb.engine().now() < deadline) {
-      tb.engine().run_until(tb.engine().now() + 1_us);
-      cqe = qp.poll();
-    }
-    EXPECT_TRUE(cqe.has_value());
-    EXPECT_TRUE(qp.ring_cq_doorbell().is_ok());
-    return cqe.value_or(CompletionEntry{}).status();
+    return execute(*qp, make_io_rw(false, 0, 1, slba, nblocks, *buf, 0));
   };
 
   const std::uint64_t cap = ctrl->capacity_blocks();
@@ -689,6 +691,159 @@ TEST_F(ControllerFixture, LbaArithmeticOverflowRejected) {
   EXPECT_EQ(submit(cap, 1), kScLbaOutOfRange);
   EXPECT_EQ(submit(~0ull, 1), kScLbaOutOfRange);
   EXPECT_EQ(submit(~0ull - 3, 8), kScLbaOutOfRange);  // slba + nblocks wraps
+}
+
+// --- PRP lists ---------------------------------------------------------------------
+
+/// 128 KiB commands whose PRP2 points at a PRP list: one queue pair and the
+/// list page in host 0 beside the device, data pages in either host.
+struct PrpListFixture : ControllerFixture {
+  static constexpr std::uint16_t kBlocks = 256;     // 128 KiB of 512-byte blocks
+  static constexpr std::size_t kListEntries = 31;  // pages after PRP1's
+  static constexpr std::uint64_t kPage = kPageSize;
+
+  PrpListFixture() : ControllerFixture(2) {
+    auto list = tb.cluster().alloc_dram(0, 2 * kPage, kPage);  // a list may overrun one
+    auto local = tb.cluster().alloc_dram(0, (kListEntries + 1) * kPage, kPage);
+    EXPECT_TRUE(list && local);
+    list_page = list.value_or(0);
+    local_pages = local.value_or(0);
+    qp = make_queue_pair(4);
+  }
+
+  /// The device addresses of the 32 data pages of one command: PRP1, then
+  /// the list, written at `list_at`.
+  std::uint64_t write_list(std::span<const std::uint64_t> pages, std::uint64_t list_at) {
+    EXPECT_TRUE(tb.fabric().host_dram(0).write(list_at, std::as_bytes(pages.subspan(1))).is_ok());
+    return pages[0];
+  }
+
+  /// Run a 128 KiB read or write of LBA `slba`; returns its CQE status.
+  std::uint16_t run_io(bool write, std::uint64_t slba, std::uint64_t prp1, std::uint64_t prp2) {
+    return execute(*qp, make_io_rw(write, 0, 1, slba, kBlocks, prp1, prp2));
+  }
+
+  /// The media bytes of the command's 256 blocks at `slba`.
+  Bytes media(std::uint64_t slba) {
+    mem::Payload out;
+    EXPECT_TRUE(tb.controller().store().read(slba, kBlocks, out).is_ok());
+    return out.to_bytes();
+  }
+
+  /// Host 0's local data pages, in order.
+  std::vector<std::uint64_t> local_list() const {
+    std::vector<std::uint64_t> pages;
+    for (std::uint64_t i = 0; i <= kListEntries; ++i) pages.push_back(local_pages + i * kPage);
+    return pages;
+  }
+
+  std::uint64_t list_page = 0;
+  std::uint64_t local_pages = 0;
+  std::unique_ptr<QueuePair> qp;
+};
+
+// A list entry that is not page-aligned fails the command before any data
+// moves, wherever it sits in the list.
+TEST_F(PrpListFixture, MisalignedListEntryIsInvalidFieldAndMovesNothing) {
+  mem::PhysMem& dram = tb.fabric().host_dram(0);
+  const Bytes written = make_pattern(kBlocks * 512ull, 0x11);
+  const Bytes sentinel = make_pattern(written.size(), 0x22);
+  ASSERT_TRUE(dram.write(local_pages, written).is_ok());
+  const std::vector<std::uint64_t> good = local_list();
+  ASSERT_EQ(run_io(true, 0, write_list(good, list_page), list_page), kScSuccess);
+  ASSERT_EQ(media(0), written);
+
+  for (const std::size_t at : {std::size_t{1}, std::size_t{16}, kListEntries}) {
+    std::vector<std::uint64_t> bad = good;
+    bad[at] += 512;
+    const std::uint64_t prp1 = write_list(bad, list_page);
+    ASSERT_TRUE(dram.write(local_pages, sentinel).is_ok());
+    EXPECT_EQ(run_io(true, 0, prp1, list_page), kScInvalidField) << "list entry " << at - 1;
+    EXPECT_EQ(media(0), written) << "a failed write reached the media";
+    EXPECT_EQ(run_io(false, 0, prp1, list_page), kScInvalidField) << "list entry " << at - 1;
+    Bytes host(sentinel.size());
+    ASSERT_TRUE(dram.read(local_pages, host).is_ok());
+    EXPECT_EQ(host, sentinel) << "a failed read reached host memory";
+  }
+}
+
+// 31 entries that do not fit in what is left of the list page would need a
+// chained list, which the model rejects.
+TEST_F(PrpListFixture, ChainedListIsInvalidFieldAndMovesNothing) {
+  mem::PhysMem& dram = tb.fabric().host_dram(0);
+  const Bytes sentinel = make_pattern(kBlocks * 512ull, 0x33);
+  ASSERT_TRUE(dram.write(local_pages, sentinel).is_ok());
+  const std::uint64_t list_at = list_page + kPage - 30 * 8;  // room for 30 entries
+  const std::uint64_t prp1 = write_list(local_list(), list_at);
+  EXPECT_EQ(run_io(true, 64, prp1, list_at), kScInvalidField);
+  EXPECT_EQ(media(64), Bytes(sentinel.size())) << "a failed write reached the media";
+  EXPECT_EQ(run_io(false, 64, prp1, list_at), kScInvalidField);
+  Bytes host(sentinel.size());
+  ASSERT_TRUE(dram.read(local_pages, host).is_ok());
+  EXPECT_EQ(host, sentinel) << "a failed read reached host memory";
+}
+
+// Data pages in host 1, reached through two adjacent NTB LUT windows of host
+// 0 that forward to unrelated halves of a buffer: consecutive device pages
+// across the window boundary land 1 MiB apart.
+TEST_F(PrpListFixture, ScatteredListAcrossNtbWindowBoundaryMovesTheRightBytes) {
+  constexpr std::uint64_t kWindow = Testbed::kNtbWindowSize;
+  constexpr std::uint64_t kWindowPages = kWindow / kPageSize;
+  pcie::Fabric& f = tb.fabric();
+  auto buf = tb.cluster().alloc_dram(1, 2 * kWindow, kWindow);
+  ASSERT_TRUE(buf.has_value()) << buf.status().to_string();
+  auto ntb = f.host_ntb(0);
+  ASSERT_TRUE(ntb.has_value()) << ntb.status().to_string();
+  auto entry = f.ntb_alloc_run(*ntb, 2);
+  ASSERT_TRUE(entry.has_value()) << entry.status().to_string();
+  ASSERT_TRUE(f.ntb_program(*ntb, *entry, 1, *buf + kWindow).is_ok());
+  ASSERT_TRUE(f.ntb_program(*ntb, *entry + 1, 1, *buf).is_ok());
+  const std::uint64_t window = f.ntb_window_address(*ntb, *entry).value_or(0);
+  // Host 1's address of device page p of the two windows.
+  const auto remote = [&](std::uint64_t p) {
+    return p < kWindowPages ? *buf + kWindow + p * kPage : *buf + (p - kWindowPages) * kPage;
+  };
+
+  // A run across the boundary, runs inside each window, and stray pages.
+  std::vector<std::uint64_t> pages;
+  for (std::uint64_t p = kWindowPages - 5; p < kWindowPages + 5; ++p) pages.push_back(p);
+  for (std::uint64_t p = 40; p < 46; ++p) pages.push_back(p);
+  for (std::uint64_t p = kWindowPages + 44; p < kWindowPages + 50; ++p) pages.push_back(p);
+  for (const std::uint64_t p : {7u, 500u, 3u, 270u, 2u, 511u, 100u, 320u, 290u, 200u}) {
+    pages.push_back(p);
+  }
+  ASSERT_EQ(pages.size(), kListEntries + 1);
+  std::vector<std::uint64_t> device;
+  for (const std::uint64_t p : pages) device.push_back(window + p * kPage);
+  const std::uint64_t prp1 = write_list(device, list_page);
+
+  mem::PhysMem& dram = f.host_dram(1);
+  const Bytes contents = make_pattern(2 * kWindow, 0x44);
+  ASSERT_TRUE(dram.write(*buf, contents).is_ok());
+  const std::uint64_t translations = f.stats().ntb_translations.value();
+  ASSERT_EQ(run_io(true, 512, prp1, list_page), kScSuccess);
+  EXPECT_EQ(f.stats().ntb_translations.value() - translations, pages.size());
+  const Bytes stored = media(512);
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    const auto at = static_cast<std::ptrdiff_t>(remote(pages[i]) - *buf);
+    EXPECT_TRUE(std::equal(stored.begin() + static_cast<std::ptrdiff_t>(i * kPage),
+                           stored.begin() + static_cast<std::ptrdiff_t>((i + 1) * kPage),
+                           contents.begin() + at))
+        << "write: page " << i << " (device page " << pages[i] << ")";
+  }
+
+  // Read the blocks back into the same scattered pages of a zeroed buffer:
+  // each page gets its own 4 KiB, and nothing lands anywhere else.
+  ASSERT_TRUE(dram.write(*buf, Bytes(2 * kWindow)).is_ok());
+  ASSERT_EQ(run_io(false, 512, prp1, list_page), kScSuccess);
+  Bytes expected(2 * kWindow);
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    std::copy_n(stored.begin() + static_cast<std::ptrdiff_t>(i * kPage), kPage,
+                expected.begin() + static_cast<std::ptrdiff_t>(remote(pages[i]) - *buf));
+  }
+  Bytes landed(2 * kWindow);
+  ASSERT_TRUE(dram.read(*buf, landed).is_ok());
+  EXPECT_EQ(landed, expected);
 }
 
 // --- register conformance ----------------------------------------------------------

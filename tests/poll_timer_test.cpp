@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <random>
 #include <tuple>
@@ -421,6 +422,32 @@ TEST(PollTimer, RunUntilElidesTicksUpToTheLimit) {
   timer.notify();
   e.run();
   EXPECT_FALSE(timer.waiting());
+}
+
+// run_until(max) with nothing else pending: the lone timer's ticks are
+// elided up to the last one whose next tick still fits in Time, and the run
+// returns (it used to spin on a tick it could not move).
+TEST(PollTimer, RunUntilEndOfTimeWithALoneTimerReturns) {
+  constexpr Time kEnd = std::numeric_limits<Time>::max();
+  Engine e;
+  std::uint64_t rounds = 0;
+  bool stop = false;
+  PollTimer timer(e, &count_rounds, &rounds);
+  idle_poller(e, timer, rounds, stop);  // round at 0, ticks every 150 ns
+  EXPECT_EQ(e.run_until(kEnd), 0u);
+  // Rounds at 0, 150, ..., 150 (n - 1) for n = kEnd / 150. The tick at
+  // 150 n is the last that fits in Time, so it stays parked.
+  EXPECT_EQ(rounds, static_cast<std::uint64_t>(kEnd / 150));
+  EXPECT_EQ(e.ticks_elided(), static_cast<std::uint64_t>(kEnd / 150) - 1);
+  EXPECT_EQ(e.pending_events(), 1u);
+  EXPECT_TRUE(timer.waiting());
+  EXPECT_EQ(e.run_until(kEnd), 0u);  // a second call finds nothing to do
+  EXPECT_EQ(rounds, static_cast<std::uint64_t>(kEnd / 150));
+  stop = true;
+  timer.notify();
+  e.run();
+  EXPECT_FALSE(timer.waiting());
+  EXPECT_EQ(e.pending_events(), 0u);
 }
 
 TEST(PollTimer, TickJustPastTheSliceStaysPending) {

@@ -2,13 +2,17 @@
 // interconnect substrates — the paper's PCIe/NTB fabric and the CXL
 // pooled-memory model — must attach, move data correctly, and recover from
 // faults. Plus the debug-build backdoor seal guard: after bring-up no
-// production path may cheat through zero-latency cross-host peek/poke.
+// production path may cheat through zero-latency cross-host peek/poke, and
+// run-granular scatter-list routing checked against routing entry by entry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <map>
 #include <memory>
 #include <numeric>
+#include <ostream>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -20,7 +24,96 @@
 #include "fault/fault.hpp"
 #include "mem/payload.hpp"
 #include "nvme/block_store.hpp"
+#include "pcie/fabric.hpp"
 #include "test_util.hpp"
+
+namespace nvmeshare::fabric {
+
+/// Resolves a scatter list twice: through Substrate::resolve_sg(), which
+/// routes once per run, and by routing and pricing every entry alone.
+class SubstrateProbe {
+ public:
+  /// Everything resolving a scatter list decides or counts. A failed list
+  /// keeps only its status and counter deltas.
+  struct Outcome {
+    /// Per chunk: memory, endpoint, address, BAR, owner, length.
+    using Chunk = std::tuple<const void*, const void*, std::uint64_t, int, HostId, std::uint32_t>;
+    std::string status = "ok";
+    std::vector<Chunk> chunks;
+    std::vector<std::uint64_t> keys;
+    sim::Duration worst_ns = 0;
+    int worst_crossings = 0;
+    std::uint64_t translations = 0;
+    std::uint64_t unsupported = 0;
+
+    bool operator==(const Outcome&) const = default;
+    friend std::ostream& operator<<(std::ostream& os, const Outcome& o) {
+      os << o.status << ", " << o.chunks.size() << " chunks, keys";
+      for (const std::uint64_t k : o.keys) os << " " << k;
+      os << ", worst " << o.worst_ns << " ns / " << o.worst_crossings << " NTBs, "
+         << o.translations << " translations, " << o.unsupported << " unsupported";
+      for (const Chunk& c : o.chunks) os << "\n  sink 0x" << std::hex << std::get<2>(c) << std::dec;
+      return os;
+    }
+  };
+
+  /// The DMA initiator of endpoint `ep`.
+  static Initiator device(const Substrate& sub, EndpointId ep) { return sub.endpoints_[ep].at; }
+
+  static Outcome by_runs(Substrate& sub, const Initiator& who, std::span<const SgEntry> sg,
+                         bool is_store) {
+    Outcome out;
+    const std::uint64_t translations = sub.stats().ntb_translations.value();
+    const std::uint64_t unsupported = sub.stats().unsupported_requests.value();
+    auto op = sub.resolve_sg(who, sg, is_store);
+    if (op) {
+      for (const Substrate::Chunk& c : (*op)->chunks()) out.chunks.push_back(chunk(c.sink, c.len));
+      const auto keys = (*op)->order_keys();
+      out.keys.assign(keys.begin(), keys.end());
+      out.worst_ns = (*op)->worst.ns;
+      out.worst_crossings = (*op)->worst.ntb_crossings;
+    } else {
+      out.status = op.status().to_string();
+    }
+    out.translations = sub.stats().ntb_translations.value() - translations;
+    out.unsupported = sub.stats().unsupported_requests.value() - unsupported;
+    return out;
+  }
+
+  static Outcome by_entries(Substrate& sub, const Initiator& who, std::span<const SgEntry> sg,
+                            bool is_store) {
+    Outcome out;
+    for (const SgEntry& e : sg) {
+      auto target = sub.route(who.host, e.addr, e.len);
+      if (!target) ++out.unsupported;
+      auto path = target ? sub.path_ns(who, *target, is_store) : target.status();
+      if (!path) return failed(std::move(out), path.status());
+      out.worst_ns = std::max(out.worst_ns, *path);
+      out.worst_crossings = std::max(out.worst_crossings, target->ntb_crossings);
+      out.translations += static_cast<std::uint64_t>(target->ntb_crossings);
+      out.chunks.push_back(chunk(target->sink, e.len));
+      if (is_store && std::find(out.keys.begin(), out.keys.end(), target->order_key) ==
+                          out.keys.end()) {
+        out.keys.push_back(target->order_key);
+      }
+    }
+    return out;
+  }
+
+ private:
+  static Outcome::Chunk chunk(const Substrate::Sink& s, std::uint32_t len) {
+    return {s.mem, s.ep, s.addr, s.bar, s.owner, len};
+  }
+  static Outcome failed(Outcome out, const Status& st) {
+    Outcome f;
+    f.status = st.to_string();
+    f.translations = out.translations;
+    f.unsupported = out.unsupported;
+    return f;
+  }
+};
+
+}  // namespace nvmeshare::fabric
 
 namespace nvmeshare {
 namespace {
@@ -795,6 +888,113 @@ TEST_P(SubstrateTest, DoorbellWriteTornToNothingIsOneUnsupportedRequest) {
   tb.engine().run_until(*arrival + 1);
   EXPECT_EQ(fault::Injector::global().stats().torn_writes.value(), torn_before + 1);
   EXPECT_EQ(sub.stats().unsupported_requests.value(), ur_before + 1);
+}
+
+// --- run-granular routing ----------------------------------------------------------
+
+/// Seeded scatter lists of contiguous runs and scattered pages, started a
+/// few pages before an address where a translation ends: a DRAM, pool or
+/// BAR region end, and on NTB every LUT window boundary, an unprogrammed
+/// entry and a remote region end inside a window. resolve_sg() must decide
+/// and count exactly what routing each entry alone does.
+TEST_P(SubstrateTest, RunRoutingMatchesPerEntryRouting) {
+  using Probe = fabric::SubstrateProbe;
+  Testbed tb(config(2));
+  fabric::Substrate& sub = tb.substrate();
+  constexpr std::uint64_t kPage = mem::kPageSize;
+  const fabric::EndpointId nvme = tb.nvme_endpoint();
+  const std::uint64_t bar = sub.bar_address(nvme, 0).value_or(0);
+  const std::uint64_t bar_end = bar + sub.endpoint(nvme)->bar_size(0);
+
+  // Per viewer host: addresses a run crosses, most where a translation
+  // ends, some inside one.
+  std::vector<std::uint64_t> edges[2];
+  for (fabric::HostId h = 0; h < 2; ++h) {
+    edges[h] = {64 * kPage, 4096 * kPage, sub.host_dram(h).size()};
+  }
+  edges[0].insert(edges[0].end(), {bar, bar_end});
+  if (GetParam() == fabric::SubstrateKind::cxl) {
+    // One pool and one MMIO space in every host's view.
+    const std::uint64_t pool = cxl::PoolFabric::kPoolBase;
+    const std::uint64_t pool_end = pool + tb.config().cxl.pool_size;
+    for (fabric::HostId h = 0; h < 2; ++h) {
+      edges[h].insert(edges[h].end(), {pool + 16 * kPage, pool + 4096 * kPage, pool_end});
+    }
+    edges[1].insert(edges[1].end(), {bar, bar_end});
+  } else {
+    pcie::Fabric& f = tb.fabric();
+    constexpr std::uint64_t kWindow = Testbed::kNtbWindowSize;
+    for (fabric::HostId h = 0; h < 2; ++h) {
+      const fabric::HostId remote = 1 - h;
+      const std::uint64_t remote_end = sub.host_dram(remote).size();
+      auto ntb = f.host_ntb(h);
+      ASSERT_TRUE(ntb.has_value()) << ntb.status().to_string();
+      auto first = f.ntb_alloc_run(*ntb, 6);
+      ASSERT_TRUE(first.has_value()) << first.status().to_string();
+      // Adjacent windows forward to unrelated places; entry 2 stays
+      // unprogrammed; entries 3 and 4 end at the remote DRAM end, mid-window
+      // and with the window; entry 5 forwards to the NVMe BAR from host 1.
+      const std::uint64_t bases[] = {8 * kWindow, 3 * kWindow + 5 * kPage, 0,
+                                     remote_end - kWindow / 2, remote_end - kWindow,
+                                     h == 1 ? bar : 16 * kWindow};
+      for (std::uint32_t k = 0; k < 6; ++k) {
+        if (k == 2) continue;
+        ASSERT_TRUE(f.ntb_program(*ntb, *first + k, remote, bases[k]).is_ok());
+      }
+      const std::uint64_t aperture = f.ntb_window_address(*ntb, *first).value_or(0);
+      for (std::uint64_t k = 0; k <= 6; ++k) edges[h].push_back(aperture + k * kWindow);
+      for (const std::uint64_t k : {0, 1, 3, 4}) {
+        edges[h].push_back(aperture + k * kWindow + kWindow / 2);
+      }
+      if (h == 1) edges[h].push_back(aperture + 5 * kWindow + (bar_end - bar));
+    }
+  }
+
+  const fabric::Initiator initiators[] = {sub.cpu(0), sub.cpu(1), Probe::device(sub, nvme)};
+  Rng rng(GetParam() == fabric::SubstrateKind::ntb ? 0x2f1 : 0x2f2);
+  const auto entry_len = [&]() -> std::uint32_t {
+    const std::uint64_t kind = rng.uniform(10);
+    if (kind == 0) return 0;
+    if (kind < 7) return kPage;
+    return static_cast<std::uint32_t>(1 + rng.uniform(kPage));
+  };
+  // Somewhere up to three pages before an edge, page-aligned most times.
+  const auto near_edge = [&](const std::vector<std::uint64_t>& at) {
+    std::uint64_t addr = at[rng.uniform(at.size())] - rng.uniform(4) * kPage;
+    if (rng.uniform(5) == 0) addr += rng.uniform(kPage);
+    return addr;
+  };
+
+  std::map<std::string, int> outcomes;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const fabric::Initiator who = initiators[rng.uniform(3)];
+    std::vector<fabric::SgEntry> sg;
+    for (std::uint64_t s = 0, segments = 1 + rng.uniform(3); s < segments; ++s) {
+      std::uint64_t addr = near_edge(edges[who.host]);
+      const std::uint64_t n = 1 + rng.uniform(8);
+      const bool contiguous = rng.uniform(2) == 0;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint32_t len = entry_len();
+        sg.push_back({addr, len});
+        addr = contiguous ? addr + len : near_edge(edges[who.host]);
+      }
+    }
+    const bool is_store = rng.uniform(2) == 0;
+    const bool link_down = rng.uniform(8) == 0;  // host 1's NTB cable or CXL port
+    ASSERT_TRUE(sub.set_host_link(1, !link_down).is_ok());
+    const Probe::Outcome runs = Probe::by_runs(sub, who, sg, is_store);
+    const Probe::Outcome entries = Probe::by_entries(sub, who, sg, is_store);
+    ASSERT_TRUE(sub.set_host_link(1, true).is_ok());
+    ASSERT_EQ(runs, entries) << "trial " << trial << " (" << sg.size() << " entries)";
+    ++outcomes[runs.status.substr(0, runs.status.find(':'))];
+  }
+  // Not vacuous: lists that resolve and lists that fail for each reason.
+  EXPECT_GT(outcomes["ok"], 300);
+  EXPECT_GT(outcomes["unmapped_address"], 100);
+  EXPECT_GT(outcomes["unavailable"], 20);
+  if (GetParam() == fabric::SubstrateKind::ntb) {
+    EXPECT_GT(outcomes["out_of_range"], 100);  // an entry across a window boundary
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSubstrates, SubstrateTest,
