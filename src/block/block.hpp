@@ -12,7 +12,7 @@
 #include <string_view>
 
 #include "common/status.hpp"
-#include "pcie/types.hpp"
+#include "fabric/types.hpp"
 #include "sim/task.hpp"
 
 namespace nvmeshare::block {

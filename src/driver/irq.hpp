@@ -9,11 +9,11 @@
 #include <functional>
 #include <vector>
 
-#include "pcie/endpoint.hpp"
+#include "fabric/endpoint.hpp"
 
 namespace nvmeshare::driver {
 
-class IrqController final : public pcie::Endpoint {
+class IrqController final : public fabric::Endpoint {
  public:
   static constexpr std::uint32_t kVectors = 256;
 

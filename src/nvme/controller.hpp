@@ -73,7 +73,7 @@ class Controller final : public fabric::Endpoint {
 
   Controller(sim::Engine& engine, Config cfg);
 
-  // --- pcie::Endpoint ---------------------------------------------------------
+  // --- fabric::Endpoint -------------------------------------------------------
   [[nodiscard]] std::string_view name() const override { return cfg_.name; }
   [[nodiscard]] int bar_count() const override { return 1; }
   [[nodiscard]] std::uint64_t bar_size(int bar) const override {

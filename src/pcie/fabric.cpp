@@ -21,7 +21,7 @@ HostId Fabric::add_host(std::string name, std::uint64_t dram_size) {
   host->name = std::move(name);
   host->dram = std::make_unique<mem::PhysMem>(dram_size);
   host->mmio = std::make_unique<mem::RangeAllocator>(kMmioBase, kMmioSize);
-  host->regions.emplace(0, Region{Region::Kind::dram, 0, dram_size, 0, 0, 0});
+  add_region(*host, Region{Region::Kind::dram, 0, dram_size, 0, 0, 0});
   hosts_.push_back(std::move(host));
   return static_cast<HostId>(hosts_.size() - 1);
 }
@@ -35,7 +35,7 @@ ChipId Fabric::add_cluster_switch(std::string name) {
                         model_.cluster_switch_ns);
 }
 
-Result<EndpointId> Fabric::attach_endpoint(Endpoint& ep, HostId host, ChipId chip) {
+Result<EndpointId> Fabric::attach_endpoint(fabric::Endpoint& ep, HostId host, ChipId chip) {
   if (host >= hosts_.size()) return Status(Errc::invalid_argument, "bad host id");
   if (chip >= topo_.chip_count()) return Status(Errc::invalid_argument, "bad chip id");
   return add_endpoint(ep, host, chip, *hosts_[host]->mmio);
@@ -43,7 +43,7 @@ Result<EndpointId> Fabric::attach_endpoint(Endpoint& ep, HostId host, ChipId chi
 
 void Fabric::map_bar(HostId host, EndpointId ep, int bar, std::uint64_t base,
                      std::uint64_t size) {
-  hosts_[host]->regions.emplace(base, Region{Region::Kind::bar, base, size, ep, bar, 0});
+  add_region(*hosts_[host], Region{Region::Kind::bar, base, size, ep, bar, 0});
 }
 
 // --- NTB ---------------------------------------------------------------------
@@ -67,7 +67,7 @@ Result<NtbId> Fabric::add_ntb(HostId host, std::uint32_t windows, std::uint64_t 
   NVS_RETURN_IF_ERROR(topo_.link(hs.rc, ntb.chip));
 
   const auto id = static_cast<NtbId>(ntbs_.size());
-  hs.regions.emplace(*base, Region{Region::Kind::ntb, *base, aperture, 0, 0, id});
+  add_region(hs, Region{Region::Kind::ntb, *base, aperture, 0, 0, id});
   ntbs_.push_back(std::move(ntb));
   return id;
 }
@@ -188,13 +188,20 @@ void Fabric::unmap_window(std::uint64_t token) {
 
 // --- resolution ----------------------------------------------------------------
 
+void Fabric::add_region(HostState& host, const Region& r) {
+  auto it = std::lower_bound(host.regions.begin(), host.regions.end(), r.base,
+                             [](const Region& x, std::uint64_t base) { return x.base < base; });
+  if (it == host.regions.end() || it->base != r.base) host.regions.insert(it, r);
+}
+
 const Fabric::Region* Fabric::find_region(HostId host, std::uint64_t addr,
                                           std::uint64_t len) const {
   const auto& regions = hosts_[host]->regions;
-  auto it = regions.upper_bound(addr);
+  auto it = std::upper_bound(regions.begin(), regions.end(), addr,
+                             [](std::uint64_t a, const Region& x) { return a < x.base; });
   if (it == regions.begin()) return nullptr;
   --it;
-  const Region& r = it->second;
+  const Region& r = *it;
   if (addr < r.base || addr + len > r.base + r.len) return nullptr;
   return &r;
 }

@@ -24,7 +24,7 @@
 #include "fabric/substrate.hpp"
 #include "mem/allocator.hpp"
 #include "mem/phys_mem.hpp"
-#include "pcie/endpoint.hpp"
+#include "fabric/endpoint.hpp"
 #include "pcie/latency.hpp"
 #include "pcie/topology.hpp"
 #include "pcie/types.hpp"
@@ -71,9 +71,9 @@ class Fabric final : public fabric::Substrate {
   Status link_chips(ChipId a, ChipId b) { return topo_.link(a, b); }
 
   /// Attach a device function below `chip` on `host`; assigns BAR addresses.
-  Result<EndpointId> attach_endpoint(Endpoint& ep, HostId host, ChipId chip);
+  Result<EndpointId> attach_endpoint(fabric::Endpoint& ep, HostId host, ChipId chip);
   /// Substrate-neutral attach: below the host's root complex.
-  Result<EndpointId> attach(Endpoint& ep, HostId host) override {
+  Result<EndpointId> attach(fabric::Endpoint& ep, HostId host) override {
     if (host >= hosts_.size()) return Status(Errc::invalid_argument, "bad host id");
     return attach_endpoint(ep, host, hosts_[host]->rc);
   }
@@ -186,7 +186,7 @@ class Fabric final : public fabric::Substrate {
     ChipId rc = kNoChip;
     std::unique_ptr<mem::PhysMem> dram;
     std::unique_ptr<mem::RangeAllocator> mmio;
-    std::map<std::uint64_t, Region> regions;  // keyed by base
+    std::vector<Region> regions;  ///< sorted by base; added only at set-up
   };
 
   struct NtbState {
@@ -209,6 +209,8 @@ class Fabric final : public fabric::Substrate {
     std::uint32_t count = 0;
   };
 
+  /// Insert `r` in base order; a region already at its base stays.
+  static void add_region(HostState& host, const Region& r);
   [[nodiscard]] const Region* find_region(HostId host, std::uint64_t addr,
                                           std::uint64_t len) const;
   LatencyModel model_;

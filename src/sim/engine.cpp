@@ -234,7 +234,11 @@ void Engine::run() {
 std::uint64_t Engine::run_until(Time t) {
   stopped_ = false;
   const std::uint64_t n = dispatch(t, /*until_idle=*/false);
-  if (!stopped_ && now_ < t) now_ = t;
+  // A tick due by `t` that could not be elided (its next tick would pass the
+  // end of time) still waits, and a later notify() fires it at its own due
+  // time: the clock stops there.
+  const Time to = first_ != nullptr ? std::min(t, first_->due_) : t;
+  if (!stopped_ && now_ < to) now_ = to;
   return n;
 }
 

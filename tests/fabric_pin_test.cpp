@@ -1,19 +1,14 @@
 // Golden pins for both substrates. The first guards the PCIe/NTB path: the
 // fabric-abstraction refactor must not change a single transaction on it.
-// Its constants were captured from the tree before that refactor, running
-// this exact scenario; the refactored NTB substrate has to reproduce them
-// bit-for-bit — final simulated clock, every fabric counter, and the job's
-// latency sums. The last pin does the same for the CXL pool substrate.
-//
-// If this test fails after an intentional change to the NTB latency model or
-// driver instruction stream, re-capture by running with
-// NVS_PIN_CAPTURE=1 and paste the printed block.
+// Each pin writes what its scenario leaves behind (final simulated clock,
+// every fabric counter, the jobs' latency sums) as a document and compares it
+// with tests/golden/ bit for bit. The last pin does the same for the CXL pool
+// substrate. After a deliberate change to the latency model or the driver
+// instruction stream, `tools/same_seed_docs.sh BUILD_DIR tests/golden`
+// rewrites the documents.
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 
 #include "nvmeof/initiator.hpp"
 #include "nvmeof/target.hpp"
@@ -24,27 +19,27 @@ namespace {
 
 using namespace testutil;
 
-struct PinObservation {
-  sim::Time end_time = 0;
-  std::uint64_t posted_writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t ntb_translations = 0;
-  std::uint64_t read_ops = 0;
-  std::uint64_t write_ops = 0;
-  sim::Duration read_elapsed = 0;
-  sim::Duration write_elapsed = 0;
-};
+/// The simulated clock and every fabric counter, each key behind `prefix`.
+void add_fabric(GoldenDoc& doc, const std::string& prefix, Testbed& tb) {
+  const fabric::Stats& s = tb.substrate().stats();
+  doc.add(prefix + "end_time", tb.engine().now())
+      .add(prefix + "posted_writes", s.posted_writes.value())
+      .add(prefix + "reads", s.reads.value())
+      .add(prefix + "bytes_written", s.bytes_written.value())
+      .add(prefix + "bytes_read", s.bytes_read.value())
+      .add(prefix + "unsupported_requests", s.unsupported_requests.value())
+      .add(prefix + "ntb_translations", s.ntb_translations.value())
+      .add(prefix + "backdoor_violations", s.backdoor_violations.value());
+}
 
 /// The pinned scenario: 2 hosts, manager on the device host, client remote,
 /// 64 random reads then 64 random writes (4 KiB, QD1), fixed seeds.
-PinObservation run_pinned_scenario() {
-  PinObservation obs;
+GoldenDoc run_pinned_scenario() {
+  GoldenDoc doc;
   Testbed tb(small_testbed(2));
   auto stack = bring_up(tb, 0, 1);
   EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
-  if (!stack) return obs;
+  if (!stack) return doc;
 
   workload::JobSpec spec;
   spec.block_bytes = 4096;
@@ -57,8 +52,7 @@ PinObservation run_pinned_scenario() {
   EXPECT_TRUE(rd.has_value()) << rd.status().to_string();
   if (rd) {
     EXPECT_EQ(rd->errors, 0u);
-    obs.read_ops = rd->ops_completed;
-    obs.read_elapsed = rd->elapsed;
+    doc.add("read_ops", rd->ops_completed).add("read_elapsed", rd->elapsed);
   }
 
   spec.pattern = workload::JobSpec::Pattern::randwrite;
@@ -66,58 +60,14 @@ PinObservation run_pinned_scenario() {
   EXPECT_TRUE(wr.has_value()) << wr.status().to_string();
   if (wr) {
     EXPECT_EQ(wr->errors, 0u);
-    obs.write_ops = wr->ops_completed;
-    obs.write_elapsed = wr->elapsed;
+    doc.add("write_ops", wr->ops_completed).add("write_elapsed", wr->elapsed);
   }
-
-  obs.end_time = tb.engine().now();
-  obs.posted_writes = tb.fabric().stats().posted_writes.value();
-  obs.reads = tb.fabric().stats().reads.value();
-  obs.bytes_written = tb.fabric().stats().bytes_written.value();
-  obs.bytes_read = tb.fabric().stats().bytes_read.value();
-  obs.ntb_translations = tb.fabric().stats().ntb_translations.value();
-  return obs;
+  add_fabric(doc, "", tb);
+  return doc;
 }
 
 TEST(FabricPin, NtbPathMatchesPreRefactorSeed) {
-  const PinObservation obs = run_pinned_scenario();
-
-  if (std::getenv("NVS_PIN_CAPTURE") != nullptr) {
-    std::printf("  constexpr sim::Time kEndTime = %" PRIu64 ";\n"
-                "  constexpr std::uint64_t kPostedWrites = %" PRIu64 ";\n"
-                "  constexpr std::uint64_t kReads = %" PRIu64 ";\n"
-                "  constexpr std::uint64_t kBytesWritten = %" PRIu64 ";\n"
-                "  constexpr std::uint64_t kBytesRead = %" PRIu64 ";\n"
-                "  constexpr std::uint64_t kNtbTranslations = %" PRIu64 ";\n"
-                "  constexpr sim::Duration kReadElapsed = %" PRIu64 ";\n"
-                "  constexpr sim::Duration kWriteElapsed = %" PRIu64 ";\n",
-                obs.end_time, obs.posted_writes, obs.reads, obs.bytes_written,
-                obs.bytes_read, obs.ntb_translations,
-                static_cast<std::uint64_t>(obs.read_elapsed),
-                static_cast<std::uint64_t>(obs.write_elapsed));
-    return;
-  }
-
-  // Captured from the pre-refactor seed build (see file comment).
-  constexpr sim::Time kEndTime = 22000000;
-  constexpr std::uint64_t kPostedWrites = 605;
-  constexpr std::uint64_t kReads = 221;
-  constexpr std::uint64_t kBytesWritten = 282200;
-  constexpr std::uint64_t kBytesRead = 270928;
-  constexpr std::uint64_t kNtbTranslations = 647;
-  constexpr sim::Duration kReadElapsed = 972660;
-  constexpr sim::Duration kWriteElapsed = 1094608;
-
-  EXPECT_EQ(obs.end_time, kEndTime);
-  EXPECT_EQ(obs.posted_writes, kPostedWrites);
-  EXPECT_EQ(obs.reads, kReads);
-  EXPECT_EQ(obs.bytes_written, kBytesWritten);
-  EXPECT_EQ(obs.bytes_read, kBytesRead);
-  EXPECT_EQ(obs.ntb_translations, kNtbTranslations);
-  EXPECT_EQ(obs.read_ops, 64u);
-  EXPECT_EQ(obs.write_ops, 64u);
-  EXPECT_EQ(obs.read_elapsed, kReadElapsed);
-  EXPECT_EQ(obs.write_elapsed, kWriteElapsed);
+  expect_golden("pin_fabric_ntb", run_pinned_scenario().str());
 }
 
 // --- multi-page PRP scenario ---------------------------------------------------------
@@ -146,21 +96,9 @@ constexpr std::array<PrpOp, 4> kPrpDataOps = {
     PrpOp{32 * 4096, 0}};
 constexpr std::size_t kPrpOpCount = 2 * kPrpDataOps.size() + 3;  // + flush, zeroes, discard
 
-struct PrpPinObservation {
-  sim::Time end_time = 0;
-  std::uint64_t posted_writes = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t bytes_written = 0;
-  std::uint64_t bytes_read = 0;
-  std::uint64_t ntb_translations = 0;
-  sim::Duration write_sum = 0;
-  sim::Duration read_sum = 0;
-  sim::Duration other_sum = 0;
-  std::array<std::uint64_t, kPrpOpCount> device_reads{};  ///< non-SQE DMA reads per op
-};
-
-PrpPinObservation run_prp_scenario(PrpPath path) {
-  PrpPinObservation obs;
+/// Adds the path's clock, fabric counters, per-kind latency sums and, per
+/// operation, the device's non-SQE DMA reads, each key behind `<path>.`.
+void run_prp_scenario(PrpPath path, GoldenDoc& doc) {
   Testbed tb(small_testbed(2));
   Result<Stack> stack = Status(Errc::not_found, "unused");
   std::unique_ptr<driver::LocalDriver> local;
@@ -190,7 +128,7 @@ PrpPinObservation run_prp_scenario(PrpPath path) {
     case PrpPath::nvmeof: {
       auto t = tb.wait(nvmeof::Target::start(tb.cluster(), tb.nvme_endpoint(), tb.network(), {}));
       EXPECT_TRUE(t.has_value()) << t.status().to_string();
-      if (!t) return obs;
+      if (!t) return;
       target = std::move(*t);
       auto in = tb.wait(nvmeof::Initiator::connect(tb.cluster(), tb.network(), *target, 1, {}));
       EXPECT_TRUE(in.has_value()) << in.status().to_string();
@@ -199,8 +137,12 @@ PrpPinObservation run_prp_scenario(PrpPath path) {
       break;
     }
   }
-  if (dev == nullptr) return obs;
+  if (dev == nullptr) return;
 
+  sim::Duration write_sum = 0;
+  sim::Duration read_sum = 0;
+  sim::Duration other_sum = 0;
+  std::array<std::uint64_t, kPrpOpCount> device_reads{};
   std::size_t op_index = 0;
   auto run = [&](const block::Request& request, sim::Duration& sum) {
     const std::uint64_t reads_before = tb.fabric().stats().reads.value();
@@ -210,7 +152,7 @@ PrpPinObservation run_prp_scenario(PrpPath path) {
     if (!done) return;
     EXPECT_TRUE(done->status.is_ok()) << done->status.to_string();
     sum += done->latency_ns;
-    obs.device_reads[op_index++] = (tb.fabric().stats().reads.value() - reads_before) -
+    device_reads[op_index++] = (tb.fabric().stats().reads.value() - reads_before) -
                                    (tb.controller().stats().fetch_dma_reads.value() -
                                     fetches_before);
   };
@@ -222,78 +164,37 @@ PrpPinObservation run_prp_scenario(PrpPath path) {
     const std::uint64_t buf =
         alloc_pattern_buffer(tb, node, op.offset + op.bytes, 0x5000 + i) + op.offset;
     lbas[i] = lba;
-    run({block::Op::write, lba, op.bytes / 512, buf}, obs.write_sum);
+    run({block::Op::write, lba, op.bytes / 512, buf}, write_sum);
     lba += op.bytes / 512 + 64;
   }
   for (std::size_t i = 0; i < kPrpDataOps.size(); ++i) {
     const PrpOp op = kPrpDataOps[i];
     const std::uint64_t base = alloc_pattern_buffer(tb, node, op.offset + op.bytes, ~i);
     const std::uint64_t buf = base + op.offset;
-    run({block::Op::read, lbas[i], op.bytes / 512, buf}, obs.read_sum);
+    run({block::Op::read, lbas[i], op.bytes / 512, buf}, read_sum);
     Bytes expect = make_pattern(op.offset + op.bytes, 0x5000 + i);
     Bytes got(op.offset + op.bytes);
     EXPECT_TRUE(tb.substrate().host_dram(node).read(base, got).is_ok());
     EXPECT_TRUE(std::equal(expect.begin() + op.offset, expect.end(), got.begin() + op.offset))
         << kPrpPathNames[static_cast<std::size_t>(path)] << " op " << i;
   }
-  run({block::Op::flush, 0, 0, 0}, obs.other_sum);
-  run({block::Op::write_zeroes, lbas[0], 16, 0}, obs.other_sum);
+  run({block::Op::flush, 0, 0, 0}, other_sum);
+  run({block::Op::write_zeroes, lbas[0], 16, 0}, other_sum);
   const std::uint64_t discard_buf = alloc_pattern_buffer(tb, node, 4096, 0);
-  run({block::Op::discard, lbas[3], 64, discard_buf}, obs.other_sum);
+  run({block::Op::discard, lbas[3], 64, discard_buf}, other_sum);
 
-  obs.end_time = tb.engine().now();
-  obs.posted_writes = tb.fabric().stats().posted_writes.value();
-  obs.reads = tb.fabric().stats().reads.value();
-  obs.bytes_written = tb.fabric().stats().bytes_written.value();
-  obs.bytes_read = tb.fabric().stats().bytes_read.value();
-  obs.ntb_translations = tb.fabric().stats().ntb_translations.value();
-  return obs;
+  const std::string prefix = std::string(kPrpPathNames[static_cast<std::size_t>(path)]) + ".";
+  add_fabric(doc, prefix, tb);
+  doc.add(prefix + "write_sum", write_sum)
+      .add(prefix + "read_sum", read_sum)
+      .add(prefix + "other_sum", other_sum)
+      .add_list(prefix + "device_reads", device_reads);
 }
 
 TEST(FabricPin, MultiPagePrpPathsMatchPreRefactorSeed) {
-  std::array<PrpPinObservation, kPrpPaths.size()> obs;
-  for (std::size_t p = 0; p < kPrpPaths.size(); ++p) obs[p] = run_prp_scenario(kPrpPaths[p]);
-
-  if (std::getenv("NVS_PIN_CAPTURE") != nullptr) {
-    std::printf("  const std::array<PrpPinObservation, 4> kExpected = {{\n");
-    for (const PrpPinObservation& o : obs) {
-      std::printf("      {%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
-                  ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", {",
-                  o.end_time, o.posted_writes, o.reads, o.bytes_written, o.bytes_read,
-                  o.ntb_translations, static_cast<std::uint64_t>(o.write_sum),
-                  static_cast<std::uint64_t>(o.read_sum), static_cast<std::uint64_t>(o.other_sum));
-      for (std::size_t i = 0; i < kPrpOpCount; ++i) {
-        std::printf("%s%" PRIu64, i == 0 ? "" : ", ", o.device_reads[i]);
-      }
-      std::printf("}},\n");
-    }
-    std::printf("  }};\n");
-    return;
-  }
-
-  // Captured from the tree before PRP/SQE construction was unified.
-  const std::array<PrpPinObservation, 4> kExpected = {{
-      {13000000, 77, 47, 161312, 153360, 126, 107021, 99262, 35911, {1, 1, 1, 2, 0, 0, 0, 1, 0, 0, 1}},
-      {13000000, 77, 49, 161312, 153392, 127, 98304, 90695, 34861, {1, 1, 2, 2, 0, 0, 1, 1, 0, 0, 1}},
-      {12000000, 87, 44, 161240, 153196, 0, 83430, 80157, 29692, {1, 1, 2, 2, 0, 0, 1, 1, 0, 0, 1}},
-      {13000000, 75, 42, 161180, 153164, 0, 139473, 119514, 51101, {1, 1, 1, 2, 0, 0, 0, 1, 0, 0, 1}},
-  }};
-
-  for (std::size_t p = 0; p < kPrpPaths.size(); ++p) {
-    SCOPED_TRACE(kPrpPathNames[p]);
-    const PrpPinObservation& o = obs[p];
-    const PrpPinObservation& e = kExpected[p];
-    EXPECT_EQ(o.end_time, e.end_time);
-    EXPECT_EQ(o.posted_writes, e.posted_writes);
-    EXPECT_EQ(o.reads, e.reads);
-    EXPECT_EQ(o.bytes_written, e.bytes_written);
-    EXPECT_EQ(o.bytes_read, e.bytes_read);
-    EXPECT_EQ(o.ntb_translations, e.ntb_translations);
-    EXPECT_EQ(o.write_sum, e.write_sum);
-    EXPECT_EQ(o.read_sum, e.read_sum);
-    EXPECT_EQ(o.other_sum, e.other_sum);
-    EXPECT_EQ(o.device_reads, e.device_reads);
-  }
+  GoldenDoc doc;
+  for (PrpPath path : kPrpPaths) run_prp_scenario(path, doc);
+  expect_golden("pin_fabric_prp", doc.str());
 }
 
 // --- CXL pool scenario ----------------------------------------------------------------
@@ -314,22 +215,17 @@ constexpr std::array<CxlJob, 4> kCxlJobs = {
     CxlJob{workload::JobSpec::Pattern::randread, 128 * 1024},
     CxlJob{workload::JobSpec::Pattern::randwrite, 128 * 1024}};
 
-struct CxlPinObservation {
-  sim::Time end_time = 0;
-  std::array<std::uint64_t, 7> counters{};  ///< fabric::Stats, declaration order
-  std::array<sim::Duration, kCxlJobs.size()> elapsed{};
-  std::array<sim::Duration, kCxlJobs.size()> latency_sum{};
-};
-
-CxlPinObservation run_cxl_scenario() {
-  CxlPinObservation obs;
+GoldenDoc run_cxl_scenario() {
+  GoldenDoc doc;
   TestbedConfig cfg = small_testbed(2);
   cfg.substrate = fabric::SubstrateKind::cxl;
   Testbed tb(cfg);
   auto stack = bring_up(tb, 0, 1);
   EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
-  if (!stack) return obs;
+  if (!stack) return doc;
 
+  std::array<sim::Duration, kCxlJobs.size()> elapsed{};
+  std::array<sim::Duration, kCxlJobs.size()> latency_sum{};
   for (std::size_t j = 0; j < kCxlJobs.size(); ++j) {
     workload::JobSpec spec;
     spec.pattern = kCxlJobs[j].pattern;
@@ -342,52 +238,16 @@ CxlPinObservation run_cxl_scenario() {
     if (!res) continue;
     EXPECT_EQ(res->errors, 0u);
     EXPECT_EQ(res->ops_completed, spec.ops);
-    obs.elapsed[j] = res->elapsed;
-    for (sim::Duration ns : res->total_latency.samples()) obs.latency_sum[j] += ns;
+    elapsed[j] = res->elapsed;
+    for (sim::Duration ns : res->total_latency.samples()) latency_sum[j] += ns;
   }
-
-  const fabric::Stats& s = tb.substrate().stats();
-  obs.end_time = tb.engine().now();
-  obs.counters = {s.posted_writes.value(),        s.reads.value(),
-                  s.bytes_written.value(),        s.bytes_read.value(),
-                  s.unsupported_requests.value(), s.ntb_translations.value(),
-                  s.backdoor_violations.value()};
-  return obs;
+  add_fabric(doc, "", tb);
+  doc.add_list("elapsed", elapsed).add_list("latency_sum", latency_sum);
+  return doc;
 }
 
 TEST(FabricPin, CxlPathMatchesParent) {
-  const CxlPinObservation obs = run_cxl_scenario();
-
-  if (std::getenv("NVS_PIN_CAPTURE") != nullptr) {
-    auto print = [](const char* name, const auto& values) {
-      std::printf("  constexpr std::array<std::uint64_t, %zu> %s = {", values.size(), name);
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        std::printf("%s%" PRIu64, i == 0 ? "" : ", ", static_cast<std::uint64_t>(values[i]));
-      }
-      std::printf("};\n");
-    };
-    std::printf("  constexpr sim::Time kEndTime = %" PRIu64 ";\n", obs.end_time);
-    print("kCounters", obs.counters);
-    print("kElapsed", obs.elapsed);
-    print("kLatencySum", obs.latency_sum);
-    return;
-  }
-
-  // Captured from the tree before the transaction engine moved into
-  // fabric::Substrate.
-  constexpr sim::Time kEndTime = 42000000;
-  constexpr std::array<std::uint64_t, 7> kCounters = {605, 284, 4345432, 4350028, 0, 0, 0};
-  constexpr std::array<std::uint64_t, 4> kElapsed = {495109, 520505, 1232191, 1254867};
-  constexpr std::array<std::uint64_t, 4> kLatencySum = {495109, 520505, 1232191, 1254867};
-
-  EXPECT_EQ(obs.end_time, kEndTime);
-  for (std::size_t i = 0; i < kCounters.size(); ++i) {
-    EXPECT_EQ(obs.counters[i], kCounters[i]) << "counter " << i;
-  }
-  for (std::size_t j = 0; j < kCxlJobs.size(); ++j) {
-    EXPECT_EQ(static_cast<std::uint64_t>(obs.elapsed[j]), kElapsed[j]) << "job " << j;
-    EXPECT_EQ(static_cast<std::uint64_t>(obs.latency_sum[j]), kLatencySum[j]) << "job " << j;
-  }
+  expect_golden("pin_fabric_cxl", run_cxl_scenario().str());
 }
 
 }  // namespace

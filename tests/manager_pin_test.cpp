@@ -4,18 +4,16 @@
 // `nvmeshare.manager.*` and `nvmeshare.client.*` counter, the jobs' latency
 // sums, and FNV-1a hashes of the v5 owner table and admin-ring journal in
 // the serving manager's metadata segment (once after attach, once at the
-// end). A refactor of the admin layer must reproduce all of them.
-//
-// If a pin fails after an intentional change to the admin instruction
-// stream, re-capture by running with NVS_PIN_CAPTURE=1 and paste the
-// printed blocks.
+// end), as a document compared with tests/golden/. A refactor of the admin
+// layer must reproduce all of them. After a deliberate change to the admin
+// instruction stream, `tools/same_seed_docs.sh BUILD_DIR tests/golden`
+// rewrites the documents.
 #include <gtest/gtest.h>
 
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -29,7 +27,8 @@ using namespace testutil;
 
 struct ManagerPinObservation {
   sim::Time end_time = 0;
-  std::string counters;  ///< "name=value;" for every non-zero driver counter
+  /// (name, value) of every non-zero driver counter
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::uint64_t ops = 0;
   std::uint64_t errors = 0;
   std::uint64_t latency_sum = 0;  ///< over every job's total_latency samples
@@ -70,13 +69,13 @@ void snapshot_tables(Testbed& tb, std::uint64_t& owners, std::uint64_t& journal)
 }
 
 /// Every non-zero `nvmeshare.manager.*` / `nvmeshare.client.*` counter of
-/// the global registry, in its (sorted) order.
-std::string driver_counters() {
+/// the global registry, in its (sorted) order, without the `nvmeshare.`.
+std::vector<std::pair<std::string, std::uint64_t>> driver_counters() {
   const std::string json = obs::Registry::global().to_json();
   constexpr std::string_view kHead = "{\"counters\":{";
   const std::size_t begin = json.find(kHead) + kHead.size();
   const std::string_view body(json.data() + begin, json.find('}', begin) - begin);
-  std::string out;
+  std::vector<std::pair<std::string, std::uint64_t>> out;
   std::size_t pos = 0;
   while (pos < body.size()) {
     std::size_t comma = body.find(',', pos);
@@ -88,10 +87,8 @@ std::string driver_counters() {
     const std::string_view value = entry.substr(colon + 1);
     if (value == "0") continue;
     if (name.starts_with("nvmeshare.manager.") || name.starts_with("nvmeshare.client.")) {
-      out.append(name.substr(std::string_view("nvmeshare.").size()));
-      out += '=';
-      out.append(value);
-      out += ';';
+      out.emplace_back(name.substr(std::string_view("nvmeshare.").size()),
+                       std::stoull(std::string(value)));
     }
   }
   return out;
@@ -291,82 +288,30 @@ ManagerPinObservation takeover() {
 
 // --- pins --------------------------------------------------------------------------
 
-void print_capture(const char* name, const ManagerPinObservation& o) {
-  std::printf("  // %s\n  {%" PRIu64 ", \"%s\", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
-              ",\n   0x%016" PRIx64 ", 0x%016" PRIx64 ", 0x%016" PRIx64 ", 0x%016" PRIx64 "},\n",
-              name, static_cast<std::uint64_t>(o.end_time), o.counters.c_str(), o.ops, o.errors,
-              o.latency_sum, static_cast<std::uint64_t>(o.elapsed), o.owner_table_attached,
-              o.journal_attached, o.owner_table_end, o.journal_end);
-}
-
-void expect_pinned(const char* name, ManagerPinObservation (*scenario)(),
-                   const ManagerPinObservation& want) {
+void expect_pinned(std::string_view name, ManagerPinObservation (*scenario)()) {
   obs::Registry::global().reset_values();
   const ManagerPinObservation o = scenario();
-  if (std::getenv("NVS_PIN_CAPTURE") != nullptr) {
-    print_capture(name, o);
-    return;
-  }
-  EXPECT_EQ(o.end_time, want.end_time);
-  EXPECT_EQ(o.counters, want.counters);
-  EXPECT_EQ(o.ops, want.ops);
-  EXPECT_EQ(o.errors, want.errors);
-  EXPECT_EQ(o.latency_sum, want.latency_sum);
-  EXPECT_EQ(o.elapsed, want.elapsed);
-  EXPECT_EQ(o.owner_table_attached, want.owner_table_attached);
-  EXPECT_EQ(o.journal_attached, want.journal_attached);
-  EXPECT_EQ(o.owner_table_end, want.owner_table_end);
-  EXPECT_EQ(o.journal_end, want.journal_end);
+  GoldenDoc doc;
+  doc.add("end_time", o.end_time);
+  for (const auto& [counter, value] : o.counters) doc.add(counter, value);
+  doc.add("ops", o.ops)
+      .add("errors", o.errors)
+      .add("latency_sum", o.latency_sum)
+      .add("elapsed", o.elapsed)
+      .add_hex("owner_table_attached", o.owner_table_attached)
+      .add_hex("journal_attached", o.journal_attached)
+      .add_hex("owner_table_end", o.owner_table_end)
+      .add_hex("journal_end", o.journal_end);
+  expect_golden(name, doc.str());
 }
-
-// Captured from the tree before the admin path was shared between the
-// manager and BareController.
-const ManagerPinObservation kAttachIoDetach = {
-    25000000,
-    "client.bounce_copies=128;client.bounce_copy_bytes=524288;client.poll_rounds=9730;"
-    "client.reads=67;client.writes=61;manager.mailbox_requests=4;manager.qps_created=5;"
-    "manager.qps_deleted=5;",
-    128, 0, 2058428, 2058428,
-    0xa5832b4bf30a1306, 0x2bf53cfab1bc76f4, 0x6ab05ef9aa8b9b25, 0xb34c77f6487c55ee};
-const ManagerPinObservation kBatchRollback = {
-    13000000,
-    "client.bounce_copies=64;client.bounce_copy_bytes=262144;client.poll_rounds=4944;"
-    "client.reads=27;client.writes=37;manager.mailbox_requests=2;manager.qps_created=3;"
-    "manager.qps_deleted=2;manager.request_errors=1;",
-    64, 0, 1040018, 1040018,
-    0x04ba2fc33f9937b9, 0x2bf53cfab1bc76f4, 0x04ba2fc33f9937b9, 0x2bf53cfab1bc76f4};
-const ManagerPinObservation kFatalReset = {
-    13000000,
-    "client.bounce_copies=64;client.bounce_copy_bytes=262144;client.cmd_retries=2;"
-    "client.cmd_timeouts=3;client.poll_rounds=14899;client.qp_recoveries=1;"
-    "client.reads=31;client.writes=33;manager.ctrl_resets=3;manager.mailbox_requests=4;"
-    "manager.qps_created=2;manager.qps_deleted=1;manager.request_errors=1;",
-    64, 0, 2950512, 2950512,
-    0x86a2213b32ca3619, 0x1c745860331d64fc, 0x6ab05ef9aa8b9b25, 0x1c745860331d64fc};
-const ManagerPinObservation kReaper = {
-    15000000,
-    "client.bounce_copies=64;client.bounce_copy_bytes=262144;client.heartbeats=304;"
-    "client.poll_rounds=4871;client.reads=33;client.writes=31;manager.mailbox_requests=2;"
-    "manager.qps_created=2;manager.qps_reaped=1;",
-    64, 0, 1031160, 1031160,
-    0xfb885875e9f546ef, 0x661a94c6357d46de, 0x86a2213b32ca3619, 0x98a8c42eacfcb330};
-const ManagerPinObservation kTakeover = {
-    40000000,
-    "client.bounce_copies=192;client.bounce_copy_bytes=786432;client.heartbeats=251;"
-    "client.manager_failovers=2;client.poll_rounds=14503;client.reads=108;"
-    "client.writes=84;manager.lease_renewals=154;manager.mailbox_requests=4;"
-    "manager.qps_adopted=3;manager.qps_created=4;manager.qps_deleted=1;"
-    "manager.takeovers=1;",
-    192, 0, 3072796, 3072796,
-    0x86982facbbffbbe5, 0x98a8c42eacfcb330, 0xbafe9d15b19747d8, 0x58a4130d40ac62a7};
 
 TEST(ManagerPin, AttachIoDetach) {
-  expect_pinned("AttachIoDetach", attach_io_detach, kAttachIoDetach);
+  expect_pinned("pin_manager_attach_io_detach", attach_io_detach);
 }
-TEST(ManagerPin, BatchRollback) { expect_pinned("BatchRollback", batch_rollback, kBatchRollback); }
-TEST(ManagerPin, FatalReset) { expect_pinned("FatalReset", fatal_reset, kFatalReset); }
-TEST(ManagerPin, Reaper) { expect_pinned("Reaper", reaper, kReaper); }
-TEST(ManagerPin, Takeover) { expect_pinned("Takeover", takeover, kTakeover); }
+TEST(ManagerPin, BatchRollback) { expect_pinned("pin_manager_batch_rollback", batch_rollback); }
+TEST(ManagerPin, FatalReset) { expect_pinned("pin_manager_fatal_reset", fatal_reset); }
+TEST(ManagerPin, Reaper) { expect_pinned("pin_manager_reaper", reaper); }
+TEST(ManagerPin, Takeover) { expect_pinned("pin_manager_takeover", takeover); }
 
 }  // namespace
 }  // namespace nvmeshare

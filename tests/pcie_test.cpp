@@ -14,7 +14,7 @@ namespace nvmeshare::pcie {
 namespace {
 
 // A trivial endpoint with one 4 KiB BAR of plain registers plus a write log.
-class ScratchDevice final : public Endpoint {
+class ScratchDevice final : public fabric::Endpoint {
  public:
   [[nodiscard]] std::string_view name() const override { return "scratch"; }
   [[nodiscard]] int bar_count() const override { return 1; }

@@ -450,6 +450,36 @@ TEST(PollTimer, RunUntilEndOfTimeWithALoneTimerReturns) {
   EXPECT_EQ(e.pending_events(), 0u);
 }
 
+Task clock_poller(Engine& e, PollTimer& timer, std::vector<Time>& clock, bool& stop) {
+  for (;;) {
+    clock.push_back(e.now());
+    if (stop) co_return;
+    co_await poll_tick(e, timer, 150);
+  }
+}
+
+// The tick parked before the end of time is due at 150 n, so run_until(max)
+// stops the clock there: notify() then runs that round at the time now()
+// already shows, never earlier.
+TEST(PollTimer, RunUntilEndOfTimeNeverMovesTimeBackwards) {
+  constexpr Time kEnd = std::numeric_limits<Time>::max();
+  Engine e;
+  std::vector<Time> clock;
+  bool stop = false;
+  PollTimer timer(e);
+  clock_poller(e, timer, clock, stop);
+  e.run_until(kEnd);
+  clock.push_back(e.now());
+  stop = true;
+  timer.notify();
+  clock.push_back(e.now());
+  e.run();
+  clock.push_back(e.now());
+  EXPECT_EQ(clock.back(), kEnd / 150 * 150);
+  EXPECT_TRUE(std::is_sorted(clock.begin(), clock.end())) << testing::PrintToString(clock);
+  EXPECT_FALSE(timer.waiting());
+}
+
 TEST(PollTimer, TickJustPastTheSliceStaysPending) {
   Engine e;
   std::uint64_t rounds = 0;

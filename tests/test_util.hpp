@@ -1,11 +1,20 @@
 // Shared helpers for the test suite: small testbed configurations (tiny
-// namespace, fast enable) and bring-up shortcuts for the distributed driver
-// stack.
+// namespace, fast enable), bring-up shortcuts for the distributed driver
+// stack, and golden documents.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "driver/client.hpp"
 #include "driver/local_driver.hpp"
@@ -92,6 +101,70 @@ inline void write_read_verify(Testbed& tb, block::BlockDevice& dev, sisci::NodeI
       << "data read back differs from data written";
   (void)tb.cluster().free_dram(node, wbuf);
   (void)tb.cluster().free_dram(node, rbuf);
+}
+
+/// A flat JSON object written one member per line, so that a changed value
+/// is one changed line.
+class GoldenDoc {
+ public:
+  GoldenDoc& add(std::string_view key, std::uint64_t value) {
+    return member(key, std::to_string(value));
+  }
+  /// A 64-bit hash, as a hex string.
+  GoldenDoc& add_hex(std::string_view key, std::uint64_t value) {
+    char buf[21];
+    std::snprintf(buf, sizeof buf, "\"0x%016" PRIx64 "\"", value);
+    return member(key, buf);
+  }
+  template <class Range>
+  GoldenDoc& add_list(std::string_view key, const Range& values) {
+    std::string list = "[";
+    for (const auto& v : values) {
+      if (list.size() > 1) list += ", ";
+      list += std::to_string(static_cast<std::uint64_t>(v));
+    }
+    return member(key, list + "]");
+  }
+  [[nodiscard]] std::string str() const { return "{\n" + body_ + "\n}\n"; }
+
+ private:
+  GoldenDoc& member(std::string_view key, const std::string& value) {
+    if (!body_.empty()) body_ += ",\n";
+    body_ += "  \"" + std::string(key) + "\": " + value;
+    return *this;
+  }
+  std::string body_;
+};
+
+/// Write `json` to `<name>.json` in the working directory and compare it with
+/// the checked-in tests/golden/<name>.json, listing each changed line.
+/// `tools/same_seed_docs.sh BUILD_DIR tests/golden` runs the pin tests in
+/// the corpus directory, so the same command that regenerates the corpus
+/// rewrites these documents.
+inline void expect_golden(std::string_view name, const std::string& json) {
+  const std::string file = std::string(name) + ".json";
+  std::ofstream(file, std::ios::binary) << json;
+  std::ifstream in(std::string(NVS_GOLDEN_DIR) + "/" + file, std::ios::binary);
+  const std::string want{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  if (want == json) return;
+  const auto lines = [](const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream is(text);
+    for (std::string line; std::getline(is, line);) out.push_back(line);
+    return out;
+  };
+  const std::vector<std::string> old_lines = lines(want);
+  const std::vector<std::string> new_lines = lines(json);
+  std::string diff;
+  for (std::size_t i = 0; i < std::max(old_lines.size(), new_lines.size()); ++i) {
+    const std::string* o = i < old_lines.size() ? &old_lines[i] : nullptr;
+    const std::string* n = i < new_lines.size() ? &new_lines[i] : nullptr;
+    if (o != nullptr && n != nullptr && *o == *n) continue;
+    if (o != nullptr) diff += "- " + *o + "\n";
+    if (n != nullptr) diff += "+ " + *n + "\n";
+  }
+  ADD_FAILURE() << "tests/golden/" << file << (in ? " differs:\n" : " is missing:\n") << diff
+                << "after a deliberate change: tools/same_seed_docs.sh BUILD_DIR tests/golden";
 }
 
 }  // namespace nvmeshare::testutil

@@ -1,24 +1,29 @@
 #!/usr/bin/env bash
 # Write the same-seed documents of one build into a directory, one file per
-# cell, so that two builds compare with `diff -r`:
+# cell. This script is the one list of cells, and the one command that
+# regenerates the checked-in corpus after a deliberate change:
 #
-#   tools/same_seed_docs.sh build-parent docs-parent
-#   tools/same_seed_docs.sh build        docs-change
-#   diff -r docs-parent docs-change   # empty: no modeled number moved
+#   tools/same_seed_docs.sh build tests/golden
+#
+# The `golden` ctest (tools/check_golden.py) runs it into the build tree and
+# compares the result with tests/golden/.
 #
 # Cells:
-#  * every nvsh_fio cell of tools/ci_asan.sh, with the same flags (the fault
-#    plans and the --integrity NVMe-oF cell);
+#  * the sanitizer cells: a fault-free run, the fault plans (chaos, CXL chaos
+#    and damage, fatal reset, bit flips under PI, takeover), the IOMMU and
+#    NVMe-oF --integrity paths, the local driver, multi-queue and WRR;
 #  * the two known fault artifacts of docs/faults.md (both exit 1);
 #  * six stacks x {randrw, seqwrite 128 KiB} on both substrates (the CXL
 #    pool supports neither the IOMMU data path nor host-side SQs, so those
 #    four cells record exit 1 and no document);
-#  * latency_breakdown --json, fig13_tenants --json and fig10_latency, which
-#    writes no document.
+#  * latency_breakdown --json, fig13_tenants --json, and fig10_latency and
+#    fig11_scaling, which write no document;
+#  * the FabricPin and ManagerPin documents (pin_*.json), which the pin tests
+#    write into their working directory.
 # Each cell also keeps its stdout (<cell>.out, with OUT_DIR spelled as the
 # word OUT_DIR) and its exit code (<cell>.exit), so a cell that starts
-# failing shows in the diff too. Two runs of one build write identical
-# directories.
+# failing shows too. Cells run in parallel, one per CPU; two runs of one
+# build write identical directories.
 #
 # Usage: tools/same_seed_docs.sh BUILD_DIR OUT_DIR
 set -uo pipefail
@@ -27,19 +32,30 @@ if [ "$#" -ne 2 ]; then
   echo "usage: $0 BUILD_DIR OUT_DIR" >&2
   exit 2
 fi
-BUILD_DIR="$1"
+BUILD_DIR="$(cd "$1" && pwd)"
 OUT_DIR="$2"
 FIO="$BUILD_DIR/tools/nvsh_fio"
+JOBS="$(nproc 2> /dev/null || echo 2)"
 mkdir -p "$OUT_DIR"
+rm -f "$OUT_DIR"/*.json "$OUT_DIR"/*.out "$OUT_DIR"/*.exit
 
-# cell NAME CMD...: run CMD with stdout to NAME.out and record its exit code.
-cell() {
+# spawn CMD...: run CMD in the background, at most JOBS at a time.
+spawn() {
+  while [ "$(jobs -rp | wc -l)" -ge "$JOBS" ]; do wait -n; done
+  "$@" &
+}
+
+# run_cell NAME CMD...: run CMD with stdout to NAME.out and record its exit code.
+run_cell() {
   local name="$1"
   shift
   local rc=0
   "$@" 2> /dev/null | sed "s|$OUT_DIR|OUT_DIR|g" > "$OUT_DIR/$name.out" || rc=$?
   echo "$rc" > "$OUT_DIR/$name.exit"
 }
+
+# cell NAME CMD...: run_cell in the background.
+cell() { spawn run_cell "$@"; }
 
 # fio NAME ARGS...: one nvsh_fio document, NAME.json.
 fio() {
@@ -48,7 +64,12 @@ fio() {
   cell "$name" "$FIO" "$@" --json "$OUT_DIR/$name.json"
 }
 
-# --- the nvsh_fio cells of tools/ci_asan.sh ------------------------------------
+# run_pins TEST: a pin test binary, run in OUT_DIR so that it writes its
+# documents there. It fails while the corpus is being rewritten; a pin that
+# could not write its document shows as a missing file.
+run_pins() { (cd "$OUT_DIR" && "$BUILD_DIR/tests/$1" > /dev/null 2>&1) || true; }
+
+# --- sanitizer cells -------------------------------------------------------------
 CHAOS_PLAN="seed=11;drop_posted_write:src=0,dst=1,nth=40,count=2;ntb_link_down:host=1,at=2ms,for=300us;ctrl_error:nth=100"
 fio asan_smoke --scenario ours-remote --rw randrw --ops 2000 --seed 7
 fio asan_cxl --scenario ours-remote --substrate cxl --rw randrw --ops 2000 --seed 7 \
@@ -108,6 +129,12 @@ done
 # --- benches -------------------------------------------------------------------
 cell latency_breakdown "$BUILD_DIR/bench/latency_breakdown" --json "$OUT_DIR/latency_breakdown.json"
 cell fig10_latency "$BUILD_DIR/bench/fig10_latency"
+cell fig11_scaling "$BUILD_DIR/bench/fig11_scaling"
 cell fig13_tenants "$BUILD_DIR/bench/fig13_tenants" --json "$OUT_DIR/fig13_tenants.json"
 
+# --- golden pins -----------------------------------------------------------------
+spawn run_pins fabric_pin_test
+spawn run_pins manager_pin_test
+
+wait
 echo "same_seed_docs: $(find "$OUT_DIR" -name '*.json' | wc -l) documents in $OUT_DIR"
