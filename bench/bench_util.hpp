@@ -194,8 +194,9 @@ inline void print_header(const std::string& title) {
 //
 // Every bench (and tools/nvsh_fio) can emit one JSON document of the shape
 //   {"bench": "...", "config": {...}, "boxplots": [...], "metrics": {...}}
-// where `metrics` is the global obs::Registry snapshot. Formatting is fixed
-// so identical seeds produce byte-identical documents.
+// where `metrics` is the global obs::Registry snapshot. nvsh_fio adds
+// "sim": {"events": N, "ticks_elided": M} before `metrics`. Formatting is
+// fixed so identical seeds produce byte-identical documents.
 
 inline std::string json_escape(const std::string& s) {
   std::string out;
@@ -233,8 +234,17 @@ inline void append_box_json(std::string& out, const BoxSummary& box) {
 /// Bench config rendered as a flat string->string object.
 using BenchConfig = std::vector<std::pair<std::string, std::string>>;
 
+/// The engine work of one job: events dispatched and empty poll rounds
+/// skipped (sim::Engine::ticks_elided()). Both are fixed by the seed and the
+/// code, not by the machine, and neither is in the metrics registry.
+struct SimCounts {
+  std::uint64_t events = 0;
+  std::uint64_t ticks_elided = 0;
+};
+
 inline std::string bench_document(const std::string& bench, const BenchConfig& config,
-                                  const std::vector<BoxSummary>& boxes) {
+                                  const std::vector<BoxSummary>& boxes,
+                                  const SimCounts* sim = nullptr) {
   std::string out = "{\"bench\":\"" + json_escape(bench) + "\",\"config\":{";
   bool first = true;
   for (const auto& [key, value] : config) {
@@ -247,7 +257,12 @@ inline std::string bench_document(const std::string& bench, const BenchConfig& c
     if (i != 0) out += ',';
     append_box_json(out, boxes[i]);
   }
-  out += "],\"metrics\":";
+  out += ']';
+  if (sim != nullptr) {
+    out += ",\"sim\":{\"events\":" + std::to_string(sim->events) +
+           ",\"ticks_elided\":" + std::to_string(sim->ticks_elided) + '}';
+  }
+  out += ",\"metrics\":";
   out += obs::Registry::global().to_json();
   out += "}\n";
   return out;

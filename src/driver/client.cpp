@@ -1,7 +1,6 @@
 #include "driver/client.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 
 #include "common/log.hpp"
@@ -588,23 +587,8 @@ block::Step Client::prepare(const block::Command& cmd, std::uint32_t step) {
     return out;
   }
 
-  nvme::PrpPair prp;
-  if (request.op == block::Op::discard) {
-    // The range descriptor is the command's payload. In bounce mode it
-    // rides in the request's bounce slot (the prewritten PRP lists must
-    // stay intact); in IOMMU mode it uses the slot's descriptor page,
-    // which is rewritten per request anyway.
-    nvme::DsmRange range;
-    range.nlb = request.nblocks;
-    range.slba = request.lba;
-    if (bounce) {
-      (void)bounce_seg_.write(slot_base, as_bytes_of(range));
-      prp.prp1 = bounce_win_.device_addr() + slot_base;
-    } else {
-      (void)prp_seg_.write(slot_page, as_bytes_of(range));
-      prp.prp1 = prp_win_.device_addr() + slot_page;
-    }
-  } else if (moves_data && bounce) {
+  nvme::StagedIo io;
+  if (moves_data && bounce) {
     if (is_write) {
       // The extra copy on the submission path (Section V).
       if (Status st = copy_to_bounce(slot_base, request.buffer_addr, bytes); !st) return st;
@@ -614,36 +598,36 @@ block::Step Client::prepare(const block::Command& cmd, std::uint32_t step) {
       out.phase = obs::Phase::bounce_copy;
     }
     // The slot's PRP list was prewritten at attach.
-    prp = nvme::make_prps(bounce_win_.device_addr() + slot_base, bytes,
-                          prp_win_.device_addr() + slot_page);
-  } else if (moves_data) {
-    std::uint64_t mapped_base = map_base;  // device == client host: direct
-    auto dev = ref_.info();
-    if (dev && dev->host != node_) {
-      // Viewed from the device's host: a device-side NTB window on the NTB
-      // substrate; unsupported on the CXL pool (private DRAM is unreachable
-      // — pooled bounce buffers are the supported data path there).
-      const std::uint64_t map_span =
-          align_up(request.buffer_addr + bytes, nvme::kPageSize) - map_base;
-      auto mapping = fabric().map_window(fabric::MapIntent::dma, dev->host, node_, map_base,
-                                         map_span);
-      if (!mapping) {
-        (void)iommu_.unmap(map_base);
-        staged.mapped = false;
-        return mapping.status();
+    io.prp = nvme::make_prps(bounce_win_.device_addr() + slot_base, bytes,
+                             prp_win_.device_addr() + slot_page);
+  } else {
+    std::uint64_t device_addr = request.buffer_addr;  // device == client host: direct
+    if (moves_data) {
+      if (auto dev = ref_.info(); dev && dev->host != node_) {
+        // Viewed from the device's host: a device-side NTB window on the NTB
+        // substrate; unsupported on the CXL pool (private DRAM is unreachable
+        // — pooled bounce buffers are the supported data path there).
+        const std::uint64_t map_span =
+            align_up(request.buffer_addr + bytes, nvme::kPageSize) - map_base;
+        auto mapping = fabric().map_window(fabric::MapIntent::dma, dev->host, node_, map_base,
+                                           map_span);
+        if (!mapping) {
+          (void)iommu_.unmap(map_base);
+          staged.mapped = false;
+          return mapping.status();
+        }
+        staged.map = std::move(*mapping);
+        device_addr = staged.map.addr() + (request.buffer_addr - map_base);
       }
-      staged.map = std::move(*mapping);
-      mapped_base = staged.map.addr();
     }
-    const std::uint64_t device_addr = mapped_base + (request.buffer_addr - map_base);
-    prp = nvme::make_prps(device_addr, bytes, prp_win_.device_addr() + slot_page);
-    if (const std::uint64_t n = nvme::prp_list_bytes(device_addr, bytes); n > 0) {
-      // Write this request's PRP list into the slot's descriptor page.
-      std::array<std::byte, nvme::kMaxPrpListBytes> list{};
-      const ByteSpan staged = ByteSpan(list).first(std::min<std::size_t>(n, list.size()));
-      nvme::fill_prp_list(device_addr, bytes, staged);
-      (void)prp_seg_.write(slot_page, staged);
-    }
+    // The slot's descriptor page takes this request's PRP list or discard
+    // range. In bounce mode a discard range rides in the request's bounce
+    // slot instead: the prewritten PRP lists must stay intact.
+    const bool in_bounce = bounce && request.op == block::Op::discard;
+    const std::uint64_t offset = in_bounce ? slot_base : slot_page;
+    io = nvme::stage_io(block::nvme_opcode(request.op), request.lba, request.nblocks, device_addr,
+                        bytes, (in_bounce ? bounce_win_ : prp_win_).device_addr() + offset);
+    if (io.list_size > 0) (void)(in_bounce ? bounce_seg_ : prp_seg_).write(offset, io.list());
   }
 
   // The SQE issue() posts (a posted write into SQ memory: local store for
@@ -658,8 +642,8 @@ block::Step Client::prepare(const block::Command& cmd, std::uint32_t step) {
                       : nvme::kPrinfoPrchkGuard | nvme::kPrinfoPrchkApp | nvme::kPrinfoPrchkRef;
   }
   staged.sqe = nvme::make_io(block::nvme_opcode(request.op), 1, request.lba,
-                             static_cast<std::uint16_t>(request.nblocks), prp.prp1, prp.prp2,
-                             prinfo);
+                             static_cast<std::uint16_t>(request.nblocks), io.prp.prp1,
+                             io.prp.prp2, prinfo);
   return out;
 }
 

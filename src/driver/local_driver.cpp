@@ -1,7 +1,6 @@
 #include "driver/local_driver.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/log.hpp"
 
@@ -167,32 +166,18 @@ sim::Duration LocalDriver::cpu_ns(obs::Phase phase) {
 block::Step LocalDriver::prepare(const block::Command& cmd, std::uint32_t step) {
   (void)step;
   const block::Request& request = cmd.request;
+  const nvme::IoOpcode op = block::nvme_opcode(request.op);
   const std::uint64_t bytes =
       static_cast<std::uint64_t>(request.nblocks) * ctrl_->block_size();
   // Direct DMA: PRPs point straight at the request buffer (local memory, no
   // bounce). PRP lists and discard ranges go into this slot's list page.
   const std::uint64_t page =
       prp_pages_addr_ + static_cast<std::uint64_t>(cmd.slot) * nvme::kPageSize;
-  mem::PhysMem& dram = cluster_.fabric().host_dram(ctrl_->host());
-  nvme::PrpPair prp;
-  if (request.op == block::Op::discard) {
-    nvme::DsmRange range;
-    range.nlb = request.nblocks;
-    range.slba = request.lba;
-    (void)dram.write(page, as_bytes_of(range));
-    prp.prp1 = page;
-  } else if (request.op == block::Op::read || request.op == block::Op::write) {
-    prp = nvme::make_prps(request.buffer_addr, bytes, page);
-    if (const std::uint64_t n = nvme::prp_list_bytes(request.buffer_addr, bytes); n > 0) {
-      std::array<std::byte, nvme::kMaxPrpListBytes> list{};
-      const ByteSpan staged = ByteSpan(list).first(std::min<std::size_t>(n, list.size()));
-      nvme::fill_prp_list(request.buffer_addr, bytes, staged);
-      (void)dram.write(page, staged);
-    }
-  }
-  sqes_[cmd.slot] =
-      nvme::make_io(block::nvme_opcode(request.op), 1, request.lba,
-                    static_cast<std::uint16_t>(request.nblocks), prp.prp1, prp.prp2);
+  const nvme::StagedIo io =
+      nvme::stage_io(op, request.lba, request.nblocks, request.buffer_addr, bytes, page);
+  if (io.list_size > 0) (void)cluster_.fabric().host_dram(ctrl_->host()).write(page, io.list());
+  sqes_[cmd.slot] = nvme::make_io(op, 1, request.lba, static_cast<std::uint16_t>(request.nblocks),
+                                  io.prp.prp1, io.prp.prp2);
   return {};
 }
 

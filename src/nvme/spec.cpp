@@ -304,4 +304,19 @@ void fill_prp_list(std::uint64_t addr, std::uint64_t bytes, ByteSpan list) {
   }
 }
 
+StagedIo stage_io(IoOpcode op, std::uint64_t slba, std::uint32_t nblocks, std::uint64_t addr,
+                  std::uint64_t bytes, std::uint64_t list_addr) {
+  StagedIo out;
+  if (op == IoOpcode::dataset_management) {
+    store_pod(ByteSpan(out.list_bytes), DsmRange{.nlb = nblocks, .slba = slba});
+    out.list_size = sizeof(DsmRange);
+    out.prp.prp1 = list_addr;
+  } else if (op == IoOpcode::read || op == IoOpcode::write) {
+    out.prp = make_prps(addr, bytes, list_addr);
+    out.list_size = std::min<std::size_t>(prp_list_bytes(addr, bytes), out.list_bytes.size());
+    fill_prp_list(addr, bytes, ByteSpan(out.list_bytes).first(out.list_size));
+  }
+  return out;
+}
+
 }  // namespace nvmeshare::nvme

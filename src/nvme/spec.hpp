@@ -6,6 +6,7 @@
 // little-endian hosts only (static_asserted in spec.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/bytes.hpp"
@@ -317,6 +318,21 @@ inline constexpr std::size_t kMaxPrpListBytes = 32 * 8;
 /// after the first, prp_list_bytes() in all. Entries that do not fit in
 /// `list` are left out.
 void fill_prp_list(std::uint64_t addr, std::uint64_t bytes, ByteSpan list);
+
+/// One I/O command's PRPs and the bytes of the list page it reads (a DSM
+/// range or a PRP list; empty when it reads none), staged on the host's stack.
+struct StagedIo {
+  PrpPair prp;
+  std::array<std::byte, kMaxPrpListBytes> list_bytes;
+  std::size_t list_size = 0;
+  [[nodiscard]] ConstByteSpan list() const { return ConstByteSpan(list_bytes).first(list_size); }
+};
+
+/// Stage command `op` whose list page is at device address `list_addr`:
+/// dataset_management deallocates `nblocks` at `slba`; read and write move
+/// `bytes` at device address `addr` (make_prps(), fill_prp_list()).
+StagedIo stage_io(IoOpcode op, std::uint64_t slba, std::uint32_t nblocks, std::uint64_t addr,
+                  std::uint64_t bytes, std::uint64_t list_addr);
 
 SubmissionEntry make_identify(std::uint16_t cid, IdentifyCns cns, std::uint32_t nsid,
                               std::uint64_t prp1);

@@ -366,10 +366,8 @@ sim::Task Target::handle_command(Connection* conn, std::uint32_t slot,
   if (ok) {
     if (op == FabricOp::discard) {
       // Build the range descriptor in this command's staging slot.
-      nvme::DsmRange range;
-      range.nlb = capsule.nblocks;
-      range.slba = capsule.slba;
-      (void)dram.write(staging, as_bytes_of(range));
+      (void)dram.write(staging, nvme::stage_io(*nvme_op, capsule.slba, capsule.nblocks, 0, 0,
+                                               staging).list());
     }
     const nvme::PrpPair prp = nvme::make_prps(staging, capsule.data_len,
                                               conn->prp_base + slot * nvme::kPageSize);

@@ -51,7 +51,7 @@ Engine::EvNode* Engine::make_node(Time t) {
     free_list_ = node->next;
   } else {
     if (chunk_used_ == kChunkNodes) {
-      chunks_.push_back(std::make_unique<EvNode[]>(kChunkNodes));
+      chunks_.push_back(std::make_unique_for_overwrite<EvNode[]>(kChunkNodes));
       chunk_used_ = 0;
     }
     node = &chunks_.back()[chunk_used_++];

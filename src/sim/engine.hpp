@@ -200,15 +200,16 @@ class Engine {
   /// (fabric delivery lambdas carrying a small vector plus a resolved
   /// target); anything bigger takes the heap-box fallback.
   static constexpr std::size_t kInlineBytes = 88;
-  static constexpr std::size_t kChunkNodes = 256;  ///< arena growth quantum
+  static constexpr std::size_t kChunkNodes = 1024;  ///< arena growth; > a QD 32x4 run's events
 
-  /// One scheduled event: intrusive list node + type-erased callable.
+  /// One scheduled event: intrusive list node + type-erased callable. Fields are
+  /// set on use (make_node, bind_callable), so a fresh chunk stays untouched.
   struct EvNode {
-    Time t = 0;
-    std::uint64_t seq = 0;  ///< FIFO among equal timestamps
-    EvNode* next = nullptr;
-    void (*run)(EvNode*) = nullptr;   ///< invoke, then destroy the callable
-    void (*drop)(EvNode*) = nullptr;  ///< destroy without invoking (teardown)
+    Time t;
+    std::uint64_t seq;  ///< FIFO among equal timestamps
+    EvNode* next;
+    void (*run)(EvNode*);   ///< invoke, then destroy the callable
+    void (*drop)(EvNode*);  ///< destroy without invoking (teardown)
     alignas(std::max_align_t) std::byte storage[kInlineBytes];
   };
   struct Bucket {

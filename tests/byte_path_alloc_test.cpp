@@ -7,7 +7,8 @@
 // namespace over tenant shares keeps a request's pieces in its coroutine
 // frame and stages commands in grow-only rings. Writes to blocks never
 // written before, inside a 2 MiB region of the media already written, find
-// their page-table leaf in place.
+// their page-table leaf in place. So do 4 KiB requests 32 deep on each of
+// four queue pairs.
 //
 // This binary replaces the global operator new with a counting one, as
 // sim_alloc_test.cpp does. Each stack runs three rounds of one shape; the
@@ -49,9 +50,9 @@ namespace {
 using namespace testutil;
 
 constexpr std::uint32_t kBytes = 128 * KiB;
-/// 32 commands a round: the two warm-up rounds cycle through every CID of a
-/// 64-entry queue and all 64 NVMe-oF target command slots, so they touch
-/// every page and arena entry the third round uses.
+/// 32 commands per worker and round: the two warm-up rounds cycle through
+/// every CID of a 64-entry queue and all 64 NVMe-oF target command slots, so
+/// they touch every page and arena entry the third round uses.
 constexpr int kOps = 16;
 
 /// The requests of one round.
@@ -66,17 +67,28 @@ struct RoundShape {
   /// Start each round past the blocks the round before wrote, so that every
   /// round writes blocks never written before.
   bool fresh_blocks = false;
+  /// Workers running at once, each one request at a time.
+  std::uint32_t in_flight = 1;
 };
 
-/// One round: kOps writes from `wbuf` to consecutive block ranges and reads
-/// of the same ranges, one request at a time, so every round reaches the
-/// same peak of buffers and frames in flight.
-sim::Task round_task(block::BlockDevice& dev, std::uint64_t wbuf, std::uint64_t rbuf,
-                     RoundShape shape, sim::Promise<int> done) {
-  const std::uint32_t nblocks = shape.bytes / dev.block_size();
+/// The workers of one round and their failures.
+struct Join {
+  std::uint32_t running;
+  sim::Promise<int> done;
   int failures = 0;
+};
+
+/// One worker of a round: kOps writes from `wbuf` to block ranges and reads
+/// of the same ranges, one request at a time, so every round reaches the
+/// same peak of buffers and frames in flight. Worker `worker` of
+/// `shape.in_flight` takes every in_flight-th range from its own index on.
+sim::Task round_task(block::BlockDevice& dev, std::uint64_t wbuf, std::uint64_t rbuf,
+                     RoundShape shape, std::uint32_t worker, Join& join) {
+  const std::uint32_t nblocks = shape.bytes / dev.block_size();
+  int& failures = join.failures;
   auto io = [&](block::Op op, int i) {
-    const std::uint64_t lba = shape.first_lba + static_cast<std::uint64_t>(i) * nblocks;
+    const std::uint64_t range = static_cast<std::uint64_t>(i) * shape.in_flight + worker;
+    const std::uint64_t lba = shape.first_lba + range * nblocks;
     const std::uint64_t buf = op == block::Op::write || shape.read_back ? wbuf : rbuf;
     return dev.submit(block::Request{op, lba, nblocks, buf});
   };
@@ -95,7 +107,7 @@ sim::Task round_task(block::BlockDevice& dev, std::uint64_t wbuf, std::uint64_t 
       }
     }
   }
-  done.set(failures);
+  if (--join.running == 0) join.done.set(failures);
 }
 
 class BytePathAlloc : public ::testing::Test {
@@ -124,12 +136,16 @@ class BytePathAlloc : public ::testing::Test {
     const std::uint64_t wbuf = pattern_buffer(tb, node, shape, 0xB0);
     const std::uint64_t rbuf = pattern_buffer(tb, node, shape, 0xE0);
     auto round = [&] {
-      sim::Promise<int> done(tb.engine());
-      round_task(dev, wbuf, rbuf, shape, done);
-      auto failures = tb.wait_plain(done.future(), 1_s);
+      Join join{shape.in_flight, sim::Promise<int>(tb.engine())};
+      for (std::uint32_t w = 0; w < shape.in_flight; ++w) {
+        round_task(dev, wbuf, rbuf, shape, w, join);
+      }
+      auto failures = tb.wait_plain(join.done.future(), 1_s);
       EXPECT_TRUE(failures.has_value());
       EXPECT_EQ(failures.value_or(-1), 0);
-      if (shape.fresh_blocks) shape.first_lba += kOps * (shape.bytes / dev.block_size());
+      if (shape.fresh_blocks) {
+        shape.first_lba += kOps * shape.in_flight * (shape.bytes / dev.block_size());
+      }
     };
     round();
     round();
@@ -209,6 +225,20 @@ TEST_F(BytePathAlloc, FreshBlocksInATouchedMediaRegion) {
   const RoundShape shape{.bytes = 16 * KiB, .fresh_blocks = true};
   EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape), 0u);
   EXPECT_EQ(tb.controller().store().resident_chunks(), 3u * kOps * shape.bytes / (32 * KiB));
+}
+
+TEST_F(BytePathAlloc, DeepQueuesOnNtb) {
+  // 4 KiB requests 32 deep on each of four queue pairs, as nvsh_fio runs
+  // them: every slot of every channel holds a request at once.
+  Testbed tb(small_testbed(2));
+  driver::Client::Config cc;
+  cc.channels = 4;
+  cc.queue_depth = 32;
+  cc.queue_entries = 64;
+  auto stack = bring_up(tb, /*manager_node=*/0, /*client_node=*/1, cc);
+  ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+  const RoundShape shape{.bytes = 4 * KiB, .in_flight = cc.channels * cc.queue_depth};
+  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape), 0u);
 }
 
 /// One sharded round: kOps single-stripe requests and kOps that span five

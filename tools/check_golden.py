@@ -61,6 +61,7 @@ CHECKS = [
     ("asan_takeover", "config.takeovers", "==", "1"),
     ("asan_takeover", "nvmeshare.manager.takeovers", "==", 1),
     ("asan_takeover", "nvmeshare.fault.host_crashes", "==", 1),
+    ("deep_randread", "exit", "==", 0),
     ("fig10_latency", "exit", "==", 0),
     ("fig11_scaling", "exit", "==", 0),
     ("latency_breakdown", "exit", "==", 0),

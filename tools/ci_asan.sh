@@ -4,9 +4,8 @@
 # the chaos soaks in stress_test), and the golden check, which reruns every
 # same-seed cell of tools/same_seed_docs.sh (fault plans, recovery paths,
 # benches, pins) under the sanitizers and requires the checked-in documents
-# of tests/golden/ byte for byte (docs/faults.md). Then the two benches
-# that the golden check leaves out: fig12_fairness's claim checks and the
-# nvsh_perf event-core smoke.
+# of tests/golden/ byte for byte (docs/faults.md). Then the one bench that
+# the golden check leaves out: fig12_fairness's claim checks.
 #
 # Usage: tools/ci_asan.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -44,30 +43,4 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L golden
 "$BUILD_DIR/bench/fig12_fairness" > /dev/null
 echo "fig12_fairness ok: WRR + QoS fairness claim checks passed"
 
-# --- event-core perf harness ----------------------------------------------------
-# nvsh_perf under the sanitizer: exercises the calendar queue (including the
-# overflow refill), the event-node arena, and the IoEngine pending-command
-# arena with small counts. The numbers are meaningless under ASan; the point
-# is that the allocator-free hot paths are sanitizer-clean and the JSON
-# document stays well-formed. Determinism of the *simulated* side is checked
-# by comparing sim fields across two runs (wall-clock fields differ by
-# construction, so no byte compare here).
-perf_smoke() {
-  "$BUILD_DIR/bench/nvsh_perf" --events 50000 --ops 2000 --stack-ops 500 \
-    --seed 7 --json "$1" > /dev/null
-}
-PERF_A="$BUILD_DIR/perf_a.json"
-PERF_B="$BUILD_DIR/perf_b.json"
-perf_smoke "$PERF_A"
-perf_smoke "$PERF_B"
-python3 - "$PERF_A" "$PERF_B" <<'PY'
-import json, sys
-a, b = (json.load(open(p)) for p in sys.argv[1:3])
-for mode in ("engine", "io", "stack"):
-    ra, rb = a["results"][mode], b["results"][mode]
-    for key in ("items", "sim_events", "sim_elapsed_ns"):
-        assert ra[key] == rb[key], f"{mode}.{key}: {ra[key]} != {rb[key]}"
-    assert ra["events_per_sec"] > 0 and ra["cycles_per_item"] > 0
-print("perf smoke ok: simulated metrics identical across same-seed runs")
-PY
 echo "ci_asan: all green"

@@ -2,8 +2,9 @@
 // paper's measurement tool (fio 3.28). Builds one of the four Figure 9
 // scenarios (or variants), runs a synthetic workload, and prints a summary.
 // With --json it also writes the machine-readable bench document
-// ({bench, config, boxplots[], metrics{}}; "-" = stdout) with latency
-// boxplots and a full obs::Registry metrics snapshot.
+// ({bench, config, boxplots[], sim{}, metrics{}}; "-" = stdout) with latency
+// boxplots, the job's engine events and elided poll ticks, and a full
+// obs::Registry metrics snapshot.
 //
 //   nvsh_fio --scenario ours-remote --rw randread --bs 4096 --qd 1 --ops 20000
 //   nvsh_fio --scenario nvmeof-remote --rw randwrite --runtime-ms 50 --qd 8 --json -
@@ -297,7 +298,11 @@ int main(int argc, char** argv) {
           (void)fab.set_host_link(host, up);
         }});
   }
+  const sim::Engine& engine = scenario.testbed->engine();
+  const SimCounts before{engine.events_processed(), engine.ticks_elided()};
   const workload::JobResult result = run(scenario, build_spec(opt), /*tolerate_errors=*/chaos);
+  const SimCounts job{engine.events_processed() - before.events,
+                      engine.ticks_elided() - before.ticks_elided};
 
   std::uint64_t takeovers = 0;
   for (const auto& sb : scenario.standbys) takeovers += sb->stats().takeovers.value();
@@ -348,7 +353,7 @@ int main(int argc, char** argv) {
       config.emplace_back("standbys", std::to_string(opt.standbys));
       config.emplace_back("takeovers", std::to_string(takeovers));
     }
-    json_ok = write_bench_json(opt.json_path, bench_document("nvsh_fio", config, boxes));
+    json_ok = write_bench_json(opt.json_path, bench_document("nvsh_fio", config, boxes, &job));
   }
   if (chaos) fault::Injector::global().disarm();
   return result.errors == 0 && result.verify_failures == 0 && json_ok ? 0 : 1;

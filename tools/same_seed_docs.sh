@@ -13,6 +13,9 @@
 #    and damage, fatal reset, bit flips under PI, takeover), the IOMMU and
 #    NVMe-oF --integrity paths, the local driver, multi-queue and WRR;
 #  * the two known fault artifacts of docs/faults.md (both exit 1);
+#  * deep_randread: ours-remote 4 KiB random reads at QD 32 x 4 channels,
+#    whose `sim` counts (engine events, elided poll ticks) are the exact
+#    simulator-cost check for the deep-queue submission path;
 #  * six stacks x {randrw, seqwrite 128 KiB} on both substrates (the CXL
 #    pool supports neither the IOMMU data path nor host-side SQs, so those
 #    four cells record exit 1 and no document);
@@ -101,6 +104,10 @@ fio artifact_fatal_4ch --scenario ours-remote --rw randrw --qd 4 --ops 2000 --se
   --faults "seed=11;ctrl_error:nth=300,fatal=1"
 fio artifact_nvmeof_flip --scenario nvmeof-remote --rw randrw --qd 4 --ops 2000 --seed 7 \
   --faults "seed=5;flip_dma_bits:nth=300,count=3"
+
+# --- deep-queue simulator cost ---------------------------------------------------
+fio deep_randread --scenario ours-remote --rw randread --bs 4096 --qd 32 --channels 4 \
+  --ops 20000 --seed 2024
 
 # --- stacks x loads x substrates -----------------------------------------------
 STACKS=(
