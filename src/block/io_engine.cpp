@@ -4,6 +4,7 @@
 
 #include "common/log.hpp"
 #include "integrity/integrity.hpp"
+#include "sim/pool.hpp"
 
 namespace nvmeshare::block {
 
@@ -229,30 +230,15 @@ std::uint64_t IoEngine::coalesced_cmds() const {
   return total;
 }
 
-// --- pending-command arena ----------------------------------------------------
+// --- pending-command records ---------------------------------------------------
 
 IoEngine::PendingCmd* IoEngine::alloc_cmd() {
-  PendingCmd* cmd;
-  if (cmd_free_ != nullptr) {
-    cmd = cmd_free_;
-    cmd_free_ = cmd->next_free;
-  } else {
-    if (cmd_chunk_used_ == kCmdChunk) {
-      cmd_chunks_.push_back(std::make_unique<PendingCmd[]>(kCmdChunk));
-      cmd_chunk_used_ = 0;
-    }
-    cmd = &cmd_chunks_.back()[cmd_chunk_used_++];
-  }
-  cmd->outcome = CmdOutcome{};
-  cmd->waiter = nullptr;
-  cmd->resolved = false;
-  cmd->next_free = nullptr;
-  return cmd;
+  return ::new (sim::pool::allocate(sizeof(PendingCmd))) PendingCmd;
 }
 
 void IoEngine::free_cmd(PendingCmd* cmd) noexcept {
-  cmd->next_free = cmd_free_;
-  cmd_free_ = cmd;
+  cmd->~PendingCmd();
+  sim::pool::deallocate(cmd, sizeof(PendingCmd));
 }
 
 IoEngine::PendingCmd* IoEngine::lookup(std::uint32_t chan, std::uint16_t token) const {
@@ -559,7 +545,10 @@ sim::Co<CmdOutcome> IoEngine::run(RunArgs args) {
     // Doorbell-latency delay, then one tail store for the burst this
     // command joined (or its own store when coalescing is off).
     Status rung = co_await sim::spawn(engine_, flush(chan));
-    if (!*alive) co_return aborted();
+    if (!*alive) {
+      free_cmd(cmd);
+      co_return aborted();
+    }
     if (!rung && transport_.ring_failure_fails_attempt()) {
       // Message transports: the SEND is the submission, so a failed ring
       // dooms the staged attempt. Unarm it (seq-guarded) and retry. Nobody
@@ -585,8 +574,8 @@ sim::Co<CmdOutcome> IoEngine::run(RunArgs args) {
     }
 
     CmdOutcome outcome = co_await OutcomeAwaiter{cmd};
-    if (!*alive) co_return aborted();
     free_cmd(cmd);
+    if (!*alive) co_return aborted();
     outcome.token = *token;
     mark(obs::Phase::cq_wait, *token);
     if (cfg_.trace_style != TraceStyle::none && args.trace != 0) {

@@ -381,20 +381,19 @@ class IoEngine {
     std::uint32_t staged = 0;
   };
 
-  /// One in-flight command attempt. Nodes come from a chunked free-list
-  /// arena and are indexed by completion token in a per-channel
-  /// direct-mapped table, so the submit/complete hot path performs no heap
-  /// allocation and no tree walk (the former std::map + per-attempt
-  /// sim::Promise both allocated). The one-shot channel the waiting
-  /// run() parks on is intrusive: complete()/the watchdog store the
-  /// outcome here and schedule the resume through the engine queue —
-  /// identical wake-up ordering to the Promise it replaces.
+  /// One in-flight command attempt. Records are sim::pool blocks
+  /// (sim/pool.hpp), owned by the run() coroutine that took one and
+  /// returned by it on every exit, also after this engine is gone. They are
+  /// indexed by completion token in a per-channel direct-mapped table, so
+  /// the submit/complete hot path performs no heap allocation and no tree
+  /// walk. The one-shot channel the waiting run() parks on is intrusive:
+  /// complete()/the watchdog store the outcome here and schedule the resume
+  /// through the engine queue, as sim::Promise::set does.
   struct PendingCmd {
     CmdOutcome outcome;
     std::uint64_t seq = 0;  ///< guards the token against reuse by a retry
     std::coroutine_handle<> waiter;
     bool resolved = false;
-    PendingCmd* next_free = nullptr;
   };
   /// Awaitable for the command outcome (`co_await OutcomeAwaiter{...}`).
   struct OutcomeAwaiter {
@@ -433,9 +432,10 @@ class IoEngine {
   [[nodiscard]] std::uint32_t pick_channel();
   void request_recovery(std::uint32_t chan);
 
-  // --- pending-command arena ----------------------------------------------
-  [[nodiscard]] PendingCmd* alloc_cmd();
-  void free_cmd(PendingCmd* cmd) noexcept;
+  // --- pending-command records ---------------------------------------------
+  [[nodiscard]] static PendingCmd* alloc_cmd();
+  /// Touches only the pool, so a run() may call it after this engine died.
+  static void free_cmd(PendingCmd* cmd) noexcept;
   /// The armed command for (chan, token), or nullptr.
   [[nodiscard]] PendingCmd* lookup(std::uint32_t chan, std::uint16_t token) const;
   /// One past the largest completion token a well-behaved transport can
@@ -463,10 +463,6 @@ class IoEngine {
   std::unique_ptr<sim::Semaphore> slots_;  ///< total free slots, all channels
   std::uint32_t rr_cursor_ = 0;
 
-  static constexpr std::size_t kCmdChunk = 64;  ///< arena growth quantum
-  std::vector<std::unique_ptr<PendingCmd[]>> cmd_chunks_;
-  std::size_t cmd_chunk_used_ = kCmdChunk;  ///< forces the first allocation
-  PendingCmd* cmd_free_ = nullptr;
   std::size_t pending_count_ = 0;  ///< armed commands, all channels
   std::uint64_t cmd_seq_ = 0;
 

@@ -8,10 +8,8 @@
 // other side's bytes as they were.
 //
 // The reference count sits after the 4 KiB data block, so taking or
-// dropping a reference touches none of the page's data. Pages come from a
-// thread-confined freelist, refilled 16 pages at a time, and go back to it,
-// like the sim::pool frames; under AddressSanitizer every page is its own
-// global allocation, so a use after release is still caught.
+// dropping a reference touches none of the page's data. Pages are
+// sim::pool blocks (sim/pool.hpp), like coroutine frames and event nodes.
 #pragma once
 
 #include <algorithm>
@@ -60,8 +58,7 @@ class PageRef {
   }
 
  private:
-  // Aligned like a global allocation, so the pages of a slab are too.
-  struct alignas(std::max_align_t) Page {
+  struct Page {
     std::byte bytes[kPageSize];
     std::uint32_t refs;
   };

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/log.hpp"
+#include "sim/pool.hpp"
 
 namespace nvmeshare::sim {
 
@@ -45,27 +46,16 @@ Engine::~Engine() {
 
 Engine::EvNode* Engine::make_node(Time t) {
   assert(t >= now_ && "cannot schedule into the past");
-  EvNode* node;
-  if (free_list_ != nullptr) {
-    node = free_list_;
-    free_list_ = node->next;
-  } else {
-    if (chunk_used_ == kChunkNodes) {
-      chunks_.push_back(std::make_unique_for_overwrite<EvNode[]>(kChunkNodes));
-      chunk_used_ = 0;
-    }
-    node = &chunks_.back()[chunk_used_++];
-  }
+  static_assert(pool::block_size(sizeof(EvNode)) == sizeof(EvNode),
+                "size-class rounding must not grow an event node");
+  EvNode* node = ::new (pool::allocate(sizeof(EvNode))) EvNode;
   node->t = t < now_ ? now_ : t;
   node->seq = seq_++;
   node->next = nullptr;
   return node;
 }
 
-void Engine::recycle(EvNode* node) noexcept {
-  node->next = free_list_;
-  free_list_ = node;
-}
+void Engine::recycle(EvNode* node) noexcept { pool::deallocate(node, sizeof(EvNode)); }
 
 void Engine::enqueue(EvNode* node) {
   ++live_nodes_;
@@ -391,12 +381,18 @@ void Engine::report_all() noexcept {
 
 void Engine::drop_all() noexcept {
   for (std::size_t phys = 0; phys < kSlots; ++phys) {
-    for (EvNode* node = buckets_[phys].head; node != nullptr; node = node->next) {
+    for (EvNode* node = buckets_[phys].head; node != nullptr;) {
+      EvNode* const next = node->next;
       node->drop(node);
+      recycle(node);
+      node = next;
     }
     buckets_[phys].head = buckets_[phys].tail = nullptr;
   }
-  for (EvNode* node : overflow_) node->drop(node);
+  for (EvNode* node : overflow_) {
+    node->drop(node);
+    recycle(node);
+  }
   overflow_.clear();
   overflow_min_ = nullptr;
   wheel_count_ = 0;

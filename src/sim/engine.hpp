@@ -16,7 +16,7 @@
 //    is strictly earlier than every overflow event, the overflow is only
 //    consulted when the wheel drains — schedule and dispatch are O(1) on
 //    the hot path (a bitmap scan finds the next non-empty bucket).
-//  - an intrusive node arena: event nodes come from a chunked free list
+//  - pooled intrusive nodes: event nodes come from sim::pool (sim/pool.hpp)
 //    and callables are constructed into fixed inline storage in the node,
 //    so the steady-state schedule/dispatch cycle performs no heap
 //    allocation (oversized callables fall back to one heap box).
@@ -200,10 +200,9 @@ class Engine {
   /// (fabric delivery lambdas carrying a small vector plus a resolved
   /// target); anything bigger takes the heap-box fallback.
   static constexpr std::size_t kInlineBytes = 88;
-  static constexpr std::size_t kChunkNodes = 1024;  ///< arena growth; > a QD 32x4 run's events
 
-  /// One scheduled event: intrusive list node + type-erased callable. Fields are
-  /// set on use (make_node, bind_callable), so a fresh chunk stays untouched.
+  /// One scheduled event: intrusive list node + type-erased callable, a
+  /// sim::pool block. Fields are set on use (make_node, bind_callable).
   struct EvNode {
     Time t;
     std::uint64_t seq;  ///< FIFO among equal timestamps
@@ -310,10 +309,6 @@ class Engine {
   std::uint64_t cursor_slot_ = 0;  ///< abs slot the dispatch cursor reached
   std::size_t wheel_count_ = 0;    ///< events currently in buckets
 
-  // --- node arena -----------------------------------------------------------
-  std::vector<std::unique_ptr<EvNode[]>> chunks_;
-  std::size_t chunk_used_ = kChunkNodes;  ///< forces the first chunk allocation
-  EvNode* free_list_ = nullptr;
   std::size_t live_nodes_ = 0;  ///< scheduled and not yet fired
 
   // --- poll timers ------------------------------------------------------------

@@ -1,66 +1,34 @@
 #include "sim/pool.hpp"
 
-#include <new>
-
-namespace nvmeshare::sim::pool {
+namespace nvmeshare::sim::pool::detail {
 
 namespace {
 
-constexpr std::size_t kClasses = kMaxPooled / kGranule;
+static_assert(kSlabBytes >= kMaxPooled, "a slab must hold the largest block");
 
-struct FreeBlock {
-  FreeBlock* next;
+/// The uncarved rest of a size class's current slab.
+struct Slab {
+  std::byte* next = nullptr;
+  std::byte* end = nullptr;
 };
 
-struct Freelists {
-  FreeBlock* head[kClasses] = {};
-  ~Freelists();
-};
-
-// Set once this thread's freelists are gone. A block freed after that (say,
-// a promise state held by a static object, whose destructor runs after the
-// thread_local ones) goes back to the global allocator. The flag has no
-// destructor, so it stays readable until the thread ends.
-thread_local bool t_dead = false;
-thread_local Freelists t_lists;
-
-Freelists::~Freelists() {
-  for (FreeBlock*& h : head) {
-    while (h != nullptr) {
-      FreeBlock* b = h;
-      h = b->next;
-      ::operator delete(b);
-    }
-  }
-  t_dead = true;
-}
-
-[[nodiscard]] constexpr std::size_t class_of(std::size_t size) noexcept {
-  return size == 0 ? 0 : (size - 1) / kGranule;
-}
+constinit thread_local Slab t_slab[kClasses];
 
 }  // namespace
 
-void* allocate(std::size_t size) {
-  if (!kEnabled || size > kMaxPooled || t_dead) return ::operator new(size);
-  const std::size_t c = class_of(size);
-  if (FreeBlock* b = t_lists.head[c]; b != nullptr) {
-    t_lists.head[c] = b->next;
-    return b;
+constinit thread_local FreeBlock* t_head[kClasses] = {};
+
+void* carve(std::size_t c) {
+  const std::size_t bytes = (c + 1) * kGranule;
+  Slab& slab = t_slab[c];
+  if (static_cast<std::size_t>(slab.end - slab.next) < bytes) {
+    // The tail of the old slab, shorter than one block, stays unused.
+    slab.next = static_cast<std::byte*>(::operator new(kSlabBytes));
+    slab.end = slab.next + kSlabBytes / bytes * bytes;
   }
-  return ::operator new((c + 1) * kGranule);
+  void* block = slab.next;
+  slab.next += bytes;
+  return block;
 }
 
-void deallocate(void* p, std::size_t size) noexcept {
-  if (p == nullptr) return;
-  if (!kEnabled || size > kMaxPooled || t_dead) {
-    ::operator delete(p);
-    return;
-  }
-  const std::size_t c = class_of(size);
-  auto* b = static_cast<FreeBlock*>(p);
-  b->next = t_lists.head[c];
-  t_lists.head[c] = b;
-}
-
-}  // namespace nvmeshare::sim::pool
+}  // namespace nvmeshare::sim::pool::detail

@@ -11,9 +11,9 @@
 // four queue pairs.
 //
 // This binary replaces the global operator new with a counting one, as
-// sim_alloc_test.cpp does. Each stack runs three rounds of one shape; the
-// first two warm the pools, arenas and container capacities, and the third
-// must not call global operator new at all.
+// sim_alloc_test.cpp does. Each stack runs rounds of one shape; the first
+// two warm the pool and container capacities, and the later ones must not
+// call global operator new at all.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -52,7 +52,7 @@ using namespace testutil;
 constexpr std::uint32_t kBytes = 128 * KiB;
 /// 32 commands per worker and round: the two warm-up rounds cycle through
 /// every CID of a 64-entry queue and all 64 NVMe-oF target command slots, so
-/// they touch every page and arena entry the third round uses.
+/// they touch every page and pool block the third round uses.
 constexpr int kOps = 16;
 
 /// The requests of one round.
@@ -128,11 +128,12 @@ class BytePathAlloc : public ::testing::Test {
     return base + shape.buffer_offset;
   }
 
-  /// Run three rounds of `shape` on `dev` from `node`; returns the global
-  /// operator new calls the third round made. Every request must succeed
-  /// and the reads must return what was written.
+  /// Run `rounds` (at least three) rounds of `shape` on `dev` from `node`;
+  /// returns the global operator new calls made from the third round on.
+  /// Every request must succeed and the reads must return what was written.
   static std::uint64_t steady_state_allocations(Testbed& tb, block::BlockDevice& dev,
-                                                sisci::NodeId node, RoundShape shape = {}) {
+                                                sisci::NodeId node, RoundShape shape = {},
+                                                int rounds = 3) {
     const std::uint64_t wbuf = pattern_buffer(tb, node, shape, 0xB0);
     const std::uint64_t rbuf = pattern_buffer(tb, node, shape, 0xE0);
     auto round = [&] {
@@ -150,7 +151,7 @@ class BytePathAlloc : public ::testing::Test {
     round();
     round();
     const std::uint64_t before = g_allocations;
-    round();
+    for (int i = 2; i < rounds; ++i) round();
     const std::uint64_t allocations = g_allocations - before;
     EXPECT_TRUE(buffer_matches(tb, node, shape.read_back ? wbuf : rbuf, shape.bytes, 0xB0));
     return allocations;
@@ -229,7 +230,10 @@ TEST_F(BytePathAlloc, FreshBlocksInATouchedMediaRegion) {
 
 TEST_F(BytePathAlloc, DeepQueuesOnNtb) {
   // 4 KiB requests 32 deep on each of four queue pairs, as nvsh_fio runs
-  // them: every slot of every channel holds a request at once.
+  // them: every slot of every channel holds a request at once. Jittered CPU
+  // costs push the peak of records in flight a little higher now and then
+  // in later rounds; the pool's slabs must leave room for that creep, so
+  // rounds 3 to 15 all count.
   Testbed tb(small_testbed(2));
   driver::Client::Config cc;
   cc.channels = 4;
@@ -238,7 +242,7 @@ TEST_F(BytePathAlloc, DeepQueuesOnNtb) {
   auto stack = bring_up(tb, /*manager_node=*/0, /*client_node=*/1, cc);
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
   const RoundShape shape{.bytes = 4 * KiB, .in_flight = cc.channels * cc.queue_depth};
-  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape), 0u);
+  EXPECT_EQ(steady_state_allocations(tb, *stack->client, 1, shape, /*rounds=*/15), 0u);
 }
 
 /// One sharded round: kOps single-stripe requests and kOps that span five

@@ -4,14 +4,18 @@
 //
 // This binary replaces the global operator new with a counting one. Each
 // scenario runs three identical rounds on one engine; the first two warm
-// the pool, the event arena and any container capacity, and the third must
-// not call global operator new at all.
+// the pool and any container capacity, and the third must not call global
+// operator new at all. Two more cases check the pool itself: event nodes
+// outlive the engine that used them, and a size class grows a slab at a
+// time.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <optional>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/pool.hpp"
@@ -195,6 +199,35 @@ TEST_F(SimAlloc, ContendedSemaphore) {
   EXPECT_EQ(steady_state_allocations(engine, round), 0u);
   EXPECT_EQ(done, 48);
   EXPECT_EQ(sem.available(), 2);
+}
+
+TEST_F(SimAlloc, SecondEngineReusesTheNodesOfTheFirst) {
+  // Both engines are built before the count starts; only scheduling counts.
+  constexpr int kEvents = 4096;
+  int fired = 0;
+  auto first = std::make_unique<Engine>();
+  Engine second;
+  for (int i = 0; i < kEvents; ++i) first->at(i % 1000, [&fired] { ++fired; });
+  first.reset();  // drops kEvents pending events
+  const std::uint64_t before = g_allocations;
+  for (int i = 0; i < kEvents; ++i) second.at(i % 1000, [&fired] { ++fired; });
+  EXPECT_EQ(g_allocations - before, 0u);
+  second.run();
+  EXPECT_EQ(fired, kEvents);
+}
+
+TEST_F(SimAlloc, SizeClassGrowsOneSlabAtATime) {
+  // A size no simulator object in this binary has, so every block is fresh.
+  constexpr std::size_t kSize = 1000;
+  constexpr std::size_t kBlocks = 1000;
+  constexpr std::size_t kPerSlab = pool::kSlabBytes / pool::block_size(kSize);
+  static_assert(kPerSlab > 1);
+  std::vector<void*> blocks;
+  blocks.reserve(kBlocks);
+  const std::uint64_t before = g_allocations;
+  for (std::size_t i = 0; i < kBlocks; ++i) blocks.push_back(pool::allocate(kSize));
+  EXPECT_LE(g_allocations - before, (kBlocks + kPerSlab - 1) / kPerSlab);
+  for (void* p : blocks) pool::deallocate(p, kSize);
 }
 
 }  // namespace

@@ -62,6 +62,10 @@ CHECKS = [
     ("asan_takeover", "nvmeshare.manager.takeovers", "==", 1),
     ("asan_takeover", "nvmeshare.fault.host_crashes", "==", 1),
     ("deep_randread", "exit", "==", 0),
+    ("ours-remote_randtrim", "exit", "==", 0),
+    ("linux-local_randtrim", "exit", "==", 0),
+    ("ours-remote_seqread128k", "exit", "==", 0),
+    ("nvmeof-remote_seqread128k", "exit", "==", 0),
     ("fig10_latency", "exit", "==", 0),
     ("fig11_scaling", "exit", "==", 0),
     ("latency_breakdown", "exit", "==", 0),

@@ -16,6 +16,9 @@
 #  * deep_randread: ours-remote 4 KiB random reads at QD 32 x 4 channels,
 #    whose `sim` counts (engine events, elided poll ticks) are the exact
 #    simulator-cost check for the deep-queue submission path;
+#  * verified random trims (dataset management) on ours-remote and
+#    linux-local, and 128 KiB sequential reads at QD 8 x 4 channels on
+#    ours-remote and nvmeof-remote;
 #  * six stacks x {randrw, seqwrite 128 KiB} on both substrates (the CXL
 #    pool supports neither the IOMMU data path nor host-side SQs, so those
 #    four cells record exit 1 and no document);
@@ -108,6 +111,15 @@ fio artifact_nvmeof_flip --scenario nvmeof-remote --rw randrw --qd 4 --ops 2000 
 # --- deep-queue simulator cost ---------------------------------------------------
 fio deep_randread --scenario ours-remote --rw randread --bs 4096 --qd 32 --channels 4 \
   --ops 20000 --seed 2024
+
+# --- trims and bulk reads --------------------------------------------------------
+for stack in ours-remote linux-local; do
+  fio "${stack}_randtrim" --scenario "$stack" --rw randtrim --qd 4 --ops 2000 --seed 7 --verify
+done
+for stack in ours-remote nvmeof-remote; do
+  fio "${stack}_seqread128k" --scenario "$stack" --rw seqread --bs 131072 --qd 8 --channels 4 \
+    --seed 7
+done
 
 # --- stacks x loads x substrates -----------------------------------------------
 STACKS=(
