@@ -40,18 +40,12 @@ struct Scenario {
   std::vector<std::unique_ptr<driver::Manager>> standbys;
 };
 
-/// Process-wide substrate selection for the scenario builders below. Set it
-/// once from `--substrate` before building scenarios; every
-/// default_bench_testbed() call then picks it up.
-inline fabric::SubstrateKind& bench_substrate() {
-  static fabric::SubstrateKind kind = fabric::SubstrateKind::ntb;
-  return kind;
-}
-
-inline TestbedConfig default_bench_testbed(std::uint32_t hosts) {
+/// A testbed of `hosts` hosts on substrate `kind` (what `--substrate`
+/// selected), with every other setting at its default.
+inline TestbedConfig default_bench_testbed(std::uint32_t hosts, fabric::SubstrateKind kind) {
   TestbedConfig cfg;
   cfg.hosts = hosts;
-  cfg.substrate = bench_substrate();
+  cfg.substrate = kind;
   return cfg;
 }
 
@@ -61,7 +55,7 @@ inline TestbedConfig default_bench_testbed(std::uint32_t hosts) {
 }
 
 /// Figure 9a left half: stock Linux NVMe driver on the device's host.
-inline Scenario make_linux_local(TestbedConfig cfg = default_bench_testbed(1)) {
+inline Scenario make_linux_local(TestbedConfig cfg = {}) {
   Scenario s;
   s.name = "linux-local";
   cfg.hosts = 1;
@@ -78,7 +72,7 @@ inline Scenario make_linux_local(TestbedConfig cfg = default_bench_testbed(1)) {
 /// Figure 9a right half: NVMe-oF over RDMA, SPDK-style target on the device
 /// host, kernel initiator on a second host.
 inline Scenario make_nvmeof_remote(nvmeof::Initiator::Config init_cfg = {},
-                                   TestbedConfig cfg = default_bench_testbed(2),
+                                   TestbedConfig cfg = {},
                                    nvmeof::Target::Config target_cfg = {}) {
   Scenario s;
   s.name = "nvmeof-remote";
@@ -101,7 +95,7 @@ inline Scenario make_nvmeof_remote(nvmeof::Initiator::Config init_cfg = {},
 /// device's own host.
 inline Scenario make_ours_local(driver::Client::Config client_cfg = {},
                                 driver::Manager::Config mgr_cfg = {},
-                                TestbedConfig cfg = default_bench_testbed(1)) {
+                                TestbedConfig cfg = {}) {
   Scenario s;
   s.name = "ours-local";
   cfg.hosts = 1;
@@ -123,7 +117,7 @@ inline Scenario make_ours_local(driver::Client::Config client_cfg = {},
 /// host reached through Dolphin-style NTB adapters and a cluster switch.
 inline Scenario make_ours_remote(driver::Client::Config client_cfg = {},
                                  driver::Manager::Config mgr_cfg = {},
-                                 TestbedConfig cfg = default_bench_testbed(2)) {
+                                 TestbedConfig cfg = {}) {
   Scenario s;
   s.name = "ours-remote";
   if (cfg.hosts < 2) cfg.hosts = 2;

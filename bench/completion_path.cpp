@@ -18,7 +18,7 @@ using namespace nvmeshare::bench;
 constexpr std::uint64_t kOps = 10'000;
 
 double nvmeof_median_us(bool offload) {
-  TestbedConfig cfg = default_bench_testbed(2);
+  TestbedConfig cfg = default_bench_testbed(2, fabric::SubstrateKind::ntb);
   Scenario s;
   s.name = offload ? "nvmeof-offload" : "nvmeof-software";
   s.testbed = std::make_unique<Testbed>(cfg);
@@ -39,7 +39,7 @@ double nvmeof_median_us(bool offload) {
 }
 
 double local_median_us(bool use_interrupts) {
-  TestbedConfig cfg = default_bench_testbed(1);
+  TestbedConfig cfg = default_bench_testbed(1, fabric::SubstrateKind::ntb);
   Scenario s;
   s.name = use_interrupts ? "local-msix" : "local-polled";
   s.testbed = std::make_unique<Testbed>(cfg);

@@ -39,17 +39,17 @@ Measured measure(Scenario scenario) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench_substrate() = substrate_flag(argc, argv);
-  const bool ntb = bench_substrate() == fabric::SubstrateKind::ntb;
+  const fabric::SubstrateKind kind = substrate_flag(argc, argv);
+  const bool ntb = kind == fabric::SubstrateKind::ntb;
   print_header("Figure 10: I/O command completion latency (4 KiB, QD=1)");
-  std::printf("substrate: %s\n", std::string(fabric::substrate_name(bench_substrate())).c_str());
+  std::printf("substrate: %s\n", std::string(fabric::substrate_name(kind)).c_str());
   std::printf("ops per box: %llu (paper: 60 s of fio 3.28 per test)\n",
               static_cast<unsigned long long>(kOps));
 
-  Measured linux_local = measure(make_linux_local());
-  Measured nvmeof = measure(make_nvmeof_remote());
-  Measured ours_local = measure(make_ours_local());
-  Measured ours_remote = measure(make_ours_remote());
+  Measured linux_local = measure(make_linux_local(default_bench_testbed(1, kind)));
+  Measured nvmeof = measure(make_nvmeof_remote({}, default_bench_testbed(2, kind)));
+  Measured ours_local = measure(make_ours_local({}, {}, default_bench_testbed(1, kind)));
+  Measured ours_remote = measure(make_ours_remote({}, {}, default_bench_testbed(2, kind)));
 
   const std::vector<BoxSummary> reads{linux_local.read, nvmeof.read, ours_local.read,
                                       ours_remote.read};
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   if (const char* path = json_flag(argc, argv)) {
     std::vector<BoxSummary> boxes = reads;
     boxes.insert(boxes.end(), writes.begin(), writes.end());
-    BenchConfig config{{"substrate", std::string(fabric::substrate_name(bench_substrate()))},
+    BenchConfig config{{"substrate", std::string(fabric::substrate_name(kind))},
                       {"block_bytes", "4096"},
                       {"queue_depth", "1"},
                       {"ops", std::to_string(kOps)}};

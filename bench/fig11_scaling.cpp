@@ -33,13 +33,13 @@ struct Row {
   BoxSummary box;
 };
 
-Row measure_ours(std::uint32_t channels, bool coalesce) {
+Row measure_ours(fabric::SubstrateKind kind, std::uint32_t channels, bool coalesce) {
   driver::Client::Config cc;
   cc.channels = channels;
   cc.queue_depth = kPerChannelDepth;
   cc.queue_entries = 64;
   cc.coalesce_doorbells = coalesce;
-  Scenario s = make_ours_remote(cc);
+  Scenario s = make_ours_remote(cc, {}, default_bench_testbed(2, kind));
   workload::JobSpec spec = fio_qd1(/*read=*/true, kOps);
   spec.queue_depth = channels * kPerChannelDepth;
   auto result = run(s, spec);
@@ -58,12 +58,12 @@ Row measure_ours(std::uint32_t channels, bool coalesce) {
   return row;
 }
 
-Row measure_nvmeof(std::uint32_t channels, bool coalesce) {
+Row measure_nvmeof(fabric::SubstrateKind kind, std::uint32_t channels, bool coalesce) {
   nvmeof::Initiator::Config ic;
   ic.channels = channels;
   ic.queue_depth = kPerChannelDepth;
   ic.coalesce_doorbells = coalesce;
-  Scenario s = make_nvmeof_remote(ic);
+  Scenario s = make_nvmeof_remote(ic, default_bench_testbed(2, kind));
   workload::JobSpec spec = fio_qd1(/*read=*/true, kOps);
   spec.queue_depth = channels * kPerChannelDepth;
   auto result = run(s, spec);
@@ -95,21 +95,21 @@ void print_rows(const std::vector<Row>& rows) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench_substrate() = substrate_flag(argc, argv);
+  const fabric::SubstrateKind kind = substrate_flag(argc, argv);
   print_header("multi-queue scaling: channels x fixed per-channel depth (4 KiB randread)");
-  std::printf("substrate: %s\n", std::string(fabric::substrate_name(bench_substrate())).c_str());
+  std::printf("substrate: %s\n", std::string(fabric::substrate_name(kind)).c_str());
   std::printf("ops per point: %llu, per-channel depth: %u\n",
               static_cast<unsigned long long>(kOps), kPerChannelDepth);
 
   std::vector<Row> ours;
   for (std::uint32_t ch : {1u, 2u, 4u}) {
-    ours.push_back(measure_ours(ch, /*coalesce=*/true));
+    ours.push_back(measure_ours(kind, ch, /*coalesce=*/true));
   }
-  const Row ours_no_coalesce = measure_ours(4, /*coalesce=*/false);
+  const Row ours_no_coalesce = measure_ours(kind, 4, /*coalesce=*/false);
 
   std::vector<Row> fabric;
   for (std::uint32_t ch : {1u, 2u, 4u}) {
-    fabric.push_back(measure_nvmeof(ch, /*coalesce=*/true));
+    fabric.push_back(measure_nvmeof(kind, ch, /*coalesce=*/true));
   }
 
   std::vector<Row> all = ours;
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   if (const char* path = json_flag(argc, argv)) {
     std::vector<BoxSummary> boxes;
     for (const auto& r : all) boxes.push_back(r.box);
-    BenchConfig config{{"substrate", std::string(fabric::substrate_name(bench_substrate()))},
+    BenchConfig config{{"substrate", std::string(fabric::substrate_name(kind))},
                        {"block_bytes", "4096"},
                        {"per_channel_depth", std::to_string(kPerChannelDepth)},
                        {"channels", "1,2,4"},

@@ -52,7 +52,8 @@ Row measure(const std::string& label, bool bully, bool wrr) {
   driver::Client::Config victim_cfg;
   victim_cfg.qos_class = nvme::SqPriority::high;
 
-  Scenario s = make_ours_remote(victim_cfg, mgr_cfg, default_bench_testbed(3));
+  Scenario s = make_ours_remote(victim_cfg, mgr_cfg,
+                                default_bench_testbed(3, fabric::SubstrateKind::ntb));
 
   std::unique_ptr<driver::Client> bully_client;
   if (bully) {

@@ -135,14 +135,14 @@ PhaseResult run_phase(workload::Testbed& bed, std::vector<HostRig>& rigs, int on
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench_substrate() = substrate_flag(argc, argv);
+  const fabric::SubstrateKind kind = substrate_flag(argc, argv);
   print_header("fig13: tenant multiplexing over shared queue pairs + namespace sharding");
   std::printf("%u hosts, %u sharded controllers, %u tenants (%u per borrowing host), "
               "substrate %s\n",
               kHosts, kDevices, kBorrowers * kTenantsPerHost, kTenantsPerHost,
-              bench_substrate() == fabric::SubstrateKind::ntb ? "ntb" : "cxl");
+              kind == fabric::SubstrateKind::ntb ? "ntb" : "cxl");
 
-  workload::TestbedConfig bed_cfg = default_bench_testbed(kHosts);
+  workload::TestbedConfig bed_cfg = default_bench_testbed(kHosts, kind);
   bed_cfg.nvme_devices = kDevices;
   workload::Testbed bed(bed_cfg);
 
@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
         BoxSummary::from("victim-solo", victim_solo->read_latency),
         BoxSummary::from("victim-vs-bully", victim_shared->read_latency)};
     BenchConfig config{
-        {"substrate", bench_substrate() == fabric::SubstrateKind::ntb ? "ntb" : "cxl"},
+        {"substrate", kind == fabric::SubstrateKind::ntb ? "ntb" : "cxl"},
         {"hosts", std::to_string(kHosts)},
         {"devices", std::to_string(kDevices)},
         {"tenants", std::to_string(kBorrowers * kTenantsPerHost)},

@@ -58,7 +58,7 @@ Client::Client(smartio::Service& service, smartio::NodeId node, smartio::DeviceI
 Client::~Client() {
   halt();
   if (poller_kick_) poller_kick_->set();  // let an idle poller observe the stop and exit
-  if (crash_token_ != 0) fault::Injector::global().unregister_crash_handler(crash_token_);
+  if (crash_faults_ != nullptr) crash_faults_->unregister_crash_handler(crash_token_);
 }
 
 sim::Engine& Client::engine() { return service_.cluster().engine(); }
@@ -396,9 +396,9 @@ sim::Co<Status> Client::connect() {
   }
   cq_watch_ = std::move(*cq_watch);
   if (cfg_.heartbeat_interval_ns > 0) heartbeat_task(stop_);
-  if (fault::enabled()) {
-    crash_token_ =
-        fault::Injector::global().register_crash_handler(node_, [this]() { crash(); });
+  crash_faults_ = fab.faults();
+  if (crash_faults_ != nullptr) {
+    crash_token_ = crash_faults_->register_crash_handler(node_, [this]() { crash(); });
   }
 
   NVS_LOG(info, "client") << name_ << " attached (sq "

@@ -322,7 +322,8 @@ class Client final : public block::BlockDevice, private block::IoTransport {
   std::shared_ptr<bool> stop_ = std::make_shared<bool>(false);
   bool attached_ = false;
   bool crashed_ = false;
-  std::uint64_t crash_token_ = 0;          ///< fault-injector registration
+  fault::Injector* crash_faults_ = nullptr;  ///< injector the crash handler is in
+  std::uint64_t crash_token_ = 0;            ///< its registration there
   Stats stats_;
   obs::Histogram read_latency_hist_{"nvmeshare.client.read_latency_ns"};
   obs::Histogram write_latency_hist_{"nvmeshare.client.write_latency_ns"};

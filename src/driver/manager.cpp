@@ -71,7 +71,7 @@ Manager::Manager(smartio::Service& service, smartio::NodeId node, smartio::Devic
 
 Manager::~Manager() {
   shutdown();
-  if (crash_token_ != 0) fault::Injector::global().unregister_crash_handler(crash_token_);
+  if (crash_faults_ != nullptr) crash_faults_->unregister_crash_handler(crash_token_);
 }
 
 sim::Engine& Manager::engine() { return service_.cluster().engine(); }
@@ -287,9 +287,9 @@ void Manager::start_serving() {
 }
 
 void Manager::register_crash_handler() {
-  if (!fault::enabled()) return;
-  crash_token_ =
-      fault::Injector::global().register_crash_handler(node_, [this]() { crash(); });
+  crash_faults_ = fabric().faults();
+  if (crash_faults_ == nullptr) return;
+  crash_token_ = crash_faults_->register_crash_handler(node_, [this]() { crash(); });
 }
 
 sim::Future<Result<CompletionEntry>> Manager::submit_admin(SubmissionEntry entry) {

@@ -330,7 +330,8 @@ class Manager {
   std::shared_ptr<bool> stop_ = std::make_shared<bool>(false);
   bool serving_ = false;
   bool crashed_ = false;
-  std::uint64_t crash_token_ = 0;  ///< fault-injector registration
+  fault::Injector* crash_faults_ = nullptr;  ///< injector the crash handler is in
+  std::uint64_t crash_token_ = 0;            ///< its registration there
   Stats stats_;
 };
 

@@ -1,11 +1,11 @@
 #include "fabric/substrate.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "common/log.hpp"
 #include "fabric/endpoint.hpp"
-#include "fault/fault.hpp"
 #include "sim/pool.hpp"
 
 namespace nvmeshare::fabric {
@@ -16,18 +16,6 @@ std::uint64_t pow2_ceil(std::uint64_t v) {
   std::uint64_t p = 1;
   while (p < v) p <<= 1;
   return p;
-}
-
-/// Fault injection for a posted write whose first byte lands at `owner`.
-fault::Injector::PostedWriteDecision posted_fault(HostId src, HostId owner, bool to_bar,
-                                                  std::uint64_t bytes) {
-  if (!fault::enabled()) return {};
-  return fault::Injector::global().on_posted_write(src, owner, to_bar, bytes);
-}
-
-/// Fault injection for a read: true = complete with stale (zero) data.
-bool stale_read(HostId src, HostId owner, bool to_bar) {
-  return fault::enabled() && fault::Injector::global().on_dma_read(src, owner, to_bar);
 }
 
 }  // namespace
@@ -57,6 +45,17 @@ void Window::release() {
   if (token_ != 0) sub_->unmap_window(token_);
   sub_ = nullptr;
   token_ = 0;
+}
+
+void Substrate::set_fault_plan(std::optional<fault::FaultPlan> plan) {
+  // A running driver unregisters from the injector it registered with.
+  assert(faults_ == nullptr || !faults_->has_crash_handlers());
+  faults_ = plan ? std::make_unique<fault::Injector>(std::move(*plan)) : nullptr;
+}
+
+void Substrate::arm_faults() {
+  if (faults_ == nullptr) return;
+  faults_->arm(engine_, [this](std::uint32_t host, bool up) { (void)set_host_link(host, up); });
 }
 
 Result<mem::WriteWatch> Substrate::watch_writes(HostId viewer, std::uint64_t addr,
@@ -259,9 +258,9 @@ Result<sim::Time> Substrate::posted_write(const Initiator& who, std::span<const 
   // ordering floors advance), it simply never lands — exactly how a lost
   // doorbell or CQE looks to software.
   fault::Injector::PostedWriteDecision decision;
-  if (op->count > 0) {
+  if (faults_ != nullptr && op->count > 0) {
     const Sink& first = op->chunks().front().sink;
-    decision = posted_fault(who.host, first.owner, first.mem == nullptr, total);
+    decision = faults_->on_posted_write(who.host, first.owner, first.mem == nullptr, total);
   }
 
   ++stats_.posted_writes;
@@ -336,9 +335,9 @@ sim::Future<Result<mem::Payload>> Substrate::nonposted_read(const Initiator& who
     // Fault injection (one decision per read, matching posted writes): a
     // stale read completes successfully but carries zeros instead of memory
     // contents.
-    if (failure.is_ok() && op->count > 0 &&
-        stale_read(src, op->chunks().front().sink.owner,
-                   op->chunks().front().sink.mem == nullptr)) {
+    if (faults_ != nullptr && failure.is_ok() && op->count > 0 &&
+        faults_->on_dma_read(src, op->chunks().front().sink.owner,
+                             op->chunks().front().sink.mem == nullptr)) {
       out.zero();
     }
     engine_.after(remaining > 0 ? remaining : 0,

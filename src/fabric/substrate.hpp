@@ -39,6 +39,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -46,6 +47,7 @@
 
 #include "common/bytes.hpp"
 #include "common/status.hpp"
+#include "fault/fault.hpp"
 #include "mem/allocator.hpp"
 #include "mem/phys_mem.hpp"
 #include "obs/metrics.hpp"
@@ -218,6 +220,17 @@ class Substrate {
   /// Administratively fail (or restore) `host`'s uplink into the shared
   /// interconnect: the NTB adapter cable on PCIe, the CXL port on a pool.
   virtual Status set_host_link(HostId host, bool up) = 0;
+
+  /// Install `plan` as this simulation's fault plan, replacing any earlier
+  /// one, or remove it (nullopt). Drivers register crash handlers with the
+  /// injector they find when they start, so a plan with host_crash faults
+  /// goes in before bring-up.
+  void set_fault_plan(std::optional<fault::FaultPlan> plan);
+  /// The installed plan's injector; null when there is none.
+  [[nodiscard]] fault::Injector* faults() const noexcept { return faults_.get(); }
+  /// Schedule the installed plan's timed faults from now; its link faults
+  /// go through set_host_link(). No-op without a plan.
+  void arm_faults();
 
   // --- backdoors -------------------------------------------------------------
 
@@ -404,6 +417,7 @@ class Substrate {
   Result<SgOpPtr> resolve_sg(const Initiator& who, std::span<const SgEntry> sg, bool is_store);
 
   bool sealed_ = false;
+  std::unique_ptr<fault::Injector> faults_;
   std::map<std::pair<ChipId, std::uint64_t>, sim::Time> posted_floor_;
   /// The bytes of a posted write into a BAR; keeps its capacity, so a warm
   /// substrate delivers doorbells and MSI-X stores without allocating.

@@ -8,10 +8,6 @@
 
 namespace nvmeshare::fault {
 
-namespace detail {
-bool g_enabled = false;
-}  // namespace detail
-
 const char* fault_kind_name(FaultKind kind) noexcept {
   switch (kind) {
 #define NVS_FAULT_NAME(name) \
@@ -34,46 +30,29 @@ Injector::Stats::Stats()
       torn_writes("nvmeshare.fault.torn_writes"),
       stale_reads("nvmeshare.fault.stale_reads") {}
 
-Injector& Injector::global() {
-  static Injector instance;
-  return instance;
-}
+Injector::Injector(FaultPlan plan)
+    : plan_(std::move(plan)), rng_(plan_.seed), trigger_(plan_.faults.size()) {}
 
-void Injector::configure(FaultPlan plan) {
-  plan_ = std::move(plan);
-  rng_ = Rng(plan_.seed);
-  trigger_.assign(plan_.faults.size(), TriggerState{});
-  engine_ = nullptr;
-  arm_time_ = 0;
-  detail::g_enabled = true;
-}
+Injector::~Injector() { *live_ = false; }
 
-void Injector::disarm() {
-  plan_ = {};
-  trigger_.clear();
-  crash_handlers_.clear();
-  engine_ = nullptr;
-  arm_time_ = 0;
-  detail::g_enabled = false;
-}
-
-void Injector::arm(sim::Engine& engine, ArmHooks hooks) {
+void Injector::arm(sim::Engine& engine, SetHostLink set_link) {
   engine_ = &engine;
   arm_time_ = engine.now();
   for (const FaultSpec& spec : plan_.faults) {
     switch (spec.kind) {
       case FaultKind::ntb_link_down: {
-        if (!hooks.set_ntb_link) break;
         const std::uint32_t host = spec.src_host;
-        engine.after(spec.at, [this, hooks, host] {
+        engine.after(spec.at, [this, live = live_, set_link, host] {
+          if (!*live) return;
           NVS_LOG(warn, "fault") << "NTB link down (host " << host << ")";
-          hooks.set_ntb_link(host, false);
+          set_link(host, false);
           ++stats_.link_downs;
         });
         if (spec.duration > 0) {
-          engine.after(spec.at + spec.duration, [this, hooks, host] {
+          engine.after(spec.at + spec.duration, [this, live = live_, set_link, host] {
+            if (!*live) return;
             NVS_LOG(info, "fault") << "NTB link restored (host " << host << ")";
-            hooks.set_ntb_link(host, true);
+            set_link(host, true);
             ++stats_.link_ups;
           });
         }
@@ -81,7 +60,8 @@ void Injector::arm(sim::Engine& engine, ArmHooks hooks) {
       }
       case FaultKind::host_crash: {
         const std::uint32_t host = spec.src_host;
-        engine.after(spec.at, [this, host] {
+        engine.after(spec.at, [this, live = live_, host] {
+          if (!*live) return;
           NVS_LOG(warn, "fault") << "crashing host " << host;
           // Handlers may deregister (or register) while firing; snapshot.
           std::vector<std::function<void()>> victims;

@@ -1,29 +1,33 @@
 // Deterministic fault injection.
 //
-// A FaultPlan is a seed plus a list of fault specs; the process-global
-// Injector turns it into a reproducible schedule of failures hooked into
-// the fabric (posted-write loss/delay, NTB link down), the NVMe controller
-// (internal errors), the RDMA network (capsule loss), and the drivers
-// (host crash). Every probabilistic decision draws from one seeded
-// xoshiro256++ stream and every timed fault is an ordinary engine event,
-// so two runs with the same plan and workload seed are byte-identical —
-// including the `nvmeshare.fault.*` metrics this module emits.
+// A FaultPlan is a seed plus a list of fault specs; an Injector turns it
+// into a reproducible schedule of failures hooked into the fabric
+// (posted-write loss/delay, NTB link down), the NVMe controller (internal
+// errors), the RDMA network (capsule loss), and the drivers (host crash).
+// Every probabilistic decision draws from one seeded xoshiro256++ stream and
+// every timed fault is an ordinary engine event, so two runs with the same
+// plan and workload seed are byte-identical — including the
+// `nvmeshare.fault.*` metrics this module emits.
 //
-// The injector is inert by default: hot paths guard every hook behind the
-// single-bool `fault::enabled()` check, so runs without a plan execute
-// exactly the instruction stream they did before this module existed.
+// Each simulation's fabric::Substrate owns at most one Injector: a plan is
+// installed on (or removed from) one substrate and acts on that cluster
+// only. Without a plan the substrate holds none, and every hook is a single
+// pointer test, so fault-free runs execute the instruction stream they did
+// before this module existed and register no fault counters.
 //
-// Lifecycle: configure(plan) BEFORE building the scenario (components read
-// `enabled()` at construction to register crash handlers), arm(engine,...)
-// AFTER (schedules the timed faults), disarm() when done. configure() fully
-// resets trigger state and the RNG, which is what makes in-process
-// double-runs (the determinism check in the chaos stress test) possible.
+// Lifecycle: install the plan before the drivers start (they register crash
+// handlers with the injector they find at start-up), arm it after bring-up
+// (timed faults and windows count from arm time), and drop it with the
+// substrate or by removing the plan. A new Injector starts with fresh
+// trigger state and RNG, which is what makes in-process double-runs (the
+// determinism checks in the chaos stress tests) possible.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,15 +42,6 @@ class Engine;
 }
 
 namespace nvmeshare::fault {
-
-namespace detail {
-extern bool g_enabled;
-}  // namespace detail
-
-/// True when a plan is configured. One bool load; hot paths check this
-/// before touching the Injector singleton so fault-free runs never even
-/// construct it (keeping their metrics snapshots unchanged).
-[[nodiscard]] inline bool enabled() noexcept { return detail::g_enabled; }
 
 /// The fault vocabulary as a single X-macro: the enum, the name table, and
 /// the plan-DSL parser all expand from this list, so adding a kind in one
@@ -135,35 +130,33 @@ Result<FaultPlan> parse_plan(std::string_view text);
 
 class Injector {
  public:
-  /// The process-global injector every hook consults.
-  static Injector& global();
+  /// Fresh trigger state and an RNG seeded from `plan.seed`. Constructing
+  /// one registers the `nvmeshare.fault.*` counters.
+  explicit Injector(FaultPlan plan);
+  /// Timed faults still queued in the engine become no-ops.
+  ~Injector();
 
-  /// Install a plan and reset all trigger state + the RNG. Call before the
-  /// scenario is built. Sets fault::enabled().
-  void configure(FaultPlan plan);
+  Injector(const Injector&) = delete;
+  Injector& operator=(const Injector&) = delete;
 
-  /// Return to the inert state (hooks become no-ops, handlers cleared).
-  void disarm();
-
-  [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-
-  /// Hooks the injector needs into the running cluster. Timed faults are
-  /// scheduled onto `engine` relative to its current time.
-  struct ArmHooks {
-    /// Toggle every fabric link incident to `host`'s NTB adapter
-    /// (pcie::Fabric::set_ntb_link, type-erased to keep this module a leaf).
-    std::function<void(std::uint32_t host, bool up)> set_ntb_link;
-  };
-  void arm(sim::Engine& engine, ArmHooks hooks);
+  /// Toggles the uplink of one host (Substrate::set_host_link, type-erased
+  /// to keep this module a leaf).
+  using SetHostLink = std::function<void(std::uint32_t host, bool up)>;
+  /// Schedule the timed faults onto `engine` relative to its current time,
+  /// which also opens the plan's windows; ntb_link_down faults call
+  /// `set_link`.
+  void arm(sim::Engine& engine, SetHostLink set_link);
 
   // --- crash registry --------------------------------------------------------
-  // Drivers register a "power off this instance" callback at construction
-  // (only when enabled()); host_crash faults fire every handler registered
-  // for the victim host. Tokens allow deregistration from destructors.
+  // Drivers register a "power off this instance" callback when they start
+  // (only when their substrate holds an injector); host_crash faults fire
+  // every handler registered for the victim host. Tokens allow
+  // deregistration from destructors.
   std::uint64_t register_crash_handler(std::uint32_t host, std::function<void()> fn);
   void unregister_crash_handler(std::uint64_t token);
+  [[nodiscard]] bool has_crash_handlers() const noexcept { return !crash_handlers_.empty(); }
 
-  // --- hot-path hooks (callers must check fault::enabled() first) -----------
+  // --- hot-path hooks -------------------------------------------------------
 
   struct PostedWriteDecision {
     bool drop = false;
@@ -213,8 +206,6 @@ class Injector {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  Injector() : rng_(1) {}
-
   /// Shared trigger logic: counts the matching op and decides whether this
   /// spec fires on it.
   bool should_fire(std::size_t spec_index);
@@ -222,10 +213,11 @@ class Injector {
   FaultPlan plan_;
   Rng rng_;
   /// Set by arm(): windowed specs compare the engine clock against the arm
-  /// time, the same origin timed faults use for `at`. Cleared on configure()
-  /// and disarm() so a stale engine pointer can never be consulted.
+  /// time, the same origin timed faults use for `at`.
   sim::Engine* engine_ = nullptr;
   sim::Time arm_time_ = 0;
+  /// Read by the events arm() scheduled; false once this injector is gone.
+  std::shared_ptr<bool> live_ = std::make_shared<bool>(true);
   /// Per-spec runtime state, parallel to plan_.faults.
   struct TriggerState {
     std::uint64_t seen = 0;

@@ -786,8 +786,8 @@ sim::Task Controller::run_io(std::uint16_t qid, SubmissionEntry sqe,
                              std::uint16_t sq_head_after, std::uint64_t gen) {
   const auto op = static_cast<IoOpcode>(sqe.opcode);
 
-  if (fault::enabled()) {
-    const auto decision = fault::Injector::global().on_ctrl_command(qid, sqe.cid);
+  if (fault::Injector* faults = fabric()->faults()) {
+    const auto decision = faults->on_ctrl_command(qid, sqe.cid);
     if (decision.inject && decision.fatal) {
       NVS_LOG(error, "nvme") << "injected fatal controller error (q" << qid << " cid "
                              << sqe.cid << ")";

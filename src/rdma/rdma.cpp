@@ -103,7 +103,8 @@ Status QueuePair::post_send(std::uint64_t wr_id, std::uint64_t addr, std::uint32
   // Fault injection: a lost SEND leaves the wire silently — the post
   // succeeds but no delivery is scheduled and neither side ever sees a
   // completion, exactly like a wire loss the RC retry budget gave up on.
-  if (fault::enabled() && fault::Injector::global().on_capsule_send()) {
+  fault::Injector* faults = network_->fabric().faults();
+  if (faults != nullptr && faults->on_capsule_send()) {
     return Status::ok();
   }
   Network& net = *network_;

@@ -95,6 +95,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
     assert(dev);
     device_ids_.push_back(*dev);
   }
+  substrate_->set_fault_plan(std::move(cfg.faults));
 }
 
 }  // namespace nvmeshare::workload

@@ -8,12 +8,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "cxl/pool.hpp"
 #include "driver/irq.hpp"
 #include "fabric/types.hpp"
+#include "fault/fault.hpp"
 #include "nvme/controller.hpp"
 #include "pcie/fabric.hpp"
 #include "rdma/rdma.hpp"
@@ -38,6 +40,10 @@ struct TestbedConfig {
   pcie::LatencyModel pcie = {};
   cxl::PoolConfig cxl = {};
   rdma::NetworkConfig rdma = {};
+  /// Fault plan installed on the substrate once the cluster is built and
+  /// before any engine event runs; arm it after bring-up with
+  /// `substrate().arm_faults()`. None by default.
+  std::optional<fault::FaultPlan> faults;
 };
 
 class Testbed {

@@ -19,7 +19,6 @@
 // owner table.
 #include <gtest/gtest.h>
 
-#include "fault/fault.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -121,90 +120,84 @@ driver::Client::Config ha_client() {
 }
 
 TEST(Takeover, StandbyTakesOverUnderVerifiedLoad) {
-  auto plan = fault::parse_plan("seed=5;host_crash:host=0,at=3ms");
-  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
-  {
-    Testbed tb(small_testbed(5));
+  Testbed tb(with_faults(small_testbed(5), "seed=5;host_crash:host=0,at=3ms"));
 
-    auto manager =
-        tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), ha_manager()));
-    ASSERT_TRUE(manager.has_value()) << manager.status().to_string();
+  auto manager =
+      tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), ha_manager()));
+  ASSERT_TRUE(manager.has_value()) << manager.status().to_string();
 
-    driver::Client::Config multi = ha_client();
-    multi.channels = 2;
-    auto c1 = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), multi));
-    auto c2 = tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), ha_client()));
-    ASSERT_TRUE(c1.has_value()) << c1.status().to_string();
-    ASSERT_TRUE(c2.has_value()) << c2.status().to_string();
+  driver::Client::Config multi = ha_client();
+  multi.channels = 2;
+  auto c1 = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), multi));
+  auto c2 = tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), ha_client()));
+  ASSERT_TRUE(c1.has_value()) << c1.status().to_string();
+  ASSERT_TRUE(c2.has_value()) << c2.status().to_string();
 
-    auto standby =
-        tb.wait(driver::Manager::start_standby(tb.service(), 3, tb.device_id(), ha_standby()));
-    ASSERT_TRUE(standby.has_value()) << standby.status().to_string();
-    EXPECT_TRUE((*standby)->is_standby());
-    EXPECT_FALSE((*standby)->is_active());
+  auto standby =
+      tb.wait(driver::Manager::start_standby(tb.service(), 3, tb.device_id(), ha_standby()));
+  ASSERT_TRUE(standby.has_value()) << standby.status().to_string();
+  EXPECT_TRUE((*standby)->is_standby());
+  EXPECT_FALSE((*standby)->is_active());
 
-    fault::Injector::global().arm(tb.engine(), {});
-    const sim::Time armed = tb.engine().now();
+  tb.substrate().arm_faults();
+  const sim::Time armed = tb.engine().now();
 
-    // Verified I/O from both clients spanning the whole crash + takeover
-    // window. The manager is off the data path, so not one request may
-    // error — in-flight or issued mid-outage.
-    std::vector<sim::Future<Result<workload::JobResult>>> jobs;
-    for (std::size_t i = 0; i < 2; ++i) {
-      workload::JobSpec spec;
-      spec.pattern = workload::JobSpec::Pattern::randrw;
-      spec.ops = 0;
-      spec.duration = 8_ms;
-      spec.queue_depth = 4;
-      spec.verify = true;
-      spec.seed = 0x7a + i;
-      spec.region_blocks = 32 * 1024;
-      spec.region_offset_blocks = i * 64 * 1024;
-      driver::Client& cl = i == 0 ? **c1 : **c2;
-      jobs.push_back(
-          workload::run_job(tb.cluster(), cl, static_cast<sisci::NodeId>(i + 1), spec));
-    }
-
-    // Run into the outage (crash at 3 ms, takeover roughly a lease + stagger
-    // later) and start a fresh attach while nobody is serving the mailbox
-    // yet: its retry loop must carry it through to the successor.
-    tb.engine().run_until(armed + 3'300'000);
-    auto late_attach = driver::Client::attach(tb.service(), 4, tb.device_id(), ha_client());
-
-    for (auto& job : jobs) {
-      auto result = tb.wait(std::move(job), 300_s);
-      ASSERT_TRUE(result.has_value()) << result.status().to_string();
-      EXPECT_EQ(result->errors, 0u) << "in-flight I/O must not observe the takeover";
-      EXPECT_EQ(result->verify_failures, 0u);
-    }
-
-    // The standby promoted itself: epoch bumped, old manager fenced out of
-    // the registration, survivors re-homed.
-    EXPECT_TRUE((*standby)->is_active());
-    EXPECT_FALSE((*standby)->is_standby());
-    EXPECT_EQ((*standby)->stats().takeovers.value(), 1u);
-    EXPECT_EQ((*standby)->epoch(), 2u);
-    EXPECT_GE((*standby)->stats().qps_adopted.value(), 3u);  // 2 + 1 channels
-    EXPECT_FALSE((*manager)->is_active());
-
-    // The attach that started during the outage completed against the new
-    // manager and its queue pair works.
-    auto c3 = tb.wait(std::move(late_attach), 60_s);
-    ASSERT_TRUE(c3.has_value()) << c3.status().to_string();
-    EXPECT_GE((*c3)->stats().mailbox_retries.value(), 1u);
-    quick_io(tb, **c3, 4);
-
-    // Survivors still work end to end, including admin-path operations
-    // against the successor (delete + re-create through detach).
-    quick_io(tb, **c1, 1);
-    quick_io(tb, **c2, 2);
-    EXPECT_GE((*c1)->stats().manager_failovers.value(), 1u);
-    Status st = tb.wait_status((*c2)->detach(), 30_s);
-    EXPECT_TRUE(st.is_ok()) << st.to_string();
-    EXPECT_FALSE(tb.controller().is_fatal());
+  // Verified I/O from both clients spanning the whole crash + takeover
+  // window. The manager is off the data path, so not one request may
+  // error — in-flight or issued mid-outage.
+  std::vector<sim::Future<Result<workload::JobResult>>> jobs;
+  for (std::size_t i = 0; i < 2; ++i) {
+    workload::JobSpec spec;
+    spec.pattern = workload::JobSpec::Pattern::randrw;
+    spec.ops = 0;
+    spec.duration = 8_ms;
+    spec.queue_depth = 4;
+    spec.verify = true;
+    spec.seed = 0x7a + i;
+    spec.region_blocks = 32 * 1024;
+    spec.region_offset_blocks = i * 64 * 1024;
+    driver::Client& cl = i == 0 ? **c1 : **c2;
+    jobs.push_back(
+        workload::run_job(tb.cluster(), cl, static_cast<sisci::NodeId>(i + 1), spec));
   }
-  fault::Injector::global().disarm();
+
+  // Run into the outage (crash at 3 ms, takeover roughly a lease + stagger
+  // later) and start a fresh attach while nobody is serving the mailbox
+  // yet: its retry loop must carry it through to the successor.
+  tb.engine().run_until(armed + 3'300'000);
+  auto late_attach = driver::Client::attach(tb.service(), 4, tb.device_id(), ha_client());
+
+  for (auto& job : jobs) {
+    auto result = tb.wait(std::move(job), 300_s);
+    ASSERT_TRUE(result.has_value()) << result.status().to_string();
+    EXPECT_EQ(result->errors, 0u) << "in-flight I/O must not observe the takeover";
+    EXPECT_EQ(result->verify_failures, 0u);
+  }
+
+  // The standby promoted itself: epoch bumped, old manager fenced out of
+  // the registration, survivors re-homed.
+  EXPECT_TRUE((*standby)->is_active());
+  EXPECT_FALSE((*standby)->is_standby());
+  EXPECT_EQ((*standby)->stats().takeovers.value(), 1u);
+  EXPECT_EQ((*standby)->epoch(), 2u);
+  EXPECT_GE((*standby)->stats().qps_adopted.value(), 3u);  // 2 + 1 channels
+  EXPECT_FALSE((*manager)->is_active());
+
+  // The attach that started during the outage completed against the new
+  // manager and its queue pair works.
+  auto c3 = tb.wait(std::move(late_attach), 60_s);
+  ASSERT_TRUE(c3.has_value()) << c3.status().to_string();
+  EXPECT_GE((*c3)->stats().mailbox_retries.value(), 1u);
+  quick_io(tb, **c3, 4);
+
+  // Survivors still work end to end, including admin-path operations
+  // against the successor (delete + re-create through detach).
+  quick_io(tb, **c1, 1);
+  quick_io(tb, **c2, 2);
+  EXPECT_GE((*c1)->stats().manager_failovers.value(), 1u);
+  Status st = tb.wait_status((*c2)->detach(), 30_s);
+  EXPECT_TRUE(st.is_ok()) << st.to_string();
+  EXPECT_FALSE(tb.controller().is_fatal());
 }
 
 TEST(Takeover, OrphanReapedExactlyOnceAndSurvivorSpared) {
@@ -212,42 +205,37 @@ TEST(Takeover, OrphanReapedExactlyOnceAndSurvivorSpared) {
   // the orphan. The successor must reap the orphaned queue pair exactly
   // once — after the takeover grace window — while the live, heartbeating
   // survivor is never touched.
-  auto plan = fault::parse_plan("seed=9;host_crash:host=1,at=2ms;host_crash:host=0,at=2500us");
-  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
-  {
-    Testbed tb(small_testbed(4));
-    auto manager =
-        tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), ha_manager()));
-    ASSERT_TRUE(manager.has_value()) << manager.status().to_string();
-    auto doomed = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), ha_client()));
-    auto survivor =
-        tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), ha_client()));
-    ASSERT_TRUE(doomed.has_value() && survivor.has_value());
-    auto standby =
-        tb.wait(driver::Manager::start_standby(tb.service(), 3, tb.device_id(), ha_standby()));
-    ASSERT_TRUE(standby.has_value()) << standby.status().to_string();
+  Testbed tb(with_faults(small_testbed(4),
+                         "seed=9;host_crash:host=1,at=2ms;host_crash:host=0,at=2500us"));
+  auto manager =
+      tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), ha_manager()));
+  ASSERT_TRUE(manager.has_value()) << manager.status().to_string();
+  auto doomed = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), ha_client()));
+  auto survivor =
+      tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), ha_client()));
+  ASSERT_TRUE(doomed.has_value() && survivor.has_value());
+  auto standby =
+      tb.wait(driver::Manager::start_standby(tb.service(), 3, tb.device_id(), ha_standby()));
+  ASSERT_TRUE(standby.has_value()) << standby.status().to_string();
 
-    fault::Injector::global().arm(tb.engine(), {});
-    const sim::Time armed = tb.engine().now();
+  tb.substrate().arm_faults();
+  const sim::Time armed = tb.engine().now();
 
-    // Past the crashes, the takeover, the grace window (2 ms) and the
-    // heartbeat timeout (4 ms): the orphan must be gone by now.
-    tb.engine().run_until(armed + 14_ms);
+  // Past the crashes, the takeover, the grace window (2 ms) and the
+  // heartbeat timeout (4 ms): the orphan must be gone by now.
+  tb.engine().run_until(armed + 14_ms);
 
-    EXPECT_TRUE((*standby)->is_active());
-    EXPECT_EQ((*standby)->stats().takeovers.value(), 1u);
-    EXPECT_EQ((*manager)->stats().qps_reaped.value(), 0u)
-        << "the old manager died before its reaper ran";
-    EXPECT_EQ((*standby)->stats().qps_reaped.value(), 1u)
-        << "the orphan is reaped exactly once, the survivor never";
-    // Admin queue + the survivor's pair is all that remains.
-    EXPECT_EQ((*standby)->active_queue_pairs(), 2u);
+  EXPECT_TRUE((*standby)->is_active());
+  EXPECT_EQ((*standby)->stats().takeovers.value(), 1u);
+  EXPECT_EQ((*manager)->stats().qps_reaped.value(), 0u)
+      << "the old manager died before its reaper ran";
+  EXPECT_EQ((*standby)->stats().qps_reaped.value(), 1u)
+      << "the orphan is reaped exactly once, the survivor never";
+  // Admin queue + the survivor's pair is all that remains.
+  EXPECT_EQ((*standby)->active_queue_pairs(), 2u);
 
-    // The survivor's pair kept working through all of it.
-    quick_io(tb, **survivor, 2);
-  }
-  fault::Injector::global().disarm();
+  // The survivor's pair kept working through all of it.
+  quick_io(tb, **survivor, 2);
 }
 
 TEST(Takeover, StandbyClampsAFarFutureLeaseExpiry) {

@@ -7,13 +7,10 @@
 // reproducible.
 #include <gtest/gtest.h>
 
-#include <string_view>
-
 #include "fault/fault.hpp"
 #include "integrity/integrity.hpp"
 #include "nvmeof/initiator.hpp"
 #include "nvmeof/target.hpp"
-#include "pcie/fabric.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -21,84 +18,10 @@ namespace {
 
 using namespace testutil;
 
-// RAII around the process-global injector: configure() must run BEFORE the
-// scenario is built (drivers register crash handlers at construction only
-// when fault::enabled()), arm() AFTER (timed faults are relative to arm
-// time), and disarm() must run even when an ASSERT bails out of the test.
-class Chaos {
- public:
-  explicit Chaos(std::string_view plan_text) {
-    auto plan = fault::parse_plan(plan_text);
-    EXPECT_TRUE(plan.has_value()) << plan.status().to_string();
-    if (plan) fault::Injector::global().configure(std::move(*plan));
-  }
-  ~Chaos() { fault::Injector::global().disarm(); }
-  Chaos(const Chaos&) = delete;
-  Chaos& operator=(const Chaos&) = delete;
-
-  void arm(Testbed& tb) {
-    pcie::Fabric* fab = &tb.fabric();
-    fault::Injector::global().arm(
-        tb.engine(), {.set_ntb_link = [fab](std::uint32_t host, bool up) {
-          (void)fab->set_ntb_link(host, up);
-        }});
-  }
-
-  // The injector is process-global, so its counters accumulate across tests
-  // in one binary; report deltas against the value at configure() time.
-  [[nodiscard]] std::uint64_t posted_drops() const {
-    return fault::Injector::global().stats().posted_drops.value() - base_.posted_drops;
-  }
-  [[nodiscard]] std::uint64_t posted_delays() const {
-    return fault::Injector::global().stats().posted_delays.value() - base_.posted_delays;
-  }
-  [[nodiscard]] std::uint64_t link_downs() const {
-    return fault::Injector::global().stats().link_downs.value() - base_.link_downs;
-  }
-  [[nodiscard]] std::uint64_t link_ups() const {
-    return fault::Injector::global().stats().link_ups.value() - base_.link_ups;
-  }
-  [[nodiscard]] std::uint64_t host_crashes() const {
-    return fault::Injector::global().stats().host_crashes.value() - base_.host_crashes;
-  }
-  [[nodiscard]] std::uint64_t ctrl_errors() const {
-    return fault::Injector::global().stats().ctrl_errors.value() - base_.ctrl_errors;
-  }
-  [[nodiscard]] std::uint64_t capsule_drops() const {
-    return fault::Injector::global().stats().capsule_drops.value() - base_.capsule_drops;
-  }
-  [[nodiscard]] std::uint64_t bit_flips() const {
-    return fault::Injector::global().stats().bit_flips.value() - base_.bit_flips;
-  }
-  [[nodiscard]] std::uint64_t torn_writes() const {
-    return fault::Injector::global().stats().torn_writes.value() - base_.torn_writes;
-  }
-  [[nodiscard]] std::uint64_t stale_reads() const {
-    return fault::Injector::global().stats().stale_reads.value() - base_.stale_reads;
-  }
-
- private:
-  struct Baseline {
-    std::uint64_t posted_drops = 0;
-    std::uint64_t posted_delays = 0;
-    std::uint64_t link_downs = 0;
-    std::uint64_t link_ups = 0;
-    std::uint64_t host_crashes = 0;
-    std::uint64_t ctrl_errors = 0;
-    std::uint64_t capsule_drops = 0;
-    std::uint64_t bit_flips = 0;
-    std::uint64_t torn_writes = 0;
-    std::uint64_t stale_reads = 0;
-  };
-  Baseline base_ = [] {
-    const auto& s = fault::Injector::global().stats();
-    return Baseline{s.posted_drops.value(), s.posted_delays.value(),
-                    s.link_downs.value(),  s.link_ups.value(),
-                    s.host_crashes.value(), s.ctrl_errors.value(),
-                    s.capsule_drops.value(), s.bit_flips.value(),
-                    s.torn_writes.value(), s.stale_reads.value()};
-  }();
-};
+/// Counters of the plan installed on `tb`'s substrate.
+const fault::Injector::Stats& fault_stats(Testbed& tb) {
+  return tb.substrate().faults()->stats();
+}
 
 /// Client config with the recovery machinery switched on (it is off by
 /// default so fault-free runs keep the exact seed instruction stream).
@@ -175,8 +98,7 @@ TEST(FaultWindow, StormFiresOnEveryInWindowOpOnly) {
   sim::Engine eng;
   auto plan = fault::parse_plan("seed=3;drop_posted_write:from=1ms,until=2ms");
   ASSERT_TRUE(plan.has_value());
-  auto& inj = fault::Injector::global();
-  inj.configure(std::move(*plan));
+  fault::Injector inj(std::move(*plan));
   inj.arm(eng, {});
 
   EXPECT_FALSE(inj.on_posted_write(0, 1, false, 64).drop) << "before the window";
@@ -185,7 +107,6 @@ TEST(FaultWindow, StormFiresOnEveryInWindowOpOnly) {
   EXPECT_TRUE(inj.on_posted_write(0, 1, false, 64).drop) << "a storm hits every op";
   eng.run_until(2'000'000);
   EXPECT_FALSE(inj.on_posted_write(0, 1, false, 64).drop) << "the end bound is exclusive";
-  inj.disarm();
 }
 
 TEST(FaultWindow, NthCountsInWindowOpsOnly) {
@@ -193,8 +114,7 @@ TEST(FaultWindow, NthCountsInWindowOpsOnly) {
   auto plan =
       fault::parse_plan("seed=3;delay_posted_write:extra=5us,nth=2,from=1ms,until=3ms");
   ASSERT_TRUE(plan.has_value());
-  auto& inj = fault::Injector::global();
-  inj.configure(std::move(*plan));
+  fault::Injector inj(std::move(*plan));
   inj.arm(eng, {});
 
   // Out-of-window traffic must not advance the nth counter.
@@ -204,7 +124,6 @@ TEST(FaultWindow, NthCountsInWindowOpsOnly) {
   EXPECT_EQ(inj.on_posted_write(0, 1, false, 64).extra_ns, 0) << "1st in-window op";
   EXPECT_EQ(inj.on_posted_write(0, 1, false, 64).extra_ns, 5'000) << "2nd fires";
   EXPECT_EQ(inj.on_posted_write(0, 1, false, 64).extra_ns, 0) << "count=1 budget spent";
-  inj.disarm();
 }
 
 TEST(FaultWindow, WindowIsRelativeToArmTime) {
@@ -212,15 +131,39 @@ TEST(FaultWindow, WindowIsRelativeToArmTime) {
   eng.run_until(10'000'000);  // the scenario was built late
   auto plan = fault::parse_plan("seed=3;drop_posted_write:from=0,until=1ms");
   ASSERT_TRUE(plan.has_value());
-  auto& inj = fault::Injector::global();
-  inj.configure(std::move(*plan));
+  fault::Injector inj(std::move(*plan));
   EXPECT_FALSE(inj.on_posted_write(0, 1, false, 64).drop) << "not armed yet";
   inj.arm(eng, {});
   EXPECT_TRUE(inj.on_posted_write(0, 1, false, 64).drop)
       << "window opens at arm time, same origin as `at=`";
   eng.run_until(11'000'000);
   EXPECT_FALSE(inj.on_posted_write(0, 1, false, 64).drop);
-  inj.disarm();
+}
+
+// --- one plan per simulation -----------------------------------------------------
+
+TEST(FaultIsolation, PlanActsOnlyOnItsOwnTestbed) {
+  // Testbed A's plan drops every posted write; B, alive in the same
+  // process, has no plan and must not see it.
+  Testbed a(with_faults(small_testbed(2), "seed=3;drop_posted_write:nth=1,count=0"));
+  Testbed b(small_testbed(2));
+  auto stack = bring_up(b, 0, 1);
+  ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
+
+  workload::JobSpec spec;
+  spec.pattern = workload::JobSpec::Pattern::randrw;
+  spec.ops = 200;
+  spec.queue_depth = 2;
+  spec.verify = true;
+  auto result = workload::run_job_blocking(b.cluster(), *stack->client, 1, spec);
+  ASSERT_TRUE(result.has_value()) << result.status().to_string();
+  EXPECT_EQ(result->errors, 0u);
+  EXPECT_EQ(result->verify_failures, 0u);
+  EXPECT_EQ(b.substrate().faults(), nullptr);
+
+  // A ran nothing, so its injector never fired.
+  ASSERT_NE(a.substrate().faults(), nullptr);
+  EXPECT_EQ(fault_stats(a).posted_drops.value(), 0u);
 }
 
 // --- drop_posted_write ------------------------------------------------------------
@@ -230,16 +173,15 @@ TEST(FaultRecovery, LostDoorbellIsRetried) {
   // doorbell; dropping it leaves a valid SQE that the device never fetches.
   // The per-command deadline must fire and the retry (re-push + re-ring)
   // must complete the I/O.
-  Chaos chaos("seed=3;drop_posted_write:src=1,class=bar,nth=1");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=3;drop_posted_write:src=1,class=bar,nth=1"));
   driver::Client::Config cc = recovering_client();
   cc.sq_placement = driver::Client::SqPlacement::host_side;
   auto stack = bring_up(tb, 0, 1, cc);
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   write_read_verify(tb, *stack->client, 1, 100, 4096, 0xd00d);
-  EXPECT_EQ(chaos.posted_drops(), 1u);
+  EXPECT_EQ(fault_stats(tb).posted_drops.value(), 1u);
   EXPECT_GE(stack->client->stats().cmd_timeouts.value(), 1u);
   EXPECT_GE(stack->client->stats().cmd_retries.value(), 1u);
 }
@@ -247,14 +189,14 @@ TEST(FaultRecovery, LostDoorbellIsRetried) {
 TEST(FaultRecovery, DelayedCqeIsAbsorbedWithinDeadline) {
   // A CQE arriving 200 us late is under the 500 us deadline: no retry, no
   // recovery, just latency.
-  Chaos chaos("seed=3;delay_posted_write:src=0,dst=1,extra=200us,nth=1");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2),
+                         "seed=3;delay_posted_write:src=0,dst=1,extra=200us,nth=1"));
   auto stack = bring_up(tb, 0, 1, recovering_client());
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   write_read_verify(tb, *stack->client, 1, 200, 4096, 0xcafe);
-  EXPECT_EQ(chaos.posted_delays(), 1u);
+  EXPECT_EQ(fault_stats(tb).posted_delays.value(), 1u);
   EXPECT_EQ(stack->client->stats().cmd_timeouts.value(), 0u);
   EXPECT_EQ(stack->client->stats().qp_recoveries.value(), 0u);
 }
@@ -264,19 +206,18 @@ TEST(FaultRecovery, LostCqeDrivesQueuePairRecovery) {
   // budget at 1, the deadline escalates straight to the queue-pair
   // re-create path (delete + create through the manager's mailbox), after
   // which the command is replayed.
-  Chaos chaos("seed=3;drop_posted_write:src=0,dst=1,nth=1");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=3;drop_posted_write:src=0,dst=1,nth=1"));
   driver::Client::Config cc = recovering_client();
   cc.cmd_retry_limit = 1;
   auto stack = bring_up(tb, 0, 1, cc);
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   const std::uint64_t buf = alloc_pattern_buffer(tb, 1, 4096, 0xbeef);
   auto wr = do_io(tb, *stack->client, {block::Op::write, 300, 8, buf});
   ASSERT_TRUE(wr.has_value()) << wr.status().to_string();
   EXPECT_TRUE(wr->status.is_ok()) << wr->status.to_string();
-  EXPECT_EQ(chaos.posted_drops(), 1u);
+  EXPECT_EQ(fault_stats(tb).posted_drops.value(), 1u);
   EXPECT_GE(stack->client->stats().qp_recoveries.value(), 1u);
 
   // The rebuilt queue pair carries verified I/O.
@@ -289,13 +230,12 @@ TEST(FaultRecovery, LinkOutageHealsWithoutQueueLoss) {
   // A 400 us cable pull in the middle of a verified job: commands caught in
   // the outage time out and retry until the path heals. No queue-pair
   // recovery should be needed and not a single op may fail.
-  Chaos chaos("seed=3;ntb_link_down:host=1,at=200us,for=400us");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=3;ntb_link_down:host=1,at=200us,for=400us"));
   driver::Client::Config cc = recovering_client();
   cc.cmd_retry_limit = 8;
   auto stack = bring_up(tb, 0, 1, cc);
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   workload::JobSpec spec;
   spec.pattern = workload::JobSpec::Pattern::randrw;
@@ -306,20 +246,19 @@ TEST(FaultRecovery, LinkOutageHealsWithoutQueueLoss) {
   ASSERT_TRUE(result.has_value()) << result.status().to_string();
   EXPECT_EQ(result->errors, 0u);
   EXPECT_EQ(result->verify_failures, 0u);
-  EXPECT_EQ(chaos.link_downs(), 1u);
-  EXPECT_EQ(chaos.link_ups(), 1u);
+  EXPECT_EQ(fault_stats(tb).link_downs.value(), 1u);
+  EXPECT_EQ(fault_stats(tb).link_ups.value(), 1u);
 }
 
 // --- host_crash -------------------------------------------------------------------
 
 TEST(FaultRecovery, ManagerCrashLeavesDataPathAndAttachTimesOut) {
-  Chaos chaos("seed=3;host_crash:host=0,at=100us");
-  Testbed tb(small_testbed(3));
+  Testbed tb(with_faults(small_testbed(3), "seed=3;host_crash:host=0,at=100us"));
   auto stack = bring_up(tb, 0, 1, recovering_client());
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
   tb.engine().run_for(1_ms);
-  EXPECT_EQ(chaos.host_crashes(), 1u);
+  EXPECT_EQ(fault_stats(tb).host_crashes.value(), 1u);
 
   // The manager is off the data path (Section V): established clients keep
   // doing verified I/O against the controller.
@@ -346,8 +285,7 @@ TEST(FaultRecovery, DeadClientQueuePairIsReaped) {
   // Client on host 2 heartbeats into its mailbox slot, then crashes. The
   // manager's reaper notices the stale beat and deletes the orphaned queue
   // pair so the qid becomes available again.
-  Chaos chaos("seed=3;host_crash:host=2,at=300us");
-  Testbed tb(small_testbed(4));
+  Testbed tb(with_faults(small_testbed(4), "seed=3;host_crash:host=2,at=300us"));
   driver::Client::Config cc = recovering_client();
   cc.heartbeat_interval_ns = 50'000;
   driver::Manager::Config mc;
@@ -359,10 +297,10 @@ TEST(FaultRecovery, DeadClientQueuePairIsReaped) {
   auto c2 = tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), cc));
   ASSERT_TRUE(c1.has_value() && c2.has_value());
   EXPECT_EQ((*manager)->active_queue_pairs(), 3u);  // admin + 2 clients
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   tb.engine().run_for(3_ms);
-  EXPECT_EQ(chaos.host_crashes(), 1u);
+  EXPECT_EQ(fault_stats(tb).host_crashes.value(), 1u);
   EXPECT_GE((*manager)->stats().qps_reaped.value(), 1u);
   EXPECT_EQ((*manager)->active_queue_pairs(), 2u);  // admin + survivor
 
@@ -378,14 +316,13 @@ TEST(FaultRecovery, DeadClientQueuePairIsReaped) {
 TEST(FaultRecovery, TransientControllerErrorIsRetried) {
   // The controller completes the first I/O command with Internal Error; the
   // client treats that status as retryable and resubmits.
-  Chaos chaos("seed=3;ctrl_error:nth=1");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=3;ctrl_error:nth=1"));
   auto stack = bring_up(tb, 0, 1, recovering_client());
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   write_read_verify(tb, *stack->client, 1, 800, 4096, 0xdddd);
-  EXPECT_EQ(chaos.ctrl_errors(), 1u);
+  EXPECT_EQ(fault_stats(tb).ctrl_errors.value(), 1u);
   EXPECT_GE(stack->client->stats().cmd_retries.value(), 1u);
 }
 
@@ -395,8 +332,7 @@ TEST(FaultRecovery, FatalControllerErrorIsResetByWatchdog) {
   // controller, and drops all queue bookkeeping; the client's deadline
   // escalates to queue-pair recovery, which re-creates its pair through the
   // mailbox and replays the command.
-  Chaos chaos("seed=3;ctrl_error:nth=1,fatal=1");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=3;ctrl_error:nth=1,fatal=1"));
   driver::Manager::Config mc;
   mc.csts_poll_interval_ns = 100'000;
   driver::Client::Config cc = recovering_client();
@@ -406,13 +342,13 @@ TEST(FaultRecovery, FatalControllerErrorIsResetByWatchdog) {
   ASSERT_TRUE(manager.has_value()) << manager.status().to_string();
   auto client = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), cc));
   ASSERT_TRUE(client.has_value()) << client.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   const std::uint64_t buf = alloc_pattern_buffer(tb, 1, 4096, 0x5151);
   auto wr = tb.wait_plain((*client)->submit({block::Op::write, 900, 8, buf}), 120_s);
   ASSERT_TRUE(wr.has_value()) << wr.status().to_string();
   EXPECT_TRUE(wr->status.is_ok()) << wr->status.to_string();
-  EXPECT_EQ(chaos.ctrl_errors(), 1u);
+  EXPECT_EQ(fault_stats(tb).ctrl_errors.value(), 1u);
   // A client racing the reset may re-ring a doorbell for its now-deleted
   // queue, which is itself controller-fatal (pinned by nvme_test); the
   // watchdog then resets again. The cycle is bounded by the client's retry
@@ -444,18 +380,17 @@ Result<NvmeofStack> bring_up_nvmeof(Testbed& tb, nvmeof::Initiator::Config ic) {
 TEST(FaultRecovery, DroppedCapsuleIsResent) {
   // Lose the first two SENDs (the command capsule and its retry); the third
   // attempt goes through. Exercises the initiator's per-capsule deadline.
-  Chaos chaos("seed=5;drop_capsule:nth=1,count=2");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=5;drop_capsule:nth=1,count=2"));
   nvmeof::Initiator::Config ic;
   ic.capsule_timeout_ns = 300'000;
   ic.capsule_retry_limit = 3;
   ic.retry_backoff_ns = 50'000;
   auto stack = bring_up_nvmeof(tb, ic);
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   write_read_verify(tb, *stack->initiator, 1, 1100, 4096, 0x6161);
-  EXPECT_EQ(chaos.capsule_drops(), 2u);
+  EXPECT_EQ(fault_stats(tb).capsule_drops.value(), 2u);
   EXPECT_GE(stack->initiator->stats().capsule_retries.value(), 2u);
   EXPECT_EQ(stack->initiator->stats().reconnects.value(), 0u);
 }
@@ -464,17 +399,16 @@ TEST(FaultRecovery, CapsuleLossEscalatesToReconnectAndReplay) {
   // With the retry budget at 1, losing both the capsule and its retry
   // forces a connection re-establishment; the in-flight command is replayed
   // on the new queue pair.
-  Chaos chaos("seed=5;drop_capsule:nth=1,count=2");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=5;drop_capsule:nth=1,count=2"));
   nvmeof::Initiator::Config ic;
   ic.capsule_timeout_ns = 300'000;
   ic.capsule_retry_limit = 1;
   auto stack = bring_up_nvmeof(tb, ic);
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
 
   write_read_verify(tb, *stack->initiator, 1, 1200, 4096, 0x7171);
-  EXPECT_EQ(chaos.capsule_drops(), 2u);
+  EXPECT_EQ(fault_stats(tb).capsule_drops.value(), 2u);
   EXPECT_GE(stack->initiator->stats().reconnects.value(), 1u);
 
   // The replacement connection keeps working.
@@ -504,15 +438,14 @@ TEST(FaultRecovery, FlippedReadPayloadIsCaughtAndRetried) {
   // host1 posted write: write CQE is #1, read data is #2). The controller
   // saw intact media so the CQE says success; only the client's shadow-
   // tuple verify can catch it, and a resubmission must heal it.
-  Chaos chaos("seed=3;flip_dma_bits:src=0,dst=1,nth=2,count=1");
-  Testbed tb(pi_testbed(2));
+  Testbed tb(with_faults(pi_testbed(2), "seed=3;flip_dma_bits:src=0,dst=1,nth=2,count=1"));
   auto stack = bring_up(tb, 0, 1, pi_client());
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
   const std::uint64_t base = integrity::stats().client_verify_failures.value();
 
   write_read_verify(tb, *stack->client, 1, 100, 4096, 0xd00d);
-  EXPECT_EQ(chaos.bit_flips(), 1u);
+  EXPECT_EQ(fault_stats(tb).bit_flips.value(), 1u);
   EXPECT_GE(integrity::stats().client_verify_failures.value() - base, 1u);
   EXPECT_GE(stack->client->stats().cmd_retries.value(), 1u);
 }
@@ -523,11 +456,11 @@ TEST(FaultRecovery, TornReadPayloadIsCaughtAndRetried) {
   // the shadow-tuple guard catches it and the retry re-DMAs the full data.
   // (Writes to two LBAs first so the slot's leftover content differs from
   // the data being read: host0->host1 writes are CQE, CQE, then read data.)
-  Chaos chaos("seed=3;torn_dma_write:src=0,dst=1,class=dram,nth=3,count=1");
-  Testbed tb(pi_testbed(2));
+  Testbed tb(with_faults(pi_testbed(2),
+                         "seed=3;torn_dma_write:src=0,dst=1,class=dram,nth=3,count=1"));
   auto stack = bring_up(tb, 0, 1, pi_client());
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
   const std::uint64_t base = integrity::stats().client_verify_failures.value();
 
   const std::uint64_t a = alloc_pattern_buffer(tb, 1, 4096, 0xaaaa);
@@ -542,7 +475,7 @@ TEST(FaultRecovery, TornReadPayloadIsCaughtAndRetried) {
   ASSERT_TRUE(rd.has_value()) << rd.status().to_string();
   EXPECT_TRUE(rd->status.is_ok()) << rd->status.to_string();
   EXPECT_TRUE(buffer_matches(tb, 1, r, 4096, 0xaaaa));
-  EXPECT_EQ(chaos.torn_writes(), 1u);
+  EXPECT_EQ(fault_stats(tb).torn_writes.value(), 1u);
   EXPECT_GE(integrity::stats().client_verify_failures.value() - base, 1u);
 }
 
@@ -553,17 +486,16 @@ TEST(FaultRecovery, StaleWritePayloadIsDetectedNotRecovered) {
   // client's shadow tuple flags every subsequent read, and since re-reading
   // returns the same sealed-stale data, the retries exhaust and the read
   // fails. Detection without silent corruption is the contract here.
-  Chaos chaos("seed=3;stale_read:src=0,dst=1,nth=1,count=1");
-  Testbed tb(pi_testbed(2));
+  Testbed tb(with_faults(pi_testbed(2), "seed=3;stale_read:src=0,dst=1,nth=1,count=1"));
   auto stack = bring_up(tb, 0, 1, pi_client());
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-  chaos.arm(tb);
+  tb.substrate().arm_faults();
   const std::uint64_t base = integrity::stats().client_verify_failures.value();
 
   const std::uint64_t w = alloc_pattern_buffer(tb, 1, 4096, 0xfade);
   auto wr = do_io(tb, *stack->client, {block::Op::write, 100, 8, w});
   ASSERT_TRUE(wr.has_value() && wr->status.is_ok());
-  EXPECT_EQ(chaos.stale_reads(), 1u);
+  EXPECT_EQ(fault_stats(tb).stale_reads.value(), 1u);
 
   const std::uint64_t r = alloc_pattern_buffer(tb, 1, 4096, 0x2222);
   auto rd = do_io(tb, *stack->client, {block::Op::read, 100, 8, r});

@@ -15,9 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
-#include "pcie/fabric.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -116,28 +114,6 @@ workload::JobSpec qd1_job(std::uint64_t seed) {
   return spec;
 }
 
-/// Configures the process-global fault injector for one scenario and
-/// disarms it on the way out.
-class FaultPlan {
- public:
-  explicit FaultPlan(std::string_view text) {
-    auto plan = fault::parse_plan(text);
-    EXPECT_TRUE(plan.has_value()) << plan.status().to_string();
-    if (plan) fault::Injector::global().configure(std::move(*plan));
-  }
-  ~FaultPlan() { fault::Injector::global().disarm(); }
-  FaultPlan(const FaultPlan&) = delete;
-  FaultPlan& operator=(const FaultPlan&) = delete;
-
-  static void arm(Testbed& tb) {
-    pcie::Fabric* fab = &tb.fabric();
-    fault::Injector::global().arm(
-        tb.engine(), {.set_ntb_link = [fab](std::uint32_t host, bool up) {
-          (void)fab->set_ntb_link(host, up);
-        }});
-  }
-};
-
 void finish(Testbed& tb, ManagerPinObservation& obs) {
   snapshot_tables(tb, obs.owner_table_end, obs.journal_end);
   obs.end_time = tb.engine().now();
@@ -199,8 +175,7 @@ ManagerPinObservation batch_rollback() {
 /// controller, the 1-channel client re-creates its pair through the mailbox.
 ManagerPinObservation fatal_reset() {
   ManagerPinObservation obs;
-  FaultPlan plan("seed=3;ctrl_error:nth=40,fatal=1,count=1");
-  Testbed tb(small_testbed(2));
+  Testbed tb(with_faults(small_testbed(2), "seed=3;ctrl_error:nth=40,fatal=1,count=1"));
   driver::Manager::Config mc;
   mc.csts_poll_interval_ns = 100'000;
   driver::Client::Config cc;
@@ -211,7 +186,7 @@ ManagerPinObservation fatal_reset() {
   EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
   if (!stack) return obs;
   snapshot_tables(tb, obs.owner_table_attached, obs.journal_attached);
-  FaultPlan::arm(tb);
+  tb.substrate().arm_faults();
   run_pinned_job(tb, *stack->client, 1, qd1_job(31), obs);
   EXPECT_GE(stack->manager->stats().ctrl_resets.value(), 1u);
   EXPECT_TRUE(tb.wait_status(stack->client->detach()).is_ok());
@@ -222,8 +197,7 @@ ManagerPinObservation fatal_reset() {
 /// A heartbeating client crashes; the reaper deletes its orphaned pair.
 ManagerPinObservation reaper() {
   ManagerPinObservation obs;
-  FaultPlan plan("seed=3;host_crash:host=2,at=300us");
-  Testbed tb(small_testbed(3));
+  Testbed tb(with_faults(small_testbed(3), "seed=3;host_crash:host=2,at=300us"));
   driver::Manager::Config mc;
   mc.client_heartbeat_timeout_ns = 300'000;
   mc.reaper_interval_ns = 100'000;
@@ -237,7 +211,7 @@ ManagerPinObservation reaper() {
   EXPECT_TRUE(survivor.has_value() && victim.has_value());
   if (!survivor || !victim) return obs;
   snapshot_tables(tb, obs.owner_table_attached, obs.journal_attached);
-  FaultPlan::arm(tb);
+  tb.substrate().arm_faults();
   tb.engine().run_for(2_ms);
   EXPECT_EQ((*manager)->stats().qps_reaped.value(), 1u);
   run_pinned_job(tb, **survivor, 1, qd1_job(41), obs);
@@ -249,8 +223,7 @@ ManagerPinObservation reaper() {
 /// pairs, and serves a detach and a fresh attach.
 ManagerPinObservation takeover() {
   ManagerPinObservation obs;
-  FaultPlan plan("seed=5;host_crash:host=0,at=1ms");
-  Testbed tb(small_testbed(4));
+  Testbed tb(with_faults(small_testbed(4), "seed=5;host_crash:host=0,at=1ms"));
   driver::Manager::Config mc;
   mc.lease_duration_ns = 1_ms;
   mc.client_heartbeat_timeout_ns = 4_ms;
@@ -273,7 +246,7 @@ ManagerPinObservation takeover() {
   EXPECT_TRUE(c1.has_value() && c2.has_value() && standby.has_value());
   if (!c1 || !c2 || !standby) return obs;
   snapshot_tables(tb, obs.owner_table_attached, obs.journal_attached);
-  FaultPlan::arm(tb);
+  tb.substrate().arm_faults();
   run_pinned_job(tb, **c1, 1, qd1_job(51), obs);
   tb.engine().run_for(4_ms);
   EXPECT_EQ((*standby)->stats().takeovers.value(), 1u);

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "driver/local_driver.hpp"
-#include "fault/fault.hpp"
 #include "integrity/integrity.hpp"
 #include "nvmeof/initiator.hpp"
 #include "nvmeof/target.hpp"
@@ -311,47 +310,34 @@ TEST_P(CorruptionDeterminismSweep, SameSeedCorruptionRunsAgreeExactly) {
     bool operator==(const Outcome&) const = default;
   };
   auto run_once = [&]() -> Outcome {
-    auto plan = fault::parse_plan(
-        "seed=13;flip_dma_bits:src=0,dst=1,nth=20,count=3;"
-        "torn_dma_write:src=0,dst=1,class=dram,nth=90,count=1");
-    EXPECT_TRUE(plan.has_value());
-    fault::Injector::global().configure(std::move(*plan));
+    Testbed tb([] {
+      TestbedConfig cfg = with_faults(small_testbed(2),
+                                      "seed=13;flip_dma_bits:src=0,dst=1,nth=20,count=3;"
+                                      "torn_dma_write:src=0,dst=1,class=dram,nth=90,count=1");
+      cfg.nvme.pi_enabled = true;
+      return cfg;
+    }());
+    driver::Client::Config cc;
+    cc.pi_verify = true;
+    cc.cmd_timeout_ns = 500'000;
+    cc.cmd_retry_limit = 3;
+    cc.retry_backoff_ns = 50'000;
+    driver::Manager::Config mc;
+    mc.scrub_interval_ns = 100'000;
+    auto stack = bring_up(tb, 0, 1, cc, mc);
+    EXPECT_TRUE(stack.has_value());
+    tb.substrate().arm_faults();
 
-    Outcome outcome;
-    {
-      Testbed tb([] {
-        TestbedConfig cfg = small_testbed(2);
-        cfg.nvme.pi_enabled = true;
-        return cfg;
-      }());
-      driver::Client::Config cc;
-      cc.pi_verify = true;
-      cc.cmd_timeout_ns = 500'000;
-      cc.cmd_retry_limit = 3;
-      cc.retry_backoff_ns = 50'000;
-      driver::Manager::Config mc;
-      mc.scrub_interval_ns = 100'000;
-      auto stack = bring_up(tb, 0, 1, cc, mc);
-      EXPECT_TRUE(stack.has_value());
-      pcie::Fabric* fab = &tb.fabric();
-      fault::Injector::global().arm(
-          tb.engine(), {.set_ntb_link = [fab](std::uint32_t host, bool up) {
-            (void)fab->set_ntb_link(host, up);
-          }});
-
-      workload::JobSpec spec;
-      spec.pattern = workload::JobSpec::Pattern::randrw;
-      spec.ops = 120;
-      spec.queue_depth = 3;
-      spec.region_blocks = 512;
-      spec.verify = true;
-      spec.seed = seed;
-      auto result = tb.wait(workload::run_job(tb.cluster(), *stack->client, 1, spec), 120_s);
-      EXPECT_TRUE(result.has_value());
-      outcome = {result->total_latency.samples(), result->errors, result->verify_failures};
-    }
-    fault::Injector::global().disarm();
-    return outcome;
+    workload::JobSpec spec;
+    spec.pattern = workload::JobSpec::Pattern::randrw;
+    spec.ops = 120;
+    spec.queue_depth = 3;
+    spec.region_blocks = 512;
+    spec.verify = true;
+    spec.seed = seed;
+    auto result = tb.wait(workload::run_job(tb.cluster(), *stack->client, 1, spec), 120_s);
+    EXPECT_TRUE(result.has_value());
+    return {result->total_latency.samples(), result->errors, result->verify_failures};
   };
   EXPECT_EQ(run_once(), run_once());
 }

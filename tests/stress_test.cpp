@@ -10,9 +10,7 @@
 #include <string_view>
 #include <vector>
 
-#include "fault/fault.hpp"
 #include "mux/mux.hpp"
-#include "pcie/fabric.hpp"
 #include "test_util.hpp"
 
 namespace nvmeshare {
@@ -150,47 +148,34 @@ constexpr std::string_view kChaosPlan =
 /// same point in their instruction streams).
 std::string chaos_run() {
   obs::Registry::global().reset_values();
-  auto plan = fault::parse_plan(kChaosPlan);
-  EXPECT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
+  Testbed tb(with_faults(small_testbed(2), kChaosPlan));
+  driver::Client::Config cc;
+  cc.cmd_timeout_ns = 500'000;
+  cc.cmd_retry_limit = 6;
+  cc.retry_backoff_ns = 50'000;
+  cc.heartbeat_interval_ns = 200'000;
+  cc.queue_depth = 4;
+  driver::Manager::Config mc;
+  mc.client_heartbeat_timeout_ns = 2'000'000;
+  mc.csts_poll_interval_ns = 200'000;
+  auto stack = bring_up(tb, 0, 1, cc, mc);
+  EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+  if (!stack) return {};
+  tb.substrate().arm_faults();
 
-  std::string snapshot;
-  {
-    Testbed tb(small_testbed(2));
-    driver::Client::Config cc;
-    cc.cmd_timeout_ns = 500'000;
-    cc.cmd_retry_limit = 6;
-    cc.retry_backoff_ns = 50'000;
-    cc.heartbeat_interval_ns = 200'000;
-    cc.queue_depth = 4;
-    driver::Manager::Config mc;
-    mc.client_heartbeat_timeout_ns = 2'000'000;
-    mc.csts_poll_interval_ns = 200'000;
-    auto stack = bring_up(tb, 0, 1, cc, mc);
-    EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
-    if (!stack) return {};
-    pcie::Fabric* fab = &tb.fabric();
-    fault::Injector::global().arm(
-        tb.engine(), {.set_ntb_link = [fab](std::uint32_t host, bool up) {
-          (void)fab->set_ntb_link(host, up);
-        }});
-
-    workload::JobSpec spec;
-    spec.pattern = workload::JobSpec::Pattern::randrw;
-    spec.ops = 1500;
-    spec.queue_depth = 4;
-    spec.verify = true;
-    spec.seed = 99;
-    auto result = workload::run_job_blocking(tb.cluster(), *stack->client, 1, spec);
-    EXPECT_TRUE(result.has_value()) << result.status().to_string();
-    if (result.has_value()) {
-      EXPECT_EQ(result->errors, 0u) << "recovery must absorb every injected fault";
-      EXPECT_EQ(result->verify_failures, 0u);
-    }
-    snapshot = obs::Registry::global().to_json();
+  workload::JobSpec spec;
+  spec.pattern = workload::JobSpec::Pattern::randrw;
+  spec.ops = 1500;
+  spec.queue_depth = 4;
+  spec.verify = true;
+  spec.seed = 99;
+  auto result = workload::run_job_blocking(tb.cluster(), *stack->client, 1, spec);
+  EXPECT_TRUE(result.has_value()) << result.status().to_string();
+  if (result.has_value()) {
+    EXPECT_EQ(result->errors, 0u) << "recovery must absorb every injected fault";
+    EXPECT_EQ(result->verify_failures, 0u);
   }
-  fault::Injector::global().disarm();
-  return snapshot;
+  return obs::Registry::global().to_json();
 }
 
 TEST(Stress, ChaosSoakSurvivesInjectedFaults) {
@@ -219,49 +204,36 @@ TEST(Stress, ChaosSameSeedRunsAreByteIdentical) {
 /// re-create over the mailbox) all get exercised.
 std::string chaos_run_multiqp() {
   obs::Registry::global().reset_values();
-  auto plan = fault::parse_plan(kChaosPlan);
-  EXPECT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
+  Testbed tb(with_faults(small_testbed(2), kChaosPlan));
+  driver::Client::Config cc;
+  cc.channels = 4;
+  cc.coalesce_doorbells = true;
+  cc.cmd_timeout_ns = 500'000;
+  cc.cmd_retry_limit = 6;
+  cc.retry_backoff_ns = 50'000;
+  cc.heartbeat_interval_ns = 200'000;
+  cc.queue_depth = 4;
+  driver::Manager::Config mc;
+  mc.client_heartbeat_timeout_ns = 2'000'000;
+  mc.csts_poll_interval_ns = 200'000;
+  auto stack = bring_up(tb, 0, 1, cc, mc);
+  EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+  if (!stack) return {};
+  tb.substrate().arm_faults();
 
-  std::string snapshot;
-  {
-    Testbed tb(small_testbed(2));
-    driver::Client::Config cc;
-    cc.channels = 4;
-    cc.coalesce_doorbells = true;
-    cc.cmd_timeout_ns = 500'000;
-    cc.cmd_retry_limit = 6;
-    cc.retry_backoff_ns = 50'000;
-    cc.heartbeat_interval_ns = 200'000;
-    cc.queue_depth = 4;
-    driver::Manager::Config mc;
-    mc.client_heartbeat_timeout_ns = 2'000'000;
-    mc.csts_poll_interval_ns = 200'000;
-    auto stack = bring_up(tb, 0, 1, cc, mc);
-    EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
-    if (!stack) return {};
-    pcie::Fabric* fab = &tb.fabric();
-    fault::Injector::global().arm(
-        tb.engine(), {.set_ntb_link = [fab](std::uint32_t host, bool up) {
-          (void)fab->set_ntb_link(host, up);
-        }});
-
-    workload::JobSpec spec;
-    spec.pattern = workload::JobSpec::Pattern::randrw;
-    spec.ops = 1500;
-    spec.queue_depth = 16;  // all four channels busy
-    spec.verify = true;
-    spec.seed = 99;
-    auto result = workload::run_job_blocking(tb.cluster(), *stack->client, 1, spec);
-    EXPECT_TRUE(result.has_value()) << result.status().to_string();
-    if (result.has_value()) {
-      EXPECT_EQ(result->errors, 0u) << "recovery must absorb every injected fault";
-      EXPECT_EQ(result->verify_failures, 0u);
-    }
-    snapshot = obs::Registry::global().to_json();
+  workload::JobSpec spec;
+  spec.pattern = workload::JobSpec::Pattern::randrw;
+  spec.ops = 1500;
+  spec.queue_depth = 16;  // all four channels busy
+  spec.verify = true;
+  spec.seed = 99;
+  auto result = workload::run_job_blocking(tb.cluster(), *stack->client, 1, spec);
+  EXPECT_TRUE(result.has_value()) << result.status().to_string();
+  if (result.has_value()) {
+    EXPECT_EQ(result->errors, 0u) << "recovery must absorb every injected fault";
+    EXPECT_EQ(result->verify_failures, 0u);
   }
-  fault::Injector::global().disarm();
-  return snapshot;
+  return obs::Registry::global().to_json();
 }
 
 TEST(Stress, MultiQpChaosSoakSurvivesInjectedFaults) {
@@ -298,75 +270,62 @@ TEST(Stress, MultiQpChaosSameSeedRunsAreByteIdentical) {
 /// LBA region of its TenantDevice.
 std::string chaos_run_tenants() {
   obs::Registry::global().reset_values();
-  auto plan = fault::parse_plan(kChaosPlan);
-  EXPECT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
-
-  std::string snapshot;
-  {
-    Testbed tb(small_testbed(2));
-    driver::Client::Config cc;
-    cc.cmd_timeout_ns = 500'000;
-    cc.cmd_retry_limit = 6;
-    cc.retry_backoff_ns = 50'000;
-    cc.heartbeat_interval_ns = 200'000;
-    cc.queue_depth = 8;  // the share floor: tenants get windows in [8, 64)
-    driver::Manager::Config mc;
-    mc.client_heartbeat_timeout_ns = 2'000'000;
-    mc.csts_poll_interval_ns = 200'000;
-    auto stack = bring_up(tb, 0, 1, cc, mc);
-    EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
-    if (!stack) return {};
-    constexpr std::uint32_t kTenants = 4;
-    std::vector<std::unique_ptr<mux::TenantDevice>> devs;
-    for (std::uint32_t t = 1; t <= kTenants; ++t) {
-      driver::Client::ShareRequest req;
-      req.tenant = t;
-      req.cid_count = 6;
-      if (t == 1) req.qos_iops = 20'000;  // one paced tenant in the mix
-      auto grant = tb.wait(stack->client->create_share(req));
-      EXPECT_TRUE(grant.has_value()) << grant.status().to_string();
-      if (!grant) return {};
-      devs.push_back(std::make_unique<mux::TenantDevice>(
-          *stack->client->multiplexer(), *stack->client, t));
-    }
-
-    // Arm after the grants so the plan's link outage (at=3ms from arm)
-    // lands squarely in the tenant I/O phase, not the share mailbox RPCs.
-    pcie::Fabric* fab = &tb.fabric();
-    fault::Injector::global().arm(
-        tb.engine(), {.set_ntb_link = [fab](std::uint32_t host, bool up) {
-          (void)fab->set_ntb_link(host, up);
-        }});
-
-    std::vector<sim::Future<Result<workload::JobResult>>> jobs;
-    for (std::uint32_t t = 0; t < kTenants; ++t) {
-      workload::JobSpec spec;
-      spec.pattern = workload::JobSpec::Pattern::randrw;
-      spec.ops = 600;
-      spec.queue_depth = 4;
-      spec.verify = true;
-      spec.region_blocks = 2048;
-      spec.region_offset_blocks = static_cast<std::uint64_t>(t) * 2048;
-      spec.seed = 99 + t;
-      jobs.push_back(workload::run_job(tb.cluster(), *devs[t], 1, spec));
-    }
-    for (auto& job : jobs) {
-      auto result = tb.wait(job, 120_s);
-      EXPECT_TRUE(result.has_value()) << result.status().to_string();
-      if (result.has_value()) {
-        EXPECT_EQ(result->errors, 0u) << "recovery must absorb every injected fault";
-        EXPECT_EQ(result->verify_failures, 0u);
-      }
-    }
-    const auto& ms = stack->client->multiplexer()->stats();
-    EXPECT_EQ(ms.staged_cmds.value(), ms.completed_cmds.value())
-        << "no staged command may be stranded";
-    EXPECT_EQ(ms.aborted_cmds.value(), 0u);
-    snapshot = obs::Registry::global().to_json();
+  Testbed tb(with_faults(small_testbed(2), kChaosPlan));
+  driver::Client::Config cc;
+  cc.cmd_timeout_ns = 500'000;
+  cc.cmd_retry_limit = 6;
+  cc.retry_backoff_ns = 50'000;
+  cc.heartbeat_interval_ns = 200'000;
+  cc.queue_depth = 8;  // the share floor: tenants get windows in [8, 64)
+  driver::Manager::Config mc;
+  mc.client_heartbeat_timeout_ns = 2'000'000;
+  mc.csts_poll_interval_ns = 200'000;
+  auto stack = bring_up(tb, 0, 1, cc, mc);
+  EXPECT_TRUE(stack.has_value()) << stack.status().to_string();
+  if (!stack) return {};
+  constexpr std::uint32_t kTenants = 4;
+  std::vector<std::unique_ptr<mux::TenantDevice>> devs;
+  for (std::uint32_t t = 1; t <= kTenants; ++t) {
+    driver::Client::ShareRequest req;
+    req.tenant = t;
+    req.cid_count = 6;
+    if (t == 1) req.qos_iops = 20'000;  // one paced tenant in the mix
+    auto grant = tb.wait(stack->client->create_share(req));
+    EXPECT_TRUE(grant.has_value()) << grant.status().to_string();
+    if (!grant) return {};
+    devs.push_back(std::make_unique<mux::TenantDevice>(
+        *stack->client->multiplexer(), *stack->client, t));
   }
-  fault::Injector::global().disarm();
-  return snapshot;
+
+  // Arm after the grants so the plan's link outage (at=3ms from arm)
+  // lands squarely in the tenant I/O phase, not the share mailbox RPCs.
+  tb.substrate().arm_faults();
+
+  std::vector<sim::Future<Result<workload::JobResult>>> jobs;
+  for (std::uint32_t t = 0; t < kTenants; ++t) {
+    workload::JobSpec spec;
+    spec.pattern = workload::JobSpec::Pattern::randrw;
+    spec.ops = 600;
+    spec.queue_depth = 4;
+    spec.verify = true;
+    spec.region_blocks = 2048;
+    spec.region_offset_blocks = static_cast<std::uint64_t>(t) * 2048;
+    spec.seed = 99 + t;
+    jobs.push_back(workload::run_job(tb.cluster(), *devs[t], 1, spec));
+  }
+  for (auto& job : jobs) {
+    auto result = tb.wait(job, 120_s);
+    EXPECT_TRUE(result.has_value()) << result.status().to_string();
+    if (result.has_value()) {
+      EXPECT_EQ(result->errors, 0u) << "recovery must absorb every injected fault";
+      EXPECT_EQ(result->verify_failures, 0u);
+    }
+  }
+  const auto& ms = stack->client->multiplexer()->stats();
+  EXPECT_EQ(ms.staged_cmds.value(), ms.completed_cmds.value())
+      << "no staged command may be stranded";
+  EXPECT_EQ(ms.aborted_cmds.value(), 0u);
+  return obs::Registry::global().to_json();
 }
 
 TEST(Stress, TenantMuxChaosSoakSurvivesInjectedFaults) {
@@ -405,94 +364,85 @@ constexpr std::string_view kTakeoverStormPlan =
 
 std::string chaos_run_takeover_storm() {
   obs::Registry::global().reset_values();
-  auto plan = fault::parse_plan(kTakeoverStormPlan);
-  EXPECT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
+  Testbed tb(with_faults(small_testbed(5), kTakeoverStormPlan));
+  driver::Manager::Config mc;
+  mc.lease_duration_ns = 1_ms;
+  mc.client_heartbeat_timeout_ns = 4_ms;
+  auto manager = tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), mc));
+  EXPECT_TRUE(manager.has_value()) << manager.status().to_string();
+  if (!manager) return {};
 
-  std::string snapshot;
-  {
-    Testbed tb(small_testbed(5));
-    driver::Manager::Config mc;
-    mc.lease_duration_ns = 1_ms;
-    mc.client_heartbeat_timeout_ns = 4_ms;
-    auto manager = tb.wait(driver::Manager::start(tb.service(), 0, tb.device_id(), mc));
-    EXPECT_TRUE(manager.has_value()) << manager.status().to_string();
-    if (!manager) return {};
+  driver::Client::Config cc;
+  cc.channels = 2;
+  cc.queue_depth = 4;
+  cc.cmd_timeout_ns = 500'000;
+  cc.cmd_retry_limit = 6;
+  cc.retry_backoff_ns = 50'000;
+  cc.heartbeat_interval_ns = 300'000;
+  cc.mailbox_timeout_ns = 1_ms;
+  cc.mailbox_retry_limit = 12;
+  cc.mailbox_retry_backoff_ns = 100'000;
+  auto c1 = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), cc));
+  cc.channels = 1;
+  auto c2 = tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), cc));
+  EXPECT_TRUE(c1.has_value() && c2.has_value());
+  if (!c1 || !c2) return {};
 
-    driver::Client::Config cc;
-    cc.channels = 2;
-    cc.queue_depth = 4;
-    cc.cmd_timeout_ns = 500'000;
-    cc.cmd_retry_limit = 6;
-    cc.retry_backoff_ns = 50'000;
-    cc.heartbeat_interval_ns = 300'000;
-    cc.mailbox_timeout_ns = 1_ms;
-    cc.mailbox_retry_limit = 12;
-    cc.mailbox_retry_backoff_ns = 100'000;
-    auto c1 = tb.wait(driver::Client::attach(tb.service(), 1, tb.device_id(), cc));
-    cc.channels = 1;
-    auto c2 = tb.wait(driver::Client::attach(tb.service(), 2, tb.device_id(), cc));
-    EXPECT_TRUE(c1.has_value() && c2.has_value());
-    if (!c1 || !c2) return {};
-
-    // Standby chain on hosts 3 and 4. Each standby needs its own metadata
-    // segment id and private segment base: hinted allocation may land both
-    // managers' segments in the same host, where ids must stay unique.
-    std::vector<std::unique_ptr<driver::Manager>> standbys;
-    for (std::uint32_t i = 0; i < 2; ++i) {
-      driver::Manager::Config sc = mc;
-      sc.metadata_segment_id = 0x4d455442 + i;
-      sc.private_segment_base = 0x4e000000 + (i << 8);
-      auto sb = tb.wait(
-          driver::Manager::start_standby(tb.service(), 3 + i, tb.device_id(), sc));
-      EXPECT_TRUE(sb.has_value()) << sb.status().to_string();
-      if (!sb) return {};
-      standbys.push_back(std::move(*sb));
-    }
-    fault::Injector::global().arm(tb.engine(), {});
-
-    std::vector<sim::Future<Result<workload::JobResult>>> jobs;
-    for (std::size_t i = 0; i < 2; ++i) {
-      workload::JobSpec spec;
-      spec.pattern = workload::JobSpec::Pattern::randrw;
-      spec.ops = 0;
-      spec.duration = 12_ms;  // spans both outages and both takeovers
-      spec.queue_depth = 4;
-      spec.verify = true;
-      spec.seed = 0x51 + i;
-      spec.region_blocks = 32 * 1024;
-      spec.region_offset_blocks = i * 64 * 1024;
-      driver::Client& cl = i == 0 ? **c1 : **c2;
-      jobs.push_back(
-          workload::run_job(tb.cluster(), cl, static_cast<sisci::NodeId>(i + 1), spec));
-    }
-    for (auto& job : jobs) {
-      auto result = tb.wait(std::move(job), 600_s);
-      EXPECT_TRUE(result.has_value()) << result.status().to_string();
-      if (result.has_value()) {
-        EXPECT_EQ(result->errors, 0u)
-            << "in-flight I/O must never error across manager takeovers";
-        EXPECT_EQ(result->verify_failures, 0u);
-      }
-    }
-    tb.engine().run_for(2_ms);  // let the second takeover's aftermath settle
-
-    // The chain promoted in order: host 3 served epoch 2, host 4 epoch 3.
-    EXPECT_FALSE((*manager)->is_active());
-    EXPECT_FALSE(standbys[0]->is_active());
-    EXPECT_TRUE(standbys[1]->is_active());
-    EXPECT_EQ(standbys[0]->stats().takeovers.value(), 1u);
-    EXPECT_EQ(standbys[1]->stats().takeovers.value(), 1u);
-    EXPECT_EQ(standbys[1]->epoch(), 3u);
-    // Both clients heartbeated into each successor in time: nobody reaped.
-    EXPECT_EQ(standbys[0]->stats().qps_reaped.value(), 0u);
-    EXPECT_EQ(standbys[1]->stats().qps_reaped.value(), 0u);
-    EXPECT_FALSE(tb.controller().is_fatal());
-
-    snapshot = obs::Registry::global().to_json();
+  // Standby chain on hosts 3 and 4. Each standby needs its own metadata
+  // segment id and private segment base: hinted allocation may land both
+  // managers' segments in the same host, where ids must stay unique.
+  std::vector<std::unique_ptr<driver::Manager>> standbys;
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    driver::Manager::Config sc = mc;
+    sc.metadata_segment_id = 0x4d455442 + i;
+    sc.private_segment_base = 0x4e000000 + (i << 8);
+    auto sb = tb.wait(
+        driver::Manager::start_standby(tb.service(), 3 + i, tb.device_id(), sc));
+    EXPECT_TRUE(sb.has_value()) << sb.status().to_string();
+    if (!sb) return {};
+    standbys.push_back(std::move(*sb));
   }
-  fault::Injector::global().disarm();
-  return snapshot;
+  tb.substrate().arm_faults();
+
+  std::vector<sim::Future<Result<workload::JobResult>>> jobs;
+  for (std::size_t i = 0; i < 2; ++i) {
+    workload::JobSpec spec;
+    spec.pattern = workload::JobSpec::Pattern::randrw;
+    spec.ops = 0;
+    spec.duration = 12_ms;  // spans both outages and both takeovers
+    spec.queue_depth = 4;
+    spec.verify = true;
+    spec.seed = 0x51 + i;
+    spec.region_blocks = 32 * 1024;
+    spec.region_offset_blocks = i * 64 * 1024;
+    driver::Client& cl = i == 0 ? **c1 : **c2;
+    jobs.push_back(
+        workload::run_job(tb.cluster(), cl, static_cast<sisci::NodeId>(i + 1), spec));
+  }
+  for (auto& job : jobs) {
+    auto result = tb.wait(std::move(job), 600_s);
+    EXPECT_TRUE(result.has_value()) << result.status().to_string();
+    if (result.has_value()) {
+      EXPECT_EQ(result->errors, 0u)
+          << "in-flight I/O must never error across manager takeovers";
+      EXPECT_EQ(result->verify_failures, 0u);
+    }
+  }
+  tb.engine().run_for(2_ms);  // let the second takeover's aftermath settle
+
+  // The chain promoted in order: host 3 served epoch 2, host 4 epoch 3.
+  EXPECT_FALSE((*manager)->is_active());
+  EXPECT_FALSE(standbys[0]->is_active());
+  EXPECT_TRUE(standbys[1]->is_active());
+  EXPECT_EQ(standbys[0]->stats().takeovers.value(), 1u);
+  EXPECT_EQ(standbys[1]->stats().takeovers.value(), 1u);
+  EXPECT_EQ(standbys[1]->epoch(), 3u);
+  // Both clients heartbeated into each successor in time: nobody reaped.
+  EXPECT_EQ(standbys[0]->stats().qps_reaped.value(), 0u);
+  EXPECT_EQ(standbys[1]->stats().qps_reaped.value(), 0u);
+  EXPECT_FALSE(tb.controller().is_fatal());
+
+  return obs::Registry::global().to_json();
 }
 
 TEST(Stress, TakeoverStormSoakSurvives) {

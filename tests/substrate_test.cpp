@@ -179,24 +179,15 @@ TEST_P(SubstrateTest, TwoClientsShareOneDevice) {
 // same plan drives the NTB cable-pull path and the CXL port-down path
 // through Substrate::set_host_link.
 TEST_P(SubstrateTest, RecoversFromLinkFlap) {
-  auto plan = fault::parse_plan("seed=11;ntb_link_down:host=1,at=300us,for=400us");
-  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
-
   driver::Client::Config cc;
   cc.cmd_timeout_ns = 500'000;
   cc.cmd_retry_limit = 5;
   cc.retry_backoff_ns = 50'000;
 
-  Testbed tb(config(2));
+  Testbed tb(with_faults(config(2), "seed=11;ntb_link_down:host=1,at=300us,for=400us"));
   auto stack = bring_up(tb, 0, 1, cc);
   ASSERT_TRUE(stack.has_value()) << stack.status().to_string();
-
-  fabric::Substrate* sub = &tb.substrate();
-  fault::Injector::global().arm(tb.engine(),
-                                {.set_ntb_link = [sub](std::uint32_t host, bool up) {
-                                  (void)sub->set_host_link(host, up);
-                                }});
+  tb.substrate().arm_faults();
 
   workload::JobSpec spec;
   spec.name = "linkflap";
@@ -207,9 +198,9 @@ TEST_P(SubstrateTest, RecoversFromLinkFlap) {
   spec.seed = 99;
   spec.verify = true;
   auto result = workload::run_job_blocking(tb.cluster(), *stack->client, 1, spec);
-  fault::Injector::global().disarm();
   ASSERT_TRUE(result.has_value()) << result.status().to_string();
   EXPECT_EQ(result->verify_failures, 0u);
+  EXPECT_EQ(tb.substrate().faults()->stats().link_downs.value(), 1u);
 
   // The flap actually happened, and the stack survived it.
   write_read_verify(tb, *stack->client, 1, /*lba=*/2048, 4096, /*seed=*/0x5A);
@@ -257,13 +248,12 @@ TEST_P(SubstrateTest, WriteWatchSeesEveryWritePath) {
                                 "seed=3;torn_dma_write:src=1,dst=1,nth=1,count=1"}) {
     auto plan = fault::parse_plan(plan_text);
     ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-    fault::Injector::global().configure(std::move(*plan));
-    const auto& fs = fault::Injector::global().stats();
-    const std::uint64_t damaged = fs.bit_flips.value() + fs.torn_writes.value();
+    sub.set_fault_plan(std::move(*plan));
     ASSERT_TRUE(sub.post_write(sub.cpu(1), lo, data).has_value());
-    EXPECT_EQ(fs.bit_flips.value() + fs.torn_writes.value(), damaged + 1) << plan_text;
+    const auto& fs = sub.faults()->stats();
+    EXPECT_EQ(fs.bit_flips.value() + fs.torn_writes.value(), 1u) << plan_text;
+    sub.set_fault_plan(std::nullopt);
     check(true, plan_text);
-    fault::Injector::global().disarm();
   }
 
   watch->reset();
@@ -360,16 +350,13 @@ TEST_P(SubstrateTest, TornScatterWriteLandsOnlyLeadingBytes) {
 
   auto plan = fault::parse_plan("seed=4;torn_dma_write:src=0,dst=0,nth=1,count=1");
   ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
-  const std::uint64_t torn_before = fault::Injector::global().stats().torn_writes.value();
+  sub.set_fault_plan(std::move(*plan));
   // Two chunks, out of address order: delivery follows the scatter list.
   const fabric::SgEntry sg[] = {{*base + 4096, 4096}, {*base, 4096}};
   auto arrival =
       sub.write_sg(sub.cpu(0), sg, mem::Payload::copy_of(Bytes(8192, std::byte{0xa5})));
-  const std::uint64_t torn = fault::Injector::global().stats().torn_writes.value() - torn_before;
-  fault::Injector::global().disarm();
   ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
-  EXPECT_EQ(torn, 1u);
+  EXPECT_EQ(sub.faults()->stats().torn_writes.value(), 1u);
   tb.engine().run_until(*arrival + 1);
 
   // The payload in scatter order: a prefix of 0xa5 bytes, zeros after it.
@@ -607,14 +594,26 @@ class CowSoup {
     return sg;
   }
 
-  /// Arm `kind` to fire once on host `h`'s next transfer.
+  /// Install a plan that fires `kind` once on host `h`'s next transfer.
   void arm(const char* kind, fabric::HostId h) {
     const std::string text = "seed=" + std::to_string(rng_.uniform(1000)) + ";" + kind +
                              ":src=" + std::to_string(h) + ",dst=" + std::to_string(h) +
                              ",nth=1,count=1";
     auto plan = fault::parse_plan(text);
     ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-    fault::Injector::global().configure(std::move(*plan));
+    sub_.set_fault_plan(std::move(*plan));
+  }
+
+  /// How many faults the installed plan (if any) fired; removes the plan.
+  std::uint64_t disarm() {
+    std::uint64_t fired = 0;
+    if (const fault::Injector* faults = sub_.faults()) {
+      const auto& fs = faults->stats();
+      fired = fs.bit_flips.value() + fs.torn_writes.value() + fs.posted_drops.value() +
+              fs.stale_reads.value();
+    }
+    sub_.set_fault_plan(std::nullopt);
+    return fired;
   }
 
   /// write_sg of a payload gathered from memory (sharing its pages) or of
@@ -640,11 +639,8 @@ class CowSoup {
     }
     if (fault == 0) arm("flip_dma_bits", h);
     if (fault == 1) arm("torn_dma_write", h);
-    const auto& fs = fault::Injector::global().stats();
-    const std::uint64_t damaged_before = fs.bit_flips.value() + fs.torn_writes.value();
     auto arrival = sub_.write_sg(sub_.cpu(h), sg, std::move(p));
-    const std::uint64_t damaged = fs.bit_flips.value() + fs.torn_writes.value() - damaged_before;
-    fault::Injector::global().disarm();
+    const std::uint64_t damaged = disarm();
     ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
     EXPECT_EQ(damaged, fault < 2 ? 1u : 0u) << where();
     if (rng_.uniform(2) == 0) write();  // the payload's source changes in flight
@@ -696,11 +692,8 @@ class CowSoup {
     }
     const bool stale = rng_.uniform(8) == 0;
     if (stale) arm("stale_read", h);
-    const std::uint64_t stale_before = fault::Injector::global().stats().stale_reads.value();
     auto got = tb_.wait(sub_.read_sg(sub_.cpu(h), sg));
-    const std::uint64_t stale_reads =
-        fault::Injector::global().stats().stale_reads.value() - stale_before;
-    fault::Injector::global().disarm();
+    const std::uint64_t stale_reads = disarm();
     ASSERT_TRUE(got.has_value()) << got.status().to_string();
     EXPECT_EQ(stale_reads, stale ? 1u : 0u) << where();
     if (stale) std::fill(expect.begin(), expect.end(), std::byte{0});
@@ -724,13 +717,8 @@ class CowSoup {
     if (fault == 0) arm("flip_dma_bits", h);
     if (fault == 1) arm("torn_dma_write", h);
     if (fault == 2) arm("drop_posted_write", h);
-    const auto& fs = fault::Injector::global().stats();
-    const std::uint64_t faulted_before =
-        fs.bit_flips.value() + fs.torn_writes.value() + fs.posted_drops.value();
     auto arrival = sub_.post_write(sub_.cpu(h), base_[h] + off, data);
-    const std::uint64_t faulted =
-        fs.bit_flips.value() + fs.torn_writes.value() + fs.posted_drops.value() - faulted_before;
-    fault::Injector::global().disarm();
+    const std::uint64_t faulted = disarm();
     ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
     EXPECT_EQ(faulted, fault < 3 ? 1u : 0u) << where();
     const Bytes sent = std::exchange(data, Bytes(len));  // the buffer is free once posted
@@ -765,11 +753,8 @@ class CowSoup {
     Bytes expect = slice(ref_[h], off, len);
     const bool stale = rng_.uniform(8) == 0;
     if (stale) arm("stale_read", h);
-    const std::uint64_t stale_before = fault::Injector::global().stats().stale_reads.value();
     auto got = tb_.wait(sub_.read(sub_.cpu(h), base_[h] + off, len));
-    const std::uint64_t stale_reads =
-        fault::Injector::global().stats().stale_reads.value() - stale_before;
-    fault::Injector::global().disarm();
+    const std::uint64_t stale_reads = disarm();
     ASSERT_TRUE(got.has_value()) << got.status().to_string();
     EXPECT_EQ(stale_reads, stale ? 1u : 0u) << where();
     if (stale) std::fill(expect.begin(), expect.end(), std::byte{0});
@@ -878,15 +863,13 @@ TEST_P(SubstrateTest, DoorbellWriteTornToNothingIsOneUnsupportedRequest) {
   // still reaches the doorbell register, which rejects it.
   auto plan = fault::parse_plan("seed=3;torn_dma_write:src=0,class=bar,nth=1,count=1");
   ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
-  fault::Injector::global().configure(std::move(*plan));
-  const std::uint64_t torn_before = fault::Injector::global().stats().torn_writes.value();
+  sub.set_fault_plan(std::move(*plan));
   const std::uint64_t ur_before = sub.stats().unsupported_requests.value();
   const std::byte one{0x01};
   auto arrival = sub.post_write(sub.cpu(0), bar->addr() + nvme::reg::kDoorbellBase, {&one, 1});
-  fault::Injector::global().disarm();
   ASSERT_TRUE(arrival.has_value()) << arrival.status().to_string();
   tb.engine().run_until(*arrival + 1);
-  EXPECT_EQ(fault::Injector::global().stats().torn_writes.value(), torn_before + 1);
+  EXPECT_EQ(sub.faults()->stats().torn_writes.value(), 1u);
   EXPECT_EQ(sub.stats().unsupported_requests.value(), ur_before + 1);
 }
 

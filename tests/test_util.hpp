@@ -42,6 +42,15 @@ inline TestbedConfig small_testbed(std::uint32_t hosts) {
   return cfg;
 }
 
+/// `cfg` with the fault plan `text` (docs/faults.md). The testbed installs
+/// it before bring-up; the test arms it with `substrate().arm_faults()`.
+inline TestbedConfig with_faults(TestbedConfig cfg, std::string_view text) {
+  auto plan = fault::parse_plan(text);
+  EXPECT_TRUE(plan.has_value()) << plan.status().to_string();
+  if (plan) cfg.faults = std::move(*plan);
+  return cfg;
+}
+
 struct Stack {
   std::unique_ptr<driver::Manager> manager;
   std::unique_ptr<driver::Client> client;

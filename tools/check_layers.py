@@ -1,16 +1,29 @@
 #!/usr/bin/env python3
-"""Check the module layering of src/.
+"""Check the module layering of src/, and that src/ grows no new singleton.
 
 Every `#include "module/..."` in src/<module>/ names another module. This
 fails when the module's `target_link_libraries` line (src/<module>/
 CMakeLists.txt) does not declare that module's library directly, or when the
 module graph has a cycle, and prints each offending edge or the cycle.
 
+It also fails on a function that returns a reference to a non-const
+function-local `static` (the `global()` / `stats()` singleton shape: state
+shared by every simulation in the process) unless SINGLETONS lists it with
+the reason it stays.
+
 Usage: tools/check_layers.py [SRC_DIR]   (default: src next to this script)
 """
 import pathlib
 import re
 import sys
+
+# Process-global singletons still in src/, and why each stays for now.
+SINGLETONS = {
+    "obs::Registry::global": "perfbench reads the metrics registry",
+    "obs::Tracer::global": "perfbench reads the span tracer",
+    "integrity::stats": "the next one to move into the simulation (ROADMAP item 4)",
+    "log::flight_ring": "log state is process-wide until the log time provider moves",
+}
 
 INCLUDE = re.compile(r'^\s*#\s*include\s+"([a-z_]+)/[^"]+"', re.MULTILINE)
 LINKS = re.compile(r"target_link_libraries\(\s*nvs_(\w+)\s+(?:PUBLIC|PRIVATE|INTERFACE)?([^)]*)\)")
@@ -38,6 +51,32 @@ def include_edges(src, modules):
             if used != module and used in modules:
                 edges.setdefault((module, used), path.relative_to(src.parent))
     return edges
+
+
+# `T& name(...) [const] [noexcept] {`: a function returning a reference.
+REF_FUNCTION = re.compile(r"&\s*([A-Za-z_][\w:]*)\s*\([^;{}()]*\)\s*(?:const\s*)?(?:noexcept\s*)?\{")
+LOCAL_STATIC = re.compile(r"^\s*static\s+(?!const\b|constexpr\b)[^;=()]*?\b(\w+)\s*[;({=]", re.MULTILINE)
+NAMESPACE = re.compile(r"^namespace\s+nvmeshare::([\w:]+)\s*\{", re.MULTILINE)
+
+
+def singletons(src):
+    """Qualified name -> file of every function returning a function-local static."""
+    found = {}
+    for path in sorted(src.glob("*/*.[ch]pp")):
+        text = path.read_text()
+        for match in REF_FUNCTION.finditer(text):
+            depth, end = 1, match.end()
+            while depth and end < len(text):
+                depth += {"{": 1, "}": -1}.get(text[end], 0)
+                end += 1
+            body = text[match.end():end]
+            if not any(re.search(rf"\breturn\s+{var}\s*;", body)
+                       for var in LOCAL_STATIC.findall(body)):
+                continue
+            spaces = NAMESPACE.findall(text, 0, match.start())
+            scope = spaces[-1] + "::" if spaces else ""
+            found[scope + match.group(1)] = path.relative_to(src.parent)
+    return found
 
 
 def find_cycle(graph):
@@ -82,9 +121,19 @@ def main():
     if cycle:
         print("cycle: " + " -> ".join(cycle))
         bad += 1
+    found = singletons(src)
+    for name, path in sorted(found.items()):
+        if name not in SINGLETONS:
+            print(f"{path}: {name}() returns a function-local static, a process-global "
+                  "singleton; give the state an owner in the simulation")
+            bad += 1
+    for name in sorted(SINGLETONS.keys() - found.keys()):
+        print(f"check_layers.py: SINGLETONS lists {name}, which src/ no longer defines")
+        bad += 1
     if bad:
         return 1
-    print(f"check_layers: {len(links)} modules, {len(edges)} include edges, all declared, no cycle")
+    print(f"check_layers: {len(links)} modules, {len(edges)} include edges, all declared, "
+          f"no cycle; {len(found)} allowlisted singletons")
     return 0
 
 

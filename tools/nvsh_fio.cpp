@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "bench/bench_util.hpp"
@@ -149,8 +150,8 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-Scenario build_scenario(const Options& opt) {
-  const bool chaos = !opt.faults.empty();
+Scenario build_scenario(const Options& opt, const std::optional<fault::FaultPlan>& faults) {
+  const bool chaos = faults.has_value();
 
   driver::Client::Config cc;
   cc.queue_depth = std::max(opt.qd, 1u);
@@ -223,8 +224,10 @@ Scenario build_scenario(const Options& opt) {
   }
 
   auto testbed = [&](std::uint32_t hosts) {
-    workload::TestbedConfig cfg = default_bench_testbed(hosts);
+    workload::TestbedConfig cfg =
+        default_bench_testbed(hosts, *fabric::parse_substrate(opt.substrate));
     cfg.nvme.pi_enabled = opt.integrity;  // "format with metadata"
+    cfg.faults = faults;
     return cfg;
   };
   if (opt.scenario == "ours-remote") {
@@ -273,31 +276,23 @@ workload::JobSpec build_spec(const Options& opt) {
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
   if (opt.ops == 0 && opt.runtime_ms == 0) usage(argv[0]);
-  bench_substrate() = *fabric::parse_substrate(opt.substrate);
 
   const bool chaos = !opt.faults.empty();
+  std::optional<fault::FaultPlan> faults;
   if (chaos) {
-    // configure() before the scenario is built (drivers register crash
-    // handlers at construction only when fault::enabled()).
     auto plan = fault::parse_plan(opt.faults);
     if (!plan) {
       std::fprintf(stderr, "bad --faults plan: %s\n", plan.status().to_string().c_str());
       return 2;
     }
-    fault::Injector::global().configure(std::move(*plan));
+    faults = std::move(*plan);
   }
 
-  Scenario scenario = build_scenario(opt);
-  if (chaos) {
-    // arm() after bring-up: timed faults (`at=`) are relative to this point,
-    // so the chaos schedule never races controller initialization.
-    fabric::Substrate& fab = scenario.testbed->substrate();
-    fault::Injector::global().arm(
-        scenario.testbed->engine(),
-        {.set_ntb_link = [&fab](std::uint32_t host, bool up) {
-          (void)fab.set_host_link(host, up);
-        }});
-  }
+  // The testbed installs the plan before bring-up (drivers register crash
+  // handlers with it as they start); arm it after, so timed faults (`at=`)
+  // never race controller initialization.
+  Scenario scenario = build_scenario(opt, faults);
+  scenario.testbed->substrate().arm_faults();
   const sim::Engine& engine = scenario.testbed->engine();
   const SimCounts before{engine.events_processed(), engine.ticks_elided()};
   const workload::JobResult result = run(scenario, build_spec(opt), /*tolerate_errors=*/chaos);
@@ -355,6 +350,5 @@ int main(int argc, char** argv) {
     }
     json_ok = write_bench_json(opt.json_path, bench_document("nvsh_fio", config, boxes, &job));
   }
-  if (chaos) fault::Injector::global().disarm();
   return result.errors == 0 && result.verify_failures == 0 && json_ok ? 0 : 1;
 }
